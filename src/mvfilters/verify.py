@@ -19,6 +19,7 @@ from . import calculus, densechain as dc, filters, spectra
 from .core import (
     MvAlgebra,
     check_mv_axioms,
+    congruence_cosets,
     is_linear,
     iter_mask,
     quotient_by,
@@ -85,7 +86,23 @@ class Report:
 
 
 class Ctx:
-    """Cached enumerations for one finite algebra."""
+    """Filter lists of one finite algebra, and the memo of one verification run.
+
+    The lists come from the theory enumeration in ``filters``: lattice
+    filters are the principal filters ↑x and implication filters are ↑b for
+    idempotent b.  That is exact for MV-algebras only (finite products of
+    Łukasiewicz chains; Cignoli, D'Ottaviano and Mundici, 2000); a ``table``
+    spec is not certified before its filters are listed.
+
+    Statements call the pure primitives they query again and again with the
+    same arguments through this object: ⊸, the kernel and subordinates from
+    ``calculus``, and the spectrum and derived algebra of each prime
+    implication filter P from ``spectra``.  Each result is computed once, by
+    the one definition in its module, and kept in ``memo`` (operation name ->
+    argument tuple -> result).  The memo lives on this instance, so it lasts
+    exactly one verification run; the algebra itself is never written to.
+    Cross-checks compute their second side by calling their module directly.
+    """
 
     def __init__(self, a: MvAlgebra):
         self.a = a
@@ -96,9 +113,42 @@ class Ctx:
             m for m in self.impl if filters.is_prime_implication_filter(a, m)
         ]
         self.linear = is_linear(a)
+        self.memo: dict[str, dict[tuple, object]] = {
+            "sqto": {}, "kernel": {}, "subordinate": {}, "spectrum": {}, "hat": {},
+        }
 
     def show(self, mask: int) -> str:
         return self.a.label_set(mask)
+
+    def sqto(self, f_mask: int, g_mask: int) -> int:
+        memo, key = self.memo["sqto"], (f_mask, g_mask)
+        if key not in memo:
+            memo[key] = calculus.sqto(self.a, f_mask, g_mask)
+        return memo[key]
+
+    def kernel(self, f_mask: int) -> int:
+        memo, key = self.memo["kernel"], (f_mask,)
+        if key not in memo:
+            memo[key] = calculus.kernel(self.a, f_mask)
+        return memo[key]
+
+    def subordinate(self, f_mask: int, elem: int) -> int:
+        memo, key = self.memo["subordinate"], (f_mask, elem)
+        if key not in memo:
+            memo[key] = calculus.subordinate(self.a, f_mask, elem)
+        return memo[key]
+
+    def spectrum(self, p_mask: int) -> spectra.PrimeSpectrum:
+        memo, key = self.memo["spectrum"], (p_mask,)
+        if key not in memo:
+            memo[key] = spectra.prime_spectrum(self.a, p_mask)
+        return memo[key]
+
+    def hat(self, p_mask: int) -> spectra.HatAlgebra:
+        memo, key = self.memo["hat"], (p_mask,)
+        if key not in memo:
+            memo[key] = spectra.build_hat(self.spectrum(p_mask))
+        return memo[key]
 
 
 FINITE_STATEMENTS: dict[str, tuple[str, callable]] = {}
@@ -222,7 +272,7 @@ def _fact_b(ctx, out):
     a = ctx.a
     for f in ctx.primes:
         for x in iter_mask(a.full_mask & ~f):
-            if calculus.kernel_rel(a, f, 1 << x) != calculus.subordinate(a, f, x):
+            if calculus.kernel_rel(a, f, 1 << x) != ctx.subordinate(f, x):
                 out.append((ctx.show(f), x))
 
 
@@ -230,7 +280,7 @@ def _fact_b(ctx, out):
 def _fact_c(ctx, out):
     a = ctx.a
     for f in ctx.primes:
-        if calculus.kernel(a, f) != calculus.kernel_rel(a, f, a.full_mask & ~f):
+        if ctx.kernel(f) != calculus.kernel_rel(a, f, a.full_mask & ~f):
             out.append((ctx.show(f),))
 
 
@@ -238,15 +288,13 @@ def _fact_c(ctx, out):
 def _fact_d(ctx, out):
     a = ctx.a
     for f in ctx.primes:
-        k = calculus.kernel(a, f)
-        coset_of, _, _ = filters.prime_congruence_classes(a, k)
+        k = ctx.kernel(f)
+        coset_of, _, _ = congruence_cosets(a, k)
         outside = list(iter_mask(a.full_mask & ~f))
         for x in outside:
             for y in outside:
                 same_coset = coset_of[x] == coset_of[y]
-                same_sub = calculus.subordinate(a, f, x) == calculus.subordinate(
-                    a, f, y
-                )
+                same_sub = ctx.subordinate(f, x) == ctx.subordinate(f, y)
                 if same_coset != same_sub:
                     out.append((ctx.show(f), x, y))
 
@@ -271,7 +319,7 @@ def _fact_e(ctx, out):
 def _subord_monotone(ctx, out):
     a = ctx.a
     for f in ctx.primes:
-        subs = {x: calculus.subordinate(a, f, x) for x in range(a.size)}
+        subs = {x: ctx.subordinate(f, x) for x in range(a.size)}
         for z in range(a.size):
             for x in range(a.size):
                 if a.leq(z, x) and subs[x] & ~subs[z]:
@@ -287,9 +335,9 @@ def _subord_monotone(ctx, out):
 def _subaeq(ctx, out):
     a = ctx.a
     for f in ctx.primes:
-        k = calculus.kernel(a, f)
+        k = ctx.kernel(f)
         for x in iter_mask(a.full_mask & ~f):
-            if calculus.kernel(a, calculus.subordinate(a, f, x)) != k:
+            if ctx.kernel(ctx.subordinate(f, x)) != k:
                 out.append((ctx.show(f), x))
 
 
@@ -298,7 +346,7 @@ def _subord_prime(ctx, out):
     a = ctx.a
     for f in ctx.primes:
         for x in iter_mask(a.full_mask & ~f):
-            s = calculus.subordinate(a, f, x)
+            s = ctx.subordinate(f, x)
             if s and not filters.is_prime_lattice_filter(a, s):
                 out.append((ctx.show(f), x, ctx.show(s)))
 
@@ -315,7 +363,7 @@ def _plus_inv(ctx, out):
 def _kernel_inside(ctx, out):
     a = ctx.a
     for f in ctx.lattice:
-        k = calculus.kernel(a, f)
+        k = ctx.kernel(f)
         if k & ~f:
             out.append(("containment", ctx.show(f)))
         if not filters.is_implication_filter(a, k):
@@ -328,7 +376,7 @@ def _kernel_prime_iff(ctx, out):
     for f in ctx.lattice:
         if f == a.full_mask:
             continue
-        k = calculus.kernel(a, f)
+        k = ctx.kernel(f)
         if filters.is_prime_lattice_filter(a, f) != filters.is_prime_implication_filter(
             a, k
         ):
@@ -344,48 +392,44 @@ def _fastform(ctx, out):
     a = ctx.a
     for f in ctx.primes:
         for g in ctx.primes:
-            if calculus.sqto(a, f, g) != calculus.sqto_fast(a, f, g):
+            if ctx.sqto(f, g) != calculus.sqto_fast(a, f, g):
                 out.append((ctx.show(f), ctx.show(g)))
 
 
 @finite("prop:incl", "F⊸G lands inside G")
 def _incl(ctx, out):
-    a = ctx.a
     for f in ctx.primes:
         for g in ctx.primes:
-            if calculus.sqto(a, f, g) & ~g:
+            if ctx.sqto(f, g) & ~g:
                 out.append((ctx.show(f), ctx.show(g)))
 
 
 @finite("prop:inclOne", "a nested pair collapses to the kernel")
 def _incl_one(ctx, out):
-    a = ctx.a
     for f in ctx.primes:
         for g in ctx.primes:
             if g & ~f == 0:
-                if calculus.sqto(a, f, g) != calculus.kernel(a, g):
+                if ctx.sqto(f, g) != ctx.kernel(g):
                     out.append((ctx.show(f), ctx.show(g)))
 
 
 @finite("prop:monotone", "⊸ is monotone in its right argument")
 def _monotone(ctx, out):
-    a = ctx.a
     for f, g1 in _nested_prime_pairs(ctx):
         for g2 in ctx.primes:
             if g1 & ~g2 == 0:
-                lhs = calculus.sqto(a, f, g1)
-                rhs = calculus.sqto(a, f, g2)
+                lhs = ctx.sqto(f, g1)
+                rhs = ctx.sqto(f, g2)
                 if lhs & ~rhs:
                     out.append((ctx.show(f), ctx.show(g1), ctx.show(g2)))
 
 
 @finite("prop:revIncl", "⊸ is antitone in its left argument")
 def _rev_incl(ctx, out):
-    a = ctx.a
     for f1, f2 in _nested_prime_pairs(ctx):
         for g in ctx.primes:
             if f2 & ~g == 0:
-                if calculus.sqto(a, f2, g) & ~calculus.sqto(a, f1, g):
+                if ctx.sqto(f2, g) & ~ctx.sqto(f1, g):
                     out.append((ctx.show(f1), ctx.show(f2), ctx.show(g)))
 
 
@@ -393,60 +437,55 @@ def _rev_incl(ctx, out):
 def _prop_plus(ctx, out):
     a = ctx.a
     for f, g in _nested_prime_pairs(ctx):
-        lhs = calculus.sqto(a, f, g)
-        rhs = calculus.sqto(a, calculus.set_plus(a, g), calculus.set_plus(a, f))
+        lhs = ctx.sqto(f, g)
+        rhs = ctx.sqto(calculus.set_plus(a, g), calculus.set_plus(a, f))
         if lhs != rhs:
             out.append((ctx.show(f), ctx.show(g)))
 
 
 @finite("prop:OneOne", "the kernel is a left unit for ⊸")
 def _one_one(ctx, out):
-    a = ctx.a
     for f in ctx.primes:
-        if calculus.sqto(a, calculus.kernel(a, f), f) != f:
+        if ctx.sqto(ctx.kernel(f), f) != f:
             out.append((ctx.show(f),))
 
 
 @finite("prop:adjunction", "the two containments into ⊸ swap symmetrically")
 def _adjunction(ctx, out):
-    a = ctx.a
     for g in ctx.primes:
         below = [f for f in ctx.primes if f & ~g == 0]
         for f in below:
             for h in below:
-                lhs = f & ~calculus.sqto(a, h, g) == 0
-                rhs = h & ~calculus.sqto(a, f, g) == 0
+                lhs = f & ~ctx.sqto(h, g) == 0
+                rhs = h & ~ctx.sqto(f, g) == 0
                 if lhs != rhs:
                     out.append((ctx.show(f), ctx.show(h), ctx.show(g)))
 
 
 @finite("prop:axiomC", "left arguments of nested ⊸ exchange")
 def _axiom_c(ctx, out):
-    a = ctx.a
     for g in ctx.primes:
         below = [f for f in ctx.primes if f & ~g == 0]
         for f in below:
             for h in below:
-                lhs = calculus.sqto(a, f, calculus.sqto(a, h, g))
-                rhs = calculus.sqto(a, h, calculus.sqto(a, f, g))
+                lhs = ctx.sqto(f, ctx.sqto(h, g))
+                rhs = ctx.sqto(h, ctx.sqto(f, g))
                 if lhs != rhs:
                     out.append((ctx.show(f), ctx.show(h), ctx.show(g)))
 
 
 @finite("lem:FFg", "F sits inside the double application")
 def _ffg(ctx, out):
-    a = ctx.a
     for f, g in _nested_prime_pairs(ctx):
-        if f & ~calculus.sqto(a, calculus.sqto(a, f, g), g):
+        if f & ~ctx.sqto(ctx.sqto(f, g), g):
             out.append((ctx.show(f), ctx.show(g)))
 
 
 @finite("cor:sqto-triple", "three applications collapse to one")
 def _triple(ctx, out):
-    a = ctx.a
     for f, g in _nested_prime_pairs(ctx):
-        once = calculus.sqto(a, f, g)
-        thrice = calculus.sqto(a, calculus.sqto(a, once, g), g)
+        once = ctx.sqto(f, g)
+        thrice = ctx.sqto(ctx.sqto(once, g), g)
         if once != thrice:
             out.append((ctx.show(f), ctx.show(g)))
 
@@ -480,11 +519,11 @@ def _small(ctx, out):
             if not filters.is_lattice_filter(a, ju):
                 out.append(("not a lattice filter", ctx.show(f), ctx.show(p)))
                 continue
-            if p & ~calculus.kernel(a, ju):
+            if p & ~ctx.kernel(ju):
                 out.append(("kernel misses P", ctx.show(f), ctx.show(p)))
                 continue
             for h in ctx.lattice:
-                if f & ~h == 0 and not (p & ~calculus.kernel(a, h)):
+                if f & ~h == 0 and not (p & ~ctx.kernel(h)):
                     if ju & ~h:
                         out.append(("not minimal", ctx.show(f), ctx.show(p)))
 
@@ -498,13 +537,13 @@ def _large(ctx, out):
             candidates = [
                 h
                 for h in ctx.lattice
-                if h & ~f == 0 and not (p & ~calculus.kernel(a, h))
+                if h & ~f == 0 and not (p & ~ctx.kernel(h))
             ]
             if jd == 0:
                 if candidates:
                     out.append(("bottom despite candidates", ctx.show(f), ctx.show(p)))
                 continue
-            if jd & ~f or (p & ~calculus.kernel(a, jd)):
+            if jd & ~f or (p & ~ctx.kernel(jd)):
                 out.append(("violates the two conditions", ctx.show(f), ctx.show(p)))
                 continue
             for h in candidates:
@@ -522,8 +561,8 @@ def _ju_kernel(ctx, out):
             ju = calculus.j_up(a, f, p)
             if ju == a.full_mask:
                 continue
-            lhs = calculus.kernel(a, ju)
-            rhs = calculus.kernel_join(a, calculus.kernel(a, f), p)
+            lhs = ctx.kernel(ju)
+            rhs = calculus.kernel_join(a, ctx.kernel(f), p)
             if lhs != rhs:
                 out.append((ctx.show(f), ctx.show(p)))
 
@@ -532,7 +571,7 @@ def _ju_kernel(ctx, out):
 def _jd_lower(ctx, out):
     a = ctx.a
     for f, g in _nested_prime_pairs(ctx):
-        if f & ~calculus.j_down(a, g, calculus.kernel(a, f)):
+        if f & ~calculus.j_down(a, g, ctx.kernel(f)):
             out.append((ctx.show(f), ctx.show(g)))
 
 
@@ -553,7 +592,7 @@ def _quot_commute(ctx, out):
         for g in ctx.lattice:
             if f & ~g:
                 continue
-            kg = calculus.kernel(a, g)
+            kg = ctx.kernel(g)
             for p in ctx.impl:
                 if p & ~kg:
                     continue
@@ -569,7 +608,7 @@ def _quot_commute(ctx, out):
 def _kernel_sqto(ctx, out):
     a = ctx.a
     for f, g in _nested_prime_pairs(ctx):
-        if calculus.kernel(a, f) != calculus.kernel(a, g):
+        if ctx.kernel(f) != ctx.kernel(g):
             continue
         try:
             calculus.kernel_of_sqto(a, f, g)
@@ -581,7 +620,7 @@ def _kernel_sqto(ctx, out):
 def _boundary(ctx, out):
     a = ctx.a
     for f in ctx.primes:
-        kf = calculus.kernel(a, f)
+        kf = ctx.kernel(f)
         for p in ctx.impl:
             if not (kf & ~p == 0 and kf != p):
                 continue
@@ -658,7 +697,7 @@ def _discrete(ctx, out):
     for f in ctx.lattice:
         if f == a.full_mask:
             continue
-        if calculus.kernel(a, f) == a.one_mask:
+        if ctx.kernel(f) == a.one_mask:
             cls = filters.principality(a, f)
             if not cls.is_principal:
                 out.append((ctx.show(f),))
@@ -696,13 +735,11 @@ def _equiv_discrete(ctx, out):
 
 @finite("thm:hat", "each spectrum packages into a linear MV-algebra")
 def _hat(ctx, out):
-    a = ctx.a
     for p in ctx.prime_impl:
-        spec = spectra.prime_spectrum(a, p)
-        if not spec.members:
+        if not ctx.spectrum(p).members:
             continue
         try:
-            spectra.build_hat(spec)
+            ctx.hat(p)
         except MvError as e:
             out.append((ctx.show(p), str(e)))
 
@@ -711,7 +748,7 @@ def _hat(ctx, out):
 def _t_phi(ctx, out):
     a = ctx.a
     for p in ctx.prime_impl:
-        spec = spectra.prime_spectrum(a, p)
+        spec = ctx.spectrum(p)
         for f in spec.members:
             for g in spec.members:
                 t = calculus.tensor_up(a, f, g)
@@ -725,14 +762,13 @@ def _t_phi(ctx, out):
 
 @finite("prop:axiomG", "double application is cut-equivalent to the original")
 def _axiom_g(ctx, out):
-    a = ctx.a
     for p in ctx.prime_impl:
-        spec = spectra.prime_spectrum(a, p)
+        spec = ctx.spectrum(p)
         for f in spec.members:
             for g in spec.members:
                 if f & ~g:
                     continue
-                fg = calculus.sqto(a, calculus.sqto(a, f, g), g)
+                fg = ctx.sqto(ctx.sqto(f, g), g)
                 if not spectra.spectrum_equiv(spec, f, fg):
                     out.append((ctx.show(p), ctx.show(f), ctx.show(g)))
 
@@ -741,10 +777,9 @@ def _axiom_g(ctx, out):
 def _iota(ctx, out):
     a = ctx.a
     for p in ctx.prime_impl:
-        spec = spectra.prime_spectrum(a, p)
-        if not spec.members:
+        if not ctx.spectrum(p).members:
             continue
-        h = spectra.build_hat(spec)
+        h = ctx.hat(p)
         rep = spectra.iota(h, quotient_by(a, p))
         if not rep["sqto_closure"]:
             out.append(("sqto closure identity", ctx.show(p)))
@@ -758,10 +793,9 @@ def _iota(ctx, out):
 def _hat_eta(ctx, out):
     a = ctx.a
     for p in ctx.prime_impl:
-        spec = spectra.prime_spectrum(a, p)
-        if not spec.members:
+        if not ctx.spectrum(p).members:
             continue
-        h = spectra.build_hat(spec)
+        h = ctx.hat(p)
         targets = [
             q for q in ctx.prime_impl + [a.full_mask]
             if p & ~q == 0 and p != q
@@ -776,10 +810,9 @@ def _hat_eta(ctx, out):
 def _composite(ctx, out):
     a = ctx.a
     for p in ctx.prime_impl:
-        spec = spectra.prime_spectrum(a, p)
-        if not spec.members:
+        if not ctx.spectrum(p).members:
             continue
-        h = spectra.build_hat(spec)
+        h = ctx.hat(p)
         targets = [
             q for q in ctx.prime_impl + [a.full_mask]
             if p & ~q == 0 and p != q

@@ -114,3 +114,51 @@ def test_carrier_cap_enforced(monkeypatch):
     with pytest.raises(ResourceLimit):
         mv.enumerate_lattice_filters(CHAINS[6])
     assert mv.enumerate_lattice_filters(CHAINS[4])
+
+
+def _chain_product(*ns):
+    out = mv.make_lukasiewicz_chain(ns[0])
+    for n in ns[1:]:
+        out = mv.make_product(out, mv.make_lukasiewicz_chain(n))
+    return out
+
+
+@pytest.mark.parametrize(
+    "ns", [(16,), (4, 4), (3, 3, 3), (2, 2, 2, 2, 2)], ids=["L16", "L4xL4", "L3^3", "2^5"]
+)
+def test_theory_enumeration_matches_up_set_search(ns):
+    # beyond the reach of the power-set scan: the up-set walk is the oracle
+    a = _chain_product(*ns)
+    up_sets = mv.enumerate_up_sets(a)
+    assert mv.enumerate_lattice_filters(a) == [
+        m for m in up_sets if mv.is_lattice_filter(a, m)
+    ]
+    assert mv.enumerate_implication_filters(a) == [
+        m for m in up_sets if mv.is_implication_filter(a, m)
+    ]
+
+
+@pytest.mark.parametrize(
+    "ns", [(2,), (7,), (2, 3), (3, 5), (4, 4), (2, 3, 4), (3, 3, 3), (2,) * 6]
+)
+def test_closed_form_filter_counts(ns):
+    # L_{n1} x ... x L_{nk}: one principal filter per element, one Boolean
+    # element per subset of the factors, one prime implication filter per
+    # factor, and one prime lattice filter per proper filter of a factor
+    a = _chain_product(*ns)
+    k = len(ns)
+    assert len(mv.enumerate_lattice_filters(a)) == a.size
+    assert len(mv.enumerate_implication_filters(a)) == 2 ** k
+    assert len(mv.enumerate_implication_filters(a, prime_only=True)) == k
+    assert len(mv.enumerate_lattice_filters(a, prime_only=True)) == sum(
+        n - 1 for n in ns
+    )
+
+
+def test_ctx_of_boolean_cube_2_6_builds():
+    # 2^6 has 7.8 M up-sets; a walk over them would stall here
+    from mvfilters.verify import Ctx
+
+    ctx = Ctx(_chain_product(*(2,) * 6))
+    assert (len(ctx.lattice), len(ctx.primes)) == (64, 6)
+    assert (len(ctx.impl), len(ctx.prime_impl)) == (64, 6)

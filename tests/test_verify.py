@@ -3,7 +3,7 @@ import json
 import pytest
 
 import mvfilters as mv
-from mvfilters import InvalidArgument
+from mvfilters import InvalidArgument, calculus, spectra, verify
 from mvfilters.verify import DENSE_STATEMENTS, FINITE_STATEMENTS
 
 from conftest import CHAINS, PRODUCTS
@@ -73,3 +73,63 @@ def test_failure_carries_witnesses():
     assert not report.ok
     assert report.results[0].status == "fail"
     assert report.results[0].witnesses
+
+
+def _fresh(a, name, args):
+    """Recompute a memo entry by its module's definition, bypassing Ctx."""
+    if name == "spectrum":
+        return spectra.prime_spectrum(a, *args)
+    if name == "hat":
+        return spectra.build_hat(spectra.prime_spectrum(a, *args))
+    return getattr(calculus, name)(a, *args)
+
+
+def _run_all(ctx):
+    for _, fn in FINITE_STATEMENTS.values():
+        fn(ctx, [])
+
+
+def test_memo_entries_equal_fresh_calls(monkeypatch):
+    built = []
+
+    class RecordingCtx(verify.Ctx):
+        def __init__(self, a):
+            super().__init__(a)
+            built.append(self)
+
+    monkeypatch.setattr(verify, "Ctx", RecordingCtx)
+    a = PRODUCTS["L2xL3"]
+    assert mv.run_finite(a).ok
+    (ctx,) = built
+    assert set(ctx.memo) == {"sqto", "kernel", "subordinate", "spectrum", "hat"}
+    for name, table in ctx.memo.items():
+        assert table, name
+        for args, value in table.items():
+            assert value == _fresh(a, name, args), (name, args)
+
+
+def test_memo_lives_one_run():
+    a = PRODUCTS["L2xL3"]
+    before = (dict(vars(a)), hash(a))
+    _run_all(verify.Ctx(a))
+    assert all(not table for table in verify.Ctx(a).memo.values())
+    assert (dict(vars(a)), hash(a)) == before
+
+
+def test_checks_fail_through_a_warm_memo(monkeypatch):
+    a = PRODUCTS["L2xL3"]
+    ctx = verify.Ctx(a)
+    _run_all(ctx)
+    fastform = FINITE_STATEMENTS["prop:fastform"][1]
+    out = []
+    fastform(ctx, out)
+    assert not out
+    real = calculus.sqto_fast
+
+    def drop_one(a, f, g):
+        m = real(a, f, g)
+        return m & (m - 1)  # without its lowest member
+
+    monkeypatch.setattr(calculus, "sqto_fast", drop_one)
+    fastform(ctx, out)
+    assert out
