@@ -11,7 +11,7 @@ Conventions adopted throughout (documented once here):
 
 from __future__ import annotations
 
-from .core import MvAlgebra, QuotientAlgebra, congruence_cosets, is_linear, iter_mask
+from .core import MvAlgebra, QuotientAlgebra, congruence_cosets, iter_mask
 from .errors import InvalidArgument, InvariantViolation
 from .filters import implication_filter_generated, up_closure
 
@@ -30,13 +30,8 @@ def subordinate(a: MvAlgebra, f_mask: int, elem: int) -> int:
 
 
 def set_plus(a: MvAlgebra, mask: int) -> int:
-    """{z | ¬z ∉ mask}, the subordinate at 0."""
-    neg = a.neg
-    m = 0
-    for z in range(a.size):
-        if not (mask >> neg[z]) & 1:
-            m |= 1 << z
-    return m
+    """{z | ¬z ∉ mask}, the subordinate at 0 (z→0 = ¬z)."""
+    return subordinate(a, mask, a.zero)
 
 
 def kernel(a: MvAlgebra, f_mask: int) -> int:
@@ -79,16 +74,14 @@ def sqto(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
 
 
 def sqto_fast(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
-    """F ⊸ G as {z | f⊗z ∈ G for every f ∈ F∩G}; equals sqto on all inputs."""
+    """F ⊸ G as {z | f⊗z ∈ G for every f ∈ F∩G}; equals sqto on all inputs.
+
+    It shares no code with sqto's relative-kernel form, so prop:fastform
+    compares two independent definitions.
+    """
     if f_mask == 0 or g_mask == 0:
         return 0
-    fp = list(iter_mask(f_mask & g_mask))
-    otimes = a.otimes
-    m = 0
-    for z in range(a.size):
-        if all((g_mask >> otimes[f][z]) & 1 for f in fp):
-            m |= 1 << z
-    return m
+    return sqto_full(a, f_mask & g_mask, g_mask)
 
 
 def sqto_full(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
@@ -262,35 +255,9 @@ def boundary_coset(a: MvAlgebra, f_mask: int, p_mask: int) -> int:
 
 
 def is_convex(a: MvAlgebra, mask: int) -> bool:
-    """No gaps along the chain: x ≤ z ≤ y with x, y members forces z in."""
+    """Order-convex: C = ↑C ∩ ↓C, so x ≤ z ≤ y with x, y in C forces z in."""
+    up = down = 0
     for x in iter_mask(mask):
-        for y in iter_mask(mask):
-            for z in range(a.size):
-                if a.leq(x, z) and a.leq(z, y) and not (mask >> z) & 1:
-                    return False
-    return True
-
-
-def convex_image_checks(a: MvAlgebra, c_mask: int, elem: int) -> dict:
-    """Verify the three convex-image facts for C and a fixed element.
-
-    Images under z→a, ¬z and z⊗a must all be convex in a linearly ordered
-    algebra.  Returns per-image verdicts with a witness mask on failure.
-    """
-    if not is_linear(a):
-        raise InvalidArgument("convexity checks need a linearly ordered algebra")
-    if not is_convex(a, c_mask):
-        raise InvalidArgument("input set must be convex")
-    imp_img = 0
-    neg_img = 0
-    otimes_img = 0
-    for z in iter_mask(c_mask):
-        imp_img |= 1 << a.imp[z][elem]
-        neg_img |= 1 << a.neg[z]
-        otimes_img |= 1 << a.otimes[z][elem]
-    report = {}
-    for name, img in (("imp", imp_img), ("neg", neg_img), ("otimes", otimes_img)):
-        ok = is_convex(a, img)
-        report[name] = {"ok": ok, "image": img}
-    report["ok"] = all(report[k]["ok"] for k in ("imp", "neg", "otimes"))
-    return report
+        up |= a.up_mask[x]
+        down |= a.down_mask[x]
+    return up & down == mask

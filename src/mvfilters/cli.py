@@ -2,8 +2,7 @@
 
 Commands::
 
-    mvfilters verify  <specfile> [--only id,id] [--seed N] [--max-carrier N]
-                      [--json out]
+    mvfilters verify  <specfile> [--only id,id] [--seed N] [--json out]
     mvfilters compute <specfile> <expression>
     mvfilters export  <specfile> <filters|spectrum:K|hat:K> --format dot|csv
                       -o path
@@ -16,12 +15,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import calculus, densechain as dc, filters, spectra, verify
-from .core import MvAlgebra, iter_mask, make_lukasiewicz_chain, make_product
+from .core import (
+    MvAlgebra,
+    check_mv_axioms,
+    iter_mask,
+    make_lukasiewicz_chain,
+    make_product,
+)
 from .errors import InvalidArgument, MvError, ResourceLimit
 
 
@@ -130,6 +134,30 @@ def build_algebra(spec: dict) -> MvAlgebra:
             name=f"table[{spec['size']}]",
         )
     raise InvalidArgument(f"cannot build an algebra of kind {kind!r}")
+
+
+def _has_table(spec: dict) -> bool:
+    if spec["kind"] == "product":
+        return any(_has_table(s) for s in spec["factors"])
+    return spec["kind"] == "table"
+
+
+def _build_certified(spec: dict) -> MvAlgebra:
+    """build_algebra, refusing a spec whose tables break the MV axioms.
+
+    Chains and their products are MV-algebras by construction, so only specs
+    with a ``table`` pay for the O(n³) check.  ``verify`` builds without it,
+    because it reports a broken table as a failed ``axioms:mv``.
+    """
+    a = build_algebra(spec)
+    if _has_table(spec):
+        rep = check_mv_axioms(a, max_failures=1)
+        if not rep.ok:
+            axiom, witness = rep.failures[0]
+            raise InvalidArgument(
+                f"spec is not an MV-algebra: {axiom} fails at {witness}"
+            )
+    return a
 
 
 def _load_spec(path: str, allow_dense: bool) -> dict:
@@ -319,7 +347,7 @@ def evaluate(spec: dict, expression: str) -> str:
     node = _Parser(expression).parse()
     if spec["kind"] == "dense":
         return str(_DenseEval().eval(node))
-    a = build_algebra(spec)
+    a = _build_certified(spec)
     return a.label_set(_FiniteEval(a).eval(node))
 
 
@@ -361,7 +389,7 @@ def _csv_of_hat(h: spectra.HatAlgebra) -> str:
 
 
 def export(spec: dict, what: str, fmt: str) -> str:
-    a = build_algebra(spec)
+    a = _build_certified(spec)
     if what == "filters":
         if fmt != "dot":
             raise InvalidArgument("the filter order is exported as dot")
@@ -397,17 +425,11 @@ def export(spec: dict, what: str, fmt: str) -> str:
 
 def cmd_verify(args) -> int:
     spec = _load_spec(args.specfile, allow_dense=True)
-    if args.max_carrier is not None:
-        os.environ["MVFILTERS_MAX_CARRIER"] = str(args.max_carrier)
     only = args.only.split(",") if args.only else None
     if spec["kind"] == "dense":
         report = verify.run_dense(seed=args.seed, only=only)
     else:
         a = build_algebra(spec)
-        if a.size > filters.carrier_cap():
-            raise ResourceLimit(
-                f"carrier of {a.size} exceeds the cap of {filters.carrier_cap()}"
-            )
         report = verify.run_finite(a, only=only, seed=args.seed)
     print(report.to_text())
     if args.json:
@@ -446,7 +468,6 @@ def _build_argparser() -> argparse.ArgumentParser:
     v.add_argument("specfile")
     v.add_argument("--only", help="comma-separated statement ids")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--max-carrier", type=int, default=None)
     v.add_argument("--json", help="also write a JSON report to this path")
     v.set_defaults(fn=cmd_verify)
 

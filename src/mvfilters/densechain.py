@@ -209,19 +209,6 @@ def hat_class(f: Cut) -> Fraction:
     return f.endpoint
 
 
-def hat_plus(cls: Fraction) -> Fraction:
-    return ONE - cls
-
-
-def hat_sqto(x: Fraction, y: Fraction) -> Fraction:
-    """Class-level ⊸ collapses to the chain implication on endpoints."""
-    return chain_imp(x, y)
-
-
-def hat_oplus(x: Fraction, y: Fraction) -> Fraction:
-    return hat_sqto(hat_plus(x), y)
-
-
 def canonical_member(cls: Fraction) -> Cut:
     """The closed cut, except at endpoint 0 where only the open one is proper."""
     return BOTTOM_FILTER if cls == 0 else closed_cut(cls)

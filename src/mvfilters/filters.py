@@ -18,17 +18,12 @@ width of the order (2⁶ has 7.8 M up-sets).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .core import MvAlgebra, is_linear, iter_mask
 from .errors import InvalidArgument, ResourceLimit
 
-DEFAULT_CARRIER_CAP = 64
-
-
-def carrier_cap() -> int:
-    return int(os.environ.get("MVFILTERS_MAX_CARRIER", DEFAULT_CARRIER_CAP))
+CARRIER_CAP = 64
 
 
 def up_closure(a: MvAlgebra, mask: int) -> int:
@@ -119,11 +114,9 @@ def is_prime_implication_filter(a: MvAlgebra, mask: int) -> bool:
 
 
 def _check_cap(a: MvAlgebra):
-    cap = carrier_cap()
-    if a.size > cap:
+    if a.size > CARRIER_CAP:
         raise ResourceLimit(
-            f"carrier size {a.size} exceeds enumeration cap {cap} "
-            "(set MVFILTERS_MAX_CARRIER to raise it)"
+            f"carrier size {a.size} exceeds enumeration cap {CARRIER_CAP}"
         )
 
 

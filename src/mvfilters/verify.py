@@ -588,6 +588,7 @@ def _reduction(ctx, out):
 @finite("prop:quot-commute", "⊸ commutes with quotients below the kernel")
 def _quot_commute(ctx, out):
     a = ctx.a
+    quotients = {p: quotient_by(a, p) for p in ctx.impl}
     for f in ctx.lattice:
         for g in ctx.lattice:
             if f & ~g:
@@ -596,8 +597,7 @@ def _quot_commute(ctx, out):
             for p in ctx.impl:
                 if p & ~kg:
                     continue
-                q = quotient_by(a, p)
-                rep = calculus.sqto_quotient_commutes(a, f, g, q)
+                rep = calculus.sqto_quotient_commutes(a, f, g, quotients[p])
                 if not rep["quotient_commutes"]:
                     out.append(("commute", ctx.show(f), ctx.show(g), ctx.show(p)))
                 if rep["preimage_identity"] is False:
@@ -643,24 +643,37 @@ def _boundary(ctx, out):
 # convexity and the discrete case
 
 
-def _convex_sets(a: MvAlgebra):
-    order = sorted(range(a.size), key=lambda x: bin(a.up_mask[x]).count("1"),
-                   reverse=True)
-    for i in range(len(order)):
-        for j in range(i, len(order)):
-            yield sum(1 << x for x in order[i : j + 1])
+def _chain_intervals(a: MvAlgebra):
+    """Every nonempty interval [x, y] = ↑x ∩ ↓y of the order."""
+    for x in range(a.size):
+        for y in range(a.size):
+            if a.leq(x, y):
+                yield a.up_mask[x] & a.down_mask[y]
+
+
+def _image(c: int, values) -> int:
+    """{values[z] | z ∈ C} as a mask."""
+    m = 0
+    for z in iter_mask(c):
+        m |= 1 << values[z]
+    return m
+
+
+def _convex_column_images(ctx, out, table):
+    """Each interval C's image under z ↦ table[z][x] is convex, for every x."""
+    a = ctx.a
+    columns = list(zip(*table))
+    for c in _chain_intervals(a):
+        for x, col in enumerate(columns):
+            if not calculus.is_convex(a, _image(c, col)):
+                out.append((ctx.show(c), x))
 
 
 @finite("lem:convex-imp", "implication images of convex sets are convex")
 def _convex_imp(ctx, out):
     if not ctx.linear:
         return "skip"
-    a = ctx.a
-    for c in _convex_sets(a):
-        for x in range(a.size):
-            rep = calculus.convex_image_checks(a, c, x)
-            if not rep["imp"]["ok"]:
-                out.append((ctx.show(c), x))
+    _convex_column_images(ctx, out, ctx.a.imp)
 
 
 @finite("lem:convex-neg", "negation images of convex sets are convex")
@@ -668,9 +681,8 @@ def _convex_neg(ctx, out):
     if not ctx.linear:
         return "skip"
     a = ctx.a
-    for c in _convex_sets(a):
-        rep = calculus.convex_image_checks(a, c, a.zero)
-        if not rep["neg"]["ok"]:
+    for c in _chain_intervals(a):
+        if not calculus.is_convex(a, _image(c, a.neg)):
             out.append((ctx.show(c),))
 
 
@@ -678,12 +690,7 @@ def _convex_neg(ctx, out):
 def _convex_otimes(ctx, out):
     if not ctx.linear:
         return "skip"
-    a = ctx.a
-    for c in _convex_sets(a):
-        for x in range(a.size):
-            rep = calculus.convex_image_checks(a, c, x)
-            if not rep["otimes"]["ok"]:
-                out.append((ctx.show(c), x))
+    _convex_column_images(ctx, out, ctx.a.otimes)
 
 
 @finite("thm:discrete-principal", "trivial-kernel filters of a chain are principal")
@@ -878,7 +885,7 @@ def _dense_negate(ctx, out):
     rng = ctx.rng("negate")
     for _ in range(ctx.triples):
         f = dc.random_proper_cut(rng, ctx.max_den)
-        if dc.oracle_sqto(f, dc.BOTTOM_FILTER) != dc.cut_plus(f):
+        if dc.cut_sqto(f, dc.BOTTOM_FILTER) != dc.cut_plus(f):
             out.append((str(f),))
 
 
@@ -898,7 +905,7 @@ def _dense_equiv(ctx, out):
                 if f.is_proper and g.is_proper:
                     cases.append((f, g))
     for f, g in cases:
-        collapsed = dc.oracle_sqto(f, g) == dc.TOP
+        collapsed = dc.cut_sqto(f, g) == dc.TOP
         expected = g.issubset(f) or (
             f.kind is dc.Kind.OPEN
             and g.kind is dc.Kind.CLOSED
@@ -926,7 +933,7 @@ def _dense_separation(ctx, out):
             continue
         if not (f1.issubset(f2) and f2.issubset(g)):
             continue
-        if dc.oracle_sqto(f1, g) == dc.oracle_sqto(f2, g):
+        if dc.cut_sqto(f1, g) == dc.cut_sqto(f2, g):
             out.append((str(f1), str(f2), str(g)))
 
 
@@ -935,7 +942,7 @@ def _dense_trans(ctx, out):
     rng = ctx.rng("trans")
 
     def eq(x, y):
-        return dc.oracle_sqto(x, y) == dc.TOP and dc.oracle_sqto(y, x) == dc.TOP
+        return dc.cut_sqto(x, y) == dc.TOP and dc.cut_sqto(y, x) == dc.TOP
 
     for _ in range(ctx.triples):
         p = dc.random_fraction(rng, ctx.max_den)
@@ -963,11 +970,11 @@ def _dense_congruence(ctx, out):
         f, g = dc.Cut(p, dc.Kind.OPEN), dc.Cut(p, dc.Kind.CLOSED)
         if not (f.is_proper and g.is_proper):
             continue
-        if dc.oracle_sqto(f, g) != dc.TOP:
+        if dc.cut_sqto(f, g) != dc.TOP:
             out.append(("premise", str(f), str(g)))
             continue
         h = dc.random_proper_cut(rng, ctx.max_den)
-        lhs = dc.oracle_sqto(dc.oracle_sqto(g, h), dc.oracle_sqto(f, h))
+        lhs = dc.cut_sqto(dc.cut_sqto(g, h), dc.cut_sqto(f, h))
         if lhs != dc.TOP:
             out.append((str(f), str(g), str(h)))
 
@@ -979,7 +986,7 @@ def _dense_props(ctx, out):
         f = dc.random_proper_cut(rng, ctx.max_den)
         g = dc.random_proper_cut(rng, ctx.max_den)
         h = dc.random_proper_cut(rng, ctx.max_den)
-        s = dc.oracle_sqto(f, g)
+        s = dc.cut_sqto(f, g)
         # incl
         if not s.issubset(g):
             out.append(("incl", str(f), str(g)))
@@ -987,33 +994,33 @@ def _dense_props(ctx, out):
         if g.issubset(f) and s != dc.TOP:
             out.append(("inclOne", str(f), str(g)))
         # OneOne: {1}⊸F = F
-        if dc.oracle_sqto(dc.TOP, f) != f:
+        if dc.cut_sqto(dc.TOP, f) != f:
             out.append(("OneOne", str(f)))
         # plus duality for nested pairs
         if f.issubset(g):
-            if s != dc.oracle_sqto(dc.cut_plus(g), dc.cut_plus(f)):
+            if s != dc.cut_sqto(dc.cut_plus(g), dc.cut_plus(f)):
                 out.append(("plus", str(f), str(g)))
             # FFg + triple corollary
-            ffg = dc.oracle_sqto(s, g)
+            ffg = dc.cut_sqto(s, g)
             if not f.issubset(ffg):
                 out.append(("FFg", str(f), str(g)))
-            if dc.oracle_sqto(ffg, g) != s:
+            if dc.cut_sqto(ffg, g) != s:
                 out.append(("triple", str(f), str(g)))
         # revIncl
         if f.issubset(g) and g.issubset(h):
-            big = dc.oracle_sqto(f, h)
-            small = dc.oracle_sqto(g, h)
+            big = dc.cut_sqto(f, h)
+            small = dc.cut_sqto(g, h)
             if not small.issubset(big):
                 out.append(("revIncl", str(f), str(g), str(h)))
         # axiomG: (F⊸G)⊸G is cut-equivalent to F when F ⊆ G
         if f.issubset(g):
-            fg = dc.oracle_sqto(dc.oracle_sqto(f, g), g)
-            if not (dc.oracle_sqto(f, fg) == dc.TOP
-                    and dc.oracle_sqto(fg, f) == dc.TOP):
+            fg = dc.cut_sqto(dc.cut_sqto(f, g), g)
+            if not (dc.cut_sqto(f, fg) == dc.TOP
+                    and dc.cut_sqto(fg, f) == dc.TOP):
                 out.append(("axiomG", str(f), str(g)))
         # axiomC
-        lhs = dc.oracle_sqto(f, dc.oracle_sqto(h, g))
-        rhs = dc.oracle_sqto(h, dc.oracle_sqto(f, g))
+        lhs = dc.cut_sqto(f, dc.cut_sqto(h, g))
+        rhs = dc.cut_sqto(h, dc.cut_sqto(f, g))
         if lhs != rhs:
             out.append(("axiomC", str(f), str(g), str(h)))
 
@@ -1023,7 +1030,7 @@ def _dense_kernel(ctx, out):
     rng = ctx.rng("kernel")
     for _ in range(ctx.triples):
         f = dc.random_proper_cut(rng, ctx.max_den)
-        if dc.oracle_sqto(f, f) != dc.TOP:
+        if dc.cut_sqto(f, f) != dc.TOP:
             out.append((str(f),))
 
 
@@ -1033,26 +1040,19 @@ def _dense_hat_embed(ctx, out):
 
     for d in range(1, 13):
         pts = [Fraction(k, d) for k in range(d + 1)]
-        for x in pts:
-            if dc.hat_plus(x) != 1 - x:
-                out.append(("plus", d, str(x)))
-            for y in pts:
-                if dc.hat_sqto(x, y) != dc.chain_imp(x, y):
-                    out.append(("sqto", d, str(x), str(y)))
-                if dc.hat_oplus(x, y) != min(1, x + y):
-                    out.append(("oplus", d, str(x), str(y)))
-        # the embedding a ↦ class([a,1]) is injective and mirrors ⊸ and ⁺
-        classes = [dc.hat_class(dc.canonical_member(x)) for x in pts]
-        if len(set(classes)) != len(pts):
+        # the embedding a ↦ class([a,1]) is injective and mirrors ⊸, ⁺ and ⊕
+        members = [dc.canonical_member(x) for x in pts]
+        if len({dc.hat_class(m) for m in members}) != len(pts):
             out.append(("injectivity", d))
-        for x in pts:
-            for y in pts:
-                want = dc.chain_imp(x, y)
-                got = dc.hat_class(
-                    dc.oracle_sqto(dc.canonical_member(x), dc.canonical_member(y))
-                )
-                if got != want:
+        for x, mx in zip(pts, members):
+            plus = dc.cut_plus(mx)
+            if dc.hat_class(plus) != 1 - x:
+                out.append(("plus", d, str(x)))
+            for y, my in zip(pts, members):
+                if dc.hat_class(dc.cut_sqto(mx, my)) != dc.chain_imp(x, y):
                     out.append(("morphism", d, str(x), str(y)))
+                if dc.hat_class(dc.cut_sqto(plus, my)) != min(1, x + y):
+                    out.append(("oplus", d, str(x), str(y)))
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,26 @@ def test_boundary_coset_in_product(l2xl3):
 def test_convexity(l4):
     assert mv.is_convex(l4, by_labels(l4, "1/3", "2/3"))
     assert not mv.is_convex(l4, by_labels(l4, "0", "2/3"))
-    rep = calculus.convex_image_checks(l4, by_labels(l4, "1/3", "2/3"), 2)
-    assert rep["ok"]
+    ids = ["lem:convex-imp", "lem:convex-neg", "lem:convex-otimes"]
+    report = mv.run_finite(l4, only=ids)
+    assert [(r.id, r.status) for r in report.results] == [(i, "pass") for i in ids]
+
+
+def pointwise_convex(a, mask):
+    """No x ≤ z ≤ y with x, y members and z outside: the definition itself."""
+    return not any(
+        a.leq(x, z) and a.leq(z, y) and not (mask >> z) & 1
+        for x in mv.iter_mask(mask)
+        for y in mv.iter_mask(mask)
+        for z in range(a.size)
+    )
+
+
+@pytest.mark.parametrize("a", [CHAINS[6], PRODUCTS["L2xL3"]], ids=["L6", "L2xL3"])
+def test_is_convex_matches_pointwise_definition(a):
+    verdicts = [mv.is_convex(a, m) for m in range(1 << a.size)]
+    assert verdicts == [pointwise_convex(a, m) for m in range(1 << a.size)]
+    assert True in verdicts and False in verdicts
 
 
 def test_quotient_commutation(algebra):

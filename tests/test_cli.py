@@ -28,6 +28,14 @@ def specfile(tmp_path):
 L3 = {"kind": "lukasiewicz", "n": 3}
 L4 = {"kind": "lukasiewicz", "n": 4}
 DENSE = {"kind": "dense"}
+# a non-involutive negation: not an MV-algebra
+BAD_TABLE = {
+    "kind": "table",
+    "size": 3,
+    "oplus": [[0, 1, 2], [1, 2, 2], [2, 2, 2]],
+    "neg": [2, 2, 0],
+    "zero": 0,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -151,27 +159,40 @@ def test_verify_dense_spec(run, specfile):
 
 
 def test_verify_exit_one_on_failure(run, specfile):
-    # a non-involutive negation: the axiom statement must fail
-    bad = specfile(
-        {
-            "kind": "table",
-            "size": 3,
-            "oplus": [[0, 1, 2], [1, 2, 2], [2, 2, 2]],
-            "neg": [2, 2, 0],
-            "zero": 0,
-        },
-        "bad.json",
-    )
+    bad = specfile(BAD_TABLE, "bad.json")
     code, out, err = run("verify", bad, "--only", "axioms:mv")
     assert code == 1
     assert "fail" in out and "witness" in out
 
 
-def test_verify_exit_three_on_cap(run, specfile, monkeypatch):
-    # the command mutates the env var; setenv registers the restore
-    monkeypatch.setenv("MVFILTERS_MAX_CARRIER", "64")
-    path = specfile({"kind": "lukasiewicz", "n": 9})
-    code, out, err = run("verify", path, "--max-carrier", "4")
+def test_compute_and_export_refuse_a_non_mv_table(run, specfile, tmp_path):
+    out_path = tmp_path / "filters.dot"
+    for spec in (BAD_TABLE, {"kind": "product", "factors": [L3, BAD_TABLE]}):
+        bad = specfile(spec, "bad.json")
+        code, out, err = run("compute", bad, "kernel(up(1))")
+        assert (code, out) == (2, "")
+        assert "not an MV-algebra" in err and "fails at" in err
+        code, out, err = run(
+            "export", bad, "filters", "--format", "dot", "-o", str(out_path)
+        )
+        assert code == 2 and "not an MV-algebra" in err
+        assert not out_path.exists()
+    good = specfile(
+        {"kind": "table", "size": 2, "oplus": [[0, 1], [1, 1]], "neg": [1, 0],
+         "zero": 0},
+        "good.json",
+    )
+    code, out, err = run("compute", good, "kernel(up(1))")
+    assert (code, out, err) == (0, "{1}\n", "")
+
+
+def test_verify_exit_three_on_cap(run, specfile):
+    path = specfile({"kind": "lukasiewicz", "n": 65})
+    code, out, err = run("verify", path)
+    assert code == 3 and "exceeds" in err
+    code, out, err = run("compute", path, "P(0)")
+    assert code == 3 and "exceeds" in err
+    code, out, err = run("export", path, "filters", "--format", "dot", "-o", "/dev/null")
     assert code == 3 and "exceeds" in err
 
 

@@ -161,9 +161,10 @@ def test_double_application_contains_f():
 
 def test_hat_class_operations_match_chain_arithmetic():
     x, y = F("2/3"), F("1/4")
-    assert dc.hat_sqto(x, y) == dc.chain_imp(x, y) == F("7/12")
-    assert dc.hat_plus(x) == F("1/3")
-    assert dc.hat_oplus(x, y) == min(1, x + y)
+    mx, my = dc.canonical_member(x), dc.canonical_member(y)
+    assert dc.hat_class(dc.cut_sqto(mx, my)) == F("7/12")
+    assert dc.hat_class(dc.cut_plus(mx)) == F("1/3")
+    assert dc.hat_class(dc.cut_sqto(dc.cut_plus(mx), my)) == F("11/12")
 
 
 def test_hat_respects_representatives():
@@ -172,8 +173,8 @@ def test_hat_respects_representatives():
         f = dc.random_proper_cut(rng, 30)
         g = dc.random_proper_cut(rng, 30)
         cls = dc.hat_class(dc.cut_sqto(f, g))
-        assert cls == dc.hat_sqto(dc.hat_class(f), dc.hat_class(g))
-        assert dc.hat_class(dc.cut_plus(f)) == dc.hat_plus(dc.hat_class(f))
+        assert cls == dc.chain_imp(dc.hat_class(f), dc.hat_class(g))
+        assert dc.hat_class(dc.cut_plus(f)) == 1 - dc.hat_class(f)
 
 
 def test_canonical_member_round_trip():

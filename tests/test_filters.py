@@ -109,11 +109,10 @@ def test_implication_filter_generated(l4):
     assert mv.implication_filter_generated(l4, 0) == l4.one_mask
 
 
-def test_carrier_cap_enforced(monkeypatch):
-    monkeypatch.setenv("MVFILTERS_MAX_CARRIER", "4")
+def test_carrier_cap_enforced():
     with pytest.raises(ResourceLimit):
-        mv.enumerate_lattice_filters(CHAINS[6])
-    assert mv.enumerate_lattice_filters(CHAINS[4])
+        mv.enumerate_lattice_filters(mv.make_lukasiewicz_chain(65))
+    assert len(mv.enumerate_lattice_filters(mv.make_lukasiewicz_chain(64))) == 64
 
 
 def _chain_product(*ns):

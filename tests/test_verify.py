@@ -3,7 +3,7 @@ import json
 import pytest
 
 import mvfilters as mv
-from mvfilters import InvalidArgument, calculus, spectra, verify
+from mvfilters import InvalidArgument, calculus, densechain as dc, spectra, verify
 from mvfilters.verify import DENSE_STATEMENTS, FINITE_STATEMENTS
 
 from conftest import CHAINS, PRODUCTS
@@ -133,3 +133,34 @@ def test_checks_fail_through_a_warm_memo(monkeypatch):
     monkeypatch.setattr(calculus, "sqto_fast", drop_one)
     fastform(ctx, out)
     assert out
+
+
+def _flip_kind(s):
+    """The kind of s flipped, unless that would leave the proper cuts."""
+    flipped = dc.Cut(s.endpoint, dc.Kind.OPEN if s.kind is dc.Kind.CLOSED
+                     else dc.Kind.CLOSED)
+    return flipped if flipped.is_proper else s
+
+
+# cut_sqto's three kind branches, as conditions on its arguments
+_KIND_BRANCHES = {
+    "closed-target": lambda f, g: g.kind is dc.Kind.CLOSED,
+    "closed-meet": lambda f, g: g.kind is dc.Kind.OPEN
+    and dc.intersect(f, g).kind is dc.Kind.CLOSED,
+    "open-meet": lambda f, g: g.kind is dc.Kind.OPEN
+    and dc.intersect(f, g).kind is dc.Kind.OPEN,
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_KIND_BRANCHES))
+def test_dense_theorems_check_the_closed_form(monkeypatch, branch):
+    real, hits = dc.cut_sqto, _KIND_BRANCHES[branch]
+
+    def mutated(f, g):
+        s = real(f, g)
+        return _flip_kind(s) if not g.issubset(f) and hits(f, g) else s
+
+    monkeypatch.setattr(dc, "cut_sqto", mutated)
+    theorems = [s for s in DENSE_STATEMENTS if s != "dense:closed-forms"]
+    report = mv.run_dense(seed=0, only=theorems, pairs=200, triples=200)
+    assert [r.id for r in report.results if r.status == "fail"]
