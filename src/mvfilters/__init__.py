@@ -42,10 +42,8 @@ from .calculus import (
     j_down,
     j_up,
     kernel,
-    kernel_of_sqto,
     kernel_rel,
     phi,
-    reduce_to_common_kernel,
     set_plus,
     sqto,
     sqto_fast,
@@ -57,13 +55,11 @@ from .spectra import (
     HatAlgebra,
     PrimeSpectrum,
     build_hat,
-    composite_is_canonical,
     hat_eta,
     hat_otimes,
     iota,
     prime_spectrum,
     spectrum_equiv,
-    spectrum_le,
 )
 from .densechain import (
     BOTTOM_FILTER,

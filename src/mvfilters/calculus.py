@@ -1,7 +1,9 @@
-"""The filter calculus: subordinates, kernels, ⊸, Φ, T, J-operators, quotient
-interaction, boundary cosets and the cut equivalence, on finite algebras.
+"""The filter calculus: subordinates, kernels, ⊸, Φ, T, J-operators, boundary
+cosets and the cut equivalence, on finite algebras.
 
-Conventions adopted throughout (documented once here):
+Each function returns a value; the theorems about these values are checked
+by the statements in ``verify``.  Conventions adopted throughout (documented
+once here):
 
 - the empty mask is the bottom sentinel; operations receiving it return it
   unchanged instead of raising, since J_d legitimately produces it;
@@ -11,7 +13,7 @@ Conventions adopted throughout (documented once here):
 
 from __future__ import annotations
 
-from .core import MvAlgebra, QuotientAlgebra, congruence_cosets, iter_mask
+from .core import MvAlgebra, congruence_cosets, iter_mask
 from .errors import InvalidArgument, InvariantViolation
 from .filters import implication_filter_generated, up_closure
 
@@ -161,73 +163,8 @@ def kernel_join(a: MvAlgebra, k_mask: int, p_mask: int) -> int:
     return implication_filter_generated(a, k_mask | p_mask)
 
 
-def reduce_to_common_kernel(a: MvAlgebra, f_mask: int, g_mask: int):
-    """Replace F ⊆ G by J_u(F, K(G)) and J_d(G, K(F)) without changing F⊸G.
-
-    Returns (f2, g2); the caller gets filters with a common kernel.  The
-    intermediate single-sided identities and the final equality are asserted.
-    """
-    if f_mask & ~g_mask:
-        raise InvalidArgument("reduction requires F ⊆ G")
-    kf = kernel(a, f_mask)
-    kg = kernel(a, g_mask)
-    f2 = j_up(a, f_mask, kg)
-    g2 = j_down(a, g_mask, kf)
-    base = sqto(a, f_mask, g_mask)
-    if sqto(a, f2, g_mask) != base:
-        raise InvariantViolation("J_u reduction changed the sqto value")
-    if sqto(a, f_mask, g2) != base:
-        raise InvariantViolation("J_d reduction changed the sqto value")
-    if sqto(a, f2, g2) != base:
-        raise InvariantViolation("two-sided reduction changed the sqto value")
-    return f2, g2
-
-
 # ---------------------------------------------------------------------------
-# quotient interaction
-
-
-def sqto_quotient_commutes(
-    a: MvAlgebra, f_mask: int, g_mask: int, q: QuotientAlgebra
-) -> dict:
-    """Evaluate both quotient-commutation identities, with witnesses.
-
-    (F⊸G)/Q = (F/Q)⊸(G/Q) needs Q ⊆ K(G); the preimage identity
-    η⁻¹[F/Q ⊸ G/Q] = F⊸G additionally needs Q ⊆ K(F) = K(G).
-    """
-    kg = kernel(a, g_mask)
-    kf = kernel(a, f_mask)
-    if q.filter_mask & ~kg:
-        raise InvalidArgument("commutation requires Q ⊆ K(G)")
-    s = sqto(a, f_mask, g_mask)
-    qa = q.quotient
-    fq, gq = q.image_mask(f_mask), q.image_mask(g_mask)
-    quotient_side = sqto(qa, fq, gq)
-    report = {
-        "quotient_commutes": q.image_mask(s) == quotient_side,
-        "witness": None,
-        "preimage_identity": None,
-    }
-    if not report["quotient_commutes"]:
-        report["witness"] = (q.image_mask(s), quotient_side)
-    if kf == kg and not (q.filter_mask & ~kf):
-        report["preimage_identity"] = q.preimage_mask(quotient_side) == s
-    return report
-
-
-def kernel_of_sqto(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
-    """K(F⊸G) under the common-kernel hypothesis; asserted equal to K(F)."""
-    if f_mask & ~g_mask:
-        raise InvalidArgument("kernel theorem requires F ⊆ G")
-    kf = kernel(a, f_mask)
-    if kf != kernel(a, g_mask):
-        raise InvalidArgument("kernel theorem requires K(F) = K(G)")
-    k = kernel(a, sqto(a, f_mask, g_mask))
-    if k != kf:
-        raise InvariantViolation(
-            f"K(F⊸G) = {a.label_set(k)} differs from K(F) = {a.label_set(kf)}"
-        )
-    return k
+# boundary cosets
 
 
 def boundary_coset(a: MvAlgebra, f_mask: int, p_mask: int) -> int:

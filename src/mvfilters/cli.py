@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -115,8 +116,19 @@ def render_spec(spec: dict) -> str:
     return json.dumps(spec, sort_keys=True)
 
 
+def _carrier_size(spec: dict) -> int:
+    if spec["kind"] == "product":
+        return math.prod(_carrier_size(s) for s in spec["factors"])
+    return spec["n"] if spec["kind"] == "lukasiewicz" else spec["size"]
+
+
 def build_algebra(spec: dict) -> MvAlgebra:
+    """The algebra of a finite spec; ResourceLimit before any table is built
+    if its carrier exceeds the cap."""
     kind = spec["kind"]
+    if kind not in ("lukasiewicz", "product", "table"):
+        raise InvalidArgument(f"cannot build an algebra of kind {kind!r}")
+    filters.check_cap(_carrier_size(spec))
     if kind == "lukasiewicz":
         return make_lukasiewicz_chain(spec["n"])
     if kind == "product":
@@ -125,15 +137,13 @@ def build_algebra(spec: dict) -> MvAlgebra:
         for nxt in algs[1:]:
             out = make_product(out, nxt)
         return out
-    if kind == "table":
-        return MvAlgebra(
-            spec["size"],
-            tuple(tuple(row) for row in spec["oplus"]),
-            tuple(spec["neg"]),
-            spec["zero"],
-            name=f"table[{spec['size']}]",
-        )
-    raise InvalidArgument(f"cannot build an algebra of kind {kind!r}")
+    return MvAlgebra(
+        spec["size"],
+        tuple(tuple(row) for row in spec["oplus"]),
+        tuple(spec["neg"]),
+        spec["zero"],
+        name=f"table[{spec['size']}]",
+    )
 
 
 def _has_table(spec: dict) -> bool:

@@ -113,10 +113,11 @@ def is_prime_implication_filter(a: MvAlgebra, mask: int) -> bool:
     return True
 
 
-def _check_cap(a: MvAlgebra):
-    if a.size > CARRIER_CAP:
+def check_cap(size: int):
+    """Refuse a carrier of more than CARRIER_CAP elements (ResourceLimit)."""
+    if size > CARRIER_CAP:
         raise ResourceLimit(
-            f"carrier size {a.size} exceeds enumeration cap {CARRIER_CAP}"
+            f"carrier size {size} exceeds enumeration cap {CARRIER_CAP}"
         )
 
 
@@ -128,7 +129,7 @@ def enumerate_up_sets(a: MvAlgebra) -> list[int]:
     verification path calls it; the tests use it as a search oracle for the
     theory enumeration below.
     """
-    _check_cap(a)
+    check_cap(a.size)
     order = sorted(range(a.size), key=lambda x: bin(a.up_mask[x]).count("1"))
     results: list[int] = []
 
@@ -150,7 +151,7 @@ def enumerate_lattice_filters(a: MvAlgebra, prime_only: bool = False) -> list[in
 
     These are the principal filters ↑x, each listed once.
     """
-    _check_cap(a)
+    check_cap(a.size)
     out = sorted(set(a.up_mask))
     if prime_only:
         out = [m for m in out if is_prime_lattice_filter(a, m)]
@@ -159,7 +160,7 @@ def enumerate_lattice_filters(a: MvAlgebra, prime_only: bool = False) -> list[in
 
 def enumerate_implication_filters(a: MvAlgebra, prime_only: bool = False) -> list[int]:
     """Every implication filter, ascending by mask: ↑b for idempotent b."""
-    _check_cap(a)
+    check_cap(a.size)
     out = sorted({a.up_mask[b] for b in range(a.size) if a.oplus[b][b] == b})
     if prime_only:
         out = [m for m in out if is_prime_implication_filter(a, m)]

@@ -4,6 +4,11 @@ PSpec(P) collects the prime lattice filters whose kernel is exactly P.  On a
 spectrum the unit of the calculus is P itself (F ⊸ F = K(F) = P), so the
 cut equivalence and the class order compare against P rather than {1}; for
 P = {1} this is the literal definition.
+
+The maps ι (P-cosets to classes) and η̂ (classes to boundary Q-cosets) return
+their mappings as tuples indexed by coset or class.  Their theorems are
+checked by ``thm:iota``, ``thm:hat-eta`` and ``thm:composite`` in ``verify``;
+``build_hat`` certifies the algebra it returns.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ from .core import (
     QuotientAlgebra,
     check_mv_axioms,
     is_linear,
-    iter_mask,
-    quotient_by,
 )
 from .errors import InvalidArgument, InvariantViolation
 from . import calculus, filters
@@ -55,10 +58,6 @@ def spectrum_equiv(spec: PrimeSpectrum, f_mask: int, g_mask: int) -> bool:
         calculus.sqto(a, f_mask, g_mask) == spec.p_mask
         and calculus.sqto(a, g_mask, f_mask) == spec.p_mask
     )
-
-
-def spectrum_le(spec: PrimeSpectrum, f_mask: int, g_mask: int) -> bool:
-    return calculus.sqto(spec.algebra, f_mask, g_mask) == spec.p_mask
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ def build_hat(spec: PrimeSpectrum) -> HatAlgebra:
 
     # total class order; sort ascending (zero class first)
     def le(i: int, j: int) -> bool:
-        return spectrum_le(spec, reps[i], reps[j])
+        return calculus.sqto(a, reps[i], reps[j]) == spec.p_mask
 
     idx = list(range(len(classes)))
     for i in idx:
@@ -213,115 +212,36 @@ def hat_otimes(h: HatAlgebra, x: int, y: int) -> int:
     return via_encoding
 
 
-def iota(h: HatAlgebra, q: QuotientAlgebra) -> dict:
-    """The map [a]_P ↦ class of the subordinate of P at a.
+def iota(h: HatAlgebra, q: QuotientAlgebra) -> tuple[int, ...]:
+    """ι: the P-coset of a ↦ the class of the subordinate of P at a.
 
-    For the top coset the subordinate is empty; its class is the top class
-    (the inclusion-least filter P).  The exact operation laws are the
-    closure identities
-
-        P_a ⊸ P_b = η⁻¹[ [[a→b], 1] ]      (both subordinates nonempty)
-        P_a⁺      = η⁻¹[ [[¬a], 1] ]
-
-    whose right sides are only cut-equivalent to P_{a→b} / P_{¬a}; the two
-    collapse exactly when the quotient is dense.  Hence ``is_morphism`` and
-    ``is_injective`` are reports (false on every finite algebra), while the
-    closure identities are returned as ``sqto_closure`` / ``plus_closure``.
+    ``q`` is the quotient by the spectrum base P.  For the top coset the
+    subordinate is empty; its class is the top class (the inclusion-least
+    filter P).  ``thm:iota`` checks the closure identities and surjectivity.
     """
     a = h.spectrum.algebra
     p_mask = h.spectrum.p_mask
     if q.filter_mask != p_mask:
         raise InvalidArgument("quotient must be taken at the spectrum base")
-    qa = q.quotient
-    subs = [calculus.subordinate(a, p_mask, rep) for rep in q.representatives]
-    mapping = [h.one_class if s == 0 else h.class_of(s) for s in subs]
-    hat = h.as_mv
-
-    def closed_interval_preimage(c: int) -> int:
-        return q.preimage_mask(qa.up_mask[c])
-
-    sqto_closure = all(
-        calculus.sqto(a, subs[c], subs[d])
-        == closed_interval_preimage(qa.imp[c][d])
-        for c in range(qa.size)
-        for d in range(qa.size)
-        if subs[c] and subs[d]
-    )
-    plus_closure = all(
-        calculus.set_plus(a, subs[c]) == closed_interval_preimage(qa.neg[c])
-        for c in range(qa.size)
-    )
-    morphism = all(
-        mapping[qa.neg[c]] == hat.neg[mapping[c]]
-        and all(
-            mapping[qa.imp[c][d]] == h.sqto_table[mapping[c]][mapping[d]]
-            for d in range(qa.size)
-        )
-        for c in range(qa.size)
-    )
-    return {
-        "mapping": tuple(mapping),
-        "sqto_closure": sqto_closure,
-        "plus_closure": plus_closure,
-        "is_morphism": morphism,
-        "is_injective": len(set(mapping)) == len(mapping),
-        "is_surjective": len(set(mapping)) == hat.size,
-    }
+    subs = (calculus.subordinate(a, p_mask, rep) for rep in q.representatives)
+    return tuple(h.one_class if s == 0 else h.class_of(s) for s in subs)
 
 
-def hat_eta(h: HatAlgebra, q_mask: int) -> dict:
-    """Map each class to its boundary Q-coset, for P properly inside Q.
+def hat_eta(h: HatAlgebra, q: QuotientAlgebra) -> tuple[int, ...]:
+    """η̂: each class ↦ the Q-coset on the boundary of its representative.
 
-    Q may be prime or improper (the improper case gives the one-point
-    quotient).  Checks ≡-invariance and the two morphism equations.
+    ``q`` is the quotient by Q, which must properly contain the spectrum base
+    P and be prime or improper (the improper Q gives the one-point quotient).
+    ``thm:hat-eta`` checks that every member of a class has the same boundary
+    coset and that the map preserves ⁺ and ⊸.
     """
     a = h.spectrum.algebra
-    p_mask = h.spectrum.p_mask
+    p_mask, q_mask = h.spectrum.p_mask, q.filter_mask
     if not (p_mask & ~q_mask == 0 and p_mask != q_mask):
         raise InvalidArgument("needs P properly contained in Q")
     if q_mask != a.full_mask and not filters.is_prime_implication_filter(a, q_mask):
         raise InvalidArgument("Q must be prime (or improper)")
-    q = quotient_by(a, q_mask)
-    qa = q.quotient
-
-    def boundary(f_mask: int) -> int:
-        return q.coset_of[
-            next(iter_mask(calculus.boundary_coset(a, f_mask, q_mask)))
-        ]
-
-    mapping = []
-    well_defined = True
-    for cls in h.classes:
-        values = {boundary(member) for member in cls}
-        if len(values) != 1:
-            well_defined = False
-        mapping.append(values.pop())
-    preserves_plus = all(
-        mapping[h.plus_table[i]] == qa.neg[mapping[i]] for i in range(len(h.classes))
-    )
-    preserves_sqto = all(
-        mapping[h.sqto_table[i][j]] == qa.imp[mapping[i]][mapping[j]]
-        for i in range(len(h.classes))
-        for j in range(len(h.classes))
-    )
-    return {
-        "mapping": tuple(mapping),
-        "quotient": q,
-        "well_defined": well_defined,
-        "preserves_plus": preserves_plus,
-        "preserves_sqto": preserves_sqto,
-        "is_morphism": well_defined and preserves_plus and preserves_sqto,
-    }
-
-
-def composite_is_canonical(h: HatAlgebra, q_mask: int) -> bool:
-    """η̂ ∘ ι sends the P-coset of a to the Q-coset of a, for every a."""
-    a = h.spectrum.algebra
-    p = quotient_by(a, h.spectrum.p_mask)
-    eta = hat_eta(h, q_mask)
-    io = iota(h, p)
-    q = eta["quotient"]
-    return all(
-        eta["mapping"][io["mapping"][p.coset_of[x]]] == q.coset_of[x]
-        for x in range(a.size)
+    return tuple(
+        q.cosets.index(calculus.boundary_coset(a, rep, q_mask))
+        for rep in h.representatives
     )

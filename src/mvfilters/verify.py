@@ -12,12 +12,14 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import calculus, densechain as dc, filters, spectra
 from .core import (
     MvAlgebra,
+    QuotientAlgebra,
     check_mv_axioms,
     congruence_cosets,
     is_linear,
@@ -96,12 +98,13 @@ class Ctx:
 
     Statements call the pure primitives they query again and again with the
     same arguments through this object: ⊸, the kernel and subordinates from
-    ``calculus``, and the spectrum and derived algebra of each prime
-    implication filter P from ``spectra``.  Each result is computed once, by
-    the one definition in its module, and kept in ``memo`` (operation name ->
-    argument tuple -> result).  The memo lives on this instance, so it lasts
-    exactly one verification run; the algebra itself is never written to.
-    Cross-checks compute their second side by calling their module directly.
+    ``calculus``, the spectrum and derived algebra of each prime implication
+    filter P from ``spectra``, and the quotient by each implication filter
+    from ``core``.  Each result is computed once, by the one definition in
+    its module, and kept in ``memo`` (operation name -> argument tuple ->
+    result).  The memo lives on this instance, so it lasts exactly one
+    verification run; the algebra itself is never written to.  Cross-checks
+    compute their second side by calling their module directly.
     """
 
     def __init__(self, a: MvAlgebra):
@@ -113,42 +116,39 @@ class Ctx:
             m for m in self.impl if filters.is_prime_implication_filter(a, m)
         ]
         self.linear = is_linear(a)
-        self.memo: dict[str, dict[tuple, object]] = {
-            "sqto": {}, "kernel": {}, "subordinate": {}, "spectrum": {}, "hat": {},
-        }
+        self.memo: defaultdict[str, dict[tuple, object]] = defaultdict(dict)
 
     def show(self, mask: int) -> str:
         return self.a.label_set(mask)
 
+    def _cached(self, op: str, fn, *args):
+        """fn(self.a, *args), computed once per run and kept under memo[op]."""
+        table = self.memo[op]
+        try:
+            return table[args]
+        except KeyError:
+            value = table[args] = fn(self.a, *args)
+            return value
+
     def sqto(self, f_mask: int, g_mask: int) -> int:
-        memo, key = self.memo["sqto"], (f_mask, g_mask)
-        if key not in memo:
-            memo[key] = calculus.sqto(self.a, f_mask, g_mask)
-        return memo[key]
+        return self._cached("sqto", calculus.sqto, f_mask, g_mask)
 
     def kernel(self, f_mask: int) -> int:
-        memo, key = self.memo["kernel"], (f_mask,)
-        if key not in memo:
-            memo[key] = calculus.kernel(self.a, f_mask)
-        return memo[key]
+        return self._cached("kernel", calculus.kernel, f_mask)
 
     def subordinate(self, f_mask: int, elem: int) -> int:
-        memo, key = self.memo["subordinate"], (f_mask, elem)
-        if key not in memo:
-            memo[key] = calculus.subordinate(self.a, f_mask, elem)
-        return memo[key]
+        return self._cached("subordinate", calculus.subordinate, f_mask, elem)
+
+    def quotient(self, p_mask: int) -> QuotientAlgebra:
+        return self._cached("quotient", quotient_by, p_mask)
 
     def spectrum(self, p_mask: int) -> spectra.PrimeSpectrum:
-        memo, key = self.memo["spectrum"], (p_mask,)
-        if key not in memo:
-            memo[key] = spectra.prime_spectrum(self.a, p_mask)
-        return memo[key]
+        return self._cached("spectrum", spectra.prime_spectrum, p_mask)
 
     def hat(self, p_mask: int) -> spectra.HatAlgebra:
-        memo, key = self.memo["hat"], (p_mask,)
-        if key not in memo:
-            memo[key] = spectra.build_hat(self.spectrum(p_mask))
-        return memo[key]
+        return self._cached(
+            "hat", lambda _, p: spectra.build_hat(self.spectrum(p)), p_mask
+        )
 
 
 FINITE_STATEMENTS: dict[str, tuple[str, callable]] = {}
@@ -577,43 +577,55 @@ def _jd_lower(ctx, out):
 
 @finite("thm:reduction", "⊸ only sees the common-kernel reduction")
 def _reduction(ctx, out):
+    """F' = J_u(F, K(G)) and G' = J_d(G, K(F)) leave F⊸G unchanged, one side
+    at a time and together, and K(F') = K(G')."""
     a = ctx.a
     for f, g in _nested_prime_pairs(ctx):
-        try:
-            calculus.reduce_to_common_kernel(a, f, g)
-        except InvariantViolation as e:
-            out.append((ctx.show(f), ctx.show(g), str(e)))
+        f2 = calculus.j_up(a, f, ctx.kernel(g))
+        g2 = calculus.j_down(a, g, ctx.kernel(f))
+        base = ctx.sqto(f, g)
+        for side, value in (
+            ("J_u", ctx.sqto(f2, g)),
+            ("J_d", ctx.sqto(f, g2)),
+            ("both", ctx.sqto(f2, g2)),
+        ):
+            if value != base:
+                out.append((side + " changed F⊸G", ctx.show(f), ctx.show(g)))
+        if ctx.kernel(f2) != ctx.kernel(g2):
+            out.append(("kernels differ", ctx.show(f), ctx.show(g)))
 
 
 @finite("prop:quot-commute", "⊸ commutes with quotients below the kernel")
 def _quot_commute(ctx, out):
-    a = ctx.a
-    quotients = {p: quotient_by(a, p) for p in ctx.impl}
+    """(F⊸G)/P = F/P ⊸ G/P for F ⊆ G and P ⊆ K(G); if also K(F) = K(G), the
+    preimage of F/P ⊸ G/P is F⊸G."""
     for f in ctx.lattice:
         for g in ctx.lattice:
             if f & ~g:
                 continue
-            kg = ctx.kernel(g)
+            kf, kg, s = ctx.kernel(f), ctx.kernel(g), ctx.sqto(f, g)
             for p in ctx.impl:
                 if p & ~kg:
                     continue
-                rep = calculus.sqto_quotient_commutes(a, f, g, quotients[p])
-                if not rep["quotient_commutes"]:
+                q = ctx.quotient(p)
+                quotient_side = calculus.sqto(
+                    q.quotient, q.image_mask(f), q.image_mask(g)
+                )
+                if q.image_mask(s) != quotient_side:
                     out.append(("commute", ctx.show(f), ctx.show(g), ctx.show(p)))
-                if rep["preimage_identity"] is False:
+                if kf == kg and q.preimage_mask(quotient_side) != s:
                     out.append(("preimage", ctx.show(f), ctx.show(g), ctx.show(p)))
 
 
 @finite("thm:kernel-sqto", "⊸ keeps the common kernel")
 def _kernel_sqto(ctx, out):
-    a = ctx.a
     for f, g in _nested_prime_pairs(ctx):
-        if ctx.kernel(f) != ctx.kernel(g):
+        kf = ctx.kernel(f)
+        if kf != ctx.kernel(g):
             continue
-        try:
-            calculus.kernel_of_sqto(a, f, g)
-        except InvariantViolation as e:
-            out.append((ctx.show(f), ctx.show(g), str(e)))
+        k = ctx.kernel(ctx.sqto(f, g))
+        if k != kf:
+            out.append((ctx.show(f), ctx.show(g), "K(F⊸G) = " + ctx.show(k)))
 
 
 @finite("def:boundary", "one coset straddles, and ⁺ negates it")
@@ -780,53 +792,92 @@ def _axiom_g(ctx, out):
                     out.append((ctx.show(p), ctx.show(f), ctx.show(g)))
 
 
+def _hats(ctx):
+    """(P, derived algebra) for every prime implication P with a nonempty spectrum."""
+    for p in ctx.prime_impl:
+        if ctx.spectrum(p).members:
+            yield p, ctx.hat(p)
+
+
+def _extensions(ctx, p: int) -> list[int]:
+    """Every Q properly above P that is prime or improper."""
+    return [q for q in ctx.prime_impl + [ctx.a.full_mask] if p & ~q == 0 and p != q]
+
+
 @finite("thm:iota", "cosets map onto the derived algebra as subordinates")
 def _iota(ctx, out):
+    """The closure identities of ι, and ι is onto the derived algebra.
+
+        P_a ⊸ P_b = η⁻¹[ [[a→b], 1] ]      (both subordinates nonempty)
+        P_a⁺      = η⁻¹[ [[¬a], 1] ]
+
+    The right sides are only cut-equivalent to P_{a→b} and P_{¬a}; the two
+    collapse exactly when the quotient is dense, so on a finite algebra ι is
+    neither injective nor an operation morphism.
+    """
     a = ctx.a
-    for p in ctx.prime_impl:
-        if not ctx.spectrum(p).members:
-            continue
-        h = ctx.hat(p)
-        rep = spectra.iota(h, quotient_by(a, p))
-        if not rep["sqto_closure"]:
-            out.append(("sqto closure identity", ctx.show(p)))
-        if not rep["plus_closure"]:
-            out.append(("plus closure identity", ctx.show(p)))
-        if not rep["is_surjective"]:
+    for p, h in _hats(ctx):
+        q = ctx.quotient(p)
+        qa = q.quotient
+        subs = [ctx.subordinate(p, rep) for rep in q.representatives]
+        for c in range(qa.size):
+            if calculus.set_plus(a, subs[c]) != q.preimage_mask(qa.up_mask[qa.neg[c]]):
+                out.append(("plus closure identity", ctx.show(p), c))
+            for d in range(qa.size):
+                if subs[c] and subs[d] and (
+                    ctx.sqto(subs[c], subs[d])
+                    != q.preimage_mask(qa.up_mask[qa.imp[c][d]])
+                ):
+                    out.append(("sqto closure identity", ctx.show(p), c, d))
+        if len(set(spectra.iota(h, q))) != h.as_mv.size:
             out.append(("surjectivity", ctx.show(p)))
 
 
 @finite("thm:hat-eta", "boundary cosets give a morphism to larger quotients")
 def _hat_eta(ctx, out):
+    """η̂ is well defined on classes and preserves ⁺ and ⊸."""
     a = ctx.a
-    for p in ctx.prime_impl:
-        if not ctx.spectrum(p).members:
-            continue
-        h = ctx.hat(p)
-        targets = [
-            q for q in ctx.prime_impl + [a.full_mask]
-            if p & ~q == 0 and p != q
-        ]
-        for q in targets:
-            rep = spectra.hat_eta(h, q)
-            if not rep["is_morphism"]:
-                out.append((ctx.show(p), ctx.show(q)))
+    for p, h in _hats(ctx):
+        m = len(h.classes)
+        for q_mask in _extensions(ctx, p):
+            q = ctx.quotient(q_mask)
+            qa = q.quotient
+            eta = spectra.hat_eta(h, q)
+            where = (ctx.show(p), ctx.show(q_mask))
+            stray = [
+                ctx.show(member)
+                for i, cls in enumerate(h.classes)
+                for member in cls
+                if q.cosets.index(calculus.boundary_coset(a, member, q_mask)) != eta[i]
+            ]
+            if stray:
+                out.append(("η̂ misses a member's boundary coset", *where, stray))
+                continue
+            if any(eta[h.plus_table[i]] != qa.neg[eta[i]] for i in range(m)):
+                out.append(("⁺", *where))
+            if any(
+                eta[h.sqto_table[i][j]] != qa.imp[eta[i]][eta[j]]
+                for i in range(m)
+                for j in range(m)
+            ):
+                out.append(("⊸", *where))
 
 
 @finite("thm:composite", "the composite map is the canonical coset map")
 def _composite(ctx, out):
+    """η̂ ∘ ι sends the P-coset of each a to the Q-coset of a."""
     a = ctx.a
-    for p in ctx.prime_impl:
-        if not ctx.spectrum(p).members:
-            continue
-        h = ctx.hat(p)
-        targets = [
-            q for q in ctx.prime_impl + [a.full_mask]
-            if p & ~q == 0 and p != q
-        ]
-        for q in targets:
-            if not spectra.composite_is_canonical(h, q):
-                out.append((ctx.show(p), ctx.show(q)))
+    for p, h in _hats(ctx):
+        qp = ctx.quotient(p)
+        io = spectra.iota(h, qp)
+        for q_mask in _extensions(ctx, p):
+            q = ctx.quotient(q_mask)
+            eta = spectra.hat_eta(h, q)
+            wrong = [
+                x for x in range(a.size) if eta[io[qp.coset_of[x]]] != q.coset_of[x]
+            ]
+            if wrong:
+                out.append((ctx.show(p), ctx.show(q_mask), wrong))
 
 
 # ---------------------------------------------------------------------------

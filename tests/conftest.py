@@ -1,6 +1,6 @@
 import pytest
 
-from mvfilters import make_lukasiewicz_chain, make_product
+from mvfilters import make_lukasiewicz_chain, make_product, run_finite
 
 
 def chain(n):
@@ -22,6 +22,22 @@ PRODUCTS = {
     "L2xL2xL2": product(2, 2, 2),
 }
 ALL_ALGEBRAS = {f"L{n}": a for n, a in CHAINS.items()} | PRODUCTS
+
+
+def drop_lowest(real):
+    """real, with the lowest member of each mask it returns dropped."""
+    def corrupted(*args):
+        m = real(*args)
+        return m & (m - 1)
+
+    return corrupted
+
+
+def assert_check_can_fail(monkeypatch, a, stmt, owner, name, corrupt):
+    """stmt passes on a, and fails on a fresh run once owner.name is corrupted."""
+    assert run_finite(a, only=[stmt]).results[0].status == "pass"
+    monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
+    assert run_finite(a, only=[stmt]).results[0].status == "fail"
 
 
 @pytest.fixture(params=sorted(ALL_ALGEBRAS), ids=sorted(ALL_ALGEBRAS))

@@ -155,15 +155,8 @@ def test_criterion_08_spectrum_morphisms():
             (p, q) for p in primes for q in primes if p & ~q == 0 and p != q
         ]
         assert nested == []
-        for p in primes:
-            spec = mv.prime_spectrum(a, p)
-            if not spec.members:
-                continue
-            h = mv.build_hat(spec)
-            rep = mv.hat_eta(h, a.full_mask)
-            if not (rep["is_morphism"] and mv.composite_is_canonical(h, a.full_mask)):
-                ok = False
-            checked += 1
+        checked += sum(1 for p in primes if mv.prime_spectrum(a, p).members)
+        ok = ok and mv.run_finite(a, only=["thm:hat-eta", "thm:composite"]).ok
     verdict(8, "eta-hat morphism and composite (improper extension)", ok and checked)
 
 

@@ -194,6 +194,12 @@ def test_verify_exit_three_on_cap(run, specfile):
     assert code == 3 and "exceeds" in err
     code, out, err = run("export", path, "filters", "--format", "dot", "-o", "/dev/null")
     assert code == 3 and "exceeds" in err
+    # an expression that enumerates nothing is refused before any table is built
+    l17 = {"kind": "lukasiewicz", "n": 17}
+    for spec in ({"kind": "lukasiewicz", "n": 200},
+                 {"kind": "product", "factors": [L4, l17]}):
+        code, out, err = run("compute", specfile(spec), "kernel(up(1))")
+        assert (code, out) == (3, "") and "exceeds" in err
 
 
 def test_usage_errors_exit_two(run, specfile, tmp_path):

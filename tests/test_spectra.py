@@ -1,9 +1,9 @@
 import pytest
 
 import mvfilters as mv
-from mvfilters import InvalidArgument
+from mvfilters import InvalidArgument, spectra
 
-from conftest import CHAINS, chain
+from conftest import CHAINS, PRODUCTS, assert_check_can_fail, chain, drop_lowest
 
 
 def hat_of_chain(n):
@@ -66,17 +66,19 @@ def test_spectrum_equiv_is_discrete_on_chains():
         assert len(cls) == 1
 
 
-def test_iota_closure_identities():
+def test_iota_closure_identities(monkeypatch):
     for n in (3, 4, 5, 6):
         a = CHAINS[n]
         h = hat_of_chain(n)
-        rep = mv.iota(h, mv.quotient_by(a, a.one_mask))
-        assert rep["sqto_closure"] and rep["plus_closure"]
-        assert rep["is_surjective"]
-        # n cosets land on n-1 classes, so the map cannot be injective,
-        # and on a discrete quotient it is not an operation morphism
-        assert not rep["is_injective"]
-        assert not rep["is_morphism"]
+        mapping = mv.iota(h, mv.quotient_by(a, a.one_mask))
+        # n cosets land on all n-1 classes: onto, so never injective
+        assert len(mapping) == n and set(mapping) == set(range(n - 1))
+        assert mapping[-1] == h.one_class  # the top coset has empty subordinate
+    # thm:iota checks the closure identities P_a ⊸ P_b and P_a⁺ by preimages
+    assert_check_can_fail(
+        monkeypatch, CHAINS[5], "thm:iota", mv.QuotientAlgebra, "preimage_mask",
+        drop_lowest,
+    )
 
 
 def test_iota_rejects_other_base(l5):
@@ -88,17 +90,37 @@ def test_iota_rejects_other_base(l5):
 def test_hat_eta_improper_extension():
     h = hat_of_chain(5)
     a = h.spectrum.algebra
-    rep = mv.hat_eta(h, a.full_mask)
-    assert rep["is_morphism"]
-    assert set(rep["mapping"]) == {0}  # one-point quotient
-    assert mv.composite_is_canonical(h, a.full_mask)
+    assert mv.hat_eta(h, mv.quotient_by(a, a.full_mask)) == (0,) * 4  # one point
 
 
 def test_hat_eta_needs_proper_containment():
     h = hat_of_chain(4)
     a = h.spectrum.algebra
     with pytest.raises(InvalidArgument):
-        mv.hat_eta(h, a.one_mask)  # P itself is not a proper extension
+        mv.hat_eta(h, mv.quotient_by(a, a.one_mask))  # P is not a proper extension
+
+
+def _shift(real):
+    return lambda *args: tuple(v + 1 for v in real(*args))
+
+
+def _constant(real):
+    return lambda *args: (0,) * len(real(*args))
+
+
+# Every Q above a prime P of a finite MV-algebra is improper, so Q's quotient
+# has one coset: thm:hat-eta and thm:composite only see a mapping that leaves it.
+@pytest.mark.parametrize(
+    "stmt, owner, name, corrupt",
+    [
+        ("thm:iota", spectra, "iota", _constant),
+        ("thm:hat-eta", spectra, "hat_eta", _shift),
+        ("thm:composite", spectra, "hat_eta", _shift),
+    ],
+    ids=["iota-onto", "hat-eta", "composite"],
+)
+def test_spectrum_map_checks_can_fail(monkeypatch, stmt, owner, name, corrupt):
+    assert_check_can_fail(monkeypatch, PRODUCTS["L2xL3"], stmt, owner, name, corrupt)
 
 
 def test_no_proper_prime_extensions_on_chains():
@@ -120,11 +142,8 @@ def test_product_spectrum_and_hat(l2xl3):
     assert h.representatives[h.one_class] == min(
         spec.members, key=lambda m: bin(m).count("1")
     )
-    rep = mv.hat_eta(h, a.full_mask)
-    assert rep["is_morphism"]
-    assert mv.composite_is_canonical(h, a.full_mask)
-    io = mv.iota(h, mv.quotient_by(a, p))
-    assert io["sqto_closure"] and io["plus_closure"] and io["is_surjective"]
+    assert mv.hat_eta(h, mv.quotient_by(a, a.full_mask)) == (0,) * h.as_mv.size
+    assert set(mv.iota(h, mv.quotient_by(a, p))) == set(range(h.as_mv.size))
 
 
 def test_hat_on_every_prime_base(algebra):
@@ -134,5 +153,4 @@ def test_hat_on_every_prime_base(algebra):
             continue
         h = mv.build_hat(spec)
         assert mv.is_linear(h.as_mv)
-        io = mv.iota(h, mv.quotient_by(algebra, p))
-        assert io["sqto_closure"] and io["plus_closure"]
+        assert set(mv.iota(h, mv.quotient_by(algebra, p))) == set(range(h.as_mv.size))

@@ -81,6 +81,8 @@ def _fresh(a, name, args):
         return spectra.prime_spectrum(a, *args)
     if name == "hat":
         return spectra.build_hat(spectra.prime_spectrum(a, *args))
+    if name == "quotient":
+        return mv.quotient_by(a, *args)
     return getattr(calculus, name)(a, *args)
 
 
@@ -101,7 +103,9 @@ def test_memo_entries_equal_fresh_calls(monkeypatch):
     a = PRODUCTS["L2xL3"]
     assert mv.run_finite(a).ok
     (ctx,) = built
-    assert set(ctx.memo) == {"sqto", "kernel", "subordinate", "spectrum", "hat"}
+    assert set(ctx.memo) == {
+        "sqto", "kernel", "subordinate", "spectrum", "hat", "quotient",
+    }
     for name, table in ctx.memo.items():
         assert table, name
         for args, value in table.items():
