@@ -197,9 +197,6 @@ class QuotientAlgebra:
     cosets: tuple[int, ...]
     quotient: MvAlgebra
 
-    def eta(self, x: int) -> int:
-        return self.coset_of[x]
-
     def image_mask(self, mask: int) -> int:
         return mask_of(self.coset_of[x] for x in iter_mask(mask))
 

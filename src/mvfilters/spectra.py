@@ -5,6 +5,12 @@ spectrum the unit of the calculus is P itself (F ⊸ F = K(F) = P), so the
 cut equivalence and the class order compare against P rather than {1}; for
 P = {1} this is the literal definition.
 
+On a finite algebra each class of the derived algebra is a single member: a
+finite MV-algebra is a product of Łukasiewicz chains, so PSpec(P) is the set
+of prime filters of the finite chain L/P, where cut equivalence is equality.
+``build_hat`` therefore orders the members themselves.  The dense chain's
+classes of many cuts live in ``densechain.hat_class``.
+
 The maps ι (P-cosets to classes) and η̂ (classes to boundary Q-cosets) return
 their mappings as tuples indexed by coset or class.  Their theorems are
 checked by ``thm:iota``, ``thm:hat-eta`` and ``thm:composite`` in ``verify``;
@@ -64,14 +70,20 @@ def spectrum_equiv(spec: PrimeSpectrum, f_mask: int, g_mask: int) -> bool:
 class HatAlgebra:
     """The spectrum modulo cut equivalence, packaged as a finite MV-algebra.
 
-    Classes are indexed ascending in the class order (so index 0 is the zero
-    class).  ``as_mv`` encodes x⊕y := x⁺⊸y with negation ⁺, and is certified
-    by the same axiom checker used for raw table algebras.
+    On a finite algebra every class is a single member.  A finite MV-algebra
+    is a product of Łukasiewicz chains (Cignoli, D'Ottaviano and Mundici,
+    2000), so L/P is a finite chain and PSpec(P) is that chain's prime
+    filters, where cut equivalence is equality (``equiv:discrete``).  The
+    dense chain's classes of many cuts live in ``densechain.hat_class``.
+
+    ``representatives`` lists the members ascending in the class order (so
+    index 0 is the zero class).  ``as_mv`` encodes x⊕y := x⁺⊸y with negation
+    ⁺, and is certified by the same axiom checker used for raw table
+    algebras.
     """
 
     spectrum: PrimeSpectrum
-    classes: tuple[tuple[int, ...], ...]
-    representatives: tuple[int, ...]  # the inclusion-largest member per class
+    representatives: tuple[int, ...]  # the one member of each class
     sqto_table: tuple[tuple[int, ...], ...]
     plus_table: tuple[int, ...]
     as_mv: MvAlgebra
@@ -79,137 +91,66 @@ class HatAlgebra:
     one_class: int
 
     def class_of(self, f_mask: int) -> int:
-        for i, members in enumerate(self.classes):
-            if f_mask in members:
-                return i
-        raise InvalidArgument("filter is not a spectrum member")
+        if f_mask not in self.representatives:
+            raise InvalidArgument("filter is not a spectrum member")
+        return self.representatives.index(f_mask)
 
 
 def build_hat(spec: PrimeSpectrum) -> HatAlgebra:
-    """Construct and certify the derived algebra on PSpec(P)/≡."""
+    """Construct and certify the derived algebra on PSpec(P)/≡.
+
+    F⊸G is computed once for each ordered pair of members; [F] ≤ [G] iff
+    F⊸G = P, which must be a total order on the members (antisymmetric,
+    since cut equivalence is equality here).
+    """
     if not spec.members:
         raise InvalidArgument("cannot build the derived algebra of an empty spectrum")
-    a = spec.algebra
-
-    # group members into equivalence classes
-    classes: list[list[int]] = []
-    for f in spec.members:
-        for cls in classes:
-            if spectrum_equiv(spec, cls[0], f):
-                cls.append(f)
-                break
-        else:
-            classes.append([f])
-    # equivalence sanity: the relation induced by class membership is transitive
-    for cls in classes:
-        for x in cls:
-            for y in cls:
-                if not spectrum_equiv(spec, x, y):
-                    raise InvariantViolation("cut equivalence is not transitive here")
-
-    # representative: inclusion-largest member
-    reps = [max(cls, key=lambda m: bin(m).count("1")) for cls in classes]
-
-    # total class order; sort ascending (zero class first)
-    def le(i: int, j: int) -> bool:
-        return calculus.sqto(a, reps[i], reps[j]) == spec.p_mask
-
-    idx = list(range(len(classes)))
-    for i in idx:
-        for j in idx:
-            if not (le(i, j) or le(j, i)):
+    a, p, members = spec.algebra, spec.p_mask, spec.members
+    n = len(members)
+    sqto = [[calculus.sqto(a, f, g) for g in members] for f in members]
+    for i in range(n):
+        for j in range(n):
+            if not (sqto[i][j] == p or sqto[j][i] == p):
                 raise InvariantViolation("class order is not total")
-    idx.sort(key=lambda i: sum(1 for j in range(len(classes)) if le(i, j)),
-             reverse=True)
-    classes = [sorted(classes[i]) for i in idx]
-    reps = [reps[i] for i in idx]
+            if i != j and sqto[i][j] == sqto[j][i] == p:
+                raise InvariantViolation("distinct members are cut-equivalent")
+
+    # ascending class order: the zero class lies below every member
+    order = sorted(range(n), key=lambda i: sqto[i].count(p), reverse=True)
+    reps = tuple(members[i] for i in order)
+    position = {f: c for c, f in enumerate(reps)}
 
     def class_of(mask: int) -> int:
-        for i, cls in enumerate(classes):
-            if mask in cls:
-                return i
-        # not a member verbatim: match through the equivalence
-        for i, cls in enumerate(classes):
-            if spectrum_equiv(spec, cls[0], mask):
-                return i
-        raise InvariantViolation(
-            f"operation left the spectrum: {a.label_set(mask)}"
-        )
+        if mask not in position:
+            raise InvariantViolation(
+                f"operation left the spectrum: {a.label_set(mask)}"
+            )
+        return position[mask]
 
-    m = len(classes)
-    sqto_table = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            row.append(class_of(calculus.sqto(a, reps[i], reps[j])))
-        sqto_table.append(tuple(row))
+    sqto_table = tuple(tuple(class_of(sqto[i][j]) for j in order) for i in order)
     plus_table = tuple(class_of(calculus.set_plus(a, r)) for r in reps)
-
-    # congruence: the tables cannot depend on the member chosen
-    for i, cls in enumerate(classes):
-        for member in cls:
-            if class_of(calculus.set_plus(a, member)) != plus_table[i]:
-                raise InvariantViolation("⁺ is not constant on a class")
-            for j, other in enumerate(classes):
-                for member2 in other:
-                    if class_of(calculus.sqto(a, member, member2)) != sqto_table[i][j]:
-                        raise InvariantViolation("⊸ is not constant on class pairs")
-
     oplus = tuple(
-        tuple(sqto_table[plus_table[i]][j] for j in range(m)) for i in range(m)
+        tuple(sqto_table[plus_table[i]][j] for j in range(n)) for i in range(n)
     )
     labels = tuple(a.label_set(r) for r in reps)
-    as_mv = MvAlgebra(m, oplus, plus_table, 0,
-                      name=f"hat({a.name};{a.label_set(spec.p_mask)})",
+    as_mv = MvAlgebra(n, oplus, plus_table, 0,
+                      name=f"hat({a.name};{a.label_set(p)})",
                       labels=labels)
     report = check_mv_axioms(as_mv)
     if not report.ok:
         raise InvariantViolation(f"derived algebra fails MV axioms: {report.failures}")
     if not is_linear(as_mv):
         raise InvariantViolation("derived algebra is not linearly ordered")
-
-    one_class = len(classes) - 1
-    least = min(spec.members, key=lambda m_: bin(m_).count("1"))
-    if least not in classes[one_class]:
-        # the top class always holds the inclusion-least member (P itself)
+    # the top class holds the inclusion-least member (P itself)
+    if reps[-1] != min(members, key=lambda m: bin(m).count("1")):
         raise InvariantViolation("top class misses the inclusion-least filter")
-    return HatAlgebra(
-        spec,
-        tuple(tuple(cls) for cls in classes),
-        tuple(reps),
-        tuple(sqto_table),
-        plus_table,
-        as_mv,
-        zero_class=0,
-        one_class=one_class,
-    )
+    return HatAlgebra(spec, reps, sqto_table, plus_table, as_mv,
+                      zero_class=0, one_class=n - 1)
 
 
 def hat_otimes(h: HatAlgebra, x: int, y: int) -> int:
-    """Class-level ⊗ via (x ⊸ y⁺)⁺; cross-checked against T and Φ.
-
-    The set-level identity T(F,G) = Φ(F,G) = (F ⊸ G⁺)⁺ uses the
-    full-left-argument form of ⊸ and can produce the improper filter
-    (whenever some pairwise product hits 0); the class comparison is made
-    whenever the set value is equivalent to a spectrum class.
-    """
-    a = h.spectrum.algebra
-    rx, ry = h.representatives[x], h.representatives[y]
-    via_encoding = h.plus_table[h.sqto_table[x][h.plus_table[y]]]
-    t = calculus.tensor_up(a, rx, ry)
-    p = calculus.phi(a, rx, ry)
-    enc = calculus.set_plus(a, calculus.sqto_full(a, rx, calculus.set_plus(a, ry)))
-    if not (t == p == enc):
-        raise InvariantViolation("T, Φ and the (F⊸G⁺)⁺ set forms disagree")
-    if t != a.full_mask:
-        for i, cls in enumerate(h.classes):
-            if spectrum_equiv(h.spectrum, cls[0], t):
-                if i != via_encoding:
-                    raise InvariantViolation(
-                        "T's class disagrees with the table-level ⊗"
-                    )
-                break
-    return via_encoding
+    """Class-level ⊗ via (x ⊸ y⁺)⁺; ``prop:T-phi`` checks it against T."""
+    return h.plus_table[h.sqto_table[x][h.plus_table[y]]]
 
 
 def iota(h: HatAlgebra, q: QuotientAlgebra) -> tuple[int, ...]:
@@ -232,8 +173,8 @@ def hat_eta(h: HatAlgebra, q: QuotientAlgebra) -> tuple[int, ...]:
 
     ``q`` is the quotient by Q, which must properly contain the spectrum base
     P and be prime or improper (the improper Q gives the one-point quotient).
-    ``thm:hat-eta`` checks that every member of a class has the same boundary
-    coset and that the map preserves ⁺ and ⊸.
+    ``thm:hat-eta`` checks it against each representative's boundary coset and
+    that the map preserves ⁺ and ⊸.
     """
     a = h.spectrum.algebra
     p_mask, q_mask = h.spectrum.p_mask, q.filter_mask

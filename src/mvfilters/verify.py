@@ -752,6 +752,13 @@ def _equiv_discrete(ctx, out):
 # spectra
 
 
+def _hats(ctx):
+    """(P, derived algebra) for every prime implication P with a nonempty spectrum."""
+    for p in ctx.prime_impl:
+        if ctx.spectrum(p).members:
+            yield p, ctx.hat(p)
+
+
 @finite("thm:hat", "each spectrum packages into a linear MV-algebra")
 def _hat(ctx, out):
     for p in ctx.prime_impl:
@@ -765,11 +772,15 @@ def _hat(ctx, out):
 
 @finite("prop:T-phi", "the three faces of ⊗ coincide on spectra")
 def _t_phi(ctx, out):
+    """T, Φ and the encoding agree, and agree with the derived algebra's ⊗.
+
+    T(F,G) = Φ(F,G) = (F⊸G⁺)⁺ for members F and G, and a proper T(F,G) is
+    the member whose class is ``hat_otimes`` of the classes of F and G.
+    """
     a = ctx.a
-    for p in ctx.prime_impl:
-        spec = ctx.spectrum(p)
-        for f in spec.members:
-            for g in spec.members:
+    for p, h in _hats(ctx):
+        for x, f in enumerate(h.representatives):
+            for y, g in enumerate(h.representatives):
                 t = calculus.tensor_up(a, f, g)
                 ph = calculus.phi(a, f, g)
                 enc = calculus.set_plus(
@@ -777,6 +788,10 @@ def _t_phi(ctx, out):
                 )
                 if not (t == ph == enc):
                     out.append((ctx.show(p), ctx.show(f), ctx.show(g)))
+                elif t != a.full_mask and (
+                    t != h.representatives[spectra.hat_otimes(h, x, y)]
+                ):
+                    out.append(("class of T", ctx.show(p), ctx.show(f), ctx.show(g)))
 
 
 @finite("prop:axiomG", "double application is cut-equivalent to the original")
@@ -790,13 +805,6 @@ def _axiom_g(ctx, out):
                 fg = ctx.sqto(ctx.sqto(f, g), g)
                 if not spectra.spectrum_equiv(spec, f, fg):
                     out.append((ctx.show(p), ctx.show(f), ctx.show(g)))
-
-
-def _hats(ctx):
-    """(P, derived algebra) for every prime implication P with a nonempty spectrum."""
-    for p in ctx.prime_impl:
-        if ctx.spectrum(p).members:
-            yield p, ctx.hat(p)
 
 
 def _extensions(ctx, p: int) -> list[int]:
@@ -835,20 +843,19 @@ def _iota(ctx, out):
 
 @finite("thm:hat-eta", "boundary cosets give a morphism to larger quotients")
 def _hat_eta(ctx, out):
-    """η̂ is well defined on classes and preserves ⁺ and ⊸."""
+    """η̂ is each representative's boundary coset and preserves ⁺ and ⊸."""
     a = ctx.a
     for p, h in _hats(ctx):
-        m = len(h.classes)
+        m = h.as_mv.size
         for q_mask in _extensions(ctx, p):
             q = ctx.quotient(q_mask)
             qa = q.quotient
             eta = spectra.hat_eta(h, q)
             where = (ctx.show(p), ctx.show(q_mask))
             stray = [
-                ctx.show(member)
-                for i, cls in enumerate(h.classes)
-                for member in cls
-                if q.cosets.index(calculus.boundary_coset(a, member, q_mask)) != eta[i]
+                ctx.show(rep)
+                for i, rep in enumerate(h.representatives)
+                if q.cosets.index(calculus.boundary_coset(a, rep, q_mask)) != eta[i]
             ]
             if stray:
                 out.append(("η̂ misses a member's boundary coset", *where, stray))

@@ -242,6 +242,39 @@ sqto[0],1,1
 sqto[1],0,1
 """
 
+# hat tables of a longer chain and of a product, whose two prime implication
+# filters give a two-class and a one-class derived algebra
+L5 = {"kind": "lukasiewicz", "n": 5}
+L2xL3 = {"kind": "product", "factors": [{"kind": "lukasiewicz", "n": 2}, L3]}
+PINNED_HAT_CSV = {
+    ("L5", "hat:0"): """\
+class,"{1/4, 1/2, 3/4, 1}","{1/2, 3/4, 1}","{3/4, 1}","{1}"
+neg,3,2,1,0
+oplus[0],0,1,2,3
+oplus[1],1,2,3,3
+oplus[2],2,3,3,3
+oplus[3],3,3,3,3
+sqto[0],3,3,3,3
+sqto[1],2,3,3,3
+sqto[2],1,2,3,3
+sqto[3],0,1,2,3
+""",
+    ("L2xL3", "hat:0"): """\
+class,"{(0,1/2), (0,1), (1,1/2), (1,1)}","{(0,1), (1,1)}"
+neg,1,0
+oplus[0],0,1
+oplus[1],1,1
+sqto[0],1,1
+sqto[1],0,1
+""",
+    ("L2xL3", "hat:1"): """\
+class,"{(1,0), (1,1/2), (1,1)}"
+neg,0
+oplus[0],0
+sqto[0],0
+""",
+}
+
 
 def test_export_filters_dot(run, specfile, tmp_path):
     path = specfile(L3)
@@ -261,6 +294,16 @@ def test_export_hat_csv(run, specfile, tmp_path):
     )
     assert code == 0
     assert out_path.read_text() == L3_HAT_CSV
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_HAT_CSV), ids="-".join)
+def test_export_hat_csv_pinned(run, specfile, tmp_path, key):
+    name, what = key
+    path = specfile({"L5": L5, "L2xL3": L2xL3}[name])
+    out_path = tmp_path / "hat.csv"
+    code, out, err = run("export", path, what, "--format", "csv", "-o", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == PINNED_HAT_CSV[key].encode()
 
 
 def test_export_spectrum_dot(run, specfile, tmp_path):

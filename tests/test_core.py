@@ -86,11 +86,11 @@ def test_quotient_rejects_non_implication_filter(l3):
 def test_eta_is_homomorphism(algebra):
     for p in mv.enumerate_implication_filters(algebra):
         q = mv.quotient_by(algebra, p)
-        qa = q.quotient
+        qa, eta = q.quotient, q.coset_of
         for x in range(algebra.size):
-            assert q.eta(algebra.neg[x]) == qa.neg[q.eta(x)]
+            assert eta[algebra.neg[x]] == qa.neg[eta[x]]
             for y in range(algebra.size):
-                assert q.eta(algebra.oplus[x][y]) == qa.oplus[q.eta(x)][q.eta(y)]
+                assert eta[algebra.oplus[x][y]] == qa.oplus[eta[x]][eta[y]]
 
 
 def test_find_isomorphism_positive_negative():

@@ -1,9 +1,16 @@
 import pytest
 
 import mvfilters as mv
-from mvfilters import InvalidArgument, spectra
+from mvfilters import InvalidArgument, calculus, spectra
 
-from conftest import CHAINS, PRODUCTS, assert_check_can_fail, chain, drop_lowest
+from conftest import (
+    ALL_ALGEBRAS,
+    CHAINS,
+    PRODUCTS,
+    assert_check_can_fail,
+    chain,
+    drop_lowest,
+)
 
 
 def hat_of_chain(n):
@@ -43,7 +50,7 @@ def test_hat_of_chain_is_smaller_chain():
 def test_hat_unit_class_holds_base():
     h = hat_of_chain(5)
     a = h.spectrum.algebra
-    assert a.one_mask in h.classes[h.one_class]
+    assert h.representatives[h.one_class] == a.one_mask
 
 
 def test_class_of_rejects_non_member():
@@ -62,8 +69,45 @@ def test_hat_otimes_matches_encoded_table():
 
 def test_spectrum_equiv_is_discrete_on_chains():
     h = hat_of_chain(6)
-    for cls in h.classes:
-        assert len(cls) == 1
+    assert sorted(h.representatives) == sorted(h.spectrum.members)
+
+
+def test_build_hat_computes_each_sqto_once(monkeypatch):
+    calls = []
+    real = calculus.sqto
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(calculus, "sqto", counted)
+    for a in (CHAINS[5], PRODUCTS["L2xL3"]):
+        for p in mv.enumerate_implication_filters(a, prime_only=True):
+            spec = mv.prime_spectrum(a, p)
+            if not spec.members:
+                continue
+            calls.clear()
+            mv.build_hat(spec)
+            assert len(calls) == len(spec.members) ** 2
+
+
+def _shift_class(real):
+    return lambda h, x, y: (real(h, x, y) + 1) % h.as_mv.size
+
+
+@pytest.mark.parametrize("algebra_id", ["L5", "L2xL3"])
+@pytest.mark.parametrize(
+    "stmt, owner, name, corrupt",
+    [
+        ("thm:hat", calculus, "sqto", drop_lowest),
+        ("prop:T-phi", spectra, "hat_otimes", _shift_class),
+    ],
+    ids=["hat-order", "T-phi-class"],
+)
+def test_hat_checks_can_fail(monkeypatch, algebra_id, stmt, owner, name, corrupt):
+    assert_check_can_fail(
+        monkeypatch, ALL_ALGEBRAS[algebra_id], stmt, owner, name, corrupt
+    )
 
 
 def test_iota_closure_identities(monkeypatch):
