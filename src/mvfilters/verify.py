@@ -3,8 +3,9 @@
 Every checkable statement of the calculus carries a stable identifier
 (e.g. ``prop:inclOne``); the runner evaluates each one exhaustively on a
 finite algebra, or with seeded randomised suites on the dense chain, and
-collects witnesses for any failure.  Reports are deterministic given
-(algebra, scope, seed).
+collects witnesses for any failure.  A statement that raises is recorded
+as ``error``, with the exception as its witness, and the run goes on.
+Reports are deterministic given (algebra, scope, seed).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import random
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from . import calculus, densechain as dc, filters, spectra
 from .core import (
@@ -32,7 +32,7 @@ from .errors import InvalidArgument, InvariantViolation, MvError
 @dataclass
 class StatementResult:
     id: str
-    status: str  # pass | fail | skip
+    status: str  # pass | fail | skip | error
     detail: str = ""
     witnesses: list = field(default_factory=list)
     elapsed: float = 0.0
@@ -46,7 +46,7 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return all(r.status != "fail" for r in self.results)
+        return all(r.status not in ("fail", "error") for r in self.results)
 
     def to_text(self) -> str:
         lines = [f"target: {self.target}    seed: {self.seed}"]
@@ -57,7 +57,7 @@ class Report:
             lines.append(line)
             for w in r.witnesses[:5]:
                 lines.append(f"    witness: {w}")
-        n_fail = sum(1 for r in self.results if r.status == "fail")
+        n_fail = sum(1 for r in self.results if r.status in ("fail", "error"))
         lines.append(
             f"{len(self.results)} statements, "
             f"{sum(1 for r in self.results if r.status == 'pass')} passed, "
@@ -98,9 +98,9 @@ class Ctx:
 
     Statements call the pure primitives they query again and again with the
     same arguments through this object: ⊸, the kernel and subordinates from
-    ``calculus``, the spectrum and derived algebra of each prime implication
-    filter P from ``spectra``, and the quotient by each implication filter
-    from ``core``.  Each result is computed once, by the one definition in
+    ``calculus``, the lattice-filter test from ``filters``, the spectrum and
+    derived algebra of each prime implication filter P from ``spectra``, and
+    the quotient by each implication filter from ``core``.  Each result is computed once, by the one definition in
     its module, and kept in ``memo`` (operation name -> argument tuple ->
     result).  The memo lives on this instance, so it lasts exactly one
     verification run; the algebra itself is never written to.  Cross-checks
@@ -138,6 +138,9 @@ class Ctx:
 
     def subordinate(self, f_mask: int, elem: int) -> int:
         return self._cached("subordinate", calculus.subordinate, f_mask, elem)
+
+    def is_lattice_filter(self, mask: int) -> bool:
+        return self._cached("is_lattice_filter", filters.is_lattice_filter, mask)
 
     def quotient(self, p_mask: int) -> QuotientAlgebra:
         return self._cached("quotient", quotient_by, p_mask)
@@ -255,16 +258,54 @@ def _impl_vs_lattice(ctx, out):
 # subordinates and kernels
 
 
+def _reach(ctx, f, empty, step):
+    """Every state a nonempty X ⊆ L∖F produces, each with one witness mask.
+
+    ``empty`` is the state of X = ∅ and ``step(state, x)`` the state of
+    X ∪ {x}; the state of X must depend on X only through that recurrence.
+    The search starts at ``empty`` and applies ``step`` with every x ∉ F to
+    every state it reaches, in breadth-first order.  It is exact:
+
+    - every X reaches its state, by adding its members one at a time;
+    - every state has a witness: a step from a state with witness W to its
+      successor along x has witness W ∪ {x}, which produces that successor.
+
+    So a claim that holds at every witness holds at every X, while the search
+    visits the distinct states instead of the 2^|L∖F| subsets.  ``empty`` is
+    in the result only if some nonempty X produces it.
+    """
+    comp = list(iter_mask(ctx.a.full_mask & ~f))
+    witness: dict = {}
+    frontier = [(empty, 0)]
+    while frontier:
+        nxt = []
+        for state, w in frontier:
+            for x in comp:
+                t = step(state, x)
+                if t not in witness:
+                    witness[t] = w | 1 << x
+                    nxt.append((t, witness[t]))
+        frontier = nxt
+    return witness
+
+
 @finite("fact:a", "relative kernels are lattice filters")
 def _fact_a(ctx, out):
+    """K_F(X) = ∩_{x∈X} F_x is a lattice filter for every nonempty X ⊆ L∖F.
+
+    The state of X is the value V = K_F(X), and adding x maps V to V ∩ F_x.
+    So the reachable states are the ∩-closure of the subordinates F_x, which
+    is exactly the set of K_F(X) values (see ``_reach``).  At each state the
+    witness X must give ``kernel_rel`` = V, and V must be a lattice filter.
+    """
     a = ctx.a
     for f in ctx.primes:
-        comp = list(iter_mask(a.full_mask & ~f))
-        for r in range(1, len(comp) + 1):
-            for xs in combinations(comp, r):
-                k = calculus.kernel_rel(a, f, sum(1 << x for x in xs))
-                if not filters.is_lattice_filter(a, k):
-                    out.append((ctx.show(f), xs))
+        states = _reach(ctx, f, a.full_mask, lambda v, x: v & ctx.subordinate(f, x))
+        for v, xm in states.items():
+            if calculus.kernel_rel(a, f, xm) != v:
+                out.append(("kernel_rel differs", ctx.show(f), ctx.show(xm)))
+            elif not ctx.is_lattice_filter(v):
+                out.append((ctx.show(f), ctx.show(xm)))
 
 
 @finite("fact:b", "the singleton relative kernel is the subordinate")
@@ -301,18 +342,31 @@ def _fact_d(ctx, out):
 
 @finite("fact:e", "relative kernels see only the join-ideal closure")
 def _fact_e(ctx, out):
+    """K_F(X) = K_F(I) for every nonempty X ⊆ L∖F, I its join-ideal closure.
+
+    In a finite lattice I = ↓∨X, so the check on X depends on X only through
+    the state (K_F(X), ∨X); adding x maps it to (V ∩ F_x, x ∨ ∨X).  Every
+    such state is visited once with one witness X (see ``_reach``), on which
+    I = ``down_closure_joins`` must avoid F and have K_F(I) = V.
+    """
     a = ctx.a
     for f in ctx.primes:
-        comp = list(iter_mask(a.full_mask & ~f))
-        for r in range(1, len(comp) + 1):
-            for xs in combinations(comp, r):
-                xm = sum(1 << x for x in xs)
-                closed = filters.down_closure_joins(a, xm)
-                if closed & f:
-                    out.append(("closure escaped the complement", ctx.show(f), xs))
-                    continue
-                if calculus.kernel_rel(a, f, xm) != calculus.kernel_rel(a, f, closed):
-                    out.append((ctx.show(f), xs))
+        states = _reach(
+            ctx, f, (a.full_mask, a.zero),
+            lambda s, x: (s[0] & ctx.subordinate(f, x), a.join[s[1]][x]),
+        )
+        kernel_of: dict[int, int] = {}
+        for (v, _), xm in states.items():
+            closed = filters.down_closure_joins(a, xm)
+            if closed & f:
+                out.append(
+                    ("closure escaped the complement", ctx.show(f), ctx.show(xm))
+                )
+                continue
+            if closed not in kernel_of:
+                kernel_of[closed] = calculus.kernel_rel(a, f, closed)
+            if kernel_of[closed] != v:
+                out.append((ctx.show(f), ctx.show(xm)))
 
 
 @finite("fact:subord-monotone", "subordinates reverse order; joins pick one side")
@@ -516,7 +570,7 @@ def _small(ctx, out):
             if f & ~ju:
                 out.append(("does not contain F", ctx.show(f), ctx.show(p)))
                 continue
-            if not filters.is_lattice_filter(a, ju):
+            if not ctx.is_lattice_filter(ju):
                 out.append(("not a lattice filter", ctx.show(f), ctx.show(p)))
                 continue
             if p & ~ctx.kernel(ju):
@@ -1128,20 +1182,14 @@ def _run(statements, ctx, only, target, seed) -> Report:
             continue
         out: list = []
         t0 = time.perf_counter()
-        verdict = fn(ctx, out)
+        try:
+            status = "skip" if fn(ctx, out) == "skip" else ("fail" if out else "pass")
+        except Exception as e:  # a crash is this statement's verdict, not the run's
+            status, out = "error", [f"{type(e).__name__}: {e}"]
         elapsed = time.perf_counter() - t0
-        if verdict == "skip":
-            report.results.append(
-                StatementResult(stmt_id, "skip", blurb, [], elapsed)
-            )
-        elif out:
-            report.results.append(
-                StatementResult(stmt_id, "fail", blurb, out, elapsed)
-            )
-        else:
-            report.results.append(
-                StatementResult(stmt_id, "pass", blurb, [], elapsed)
-            )
+        report.results.append(StatementResult(
+            stmt_id, status, blurb, [] if status == "skip" else out, elapsed
+        ))
     return report
 
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from mvfilters import InvalidArgument, cli
+from mvfilters import InvalidArgument, calculus, cli
+
+from conftest import drop_lowest
 
 
 @pytest.fixture
@@ -163,6 +165,16 @@ def test_verify_exit_one_on_failure(run, specfile):
     code, out, err = run("verify", bad, "--only", "axioms:mv")
     assert code == 1
     assert "fail" in out and "witness" in out
+
+
+def test_verify_reports_a_raising_statement(run, specfile, monkeypatch):
+    # without ⁺'s lowest member prop:T-phi raises; the other statements still run
+    monkeypatch.setattr(calculus, "set_plus", drop_lowest(calculus.set_plus))
+    code, out, err = run("verify", specfile(L2xL3), "--only", "prop:incl,prop:T-phi")
+    assert code == 1 and err == ""
+    assert "prop:T-phi               error" in out
+    assert "witness: InvariantViolation: operation left the spectrum" in out
+    assert out.rstrip().endswith("2 statements, 1 passed, 1 failed, 0 skipped")
 
 
 def test_compute_and_export_refuse_a_non_mv_table(run, specfile, tmp_path):

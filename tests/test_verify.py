@@ -1,12 +1,18 @@
 import json
+from functools import reduce
+from itertools import combinations
 
 import pytest
 
 import mvfilters as mv
-from mvfilters import InvalidArgument, calculus, densechain as dc, spectra, verify
+from mvfilters import (
+    InvalidArgument, calculus, densechain as dc, filters, iter_mask, spectra, verify,
+)
 from mvfilters.verify import DENSE_STATEMENTS, FINITE_STATEMENTS
 
-from conftest import CHAINS, PRODUCTS
+from conftest import (
+    ALL_ALGEBRAS, CHAINS, PRODUCTS, assert_check_can_fail, drop_lowest, product,
+)
 
 
 def test_finite_campaign_green(algebra):
@@ -83,6 +89,8 @@ def _fresh(a, name, args):
         return spectra.build_hat(spectra.prime_spectrum(a, *args))
     if name == "quotient":
         return mv.quotient_by(a, *args)
+    if name == "is_lattice_filter":
+        return filters.is_lattice_filter(a, *args)
     return getattr(calculus, name)(a, *args)
 
 
@@ -104,7 +112,8 @@ def test_memo_entries_equal_fresh_calls(monkeypatch):
     assert mv.run_finite(a).ok
     (ctx,) = built
     assert set(ctx.memo) == {
-        "sqto", "kernel", "subordinate", "spectrum", "hat", "quotient",
+        "sqto", "kernel", "subordinate", "is_lattice_filter", "spectrum", "hat",
+        "quotient",
     }
     for name, table in ctx.memo.items():
         assert table, name
@@ -137,6 +146,100 @@ def test_checks_fail_through_a_warm_memo(monkeypatch):
     monkeypatch.setattr(calculus, "sqto_fast", drop_one)
     fastform(ctx, out)
     assert out
+
+
+def _subsets(a, f):
+    """Every nonempty X ⊆ L∖F as (mask, members): the subset loop that fact:a
+    and fact:e once ran, kept as the oracle for their state search."""
+    comp = list(iter_mask(a.full_mask & ~f))
+    for r in range(1, len(comp) + 1):
+        for xs in combinations(comp, r):
+            yield sum(1 << x for x in xs), xs
+
+
+def _searched_states(monkeypatch, ctx, stmt):
+    """prime F -> the {state: witness} map stmt's search returned for F."""
+    seen = {}
+    real = verify._reach
+
+    def recording(ctx, f, empty, step):
+        seen[f] = real(ctx, f, empty, step)
+        return seen[f]
+
+    out = []
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_reach", recording)
+        FINITE_STATEMENTS[stmt][1](ctx, out)
+    assert not out
+    return seen
+
+
+@pytest.mark.parametrize("algebra_id", sorted(ALL_ALGEBRAS))
+def test_state_search_matches_the_subset_loop(monkeypatch, algebra_id):
+    a = ALL_ALGEBRAS[algebra_id]
+    assert a.size <= 12
+    ctx = verify.Ctx(a)
+    values = _searched_states(monkeypatch, ctx, "fact:a")
+    pairs = _searched_states(monkeypatch, ctx, "fact:e")
+    assert sorted(values) == sorted(pairs) == ctx.primes
+    for f in ctx.primes:
+        oracle_values, oracle_pairs = set(), set()
+        for xm, xs in _subsets(a, f):
+            k = calculus.kernel_rel(a, f, xm)
+            join = reduce(lambda u, v: a.join[u][v], xs)
+            oracle_values.add(k)
+            oracle_pairs.add((k, join))
+            assert filters.down_closure_joins(a, xm) == a.down_mask[join], xs
+        assert set(values[f]) == oracle_values
+        assert set(pairs[f]) == oracle_pairs
+        # each witness is a nonempty X ⊆ L∖F that produces its state
+        for v, xm in values[f].items():
+            assert xm and xm & f == 0 and calculus.kernel_rel(a, f, xm) == v
+        for (k, join), xm in pairs[f].items():
+            assert xm and xm & f == 0 and calculus.kernel_rel(a, f, xm) == k
+            assert reduce(lambda u, v: a.join[u][v], iter_mask(xm)) == join
+
+
+@pytest.mark.parametrize(
+    "factors, total",
+    [((32,), 496), ((8, 8), 448), ((2,) * 6, 192)],
+    ids=["L32", "L8xL8", "2^6"],
+)
+def test_fact_e_state_totals(monkeypatch, factors, total):
+    pairs = _searched_states(monkeypatch, verify.Ctx(product(*factors)), "fact:e")
+    assert sum(len(states) for states in pairs.values()) == total
+
+
+@pytest.mark.parametrize("algebra_id", ["L5", "L2xL3"])
+@pytest.mark.parametrize(
+    "stmt, owner, name",
+    [
+        ("fact:a", calculus, "subordinate"),
+        ("fact:a", calculus, "kernel_rel"),
+        ("fact:e", calculus, "kernel_rel"),
+        ("fact:e", filters, "down_closure_joins"),
+    ],
+    ids=["a-subordinate", "a-kernel_rel", "e-kernel_rel", "e-down_closure_joins"],
+)
+def test_relative_kernel_facts_can_fail(monkeypatch, algebra_id, stmt, owner, name):
+    assert_check_can_fail(
+        monkeypatch, ALL_ALGEBRAS[algebra_id], stmt, owner, name, drop_lowest
+    )
+
+
+def test_a_raising_statement_is_an_error_not_an_abort(monkeypatch):
+    # without ⁺'s lowest member a hat operation leaves the spectrum and raises
+    monkeypatch.setattr(calculus, "set_plus", drop_lowest(calculus.set_plus))
+    report = mv.run_finite(PRODUCTS["L2xL3"])
+    assert len(report.results) == len(FINITE_STATEMENTS)
+    errors = {r.id: r.witnesses for r in report.results if r.status == "error"}
+    assert errors == dict.fromkeys(
+        ["prop:T-phi", "thm:iota", "thm:hat-eta", "thm:composite"],
+        ["InvariantViolation: operation left the spectrum: {(1,1)}"],
+    )
+    # 7 failures and the 4 errors
+    assert report.to_text().endswith("31 passed, 11 failed, 6 skipped")
+    assert not report.ok and json.loads(report.to_json())["ok"] is False
 
 
 def _flip_kind(s):
