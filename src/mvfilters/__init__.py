@@ -37,7 +37,6 @@ from .filters import (
 )
 from .calculus import (
     boundary_coset,
-    equiv,
     is_convex,
     j_down,
     j_up,

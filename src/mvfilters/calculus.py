@@ -1,5 +1,5 @@
-"""The filter calculus: subordinates, kernels, ⊸, Φ, T, J-operators, boundary
-cosets and the cut equivalence, on finite algebras.
+"""The filter calculus: subordinates, kernels, ⊸, Φ, T, J-operators and
+boundary cosets, on finite algebras.
 
 Each function returns a value; the theorems about these values are checked
 by the statements in ``verify``.  Conventions adopted throughout (documented
@@ -9,6 +9,17 @@ once here):
   unchanged instead of raising, since J_d legitimately produces it;
 - an intersection over an empty index family is the whole carrier, so
   F ⊸ L = L for the improper filter L.
+
+Row form.  For a table T (→ or ⊗) and a mask M, row x of T into M is
+{y | T[x][y] ∈ M} (``rows``).  Φ(F,G) is the union of G's →-rows over
+f ∈ F and ``sqto_full(F,G)`` the intersection of G's ⊗-rows over f ∈ F;
+J_u(F,P) is the union of the P-cosets that meet F.  Each of these is a pure
+builder (``rows``, ``core.congruence_cosets``) followed by a pure combinator
+(``phi_rows``, ``sqto_full_rows``, ``j_up_cosets``, ``j_down_cosets``).  A
+cold call builds only what it reads: |F| rows, or one partition.
+``verify.Ctx`` builds each table once per run, so a pair then costs O(|F|)
+or O(n) bit operations.  ⊸ and K_F(X) keep the subordinate loop, which reads
+|X|·n table entries; a cold call in the row form would read all n².
 """
 
 from __future__ import annotations
@@ -16,6 +27,22 @@ from __future__ import annotations
 from .core import MvAlgebra, congruence_cosets, iter_mask
 from .errors import InvalidArgument, InvariantViolation
 from .filters import implication_filter_generated, up_closure
+
+# ---------------------------------------------------------------------------
+# row tables
+
+
+def rows(table, mask: int, among: int) -> dict[int, int]:
+    """Row x of ``table`` into ``mask``, {y | table[x][y] ∈ mask}, for x ∈ among."""
+    out = {}
+    for x in iter_mask(among):
+        m = 0
+        for y, v in enumerate(table[x]):
+            if (mask >> v) & 1:
+                m |= 1 << y
+        out[x] = m
+    return out
+
 
 # ---------------------------------------------------------------------------
 # subordinates and kernels
@@ -76,7 +103,10 @@ def sqto(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
 
 
 def sqto_fast(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
-    """F ⊸ G as {z | f⊗z ∈ G for every f ∈ F∩G}; equals sqto on all inputs.
+    """F ⊸ G as {z | f⊗z ∈ G for every f ∈ F∩G}; equals sqto on up-sets.
+
+    By residuation, f⊗z ≤ x exactly when f ≤ z→x; so when F and G are
+    up-sets, some f ∈ F∩G has f⊗z ∉ G exactly when some x ∉ G has z→x ∈ F∩G.
 
     It shares no code with sqto's relative-kernel form, so prop:fastform
     compares two independent definitions.
@@ -93,21 +123,15 @@ def sqto_full(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
     outside G forces f⊗z ≤ f outside G).  This is the form under which
     Φ(F,G) = (F ⊸ G⁺)⁺ holds for arbitrary filters.
     """
-    otimes = a.otimes
-    fs = list(iter_mask(f_mask))
-    m = 0
-    for z in range(a.size):
-        if all((g_mask >> otimes[f][z]) & 1 for f in fs):
-            m |= 1 << z
+    return sqto_full_rows(rows(a.otimes, g_mask, f_mask), f_mask, a.full_mask)
+
+
+def sqto_full_rows(otimes_rows, f_mask: int, full_mask: int) -> int:
+    """``sqto_full`` from G's ⊗-rows: the AND of otimes_rows[f] over f ∈ F."""
+    m = full_mask
+    for f in iter_mask(f_mask):
+        m &= otimes_rows[f]
     return m
-
-
-def equiv(a: MvAlgebra, f_mask: int, g_mask: int) -> bool:
-    """F ≡ G: both sqto values collapse to {1}."""
-    return (
-        sqto(a, f_mask, g_mask) == a.one_mask
-        and sqto(a, g_mask, f_mask) == a.one_mask
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +140,14 @@ def equiv(a: MvAlgebra, f_mask: int, g_mask: int) -> bool:
 
 def phi(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
     """Union over f ∈ F of {y | f→y ∈ G}."""
-    imp = a.imp
+    return phi_rows(rows(a.imp, g_mask, f_mask), f_mask)
+
+
+def phi_rows(imp_rows, f_mask: int) -> int:
+    """Φ(F,G) from G's →-rows: the OR of imp_rows[f] over f ∈ F."""
     m = 0
     for f in iter_mask(f_mask):
-        for y in range(a.size):
-            if (g_mask >> imp[f][y]) & 1:
-                m |= 1 << y
+        m |= imp_rows[f]
     return m
 
 
@@ -141,9 +167,11 @@ def tensor_up(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
 
 def j_up(a: MvAlgebra, f_mask: int, p_mask: int) -> int:
     """Union of the P-cosets meeting F: the preimage of F's image in L/P."""
-    if f_mask == 0:
-        return 0
-    _, _, cosets = congruence_cosets(a, p_mask)
+    return j_up_cosets(congruence_cosets(a, p_mask)[2], f_mask)
+
+
+def j_up_cosets(cosets, f_mask: int) -> int:
+    """J_u(F,P) from the P-cosets: the OR of the cosets that meet F."""
     m = 0
     for cm in cosets:
         if cm & f_mask:
@@ -153,9 +181,14 @@ def j_up(a: MvAlgebra, f_mask: int, p_mask: int) -> int:
 
 def j_down(a: MvAlgebra, f_mask: int, p_mask: int) -> int:
     """(preimage of F⁺'s image)⁺; may be the empty bottom sentinel."""
+    return j_down_cosets(a, congruence_cosets(a, p_mask)[2], f_mask)
+
+
+def j_down_cosets(a: MvAlgebra, cosets, f_mask: int) -> int:
+    """J_d(F,P) from the P-cosets, by way of ``j_up_cosets``."""
     if f_mask == 0:
         return 0
-    return set_plus(a, j_up(a, set_plus(a, f_mask), p_mask))
+    return set_plus(a, j_up_cosets(cosets, set_plus(a, f_mask)))
 
 
 def kernel_join(a: MvAlgebra, k_mask: int, p_mask: int) -> int:

@@ -198,7 +198,8 @@ class QuotientAlgebra:
     quotient: MvAlgebra
 
     def image_mask(self, mask: int) -> int:
-        return mask_of(self.coset_of[x] for x in iter_mask(mask))
+        """The cosets that meet ``mask``: one AND per coset."""
+        return mask_of(c for c, cm in enumerate(self.cosets) if cm & mask)
 
     def preimage_mask(self, qmask: int) -> int:
         m = 0

@@ -100,11 +100,21 @@ class Ctx:
     same arguments through this object: ⊸, the kernel and subordinates from
     ``calculus``, the lattice-filter test from ``filters``, the spectrum and
     derived algebra of each prime implication filter P from ``spectra``, and
-    the quotient by each implication filter from ``core``.  Each result is computed once, by the one definition in
-    its module, and kept in ``memo`` (operation name -> argument tuple ->
-    result).  The memo lives on this instance, so it lasts exactly one
-    verification run; the algebra itself is never written to.  Cross-checks
-    compute their second side by calling their module directly.
+    the quotient by each implication filter from ``core``.  Each result is
+    computed once, by the one definition in its module, and kept in ``memo``
+    (operation name -> argument tuple -> result).
+
+    Φ, ``sqto_full``, J_u and J_d are split in ``calculus`` into a table
+    builder and a combinator.  This object keeps the tables: every →- and
+    ⊗-row into a mask (``rows``), and the P-cosets of each P (``cosets``).
+    Each pair then costs the combinator's O(|F|) or O(n) bit operations.  On
+    the quotient side it keeps the image of each mask in L/P (``image``) and
+    F/P ⊸ G/P per (P, F/P, G/P) (``quotient_sqto``), combined from the
+    quotient's ⊗-rows into each G/P.
+
+    The memo lives on this instance, so it lasts exactly one verification
+    run; the algebra itself is never written to.  Cross-checks compute their
+    second side by calling their module directly.
     """
 
     def __init__(self, a: MvAlgebra):
@@ -142,8 +152,58 @@ class Ctx:
     def is_lattice_filter(self, mask: int) -> bool:
         return self._cached("is_lattice_filter", filters.is_lattice_filter, mask)
 
+    def rows(self, table: str, mask: int) -> dict[int, int]:
+        """Every row of the table ``table`` ("imp" or "otimes") into mask."""
+        return self._cached(
+            "rows", lambda a, t, m: calculus.rows(getattr(a, t), m, a.full_mask),
+            table, mask,
+        )
+
+    def phi(self, f_mask: int, g_mask: int) -> int:
+        return calculus.phi_rows(self.rows("imp", g_mask), f_mask)
+
+    def sqto_full(self, f_mask: int, g_mask: int) -> int:
+        return calculus.sqto_full_rows(
+            self.rows("otimes", g_mask), f_mask, self.a.full_mask
+        )
+
+    def cosets(self, p_mask: int):
+        """``congruence_cosets``: (coset_of, representatives, cosets) of P."""
+        return self._cached("cosets", congruence_cosets, p_mask)
+
+    def j_up(self, f_mask: int, p_mask: int) -> int:
+        return calculus.j_up_cosets(self.cosets(p_mask)[2], f_mask)
+
+    def j_down(self, f_mask: int, p_mask: int) -> int:
+        return calculus.j_down_cosets(self.a, self.cosets(p_mask)[2], f_mask)
+
     def quotient(self, p_mask: int) -> QuotientAlgebra:
         return self._cached("quotient", quotient_by, p_mask)
+
+    def image(self, p_mask: int, mask: int) -> int:
+        """The image of mask in L/P."""
+        return self._cached(
+            "image", lambda _, p, m: self.quotient(p).image_mask(m), p_mask, mask
+        )
+
+    def quotient_sqto(self, p_mask: int, fq: int, gq: int) -> int:
+        """F/P ⊸ G/P in L/P, for nonempty up-sets F/P and G/P.
+
+        This is ``calculus.sqto_fast`` on the quotient: the AND of the
+        quotient's ⊗-rows into G/P over F/P ∩ G/P.  On up-sets, such as the
+        images of filters, it equals the definitional ``calculus.sqto``.  The
+        rows are built once per (P, G/P) and serve every F/P.
+        """
+        def fresh(_, p, fq, gq):
+            qa = self.quotient(p).quotient
+            otimes_rows = self._cached(
+                "quotient_rows",
+                lambda _, p, m: calculus.rows(qa.otimes, m, qa.full_mask),
+                p, gq,
+            )
+            return calculus.sqto_full_rows(otimes_rows, fq & gq, qa.full_mask)
+
+        return self._cached("quotient_sqto", fresh, p_mask, fq, gq)
 
     def spectrum(self, p_mask: int) -> spectra.PrimeSpectrum:
         return self._cached("spectrum", spectra.prime_spectrum, p_mask)
@@ -330,7 +390,7 @@ def _fact_d(ctx, out):
     a = ctx.a
     for f in ctx.primes:
         k = ctx.kernel(f)
-        coset_of, _, _ = congruence_cosets(a, k)
+        coset_of = ctx.cosets(k)[0]
         outside = list(iter_mask(a.full_mask & ~f))
         for x in outside:
             for y in outside:
@@ -547,12 +607,11 @@ def _triple(ctx, out):
 @finite("prop:phi", "the union form of Φ matches the ⁺/⊸ encoding")
 def _phi(ctx, out):
     a = ctx.a
+    plus = {g: calculus.set_plus(a, g) for g in ctx.lattice}
     for f in ctx.lattice:
         for g in ctx.lattice:
-            lhs = calculus.phi(a, f, g)
-            rhs = calculus.set_plus(
-                a, calculus.sqto_full(a, f, calculus.set_plus(a, g))
-            )
+            lhs = ctx.phi(f, g)
+            rhs = calculus.set_plus(a, ctx.sqto_full(f, plus[g]))
             if lhs != rhs:
                 out.append((ctx.show(f), ctx.show(g)))
 
@@ -563,10 +622,9 @@ def _phi(ctx, out):
 
 @finite("prop:small", "J_u is the least enlargement whose kernel absorbs P")
 def _small(ctx, out):
-    a = ctx.a
     for f in ctx.lattice:
         for p in ctx.impl:
-            ju = calculus.j_up(a, f, p)
+            ju = ctx.j_up(f, p)
             if f & ~ju:
                 out.append(("does not contain F", ctx.show(f), ctx.show(p)))
                 continue
@@ -584,10 +642,9 @@ def _small(ctx, out):
 
 @finite("prop:large", "J_d is the largest shrinking whose kernel absorbs P")
 def _large(ctx, out):
-    a = ctx.a
     for f in ctx.lattice:
         for p in ctx.impl:
-            jd = calculus.j_down(a, f, p)
+            jd = ctx.j_down(f, p)
             candidates = [
                 h
                 for h in ctx.lattice
@@ -609,10 +666,8 @@ def _large(ctx, out):
 def _ju_kernel(ctx, out):
     a = ctx.a
     for f in ctx.lattice:
-        for p in ctx.impl:
-            if not filters.is_prime_implication_filter(a, p):
-                continue
-            ju = calculus.j_up(a, f, p)
+        for p in ctx.prime_impl:
+            ju = ctx.j_up(f, p)
             if ju == a.full_mask:
                 continue
             lhs = ctx.kernel(ju)
@@ -661,13 +716,12 @@ def _quot_commute(ctx, out):
             for p in ctx.impl:
                 if p & ~kg:
                     continue
-                q = ctx.quotient(p)
-                quotient_side = calculus.sqto(
-                    q.quotient, q.image_mask(f), q.image_mask(g)
+                quotient_side = ctx.quotient_sqto(
+                    p, ctx.image(p, f), ctx.image(p, g)
                 )
-                if q.image_mask(s) != quotient_side:
+                if ctx.image(p, s) != quotient_side:
                     out.append(("commute", ctx.show(f), ctx.show(g), ctx.show(p)))
-                if kf == kg and q.preimage_mask(quotient_side) != s:
+                if kf == kg and ctx.quotient(p).preimage_mask(quotient_side) != s:
                     out.append(("preimage", ctx.show(f), ctx.show(g), ctx.show(p)))
 
 
@@ -685,12 +739,13 @@ def _kernel_sqto(ctx, out):
 @finite("def:boundary", "one coset straddles, and ⁺ negates it")
 def _boundary(ctx, out):
     a = ctx.a
+    prime_or_improper = set(ctx.prime_impl) | {a.full_mask}
     for f in ctx.primes:
         kf = ctx.kernel(f)
         for p in ctx.impl:
             if not (kf & ~p == 0 and kf != p):
                 continue
-            if p != a.full_mask and not filters.is_prime_implication_filter(a, p):
+            if p not in prime_or_improper:
                 continue
             try:
                 c = calculus.boundary_coset(a, f, p)
@@ -795,10 +850,11 @@ def _successor(ctx, out):
 def _equiv_discrete(ctx, out):
     if not ctx.linear:
         return "skip"
-    a = ctx.a
+    one = ctx.a.one_mask
     for f in ctx.primes:
         for g in ctx.primes:
-            if calculus.equiv(a, f, g) != (f == g):
+            equivalent = ctx.sqto(f, g) == one and ctx.sqto(g, f) == one
+            if equivalent != (f == g):
                 out.append((ctx.show(f), ctx.show(g)))
 
 

@@ -91,6 +91,21 @@ def _fresh(a, name, args):
         return mv.quotient_by(a, *args)
     if name == "is_lattice_filter":
         return filters.is_lattice_filter(a, *args)
+    if name == "rows":
+        table, mask = args
+        return calculus.rows(getattr(a, table), mask, a.full_mask)
+    if name == "cosets":
+        return mv.congruence_cosets(a, *args)
+    if name == "image":
+        p, mask = args
+        return mv.quotient_by(a, p).image_mask(mask)
+    if name == "quotient_rows":
+        p, mask = args
+        qa = mv.quotient_by(a, p).quotient
+        return calculus.rows(qa.otimes, mask, qa.full_mask)
+    if name == "quotient_sqto":
+        p, fq, gq = args
+        return calculus.sqto(mv.quotient_by(a, p).quotient, fq, gq)
     return getattr(calculus, name)(a, *args)
 
 
@@ -113,7 +128,7 @@ def test_memo_entries_equal_fresh_calls(monkeypatch):
     (ctx,) = built
     assert set(ctx.memo) == {
         "sqto", "kernel", "subordinate", "is_lattice_filter", "spectrum", "hat",
-        "quotient",
+        "quotient", "rows", "cosets", "image", "quotient_rows", "quotient_sqto",
     }
     for name, table in ctx.memo.items():
         assert table, name
@@ -225,6 +240,46 @@ def test_relative_kernel_facts_can_fail(monkeypatch, algebra_id, stmt, owner, na
     assert_check_can_fail(
         monkeypatch, ALL_ALGEBRAS[algebra_id], stmt, owner, name, drop_lowest
     )
+
+
+def _drop_lowest_at_p_one(real):
+    """The quotient-side ⊸, corrupted at P = {1} only."""
+    def corrupted(ctx, p, fq, gq):
+        m = real(ctx, p, fq, gq)
+        return m & (m - 1) if p == ctx.a.one_mask else m
+
+    return corrupted
+
+
+@pytest.mark.parametrize("algebra_id", ["L5", "L2xL3"])
+@pytest.mark.parametrize(
+    "stmt, owner, name, corrupt",
+    [
+        ("prop:phi", calculus, "phi_rows", drop_lowest),
+        ("prop:phi", calculus, "sqto_full_rows", drop_lowest),
+        ("prop:quot-commute", calculus, "sqto_full_rows", drop_lowest),
+        ("prop:quot-commute", verify.Ctx, "quotient_sqto", _drop_lowest_at_p_one),
+        ("prop:small", calculus, "j_up_cosets", drop_lowest),
+        ("prop:large", calculus, "j_up_cosets", drop_lowest),
+        ("prop:Ju-kernel", calculus, "j_up_cosets", drop_lowest),
+    ],
+    ids=[
+        "phi-combinator", "phi-sqto_full", "quot-commute-quotient-side",
+        "quot-commute-at-P-one", "small-j_up", "large-j_up", "Ju-kernel-j_up",
+    ],
+)
+def test_row_table_statements_can_fail(
+    monkeypatch, algebra_id, stmt, owner, name, corrupt
+):
+    assert_check_can_fail(
+        monkeypatch, ALL_ALGEBRAS[algebra_id], stmt, owner, name, corrupt
+    )
+
+
+@pytest.mark.parametrize("factors", [(8, 8), (2,) * 6], ids=["L8xL8", "2^6"])
+def test_phi_and_quot_commute_pass_on_64_elements(factors):
+    report = mv.run_finite(product(*factors), only=["prop:phi", "prop:quot-commute"])
+    assert [r.status for r in report.results] == ["pass", "pass"]
 
 
 def test_a_raising_statement_is_an_error_not_an_abort(monkeypatch):
