@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidArgument
@@ -25,16 +25,27 @@ class Kind(enum.Enum):
     CLOSED = "closed"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, slots=True)
 class Cut:
-    """]endpoint,1] when open, [endpoint,1] when closed."""
+    """]endpoint,1] when open, [endpoint,1] when closed.
+
+    ``is_proper`` is settled once, when the cut is made; it is neither an
+    argument nor part of ``==``, ``hash`` or ``repr``.
+    """
 
     endpoint: Fraction
     kind: Kind
+    is_proper: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not ZERO <= self.endpoint <= ONE:
+        # a Fraction keeps its denominator positive, so 0 <= endpoint <= 1
+        # reads off its integers without a Fraction comparison
+        num, den = self.endpoint.numerator, self.endpoint.denominator
+        if not 0 <= num <= den:
             raise InvalidArgument("cut endpoint must lie in [0,1]")
+        # proper unless improper (closed at 0) or empty (open at 1)
+        proper = num != 0 if self.kind is Kind.CLOSED else num != den
+        object.__setattr__(self, "is_proper", proper)
 
     @property
     def is_improper(self) -> bool:
@@ -43,10 +54,6 @@ class Cut:
     @property
     def is_empty(self) -> bool:
         return self.kind is Kind.OPEN and self.endpoint == 1
-
-    @property
-    def is_proper(self) -> bool:
-        return not (self.is_improper or self.is_empty)
 
     def __contains__(self, x: Fraction) -> bool:
         if self.kind is Kind.OPEN:

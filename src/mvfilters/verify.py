@@ -98,11 +98,12 @@ class Ctx:
 
     Statements call the pure primitives they query again and again with the
     same arguments through this object: ⊸, the kernel and subordinates from
-    ``calculus``, the lattice-filter test from ``filters``, the spectrum and
-    derived algebra of each prime implication filter P from ``spectra``, and
-    the quotient by each implication filter from ``core``.  Each result is
-    computed once, by the one definition in its module, and kept in ``memo``
-    (operation name -> argument tuple -> result).
+    ``calculus``, the lattice-filter and prime lattice-filter tests from
+    ``filters``, the spectrum and derived algebra of each prime implication
+    filter P from ``spectra``, and the quotient by each implication filter
+    from ``core``.  Each result is computed once, by the one definition in
+    its module, and kept in ``memo`` (operation name -> argument tuple ->
+    result).
 
     Φ, ``sqto_full``, J_u and J_d are split in ``calculus`` into a table
     builder and a combinator.  This object keeps the tables: every →- and
@@ -151,6 +152,11 @@ class Ctx:
 
     def is_lattice_filter(self, mask: int) -> bool:
         return self._cached("is_lattice_filter", filters.is_lattice_filter, mask)
+
+    def is_prime_lattice_filter(self, mask: int) -> bool:
+        return self._cached(
+            "is_prime_lattice_filter", filters.is_prime_lattice_filter, mask
+        )
 
     def rows(self, table: str, mask: int) -> dict[int, int]:
         """Every row of the table ``table`` ("imp" or "otimes") into mask."""
@@ -461,7 +467,7 @@ def _subord_prime(ctx, out):
     for f in ctx.primes:
         for x in iter_mask(a.full_mask & ~f):
             s = ctx.subordinate(f, x)
-            if s and not filters.is_prime_lattice_filter(a, s):
+            if s and not ctx.is_prime_lattice_filter(s):
                 out.append((ctx.show(f), x, ctx.show(s)))
 
 
@@ -1108,10 +1114,6 @@ def _dense_separation(ctx, out):
 @dense("dense:trans", "cut equivalence is transitive")
 def _dense_trans(ctx, out):
     rng = ctx.rng("trans")
-
-    def eq(x, y):
-        return dc.cut_sqto(x, y) == dc.TOP and dc.cut_sqto(y, x) == dc.TOP
-
     for _ in range(ctx.triples):
         p = dc.random_fraction(rng, ctx.max_den)
         cuts = [
@@ -1123,11 +1125,15 @@ def _dense_trans(ctx, out):
             )
             if c.is_proper
         ]
-        for f in cuts:
-            for g in cuts:
-                for h in cuts:
-                    if eq(f, g) and eq(g, h) and not eq(f, h):
-                        out.append((str(f), str(g), str(h)))
+        # one ⊸ per ordered pair; x ≈ y when both directions collapse to {1}
+        top = [[dc.cut_sqto(x, y) == dc.TOP for y in cuts] for x in cuts]
+        idx = range(len(cuts))
+        eq = [[top[i][j] and top[j][i] for j in idx] for i in idx]
+        for i in idx:
+            for j in idx:
+                for k in idx:
+                    if eq[i][j] and eq[j][k] and not eq[i][k]:
+                        out.append((str(cuts[i]), str(cuts[j]), str(cuts[k])))
 
 
 @dense("dense:congruence", "collapse on the left propagates through ⊸")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,34 @@ def test_improper_and_empty_rejected():
             dc.cut_sqto(bad, dc.TOP)
     with pytest.raises(InvalidArgument):
         dc.Cut(F(2), dc.Kind.OPEN)
+
+
+def test_cut_value_semantics():
+    for bad in (F("-1/2"), F(-1), F("3/2"), F(2)):
+        for kind in dc.Kind:
+            with pytest.raises(InvalidArgument):
+                dc.Cut(bad, kind)
+    c = dc.open_cut("1/2")
+    for name, value in (("endpoint", F(0)), ("kind", dc.Kind.CLOSED),
+                        ("is_proper", False)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(c, name, value)
+    rng = random.Random(23)
+    randoms = [dc.Cut(dc.random_fraction(rng), rng.choice(list(dc.Kind)))
+               for _ in range(1_000)]
+    sentinels = [dc.closed_cut(0), dc.open_cut(1)]
+    boundary = [dc.Cut(p, k) for p in (F(0), F("1/2"), F(1)) for k in dc.Kind]
+    for cut in boundary + sentinels + randoms:
+        assert cut.is_proper == (not (cut.is_improper or cut.is_empty)), repr(cut)
+    assert not any(s.is_proper for s in sentinels)
+    # the stored flag takes no part in equality or hashing
+    forced = dc.open_cut("1/2")
+    object.__setattr__(forced, "is_proper", False)
+    assert forced == c and hash(forced) == hash(c)
+    assert repr(c) == "Cut(endpoint=Fraction(1, 2), kind=<Kind.OPEN: 'open'>)"
+    assert str(c) == "(1/2,1]" and str(dc.TOP) == "[1,1]"
+    with pytest.raises(TypeError):
+        c < dc.closed_cut("1/2")  # cuts carry no order of their own
 
 
 def test_cut_str_and_membership():

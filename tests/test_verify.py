@@ -91,6 +91,8 @@ def _fresh(a, name, args):
         return mv.quotient_by(a, *args)
     if name == "is_lattice_filter":
         return filters.is_lattice_filter(a, *args)
+    if name == "is_prime_lattice_filter":
+        return filters.is_prime_lattice_filter(a, *args)
     if name == "rows":
         table, mask = args
         return calculus.rows(getattr(a, table), mask, a.full_mask)
@@ -127,8 +129,9 @@ def test_memo_entries_equal_fresh_calls(monkeypatch):
     assert mv.run_finite(a).ok
     (ctx,) = built
     assert set(ctx.memo) == {
-        "sqto", "kernel", "subordinate", "is_lattice_filter", "spectrum", "hat",
-        "quotient", "rows", "cosets", "image", "quotient_rows", "quotient_sqto",
+        "sqto", "kernel", "subordinate", "is_lattice_filter",
+        "is_prime_lattice_filter", "spectrum", "hat", "quotient", "rows",
+        "cosets", "image", "quotient_rows", "quotient_sqto",
     }
     for name, table in ctx.memo.items():
         assert table, name
@@ -326,3 +329,34 @@ def test_dense_theorems_check_the_closed_form(monkeypatch, branch):
     theorems = [s for s in DENSE_STATEMENTS if s != "dense:closed-forms"]
     report = mv.run_dense(seed=0, only=theorems, pairs=200, triples=200)
     assert [r.id for r in report.results if r.status == "fail"]
+
+
+def _collapse_closed_pairs(real):
+    """cut_sqto with every closed–closed pair sent to {1}."""
+    def mutated(f, g):
+        if f.kind is dc.Kind.CLOSED and g.kind is dc.Kind.CLOSED:
+            return dc.TOP
+        return real(f, g)
+
+    return mutated
+
+
+def test_dense_trans_can_fail(monkeypatch):
+    monkeypatch.setattr(dc, "cut_sqto", _collapse_closed_pairs(dc.cut_sqto))
+    (result,) = mv.run_dense(seed=0, only=["dense:trans"], triples=200).results
+    assert result.status == "fail"
+    assert len(result.witnesses) == 182
+
+
+def test_dense_trans_takes_one_sqto_per_ordered_pair(monkeypatch):
+    calls = []
+    real = dc.cut_sqto
+
+    def counting(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(dc, "cut_sqto", counting)
+    triples = 200
+    assert mv.run_dense(seed=0, only=["dense:trans"], triples=triples).ok
+    assert 0 < len(calls) <= 9 * triples
