@@ -11,7 +11,6 @@ from .core import (
     QuotientAlgebra,
     check_mv_axioms,
     congruence_cosets,
-    find_isomorphism,
     is_linear,
     iter_mask,
     make_lukasiewicz_chain,
@@ -21,7 +20,6 @@ from .core import (
 )
 from .errors import InvalidArgument, InvariantViolation, MvError, ResourceLimit
 from .filters import (
-    FilterClassification,
     enumerate_implication_filters,
     enumerate_lattice_filters,
     enumerate_up_sets,
@@ -31,7 +29,7 @@ from .filters import (
     is_prime_implication_filter,
     is_prime_lattice_filter,
     is_up_closed,
-    principality,
+    principal_generator,
     successor_structure,
     up_closure,
 )
@@ -58,7 +56,6 @@ from .spectra import (
     hat_otimes,
     iota,
     prime_spectrum,
-    spectrum_equiv,
 )
 from .densechain import (
     BOTTOM_FILTER,
@@ -66,7 +63,6 @@ from .densechain import (
     Cut,
     Kind,
     closed_cut,
-    cut_equiv,
     cut_plus,
     cut_sqto,
     open_cut,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .core import MvAlgebra, congruence_cosets, iter_mask
 from .errors import InvalidArgument, InvariantViolation
-from .filters import implication_filter_generated, up_closure
+from .filters import up_closure
 
 # ---------------------------------------------------------------------------
 # row tables
@@ -189,11 +189,6 @@ def j_down_cosets(a: MvAlgebra, cosets, f_mask: int) -> int:
     if f_mask == 0:
         return 0
     return set_plus(a, j_up_cosets(cosets, set_plus(a, f_mask)))
-
-
-def kernel_join(a: MvAlgebra, k_mask: int, p_mask: int) -> int:
-    """Join in the lattice of implication filters: generated by the union."""
-    return implication_filter_generated(a, k_mask | p_mask)
 
 
 # ---------------------------------------------------------------------------

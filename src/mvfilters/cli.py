@@ -111,11 +111,6 @@ def parse_spec(text: str, allow_dense: bool = False) -> dict:
     return obj
 
 
-def render_spec(spec: dict) -> str:
-    """Canonical text form; parse_spec(render_spec(s)) == s."""
-    return json.dumps(spec, sort_keys=True)
-
-
 def _carrier_size(spec: dict) -> int:
     if spec["kind"] == "product":
         return math.prod(_carrier_size(s) for s in spec["factors"])
@@ -390,7 +385,7 @@ def _csv_of_hat(h: spectra.HatAlgebra) -> str:
     reps = [h.spectrum.algebra.label_set(r) for r in h.representatives]
     rows = ["class," + ",".join(f'"{r}"' for r in reps)]
     rows.append("neg," + ",".join(str(mv.neg[i]) for i in range(mv.size)))
-    for op, table in (("oplus", mv.oplus), ("sqto", h.sqto_table)):
+    for op, table in (("oplus", mv.oplus), ("sqto", mv.imp)):
         for i in range(mv.size):
             rows.append(
                 f"{op}[{i}]," + ",".join(str(table[i][j]) for j in range(mv.size))

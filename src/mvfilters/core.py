@@ -141,9 +141,6 @@ class AxiomReport:
     ok: bool
     failures: list[tuple[str, tuple]]
 
-    def __bool__(self):
-        return self.ok
-
 
 def check_mv_axioms(a: MvAlgebra, max_failures: int = 10) -> AxiomReport:
     """Exhaustively scan every axiom instance; collect witnesses on failure."""
@@ -184,13 +181,13 @@ def is_linear(a: MvAlgebra) -> bool:
 
 @dataclass(frozen=True)
 class QuotientAlgebra:
-    """Quotient of ``parent`` by the congruence of an implication filter.
+    """Quotient of an algebra by the congruence of an implication filter.
 
-    Cosets are numbered by ascending smallest member; ``coset_of[x]`` maps a
-    parent element to its coset index and ``cosets[c]`` is the coset's mask.
+    Cosets are numbered by ascending smallest member; ``coset_of[x]`` maps an
+    element of the algebra to its coset index and ``cosets[c]`` is the
+    coset's mask.
     """
 
-    parent: MvAlgebra
     filter_mask: int
     coset_of: tuple[int, ...]
     representatives: tuple[int, ...]
@@ -253,30 +250,4 @@ def quotient_by(a: MvAlgebra, p_mask: int) -> QuotientAlgebra:
         for y in range(a.size):
             if coset_of[a.oplus[x][y]] != q_oplus[coset_of[x]][coset_of[y]]:
                 raise InvalidArgument("congruence does not respect addition")
-    return QuotientAlgebra(a, p_mask, coset_of, reps, cosets, quotient)
-
-
-def find_isomorphism(a: MvAlgebra, b: MvAlgebra):
-    """Order-matching isomorphism check for linearly ordered algebras.
-
-    Returns the element bijection (as a tuple indexed by a's elements) if the
-    ascending-order relabelling is an MV-isomorphism, else None.
-    """
-    if a.size != b.size:
-        return None
-    order_a = sorted(range(a.size), key=lambda x: bin(a.up_mask[x]).count("1"),
-                     reverse=True)
-    order_b = sorted(range(b.size), key=lambda x: bin(b.up_mask[x]).count("1"),
-                     reverse=True)
-    phi = [0] * a.size
-    for xa, xb in zip(order_a, order_b):
-        phi[xa] = xb
-    if phi[a.zero] != b.zero:
-        return None
-    for x in range(a.size):
-        if phi[a.neg[x]] != b.neg[phi[x]]:
-            return None
-        for y in range(a.size):
-            if phi[a.oplus[x][y]] != b.oplus[phi[x]][phi[y]]:
-                return None
-    return tuple(phi)
+    return QuotientAlgebra(p_mask, coset_of, reps, cosets, quotient)

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .errors import InvalidArgument
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -88,10 +87,6 @@ def chain_imp(x: Fraction, y: Fraction) -> Fraction:
     return min(ONE, ONE - x + y)
 
 
-def chain_otimes(x: Fraction, y: Fraction) -> Fraction:
-    return max(ZERO, x + y - ONE)
-
-
 def intersect(f: Cut, g: Cut) -> Cut:
     if f.endpoint != g.endpoint:
         return f if f.endpoint > g.endpoint else g
@@ -128,12 +123,6 @@ def cut_sqto(f: Cut, g: Cut) -> Cut:
     if fp.kind is Kind.CLOSED:
         return Cut(chain_imp(q, p), Kind.OPEN)
     return Cut(chain_imp(q, p), Kind.CLOSED)
-
-
-def cut_equiv(f: Cut, g: Cut) -> bool:
-    """Cut equivalence: same endpoint, any kinds."""
-    _require_proper(f, g)
-    return f.endpoint == g.endpoint
 
 
 def kernel_of_cut(f: Cut) -> Cut:

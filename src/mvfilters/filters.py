@@ -18,8 +18,6 @@ width of the order (2⁶ has 7.8 M up-sets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import MvAlgebra, is_linear, iter_mask
 from .errors import InvalidArgument, ResourceLimit
 
@@ -202,38 +200,17 @@ def successor_structure(a: MvAlgebra):
     return c, succ, pred
 
 
-@dataclass
-class FilterClassification:
-    is_lattice_filter: bool
-    is_prime: bool
-    is_implication_filter: bool
-    is_principal: bool
-    is_coprincipal: bool
-    generator: int | None = None
+def principal_generator(a: MvAlgebra, mask: int) -> int | None:
+    """The x with ↑x = mask when mask is a lattice filter, else None.
 
-
-def principality(a: MvAlgebra, mask: int) -> FilterClassification:
-    """Classify a subset; in a finite algebra every lattice filter is principal."""
-    latt = is_lattice_filter(a, mask)
-    prime = latt and is_prime_lattice_filter(a, mask)
-    impl = is_implication_filter(a, mask)
-    generator = None
-    principal = False
-    if latt:
-        for g in iter_mask(mask):
-            if a.up_mask[g] == mask:
-                generator = g
-                principal = True
-                break
-    comp = a.full_mask & ~mask
-    coprincipal = False
-    if latt and comp:
-        # complement has a maximum: some non-member above all non-members
-        for m in iter_mask(comp):
-            if all(a.leq(x, m) for x in iter_mask(comp)):
-                coprincipal = True
-                break
-    return FilterClassification(latt, prime, impl, principal, coprincipal, generator)
+    In a finite algebra every lattice filter is principal.
+    """
+    if not is_lattice_filter(a, mask):
+        return None
+    for g in iter_mask(mask):
+        if a.up_mask[g] == mask:
+            return g
+    return None
 
 
 def implication_filter_generated(a: MvAlgebra, mask: int) -> int:

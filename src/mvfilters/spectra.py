@@ -11,6 +11,9 @@ of prime filters of the finite chain L/P, where cut equivalence is equality.
 ``build_hat`` therefore orders the members themselves.  The dense chain's
 classes of many cuts live in ``densechain.hat_class``.
 
+The derived algebra is its certified ``as_mv``: its →, ¬ and ⊗ are the
+class-level ⊸, ⁺ and ⊗.
+
 The maps ι (P-cosets to classes) and η̂ (classes to boundary Q-cosets) return
 their mappings as tuples indexed by coset or class.  Their theorems are
 checked by ``thm:iota``, ``thm:hat-eta`` and ``thm:composite`` in ``verify``;
@@ -37,9 +40,6 @@ class PrimeSpectrum:
     p_mask: int
     members: tuple[int, ...]  # prime lattice filter masks, ascending
 
-    def __len__(self):
-        return len(self.members)
-
 
 def prime_spectrum(a: MvAlgebra, p_mask: int) -> PrimeSpectrum:
     """All prime lattice filters with kernel exactly P.
@@ -57,15 +57,6 @@ def prime_spectrum(a: MvAlgebra, p_mask: int) -> PrimeSpectrum:
     return PrimeSpectrum(a, p_mask, members)
 
 
-def spectrum_equiv(spec: PrimeSpectrum, f_mask: int, g_mask: int) -> bool:
-    """Cut equivalence inside the spectrum: both sqto values collapse to P."""
-    a = spec.algebra
-    return (
-        calculus.sqto(a, f_mask, g_mask) == spec.p_mask
-        and calculus.sqto(a, g_mask, f_mask) == spec.p_mask
-    )
-
-
 @dataclass(frozen=True)
 class HatAlgebra:
     """The spectrum modulo cut equivalence, packaged as a finite MV-algebra.
@@ -77,18 +68,15 @@ class HatAlgebra:
     dense chain's classes of many cuts live in ``densechain.hat_class``.
 
     ``representatives`` lists the members ascending in the class order (so
-    index 0 is the zero class).  ``as_mv`` encodes x⊕y := x⁺⊸y with negation
-    ⁺, and is certified by the same axiom checker used for raw table
-    algebras.
+    index 0 is the zero class and the last index the one class).  ``as_mv``
+    encodes x⊕y := x⁺⊸y with negation ⁺, and is certified by the same axiom
+    checker used for raw table algebras; its →, ¬ and ⊗ are the class-level
+    ⊸, ⁺ and ⊗.
     """
 
     spectrum: PrimeSpectrum
     representatives: tuple[int, ...]  # the one member of each class
-    sqto_table: tuple[tuple[int, ...], ...]
-    plus_table: tuple[int, ...]
     as_mv: MvAlgebra
-    zero_class: int
-    one_class: int
 
     def class_of(self, f_mask: int) -> int:
         if f_mask not in self.representatives:
@@ -144,13 +132,12 @@ def build_hat(spec: PrimeSpectrum) -> HatAlgebra:
     # the top class holds the inclusion-least member (P itself)
     if reps[-1] != min(members, key=lambda m: bin(m).count("1")):
         raise InvariantViolation("top class misses the inclusion-least filter")
-    return HatAlgebra(spec, reps, sqto_table, plus_table, as_mv,
-                      zero_class=0, one_class=n - 1)
+    return HatAlgebra(spec, reps, as_mv)
 
 
 def hat_otimes(h: HatAlgebra, x: int, y: int) -> int:
-    """Class-level ⊗ via (x ⊸ y⁺)⁺; ``prop:T-phi`` checks it against T."""
-    return h.plus_table[h.sqto_table[x][h.plus_table[y]]]
+    """Class-level ⊗, read off ``as_mv``; ``prop:T-phi`` checks it against T."""
+    return h.as_mv.otimes[x][y]
 
 
 def iota(h: HatAlgebra, q: QuotientAlgebra) -> tuple[int, ...]:
@@ -165,7 +152,7 @@ def iota(h: HatAlgebra, q: QuotientAlgebra) -> tuple[int, ...]:
     if q.filter_mask != p_mask:
         raise InvalidArgument("quotient must be taken at the spectrum base")
     subs = (calculus.subordinate(a, p_mask, rep) for rep in q.representatives)
-    return tuple(h.one_class if s == 0 else h.class_of(s) for s in subs)
+    return tuple(h.as_mv.one if s == 0 else h.class_of(s) for s in subs)
 
 
 def hat_eta(h: HatAlgebra, q: QuotientAlgebra) -> tuple[int, ...]:

@@ -24,6 +24,32 @@ PRODUCTS = {
 ALL_ALGEBRAS = {f"L{n}": a for n, a in CHAINS.items()} | PRODUCTS
 
 
+def find_isomorphism(a, b):
+    """Order-matching isomorphism check for linearly ordered algebras.
+
+    Returns the element bijection (as a tuple indexed by a's elements) if the
+    ascending-order relabelling is an MV-isomorphism, else None.
+    """
+    if a.size != b.size:
+        return None
+    order_a = sorted(range(a.size), key=lambda x: bin(a.up_mask[x]).count("1"),
+                     reverse=True)
+    order_b = sorted(range(b.size), key=lambda x: bin(b.up_mask[x]).count("1"),
+                     reverse=True)
+    phi = [0] * a.size
+    for xa, xb in zip(order_a, order_b):
+        phi[xa] = xb
+    if phi[a.zero] != b.zero:
+        return None
+    for x in range(a.size):
+        if phi[a.neg[x]] != b.neg[phi[x]]:
+            return None
+        for y in range(a.size):
+            if phi[a.oplus[x][y]] != b.oplus[phi[x]][phi[y]]:
+                return None
+    return tuple(phi)
+
+
 def drop_lowest(real):
     """real, with the lowest member of each mask it returns dropped."""
     def corrupted(*args):

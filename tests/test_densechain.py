@@ -95,8 +95,8 @@ def test_cut_str_and_membership():
 
 
 def test_equiv_ignores_kind():
-    assert dc.cut_equiv(dc.open_cut("1/3"), dc.closed_cut("1/3"))
-    assert not dc.cut_equiv(dc.open_cut("1/3"), dc.open_cut("1/2"))
+    assert dc.hat_class(dc.open_cut("1/3")) == dc.hat_class(dc.closed_cut("1/3"))
+    assert dc.hat_class(dc.open_cut("1/3")) != dc.hat_class(dc.open_cut("1/2"))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +154,7 @@ def test_equiv_via_sqto_collapse():
         both_top = (
             dc.cut_sqto(f, g) == dc.TOP and dc.cut_sqto(g, f) == dc.TOP
         )
-        assert both_top == dc.cut_equiv(f, g)
+        assert both_top == (f.endpoint == g.endpoint)
 
 
 def test_sqto_triple_reduction():

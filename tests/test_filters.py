@@ -90,16 +90,18 @@ def test_successor_examples(l4, l5):
 
 
 def test_principality(l4):
-    cls = mv.principality(l4, by_labels(l4, "2/3", "1"))
-    assert cls.is_lattice_filter and cls.is_prime and cls.is_principal
-    assert cls.generator == l4.labels.index("2/3")
-    assert cls.is_coprincipal  # complement {0, 1/3} has maximum 1/3
-    assert not cls.is_implication_filter
+    f = by_labels(l4, "2/3", "1")
+    assert mv.is_lattice_filter(l4, f) and mv.is_prime_lattice_filter(l4, f)
+    assert mv.principal_generator(l4, f) == l4.labels.index("2/3")
+    assert not mv.is_implication_filter(l4, f)
+    # not a lattice filter: no generator
+    assert mv.principal_generator(l4, by_labels(l4, "1/3", "1")) is None
+    assert mv.principal_generator(l4, 0) is None
 
 
 def test_every_finite_lattice_filter_is_principal(algebra):
     for m in mv.enumerate_lattice_filters(algebra):
-        assert mv.principality(algebra, m).is_principal
+        assert mv.principal_generator(algebra, m) is not None
 
 
 def test_implication_filter_generated(l4):

@@ -10,6 +10,7 @@ from conftest import (
     assert_check_can_fail,
     chain,
     drop_lowest,
+    find_isomorphism,
 )
 
 
@@ -22,7 +23,7 @@ def test_spectrum_size_on_chains():
     # every proper filter of a chain is prime with kernel {1}
     for n, a in CHAINS.items():
         spec = mv.prime_spectrum(a, a.one_mask)
-        assert len(spec) == n - 1
+        assert len(spec.members) == n - 1
         for f in spec.members:
             assert mv.kernel(a, f) == a.one_mask
 
@@ -34,7 +35,7 @@ def test_spectrum_requires_prime_base(l4):
 
 def test_improper_base_gives_empty_spectrum(l4):
     spec = mv.prime_spectrum(l4, l4.full_mask)
-    assert len(spec) == 0
+    assert len(spec.members) == 0
     with pytest.raises(InvalidArgument):
         mv.build_hat(spec)
 
@@ -43,14 +44,14 @@ def test_hat_of_chain_is_smaller_chain():
     for n in range(3, 8):
         h = hat_of_chain(n)
         assert h.as_mv.size == n - 1
-        assert mv.find_isomorphism(h.as_mv, chain(n - 1)) is not None
-        assert h.zero_class == 0 and h.one_class == n - 2
+        assert find_isomorphism(h.as_mv, chain(n - 1)) is not None
+        assert h.as_mv.zero == 0 and h.as_mv.one == n - 2
 
 
 def test_hat_unit_class_holds_base():
     h = hat_of_chain(5)
     a = h.spectrum.algebra
-    assert h.representatives[h.one_class] == a.one_mask
+    assert h.representatives[h.as_mv.one] == a.one_mask
 
 
 def test_class_of_rejects_non_member():
@@ -64,7 +65,9 @@ def test_hat_otimes_matches_encoded_table():
         h = hat_of_chain(n)
         for x in range(h.as_mv.size):
             for y in range(h.as_mv.size):
-                assert mv.hat_otimes(h, x, y) == h.as_mv.otimes[x][y]
+                # ⊗ is the encoding (x ⊸ y⁺)⁺ in the derived algebra's → and ¬
+                ha = h.as_mv
+                assert mv.hat_otimes(h, x, y) == ha.neg[ha.imp[x][ha.neg[y]]]
 
 
 def test_spectrum_equiv_is_discrete_on_chains():
@@ -110,6 +113,16 @@ def test_hat_checks_can_fail(monkeypatch, algebra_id, stmt, owner, name, corrupt
     )
 
 
+@pytest.mark.parametrize("algebra_id, witnesses", [("L5", 10), ("L2xL3", 4)])
+def test_axiom_g_can_fail(monkeypatch, algebra_id, witnesses):
+    a = ALL_ALGEBRAS[algebra_id]
+    assert_check_can_fail(
+        monkeypatch, a, "prop:axiomG", calculus, "sqto", drop_lowest
+    )
+    (result,) = mv.run_finite(a, only=["prop:axiomG"]).results
+    assert len(result.witnesses) == witnesses
+
+
 def test_iota_closure_identities(monkeypatch):
     for n in (3, 4, 5, 6):
         a = CHAINS[n]
@@ -117,7 +130,7 @@ def test_iota_closure_identities(monkeypatch):
         mapping = mv.iota(h, mv.quotient_by(a, a.one_mask))
         # n cosets land on all n-1 classes: onto, so never injective
         assert len(mapping) == n and set(mapping) == set(range(n - 1))
-        assert mapping[-1] == h.one_class  # the top coset has empty subordinate
+        assert mapping[-1] == h.as_mv.one  # the top coset has empty subordinate
     # thm:iota checks the closure identities P_a ⊸ P_b and P_a⁺ by preimages
     assert_check_can_fail(
         monkeypatch, CHAINS[5], "thm:iota", mv.QuotientAlgebra, "preimage_mask",
@@ -183,7 +196,7 @@ def test_product_spectrum_and_hat(l2xl3):
     assert p in spec.members
     h = mv.build_hat(spec)
     assert mv.is_linear(h.as_mv)
-    assert h.representatives[h.one_class] == min(
+    assert h.representatives[h.as_mv.one] == min(
         spec.members, key=lambda m: bin(m).count("1")
     )
     assert mv.hat_eta(h, mv.quotient_by(a, a.full_mask)) == (0,) * h.as_mv.size

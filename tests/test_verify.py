@@ -360,3 +360,18 @@ def test_dense_trans_takes_one_sqto_per_ordered_pair(monkeypatch):
     triples = 200
     assert mv.run_dense(seed=0, only=["dense:trans"], triples=triples).ok
     assert 0 < len(calls) <= 9 * triples
+
+
+def test_dense_props_takes_each_sqto_once_per_sample(monkeypatch):
+    calls = []
+    real = dc.cut_sqto
+
+    def counting(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(dc, "cut_sqto", counting)
+    assert mv.run_dense(seed=0, only=["dense:props"], triples=200).ok
+    # F⊸G and (F⊸G)⊸G are each taken once per sample; what repeats is only
+    # values that coincide, such as (F⊸G)⊸G = F
+    assert len(calls) == 1_566
