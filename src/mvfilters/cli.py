@@ -242,23 +242,10 @@ class _Parser:
         pos = self.i
         name = self._name()
         self._expect("(")
-        shapes = {
-            "up": ("raw",),
-            "P": ("raw",),
-            "cut": ("raw", "raw"),
-            "plus": ("expr",),
-            "kernel": ("expr",),
-            "sqto": ("expr", "expr"),
-            "phi": ("expr", "expr"),
-            "T": ("expr", "expr"),
-            "Ju": ("expr", "expr"),
-            "Jd": ("expr", "expr"),
-            "subord": ("expr", "raw"),
-        }
-        if name not in shapes:
+        if name not in _OPERATORS:
             raise ExprError(f"unknown operator {name!r}", pos)
         args = []
-        for k, shape in enumerate(shapes[name]):
+        for k, shape in enumerate(_OPERATORS[name][0]):
             if k:
                 self._expect(",")
             args.append(self._node() if shape == "expr" else self._raw())
@@ -266,94 +253,82 @@ class _Parser:
         return (name, args, pos)
 
 
-def _parse_fraction(raw: str, pos: int) -> Fraction:
+def _element(a: MvAlgebra, raw: str, pos: int) -> int:
+    want = raw.replace(" ", "")
+    for i, lab in enumerate(a.labels):
+        if lab.replace(" ", "") == want:
+            return i
+    raise ExprError(f"no element labelled {raw!r}", pos)
+
+
+def _prime(a: MvAlgebra, pos: int, raw: str) -> int:
     try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise ExprError(f"not a rational number: {raw!r}", pos) from None
-
-
-class _FiniteEval:
-    def __init__(self, a: MvAlgebra):
-        self.a = a
-
-    def _element(self, raw: str, pos: int) -> int:
-        want = raw.replace(" ", "")
-        for i, lab in enumerate(self.a.labels):
-            if lab.replace(" ", "") == want:
-                return i
-        raise ExprError(f"no element labelled {raw!r}", pos)
-
-    def eval(self, node) -> int:
-        name, args, pos = node
-        a = self.a
-        if name == "cut":
-            raise ExprError("cut(...) needs the dense chain", pos)
-        if name == "up":
-            return a.up_mask[self._element(args[0], pos)]
-        if name == "P":
-            try:
-                k = int(args[0])
-            except ValueError:
-                raise ExprError(f"P(...) takes an index, got {args[0]!r}", pos) \
-                    from None
-            primes = filters.enumerate_implication_filters(a, prime_only=True)
-            if not 0 <= k < len(primes):
-                raise ExprError(
-                    f"P({k}) out of range; {len(primes)} prime implication "
-                    "filters exist", pos
-                )
-            return primes[k]
-        if name == "plus":
-            return calculus.set_plus(a, self.eval(args[0]))
-        if name == "kernel":
-            return calculus.kernel(a, self.eval(args[0]))
-        if name == "sqto":
-            return calculus.sqto(a, self.eval(args[0]), self.eval(args[1]))
-        if name == "phi":
-            return calculus.phi(a, self.eval(args[0]), self.eval(args[1]))
-        if name == "T":
-            return calculus.tensor_up(a, self.eval(args[0]), self.eval(args[1]))
-        if name == "Ju":
-            return calculus.j_up(a, self.eval(args[0]), self.eval(args[1]))
-        if name == "Jd":
-            return calculus.j_down(a, self.eval(args[0]), self.eval(args[1]))
-        if name == "subord":
-            return calculus.subordinate(
-                a, self.eval(args[0]), self._element(args[1], pos)
-            )
-        raise ExprError(f"unknown operator {name!r}", pos)
-
-
-class _DenseEval:
-    def eval(self, node) -> dc.Cut:
-        name, args, pos = node
-        if name == "cut":
-            p = _parse_fraction(args[0], pos)
-            kind = args[1].lower()
-            if kind not in ("open", "closed"):
-                raise ExprError("cut kind must be open or closed", pos)
-            cut = dc.Cut(p, dc.Kind.OPEN if kind == "open" else dc.Kind.CLOSED)
-            if not cut.is_proper:
-                raise ExprError(f"{cut} is not a proper cut filter", pos)
-            return cut
-        if name == "plus":
-            return dc.cut_plus(self.eval(args[0]))
-        if name == "kernel":
-            return dc.kernel_of_cut(self.eval(args[0]))
-        if name == "sqto":
-            return dc.cut_sqto(self.eval(args[0]), self.eval(args[1]))
+        k = int(raw)
+    except ValueError:
+        raise ExprError(f"P(...) takes an index, got {raw!r}", pos) from None
+    primes = filters.enumerate_implication_filters(a, prime_only=True)
+    if not 0 <= k < len(primes):
         raise ExprError(
-            f"operator {name!r} is not available on the dense chain", pos
+            f"P({k}) out of range; {len(primes)} prime implication filters exist",
+            pos,
         )
+    return primes[k]
+
+
+def _cut(pos: int, point: str, kind: str) -> dc.Cut:
+    try:
+        p = Fraction(point)
+    except (ValueError, ZeroDivisionError):
+        raise ExprError(f"not a rational number: {point!r}", pos) from None
+    kind = kind.lower()
+    if kind not in ("open", "closed"):
+        raise ExprError("cut kind must be open or closed", pos)
+    cut = dc.Cut(p, dc.Kind.OPEN if kind == "open" else dc.Kind.CLOSED)
+    if not cut.is_proper:
+        raise ExprError(f"{cut} is not a proper cut filter", pos)
+    return cut
+
+
+# name: (argument shapes, finite op(a, pos, *args) or None, dense op(pos, *args)
+# or None).  An "expr" argument reaches the op evaluated, a "raw" one as text.
+# The ops look their function up on its module when they run.
+_OPERATORS = {
+    "up": (("raw",), lambda a, pos, x: a.up_mask[_element(a, x, pos)], None),
+    "P": (("raw",), _prime, None),
+    "cut": (("raw", "raw"), None, _cut),
+    "plus": (("expr",), lambda a, pos, f: calculus.set_plus(a, f),
+             lambda pos, f: dc.cut_plus(f)),
+    "kernel": (("expr",), lambda a, pos, f: calculus.kernel(a, f),
+               lambda pos, f: dc.kernel_of_cut(f)),
+    "sqto": (("expr", "expr"), lambda a, pos, f, g: calculus.sqto(a, f, g),
+             lambda pos, f, g: dc.cut_sqto(f, g)),
+    "phi": (("expr", "expr"), lambda a, pos, f, g: calculus.phi(a, f, g), None),
+    "T": (("expr", "expr"), lambda a, pos, f, g: calculus.tensor_up(a, f, g), None),
+    "Ju": (("expr", "expr"), lambda a, pos, f, p: calculus.j_up(a, f, p), None),
+    "Jd": (("expr", "expr"), lambda a, pos, f, p: calculus.j_down(a, f, p), None),
+    "subord": (("expr", "raw"), lambda a, pos, f, x: calculus.subordinate(
+        a, f, _element(a, x, pos)), None),
+}
+
+
+def _eval(node, a: MvAlgebra | None):
+    """The value of a parsed expression: a mask of a, or a cut if a is None."""
+    name, args, pos = node
+    shapes, finite, dense = _OPERATORS[name]
+    if a is None and dense is None:
+        raise ExprError(f"operator {name!r} is not available on the dense chain", pos)
+    if a is not None and finite is None:
+        raise ExprError(f"{name}(...) needs the dense chain", pos)
+    values = [_eval(x, a) if shape == "expr" else x for shape, x in zip(shapes, args)]
+    return dense(pos, *values) if a is None else finite(a, pos, *values)
 
 
 def evaluate(spec: dict, expression: str) -> str:
     node = _Parser(expression).parse()
     if spec["kind"] == "dense":
-        return str(_DenseEval().eval(node))
+        return str(_eval(node, None))
     a = _build_certified(spec)
-    return a.label_set(_FiniteEval(a).eval(node))
+    return a.label_set(_eval(node, a))
 
 
 # ---------------------------------------------------------------------------

@@ -745,24 +745,15 @@ def _kernel_sqto(ctx, out):
 @finite("def:boundary", "one coset straddles, and ⁺ negates it")
 def _boundary(ctx, out):
     a = ctx.a
-    prime_or_improper = set(ctx.prime_impl) | {a.full_mask}
     for f in ctx.primes:
-        kf = ctx.kernel(f)
-        for p in ctx.impl:
-            if not (kf & ~p == 0 and kf != p):
-                continue
-            if p not in prime_or_improper:
-                continue
+        for p in _extensions(ctx, ctx.kernel(f)):
             try:
                 c = calculus.boundary_coset(a, f, p)
             except InvariantViolation as e:
                 out.append((ctx.show(f), ctx.show(p), str(e)))
                 continue
             cplus = calculus.boundary_coset(a, calculus.set_plus(a, f), p)
-            neg_image = 0
-            for x in iter_mask(c):
-                neg_image |= 1 << a.neg[x]
-            if cplus != neg_image:
+            if cplus != _image(c, a.neg):
                 out.append(("plus-negation", ctx.show(f), ctx.show(p)))
 
 
@@ -867,18 +858,19 @@ def _equiv_discrete(ctx, out):
 # spectra
 
 
+def _spectral(ctx):
+    """Every prime implication P with a nonempty spectrum."""
+    return (p for p in ctx.prime_impl if ctx.spectrum(p).members)
+
+
 def _hats(ctx):
-    """(P, derived algebra) for every prime implication P with a nonempty spectrum."""
-    for p in ctx.prime_impl:
-        if ctx.spectrum(p).members:
-            yield p, ctx.hat(p)
+    """(P, derived algebra) for every P of ``_spectral``."""
+    return ((p, ctx.hat(p)) for p in _spectral(ctx))
 
 
 @finite("thm:hat", "each spectrum packages into a linear MV-algebra")
 def _hat(ctx, out):
-    for p in ctx.prime_impl:
-        if not ctx.spectrum(p).members:
-            continue
+    for p in _spectral(ctx):
         try:
             ctx.hat(p)
         except MvError as e:

@@ -1,6 +1,7 @@
 import pytest
 
-from mvfilters import make_lukasiewicz_chain, make_product, run_finite
+from mvfilters import make_lukasiewicz_chain, run_finite
+from mvfilters.core import make_product
 
 
 def chain(n):

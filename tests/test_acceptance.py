@@ -12,7 +12,7 @@ import pytest
 
 import mvfilters as mv
 import mvfilters.densechain as dc
-from mvfilters import cli
+from mvfilters import calculus, cli, core, filters
 
 from conftest import ALL_ALGEBRAS, CHAINS, chain, find_isomorphism
 
@@ -24,7 +24,7 @@ def verdict(n, label, ok):
 
 def test_criterion_01_mv_certification():
     t0 = time.perf_counter()
-    ok = all(mv.check_mv_axioms(a).ok for a in ALL_ALGEBRAS.values())
+    ok = all(core.check_mv_axioms(a).ok for a in ALL_ALGEBRAS.values())
     elapsed = time.perf_counter() - t0
     verdict(1, "MV certification", ok and elapsed < 5.0)
 
@@ -32,10 +32,10 @@ def test_criterion_01_mv_certification():
 def test_criterion_02_sqto_equivalence():
     ok = True
     for a in ALL_ALGEBRAS.values():
-        primes = mv.enumerate_lattice_filters(a, prime_only=True)
+        primes = filters.enumerate_lattice_filters(a, prime_only=True)
         for f in primes:
             for g in primes:
-                if mv.sqto(a, f, g) != mv.sqto_fast(a, f, g):
+                if mv.sqto(a, f, g) != calculus.sqto_fast(a, f, g):
                     ok = False
     verdict(2, "definitional = fast-form sqto", ok)
 
@@ -72,7 +72,7 @@ def test_criterion_04_convexity():
 def test_criterion_05_discrete_case():
     ok = True
     for n, a in CHAINS.items():
-        structure = mv.successor_structure(a)
+        structure = filters.successor_structure(a)
         if structure is None:
             ok = False
             continue
@@ -85,7 +85,7 @@ def test_criterion_05_discrete_case():
             if sum(1 for z in range(a.size) if a.leq(p, z) and a.leq(z, x)) != 2:
                 ok = False
         # every filter with kernel {1} is principal
-        for f in mv.enumerate_lattice_filters(a):
+        for f in filters.enumerate_lattice_filters(a):
             if mv.kernel(a, f) == a.one_mask:
                 if mv.principal_generator(a, f) is None:
                     ok = False
@@ -95,12 +95,12 @@ def test_criterion_05_discrete_case():
 def test_criterion_06_hat_construction():
     ok = True
     for a in ALL_ALGEBRAS.values():
-        for p in mv.enumerate_implication_filters(a, prime_only=True):
+        for p in filters.enumerate_implication_filters(a, prime_only=True):
             spec = mv.prime_spectrum(a, p)
             if not spec.members:
                 continue
             h = mv.build_hat(spec)  # raises unless certified + linear
-            if not (mv.check_mv_axioms(h.as_mv).ok and mv.is_linear(h.as_mv)):
+            if not (core.check_mv_axioms(h.as_mv).ok and core.is_linear(h.as_mv)):
                 ok = False
     verdict(6, "hat builds, certified, linear", ok)
 
@@ -131,13 +131,13 @@ def test_criterion_07_t_phi_encoding():
     ok = True
     for n in (5, 6):
         a = CHAINS[n]
-        for p in mv.enumerate_implication_filters(a, prime_only=True):
+        for p in filters.enumerate_implication_filters(a, prime_only=True):
             members = mv.prime_spectrum(a, p).members
             for f in members:
                 for g in members:
-                    t = mv.tensor_up(a, f, g)
-                    u = mv.phi(a, f, g)
-                    enc = mv.set_plus(a, mv.sqto_full(a, f, mv.set_plus(a, g)))
+                    t = calculus.tensor_up(a, f, g)
+                    u = calculus.phi(a, f, g)
+                    enc = mv.set_plus(a, calculus.sqto_full(a, f, mv.set_plus(a, g)))
                     if not (t == u == enc):
                         ok = False
     verdict(7, "T = Phi = (F sqto G+)+ set equality", ok)
@@ -150,7 +150,7 @@ def test_criterion_08_spectrum_morphisms():
     checked = 0
     ok = True
     for a in ALL_ALGEBRAS.values():
-        primes = mv.enumerate_implication_filters(a, prime_only=True)
+        primes = filters.enumerate_implication_filters(a, prime_only=True)
         nested = [
             (p, q) for p in primes for q in primes if p & ~q == 0 and p != q
         ]

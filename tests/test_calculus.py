@@ -1,13 +1,14 @@
 import pytest
 
 import mvfilters as mv
-from mvfilters import InvalidArgument, calculus
+from mvfilters import calculus, core, filters
+from mvfilters.errors import InvalidArgument
 
 from conftest import CHAINS, PRODUCTS, assert_check_can_fail, drop_lowest
 
 
 def by_labels(a, *labels):
-    return mv.mask_of(a.labels.index(lab) for lab in labels)
+    return core.mask_of(a.labels.index(lab) for lab in labels)
 
 
 def show(a, mask):
@@ -20,9 +21,9 @@ def show(a, mask):
 
 def test_subordinate_values(l3, l4):
     up_half = by_labels(l3, "1/2", "1")
-    assert show(l3, mv.subordinate(l3, up_half, 0)) == "{1}"
+    assert show(l3, calculus.subordinate(l3, up_half, 0)) == "{1}"
     up_23 = by_labels(l4, "2/3", "1")
-    assert show(l4, mv.subordinate(l4, up_23, l4.labels.index("1/3"))) == "{1}"
+    assert show(l4, calculus.subordinate(l4, up_23, l4.labels.index("1/3"))) == "{1}"
 
 
 def test_kernel_values(l3):
@@ -45,18 +46,18 @@ def test_sqto_values(l3):
 
 def test_phi_and_tensor_values(l3):
     up_half = by_labels(l3, "1/2", "1")
-    assert show(l3, mv.phi(l3, up_half, l3.one_mask)) == "{1/2, 1}"
-    assert show(l3, mv.tensor_up(l3, up_half, l3.one_mask)) == "{1/2, 1}"
+    assert show(l3, calculus.phi(l3, up_half, l3.one_mask)) == "{1/2, 1}"
+    assert show(l3, calculus.tensor_up(l3, up_half, l3.one_mask)) == "{1/2, 1}"
     # products reach 0, so T and Φ blow up to the whole carrier together
-    assert mv.tensor_up(l3, up_half, up_half) == l3.full_mask
-    assert mv.phi(l3, up_half, up_half) == l3.full_mask
+    assert calculus.tensor_up(l3, up_half, up_half) == l3.full_mask
+    assert calculus.phi(l3, up_half, up_half) == l3.full_mask
 
 
 def test_kernel_rel_conventions(l3):
     up_half = by_labels(l3, "1/2", "1")
-    assert mv.kernel_rel(l3, up_half, 0) == l3.full_mask  # empty intersection
+    assert calculus.kernel_rel(l3, up_half, 0) == l3.full_mask  # empty intersection
     with pytest.raises(InvalidArgument):
-        mv.kernel_rel(l3, up_half, up_half)  # X must avoid the filter
+        calculus.kernel_rel(l3, up_half, up_half)  # X must avoid the filter
 
 
 def test_sqto_bottom_propagates(l3):
@@ -66,9 +67,9 @@ def test_sqto_bottom_propagates(l3):
 
 def test_sqto_full_empty_off_nested_pairs(l3):
     up_half = by_labels(l3, "1/2", "1")
-    assert mv.sqto_full(l3, up_half, l3.one_mask) == 0
+    assert calculus.sqto_full(l3, up_half, l3.one_mask) == 0
     # on nested pairs it matches sqto
-    assert mv.sqto_full(l3, l3.one_mask, up_half) == mv.sqto(
+    assert calculus.sqto_full(l3, l3.one_mask, up_half) == mv.sqto(
         l3, l3.one_mask, up_half
     )
 
@@ -85,14 +86,14 @@ def test_equiv_on_chains_is_equality(monkeypatch, l5):
 
 
 def test_definitional_equals_fast_form(algebra):
-    primes = mv.enumerate_lattice_filters(algebra, prime_only=True)
+    primes = filters.enumerate_lattice_filters(algebra, prime_only=True)
     for f in primes:
         for g in primes:
-            assert mv.sqto(algebra, f, g) == mv.sqto_fast(algebra, f, g)
+            assert mv.sqto(algebra, f, g) == calculus.sqto_fast(algebra, f, g)
 
 
 def test_sqto_lands_inside_target(algebra):
-    primes = mv.enumerate_lattice_filters(algebra, prime_only=True)
+    primes = filters.enumerate_lattice_filters(algebra, prime_only=True)
     for f in primes:
         for g in primes:
             assert mv.sqto(algebra, f, g) & ~g == 0
@@ -112,42 +113,42 @@ def test_kernel_of_sqto(monkeypatch, algebra):
 
 
 def test_j_down_bottom_case():
-    a = mv.make_product(CHAINS[2], CHAINS[2])
-    f = mv.mask_of(
+    a = core.make_product(CHAINS[2], CHAINS[2])
+    f = core.mask_of(
         i for i, lab in enumerate(a.labels) if lab in ("(0,1)", "(1,1)")
     )
-    p = mv.mask_of(i for i, lab in enumerate(a.labels) if lab.startswith("(1,"))
-    assert mv.j_down(a, f, p) == 0
+    p = core.mask_of(i for i, lab in enumerate(a.labels) if lab.startswith("(1,"))
+    assert calculus.j_down(a, f, p) == 0
 
 
 def test_j_up_j_down_examples(l4):
     up_23 = by_labels(l4, "2/3", "1")
     # P = {1}: both operators are the identity
-    assert mv.j_up(l4, up_23, l4.one_mask) == up_23
-    assert mv.j_down(l4, up_23, l4.one_mask) == up_23
+    assert calculus.j_up(l4, up_23, l4.one_mask) == up_23
+    assert calculus.j_down(l4, up_23, l4.one_mask) == up_23
     # P improper: one coset, so J_u is everything and J_d collapses
-    assert mv.j_up(l4, up_23, l4.full_mask) == l4.full_mask
-    assert mv.j_down(l4, up_23, l4.full_mask) == 0
+    assert calculus.j_up(l4, up_23, l4.full_mask) == l4.full_mask
+    assert calculus.j_down(l4, up_23, l4.full_mask) == 0
 
 
 def test_boundary_coset(l4):
     up_23 = by_labels(l4, "2/3", "1")
     # K = {1} ⊊ improper P: the single coset straddles
-    assert mv.boundary_coset(l4, up_23, l4.full_mask) == l4.full_mask
+    assert calculus.boundary_coset(l4, up_23, l4.full_mask) == l4.full_mask
     with pytest.raises(InvalidArgument):
-        mv.boundary_coset(l4, up_23, l4.one_mask)  # needs K(F) ⊊ P
+        calculus.boundary_coset(l4, up_23, l4.one_mask)  # needs K(F) ⊊ P
 
 
 def test_boundary_coset_in_product(l2xl3):
     a = l2xl3
-    p = mv.mask_of(i for i, lab in enumerate(a.labels) if lab.startswith("(1,"))
+    p = core.mask_of(i for i, lab in enumerate(a.labels) if lab.startswith("(1,"))
     # F = {(1,1)} has kernel {(1,1)} ⊊ P; P's own coset is the straddler
-    assert mv.boundary_coset(a, a.one_mask, p) == p
+    assert calculus.boundary_coset(a, a.one_mask, p) == p
 
 
 def test_convexity(l4):
-    assert mv.is_convex(l4, by_labels(l4, "1/3", "2/3"))
-    assert not mv.is_convex(l4, by_labels(l4, "0", "2/3"))
+    assert calculus.is_convex(l4, by_labels(l4, "1/3", "2/3"))
+    assert not calculus.is_convex(l4, by_labels(l4, "0", "2/3"))
     ids = ["lem:convex-imp", "lem:convex-neg", "lem:convex-otimes"]
     report = mv.run_finite(l4, only=ids)
     assert [(r.id, r.status) for r in report.results] == [(i, "pass") for i in ids]
@@ -157,15 +158,15 @@ def pointwise_convex(a, mask):
     """No x ≤ z ≤ y with x, y members and z outside: the definition itself."""
     return not any(
         a.leq(x, z) and a.leq(z, y) and not (mask >> z) & 1
-        for x in mv.iter_mask(mask)
-        for y in mv.iter_mask(mask)
+        for x in core.iter_mask(mask)
+        for y in core.iter_mask(mask)
         for z in range(a.size)
     )
 
 
 @pytest.mark.parametrize("a", [CHAINS[6], PRODUCTS["L2xL3"]], ids=["L6", "L2xL3"])
 def test_is_convex_matches_pointwise_definition(a):
-    verdicts = [mv.is_convex(a, m) for m in range(1 << a.size)]
+    verdicts = [calculus.is_convex(a, m) for m in range(1 << a.size)]
     assert verdicts == [pointwise_convex(a, m) for m in range(1 << a.size)]
     assert True in verdicts and False in verdicts
 

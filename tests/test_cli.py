@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from mvfilters import InvalidArgument, calculus, cli
+from mvfilters import calculus, cli
+from mvfilters.errors import InvalidArgument
 
 from conftest import drop_lowest
 

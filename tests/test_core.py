@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 import mvfilters as mv
-from mvfilters import InvalidArgument
+from mvfilters import core, filters
+from mvfilters.errors import InvalidArgument
 
 from conftest import CHAINS, PRODUCTS, find_isomorphism
 
@@ -32,23 +33,23 @@ def test_too_small_chain_rejected():
 
 
 def test_axioms_hold_everywhere(algebra):
-    report = mv.check_mv_axioms(algebra)
+    report = core.check_mv_axioms(algebra)
     assert report.ok, report.failures
 
 
 def test_axiom_checker_catches_corruption():
     l2 = CHAINS[2]
     # break commutativity/identity: 1 ⊕ 0 := 0
-    bad = mv.MvAlgebra(2, ((0, 1), (0, 1)), (1, 0), 0)
-    report = mv.check_mv_axioms(bad)
+    bad = core.MvAlgebra(2, ((0, 1), (0, 1)), (1, 0), 0)
+    report = core.check_mv_axioms(bad)
     assert not report.ok
     assert report.failures
-    assert mv.check_mv_axioms(l2).ok
+    assert core.check_mv_axioms(l2).ok
 
 
 def test_is_linear(algebra):
     expected = any(algebra is c for c in CHAINS.values())
-    assert mv.is_linear(algebra) == expected
+    assert core.is_linear(algebra) == expected
 
 
 def test_product_order_is_componentwise(l2xl3):
@@ -57,11 +58,11 @@ def test_product_order_is_componentwise(l2xl3):
     i01 = a.labels.index("(0,1)")
     i10 = a.labels.index("(1,0)")
     assert not a.leq(i01, i10) and not a.leq(i10, i01)
-    assert mv.check_mv_axioms(a).ok
+    assert core.check_mv_axioms(a).ok
 
 
 def test_quotient_by_one_is_identity(algebra):
-    q = mv.quotient_by(algebra, algebra.one_mask)
+    q = core.quotient_by(algebra, algebra.one_mask)
     assert q.quotient.size == algebra.size
     assert q.quotient.oplus == algebra.oplus
     assert q.quotient.neg == algebra.neg
@@ -71,8 +72,8 @@ def test_quotient_by_one_is_identity(algebra):
 def test_quotient_of_product_is_chain(l2xl3):
     a = l2xl3
     # congruence of the second-coordinate projection: filter {(1,y)}
-    p = mv.mask_of(i for i, lab in enumerate(a.labels) if lab.startswith("(1,"))
-    q = mv.quotient_by(a, p)
+    p = core.mask_of(i for i, lab in enumerate(a.labels) if lab.startswith("(1,"))
+    q = core.quotient_by(a, p)
     assert q.quotient.size == 2
     iso = find_isomorphism(q.quotient, CHAINS[2])
     assert iso is not None
@@ -80,12 +81,12 @@ def test_quotient_of_product_is_chain(l2xl3):
 
 def test_quotient_rejects_non_implication_filter(l3):
     with pytest.raises(InvalidArgument):
-        mv.quotient_by(l3, l3.up_mask[1])  # {1/2, 1} is not MP-closed
+        core.quotient_by(l3, l3.up_mask[1])  # {1/2, 1} is not MP-closed
 
 
 def test_eta_is_homomorphism(algebra):
-    for p in mv.enumerate_implication_filters(algebra):
-        q = mv.quotient_by(algebra, p)
+    for p in filters.enumerate_implication_filters(algebra):
+        q = core.quotient_by(algebra, p)
         qa, eta = q.quotient, q.coset_of
         for x in range(algebra.size):
             assert eta[algebra.neg[x]] == qa.neg[eta[x]]
@@ -97,7 +98,7 @@ def test_find_isomorphism_positive_negative():
     assert find_isomorphism(CHAINS[4], mv.make_lukasiewicz_chain(4)) is not None
     assert find_isomorphism(CHAINS[4], CHAINS[5]) is None
     # same size, non-isomorphic: Ł_4 vs Ł_2 × Ł_2
-    four = mv.make_product(CHAINS[2], CHAINS[2])
+    four = core.make_product(CHAINS[2], CHAINS[2])
     assert find_isomorphism(CHAINS[4], four) is None
 
 

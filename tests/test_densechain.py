@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import mvfilters.densechain as dc
-from mvfilters import InvalidArgument
+from mvfilters.errors import InvalidArgument
 
 
 def F(s):

@@ -1,27 +1,28 @@
 import pytest
 
 import mvfilters as mv
-from mvfilters import ResourceLimit
+from mvfilters import core, filters
+from mvfilters.errors import ResourceLimit
 
 from conftest import CHAINS
 
 
 def by_labels(a, *labels):
-    return mv.mask_of(a.labels.index(lab) for lab in labels)
+    return core.mask_of(a.labels.index(lab) for lab in labels)
 
 
 def test_lattice_filters_of_l3(l3):
-    got = [l3.label_set(m) for m in mv.enumerate_lattice_filters(l3)]
+    got = [l3.label_set(m) for m in filters.enumerate_lattice_filters(l3)]
     assert got == ["{1}", "{1/2, 1}", "{0, 1/2, 1}"]
 
 
 def test_implication_filters_of_l3(l3):
-    got = [l3.label_set(m) for m in mv.enumerate_implication_filters(l3)]
+    got = [l3.label_set(m) for m in filters.enumerate_implication_filters(l3)]
     assert got == ["{1}", "{0, 1/2, 1}"]
 
 
 def test_prime_filters_of_l3(l3):
-    primes = mv.enumerate_lattice_filters(l3, prime_only=True)
+    primes = filters.enumerate_lattice_filters(l3, prime_only=True)
     assert [l3.label_set(m) for m in primes] == ["{1}", "{1/2, 1}"]
 
 
@@ -30,26 +31,26 @@ def test_enumeration_matches_power_set_scan(algebra):
     if a.size > 12:
         pytest.skip("power-set scan too large")
     naive_lattice = [
-        m for m in range(1 << a.size) if mv.is_lattice_filter(a, m)
+        m for m in range(1 << a.size) if filters.is_lattice_filter(a, m)
     ]
-    assert naive_lattice == mv.enumerate_lattice_filters(a)
+    assert naive_lattice == filters.enumerate_lattice_filters(a)
     naive_impl = [
-        m for m in range(1 << a.size) if mv.is_implication_filter(a, m)
+        m for m in range(1 << a.size) if filters.is_implication_filter(a, m)
     ]
-    assert naive_impl == mv.enumerate_implication_filters(a)
+    assert naive_impl == filters.enumerate_implication_filters(a)
 
 
 def test_implication_filters_are_otimes_closed_lattice_filters(algebra):
     a = algebra
     for m in range(1, 1 << a.size):
-        lhs = mv.is_implication_filter(a, m)
+        lhs = filters.is_implication_filter(a, m)
         rhs = (
-            mv.is_lattice_filter(a, m)
+            filters.is_lattice_filter(a, m)
             and bool((m >> a.one) & 1)
             and all(
                 (m >> a.otimes[x][y]) & 1
-                for x in mv.iter_mask(m)
-                for y in mv.iter_mask(m)
+                for x in core.iter_mask(m)
+                for y in core.iter_mask(m)
             )
         )
         assert lhs == bool(rhs), a.label_set(m)
@@ -57,24 +58,24 @@ def test_implication_filters_are_otimes_closed_lattice_filters(algebra):
 
 def test_prime_implication_iff_linear_quotient(algebra):
     a = algebra
-    for m in mv.enumerate_implication_filters(a):
+    for m in filters.enumerate_implication_filters(a):
         if m == a.full_mask:
-            assert not mv.is_prime_implication_filter(a, m)
+            assert not filters.is_prime_implication_filter(a, m)
             continue
-        q = mv.quotient_by(a, m)
-        assert mv.is_prime_implication_filter(a, m) == mv.is_linear(q.quotient)
+        q = core.quotient_by(a, m)
+        assert filters.is_prime_implication_filter(a, m) == core.is_linear(q.quotient)
 
 
 def test_up_closure_and_is_up_closed(l4):
-    m = mv.up_closure(l4, 1 << 1)  # close {1/3} upward
+    m = filters.up_closure(l4, 1 << 1)  # close {1/3} upward
     assert l4.label_set(m) == "{1/3, 2/3, 1}"
-    assert mv.is_up_closed(l4, m)
-    assert not mv.is_up_closed(l4, 1 << 1)
+    assert filters.is_up_closed(l4, m)
+    assert not filters.is_up_closed(l4, 1 << 1)
 
 
 def test_successor_structure_chains():
     for n, a in CHAINS.items():
-        c, succ, pred = mv.successor_structure(a)
+        c, succ, pred = filters.successor_structure(a)
         assert c == 1  # the least nonzero element
         for x in range(a.size - 1):
             assert succ[x] == x + 1
@@ -83,44 +84,44 @@ def test_successor_structure_chains():
 
 
 def test_successor_examples(l4, l5):
-    _, succ, _ = mv.successor_structure(l4)
+    _, succ, _ = filters.successor_structure(l4)
     assert succ[l4.labels.index("1/3")] == l4.labels.index("2/3")
-    _, _, pred = mv.successor_structure(l5)
+    _, _, pred = filters.successor_structure(l5)
     assert pred[l5.labels.index("1/2")] == l5.labels.index("1/4")
 
 
 def test_principality(l4):
     f = by_labels(l4, "2/3", "1")
-    assert mv.is_lattice_filter(l4, f) and mv.is_prime_lattice_filter(l4, f)
+    assert filters.is_lattice_filter(l4, f) and filters.is_prime_lattice_filter(l4, f)
     assert mv.principal_generator(l4, f) == l4.labels.index("2/3")
-    assert not mv.is_implication_filter(l4, f)
+    assert not filters.is_implication_filter(l4, f)
     # not a lattice filter: no generator
     assert mv.principal_generator(l4, by_labels(l4, "1/3", "1")) is None
     assert mv.principal_generator(l4, 0) is None
 
 
 def test_every_finite_lattice_filter_is_principal(algebra):
-    for m in mv.enumerate_lattice_filters(algebra):
+    for m in filters.enumerate_lattice_filters(algebra):
         assert mv.principal_generator(algebra, m) is not None
 
 
 def test_implication_filter_generated(l4):
     # 2/3 generates everything: 2/3 ⊗ 2/3 = 1/3, 1/3 ⊗ 1/3 = 0
-    g = mv.implication_filter_generated(l4, 1 << l4.labels.index("2/3"))
+    g = filters.implication_filter_generated(l4, 1 << l4.labels.index("2/3"))
     assert g == l4.full_mask
-    assert mv.implication_filter_generated(l4, 0) == l4.one_mask
+    assert filters.implication_filter_generated(l4, 0) == l4.one_mask
 
 
 def test_carrier_cap_enforced():
     with pytest.raises(ResourceLimit):
-        mv.enumerate_lattice_filters(mv.make_lukasiewicz_chain(65))
-    assert len(mv.enumerate_lattice_filters(mv.make_lukasiewicz_chain(64))) == 64
+        filters.enumerate_lattice_filters(mv.make_lukasiewicz_chain(65))
+    assert len(filters.enumerate_lattice_filters(mv.make_lukasiewicz_chain(64))) == 64
 
 
 def _chain_product(*ns):
     out = mv.make_lukasiewicz_chain(ns[0])
     for n in ns[1:]:
-        out = mv.make_product(out, mv.make_lukasiewicz_chain(n))
+        out = core.make_product(out, mv.make_lukasiewicz_chain(n))
     return out
 
 
@@ -130,12 +131,12 @@ def _chain_product(*ns):
 def test_theory_enumeration_matches_up_set_search(ns):
     # beyond the reach of the power-set scan: the up-set walk is the oracle
     a = _chain_product(*ns)
-    up_sets = mv.enumerate_up_sets(a)
-    assert mv.enumerate_lattice_filters(a) == [
-        m for m in up_sets if mv.is_lattice_filter(a, m)
+    up_sets = filters.enumerate_up_sets(a)
+    assert filters.enumerate_lattice_filters(a) == [
+        m for m in up_sets if filters.is_lattice_filter(a, m)
     ]
-    assert mv.enumerate_implication_filters(a) == [
-        m for m in up_sets if mv.is_implication_filter(a, m)
+    assert filters.enumerate_implication_filters(a) == [
+        m for m in up_sets if filters.is_implication_filter(a, m)
     ]
 
 
@@ -148,10 +149,10 @@ def test_closed_form_filter_counts(ns):
     # factor, and one prime lattice filter per proper filter of a factor
     a = _chain_product(*ns)
     k = len(ns)
-    assert len(mv.enumerate_lattice_filters(a)) == a.size
-    assert len(mv.enumerate_implication_filters(a)) == 2 ** k
-    assert len(mv.enumerate_implication_filters(a, prime_only=True)) == k
-    assert len(mv.enumerate_lattice_filters(a, prime_only=True)) == sum(
+    assert len(filters.enumerate_lattice_filters(a)) == a.size
+    assert len(filters.enumerate_implication_filters(a)) == 2 ** k
+    assert len(filters.enumerate_implication_filters(a, prime_only=True)) == k
+    assert len(filters.enumerate_lattice_filters(a, prime_only=True)) == sum(
         n - 1 for n in ns
     )
 

@@ -1,15 +1,23 @@
-"""Every public function and class of the package has a user.
+"""Every public function and class of the package has a user, and the
+package root exports exactly the README tour.
 
 A user is a code reference in ``src/mvfilters`` (other than the name's own
 definition and body, and other than a bare re-export), a ``python`` block of
 the README, or ``perfbench/spans.py``, whose span targets name functions as
 strings.  Docstrings and comments do not count, and neither do the tests: a
 name that only tests call belongs in the tests.
+
+The root binds a name a second time, so it keeps only the ``mv.`` names that
+the README's ``python`` blocks read; everything else is imported from the
+module that defines it.
 """
 
 import ast
 import re
+import types
 from pathlib import Path
+
+import mvfilters
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mvfilters"
@@ -62,10 +70,13 @@ def _references(tree, strings: bool = False):
     return out
 
 
-def _readme_python_blocks() -> list[ast.Module]:
+def _readme_python_sources() -> list[str]:
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
-    return [ast.parse(block) for block in blocks]
+    return re.findall(r"```python\n(.*?)```", text, flags=re.S)
+
+
+def _readme_python_blocks() -> list[ast.Module]:
+    return [ast.parse(block) for block in _readme_python_sources()]
 
 
 def _public_definitions():
@@ -105,3 +116,22 @@ def unused_public_names() -> list[str]:
 def test_every_public_name_has_a_user():
     # an allowance goes too once its name gains a user or is deleted
     assert sorted(unused_public_names()) == sorted(ALLOWED)
+
+
+def test_readme_tour_runs_on_a_root_of_exactly_its_names():
+    namespace: dict = {}
+    for source in _readme_python_sources():
+        exec(compile(source, "README.md", "exec"), namespace)
+    read = {
+        node.attr
+        for tree in _readme_python_blocks()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "mv"
+    }
+    exported = {
+        name for name, value in vars(mvfilters).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert namespace["mv"] is mvfilters
+    assert exported == read

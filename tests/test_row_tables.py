@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mvfilters as mv
-from mvfilters import calculus, verify
+from mvfilters import calculus, filters, verify
 from mvfilters.core import congruence_cosets, iter_mask, mask_of
 
 from conftest import ALL_ALGEBRAS, CHAINS, PRODUCTS
@@ -83,7 +83,7 @@ def assert_quotient_agrees(ctx, p, mask, fq, gq):
     q = ctx.quotient(p)
     assert q.image_mask(mask) == ctx.image(p, mask) == image_mask_loop(q, mask)
     qa = q.quotient
-    if fq and gq and mv.is_up_closed(qa, fq) and mv.is_up_closed(qa, gq):
+    if fq and gq and filters.is_up_closed(qa, fq) and filters.is_up_closed(qa, gq):
         assert ctx.quotient_sqto(p, fq, gq) == calculus.sqto(qa, fq, gq)
 
 
@@ -120,7 +120,7 @@ def test_random_masks_match_the_loop_forms(data):
     p = data.draw(st.sampled_from(ctx.impl), label="P")
     qa = ctx.quotient(p).quotient
     up_set = st.integers(min_value=1, max_value=qa.full_mask).map(
-        lambda m: mv.up_closure(qa, m)
+        lambda m: filters.up_closure(qa, m)
     )
     assert_quotient_agrees(
         ctx, p, f, data.draw(up_set, label="F/P"), data.draw(up_set, label="G/P")

@@ -1,7 +1,8 @@
 import pytest
 
 import mvfilters as mv
-from mvfilters import InvalidArgument, calculus, spectra
+from mvfilters import calculus, core, filters, spectra
+from mvfilters.errors import InvalidArgument
 
 from conftest import (
     ALL_ALGEBRAS,
@@ -30,7 +31,7 @@ def test_spectrum_size_on_chains():
 
 def test_spectrum_requires_prime_base(l4):
     with pytest.raises(InvalidArgument):
-        mv.prime_spectrum(l4, mv.mask_of([1, 2, 3]))  # lattice-only filter
+        mv.prime_spectrum(l4, core.mask_of([1, 2, 3]))  # lattice-only filter
 
 
 def test_improper_base_gives_empty_spectrum(l4):
@@ -67,7 +68,7 @@ def test_hat_otimes_matches_encoded_table():
             for y in range(h.as_mv.size):
                 # ⊗ is the encoding (x ⊸ y⁺)⁺ in the derived algebra's → and ¬
                 ha = h.as_mv
-                assert mv.hat_otimes(h, x, y) == ha.neg[ha.imp[x][ha.neg[y]]]
+                assert spectra.hat_otimes(h, x, y) == ha.neg[ha.imp[x][ha.neg[y]]]
 
 
 def test_spectrum_equiv_is_discrete_on_chains():
@@ -85,7 +86,7 @@ def test_build_hat_computes_each_sqto_once(monkeypatch):
 
     monkeypatch.setattr(calculus, "sqto", counted)
     for a in (CHAINS[5], PRODUCTS["L2xL3"]):
-        for p in mv.enumerate_implication_filters(a, prime_only=True):
+        for p in filters.enumerate_implication_filters(a, prime_only=True):
             spec = mv.prime_spectrum(a, p)
             if not spec.members:
                 continue
@@ -127,13 +128,13 @@ def test_iota_closure_identities(monkeypatch):
     for n in (3, 4, 5, 6):
         a = CHAINS[n]
         h = hat_of_chain(n)
-        mapping = mv.iota(h, mv.quotient_by(a, a.one_mask))
+        mapping = spectra.iota(h, core.quotient_by(a, a.one_mask))
         # n cosets land on all n-1 classes: onto, so never injective
         assert len(mapping) == n and set(mapping) == set(range(n - 1))
         assert mapping[-1] == h.as_mv.one  # the top coset has empty subordinate
     # thm:iota checks the closure identities P_a ⊸ P_b and P_a⁺ by preimages
     assert_check_can_fail(
-        monkeypatch, CHAINS[5], "thm:iota", mv.QuotientAlgebra, "preimage_mask",
+        monkeypatch, CHAINS[5], "thm:iota", core.QuotientAlgebra, "preimage_mask",
         drop_lowest,
     )
 
@@ -141,20 +142,20 @@ def test_iota_closure_identities(monkeypatch):
 def test_iota_rejects_other_base(l5):
     h = hat_of_chain(5)
     with pytest.raises(InvalidArgument):
-        mv.iota(h, mv.quotient_by(l5, l5.full_mask))
+        spectra.iota(h, core.quotient_by(l5, l5.full_mask))
 
 
 def test_hat_eta_improper_extension():
     h = hat_of_chain(5)
     a = h.spectrum.algebra
-    assert mv.hat_eta(h, mv.quotient_by(a, a.full_mask)) == (0,) * 4  # one point
+    assert spectra.hat_eta(h, core.quotient_by(a, a.full_mask)) == (0,) * 4  # one point
 
 
 def test_hat_eta_needs_proper_containment():
     h = hat_of_chain(4)
     a = h.spectrum.algebra
     with pytest.raises(InvalidArgument):
-        mv.hat_eta(h, mv.quotient_by(a, a.one_mask))  # P is not a proper extension
+        spectra.hat_eta(h, core.quotient_by(a, a.one_mask))  # P is not a proper extension
 
 
 def _shift(real):
@@ -184,30 +185,30 @@ def test_no_proper_prime_extensions_on_chains():
     # implication filters of a chain are {1} and the improper one, so the
     # improper Q is the only extension hat_eta can see
     for a in CHAINS.values():
-        impl = mv.enumerate_implication_filters(a)
+        impl = filters.enumerate_implication_filters(a)
         assert impl == [a.one_mask, a.full_mask]
 
 
 def test_product_spectrum_and_hat(l2xl3):
     a = l2xl3
-    p = mv.mask_of(i for i, lab in enumerate(a.labels) if lab.startswith("(1,"))
-    assert mv.is_prime_implication_filter(a, p)
+    p = core.mask_of(i for i, lab in enumerate(a.labels) if lab.startswith("(1,"))
+    assert filters.is_prime_implication_filter(a, p)
     spec = mv.prime_spectrum(a, p)
     assert p in spec.members
     h = mv.build_hat(spec)
-    assert mv.is_linear(h.as_mv)
+    assert core.is_linear(h.as_mv)
     assert h.representatives[h.as_mv.one] == min(
         spec.members, key=lambda m: bin(m).count("1")
     )
-    assert mv.hat_eta(h, mv.quotient_by(a, a.full_mask)) == (0,) * h.as_mv.size
-    assert set(mv.iota(h, mv.quotient_by(a, p))) == set(range(h.as_mv.size))
+    assert spectra.hat_eta(h, core.quotient_by(a, a.full_mask)) == (0,) * h.as_mv.size
+    assert set(spectra.iota(h, core.quotient_by(a, p))) == set(range(h.as_mv.size))
 
 
 def test_hat_on_every_prime_base(algebra):
-    for p in mv.enumerate_implication_filters(algebra, prime_only=True):
+    for p in filters.enumerate_implication_filters(algebra, prime_only=True):
         spec = mv.prime_spectrum(algebra, p)
         if not spec.members:
             continue
         h = mv.build_hat(spec)
-        assert mv.is_linear(h.as_mv)
-        assert set(mv.iota(h, mv.quotient_by(algebra, p))) == set(range(h.as_mv.size))
+        assert core.is_linear(h.as_mv)
+        assert set(spectra.iota(h, core.quotient_by(algebra, p))) == set(range(h.as_mv.size))

@@ -5,9 +5,9 @@ from itertools import combinations
 import pytest
 
 import mvfilters as mv
-from mvfilters import (
-    InvalidArgument, calculus, densechain as dc, filters, iter_mask, spectra, verify,
-)
+from mvfilters import calculus, core, densechain as dc, filters, spectra, verify
+from mvfilters.core import iter_mask
+from mvfilters.errors import InvalidArgument
 from mvfilters.verify import DENSE_STATEMENTS, FINITE_STATEMENTS
 
 from conftest import (
@@ -68,7 +68,7 @@ def test_report_text_and_json_shape():
 
 def test_failure_carries_witnesses():
     # a corrupted negation table breaks the axioms and must surface witnesses
-    bad = mv.MvAlgebra(
+    bad = core.MvAlgebra(
         3,
         tuple(tuple(min(2, x + y) for y in range(3)) for x in range(3)),
         (2, 2, 0),  # 1 is not an involution fixed pair
@@ -88,7 +88,7 @@ def _fresh(a, name, args):
     if name == "hat":
         return spectra.build_hat(spectra.prime_spectrum(a, *args))
     if name == "quotient":
-        return mv.quotient_by(a, *args)
+        return core.quotient_by(a, *args)
     if name == "is_lattice_filter":
         return filters.is_lattice_filter(a, *args)
     if name == "is_prime_lattice_filter":
@@ -97,17 +97,17 @@ def _fresh(a, name, args):
         table, mask = args
         return calculus.rows(getattr(a, table), mask, a.full_mask)
     if name == "cosets":
-        return mv.congruence_cosets(a, *args)
+        return core.congruence_cosets(a, *args)
     if name == "image":
         p, mask = args
-        return mv.quotient_by(a, p).image_mask(mask)
+        return core.quotient_by(a, p).image_mask(mask)
     if name == "quotient_rows":
         p, mask = args
-        qa = mv.quotient_by(a, p).quotient
+        qa = core.quotient_by(a, p).quotient
         return calculus.rows(qa.otimes, mask, qa.full_mask)
     if name == "quotient_sqto":
         p, fq, gq = args
-        return calculus.sqto(mv.quotient_by(a, p).quotient, fq, gq)
+        return calculus.sqto(core.quotient_by(a, p).quotient, fq, gq)
     return getattr(calculus, name)(a, *args)
 
 
