@@ -156,9 +156,9 @@ def _build_certified(spec: dict) -> MvAlgebra:
     """
     a = build_algebra(spec)
     if _has_table(spec):
-        rep = check_mv_axioms(a, max_failures=1)
-        if not rep.ok:
-            axiom, witness = rep.failures[0]
+        failures = check_mv_axioms(a, max_failures=1)
+        if failures:
+            ((axiom, witness),) = failures
             raise InvalidArgument(
                 f"spec is not an MV-algebra: {axiom} fails at {witness}"
             )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .errors import InvalidArgument
 
@@ -136,41 +137,35 @@ def make_product(a: MvAlgebra, b: MvAlgebra) -> MvAlgebra:
     return MvAlgebra(n, oplus, neg, enc(a.zero, b.zero), name=name, labels=labels)
 
 
-@dataclass
-class AxiomReport:
-    ok: bool
-    failures: list[tuple[str, tuple]]
+def check_mv_axioms(a: MvAlgebra, max_failures: int = 10) -> list[tuple[str, tuple]]:
+    """The first max_failures failing axiom instances, as (axiom, witness).
 
-
-def check_mv_axioms(a: MvAlgebra, max_failures: int = 10) -> AxiomReport:
-    """Exhaustively scan every axiom instance; collect witnesses on failure."""
+    The scan is exhaustive and stops at the last failure it returns; an
+    empty list certifies a as an MV-algebra.
+    """
     n, oplus, neg, zero = a.size, a.oplus, a.neg, a.zero
     one = neg[zero]
-    failures: list[tuple[str, tuple]] = []
 
-    def bad(axiom, *witness):
-        failures.append((axiom, witness))
-        return len(failures) >= max_failures
+    def failures():
+        for x in range(n):
+            if oplus[x][zero] != x:
+                yield "identity: x+0=x", (x,)
+            if neg[neg[x]] != x:
+                yield "involution: ~~x=x", (x,)
+            if oplus[one][x] != one:
+                yield "absorption: 1+x=1", (x,)
+            for y in range(n):
+                if oplus[x][y] != oplus[y][x]:
+                    yield "commutativity", (x, y)
+                lhs = oplus[neg[oplus[neg[x]][y]]][y]
+                rhs = oplus[neg[oplus[neg[y]][x]]][x]
+                if lhs != rhs:
+                    yield "mv-axiom: ~(~x+y)+y = ~(~y+x)+x", (x, y)
+                for z in range(n):
+                    if oplus[oplus[x][y]][z] != oplus[x][oplus[y][z]]:
+                        yield "associativity", (x, y, z)
 
-    for x in range(n):
-        if oplus[x][zero] != x and bad("identity: x+0=x", x):
-            return AxiomReport(False, failures)
-        if neg[neg[x]] != x and bad("involution: ~~x=x", x):
-            return AxiomReport(False, failures)
-        if oplus[one][x] != one and bad("absorption: 1+x=1", x):
-            return AxiomReport(False, failures)
-        for y in range(n):
-            if oplus[x][y] != oplus[y][x] and bad("commutativity", x, y):
-                return AxiomReport(False, failures)
-            lhs = oplus[neg[oplus[neg[x]][y]]][y]
-            rhs = oplus[neg[oplus[neg[y]][x]]][x]
-            if lhs != rhs and bad("mv-axiom: ~(~x+y)+y = ~(~y+x)+x", x, y):
-                return AxiomReport(False, failures)
-            for z in range(n):
-                if oplus[oplus[x][y]][z] != oplus[x][oplus[y][z]]:
-                    if bad("associativity", x, y, z):
-                        return AxiomReport(False, failures)
-    return AxiomReport(not failures, failures)
+    return list(islice(failures(), max_failures))
 
 
 def is_linear(a: MvAlgebra) -> bool:

@@ -46,14 +46,6 @@ class Cut:
         proper = num != 0 if self.kind is Kind.CLOSED else num != den
         object.__setattr__(self, "is_proper", proper)
 
-    @property
-    def is_improper(self) -> bool:
-        return self.kind is Kind.CLOSED and self.endpoint == 0
-
-    @property
-    def is_empty(self) -> bool:
-        return self.kind is Kind.OPEN and self.endpoint == 1
-
     def __contains__(self, x: Fraction) -> bool:
         if self.kind is Kind.OPEN:
             return self.endpoint < x <= ONE

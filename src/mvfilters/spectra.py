@@ -124,9 +124,9 @@ def build_hat(spec: PrimeSpectrum) -> HatAlgebra:
     as_mv = MvAlgebra(n, oplus, plus_table, 0,
                       name=f"hat({a.name};{a.label_set(p)})",
                       labels=labels)
-    report = check_mv_axioms(as_mv)
-    if not report.ok:
-        raise InvariantViolation(f"derived algebra fails MV axioms: {report.failures}")
+    failures = check_mv_axioms(as_mv)
+    if failures:
+        raise InvariantViolation(f"derived algebra fails MV axioms: {failures}")
     if not is_linear(as_mv):
         raise InvariantViolation("derived algebra is not linearly ordered")
     # the top class holds the inclusion-least member (P itself)

@@ -24,7 +24,7 @@ def verdict(n, label, ok):
 
 def test_criterion_01_mv_certification():
     t0 = time.perf_counter()
-    ok = all(core.check_mv_axioms(a).ok for a in ALL_ALGEBRAS.values())
+    ok = not any(core.check_mv_axioms(a) for a in ALL_ALGEBRAS.values())
     elapsed = time.perf_counter() - t0
     verdict(1, "MV certification", ok and elapsed < 5.0)
 
@@ -100,7 +100,7 @@ def test_criterion_06_hat_construction():
             if not spec.members:
                 continue
             h = mv.build_hat(spec)  # raises unless certified + linear
-            if not (core.check_mv_axioms(h.as_mv).ok and core.is_linear(h.as_mv)):
+            if core.check_mv_axioms(h.as_mv) or not core.is_linear(h.as_mv):
                 ok = False
     verdict(6, "hat builds, certified, linear", ok)
 

@@ -75,7 +75,10 @@ def test_cut_value_semantics():
     sentinels = [dc.closed_cut(0), dc.open_cut(1)]
     boundary = [dc.Cut(p, k) for p in (F(0), F("1/2"), F(1)) for k in dc.Kind]
     for cut in boundary + sentinels + randoms:
-        assert cut.is_proper == (not (cut.is_improper or cut.is_empty)), repr(cut)
+        # improper when closed at 0, empty when open at 1
+        closed_at_0 = cut.kind is dc.Kind.CLOSED and cut.endpoint == 0
+        open_at_1 = cut.kind is dc.Kind.OPEN and cut.endpoint == 1
+        assert cut.is_proper == (not (closed_at_0 or open_at_1)), repr(cut)
     assert not any(s.is_proper for s in sentinels)
     # the stored flag takes no part in equality or hashing
     forced = dc.open_cut("1/2")

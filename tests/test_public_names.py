@@ -24,7 +24,7 @@ SRC = ROOT / "src" / "mvfilters"
 
 # public names kept without a user, with the reason
 ALLOWED = {
-    "densechain.oracle_member": "ROADMAP item 5",
+    "densechain.oracle_member": "ROADMAP item 2",
 }
 
 

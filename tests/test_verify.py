@@ -48,8 +48,8 @@ def test_only_filter_and_unknown_id():
 
 
 def test_dense_determinism():
-    a = mv.run_dense(seed=42, pairs=500, triples=100).to_json()
-    b = mv.run_dense(seed=42, pairs=500, triples=100).to_json()
+    a = mv.run_dense(seed=42).to_json()
+    b = mv.run_dense(seed=42).to_json()
     assert a == b
 
 
@@ -279,6 +279,37 @@ def test_row_table_statements_can_fail(
     )
 
 
+def _no_successor_structure(real):
+    """successor_structure, reporting that no successor structure exists."""
+    return lambda a: None
+
+
+def _pred_fixes_everything(real):
+    """successor_structure with ⊖c sending every element to itself."""
+    def corrupted(a):
+        c, succ, pred = real(a)
+        return c, succ, {x: x for x in pred}
+
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "stmt, corrupt",
+    [
+        ("thm:discrete-principal", _no_successor_structure),
+        ("prop:successor", _no_successor_structure),
+        ("prop:successor", _pred_fixes_everything),
+    ],
+    ids=["discrete-principal-absent", "successor-absent", "successor-pred"],
+)
+def test_discrete_statements_can_fail(monkeypatch, l5, stmt, corrupt):
+    # the successor-structure branch is the one thm:discrete-principal can
+    # fail through on a finite chain (see its docstring)
+    assert_check_can_fail(
+        monkeypatch, l5, stmt, filters, "successor_structure", corrupt
+    )
+
+
 @pytest.mark.parametrize("factors", [(8, 8), (2,) * 6], ids=["L8xL8", "2^6"])
 def test_phi_and_quot_commute_pass_on_64_elements(factors):
     report = mv.run_finite(product(*factors), only=["prop:phi", "prop:quot-commute"])
@@ -327,7 +358,7 @@ def test_dense_theorems_check_the_closed_form(monkeypatch, branch):
 
     monkeypatch.setattr(dc, "cut_sqto", mutated)
     theorems = [s for s in DENSE_STATEMENTS if s != "dense:closed-forms"]
-    report = mv.run_dense(seed=0, only=theorems, pairs=200, triples=200)
+    report = mv.run_dense(seed=0, only=theorems)
     assert [r.id for r in report.results if r.status == "fail"]
 
 
@@ -343,9 +374,9 @@ def _collapse_closed_pairs(real):
 
 def test_dense_trans_can_fail(monkeypatch):
     monkeypatch.setattr(dc, "cut_sqto", _collapse_closed_pairs(dc.cut_sqto))
-    (result,) = mv.run_dense(seed=0, only=["dense:trans"], triples=200).results
+    (result,) = mv.run_dense(seed=0, only=["dense:trans"]).results
     assert result.status == "fail"
-    assert len(result.witnesses) == 182
+    assert len(result.witnesses) == 978
 
 
 def test_dense_trans_takes_one_sqto_per_ordered_pair(monkeypatch):
@@ -357,9 +388,8 @@ def test_dense_trans_takes_one_sqto_per_ordered_pair(monkeypatch):
         return real(f, g)
 
     monkeypatch.setattr(dc, "cut_sqto", counting)
-    triples = 200
-    assert mv.run_dense(seed=0, only=["dense:trans"], triples=triples).ok
-    assert 0 < len(calls) <= 9 * triples
+    assert mv.run_dense(seed=0, only=["dense:trans"]).ok
+    assert 0 < len(calls) <= 9 * verify._TRIPLES
 
 
 def test_dense_props_takes_each_sqto_once_per_sample(monkeypatch):
@@ -371,7 +401,7 @@ def test_dense_props_takes_each_sqto_once_per_sample(monkeypatch):
         return real(f, g)
 
     monkeypatch.setattr(dc, "cut_sqto", counting)
-    assert mv.run_dense(seed=0, only=["dense:props"], triples=200).ok
+    assert mv.run_dense(seed=0, only=["dense:props"]).ok
     # F⊸G and (F⊸G)⊸G are each taken once per sample; what repeats is only
     # values that coincide, such as (F⊸G)⊸G = F
-    assert len(calls) == 1_566
+    assert len(calls) == 7_809
