@@ -108,8 +108,10 @@ def sqto_fast(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
     By residuation, f⊗z ≤ x exactly when f ≤ z→x; so when F and G are
     up-sets, some f ∈ F∩G has f⊗z ∉ G exactly when some x ∉ G has z→x ∈ F∩G.
 
-    It shares no code with sqto's relative-kernel form, so prop:fastform
-    compares two independent definitions.
+    It shares no code with sqto's relative-kernel form.  No statement calls
+    it: prop:fastform reads the same form, ``sqto_full(F∩G, G)``, from
+    ``verify.Ctx``'s ⊗-rows.  It stays as a cold entry point that the
+    benchmark's tracer (``perfbench/spans.py``) wraps.
     """
     if f_mask == 0 or g_mask == 0:
         return 0

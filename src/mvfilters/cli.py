@@ -403,6 +403,15 @@ def export(spec: dict, what: str, fmt: str) -> str:
 # command dispatch
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to path; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise InvalidArgument(f"cannot write {path}: {e.strerror}") from None
+
+
 def cmd_verify(args) -> int:
     spec = _load_spec(args.specfile, allow_dense=True)
     only = args.only.split(",") if args.only else None
@@ -413,8 +422,7 @@ def cmd_verify(args) -> int:
         report = verify.run_finite(a, only=only, seed=args.seed)
     print(report.to_text())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+        _write(args.json, report.to_json() + "\n")
     return 0 if report.ok else 1
 
 
@@ -426,14 +434,7 @@ def cmd_compute(args) -> int:
 
 def cmd_export(args) -> int:
     spec = _load_spec(args.specfile, allow_dense=False)
-    payload = export(spec, args.what, args.format)
-    try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    except OSError as e:
-        raise InvalidArgument(
-            f"cannot write {args.output}: {e.strerror}"
-        ) from None
+    _write(args.output, export(spec, args.what, args.format))
     return 0
 
 

@@ -8,7 +8,8 @@ P = {1} this is the literal definition.
 On a finite algebra each class of the derived algebra is a single member: a
 finite MV-algebra is a product of Łukasiewicz chains, so PSpec(P) is the set
 of prime filters of the finite chain L/P, where cut equivalence is equality.
-``build_hat`` therefore orders the members themselves.  The dense chain's
+``hat_from_sqto`` therefore orders the members themselves, from their ⊸
+table; ``build_hat`` computes that table cold.  The dense chain's
 classes of many cuts live in ``densechain.hat_class``.
 
 The derived algebra is its certified ``as_mv``: its →, ¬ and ⊗ are the
@@ -17,7 +18,7 @@ class-level ⊸, ⁺ and ⊗.
 The maps ι (P-cosets to classes) and η̂ (classes to boundary Q-cosets) return
 their mappings as tuples indexed by coset or class.  Their theorems are
 checked by ``thm:iota``, ``thm:hat-eta`` and ``thm:composite`` in ``verify``;
-``build_hat`` certifies the algebra it returns.
+``hat_from_sqto`` certifies the algebra it returns.
 """
 
 from __future__ import annotations
@@ -85,17 +86,28 @@ class HatAlgebra:
 
 
 def build_hat(spec: PrimeSpectrum) -> HatAlgebra:
-    """Construct and certify the derived algebra on PSpec(P)/≡.
+    """Construct and certify the derived algebra on PSpec(P)/≡, cold.
 
-    F⊸G is computed once for each ordered pair of members; [F] ≤ [G] iff
-    F⊸G = P, which must be a total order on the members (antisymmetric,
-    since cut equivalence is equality here).
+    F⊸G is computed once for each ordered pair of members, by
+    ``calculus.sqto``, and the rest is ``hat_from_sqto``.
+    """
+    members = spec.members
+    return hat_from_sqto(
+        spec, [[calculus.sqto(spec.algebra, f, g) for g in members] for f in members]
+    )
+
+
+def hat_from_sqto(spec: PrimeSpectrum, sqto) -> HatAlgebra:
+    """The certified derived algebra on PSpec(P)/≡, from its ⊸ table.
+
+    ``sqto[i][j]`` is members[i] ⊸ members[j].  [F] ≤ [G] iff F⊸G = P, which
+    must be a total order on the members (antisymmetric, since cut
+    equivalence is equality here).
     """
     if not spec.members:
         raise InvalidArgument("cannot build the derived algebra of an empty spectrum")
     a, p, members = spec.algebra, spec.p_mask, spec.members
     n = len(members)
-    sqto = [[calculus.sqto(a, f, g) for g in members] for f in members]
     for i in range(n):
         for j in range(n):
             if not (sqto[i][j] == p or sqto[j][i] == p):

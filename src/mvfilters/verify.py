@@ -108,14 +108,19 @@ class Ctx:
     Φ, ``sqto_full``, J_u and J_d are split in ``calculus`` into a table
     builder and a combinator.  This object keeps the tables: every →- and
     ⊗-row into a mask (``rows``), and the P-cosets of each P (``cosets``).
-    Each pair then costs the combinator's O(|F|) or O(n) bit operations.  On
-    the quotient side it keeps the image of each mask in L/P (``image``) and
-    F/P ⊸ G/P per (P, F/P, G/P) (``quotient_sqto``), combined from the
-    quotient's ⊗-rows into each G/P.
+    Each pair then costs the combinator's O(|F|) or O(n) bit operations.  The
+    rows serve ``prop:phi``, ``prop:T-phi`` and ``prop:fastform``; the cosets
+    serve the J statements, ``thm:reduction`` and ``lem:Jd-lower`` among
+    them.  The derived algebra of P is built from the members' ⊸ in the
+    ``sqto`` memo (``spectra.hat_from_sqto``).  On the quotient side it keeps
+    the image of each mask in L/P (``image``) and F/P ⊸ G/P per
+    (P, F/P, G/P) (``quotient_sqto``), combined from the quotient's ⊗-rows
+    into each G/P.
 
     The memo lives on this instance, so it lasts exactly one verification
-    run; the algebra itself is never written to.  Cross-checks compute their
-    second side by calling their module directly.
+    run; the algebra itself is never written to.  A cross-check's second side
+    shares no table with its first: ``prop:fastform`` sets ⊸'s subordinate
+    loop against ⊗-rows, and ``prop:T-phi`` computes T cold.
     """
 
     def __init__(self, a: MvAlgebra):
@@ -215,9 +220,13 @@ class Ctx:
         return self._cached("spectrum", spectra.prime_spectrum, p_mask)
 
     def hat(self, p_mask: int) -> spectra.HatAlgebra:
-        return self._cached(
-            "hat", lambda _, p: spectra.build_hat(self.spectrum(p)), p_mask
-        )
+        """The derived algebra on PSpec(P), from the members' ``sqto`` memo."""
+        def fresh(_, p):
+            spec = self.spectrum(p)
+            table = [[self.sqto(f, g) for g in spec.members] for f in spec.members]
+            return spectra.hat_from_sqto(spec, table)
+
+        return self._cached("hat", fresh, p_mask)
 
 
 def _registry():
@@ -533,7 +542,7 @@ def _kernel_prime_iff(ctx, out):
 @finite("prop:fastform", "definitional and product forms of ⊸ agree")
 def _fastform(ctx, out):
     for f, g in _pairs(ctx.primes):
-        if ctx.sqto(f, g) != calculus.sqto_fast(ctx.a, f, g):
+        if ctx.sqto(f, g) != ctx.sqto_full(f & g, g):
             out.append(_shown(ctx, f, g))
 
 
@@ -674,7 +683,7 @@ def _ju_kernel(ctx, out):
 @finite("lem:Jd-lower", "a smaller prime survives J_d at its own kernel")
 def _jd_lower(ctx, out):
     for f, g in _nested_pairs(ctx.primes):
-        if f & ~calculus.j_down(ctx.a, g, ctx.kernel(f)):
+        if f & ~ctx.j_down(g, ctx.kernel(f)):
             out.append(_shown(ctx, f, g))
 
 
@@ -682,10 +691,9 @@ def _jd_lower(ctx, out):
 def _reduction(ctx, out):
     """F' = J_u(F, K(G)) and G' = J_d(G, K(F)) leave F⊸G unchanged, one side
     at a time and together, and K(F') = K(G')."""
-    a = ctx.a
     for f, g in _nested_pairs(ctx.primes):
-        f2 = calculus.j_up(a, f, ctx.kernel(g))
-        g2 = calculus.j_down(a, g, ctx.kernel(f))
+        f2 = ctx.j_up(f, ctx.kernel(g))
+        g2 = ctx.j_down(g, ctx.kernel(f))
         base = ctx.sqto(f, g)
         for side, value in (
             ("J_u", ctx.sqto(f2, g)),
@@ -760,13 +768,26 @@ def _image(c: int, values) -> int:
 
 
 def _convex_column_images(ctx, out, table):
-    """Each interval C's image under z ↦ table[z][x] is convex, for every x."""
+    """Each interval C's image under z ↦ table[z][x] is convex, for every x.
+
+    For each start x the ends y ≥ x are swept upward, so each column's image
+    of [x, y] is its image of the interval before plus table[y][column].  The
+    witnesses are listed in the order of ``_chain_intervals``.
+    """
     a = ctx.a
     columns = list(zip(*table))
-    for c in _chain_intervals(a):
-        for x, col in enumerate(columns):
-            if not calculus.is_convex(a, _image(c, col)):
-                out.append((ctx.show(c), x))
+    ascending = sorted(range(a.size), key=lambda y: bin(a.down_mask[y]).count("1"))
+    for x in range(a.size):
+        images = [0] * len(columns)
+        bad: dict[int, list[int]] = {}
+        for y in (y for y in ascending if a.up_mask[x] >> y & 1):
+            for i, col in enumerate(columns):
+                images[i] |= 1 << col[y]
+                if not calculus.is_convex(a, images[i]):
+                    bad.setdefault(y, []).append(i)
+        for y in sorted(bad):
+            c = a.up_mask[x] & a.down_mask[y]
+            out.extend((ctx.show(c), i) for i in bad[y])
 
 
 @finite("lem:convex-imp", "implication images of convex sets are convex",
@@ -861,12 +882,11 @@ def _t_phi(ctx, out):
     """
     a = ctx.a
     for p, h in _hats(ctx):
+        plus = {g: calculus.set_plus(a, g) for g in h.representatives}
         for (x, f), (y, g) in _pairs(enumerate(h.representatives)):
             t = calculus.tensor_up(a, f, g)
-            ph = calculus.phi(a, f, g)
-            enc = calculus.set_plus(
-                a, calculus.sqto_full(a, f, calculus.set_plus(a, g))
-            )
+            ph = ctx.phi(f, g)
+            enc = calculus.set_plus(a, ctx.sqto_full(f, plus[g]))
             if not (t == ph == enc):
                 out.append(_shown(ctx, p, f, g))
             elif t != a.full_mask and (

@@ -102,7 +102,8 @@ def test_sqto_lands_inside_target(algebra):
 def test_reduction_theorem(monkeypatch, algebra):
     # thm:reduction checks that J_u/J_d keep F⊸G and reach a common kernel
     assert_check_can_fail(
-        monkeypatch, algebra, "thm:reduction", calculus, "j_down", drop_lowest
+        monkeypatch, algebra, "thm:reduction", calculus, "j_down_cosets",
+        drop_lowest,
     )
 
 

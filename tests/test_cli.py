@@ -155,6 +155,17 @@ def test_verify_exit_zero_and_json(run, specfile, tmp_path):
     assert payload["ok"] is True and len(payload["results"]) == 2
 
 
+def test_unwritable_output_exits_two(run, specfile, tmp_path):
+    path = specfile(L3)
+    target = str(tmp_path / "nonexistent" / "x.json")
+    expected = f"error: cannot write {target}: No such file or directory\n"
+    code, out, err = run("verify", path, "--only", "axioms:mv", "--json", target)
+    assert out.startswith("target: L3")
+    assert (code, err) == (2, expected)
+    code, out, err = run("export", path, "filters", "--format", "dot", "-o", target)
+    assert (code, out, err) == (2, "", expected)
+
+
 def test_verify_dense_spec(run, specfile):
     path = specfile(DENSE, "dense.json")
     code, out, err = run("verify", path, "--only", "dense:closed-forms")

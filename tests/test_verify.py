@@ -155,13 +155,10 @@ def test_checks_fail_through_a_warm_memo(monkeypatch):
     out = []
     fastform(ctx, out)
     assert not out
-    real = calculus.sqto_fast
-
-    def drop_one(a, f, g):
-        m = real(a, f, g)
-        return m & (m - 1)  # without its lowest member
-
-    monkeypatch.setattr(calculus, "sqto_fast", drop_one)
+    # the ⊗-rows stay warm in ctx; the combinator that reads them is corrupted
+    monkeypatch.setattr(
+        calculus, "sqto_full_rows", drop_lowest(calculus.sqto_full_rows)
+    )
     fastform(ctx, out)
     assert out
 
@@ -265,10 +262,17 @@ def _drop_lowest_at_p_one(real):
         ("prop:small", calculus, "j_up_cosets", drop_lowest),
         ("prop:large", calculus, "j_up_cosets", drop_lowest),
         ("prop:Ju-kernel", calculus, "j_up_cosets", drop_lowest),
+        ("prop:T-phi", calculus, "phi_rows", drop_lowest),
+        ("prop:T-phi", calculus, "sqto_full_rows", drop_lowest),
+        ("prop:fastform", calculus, "sqto_full_rows", drop_lowest),
+        ("lem:Jd-lower", calculus, "j_down_cosets", drop_lowest),
+        ("thm:reduction", calculus, "j_up_cosets", drop_lowest),
     ],
     ids=[
         "phi-combinator", "phi-sqto_full", "quot-commute-quotient-side",
         "quot-commute-at-P-one", "small-j_up", "large-j_up", "Ju-kernel-j_up",
+        "T-phi-phi_rows", "T-phi-sqto_full", "fastform-sqto_full",
+        "Jd-lower-j_down", "reduction-j_up",
     ],
 )
 def test_row_table_statements_can_fail(
@@ -308,6 +312,120 @@ def test_discrete_statements_can_fail(monkeypatch, l5, stmt, corrupt):
     assert_check_can_fail(
         monkeypatch, l5, stmt, filters, "successor_structure", corrupt
     )
+
+
+def _negated_on_three(real):
+    """is_convex, with its verdict flipped on every 3-element mask."""
+    def corrupted(a, mask):
+        return real(a, mask) != (bin(mask).count("1") == 3)
+
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "stmt", ["lem:convex-imp", "lem:convex-neg", "lem:convex-otimes"]
+)
+def test_convex_lemmas_can_fail(monkeypatch, l5, stmt):
+    assert_check_can_fail(
+        monkeypatch, l5, stmt, calculus, "is_convex", _negated_on_three
+    )
+
+
+def _relabelled(a, perm):
+    """a with each element x renamed perm[x]: one algebra, indexed out of order."""
+    inv = {u: x for x, u in enumerate(perm)}
+    n = a.size
+    return core.MvAlgebra(
+        n,
+        tuple(tuple(perm[a.oplus[inv[u]][inv[v]]] for v in range(n)) for u in range(n)),
+        tuple(perm[a.neg[inv[u]]] for u in range(n)),
+        perm[a.zero],
+        name=f"{a.name} relabelled",
+        labels=tuple(a.labels[inv[u]] for u in range(n)),
+    )
+
+
+def _interval_loop(ctx, table):
+    """The witnesses of the per-interval loop that lem:convex-imp and
+    lem:convex-otimes once ran, kept as the oracle for their sweep."""
+    a = ctx.a
+    out = []
+    for x in range(a.size):
+        for y in range(a.size):
+            if not a.leq(x, y):
+                continue
+            c = a.up_mask[x] & a.down_mask[y]
+            for column, values in enumerate(zip(*table)):
+                image = 0
+                for z in iter_mask(c):
+                    image |= 1 << values[z]
+                if not calculus.is_convex(a, image):
+                    out.append((ctx.show(c), column))
+    return out
+
+
+CONVEX_ORACLE_ALGEBRAS = {f"L{n}": CHAINS[n] for n in (5, 6, 7, 8)} | {
+    "L7-relabelled": _relabelled(CHAINS[7], (3, 6, 0, 5, 1, 4, 2)),
+}
+
+
+@pytest.mark.parametrize("algebra_id", sorted(CONVEX_ORACLE_ALGEBRAS))
+@pytest.mark.parametrize(
+    "stmt, table", [("lem:convex-imp", "imp"), ("lem:convex-otimes", "otimes")]
+)
+def test_convex_sweep_matches_the_interval_loop(monkeypatch, algebra_id, stmt, table):
+    # under a corrupted is_convex the sweep and the loop must list the same
+    # witnesses in the same order, and test the same images
+    a = CONVEX_ORACLE_ALGEBRAS[algebra_id]
+    tested = []
+    corrupted = _negated_on_three(calculus.is_convex)
+
+    def recording(a, mask):
+        tested.append(mask)
+        return corrupted(a, mask)
+
+    monkeypatch.setattr(calculus, "is_convex", recording)
+    ctx = verify.Ctx(a)
+    assert ctx.linear
+    swept = []
+    FINITE_STATEMENTS[stmt][1](ctx, swept)
+    swept_images = sorted(tested)
+    tested.clear()
+    assert swept and swept == _interval_loop(ctx, getattr(a, table))
+    assert swept_images == sorted(tested)
+
+
+@pytest.mark.parametrize("algebra_id", ["L8", "L2xL3"])
+def test_run_reads_the_tables_not_the_cold_forms(monkeypatch, algebra_id):
+    calls = []
+
+    def recording(name, real):
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapped
+
+    for owner, name in [
+        (calculus, "phi"), (calculus, "sqto_fast"), (calculus, "sqto_full"),
+        (calculus, "j_up"), (calculus, "j_down"), (spectra, "build_hat"),
+    ]:
+        monkeypatch.setattr(owner, name, recording(name, getattr(owner, name)))
+    built = []
+
+    class RecordingCtx(verify.Ctx):
+        def __init__(self, a):
+            super().__init__(a)
+            built.append(self)
+
+    monkeypatch.setattr(verify, "Ctx", RecordingCtx)
+    assert mv.run_finite(ALL_ALGEBRAS[algebra_id]).ok
+    assert calls == []
+    (ctx,) = built
+    assert ctx.memo["hat"]
+    for p in ctx.memo["hat"]:
+        members = ctx.spectrum(*p).members
+        assert all((f, g) in ctx.memo["sqto"] for f in members for g in members)
 
 
 @pytest.mark.parametrize("factors", [(8, 8), (2,) * 6], ids=["L8xL8", "2^6"])
