@@ -4,7 +4,10 @@ Each mutant corrupts one primitive, so several statements fail and their
 reports carry witnesses.  The sha256 of ``run_finite(a).to_json()`` is
 pinned for every (algebra, mutant) pair, so a change to the statement
 bodies that moves an id, a verdict, a witness or the order of witnesses
-fails here, even where every unmutated run still passes.
+fails here, even where every unmutated run still passes.  Two digests equal
+the unmutated report's: ``phi-swap`` (no statement applies Φ to a pair on
+which it does not commute) and ``is_convex-not`` on Ł2×Ł3 (the convex
+lemmas skip on products).
 
 When a change of witnesses is intended, re-pin: run
 ``PYTHONPATH=src python tests/test_report_digests.py``, which prints the
@@ -30,6 +33,14 @@ def swap_arguments(real):
     return corrupted
 
 
+def negate(real):
+    """The predicate real, negated."""
+    def corrupted(*args):
+        return not real(*args)
+
+    return corrupted
+
+
 MUTANTS = {
     f"{name}-drop": (owner, name, drop_lowest)
     for owner, name in [
@@ -37,9 +48,12 @@ MUTANTS = {
         (calculus, "subordinate"), (calculus, "set_plus"),
         (calculus, "j_up_cosets"), (calculus, "sqto_full_rows"),
         (calculus, "boundary_coset"), (filters, "down_closure_joins"),
+        (calculus, "phi_rows"), (calculus, "tensor_up"),
     ]
 } | {
     f"{name}-swap": (calculus, name, swap_arguments) for name in ("sqto", "phi")
+} | {
+    "is_convex-not": (calculus, "is_convex", negate),
 }
 
 ALGEBRAS = ["L5", "L2xL3"]
@@ -49,6 +63,8 @@ DIGESTS = {
         "24feb5467ec206e83ec8baed9d406b1425b19341ae363ff19686e45fe9eb0cc0",
     ("L5", "down_closure_joins-drop"):
         "7d99536f4324b878de60a520f8321cd449143d6c7abad767a4dda14076d46775",
+    ("L5", "is_convex-not"):
+        "1b31d29d93daf6d0e6ada94f9b74151efd24e27374dc3e0eb1f8c78debdbe506",
     ("L5", "j_up_cosets-drop"):
         "e54834019ee49af10d8d058d468826796e3cda881c24b9a74371cb82b9fe76d5",
     ("L5", "kernel-drop"):
@@ -57,6 +73,8 @@ DIGESTS = {
         "aa8ace74506b71a8a69671c297c2a445dc33750c2405fd8032a9bb48e2996262",
     ("L5", "phi-swap"):
         "babff1a20d218d087ff0029da05efdb2cd5c0636da15266a7fcd1512ab226792",
+    ("L5", "phi_rows-drop"):
+        "e34b70a1ad7b31f94615f44a5bee5b830f509676b5bc3b1afd24c345efd4e09e",
     ("L5", "set_plus-drop"):
         "c93758b5a8e5022c940062baa431ec9d564aa583e88e279c0c84fd66885378af",
     ("L5", "sqto-drop"):
@@ -67,10 +85,14 @@ DIGESTS = {
         "bedccb36138dd89b77a025e3fcc21da6a562206448e42ba6c7347558833fdaef",
     ("L5", "subordinate-drop"):
         "f5911ffe82bc5a5df51aef518d75869768ccd693e836bff3d0f8fa1be5e88f71",
+    ("L5", "tensor_up-drop"):
+        "6e860fd8dc6b8518aab4d794a2a489406382ce26c9058ef4960cabd6c7348f68",
     ("L2xL3", "boundary_coset-drop"):
         "550df12a56512046f335f0b72d37a4a6a3359cf45016bd8c71a7fe1f251ce259",
     ("L2xL3", "down_closure_joins-drop"):
         "e70e1e031a4f03ced70799fe615ddbff04fa830275f4dbbfb927e0154fdcdf3b",
+    ("L2xL3", "is_convex-not"):
+        "9753fb33304b9bc5c916e2cdff717834f5c81f81330bbaf26f58effd0764a0ec",
     ("L2xL3", "j_up_cosets-drop"):
         "5699966f2ef9fc788e52a135f24d2f09255a2e2e67c56dba33edcc8106e0ca0d",
     ("L2xL3", "kernel-drop"):
@@ -79,6 +101,8 @@ DIGESTS = {
         "4dffa7085276493afb953259494005fd7fff08bf3febbab7c1b82c6e30e0f255",
     ("L2xL3", "phi-swap"):
         "9753fb33304b9bc5c916e2cdff717834f5c81f81330bbaf26f58effd0764a0ec",
+    ("L2xL3", "phi_rows-drop"):
+        "1f2b225c9d36afc36e77b04a9779477f3fc02b09aa25f32d35b4933db5a9a986",
     ("L2xL3", "set_plus-drop"):
         "8b25101cf923db17f7508d4ff9bd25dfeb5a866517d4a064feeec924fb2b590c",
     ("L2xL3", "sqto-drop"):
@@ -89,6 +113,8 @@ DIGESTS = {
         "46932e1dcfcbadb816d616516e27edc6f72bd42c5aebdf830684fda4ec6007df",
     ("L2xL3", "subordinate-drop"):
         "7884437f35018f67719e8edb970ab4b68e4fbb51461a9f29114917b8bc2653c0",
+    ("L2xL3", "tensor_up-drop"):
+        "3f0bc81677fdbe4adb952657097a37fa90312d8ed8e96d8514a05040ac84d75e",
 }
 
 
