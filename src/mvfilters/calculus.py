@@ -64,7 +64,10 @@ def set_plus(a: MvAlgebra, mask: int) -> int:
 
 
 def kernel(a: MvAlgebra, f_mask: int) -> int:
-    """{z | for every a ∉ F, z→a ∉ F}: the largest implication filter inside F."""
+    """K(F) = {z | z→x ∉ F for every x ∉ F}, the meet of the subordinates F_x.
+
+    Only on a finite algebra is it also the largest implication filter in F.
+    """
     if f_mask == 0:
         return 0
     imp = a.imp
@@ -155,11 +158,12 @@ def phi_rows(imp_rows, f_mask: int) -> int:
 
 def tensor_up(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
     """Up-closure of the pairwise ⊗ products of F and G."""
-    otimes = a.otimes
+    gs = list(iter_mask(g_mask))
     m = 0
     for f in iter_mask(f_mask):
-        for g in iter_mask(g_mask):
-            m |= 1 << otimes[f][g]
+        row = a.otimes[f]
+        for g in gs:
+            m |= 1 << row[g]
     return up_closure(a, m)
 
 

@@ -181,7 +181,6 @@ def _load_spec(path: str, allow_dense: bool) -> dict:
 class ExprError(InvalidArgument):
     def __init__(self, msg: str, pos: int):
         super().__init__(f"expression error at position {pos}: {msg}")
-        self.pos = pos
 
 
 class _Parser:

@@ -17,6 +17,8 @@ from fractions import Fraction
 from .errors import InvalidArgument
 
 ONE = Fraction(1)
+# the largest denominator of a random cut endpoint
+MAX_DEN = 1000
 
 
 class Kind(enum.Enum):
@@ -178,12 +180,12 @@ def oracle_member(f: Cut, g: Cut, z: Fraction) -> bool:
 # randomised inputs and the derived chain view
 
 
-def random_fraction(rng: random.Random, max_den: int = 1000) -> Fraction:
+def random_fraction(rng: random.Random, max_den: int = MAX_DEN) -> Fraction:
     den = rng.randint(1, max_den)
     return Fraction(rng.randint(0, den), den)
 
 
-def random_proper_cut(rng: random.Random, max_den: int = 1000) -> Cut:
+def random_proper_cut(rng: random.Random, max_den: int = MAX_DEN) -> Cut:
     while True:
         c = Cut(random_fraction(rng, max_den),
                 rng.choice((Kind.OPEN, Kind.CLOSED)))

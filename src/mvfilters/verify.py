@@ -16,6 +16,7 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from itertools import product
 
 from . import calculus, densechain as dc, filters, spectra
@@ -26,6 +27,7 @@ from .core import (
     congruence_cosets,
     is_linear,
     iter_mask,
+    mask_of,
     quotient_by,
 )
 from .errors import InvalidArgument, InvariantViolation, MvError
@@ -87,6 +89,22 @@ class Report:
         )
 
 
+def _memo(method):
+    """A ``Ctx`` method computed once per run: memo[its name][its arguments]."""
+    name = method.__name__
+
+    @wraps(method)
+    def cached(self, *args):
+        table = self.memo[name]
+        try:
+            return table[args]
+        except KeyError:
+            value = table[args] = method(self, *args)
+            return value
+
+    return cached
+
+
 class Ctx:
     """Filter lists of one finite algebra, and the memo of one verification run.
 
@@ -96,79 +114,52 @@ class Ctx:
     Łukasiewicz chains; Cignoli, D'Ottaviano and Mundici, 2000); a ``table``
     spec is not certified before its filters are listed.
 
-    Statements call the pure primitives they query again and again with the
-    same arguments through this object: ⊸, the kernel and subordinates from
-    ``calculus``, the lattice-filter and prime lattice-filter tests from
-    ``filters``, the spectrum and derived algebra of each prime implication
-    filter P from ``spectra``, and the quotient by each implication filter
-    from ``core``.  Each result is computed once, by the one definition in
-    its module, and kept in ``memo`` (operation name -> argument tuple ->
-    result).
-
-    Φ, ``sqto_full``, J_u and J_d are split in ``calculus`` into a table
-    builder and a combinator.  This object keeps the tables: every →- and
-    ⊗-row into a mask (``rows``), and the P-cosets of each P (``cosets``).
-    Each pair then costs the combinator's O(|F|) or O(n) bit operations.  The
-    rows serve ``prop:phi``, ``prop:T-phi`` and ``prop:fastform``; the cosets
-    serve the J statements, ``thm:reduction`` and ``lem:Jd-lower`` among
-    them.  The derived algebra of P is built from the members' ⊸ in the
-    ``sqto`` memo (``spectra.hat_from_sqto``).  On the quotient side it keeps
-    the image of each mask in L/P (``image``) and F/P ⊸ G/P per
-    (P, F/P, G/P) (``quotient_sqto``), combined from the quotient's ⊗-rows
-    into each G/P.
-
-    The memo lives on this instance, so it lasts exactly one verification
-    run; the algebra itself is never written to.  A cross-check's second side
-    shares no table with its first: ``prop:fastform`` sets ⊸'s subordinate
-    loop against ⊗-rows, and ``prop:T-phi`` computes T cold.
+    A method marked ``@_memo`` computes its value once per argument tuple,
+    by the one definition in its module, and keeps it in
+    ``memo[method name][args]``, which lasts exactly this run; the algebra
+    itself is never written to.  Φ, ``sqto_full``, J_u and J_d read the kept
+    rows and cosets, so each pair costs O(|F|) or O(n) bit operations.  A
+    cross-check's second side shares no table with its first:
+    ``prop:fastform`` sets ⊸'s subordinate loop against ⊗-rows, and
+    ``prop:T-phi`` computes T cold.
     """
 
     def __init__(self, a: MvAlgebra):
         self.a = a
         self.lattice = filters.enumerate_lattice_filters(a)
-        self.primes = [m for m in self.lattice if filters.is_prime_lattice_filter(a, m)]
+        self.primes = filters.enumerate_lattice_filters(a, prime_only=True)
         self.impl = filters.enumerate_implication_filters(a)
-        self.prime_impl = [
-            m for m in self.impl if filters.is_prime_implication_filter(a, m)
-        ]
+        self.prime_impl = filters.enumerate_implication_filters(a, prime_only=True)
         self.linear = is_linear(a)
         self.memo: defaultdict[str, dict[tuple, object]] = defaultdict(dict)
 
     def show(self, mask: int) -> str:
         return self.a.label_set(mask)
 
-    def _cached(self, op: str, fn, *args):
-        """fn(self.a, *args), computed once per run and kept under memo[op]."""
-        table = self.memo[op]
-        try:
-            return table[args]
-        except KeyError:
-            value = table[args] = fn(self.a, *args)
-            return value
-
+    @_memo
     def sqto(self, f_mask: int, g_mask: int) -> int:
-        return self._cached("sqto", calculus.sqto, f_mask, g_mask)
+        return calculus.sqto(self.a, f_mask, g_mask)
 
+    @_memo
     def kernel(self, f_mask: int) -> int:
-        return self._cached("kernel", calculus.kernel, f_mask)
+        return calculus.kernel(self.a, f_mask)
 
+    @_memo
     def subordinate(self, f_mask: int, elem: int) -> int:
-        return self._cached("subordinate", calculus.subordinate, f_mask, elem)
+        return calculus.subordinate(self.a, f_mask, elem)
 
+    @_memo
     def is_lattice_filter(self, mask: int) -> bool:
-        return self._cached("is_lattice_filter", filters.is_lattice_filter, mask)
+        return filters.is_lattice_filter(self.a, mask)
 
+    @_memo
     def is_prime_lattice_filter(self, mask: int) -> bool:
-        return self._cached(
-            "is_prime_lattice_filter", filters.is_prime_lattice_filter, mask
-        )
+        return filters.is_prime_lattice_filter(self.a, mask)
 
+    @_memo
     def rows(self, table: str, mask: int) -> dict[int, int]:
         """Every row of the table ``table`` ("imp" or "otimes") into mask."""
-        return self._cached(
-            "rows", lambda a, t, m: calculus.rows(getattr(a, t), m, a.full_mask),
-            table, mask,
-        )
+        return calculus.rows(getattr(self.a, table), mask, self.a.full_mask)
 
     def phi(self, f_mask: int, g_mask: int) -> int:
         return calculus.phi_rows(self.rows("imp", g_mask), f_mask)
@@ -178,9 +169,10 @@ class Ctx:
             self.rows("otimes", g_mask), f_mask, self.a.full_mask
         )
 
+    @_memo
     def cosets(self, p_mask: int):
         """``congruence_cosets``: (coset_of, representatives, cosets) of P."""
-        return self._cached("cosets", congruence_cosets, p_mask)
+        return congruence_cosets(self.a, p_mask)
 
     def j_up(self, f_mask: int, p_mask: int) -> int:
         return calculus.j_up_cosets(self.cosets(p_mask)[2], f_mask)
@@ -188,45 +180,42 @@ class Ctx:
     def j_down(self, f_mask: int, p_mask: int) -> int:
         return calculus.j_down_cosets(self.a, self.cosets(p_mask)[2], f_mask)
 
+    @_memo
     def quotient(self, p_mask: int) -> QuotientAlgebra:
-        return self._cached("quotient", quotient_by, p_mask)
+        return quotient_by(self.a, p_mask)
 
+    @_memo
     def image(self, p_mask: int, mask: int) -> int:
         """The image of mask in L/P."""
-        return self._cached(
-            "image", lambda _, p, m: self.quotient(p).image_mask(m), p_mask, mask
-        )
+        return self.quotient(p_mask).image_mask(mask)
 
+    @_memo
+    def quotient_rows(self, p_mask: int, gq: int) -> dict[int, int]:
+        """Every ⊗-row of L/P into G/P."""
+        qa = self.quotient(p_mask).quotient
+        return calculus.rows(qa.otimes, gq, qa.full_mask)
+
+    @_memo
     def quotient_sqto(self, p_mask: int, fq: int, gq: int) -> int:
         """F/P ⊸ G/P in L/P, for nonempty up-sets F/P and G/P.
 
         This is ``calculus.sqto_fast`` on the quotient: the AND of the
         quotient's ⊗-rows into G/P over F/P ∩ G/P.  On up-sets, such as the
-        images of filters, it equals the definitional ``calculus.sqto``.  The
-        rows are built once per (P, G/P) and serve every F/P.
+        images of filters, it equals the definitional ``calculus.sqto``.
         """
-        def fresh(_, p, fq, gq):
-            qa = self.quotient(p).quotient
-            otimes_rows = self._cached(
-                "quotient_rows",
-                lambda _, p, m: calculus.rows(qa.otimes, m, qa.full_mask),
-                p, gq,
-            )
-            return calculus.sqto_full_rows(otimes_rows, fq & gq, qa.full_mask)
+        full = self.quotient(p_mask).quotient.full_mask
+        return calculus.sqto_full_rows(self.quotient_rows(p_mask, gq), fq & gq, full)
 
-        return self._cached("quotient_sqto", fresh, p_mask, fq, gq)
-
+    @_memo
     def spectrum(self, p_mask: int) -> spectra.PrimeSpectrum:
-        return self._cached("spectrum", spectra.prime_spectrum, p_mask)
+        return spectra.prime_spectrum(self.a, p_mask)
 
+    @_memo
     def hat(self, p_mask: int) -> spectra.HatAlgebra:
         """The derived algebra on PSpec(P), from the members' ``sqto`` memo."""
-        def fresh(_, p):
-            spec = self.spectrum(p)
-            table = [[self.sqto(f, g) for g in spec.members] for f in spec.members]
-            return spectra.hat_from_sqto(spec, table)
-
-        return self._cached("hat", fresh, p_mask)
+        spec = self.spectrum(p_mask)
+        table = [[self.sqto(f, g) for g in spec.members] for f in spec.members]
+        return spectra.hat_from_sqto(spec, table)
 
 
 def _registry():
@@ -259,6 +248,11 @@ DENSE_STATEMENTS, dense = _registry()
 
 def _chains_only(ctx: Ctx) -> bool:
     return ctx.linear
+
+
+def _nontrivial_chains_only(ctx: Ctx) -> bool:
+    """A chain of at least two elements: its 0 has a successor."""
+    return ctx.linear and ctx.a.size >= 2
 
 
 def _power_set_scannable(ctx: Ctx) -> bool:
@@ -724,6 +718,9 @@ def _quot_commute(ctx, out):
 
 @finite("thm:kernel-sqto", "⊸ keeps the common kernel")
 def _kernel_sqto(ctx, out):
+    """K(F⊸G) = K(F) for nested primes with K(F) = K(G).  On a finite algebra
+    nested primes share their kernel (prime implication filters are maximal),
+    so the K(F) ≠ K(G) guard never skips a pair."""
     for f, g in _nested_pairs(ctx.primes):
         kf = ctx.kernel(f)
         if kf != ctx.kernel(g):
@@ -744,7 +741,7 @@ def _boundary(ctx, out):
                 out.append((*_shown(ctx, f, p), str(e)))
                 continue
             cplus = calculus.boundary_coset(a, calculus.set_plus(a, f), p)
-            if cplus != _image(c, a.neg):
+            if cplus != mask_of(a.neg[z] for z in iter_mask(c)):
                 out.append(("plus-negation", *_shown(ctx, f, p)))
 
 
@@ -757,14 +754,6 @@ def _chain_intervals(a: MvAlgebra):
     for x, y in _pairs(range(a.size)):
         if a.leq(x, y):
             yield a.up_mask[x] & a.down_mask[y]
-
-
-def _image(c: int, values) -> int:
-    """{values[z] | z ∈ C} as a mask."""
-    m = 0
-    for z in iter_mask(c):
-        m |= 1 << values[z]
-    return m
 
 
 def _convex_column_images(ctx, out, table):
@@ -801,7 +790,7 @@ def _convex_imp(ctx, out):
 def _convex_neg(ctx, out):
     a = ctx.a
     for c in _chain_intervals(a):
-        if not calculus.is_convex(a, _image(c, a.neg)):
+        if not calculus.is_convex(a, mask_of(a.neg[z] for z in iter_mask(c))):
             out.append(_shown(ctx, c))
 
 
@@ -812,7 +801,7 @@ def _convex_otimes(ctx, out):
 
 
 @finite("thm:discrete-principal", "trivial-kernel filters of a chain are principal",
-        when=_chains_only)
+        when=_nontrivial_chains_only)
 def _discrete(ctx, out):
     """Only the successor-structure branch can fail on a finite chain: ``Ctx``
     lists the lattice filters as the principal filters ↑x, so
@@ -828,7 +817,7 @@ def _discrete(ctx, out):
 
 
 @finite("prop:successor", "⊕c and ⊖c step to immediate neighbours",
-        when=_chains_only)
+        when=_nontrivial_chains_only)
 def _successor(ctx, out):
     res = filters.successor_structure(ctx.a)
     if res is None:
@@ -987,8 +976,6 @@ def _composite(ctx, out):
 # dense-chain statements
 
 
-# the largest denominator of a random cut endpoint
-_MAX_DEN = 1000
 # samples per statement: pairs in dense:closed-forms, triples in the others
 _PAIRS = 10_000
 _TRIPLES = 1_000
@@ -1026,8 +1013,8 @@ def _dense_closed_forms(seed, out):
         if dc.cut_sqto(f, g) != dc.oracle_sqto(f, g):
             out.append((str(f), str(g)))
     for rng in _draws(seed, "closed-forms", _PAIRS):
-        f = dc.random_proper_cut(rng, _MAX_DEN)
-        g = dc.random_proper_cut(rng, _MAX_DEN)
+        f = dc.random_proper_cut(rng)
+        g = dc.random_proper_cut(rng)
         if dc.cut_sqto(f, g) != dc.oracle_sqto(f, g):
             out.append((str(f), str(g)))
         if dc.cut_plus(f) != dc.oracle_plus(f):
@@ -1037,7 +1024,7 @@ def _dense_closed_forms(seed, out):
 @dense("dense:negate", "⊸ against the least filter is ⁺")
 def _dense_negate(seed, out):
     for rng in _draws(seed, "negate", _TRIPLES):
-        f = dc.random_proper_cut(rng, _MAX_DEN)
+        f = dc.random_proper_cut(rng)
         if dc.cut_sqto(f, dc.BOTTOM_FILTER) != dc.cut_plus(f):
             out.append((str(f),))
 
@@ -1046,11 +1033,8 @@ def _dense_negate(seed, out):
 def _dense_equiv(seed, out):
     cases = list(_boundary_templates())
     for rng in _draws(seed, "equiv", _TRIPLES):
-        cases.append(
-            (dc.random_proper_cut(rng, _MAX_DEN),
-             dc.random_proper_cut(rng, _MAX_DEN))
-        )
-        cases += _pairs(_proper_cuts_at(dc.random_fraction(rng, _MAX_DEN)))
+        cases.append((dc.random_proper_cut(rng), dc.random_proper_cut(rng)))
+        cases += _pairs(_proper_cuts_at(dc.random_fraction(rng)))
     for f, g in cases:
         collapsed = dc.cut_sqto(f, g) == dc.TOP
         expected = g.issubset(f) or (
@@ -1065,9 +1049,9 @@ def _dense_equiv(seed, out):
 @dense("dense:separation", "two strictly separated cuts give different ⊸ values")
 def _dense_separation(seed, out):
     for rng in _draws(seed, "separation", _TRIPLES):
-        f2 = dc.random_proper_cut(rng, _MAX_DEN)
+        f2 = dc.random_proper_cut(rng)
         # widen to guarantee at least two points strictly between the endpoints
-        gap = Fraction(1, rng.randint(2, _MAX_DEN))
+        gap = Fraction(1, rng.randint(2, dc.MAX_DEN))
         e1 = f2.endpoint + gap
         if e1 >= 1:
             continue
@@ -1084,8 +1068,8 @@ def _dense_separation(seed, out):
 @dense("dense:trans", "cut equivalence is transitive")
 def _dense_trans(seed, out):
     for rng in _draws(seed, "trans", _TRIPLES):
-        cuts = _proper_cuts_at(dc.random_fraction(rng, _MAX_DEN))
-        cuts.append(dc.random_proper_cut(rng, _MAX_DEN))
+        cuts = _proper_cuts_at(dc.random_fraction(rng))
+        cuts.append(dc.random_proper_cut(rng))
         # one ⊸ per ordered pair; x ≈ y when both directions collapse to {1}
         top = [[dc.cut_sqto(x, y) == dc.TOP for y in cuts] for x in cuts]
         idx = range(len(cuts))
@@ -1098,14 +1082,14 @@ def _dense_trans(seed, out):
 @dense("dense:congruence", "collapse on the left propagates through ⊸")
 def _dense_congruence(seed, out):
     for rng in _draws(seed, "congruence", _TRIPLES):
-        p = dc.random_fraction(rng, _MAX_DEN)
+        p = dc.random_fraction(rng)
         f, g = dc.Cut(p, dc.Kind.OPEN), dc.Cut(p, dc.Kind.CLOSED)
         if not (f.is_proper and g.is_proper):
             continue
         if dc.cut_sqto(f, g) != dc.TOP:
             out.append(("premise", str(f), str(g)))
             continue
-        h = dc.random_proper_cut(rng, _MAX_DEN)
+        h = dc.random_proper_cut(rng)
         lhs = dc.cut_sqto(dc.cut_sqto(g, h), dc.cut_sqto(f, h))
         if lhs != dc.TOP:
             out.append((str(f), str(g), str(h)))
@@ -1114,9 +1098,9 @@ def _dense_congruence(seed, out):
 @dense("dense:props", "the basic proposition suite holds for cuts")
 def _dense_props(seed, out):
     for rng in _draws(seed, "props", _TRIPLES):
-        f = dc.random_proper_cut(rng, _MAX_DEN)
-        g = dc.random_proper_cut(rng, _MAX_DEN)
-        h = dc.random_proper_cut(rng, _MAX_DEN)
+        f = dc.random_proper_cut(rng)
+        g = dc.random_proper_cut(rng)
+        h = dc.random_proper_cut(rng)
         s = dc.cut_sqto(f, g)
         if not s.issubset(g):
             out.append(("incl", str(f), str(g)))
@@ -1154,7 +1138,7 @@ def _dense_props(seed, out):
 @dense("dense:kernel", "every proper cut filter has trivial kernel")
 def _dense_kernel(seed, out):
     for rng in _draws(seed, "kernel", _TRIPLES):
-        f = dc.random_proper_cut(rng, _MAX_DEN)
+        f = dc.random_proper_cut(rng)
         if dc.cut_sqto(f, f) != dc.TOP:
             out.append((str(f),))
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mvfilters import calculus, cli
+from mvfilters import calculus, cli, run_finite
 from mvfilters.errors import InvalidArgument
 
 from conftest import drop_lowest
@@ -208,6 +208,18 @@ def test_compute_and_export_refuse_a_non_mv_table(run, specfile, tmp_path):
     )
     code, out, err = run("compute", good, "kernel(up(1))")
     assert (code, out, err) == (0, "{1}\n", "")
+
+
+def test_verify_passes_the_one_element_algebra(run, specfile):
+    # 0 = 1: a chain whose 0 has no successor, so the successor claims skip
+    one_point = {"kind": "table", "size": 1, "oplus": [[0]], "neg": [0], "zero": 0}
+    report = run_finite(cli.build_algebra(one_point))
+    status = {r.id: r.status for r in report.results}
+    assert {"fail", "error"}.isdisjoint(status.values())
+    assert status["thm:discrete-principal"] == status["prop:successor"] == "skip"
+    code, out, err = run("verify", specfile(one_point))
+    assert (code, err) == (0, "")
+    assert out.rstrip().endswith("46 passed, 0 failed, 2 skipped")
 
 
 def test_verify_exit_three_on_cap(run, specfile):

@@ -466,18 +466,45 @@ _KIND_BRANCHES = {
 }
 
 
-@pytest.mark.parametrize("branch", sorted(_KIND_BRANCHES))
-def test_dense_theorems_check_the_closed_form(monkeypatch, branch):
+def _branch_flipped(branch):
+    """cut_sqto, with the kind of its value flipped on every pair that takes branch."""
     real, hits = dc.cut_sqto, _KIND_BRANCHES[branch]
 
     def mutated(f, g):
         s = real(f, g)
         return _flip_kind(s) if not g.issubset(f) and hits(f, g) else s
 
-    monkeypatch.setattr(dc, "cut_sqto", mutated)
+    return mutated
+
+
+@pytest.mark.parametrize("branch", sorted(_KIND_BRANCHES))
+def test_dense_theorems_check_the_closed_form(monkeypatch, branch):
+    monkeypatch.setattr(dc, "cut_sqto", _branch_flipped(branch))
     theorems = [s for s in DENSE_STATEMENTS if s != "dense:closed-forms"]
     report = mv.run_dense(seed=0, only=theorems)
     assert [r.id for r in report.results if r.status == "fail"]
+
+
+@pytest.mark.parametrize(
+    "branch, witnesses",
+    [("closed-target", 2531), ("closed-meet", 1256), ("open-meet", 1199)],
+)
+def test_closed_forms_fails_on_each_flipped_sqto_branch(
+    monkeypatch, branch, witnesses
+):
+    monkeypatch.setattr(dc, "cut_sqto", _branch_flipped(branch))
+    (result,) = mv.run_dense(seed=0, only=["dense:closed-forms"]).results
+    assert result.status == "fail"
+    assert len(result.witnesses) == witnesses
+
+
+def test_closed_forms_fails_on_a_flipped_plus(monkeypatch):
+    real = dc.cut_plus
+    monkeypatch.setattr(dc, "cut_plus", lambda f: _flip_kind(real(f)))
+    (result,) = mv.run_dense(seed=0, only=["dense:closed-forms"]).results
+    assert result.status == "fail"
+    assert len(result.witnesses) == 9945
+    assert {w[0] for w in result.witnesses} == {"plus"}
 
 
 def _collapse_closed_pairs(real):
