@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from . import calculus, densechain as dc, filters, spectra, verify
 from .core import (
     MvAlgebra,
     check_mv_axioms,
-    iter_mask,
     make_lukasiewicz_chain,
     make_product,
 )
@@ -42,12 +42,22 @@ _SPEC_KEYS = {
 }
 
 
+def _indices(v, shape: tuple[int, ...], size: int) -> bool:
+    """v is nested lists of the given shape with element indices as leaves:
+    JSON integers in [0, size), which ``true`` and ``false`` are not."""
+    if not shape:
+        return type(v) is int and 0 <= v < size
+    return isinstance(v, list) and len(v) == shape[0] and all(
+        _indices(x, shape[1:], size) for x in v
+    )
+
+
 def _validate_spec(obj, allow_dense: bool, path: str = "spec"):
     if not isinstance(obj, dict):
         raise InvalidArgument(f"{path}: must be an object")
     kind = obj.get("kind")
-    if kind not in _SPEC_KEYS or (kind == "dense" and not allow_dense):
-        allowed = sorted(k for k in _SPEC_KEYS if allow_dense or k != "dense")
+    allowed = sorted(k for k in _SPEC_KEYS if allow_dense or k != "dense")
+    if kind not in allowed:  # a list compares by ==, so kind may be unhashable
         raise InvalidArgument(
             f"{path}.kind: must be one of {', '.join(allowed)} (got {kind!r})"
         )
@@ -56,7 +66,7 @@ def _validate_spec(obj, allow_dense: bool, path: str = "spec"):
         raise InvalidArgument(f"{path}: unknown keys {sorted(unknown)}")
     if kind == "lukasiewicz":
         n = obj.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        if type(n) is not int or n < 2:
             raise InvalidArgument(f"{path}.n: must be an integer >= 2")
     elif kind == "product":
         factors = obj.get("factors")
@@ -68,35 +78,15 @@ def _validate_spec(obj, allow_dense: bool, path: str = "spec"):
             _validate_spec(sub, allow_dense=False, path=f"{path}.factors[{i}]")
     elif kind == "table":
         size = obj.get("size")
-        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+        if type(size) is not int or size < 1:
             raise InvalidArgument(f"{path}.size: must be a positive integer")
-        oplus = obj.get("oplus")
-        ok = (
-            isinstance(oplus, list)
-            and len(oplus) == size
-            and all(
-                isinstance(row, list)
-                and len(row) == size
-                and all(isinstance(v, int) and 0 <= v < size for v in row)
-                for row in oplus
-            )
-        )
-        if not ok:
-            raise InvalidArgument(
-                f"{path}.oplus: must be a {size}x{size} matrix of element indices"
-            )
-        neg = obj.get("neg")
-        if not (
-            isinstance(neg, list)
-            and len(neg) == size
-            and all(isinstance(v, int) and 0 <= v < size for v in neg)
+        for key, shape, want in (
+            ("oplus", (size, size), f"be a {size}x{size} matrix of element indices"),
+            ("neg", (size,), "list one element index per element"),
+            ("zero", (), "be an element index"),
         ):
-            raise InvalidArgument(
-                f"{path}.neg: must list one element index per element"
-            )
-        zero = obj.get("zero")
-        if not (isinstance(zero, int) and 0 <= zero < size):
-            raise InvalidArgument(f"{path}.zero: must be an element index")
+            if not _indices(obj.get(key), shape, size):
+                raise InvalidArgument(f"{path}.{key}: must {want}")
 
 
 def parse_spec(text: str, allow_dense: bool = False) -> dict:
@@ -107,6 +97,8 @@ def parse_spec(text: str, allow_dense: bool = False) -> dict:
         raise InvalidArgument(
             f"spec syntax error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
+    except ValueError:  # an integer past Python's conversion limit
+        raise InvalidArgument("spec holds an integer with too many digits") from None
     _validate_spec(obj, allow_dense=allow_dense)
     return obj
 
@@ -171,6 +163,8 @@ def _load_spec(path: str, allow_dense: bool) -> dict:
             text = fh.read()
     except OSError as e:
         raise InvalidArgument(f"cannot read spec file {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise InvalidArgument(f"spec file {path} is not UTF-8 text") from None
     return parse_spec(text, allow_dense=allow_dense)
 
 
@@ -260,22 +254,25 @@ def _element(a: MvAlgebra, raw: str, pos: int) -> int:
     raise ExprError(f"no element labelled {raw!r}", pos)
 
 
-def _prime(a: MvAlgebra, pos: int, raw: str) -> int:
+def _prime(a: MvAlgebra, raw: str) -> tuple[int, int]:
+    """(k, mask) of the k-th prime implication filter, k read from raw."""
     try:
         k = int(raw)
     except ValueError:
-        raise ExprError(f"P(...) takes an index, got {raw!r}", pos) from None
+        raise InvalidArgument(f"expected a prime index, got {raw!r}") from None
     primes = filters.enumerate_implication_filters(a, prime_only=True)
     if not 0 <= k < len(primes):
-        raise ExprError(
-            f"P({k}) out of range; {len(primes)} prime implication filters exist",
-            pos,
+        raise InvalidArgument(
+            f"index {k} out of range; {len(primes)} prime implication filters exist"
         )
-    return primes[k]
+    return k, primes[k]
 
 
 def _cut(pos: int, point: str, kind: str) -> dc.Cut:
     try:
+        # p, p/q or a plain decimal: Fraction expands an exponent digit by digit
+        if not re.fullmatch(r"[+-]?(\d+/\d+|\d*\.?\d+)", point):
+            raise ValueError
         p = Fraction(point)
     except (ValueError, ZeroDivisionError):
         raise ExprError(f"not a rational number: {point!r}", pos) from None
@@ -293,7 +290,7 @@ def _cut(pos: int, point: str, kind: str) -> dc.Cut:
 # The ops look their function up on its module when they run.
 _OPERATORS = {
     "up": (("raw",), lambda a, pos, x: a.up_mask[_element(a, x, pos)], None),
-    "P": (("raw",), _prime, None),
+    "P": (("raw",), lambda a, pos, k: _prime(a, k)[1], None),
     "cut": (("raw", "raw"), None, _cut),
     "plus": (("expr",), lambda a, pos, f: calculus.set_plus(a, f),
              lambda pos, f: dc.cut_plus(f)),
@@ -325,7 +322,11 @@ def _eval(node, a: MvAlgebra | None):
 def evaluate(spec: dict, expression: str) -> str:
     node = _Parser(expression).parse()
     if spec["kind"] == "dense":
-        return str(_eval(node, None))
+        cut = _eval(node, None)
+        try:
+            return str(cut)
+        except ValueError:  # past Python's limit on integer-to-text digits
+            raise ResourceLimit("the endpoint has too many digits to print") from None
     a = _build_certified(spec)
     return a.label_set(_eval(node, a))
 
@@ -375,15 +376,9 @@ def export(spec: dict, what: str, fmt: str) -> str:
         masks = filters.enumerate_lattice_filters(a)
         return _dot_of_containment(f"filters of {a.name}", masks, a.label_set)
     kind, _, idx = what.partition(":")
-    if kind in ("spectrum", "hat") and idx.isdigit():
-        primes = filters.enumerate_implication_filters(a, prime_only=True)
-        k = int(idx)
-        if not 0 <= k < len(primes):
-            raise InvalidArgument(
-                f"index {k} out of range; {len(primes)} prime implication "
-                "filters exist"
-            )
-        spec_ = spectra.prime_spectrum(a, primes[k])
+    if kind in ("spectrum", "hat"):
+        k, p = _prime(a, idx)
+        spec_ = spectra.prime_spectrum(a, p)
         if kind == "spectrum":
             if fmt != "dot":
                 raise InvalidArgument("spectra are exported as dot")
@@ -478,6 +473,9 @@ def main(argv=None) -> int:
         return 3
     except MvError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:  # only a spec or an expression nests this deep
+        print("error: the spec or the expression nests too deeply", file=sys.stderr)
         return 2
 
 

@@ -180,15 +180,14 @@ def oracle_member(f: Cut, g: Cut, z: Fraction) -> bool:
 # randomised inputs and the derived chain view
 
 
-def random_fraction(rng: random.Random, max_den: int = MAX_DEN) -> Fraction:
-    den = rng.randint(1, max_den)
+def random_fraction(rng: random.Random) -> Fraction:
+    den = rng.randint(1, MAX_DEN)
     return Fraction(rng.randint(0, den), den)
 
 
-def random_proper_cut(rng: random.Random, max_den: int = MAX_DEN) -> Cut:
+def random_proper_cut(rng: random.Random) -> Cut:
     while True:
-        c = Cut(random_fraction(rng, max_den),
-                rng.choice((Kind.OPEN, Kind.CLOSED)))
+        c = Cut(random_fraction(rng), rng.choice((Kind.OPEN, Kind.CLOSED)))
         if c.is_proper:
             return c
 

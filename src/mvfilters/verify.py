@@ -112,7 +112,11 @@ class Ctx:
     filters are the principal filters ↑x and implication filters are ↑b for
     idempotent b.  That is exact for MV-algebras only (finite products of
     Łukasiewicz chains; Cignoli, D'Ottaviano and Mundici, 2000); a ``table``
-    spec is not certified before its filters are listed.
+    spec is not certified before its filters are listed.  The four lists
+    answer membership too: a statement asks ``m in ctx.lattice`` (or
+    ``primes``, ``impl``, ``prime_impl``) rather than deciding it again by a
+    predicate.  ``enum:crosscheck`` and ``impl:lattice-otimes`` certify the
+    lists against the definitional predicates by a power-set scan.
 
     A method marked ``@_memo`` computes its value once per argument tuple,
     by the one definition in its module, and keeps it in
@@ -147,14 +151,6 @@ class Ctx:
     @_memo
     def subordinate(self, f_mask: int, elem: int) -> int:
         return calculus.subordinate(self.a, f_mask, elem)
-
-    @_memo
-    def is_lattice_filter(self, mask: int) -> bool:
-        return filters.is_lattice_filter(self.a, mask)
-
-    @_memo
-    def is_prime_lattice_filter(self, mask: int) -> bool:
-        return filters.is_prime_lattice_filter(self.a, mask)
 
     @_memo
     def rows(self, table: str, mask: int) -> dict[int, int]:
@@ -409,7 +405,7 @@ def _fact_a(ctx, out):
         for v, xm in states.items():
             if calculus.kernel_rel(a, f, xm) != v:
                 out.append(("kernel_rel differs", *_shown(ctx, f, xm)))
-            elif not ctx.is_lattice_filter(v):
+            elif v not in ctx.lattice:
                 out.append(_shown(ctx, f, xm))
 
 
@@ -494,7 +490,7 @@ def _subord_prime(ctx, out):
     for f in ctx.primes:
         for x in _outside(ctx, f):
             s = ctx.subordinate(f, x)
-            if s and not ctx.is_prime_lattice_filter(s):
+            if s and s not in ctx.primes:
                 out.append((ctx.show(f), x, ctx.show(s)))
 
 
@@ -508,24 +504,21 @@ def _plus_inv(ctx, out):
 
 @finite("kernel:inside", "the kernel is an implication filter inside its filter")
 def _kernel_inside(ctx, out):
-    a = ctx.a
     for f in ctx.lattice:
         k = ctx.kernel(f)
         if k & ~f:
             out.append(("containment", ctx.show(f)))
-        if not filters.is_implication_filter(a, k):
+        if k not in ctx.impl:
             out.append(("not an implication filter", ctx.show(f)))
 
 
 @finite("kernel:prime-iff", "kernels are prime exactly when the filter is")
 def _kernel_prime_iff(ctx, out):
-    a = ctx.a
     for f in ctx.lattice:
-        if f == a.full_mask:
+        if f == ctx.a.full_mask:
             continue
         k = ctx.kernel(f)
-        if (filters.is_prime_lattice_filter(a, f)
-                != filters.is_prime_implication_filter(a, k)):
+        if (f in ctx.primes) != (k in ctx.prime_impl):
             out.append(_shown(ctx, f, k))
 
 
@@ -633,7 +626,7 @@ def _small(ctx, out):
         ju = ctx.j_up(f, p)
         if f & ~ju:
             out.append(("does not contain F", *_shown(ctx, f, p)))
-        elif not ctx.is_lattice_filter(ju):
+        elif ju not in ctx.lattice:
             out.append(("not a lattice filter", *_shown(ctx, f, p)))
         elif p & ~ctx.kernel(ju):
             out.append(("kernel misses P", *_shown(ctx, f, p)))

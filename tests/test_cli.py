@@ -249,6 +249,127 @@ def test_usage_errors_exit_two(run, specfile, tmp_path):
     assert code == 2
 
 
+def _nested_product(depth):
+    """A product spec nested depth factors deep, as JSON text: json.dumps
+    recurses once per level and cannot write 2,000 of them."""
+    leaf = '{"kind": "lukasiewicz", "n": 2}'
+    head = '{"kind": "product", "factors": [' * depth
+    return (head + leaf + f", {leaf}]}}" * depth).encode()
+
+
+BOOL_TABLE = {"kind": "table", "size": 2, "oplus": [[False, True], [True, True]],
+              "neg": [True, False], "zero": False}
+TABLE2 = {"kind": "table", "size": 2, "oplus": [[0, 1], [1, 1]], "neg": [1, 0],
+          "zero": 0}
+BIG = "7" * 5000  # past Python's 4300-digit limit on int <-> text conversion
+
+# (spec written to the spec file, the command's other arguments, the error);
+# "{out}" stands for an output path, which must stay unwritten
+REFUSED_INPUTS = {
+    "not-utf8": (b"\xff\xfe{}", ("verify",), "is not UTF-8 text"),
+    "spec-nested-2000": (_nested_product(2000), ("verify",), "nests too deeply"),
+    "expr-nested-1500": (
+        L3, ("compute", "plus(" * 1500 + "up(1)" + ")" * 1500), "nests too deeply"
+    ),
+    "endpoint-exponent": (
+        DENSE, ("compute", "cut(1e-5000, open)"), "not a rational number"
+    ),
+    "export-index-digits": (
+        {"kind": "lukasiewicz", "n": 8},
+        ("export", f"hat:{BIG}", "--format", "csv", "-o", "{out}"),
+        "expected a prime index",
+    ),
+    "bool-table-verify": (BOOL_TABLE, ("verify",), "spec.oplus: must be a 2x2"),
+    "bool-table-compute": (BOOL_TABLE, ("compute", "up(1)"), "spec.oplus"),
+    "bool-table-export": (
+        BOOL_TABLE, ("export", "filters", "--format", "dot", "-o", "{out}"),
+        "spec.oplus",
+    ),
+    "bool-neg": (TABLE2 | {"neg": [True, 0]}, ("verify",), "spec.neg: must list"),
+    "bool-zero": (TABLE2 | {"zero": False}, ("verify",), "spec.zero: must be"),
+    "kind-unhashable": ({"kind": []}, ("verify",), "spec.kind: must be one of"),
+    "integer-digits": (
+        f'{{"kind": "lukasiewicz", "n": {BIG}}}'.encode(), ("verify",),
+        "integer with too many digits",
+    ),
+    # the rejections below were reachable before, but no test reached them
+    "not-an-object": ([1, 2], ("verify",), "spec: must be an object"),
+    "factors-not-a-list": (
+        {"kind": "product", "factors": L3}, ("verify",),
+        "spec.factors: must be a list of at least two specs",
+    ),
+    "factors-one": (
+        {"kind": "product", "factors": [L3]}, ("verify",), "spec.factors: must be"
+    ),
+    "size": (TABLE2 | {"size": 0}, ("verify",), "spec.size: must be a positive"),
+    "oplus": (
+        TABLE2 | {"oplus": [[0, 1], [1]]}, ("verify",),
+        "spec.oplus: must be a 2x2 matrix of element indices",
+    ),
+    "neg": (TABLE2 | {"neg": [1, 2]}, ("verify",), "spec.neg: must list one"),
+    "zero": (TABLE2 | {"zero": 2}, ("verify",), "spec.zero: must be an element"),
+    "operator-name": (L3, ("compute", "(up(1))"), "expected an operator name"),
+    "argument": (L3, ("compute", "sqto(up(1), up( ))"), "expected an argument"),
+    "P-not-an-index": (
+        L3, ("compute", "Ju(up(1), P(x))"), "expected a prime index, got 'x'"
+    ),
+    "P-out-of-range": (
+        L3, ("compute", "P(3)"),
+        "index 3 out of range; 1 prime implication filters exist",
+    ),
+    "endpoint-not-a-number": (
+        DENSE, ("compute", "cut(half, open)"), "not a rational number"
+    ),
+    "endpoint-improper": (
+        DENSE, ("compute", "plus(cut(1, open))"), "is not a proper cut filter"
+    ),
+    "filters-as-csv": (
+        L3, ("export", "filters", "--format", "csv", "-o", "{out}"),
+        "the filter order is exported as dot",
+    ),
+    "spectrum-as-csv": (
+        L3, ("export", "spectrum:0", "--format", "csv", "-o", "{out}"),
+        "spectra are exported as dot",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_INPUTS))
+def test_refused_input_exits_two(run, tmp_path, case):
+    spec, args, message = REFUSED_INPUTS[case]
+    path = tmp_path / "spec.json"
+    path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
+    out_path = tmp_path / "out"
+    command, *rest = args
+    argv = [command, str(path), *(a.replace("{out}", str(out_path)) for a in rest)]
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+    assert not out_path.exists()
+
+
+def test_endpoints_are_integers_fractions_or_decimals(run, specfile):
+    path = specfile(DENSE, "dense.json")
+    for point in ("1/2", "0.5", ".5", "2/4", "+0.50"):
+        code, out, err = run("compute", path, f"cut({point}, open)")
+        assert (code, out, err) == (0, "(1/2,1]\n", ""), point
+    code, out, err = run("compute", path, "cut(1, closed)")
+    assert (code, out, err) == (0, "[1,1]\n", "")
+    for point in ("5e-1", "1/2e0", "0x1", "1_0/20", "1/.5", "inf", "nan"):
+        code, out, err = run("compute", path, f"cut({point}, open)")
+        assert code == 2 and "not a rational number" in err, point
+
+
+def test_an_endpoint_too_long_to_print_exits_three(run, specfile):
+    # each endpoint reads, but 1 - q + p has about 6,000 digits
+    q, p = 10**3000 + 1, 10**3000 + 3
+    expr = f"sqto(cut(1/{q}, open), cut(1/{p}, closed))"
+    code, out, err = run("compute", specfile(DENSE, "dense.json"), expr)
+    assert (code, out) == (3, "")
+    assert err == "error: the endpoint has too many digits to print\n"
+
+
 def test_help_exits_zero(run):
     code, out, err = run("--help")
     assert code == 0

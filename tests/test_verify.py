@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from functools import reduce
 from itertools import combinations
 
@@ -89,10 +90,6 @@ def _fresh(a, name, args):
         return spectra.build_hat(spectra.prime_spectrum(a, *args))
     if name == "quotient":
         return core.quotient_by(a, *args)
-    if name == "is_lattice_filter":
-        return filters.is_lattice_filter(a, *args)
-    if name == "is_prime_lattice_filter":
-        return filters.is_prime_lattice_filter(a, *args)
     if name == "rows":
         table, mask = args
         return calculus.rows(getattr(a, table), mask, a.full_mask)
@@ -129,8 +126,7 @@ def test_memo_entries_equal_fresh_calls(monkeypatch):
     assert mv.run_finite(a).ok
     (ctx,) = built
     assert set(ctx.memo) == {
-        "sqto", "kernel", "subordinate", "is_lattice_filter",
-        "is_prime_lattice_filter", "spectrum", "hat", "quotient", "rows",
+        "sqto", "kernel", "subordinate", "spectrum", "hat", "quotient", "rows",
         "cosets", "image", "quotient_rows", "quotient_sqto",
     }
     for name, table in ctx.memo.items():
@@ -329,6 +325,44 @@ def test_convex_lemmas_can_fail(monkeypatch, l5, stmt):
     assert_check_can_fail(
         monkeypatch, l5, stmt, calculus, "is_convex", _negated_on_three
     )
+
+
+def _plus_after(real):
+    """sqto, returning (F⊸G)⁺ instead of F⊸G."""
+    def corrupted(a, f, g):
+        return calculus.set_plus(a, real(a, f, g))
+
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "algebra_id, stmt",
+    [
+        ("L5", "prop:monotone"), ("L5", "prop:revIncl"), ("L5", "cor:sqto-triple"),
+        ("L2xL3", "prop:monotone"), ("L2xL3", "prop:revIncl"),
+    ],
+)
+def test_sqto_order_statements_can_fail(monkeypatch, algebra_id, stmt):
+    assert_check_can_fail(
+        monkeypatch, ALL_ALGEBRAS[algebra_id], stmt, calculus, "sqto", _plus_after
+    )
+
+
+def _with_own_element(real):
+    """subordinate, with x itself added to F_x."""
+    def corrupted(a, f, x):
+        return real(a, f, x) | 1 << x
+
+    return corrupted
+
+
+def test_subord_monotone_fails_on_both_branches(monkeypatch, l2xl3):
+    stmt = "fact:subord-monotone"
+    assert_check_can_fail(
+        monkeypatch, l2xl3, stmt, calculus, "subordinate", _with_own_element
+    )
+    (result,) = mv.run_finite(l2xl3, only=[stmt]).results
+    assert Counter(w[0] for w in result.witnesses) == {"monotone": 18, "join": 2}
 
 
 def _relabelled(a, perm):
