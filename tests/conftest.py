@@ -1,6 +1,6 @@
 import pytest
 
-from mvfilters import make_lukasiewicz_chain, run_finite
+from mvfilters import densechain as dc, make_lukasiewicz_chain, run_finite
 from mvfilters.core import make_product
 
 
@@ -65,6 +65,34 @@ def assert_check_can_fail(monkeypatch, a, stmt, owner, name, corrupt):
     assert run_finite(a, only=[stmt]).results[0].status == "pass"
     monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
     assert run_finite(a, only=[stmt]).results[0].status == "fail"
+
+
+def flip_kind(s):
+    """The kind of s flipped, unless that would leave the proper cuts."""
+    flipped = dc.Cut(s.endpoint, dc.Kind.OPEN if s.kind is dc.Kind.CLOSED
+                     else dc.Kind.CLOSED)
+    return flipped if flipped.is_proper else s
+
+
+# cut_sqto's three kind branches, as conditions on its arguments
+KIND_BRANCHES = {
+    "closed-target": lambda f, g: g.kind is dc.Kind.CLOSED,
+    "closed-meet": lambda f, g: g.kind is dc.Kind.OPEN
+    and dc.intersect(f, g).kind is dc.Kind.CLOSED,
+    "open-meet": lambda f, g: g.kind is dc.Kind.OPEN
+    and dc.intersect(f, g).kind is dc.Kind.OPEN,
+}
+
+
+def branch_flipped(branch):
+    """cut_sqto, with the kind of its value flipped on every pair that takes branch."""
+    real, hits = dc.cut_sqto, KIND_BRANCHES[branch]
+
+    def mutated(f, g):
+        s = real(f, g)
+        return flip_kind(s) if not g.issubset(f) and hits(f, g) else s
+
+    return mutated
 
 
 @pytest.fixture(params=sorted(ALL_ALGEBRAS), ids=sorted(ALL_ALGEBRAS))

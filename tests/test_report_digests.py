@@ -9,10 +9,17 @@ the unmutated report's: ``phi-swap`` (no statement applies Φ to a pair on
 which it does not commute) and ``is_convex-not`` on Ł2×Ł3 (the convex
 lemmas skip on products).
 
+The dense reports are pinned the same way in ``DENSE_DIGESTS``: the sha256
+of ``run_dense(seed=s).to_json()`` for three seeds, and at seed 0 under each
+flip of a ``cut_sqto`` kind branch and under a kind flip of ``cut_plus``.
+A change to the cut representation or arithmetic that moves a sample, a
+verdict or a printed cut fails here.
+
 When a change of witnesses is intended, re-pin: run
 ``PYTHONPATH=src python tests/test_report_digests.py``, which prints the
-current table in the form of ``DIGESTS``, and paste it over the old one.
-Say in the change's notes which digests moved and why.
+current tables in the form of ``DIGESTS`` and ``DENSE_DIGESTS``, and paste
+them over the old ones.  Say in the change's notes which digests moved and
+why.
 """
 
 import hashlib
@@ -20,9 +27,11 @@ import hashlib
 import pytest
 
 import mvfilters as mv
-from mvfilters import calculus, filters
+from mvfilters import calculus, densechain as dc, filters
 
-from conftest import ALL_ALGEBRAS, drop_lowest
+from conftest import (
+    ALL_ALGEBRAS, KIND_BRANCHES, branch_flipped, drop_lowest, flip_kind,
+)
 
 
 def swap_arguments(real):
@@ -134,6 +143,60 @@ def test_mutant_report_is_pinned(monkeypatch, algebra_id, mutant):
     )
 
 
+def plus_flipped():
+    """cut_plus, with the kind of every value flipped."""
+    real = dc.cut_plus
+
+    def corrupted(f):
+        return flip_kind(real(f))
+
+    return corrupted
+
+
+# mutant name -> (densechain attribute, factory of its corrupted version)
+DENSE_MUTANTS = {
+    f"cut_sqto-{branch}": ("cut_sqto", lambda branch=branch: branch_flipped(branch))
+    for branch in KIND_BRANCHES
+} | {
+    "cut_plus-flip": ("cut_plus", plus_flipped),
+}
+
+DENSE_CASES = [(seed, "none") for seed in (0, 1, 41)] + [
+    (0, mutant) for mutant in sorted(DENSE_MUTANTS)
+]
+
+DENSE_DIGESTS = {
+    (0, "none"):
+        "77bcf9d418bb8416123ece638b355768104e9e3edcae1ff850be614a40bc0828",
+    (1, "none"):
+        "27eb6b348534d3d200edb795febf15c9688280dc30dea7b43b5bac099014ecc9",
+    (41, "none"):
+        "87727e7b9afdf4c7a0d8f93e0d617895ce3401d9d7b63fae201ca3d48636fb70",
+    (0, "cut_plus-flip"):
+        "00e2377d30f24d014397f3a8aef4f168398ab6bd929f7d39097a3494c9d79a15",
+    (0, "cut_sqto-closed-meet"):
+        "184313e9f7447919d50dfb6bee110849b55c0020f4b28c517d81431065002f95",
+    (0, "cut_sqto-closed-target"):
+        "5899eb7de375a9f2c7fc53f3ac50e0f314c21d5e73c2c59c444d609f143d4f68",
+    (0, "cut_sqto-open-meet"):
+        "35ac4fbf06d80e66da9f223afe5df231ff7228e39aa0cce315f318407d5dcaa7",
+}
+
+
+def dense_digest(monkeypatch, seed, mutant):
+    with monkeypatch.context() as m:
+        if mutant != "none":
+            name, corrupt = DENSE_MUTANTS[mutant]
+            m.setattr(dc, name, corrupt())
+        report = mv.run_dense(seed=seed).to_json()
+    return hashlib.sha256(report.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed, mutant", DENSE_CASES)
+def test_dense_report_is_pinned(monkeypatch, seed, mutant):
+    assert dense_digest(monkeypatch, seed, mutant) == DENSE_DIGESTS[seed, mutant]
+
+
 if __name__ == "__main__":
     with pytest.MonkeyPatch.context() as mp:
         print("DIGESTS = {")
@@ -141,4 +204,9 @@ if __name__ == "__main__":
             for mutant in sorted(MUTANTS):
                 digest = report_digest(mp, algebra_id, mutant)
                 print(f'    ("{algebra_id}", "{mutant}"):\n        "{digest}",')
+        print("}")
+        print("DENSE_DIGESTS = {")
+        for seed, mutant in DENSE_CASES:
+            digest = dense_digest(mp, seed, mutant)
+            print(f'    ({seed}, "{mutant}"):\n        "{digest}",')
         print("}")

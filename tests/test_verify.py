@@ -12,7 +12,8 @@ from mvfilters.errors import InvalidArgument
 from mvfilters.verify import DENSE_STATEMENTS, FINITE_STATEMENTS
 
 from conftest import (
-    ALL_ALGEBRAS, CHAINS, PRODUCTS, assert_check_can_fail, drop_lowest, product,
+    ALL_ALGEBRAS, CHAINS, KIND_BRANCHES, PRODUCTS, assert_check_can_fail,
+    branch_flipped, drop_lowest, flip_kind, product,
 )
 
 
@@ -483,37 +484,9 @@ def test_a_raising_statement_is_an_error_not_an_abort(monkeypatch):
     assert not report.ok and json.loads(report.to_json())["ok"] is False
 
 
-def _flip_kind(s):
-    """The kind of s flipped, unless that would leave the proper cuts."""
-    flipped = dc.Cut(s.endpoint, dc.Kind.OPEN if s.kind is dc.Kind.CLOSED
-                     else dc.Kind.CLOSED)
-    return flipped if flipped.is_proper else s
-
-
-# cut_sqto's three kind branches, as conditions on its arguments
-_KIND_BRANCHES = {
-    "closed-target": lambda f, g: g.kind is dc.Kind.CLOSED,
-    "closed-meet": lambda f, g: g.kind is dc.Kind.OPEN
-    and dc.intersect(f, g).kind is dc.Kind.CLOSED,
-    "open-meet": lambda f, g: g.kind is dc.Kind.OPEN
-    and dc.intersect(f, g).kind is dc.Kind.OPEN,
-}
-
-
-def _branch_flipped(branch):
-    """cut_sqto, with the kind of its value flipped on every pair that takes branch."""
-    real, hits = dc.cut_sqto, _KIND_BRANCHES[branch]
-
-    def mutated(f, g):
-        s = real(f, g)
-        return _flip_kind(s) if not g.issubset(f) and hits(f, g) else s
-
-    return mutated
-
-
-@pytest.mark.parametrize("branch", sorted(_KIND_BRANCHES))
+@pytest.mark.parametrize("branch", sorted(KIND_BRANCHES))
 def test_dense_theorems_check_the_closed_form(monkeypatch, branch):
-    monkeypatch.setattr(dc, "cut_sqto", _branch_flipped(branch))
+    monkeypatch.setattr(dc, "cut_sqto", branch_flipped(branch))
     theorems = [s for s in DENSE_STATEMENTS if s != "dense:closed-forms"]
     report = mv.run_dense(seed=0, only=theorems)
     assert [r.id for r in report.results if r.status == "fail"]
@@ -526,7 +499,7 @@ def test_dense_theorems_check_the_closed_form(monkeypatch, branch):
 def test_closed_forms_fails_on_each_flipped_sqto_branch(
     monkeypatch, branch, witnesses
 ):
-    monkeypatch.setattr(dc, "cut_sqto", _branch_flipped(branch))
+    monkeypatch.setattr(dc, "cut_sqto", branch_flipped(branch))
     (result,) = mv.run_dense(seed=0, only=["dense:closed-forms"]).results
     assert result.status == "fail"
     assert len(result.witnesses) == witnesses
@@ -534,7 +507,7 @@ def test_closed_forms_fails_on_each_flipped_sqto_branch(
 
 def test_closed_forms_fails_on_a_flipped_plus(monkeypatch):
     real = dc.cut_plus
-    monkeypatch.setattr(dc, "cut_plus", lambda f: _flip_kind(real(f)))
+    monkeypatch.setattr(dc, "cut_plus", lambda f: flip_kind(real(f)))
     (result,) = mv.run_dense(seed=0, only=["dense:closed-forms"]).results
     assert result.status == "fail"
     assert len(result.witnesses) == 9945
