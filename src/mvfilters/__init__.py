@@ -2,7 +2,8 @@
 
 Finite algebras are handled exhaustively (elements as indices, subsets as
 bitmasks); the dense rational chain is handled symbolically with exact
-Fraction endpoints.  See the README for the calculus itself.
+endpoints, held as integers in lowest terms.  See the README for the
+calculus itself.
 
 The package root exports only the names of the README tour.  Everything else
 is imported from the module that defines it: ``mvfilters.core``,

@@ -5,14 +5,20 @@ with a rational endpoint.  [0,1] is the improper filter and ]1,1] the empty
 set; both are representable sentinels but rejected by the proper-filter
 operations.  Closed forms for ⁺ and ⊸ are paired with a quantifier
 elimination oracle that solves the defining condition directly.
+
+A cut stores its endpoint as two integers in lowest terms, ``num`` and
+``den > 0``.  The operations compare endpoints by cross-multiplication and
+reduce each new endpoint with one ``gcd``, so no ``Fraction`` is made on
+their path; ``Cut.endpoint`` builds one when it is read.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import gcd
 
 from .errors import InvalidArgument
 
@@ -26,43 +32,96 @@ class Kind(enum.Enum):
     CLOSED = "closed"
 
 
-@dataclass(frozen=True, slots=True)
+_OPEN, _CLOSED = Kind.OPEN, Kind.CLOSED
+_KINDS = (_OPEN, _CLOSED)
+
+
 class Cut:
     """]endpoint,1] when open, [endpoint,1] when closed.
 
-    ``is_proper`` is settled once, when the cut is made; it is neither an
-    argument nor part of ``==``, ``hash`` or ``repr``.
+    The endpoint is held as ``num/den`` in lowest terms with ``den > 0``;
+    ``endpoint`` is the same number as a ``Fraction``, made on each read.
+    ``Cut(endpoint, kind)`` takes an ``int`` or a ``Fraction`` in [0,1] and
+    a ``Kind``.  A cut is immutable, and ``==`` and ``hash`` read
+    ``(num, den, kind)``.  ``is_proper`` is settled once, when the cut is
+    made; it is neither an argument nor part of ``==``, ``hash`` or
+    ``repr``.
     """
 
-    endpoint: Fraction
-    kind: Kind
-    is_proper: bool = field(init=False, repr=False, compare=False)
+    __slots__ = ("num", "den", "kind", "is_proper")
 
-    def __post_init__(self):
-        # a Fraction keeps its denominator positive, so 0 <= endpoint <= 1
-        # reads off its integers without a Fraction comparison
-        num, den = self.endpoint.numerator, self.endpoint.denominator
+    def __new__(cls, endpoint: Fraction | int, kind: Kind):
+        if not isinstance(kind, Kind):
+            raise InvalidArgument(f"cut kind must be a Kind, got {kind!r}")
+        if isinstance(endpoint, bool) or not isinstance(endpoint, (int, Fraction)):
+            raise InvalidArgument(
+                f"cut endpoint must be an int or a Fraction, got {endpoint!r}"
+            )
+        # a Fraction keeps its denominator positive and its terms lowest
+        num, den = endpoint.numerator, endpoint.denominator
         if not 0 <= num <= den:
             raise InvalidArgument("cut endpoint must lie in [0,1]")
-        # proper unless improper (closed at 0) or empty (open at 1)
-        proper = num != 0 if self.kind is Kind.CLOSED else num != den
-        object.__setattr__(self, "is_proper", proper)
+        return _cut(num, den, kind)
+
+    @property
+    def endpoint(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Cut, (self.endpoint, self.kind)
+
+    def __eq__(self, other):
+        if other.__class__ is not Cut:
+            return NotImplemented
+        return (self.num == other.num and self.den == other.den
+                and self.kind is other.kind)
+
+    def __hash__(self):
+        return hash((self.num, self.den, self.kind))
+
+    def __repr__(self):
+        return f"Cut(endpoint={self.endpoint!r}, kind={self.kind!r})"
 
     def __contains__(self, x: Fraction) -> bool:
-        if self.kind is Kind.OPEN:
+        if self.kind is _OPEN:
             return self.endpoint < x <= ONE
         return self.endpoint <= x <= ONE
 
     def issubset(self, other: "Cut") -> bool:
-        if self.endpoint > other.endpoint:
-            return True
-        if self.endpoint < other.endpoint:
-            return False
-        return not (self.kind is Kind.CLOSED and other.kind is Kind.OPEN)
+        lhs, rhs = self.num * other.den, other.num * self.den
+        if lhs != rhs:
+            return lhs > rhs
+        return not (self.kind is _CLOSED and other.kind is _OPEN)
 
     def __str__(self):
-        left = "(" if self.kind is Kind.OPEN else "["
-        return f"{left}{self.endpoint},1]"
+        left = "(" if self.kind is _OPEN else "["
+        if self.den == 1:
+            return f"{left}{self.num},1]"
+        return f"{left}{self.num}/{self.den},1]"
+
+
+_new = object.__new__
+_set_num = Cut.num.__set__
+_set_den = Cut.den.__set__
+_set_kind = Cut.kind.__set__
+_set_proper = Cut.is_proper.__set__
+
+
+def _cut(num: int, den: int, kind: Kind) -> Cut:
+    """The cut at num/den, which must already be in lowest terms in [0,1]."""
+    c = _new(Cut)
+    _set_num(c, num)
+    _set_den(c, den)
+    _set_kind(c, kind)
+    # proper unless improper (closed at 0) or empty (open at 1)
+    _set_proper(c, num != 0 if kind is _CLOSED else num != den)
+    return c
 
 
 def open_cut(p) -> Cut:
@@ -82,10 +141,11 @@ def chain_imp(x: Fraction, y: Fraction) -> Fraction:
 
 
 def intersect(f: Cut, g: Cut) -> Cut:
-    if f.endpoint != g.endpoint:
-        return f if f.endpoint > g.endpoint else g
-    kind = Kind.OPEN if Kind.OPEN in (f.kind, g.kind) else Kind.CLOSED
-    return Cut(f.endpoint, kind)
+    lhs, rhs = f.num * g.den, g.num * f.den
+    if lhs != rhs:
+        return f if lhs > rhs else g
+    # one endpoint: the meet is open if either cut is
+    return g if g.kind is _OPEN else f
 
 
 def _require_proper(*cuts: Cut):
@@ -100,23 +160,29 @@ def _require_proper(*cuts: Cut):
 
 def cut_plus(f: Cut) -> Cut:
     """The subordinate at 0: swaps the endpoint with its negation and the kind."""
-    _require_proper(f)
-    kind = Kind.CLOSED if f.kind is Kind.OPEN else Kind.OPEN
-    return Cut(ONE - f.endpoint, kind)
+    if not f.is_proper:
+        _require_proper(f)
+    # gcd(den - num, den) = gcd(num, den) = 1, so 1 - num/den is in lowest terms
+    return _cut(f.den - f.num, f.den, _CLOSED if f.kind is _OPEN else _OPEN)
 
 
 def cut_sqto(f: Cut, g: Cut) -> Cut:
     """F ⊸ G by case dispatch on containment and the two endpoint kinds."""
-    _require_proper(f, g)
+    if not (f.is_proper and g.is_proper):
+        _require_proper(f, g)
     if g.issubset(f):
         return TOP  # collapses to the kernel of G, which is {1}
     fp = intersect(f, g)
-    q, p = fp.endpoint, g.endpoint
-    if g.kind is Kind.CLOSED:
-        return Cut(chain_imp(q, p), Kind.CLOSED)
-    if fp.kind is Kind.CLOSED:
-        return Cut(chain_imp(q, p), Kind.OPEN)
-    return Cut(chain_imp(q, p), Kind.CLOSED)
+    # min(1, 1 - q + p) is 1 - q + p: q, the endpoint of F∩G, is at least p
+    den = fp.den * g.den
+    num = den - fp.num * g.den + g.num * fp.den
+    k = gcd(num, den)
+    num, den = num // k, den // k
+    if g.kind is _CLOSED:
+        return _cut(num, den, _CLOSED)
+    if fp.kind is _CLOSED:
+        return _cut(num, den, _OPEN)
+    return _cut(num, den, _CLOSED)
 
 
 def kernel_of_cut(f: Cut) -> Cut:
@@ -139,29 +205,34 @@ def oracle_sqto(f: Cut, g: Cut) -> Cut:
     """
     _require_proper(f, g)
     fp = intersect(f, g)
-    q, p = fp.endpoint, g.endpoint
     # witness exists iff the open interval below B = p - z + 1 meets F∩G;
     # the comparison x ⋖ B is strict when G is closed (need x⊗z < p) and
-    # non-strict when G is open (x⊗z ≤ p already fails membership)
-    r = ONE - q + p
-    if g.kind is Kind.CLOSED:
+    # non-strict when G is open (x⊗z ≤ p already fails membership).  Either
+    # way the boundary is z = r = 1 - q + p, for q the endpoint of F∩G and p
+    # that of G; q >= p, so r lies in [0,1]
+    qn, qd, pn, pd = fp.num, fp.den, g.num, g.den
+    rn, rd = qd * pd + pn * qd - qn * pd, qd * pd
+    k = gcd(rn, rd)
+    rn, rd = rn // k, rd // k
+    if g.kind is _CLOSED:
         # strict bound: witness iff B > q, i.e. z < r
-        return Cut(r, Kind.CLOSED)
-    if fp.kind is Kind.CLOSED:
+        return _cut(rn, rd, _CLOSED)
+    if fp.kind is _CLOSED:
         # non-strict bound against a closed lower end: witness iff B >= q
-        return Cut(r, Kind.OPEN)
+        return _cut(rn, rd, _OPEN)
     # open lower end: witness iff B > q either way
-    return Cut(r, Kind.CLOSED)
+    return _cut(rn, rd, _CLOSED)
 
 
 def oracle_plus(f: Cut) -> Cut:
     """Pointwise {z | 1-z ∉ F} solved for z."""
     _require_proper(f)
-    if f.kind is Kind.OPEN:
+    # 1 - num/den shares num/den's denominator and stays in lowest terms
+    if f.kind is _OPEN:
         # 1-z <= q  iff  z >= 1-q
-        return Cut(ONE - f.endpoint, Kind.CLOSED)
+        return _cut(f.den - f.num, f.den, _CLOSED)
     # 1-z < q  iff  z > 1-q
-    return Cut(ONE - f.endpoint, Kind.OPEN)
+    return _cut(f.den - f.num, f.den, _OPEN)
 
 
 def oracle_member(f: Cut, g: Cut, z: Fraction) -> bool:
@@ -186,10 +257,14 @@ def random_fraction(rng: random.Random) -> Fraction:
 
 
 def random_proper_cut(rng: random.Random) -> Cut:
+    """Draws as random_fraction then a kind, until the cut is proper."""
     while True:
-        c = Cut(random_fraction(rng), rng.choice((Kind.OPEN, Kind.CLOSED)))
-        if c.is_proper:
-            return c
+        den = rng.randint(1, MAX_DEN)
+        num = rng.randint(0, den)
+        kind = rng.choice(_KINDS)
+        if (num != 0) if kind is _CLOSED else (num != den):
+            k = gcd(num, den)
+            return _cut(num // k, den // k, kind)
 
 
 def hat_class(f: Cut) -> Fraction:

@@ -95,6 +95,16 @@ def branch_flipped(branch):
     return mutated
 
 
+def plus_flipped():
+    """cut_plus, with the kind of every value flipped."""
+    real = dc.cut_plus
+
+    def corrupted(f):
+        return flip_kind(real(f))
+
+    return corrupted
+
+
 @pytest.fixture(params=sorted(ALL_ALGEBRAS), ids=sorted(ALL_ALGEBRAS))
 def algebra(request):
     return ALL_ALGEBRAS[request.param]

@@ -1,15 +1,16 @@
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mvfilters.densechain as dc
 from mvfilters.errors import InvalidArgument
 
 
-def F(s):
-    return Fraction(s)
+F = Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +91,29 @@ def test_cut_value_semantics():
         c < dc.closed_cut("1/2")  # cuts carry no order of their own
 
 
+@pytest.mark.parametrize(
+    "endpoint, kind",
+    [
+        (F(0), "closed"),  # a kind that is not a Kind
+        (0.5, dc.Kind.OPEN),  # a float endpoint
+        (True, dc.Kind.OPEN),  # a bool is an int, but not an endpoint
+    ],
+    ids=["str-kind", "float-endpoint", "bool-endpoint"],
+)
+def test_cut_refuses_unchecked_inputs(endpoint, kind):
+    with pytest.raises(InvalidArgument):
+        dc.Cut(endpoint, kind)
+
+
+def test_cut_holds_lowest_terms():
+    c = dc.Cut(F(6, 8), dc.Kind.CLOSED)
+    assert (c.num, c.den) == (3, 4) and c.endpoint == F(3, 4)
+    assert dc.Cut(1, dc.Kind.CLOSED) == dc.TOP and dc.TOP.den == 1
+    for name in ("num", "den"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(c, name, 1)
+
+
 def test_cut_str_and_membership():
     c = dc.open_cut("1/2")
     assert str(c) == "(1/2,1]"
@@ -144,6 +168,124 @@ def test_oracle_member_agrees_pointwise(monkeypatch):
         s = dc.cut_sqto(f, g)
         z = dc.random_fraction(rng)
         assert dc.oracle_member(f, g, z) == (z in s)
+
+
+# ---------------------------------------------------------------------------
+# an oracle that shares no code with densechain
+#
+# A cut is modelled as (endpoint, "open" | "closed"), and every operation is
+# written from its definition on the chain with Fraction arithmetic:
+# ]p,1] ⊆ ]q,1] iff p > q, or p = q unless the left cut is closed and the
+# right one open; the meet is the cut with the larger endpoint, open on a
+# tie if either is; ⁺ is (1 - p, the other kind); and F ⊸ G is {1} when
+# G ⊆ F, else it ends at min(1, 1 - q + p), for q the endpoint of F∩G and p
+# that of G, closed when G is, open when G is open and F∩G closed, and
+# closed when both are open.
+
+
+def model(c):
+    """The cut as (endpoint, kind), after checking that it is in lowest terms."""
+    assert c.den > 0 and gcd(c.num, c.den) == 1, (c.num, c.den)
+    return (F(c.num, c.den), c.kind.value)
+
+
+def ref_subset(f, g):
+    (p, k), (q, l) = f, g
+    return p > q or (p == q and not (k == "closed" and l == "open"))
+
+
+def ref_meet(f, g):
+    (p, k), (q, l) = f, g
+    if p != q:
+        return f if p > q else g
+    return (p, "open" if "open" in (k, l) else "closed")
+
+
+def ref_plus(f):
+    p, k = f
+    return (1 - p, "closed" if k == "open" else "open")
+
+
+def ref_sqto(f, g):
+    if ref_subset(g, f):
+        return (F(1), "closed")
+    (q, meet_kind), (p, g_kind) = ref_meet(f, g), g
+    r = min(F(1), 1 - q + p)
+    if g_kind == "closed":
+        return (r, "closed")
+    return (r, "open" if meet_kind == "closed" else "closed")
+
+
+def assert_matches_reference(f, g):
+    mf, mg = model(f), model(g)
+    assert f.issubset(g) == ref_subset(mf, mg)
+    assert model(dc.intersect(f, g)) == ref_meet(mf, mg)
+    expected = ref_sqto(mf, mg)
+    assert model(dc.cut_sqto(f, g)) == expected
+    assert model(dc.oracle_sqto(f, g)) == expected
+    assert model(dc.cut_plus(f)) == ref_plus(mf)
+    assert model(dc.oracle_plus(f)) == ref_plus(mf)
+
+
+def test_every_pair_of_cuts_up_to_denominator_12_matches_the_reference():
+    points = sorted({F(k, d) for d in range(1, 13) for k in range(d + 1)})
+    cuts = [c for p in points for c in (dc.open_cut(p), dc.closed_cut(p))
+            if c.is_proper]
+    assert len(cuts) == 2 * 47 - 2  # the Farey sequence of order 12 has 47 terms
+    for f in cuts:
+        for g in cuts:
+            assert_matches_reference(f, g)
+
+
+BIG = 2**64
+
+
+@st.composite
+def huge_cut_pairs(draw):
+    """Two proper cuts whose endpoints are drawn with denominators above 2⁶⁴;
+    the second shares the first's endpoint one time in four."""
+    def endpoint():
+        den = draw(st.integers(BIG + 1, BIG**2))
+        return F(draw(st.integers(0, den)), den)
+
+    p = endpoint()
+    q = p if draw(st.integers(0, 3)) == 0 else endpoint()
+    f = dc.Cut(p, draw(st.sampled_from(dc.Kind)))
+    g = dc.Cut(q, draw(st.sampled_from(dc.Kind)))
+    return f, g
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(huge_cut_pairs())
+def test_huge_endpoints_match_the_reference(pair):
+    f, g = pair
+    if f.is_proper and g.is_proper:
+        assert_matches_reference(f, g)
+
+
+def test_samplers_draw_the_same_stream(monkeypatch):
+    # the values and the rng state after them, as drawn by the Fraction-based
+    # samplers before cuts held integers
+    rng = random.Random(2026)
+    assert [str(dc.random_proper_cut(rng)) for _ in range(10)] == [
+        "(20/61,1]", "[38/151,1]", "[586/803,1]", "[60/77,1]", "(0,1]",
+        "(6/19,1]", "[5/461,1]", "(107/232,1]", "[128/407,1]", "[365/952,1]",
+    ]
+    assert [dc.random_fraction(rng) for _ in range(5)] == [
+        F(525, 764), F(13, 109), F(116, 247), F(71, 92), F(299, 551),
+    ]
+    assert rng.random() == 0.2876019362915143
+    # a small MAX_DEN, read at call time, draws many improper cuts to skip
+    monkeypatch.setattr(dc, "MAX_DEN", 3)
+    rng = random.Random(2026)
+    assert [str(dc.random_proper_cut(rng)) for _ in range(10)] == [
+        "[1,1]", "(0,1]", "[1,1]", "[1,1]", "[1/2,1]",
+        "[1,1]", "[1,1]", "(1/2,1]", "[1,1]", "[1,1]",
+    ]
+    assert [dc.random_fraction(rng) for _ in range(5)] == [
+        F(1), F(1, 2), F(1), F(0), F(1, 3),
+    ]
+    assert rng.random() == 0.7658263230994258
 
 
 # ---------------------------------------------------------------------------

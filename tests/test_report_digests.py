@@ -30,7 +30,7 @@ import mvfilters as mv
 from mvfilters import calculus, densechain as dc, filters
 
 from conftest import (
-    ALL_ALGEBRAS, KIND_BRANCHES, branch_flipped, drop_lowest, flip_kind,
+    ALL_ALGEBRAS, KIND_BRANCHES, branch_flipped, drop_lowest, plus_flipped,
 )
 
 
@@ -141,16 +141,6 @@ def test_mutant_report_is_pinned(monkeypatch, algebra_id, mutant):
     assert report_digest(monkeypatch, algebra_id, mutant) == (
         DIGESTS[algebra_id, mutant]
     )
-
-
-def plus_flipped():
-    """cut_plus, with the kind of every value flipped."""
-    real = dc.cut_plus
-
-    def corrupted(f):
-        return flip_kind(real(f))
-
-    return corrupted
 
 
 # mutant name -> (densechain attribute, factory of its corrupted version)

@@ -13,7 +13,7 @@ from mvfilters.verify import DENSE_STATEMENTS, FINITE_STATEMENTS
 
 from conftest import (
     ALL_ALGEBRAS, CHAINS, KIND_BRANCHES, PRODUCTS, assert_check_can_fail,
-    branch_flipped, drop_lowest, flip_kind, product,
+    branch_flipped, drop_lowest, plus_flipped, product,
 )
 
 
@@ -506,8 +506,7 @@ def test_closed_forms_fails_on_each_flipped_sqto_branch(
 
 
 def test_closed_forms_fails_on_a_flipped_plus(monkeypatch):
-    real = dc.cut_plus
-    monkeypatch.setattr(dc, "cut_plus", lambda f: flip_kind(real(f)))
+    monkeypatch.setattr(dc, "cut_plus", plus_flipped())
     (result,) = mv.run_dense(seed=0, only=["dense:closed-forms"]).results
     assert result.status == "fail"
     assert len(result.witnesses) == 9945
