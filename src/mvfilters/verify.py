@@ -111,8 +111,9 @@ class Ctx:
     The lists come from the theory enumeration in ``filters``: lattice
     filters are the principal filters ↑x and implication filters are ↑b for
     idempotent b.  That is exact for MV-algebras only (finite products of
-    Łukasiewicz chains; Cignoli, D'Ottaviano and Mundici, 2000); a ``table``
-    spec is not certified before its filters are listed.  The four lists
+    Łukasiewicz chains; Cignoli, D'Ottaviano and Mundici, 2000).  Every spec
+    the cli builds is certified first, so only a hand-built ``MvAlgebra`` is
+    listed uncertified; ``axioms:mv`` reports its witnesses.  The four lists
     answer membership too: a statement asks ``m in ctx.lattice`` (or
     ``primes``, ``impl``, ``prime_impl``) rather than deciding it again by a
     predicate.  ``enum:crosscheck`` and ``impl:lattice-otimes`` certify the
@@ -204,7 +205,10 @@ class Ctx:
 
     @_memo
     def spectrum(self, p_mask: int) -> spectra.PrimeSpectrum:
-        return spectra.prime_spectrum(self.a, p_mask)
+        """PSpec(P) from the prime list and the kernel memo; P must be in
+        ``prime_impl``.  ``spectra.prime_spectrum`` lists it cold."""
+        members = tuple(f for f in self.primes if self.kernel(f) == p_mask)
+        return spectra.PrimeSpectrum(self.a, p_mask, members)
 
     @_memo
     def hat(self, p_mask: int) -> spectra.HatAlgebra:
@@ -1033,7 +1037,7 @@ def _dense_equiv(seed, out):
         expected = g.issubset(f) or (
             f.kind is dc.Kind.OPEN
             and g.kind is dc.Kind.CLOSED
-            and f.endpoint == g.endpoint
+            and (f.num, f.den) == (g.num, g.den)
         )
         if collapsed != expected:
             out.append((str(f), str(g)))
@@ -1045,12 +1049,11 @@ def _dense_separation(seed, out):
         f2 = dc.random_proper_cut(rng)
         # widen to guarantee at least two points strictly between the endpoints
         gap = Fraction(1, rng.randint(2, dc.MAX_DEN))
-        e1 = f2.endpoint + gap
+        e1 = Fraction(f2.num, f2.den) + gap
         if e1 >= 1:
             continue
         f1 = dc.Cut(e1, rng.choice((dc.Kind.OPEN, dc.Kind.CLOSED)))
-        num, den = f2.endpoint.numerator, f2.endpoint.denominator
-        g = dc.open_cut(Fraction(rng.randint(0, num), den))
+        g = dc.open_cut(Fraction(rng.randint(0, f2.num), f2.den))
         if not (g.is_proper and f1.is_proper
                 and f1.issubset(f2) and f2.issubset(g)):
             continue

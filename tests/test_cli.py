@@ -3,6 +3,7 @@ import json
 import pytest
 
 from mvfilters import calculus, cli, run_finite
+from mvfilters.core import check_mv_axioms
 from mvfilters.errors import InvalidArgument
 
 from conftest import drop_lowest
@@ -172,11 +173,15 @@ def test_verify_dense_spec(run, specfile):
     assert code == 0 and "dense:closed-forms" in out
 
 
-def test_verify_exit_one_on_failure(run, specfile):
-    bad = specfile(BAD_TABLE, "bad.json")
-    code, out, err = run("verify", bad, "--only", "axioms:mv")
-    assert code == 1
-    assert "fail" in out and "witness" in out
+def test_verify_exit_one_on_failure(run, specfile, monkeypatch, tmp_path):
+    # a certified input, and a statement that fails once ⊸ loses its lowest member
+    monkeypatch.setattr(calculus, "sqto", drop_lowest(calculus.sqto))
+    out_json = tmp_path / "report.json"
+    code, out, err = run("verify", specfile({"kind": "lukasiewicz", "n": 5}),
+                         "--only", "equiv:discrete", "--json", str(out_json))
+    assert (code, err) == (1, "")
+    assert "equiv:discrete           fail" in out and "witness" in out
+    assert json.loads(out_json.read_text())["ok"] is False
 
 
 def test_verify_reports_a_raising_statement(run, specfile, monkeypatch):
@@ -189,18 +194,20 @@ def test_verify_reports_a_raising_statement(run, specfile, monkeypatch):
     assert out.rstrip().endswith("2 statements, 1 passed, 1 failed, 0 skipped")
 
 
-def test_compute_and_export_refuse_a_non_mv_table(run, specfile, tmp_path):
-    out_path = tmp_path / "filters.dot"
+def test_compute_export_and_verify_refuse_a_non_mv_table(run, specfile, tmp_path):
+    out_path = tmp_path / "out"
     for spec in (BAD_TABLE, {"kind": "product", "factors": [L3, BAD_TABLE]}):
         bad = specfile(spec, "bad.json")
-        code, out, err = run("compute", bad, "kernel(up(1))")
-        assert (code, out) == (2, "")
-        assert "not an MV-algebra" in err and "fails at" in err
-        code, out, err = run(
-            "export", bad, "filters", "--format", "dot", "-o", str(out_path)
-        )
-        assert code == 2 and "not an MV-algebra" in err
-        assert not out_path.exists()
+        for argv in (
+            ("verify", bad, "--json", str(out_path)),
+            ("compute", bad, "kernel(up(1))"),
+            ("export", bad, "filters", "--format", "dot", "-o", str(out_path)),
+        ):
+            code, out, err = run(*argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: spec is not an MV-algebra: ")
+            assert " fails at " in err and err.count("\n") == 1
+            assert not out_path.exists()
     good = specfile(
         {"kind": "table", "size": 2, "oplus": [[0, 1], [1, 1]], "neg": [1, 0],
          "zero": 0},
@@ -208,6 +215,27 @@ def test_compute_and_export_refuse_a_non_mv_table(run, specfile, tmp_path):
     )
     code, out, err = run("compute", good, "kernel(up(1))")
     assert (code, out, err) == (0, "{1}\n", "")
+    code, out, err = run("verify", good)
+    assert (code, err) == (0, "")
+
+
+def test_a_product_is_certified_one_table_factor_at_a_time(run, specfile, monkeypatch):
+    sizes = []
+
+    def recording(a, **kw):
+        sizes.append(a.size)
+        return check_mv_axioms(a, **kw)
+
+    monkeypatch.setattr(cli, "check_mv_axioms", recording)
+    bad = specfile({"kind": "product", "factors": [L3, BAD_TABLE]})
+    assert run("compute", bad, "kernel(up(1))")[0] == 2
+    assert sizes == [3]
+    good = {"kind": "table", "size": 3, "oplus": [[0, 1, 2], [1, 2, 2], [2, 2, 2]],
+            "neg": [2, 1, 0], "zero": 0}
+    sizes.clear()
+    code, out, err = run("verify", specfile({"kind": "product", "factors": [L3, good]}))
+    assert (code, err) == (0, "")
+    assert sizes == [3]
 
 
 def test_verify_passes_the_one_element_algebra(run, specfile):

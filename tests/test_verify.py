@@ -2,11 +2,12 @@ import json
 from collections import Counter
 from functools import reduce
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 import mvfilters as mv
-from mvfilters import calculus, core, densechain as dc, filters, spectra, verify
+from mvfilters import calculus, cli, core, densechain as dc, filters, spectra, verify
 from mvfilters.core import iter_mask
 from mvfilters.errors import InvalidArgument
 from mvfilters.verify import DENSE_STATEMENTS, FINITE_STATEMENTS
@@ -444,6 +445,7 @@ def test_run_reads_the_tables_not_the_cold_forms(monkeypatch, algebra_id):
     for owner, name in [
         (calculus, "phi"), (calculus, "sqto_fast"), (calculus, "sqto_full"),
         (calculus, "j_up"), (calculus, "j_down"), (spectra, "build_hat"),
+        (spectra, "prime_spectrum"),
     ]:
         monkeypatch.setattr(owner, name, recording(name, getattr(owner, name)))
     built = []
@@ -461,6 +463,22 @@ def test_run_reads_the_tables_not_the_cold_forms(monkeypatch, algebra_id):
     for p in ctx.memo["hat"]:
         members = ctx.spectrum(*p).members
         assert all((f, g) in ctx.memo["sqto"] for f in members for g in members)
+
+
+SPECS = Path(__file__).resolve().parent.parent / "perfbench" / "specs"
+FINITE_SPECS = {
+    f"spec:{p.stem}": spec for p in sorted(SPECS.glob("*.json"))
+    if (spec := cli.parse_spec(p.read_text(), allow_dense=True))["kind"] != "dense"
+}
+
+
+@pytest.mark.parametrize("name", [*sorted(ALL_ALGEBRAS), *FINITE_SPECS])
+def test_ctx_spectrum_is_the_cold_prime_spectrum(name):
+    a = ALL_ALGEBRAS.get(name) or cli.build_algebra(FINITE_SPECS[name])
+    ctx = verify.Ctx(a)
+    assert ctx.prime_impl
+    for p in ctx.prime_impl:
+        assert ctx.spectrum(p) == spectra.prime_spectrum(a, p)
 
 
 @pytest.mark.parametrize("factors", [(8, 8), (2,) * 6], ids=["L8xL8", "2^6"])
@@ -556,3 +574,19 @@ def test_dense_props_takes_each_sqto_once_per_sample(monkeypatch):
     # F⊸G and (F⊸G)⊸G are each taken once per sample; what repeats is only
     # values that coincide, such as (F⊸G)⊸G = F
     assert len(calls) == 7_809
+
+
+def test_equiv_and_separation_read_the_integers_not_endpoint(monkeypatch):
+    reads = []
+    real = dc.Cut.endpoint
+
+    def counting(cut):
+        reads.append(cut)
+        return real.fget(cut)
+
+    monkeypatch.setattr(dc.Cut, "endpoint", property(counting))
+    assert mv.run_dense(seed=0, only=["dense:equiv-thm", "dense:separation"]).ok
+    assert reads == []
+    # the counter sees reads: hat-embed's classes are Fraction intervals
+    assert mv.run_dense(seed=0, only=["dense:hat-embed"]).ok
+    assert reads
