@@ -18,8 +18,13 @@ builder (``rows``, ``core.congruence_cosets``) followed by a pure combinator
 (``phi_rows``, ``sqto_full_rows``, ``j_up_cosets``, ``j_down_cosets``).  A
 cold call builds only what it reads: |F| rows, or one partition.
 ``verify.Ctx`` builds each table once per run, so a pair then costs O(|F|)
-or O(n) bit operations.  ⊸ and K_F(X) keep the subordinate loop, which reads
+or O(n) bit operations.  K_F(X) keeps the subordinate loop, which reads
 |X|·n table entries; a cold call in the row form would read all n².
+
+Subordinate form.  F ⊸ G is the AND of the subordinates (F∩G)ₓ over x ∉ G.
+The combinator ``sqto_from`` takes them from a function: a cold ``sqto``
+builds each one, reading |L∖G|·n table entries, and ``verify.Ctx`` reads
+them from its subordinate memo, so each (F∩G, x) is built once per run.
 """
 
 from __future__ import annotations
@@ -99,10 +104,18 @@ def kernel_rel(a: MvAlgebra, f_mask: int, x_mask: int) -> int:
 
 def sqto(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
     """F ⊸ G, by the definitional form on F∩G with the nested-pair extension."""
+    fp = f_mask & g_mask
+    return sqto_from(a, f_mask, g_mask, lambda x: subordinate(a, fp, x))
+
+
+def sqto_from(a: MvAlgebra, f_mask: int, g_mask: int, sub) -> int:
+    """F ⊸ G from sub(x) = (F∩G)ₓ: the AND of sub(x) over x ∉ G."""
     if f_mask == 0 or g_mask == 0:
         return 0
-    fp = f_mask & g_mask
-    return kernel_rel(a, fp, a.full_mask & ~g_mask)
+    m = a.full_mask
+    for x in iter_mask(a.full_mask & ~g_mask):
+        m &= sub(x)
+    return m
 
 
 def sqto_fast(a: MvAlgebra, f_mask: int, g_mask: int) -> int:

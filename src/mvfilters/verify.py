@@ -123,8 +123,10 @@ class Ctx:
     by the one definition in its module, and keeps it in
     ``memo[method name][args]``, which lasts exactly this run; the algebra
     itself is never written to.  Φ, ``sqto_full``, J_u and J_d read the kept
-    rows and cosets, so each pair costs O(|F|) or O(n) bit operations.  A
-    cross-check's second side shares no table with its first:
+    rows and cosets, so each pair costs O(|F|) or O(n) bit operations.  ⊸
+    reads the subordinate memo through ``calculus.sqto_from``, so each
+    (F∩G, x) is built once per run and shared by every pair with that F∩G.
+    A cross-check's second side shares no table with its first:
     ``prop:fastform`` sets ⊸'s subordinate loop against ⊗-rows, and
     ``prop:T-phi`` computes T cold.
     """
@@ -143,7 +145,10 @@ class Ctx:
 
     @_memo
     def sqto(self, f_mask: int, g_mask: int) -> int:
-        return calculus.sqto(self.a, f_mask, g_mask)
+        fp = f_mask & g_mask
+        return calculus.sqto_from(
+            self.a, f_mask, g_mask, lambda x: self.subordinate(fp, x)
+        )
 
     @_memo
     def kernel(self, f_mask: int) -> int:

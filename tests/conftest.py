@@ -60,6 +60,14 @@ def drop_lowest(real):
     return corrupted
 
 
+def swap_arguments(real):
+    """real(a, f, g, ...) with its two mask arguments exchanged."""
+    def corrupted(a, f, g, *rest):
+        return real(a, g, f, *rest)
+
+    return corrupted
+
+
 def assert_check_can_fail(monkeypatch, a, stmt, owner, name, corrupt):
     """stmt passes on a, and fails on a fresh run once owner.name is corrupted."""
     assert run_finite(a, only=[stmt]).results[0].status == "pass"

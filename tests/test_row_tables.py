@@ -1,11 +1,14 @@
 """The row-table forms of Φ, sqto_full, J_u, J_d, the quotient image and the
-quotient-side ⊸ against the loop forms they replaced.
+quotient-side ⊸, and the subordinate form of ⊸, against the loop forms they
+replaced.
 
 The oracles below are the bodies these operations had before they were split
 into a table builder and a combinator.  Each new form is compared with its
 oracle both cold (``calculus``, ``QuotientAlgebra``) and through the tables a
-``verify.Ctx`` keeps for one run.  ``kernel_rel`` and ``sqto`` keep their loop
-bodies, so they serve as their own reference.
+``verify.Ctx`` keeps for one run.  ⊸ is ``sqto_from`` over the subordinates
+(F∩G)ₓ, built cold or read from the ``Ctx`` subordinate memo; its oracle is
+the ``kernel_rel`` form it had before.  ``kernel_rel`` keeps its loop body,
+so it serves as its own reference.
 """
 
 from collections import Counter
@@ -38,6 +41,13 @@ def sqto_full_loop(a, f_mask, g_mask):
         if all((g_mask >> otimes[f][z]) & 1 for f in fs):
             m |= 1 << z
     return m
+
+
+def sqto_loop(a, f_mask, g_mask):
+    if f_mask == 0 or g_mask == 0:
+        return 0
+    fp = f_mask & g_mask
+    return calculus.kernel_rel(a, fp, a.full_mask & ~g_mask)
 
 
 def j_up_loop(a, f_mask, p_mask):
@@ -101,6 +111,17 @@ def test_every_mask_pair_matches_the_loop_forms(a):
         for fq in qmasks:
             for gq in qmasks:
                 assert_quotient_agrees(ctx, p, 0, fq, gq)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_ALGEBRAS))
+def test_both_sqto_paths_match_the_relative_kernel_form(name):
+    # every ordered pair of lattice filters, nested or not, and the empty mask
+    a = ALL_ALGEBRAS[name]
+    ctx = verify.Ctx(a)
+    masks = [0, *ctx.lattice]
+    for f in masks:
+        for g in masks:
+            assert calculus.sqto(a, f, g) == ctx.sqto(f, g) == sqto_loop(a, f, g)
 
 
 CTXS = {name: verify.Ctx(a) for name, a in ALL_ALGEBRAS.items()}

@@ -14,7 +14,7 @@ from mvfilters.verify import DENSE_STATEMENTS, FINITE_STATEMENTS
 
 from conftest import (
     ALL_ALGEBRAS, CHAINS, KIND_BRANCHES, PRODUCTS, assert_check_can_fail,
-    branch_flipped, drop_lowest, plus_flipped, product,
+    branch_flipped, drop_lowest, plus_flipped, product, swap_arguments,
 )
 
 
@@ -330,9 +330,9 @@ def test_convex_lemmas_can_fail(monkeypatch, l5, stmt):
 
 
 def _plus_after(real):
-    """sqto, returning (F⊸G)⁺ instead of F⊸G."""
-    def corrupted(a, f, g):
-        return calculus.set_plus(a, real(a, f, g))
+    """sqto_from, returning (F⊸G)⁺ instead of F⊸G."""
+    def corrupted(a, f, g, *rest):
+        return calculus.set_plus(a, real(a, f, g, *rest))
 
     return corrupted
 
@@ -346,8 +346,40 @@ def _plus_after(real):
 )
 def test_sqto_order_statements_can_fail(monkeypatch, algebra_id, stmt):
     assert_check_can_fail(
-        monkeypatch, ALL_ALGEBRAS[algebra_id], stmt, calculus, "sqto", _plus_after
+        monkeypatch, ALL_ALGEBRAS[algebra_id], stmt, calculus, "sqto_from",
+        _plus_after,
     )
+
+
+@pytest.mark.parametrize("algebra_id, witnesses", [("L5", 12), ("L2xL3", 2)])
+def test_adjunction_can_fail(monkeypatch, algebra_id, witnesses):
+    # the ⊸ argument swap kills prop:adjunction; drop-lowest leaves it passing
+    a = ALL_ALGEBRAS[algebra_id]
+    assert_check_can_fail(
+        monkeypatch, a, "prop:adjunction", calculus, "sqto_from", swap_arguments
+    )
+    (result,) = mv.run_finite(a, only=["prop:adjunction"]).results
+    assert len(result.witnesses) == witnesses
+
+
+def test_quot_commute_builds_each_subordinate_once(monkeypatch):
+    # Ctx.sqto reads the run's (F∩G, x) memo, so every subordinate that
+    # prop:quot-commute reaches is built once, not once per pair (F, G)
+    ctx = verify.Ctx(core.make_product(CHAINS[4], CHAINS[4]))
+    calls = Counter()
+    real = calculus.subordinate
+
+    def counted(a, f, x):
+        calls[f, x] += 1
+        return real(a, f, x)
+
+    monkeypatch.setattr(calculus, "subordinate", counted)
+    out = []
+    FINITE_STATEMENTS["prop:quot-commute"][1](ctx, out)
+    assert not out
+    outside = sum(ctx.a.size - bin(f).count("1") for f in ctx.lattice)
+    assert sum(calls.values()) == outside == 156
+    assert set(calls.values()) == {1}
 
 
 def _with_own_element(real):
