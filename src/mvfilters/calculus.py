@@ -10,26 +10,34 @@ once here):
 - an intersection over an empty index family is the whole carrier, so
   F ⊸ L = L for the improper filter L.
 
-Row form.  For a table T (→ or ⊗) and a mask M, row x of T into M is
-{y | T[x][y] ∈ M} (``rows``).  Φ(F,G) is the union of G's →-rows over
-f ∈ F and ``sqto_full(F,G)`` the intersection of G's ⊗-rows over f ∈ F;
-J_u(F,P) is the union of the P-cosets that meet F.  Each of these is a pure
-builder (``rows``, ``core.congruence_cosets``) followed by a pure combinator
+Table reads.  Most operations here read the → or ⊗ table into a mask: row
+x of T into M is {y | T[x][y] ∈ M}, and column x of → into M is
+{z | z→x ∈ M}.  ``MvAlgebra`` keeps each row and column as reversed
+``bytes``, so one read is one ``bytes.translate`` through
+``core.member_lookup(M, n)`` and one ``int(…, 2)``, both in C; the lookup
+is built once per call and shared by all the reads of that call.  The
+subordinate F_x is column x of → into L∖F, and K(F) is the AND of those
+columns over x ∉ F.
+
+Row form.  Φ(F,G) is the union of G's →-rows over f ∈ F and
+``sqto_full(F,G)`` the intersection of G's ⊗-rows over f ∈ F; J_u(F,P) is
+the union of the P-cosets that meet F.  Each of these is a pure builder
+(``rows``, ``core.congruence_cosets``) followed by a pure combinator
 (``phi_rows``, ``sqto_full_rows``, ``j_up_cosets``, ``j_down_cosets``).  A
-cold call builds only what it reads: |F| rows, or one partition.
-``verify.Ctx`` builds each table once per run, so a pair then costs O(|F|)
-or O(n) bit operations.  K_F(X) keeps the subordinate loop, which reads
-|X|·n table entries; a cold call in the row form would read all n².
+cold call builds only what it reads: |F| rows, or one partition of n row
+and n column reads.  ``verify.Ctx`` builds each table once per run, so a
+pair then costs O(|F|) or O(n) bit operations.  K_F(X) ANDs |X|
+subordinates, one column read each.
 
 Subordinate form.  F ⊸ G is the AND of the subordinates (F∩G)ₓ over x ∉ G.
 The combinator ``sqto_from`` takes them from a function: a cold ``sqto``
-builds each one, reading |L∖G|·n table entries, and ``verify.Ctx`` reads
-them from its subordinate memo, so each (F∩G, x) is built once per run.
+builds each one, |L∖G| column reads, and ``verify.Ctx`` reads them from its
+subordinate memo, so each (F∩G, x) is built once per run.
 """
 
 from __future__ import annotations
 
-from .core import MvAlgebra, congruence_cosets, iter_mask
+from .core import MvAlgebra, congruence_cosets, iter_mask, member_lookup
 from .errors import InvalidArgument, InvariantViolation
 from .filters import up_closure
 
@@ -37,16 +45,13 @@ from .filters import up_closure
 # row tables
 
 
-def rows(table, mask: int, among: int) -> dict[int, int]:
-    """Row x of ``table`` into ``mask``, {y | table[x][y] ∈ mask}, for x ∈ among."""
-    out = {}
-    for x in iter_mask(among):
-        m = 0
-        for y, v in enumerate(table[x]):
-            if (mask >> v) & 1:
-                m |= 1 << y
-        out[x] = m
-    return out
+def rows(byte_rows, mask: int, among: int) -> dict[int, int]:
+    """Row x of a table into ``mask``, {y | T[x][y] ∈ mask}, for x ∈ among.
+
+    ``byte_rows`` is one of ``MvAlgebra``'s reversed byte tables.
+    """
+    look = member_lookup(mask, len(byte_rows))
+    return {x: int(byte_rows[x].translate(look), 2) for x in iter_mask(among)}
 
 
 # ---------------------------------------------------------------------------
@@ -54,13 +59,12 @@ def rows(table, mask: int, among: int) -> dict[int, int]:
 
 
 def subordinate(a: MvAlgebra, f_mask: int, elem: int) -> int:
-    """{z | z→elem ∉ F}.  For prime F with elem ∉ F this is a prime filter."""
-    imp = a.imp
-    m = 0
-    for z in range(a.size):
-        if not (f_mask >> imp[z][elem]) & 1:
-            m |= 1 << z
-    return m
+    """{z | z→elem ∉ F}.  For prime F with elem ∉ F this is a prime filter.
+
+    Column ``elem`` of → read into L∖F.
+    """
+    look = member_lookup(a.full_mask & ~f_mask, a.size)
+    return int(a.imp_col_bytes[elem].translate(look), 2)
 
 
 def set_plus(a: MvAlgebra, mask: int) -> int:
@@ -72,15 +76,16 @@ def kernel(a: MvAlgebra, f_mask: int) -> int:
     """K(F) = {z | z→x ∉ F for every x ∉ F}, the meet of the subordinates F_x.
 
     Only on a finite algebra is it also the largest implication filter in F.
+    Each F_x is column x of → read into L∖F, through one lookup.
     """
     if f_mask == 0:
         return 0
-    imp = a.imp
-    outside = list(iter_mask(a.full_mask & ~f_mask))
-    m = 0
-    for z in range(a.size):
-        if all(not (f_mask >> imp[z][x]) & 1 for x in outside):
-            m |= 1 << z
+    outside = a.full_mask & ~f_mask
+    look = member_lookup(outside, a.size)
+    cols = a.imp_col_bytes
+    m = a.full_mask
+    for x in iter_mask(outside):
+        m &= int(cols[x].translate(look), 2)
     return m
 
 
@@ -141,7 +146,7 @@ def sqto_full(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
     outside G forces f⊗z ≤ f outside G).  This is the form under which
     Φ(F,G) = (F ⊸ G⁺)⁺ holds for arbitrary filters.
     """
-    return sqto_full_rows(rows(a.otimes, g_mask, f_mask), f_mask, a.full_mask)
+    return sqto_full_rows(rows(a.otimes_bytes, g_mask, f_mask), f_mask, a.full_mask)
 
 
 def sqto_full_rows(otimes_rows, f_mask: int, full_mask: int) -> int:
@@ -158,7 +163,7 @@ def sqto_full_rows(otimes_rows, f_mask: int, full_mask: int) -> int:
 
 def phi(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
     """Union over f ∈ F of {y | f→y ∈ G}."""
-    return phi_rows(rows(a.imp, g_mask, f_mask), f_mask)
+    return phi_rows(rows(a.imp_bytes, g_mask, f_mask), f_mask)
 
 
 def phi_rows(imp_rows, f_mask: int) -> int:

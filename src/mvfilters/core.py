@@ -29,12 +29,29 @@ def iter_mask(mask: int):
         mask ^= low
 
 
+def member_lookup(mask: int, n: int) -> bytes:
+    """The ``bytes.translate`` table sending v to ``b"1"`` exactly when v ∈ mask.
+
+    ``mask`` is a subset of an n-element carrier.  With a byte row stored
+    reversed, as ``MvAlgebra`` keeps them, ``int(row.translate(look), 2)``
+    is the mask of the positions y whose entry lies in ``mask``.
+    """
+    return format(mask, f"0{n}b")[::-1].encode().ljust(256, b"0")
+
+
 @dataclass(frozen=True)
 class MvAlgebra:
     """A finite MV-algebra given by its ⊕ table, negation table and zero.
 
     Derived tables (⊗, →, ∨, ∧, ≤) are computed eagerly at construction;
     the instance is immutable afterwards and safe to share between workers.
+
+    The → rows, ⊗ rows and → columns are also kept as ``bytes``, each one
+    reversed (``imp_bytes[x][n-1-y]`` is x→y, ``imp_col_bytes[y][n-1-z]``
+    is z→y).  A read of row or column x into a mask M is then one
+    ``translate`` through ``member_lookup(M, n)`` and one ``int(…, 2)``,
+    which puts element y at bit y.  Byte entries bound the carrier at 256
+    elements.
     """
 
     size: int
@@ -54,11 +71,16 @@ class MvAlgebra:
     down_mask: tuple[int, ...] = field(init=False, repr=False)
     full_mask: int = field(init=False, repr=False)
     one_mask: int = field(init=False, repr=False)
+    imp_bytes: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
+    otimes_bytes: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
+    imp_col_bytes: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.size
         if n < 1:
             raise InvalidArgument("carrier must be nonempty")
+        if n > 256:
+            raise InvalidArgument(f"carrier size {n} exceeds the byte-table bound 256")
         if len(self.oplus) != n or any(len(r) != n for r in self.oplus):
             raise InvalidArgument("oplus table must be a size x size matrix")
         if len(self.neg) != n:
@@ -72,17 +94,17 @@ class MvAlgebra:
         otimes = tuple(
             tuple(neg[oplus[neg[x]][neg[y]]] for y in range(n)) for x in range(n)
         )
-        imp = tuple(tuple(oplus[neg[x]][y] for y in range(n)) for x in range(n))
+        imp = tuple(tuple(oplus[neg[x]]) for x in range(n))  # x→y = ¬x⊕y
         join = tuple(tuple(imp[imp[x][y]][y] for y in range(n)) for x in range(n))
         meet = tuple(
             tuple(neg[join[neg[x]][neg[y]]] for y in range(n)) for x in range(n)
         )
-        up = tuple(
-            mask_of(y for y in range(n) if imp[x][y] == one) for x in range(n)
-        )
-        down = tuple(
-            mask_of(y for y in range(n) if imp[y][x] == one) for x in range(n)
-        )
+        imp_bytes = tuple(bytes(r[::-1]) for r in imp)
+        imp_col_bytes = tuple(bytes(c[::-1]) for c in zip(*imp))
+        # ↑x is row x of → into {1}, ↓x is column x of → into {1}
+        is_one = member_lookup(1 << one, n)
+        up = tuple(int(r.translate(is_one), 2) for r in imp_bytes)
+        down = tuple(int(c.translate(is_one), 2) for c in imp_col_bytes)
         object.__setattr__(self, "one", one)
         object.__setattr__(self, "otimes", otimes)
         object.__setattr__(self, "imp", imp)
@@ -92,6 +114,9 @@ class MvAlgebra:
         object.__setattr__(self, "down_mask", down)
         object.__setattr__(self, "full_mask", (1 << n) - 1)
         object.__setattr__(self, "one_mask", 1 << one)
+        object.__setattr__(self, "imp_bytes", imp_bytes)
+        object.__setattr__(self, "otimes_bytes", tuple(bytes(r[::-1]) for r in otimes))
+        object.__setattr__(self, "imp_col_bytes", imp_col_bytes)
 
     def leq(self, x: int, y: int) -> bool:
         return self.imp[x][y] == self.one
@@ -201,8 +226,13 @@ class QuotientAlgebra:
 
 
 def congruence_cosets(a: MvAlgebra, p_mask: int):
-    """Partition the carrier by mutual implication modulo the filter mask."""
-    n, imp = a.size, a.imp
+    """Partition the carrier by mutual implication modulo the filter mask.
+
+    The coset of x is {y | x→y ∈ P and y→x ∈ P}: row x of → into P meets
+    column x of → into P.
+    """
+    n, rows, cols = a.size, a.imp_bytes, a.imp_col_bytes
+    look = member_lookup(p_mask, n)
     coset_of = [-1] * n
     cosets: list[int] = []
     reps: list[int] = []
@@ -210,11 +240,9 @@ def congruence_cosets(a: MvAlgebra, p_mask: int):
         if coset_of[x] >= 0:
             continue
         c = len(cosets)
-        m = 0
-        for y in range(n):
-            if (p_mask >> imp[x][y]) & 1 and (p_mask >> imp[y][x]) & 1:
-                coset_of[y] = c
-                m |= 1 << y
+        m = int(rows[x].translate(look), 2) & int(cols[x].translate(look), 2)
+        for y in iter_mask(m):
+            coset_of[y] = c
         cosets.append(m)
         reps.append(x)
     return tuple(coset_of), tuple(reps), tuple(cosets)

@@ -127,7 +127,7 @@ class Ctx:
     reads the subordinate memo through ``calculus.sqto_from``, so each
     (F∩G, x) is built once per run and shared by every pair with that F∩G.
     A cross-check's second side shares no table with its first:
-    ``prop:fastform`` sets ⊸'s subordinate loop against ⊗-rows, and
+    ``prop:fastform`` sets ⊸'s →-column reads against ⊗-rows, and
     ``prop:T-phi`` computes T cold.
     """
 
@@ -161,7 +161,8 @@ class Ctx:
     @_memo
     def rows(self, table: str, mask: int) -> dict[int, int]:
         """Every row of the table ``table`` ("imp" or "otimes") into mask."""
-        return calculus.rows(getattr(self.a, table), mask, self.a.full_mask)
+        byte_rows = getattr(self.a, f"{table}_bytes")
+        return calculus.rows(byte_rows, mask, self.a.full_mask)
 
     def phi(self, f_mask: int, g_mask: int) -> int:
         return calculus.phi_rows(self.rows("imp", g_mask), f_mask)
@@ -195,7 +196,7 @@ class Ctx:
     def quotient_rows(self, p_mask: int, gq: int) -> dict[int, int]:
         """Every ⊗-row of L/P into G/P."""
         qa = self.quotient(p_mask).quotient
-        return calculus.rows(qa.otimes, gq, qa.full_mask)
+        return calculus.rows(qa.otimes_bytes, gq, qa.full_mask)
 
     @_memo
     def quotient_sqto(self, p_mask: int, fq: int, gq: int) -> int:
@@ -313,16 +314,17 @@ def _axioms(ctx, out):
 
 @finite("order:partial", "derived order is a partial order, total on chains")
 def _order(ctx, out):
-    a = ctx.a
-    for x in range(a.size):
-        if not a.leq(x, x):
+    """Reads ``up_mask``: ↑x is {y | x ≤ y}.  For each y ∈ ↑x, antisymmetry
+    asks whether x ∈ ↑y, and every z ∈ ↑y∖↑x breaks transitivity."""
+    up = ctx.a.up_mask
+    for x, ux in enumerate(up):
+        if not (ux >> x) & 1:
             out.append(("reflexivity", x))
-        for y in range(a.size):
-            if a.leq(x, y) and a.leq(y, x) and x != y:
+        for y in iter_mask(ux):
+            if (up[y] >> x) & 1 and x != y:
                 out.append(("antisymmetry", x, y))
-            for z in range(a.size):
-                if a.leq(x, y) and a.leq(y, z) and not a.leq(x, z):
-                    out.append(("transitivity", x, y, z))
+            for z in iter_mask(up[y] & ~ux):
+                out.append(("transitivity", x, y, z))
 
 
 @finite("identity:otimes-imp", "negated implication equals truncated product")

@@ -258,6 +258,13 @@ def test_verify_exit_three_on_cap(run, specfile):
     assert code == 3 and "exceeds" in err
     code, out, err = run("export", path, "filters", "--format", "dot", "-o", "/dev/null")
     assert code == 3 and "exceeds" in err
+    # the cap fires before MvAlgebra's bound of 256 elements on its byte tables
+    n = 257
+    oplus = [[min(n - 1, x + y) for y in range(n)] for x in range(n)]
+    chain_table = {"kind": "table", "size": n, "oplus": oplus,
+                   "neg": list(range(n))[::-1], "zero": 0}
+    code, out, err = run("compute", specfile(chain_table), "up(0)")
+    assert (code, out) == (3, "") and "exceeds enumeration cap 64" in err
     # an expression that enumerates nothing is refused before any table is built
     l17 = {"kind": "lukasiewicz", "n": 17}
     for spec in ({"kind": "lukasiewicz", "n": 200},

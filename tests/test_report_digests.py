@@ -15,11 +15,15 @@ flip of a ``cut_sqto`` kind branch and under a kind flip of ``cut_plus``.
 A change to the cut representation or arithmetic that moves a sample, a
 verdict or a printed cut fails here.
 
+``LARGE_DIGESTS`` pins the unmutated reports of Ł32, Ł8×Ł8 and 2⁶, the
+sizes at which the reads of table rows and columns into masks carry most of
+a run.
+
 When a change of witnesses is intended, re-pin: run
 ``PYTHONPATH=src python tests/test_report_digests.py``, which prints the
-current tables in the form of ``DIGESTS`` and ``DENSE_DIGESTS``, and paste
-them over the old ones.  Say in the change's notes which digests moved and
-why.
+current tables in the form of ``DIGESTS``, ``LARGE_DIGESTS`` and
+``DENSE_DIGESTS``, and paste them over the old ones.  Say in the change's
+notes which digests moved and why.
 """
 
 import hashlib
@@ -30,8 +34,8 @@ import mvfilters as mv
 from mvfilters import calculus, densechain as dc, filters
 
 from conftest import (
-    ALL_ALGEBRAS, KIND_BRANCHES, branch_flipped, drop_lowest, plus_flipped,
-    swap_arguments,
+    ALL_ALGEBRAS, KIND_BRANCHES, branch_flipped, chain, drop_lowest,
+    plus_flipped, product, swap_arguments,
 )
 
 
@@ -139,6 +143,29 @@ def test_mutant_report_is_pinned(monkeypatch, algebra_id, mutant):
     )
 
 
+LARGE = {
+    "L32": lambda: chain(32),
+    "L8xL8": lambda: product(8, 8),
+    "2^6": lambda: product(2, 2, 2, 2, 2, 2),
+}
+
+LARGE_DIGESTS = {
+    "L32": "10ae2a74c29b381dbe96efc0132c4d47e9ec0bf3efe9dbb6ce4584a657914704",
+    "L8xL8": "0208673a983050df6012cbbcbe99579bcb58cbd8fd168420ecd24f37a91df7a1",
+    "2^6": "2c121b70ce47e75644162db7f8c5e0598e69219143a245c0c7eabfe220fb2d8d",
+}
+
+
+def large_digest(name):
+    report = mv.run_finite(LARGE[name]()).to_json()
+    return hashlib.sha256(report.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_large_report_is_pinned(name):
+    assert large_digest(name) == LARGE_DIGESTS[name]
+
+
 # mutant name -> (densechain attribute, factory of its corrupted version)
 DENSE_MUTANTS = {
     f"cut_sqto-{branch}": ("cut_sqto", lambda branch=branch: branch_flipped(branch))
@@ -190,6 +217,10 @@ if __name__ == "__main__":
             for mutant in sorted(MUTANTS):
                 digest = report_digest(mp, algebra_id, mutant)
                 print(f'    ("{algebra_id}", "{mutant}"):\n        "{digest}",')
+        print("}")
+        print("LARGE_DIGESTS = {")
+        for name in LARGE:
+            print(f'    "{name}": "{large_digest(name)}",')
         print("}")
         print("DENSE_DIGESTS = {")
         for seed, mutant in DENSE_CASES:

@@ -7,8 +7,9 @@ into a table builder and a combinator.  Each new form is compared with its
 oracle both cold (``calculus``, ``QuotientAlgebra``) and through the tables a
 ``verify.Ctx`` keeps for one run.  ⊸ is ``sqto_from`` over the subordinates
 (F∩G)ₓ, built cold or read from the ``Ctx`` subordinate memo; its oracle is
-the ``kernel_rel`` form it had before.  ``kernel_rel`` keeps its loop body,
-so it serves as its own reference.
+the relative-kernel form it had before.  The oracles read the tables entry
+by entry: their subordinates and cosets are the loops restated in
+``test_table_reads``, not the byte reads of ``calculus`` and ``core``.
 """
 
 from collections import Counter
@@ -18,9 +19,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mvfilters as mv
 from mvfilters import calculus, filters, verify
-from mvfilters.core import congruence_cosets, iter_mask, mask_of
+from mvfilters.core import iter_mask, mask_of
 
 from conftest import ALL_ALGEBRAS, CHAINS, PRODUCTS
+from test_table_reads import congruence_cosets_loop, subordinate_loop
 
 
 def phi_loop(a, f_mask, g_mask):
@@ -47,13 +49,20 @@ def sqto_loop(a, f_mask, g_mask):
     if f_mask == 0 or g_mask == 0:
         return 0
     fp = f_mask & g_mask
-    return calculus.kernel_rel(a, fp, a.full_mask & ~g_mask)
+    m = a.full_mask
+    for x in iter_mask(a.full_mask & ~g_mask):
+        m &= subordinate_loop(a, fp, x)
+    return m
+
+
+def set_plus_loop(a, mask):
+    return subordinate_loop(a, mask, a.zero)
 
 
 def j_up_loop(a, f_mask, p_mask):
     if f_mask == 0:
         return 0
-    _, _, cosets = congruence_cosets(a, p_mask)
+    _, _, cosets = congruence_cosets_loop(a, p_mask)
     m = 0
     for cm in cosets:
         if cm & f_mask:
@@ -64,7 +73,7 @@ def j_up_loop(a, f_mask, p_mask):
 def j_down_loop(a, f_mask, p_mask):
     if f_mask == 0:
         return 0
-    return calculus.set_plus(a, j_up_loop(a, calculus.set_plus(a, f_mask), p_mask))
+    return set_plus_loop(a, j_up_loop(a, set_plus_loop(a, f_mask), p_mask))
 
 
 def image_mask_loop(q, mask):
@@ -86,15 +95,14 @@ def assert_quotient_agrees(ctx, p, mask, fq, gq):
     """Image and quotient-side ⊸ in L/P, for an implication filter P.
 
     The quotient side takes ⊸ in its product form, which equals the
-    definitional form ``calculus.sqto`` on nonempty up-sets of L/P; images of
-    filters are such up-sets.  So ``calculus.sqto`` on the quotient algebra
-    is its oracle there.
+    definitional form on nonempty up-sets of L/P; images of filters are such
+    up-sets.  So ``sqto_loop`` on the quotient algebra is its oracle there.
     """
     q = ctx.quotient(p)
     assert q.image_mask(mask) == ctx.image(p, mask) == image_mask_loop(q, mask)
     qa = q.quotient
     if fq and gq and filters.is_up_closed(qa, fq) and filters.is_up_closed(qa, gq):
-        assert ctx.quotient_sqto(p, fq, gq) == calculus.sqto(qa, fq, gq)
+        assert ctx.quotient_sqto(p, fq, gq) == sqto_loop(qa, fq, gq)
 
 
 @pytest.mark.parametrize("a", [CHAINS[6], PRODUCTS["L2xL3"]], ids=["L6", "L2xL3"])
@@ -152,10 +160,11 @@ def test_each_table_is_built_once_per_run(monkeypatch):
     built_rows, built_cosets = Counter(), Counter()
     real_rows, real_cosets = calculus.rows, verify.congruence_cosets
 
-    def counted_rows(table, mask, among):
-        if among == (1 << len(table)) - 1:  # a whole table: only Ctx builds these
-            built_rows[id(table), mask] += 1
-        return real_rows(table, mask, among)
+    def counted_rows(byte_rows, mask, among):
+        assert all(type(row) is bytes for row in byte_rows)
+        if among == (1 << len(byte_rows)) - 1:  # a whole table: only Ctx builds these
+            built_rows[id(byte_rows), mask] += 1
+        return real_rows(byte_rows, mask, among)
 
     def counted_cosets(a, p_mask):
         built_cosets[p_mask] += 1

@@ -1,0 +1,226 @@
+"""The byte-table reads against the per-entry loops they replaced.
+
+``MvAlgebra`` keeps its → rows, ⊗ rows and → columns as reversed ``bytes``,
+and six functions read a row or a column into a mask with one
+``bytes.translate`` and one ``int(…, 2)``: ``calculus.rows``,
+``calculus.subordinate``, ``calculus.kernel``, ``core.congruence_cosets``,
+``filters.is_implication_filter`` and the ``order:partial`` statement, which
+reads ``up_mask``.  The oracles below are the loop bodies these functions
+had before.  They read only the tuple tables (``imp``, ``otimes``) entry by
+entry, so they share no code with the byte reads.
+
+Each read is compared with its oracle on the ten test algebras, on Ł64 and
+2⁶ (the sizes at which the reads matter), on the hand-built non-MV table of
+the cli tests and on hypothesis-drawn arbitrary tables.  The masks are every
+lattice filter, the empty and the full mask, and hypothesis-drawn arbitrary
+masks.  An algebra with one derived byte changed must disagree with an
+oracle, so these comparisons can fail.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from mvfilters import calculus, core, filters, verify
+from mvfilters.core import MvAlgebra, iter_mask
+from mvfilters.errors import InvalidArgument
+
+from conftest import ALL_ALGEBRAS, chain, product
+from test_cli import BAD_TABLE
+
+
+def rows_loop(table, mask, among):
+    out = {}
+    for x in iter_mask(among):
+        m = 0
+        for y, v in enumerate(table[x]):
+            if (mask >> v) & 1:
+                m |= 1 << y
+        out[x] = m
+    return out
+
+
+def subordinate_loop(a, f_mask, elem):
+    imp = a.imp
+    m = 0
+    for z in range(a.size):
+        if not (f_mask >> imp[z][elem]) & 1:
+            m |= 1 << z
+    return m
+
+
+def kernel_loop(a, f_mask):
+    if f_mask == 0:
+        return 0
+    imp = a.imp
+    outside = list(iter_mask(a.full_mask & ~f_mask))
+    m = 0
+    for z in range(a.size):
+        if all(not (f_mask >> imp[z][x]) & 1 for x in outside):
+            m |= 1 << z
+    return m
+
+
+def congruence_cosets_loop(a, p_mask):
+    n, imp = a.size, a.imp
+    coset_of = [-1] * n
+    cosets = []
+    reps = []
+    for x in range(n):
+        if coset_of[x] >= 0:
+            continue
+        c = len(cosets)
+        m = 0
+        for y in range(n):
+            if (p_mask >> imp[x][y]) & 1 and (p_mask >> imp[y][x]) & 1:
+                coset_of[y] = c
+                m |= 1 << y
+        cosets.append(m)
+        reps.append(x)
+    return tuple(coset_of), tuple(reps), tuple(cosets)
+
+
+def is_implication_filter_loop(a, mask):
+    if not (mask >> a.one) & 1:
+        return False
+    for x in iter_mask(mask):
+        for y in range(a.size):
+            if (mask >> a.imp[x][y]) & 1 and not (mask >> y) & 1:
+                return False
+    return True
+
+
+def order_loop(a):
+    out = []
+    for x in range(a.size):
+        if not a.leq(x, x):
+            out.append(("reflexivity", x))
+        for y in range(a.size):
+            if a.leq(x, y) and a.leq(y, x) and x != y:
+                out.append(("antisymmetry", x, y))
+            for z in range(a.size):
+                if a.leq(x, y) and a.leq(y, z) and not a.leq(x, z):
+                    out.append(("transitivity", x, y, z))
+    return out
+
+
+def order_read(a):
+    out = []
+    verify.FINITE_STATEMENTS["order:partial"][1](verify.Ctx(a), out)
+    return out
+
+
+def assert_mask_agrees(a, mask):
+    """Every read into mask, or into L∖mask, equals its loop."""
+    full = a.full_mask
+    for name in ("imp", "otimes"):
+        table = getattr(a, name)
+        assert calculus.rows(getattr(a, f"{name}_bytes"), mask, full) == (
+            rows_loop(table, mask, full)
+        ), name
+    for elem in range(a.size):
+        assert calculus.subordinate(a, mask, elem) == subordinate_loop(a, mask, elem)
+    assert calculus.kernel(a, mask) == kernel_loop(a, mask)
+    assert core.congruence_cosets(a, mask) == congruence_cosets_loop(a, mask)
+    assert filters.is_implication_filter(a, mask) == (
+        is_implication_filter_loop(a, mask)
+    )
+
+
+BAD = MvAlgebra(
+    BAD_TABLE["size"], tuple(map(tuple, BAD_TABLE["oplus"])),
+    tuple(BAD_TABLE["neg"]), BAD_TABLE["zero"], name="bad",
+)
+ALGEBRAS = ALL_ALGEBRAS | {
+    "L64": chain(64),
+    "2^6": product(2, 2, 2, 2, 2, 2),
+    "bad": BAD,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_every_lattice_filter_matches_the_loops(name):
+    a = ALGEBRAS[name]
+    for mask in {0, a.full_mask, *filters.enumerate_lattice_filters(a)}:
+        assert_mask_agrees(a, mask)
+    assert order_read(a) == order_loop(a)
+
+
+def test_the_non_mv_table_has_witnesses_to_compare():
+    # so the comparison above is not vacuous on it
+    assert core.check_mv_axioms(BAD)
+    assert order_loop(BAD)
+
+
+@settings(
+    derandomize=True, max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_random_masks_match_the_loops(data):
+    a = ALGEBRAS[data.draw(st.sampled_from(sorted(ALGEBRAS)), label="algebra")]
+    assert_mask_agrees(
+        a, data.draw(st.integers(min_value=0, max_value=a.full_mask), label="mask")
+    )
+
+
+@st.composite
+def arbitrary_tables(draw):
+    """A table with element indices as entries and no axiom asked of it."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.integers(min_value=0, max_value=n - 1)
+    return MvAlgebra(
+        n,
+        tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)),
+        tuple(draw(entry) for _ in range(n)),
+        draw(entry),
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(a=arbitrary_tables(), data=st.data())
+def test_arbitrary_tables_match_the_loops(a, data):
+    assert order_read(a) == order_loop(a)
+    assert_mask_agrees(a, data.draw(st.integers(0, a.full_mask), label="mask"))
+
+
+def changed(a, table, line, pos):
+    """A copy of a whose byte table ``table`` has entry pos of ``line`` moved
+    to the next element, and that entry's old value; the tuple tables that
+    the loops read are untouched."""
+    b = dataclasses.replace(a)
+    lines = list(getattr(b, table))
+    raw = bytearray(lines[line])
+    old = raw[b.size - 1 - pos]
+    raw[b.size - 1 - pos] = (old + 1) % b.size
+    lines[line] = bytes(raw)
+    object.__setattr__(b, table, tuple(lines))
+    return b, old
+
+
+@pytest.mark.parametrize("table", ["imp_bytes", "otimes_bytes", "imp_col_bytes"])
+def test_a_changed_byte_disagrees_with_the_loops(table):
+    a = chain(5)
+    b, old = changed(a, table, 3, 1)
+    # the mask holding just the old value reads the changed entry differently
+    assert_mask_agrees(a, 1 << old)
+    with pytest.raises(AssertionError):
+        assert_mask_agrees(b, 1 << old)
+
+
+def test_order_read_can_fail():
+    a = chain(4)
+    up = list(a.up_mask)
+    up[1] &= ~(1 << a.one)  # ↑(1/3) loses 1 but keeps 2/3, and 2/3 ≤ 1
+    b = dataclasses.replace(a)
+    object.__setattr__(b, "up_mask", tuple(up))
+    assert order_read(b) != order_loop(b)
+
+
+def test_carrier_bound_of_the_byte_tables():
+    assert chain(256).imp_bytes[0] == bytes([255] * 256)
+    n = 257  # the Łukasiewicz chain's tables, built by hand
+    oplus = tuple(tuple(min(n - 1, x + y) for y in range(n)) for x in range(n))
+    with pytest.raises(InvalidArgument, match="256"):
+        MvAlgebra(n, oplus, tuple(range(n))[::-1], 0)

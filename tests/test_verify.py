@@ -94,7 +94,7 @@ def _fresh(a, name, args):
         return core.quotient_by(a, *args)
     if name == "rows":
         table, mask = args
-        return calculus.rows(getattr(a, table), mask, a.full_mask)
+        return calculus.rows(getattr(a, f"{table}_bytes"), mask, a.full_mask)
     if name == "cosets":
         return core.congruence_cosets(a, *args)
     if name == "image":
@@ -103,7 +103,7 @@ def _fresh(a, name, args):
     if name == "quotient_rows":
         p, mask = args
         qa = core.quotient_by(a, p).quotient
-        return calculus.rows(qa.otimes, mask, qa.full_mask)
+        return calculus.rows(qa.otimes_bytes, mask, qa.full_mask)
     if name == "quotient_sqto":
         p, fq, gq = args
         return calculus.sqto(core.quotient_by(a, p).quotient, fq, gq)
