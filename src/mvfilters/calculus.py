@@ -37,7 +37,9 @@ subordinate memo, so each (F∩G, x) is built once per run.
 
 from __future__ import annotations
 
-from .core import MvAlgebra, congruence_cosets, iter_mask, member_lookup
+from .core import (
+    MvAlgebra, QuotientAlgebra, congruence_cosets, iter_mask, member_lookup,
+)
 from .errors import InvalidArgument, InvariantViolation
 from .filters import up_closure
 
@@ -219,18 +221,19 @@ def j_down_cosets(a: MvAlgebra, cosets, f_mask: int) -> int:
 # boundary cosets
 
 
-def boundary_coset(a: MvAlgebra, f_mask: int, p_mask: int) -> int:
-    """The unique P-coset meeting both F and its complement.
+def boundary_coset(a: MvAlgebra, f_mask: int, q: QuotientAlgebra) -> int:
+    """The unique P-coset meeting both F and its complement, for q = L/P.
 
-    Requires K(F) properly contained in P; existence and uniqueness are
-    invariants, so their failure raises loudly.
+    Requires K(F) properly contained in P = ``q.filter_mask``, and reads the
+    straddling coset off ``q.cosets``, so L is partitioned once per quotient,
+    not once per call.  Existence and uniqueness are invariants, so their
+    failure raises loudly.
     """
     kf = kernel(a, f_mask)
-    if not (kf & ~p_mask == 0 and kf != p_mask):
+    if not (kf & ~q.filter_mask == 0 and kf != q.filter_mask):
         raise InvalidArgument("boundary coset needs K(F) properly inside P")
-    _, _, cosets = congruence_cosets(a, p_mask)
     straddling = [
-        cm for cm in cosets if cm & f_mask and cm & ~f_mask & a.full_mask
+        cm for cm in q.cosets if cm & f_mask and cm & ~f_mask & a.full_mask
     ]
     if len(straddling) != 1:
         raise InvariantViolation(

@@ -73,9 +73,6 @@ class Cut:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __reduce__(self):
-        return Cut, (self.endpoint, self.kind)
-
     def __eq__(self, other):
         if other.__class__ is not Cut:
             return NotImplemented
@@ -87,11 +84,6 @@ class Cut:
 
     def __repr__(self):
         return f"Cut(endpoint={self.endpoint!r}, kind={self.kind!r})"
-
-    def __contains__(self, x: Fraction) -> bool:
-        if self.kind is _OPEN:
-            return self.endpoint < x <= ONE
-        return self.endpoint <= x <= ONE
 
     def issubset(self, other: "Cut") -> bool:
         lhs, rhs = self.num * other.den, other.num * self.den
@@ -233,18 +225,6 @@ def oracle_plus(f: Cut) -> Cut:
         return _cut(f.den - f.num, f.den, _CLOSED)
     # 1-z < q  iff  z > 1-q
     return _cut(f.den - f.num, f.den, _OPEN)
-
-
-def oracle_member(f: Cut, g: Cut, z: Fraction) -> bool:
-    """Direct membership test z ∈ F⊸G by witness elimination, for spot checks."""
-    _require_proper(f, g)
-    fp = intersect(f, g)
-    bound = g.endpoint - z + ONE
-    if g.kind is Kind.CLOSED:
-        return not bound > fp.endpoint
-    if fp.kind is Kind.CLOSED:
-        return not bound >= fp.endpoint
-    return not bound > fp.endpoint
 
 
 # ---------------------------------------------------------------------------

@@ -99,16 +99,18 @@ def is_prime_lattice_filter(a: MvAlgebra, mask: int) -> bool:
 def is_prime_implication_filter(a: MvAlgebra, mask: int) -> bool:
     """Proper implication filter whose quotient is linearly ordered.
 
-    Characterised by x→y ∈ P or y→x ∈ P for all x, y; equivalence with
-    linearity of the quotient is cross-checked in the test suite.
+    Characterised by x→y ∈ P or y→x ∈ P for all x, y: for each x, row x of
+    → read into P together with column x of → read into P is all of L.
+    ``core.congruence_cosets`` intersects the same two reads.  Equivalence
+    with linearity of the quotient is cross-checked in the test suite.
     """
     if mask == a.full_mask or not is_implication_filter(a, mask):
         return False
-    for x in range(a.size):
-        for y in range(a.size):
-            if not ((mask >> a.imp[x][y]) & 1 or (mask >> a.imp[y][x]) & 1):
-                return False
-    return True
+    look = member_lookup(mask, a.size)
+    return all(
+        int(row.translate(look), 2) | int(col.translate(look), 2) == a.full_mask
+        for row, col in zip(a.imp_bytes, a.imp_col_bytes)
+    )
 
 
 def check_cap(size: int):

@@ -172,8 +172,9 @@ def hat_eta(h: HatAlgebra, q: QuotientAlgebra) -> tuple[int, ...]:
 
     ``q`` is the quotient by Q, which must properly contain the spectrum base
     P and be prime or improper (the improper Q gives the one-point quotient).
-    ``thm:hat-eta`` checks it against each representative's boundary coset and
-    that the map preserves ⁺ and ⊸.
+    Each boundary coset is read off ``q``'s own cosets, so L is not
+    partitioned again.  ``thm:hat-eta`` checks the map against each
+    representative's boundary coset and that it preserves ⁺ and ⊸.
     """
     a = h.spectrum.algebra
     p_mask, q_mask = h.spectrum.p_mask, q.filter_mask
@@ -182,6 +183,6 @@ def hat_eta(h: HatAlgebra, q: QuotientAlgebra) -> tuple[int, ...]:
     if q_mask != a.full_mask and not filters.is_prime_implication_filter(a, q_mask):
         raise InvalidArgument("Q must be prime (or improper)")
     return tuple(
-        q.cosets.index(calculus.boundary_coset(a, rep, q_mask))
+        q.cosets.index(calculus.boundary_coset(a, rep, q))
         for rep in h.representatives
     )

@@ -739,12 +739,13 @@ def _boundary(ctx, out):
     a = ctx.a
     for f in ctx.primes:
         for p in _extensions(ctx, ctx.kernel(f)):
+            q = ctx.quotient(p)
             try:
-                c = calculus.boundary_coset(a, f, p)
+                c = calculus.boundary_coset(a, f, q)
             except InvariantViolation as e:
                 out.append((*_shown(ctx, f, p), str(e)))
                 continue
-            cplus = calculus.boundary_coset(a, calculus.set_plus(a, f), p)
+            cplus = calculus.boundary_coset(a, calculus.set_plus(a, f), q)
             if cplus != mask_of(a.neg[z] for z in iter_mask(c)):
                 out.append(("plus-negation", *_shown(ctx, f, p)))
 
@@ -947,7 +948,7 @@ def _hat_eta(ctx, out):
             stray = [
                 ctx.show(rep)
                 for i, rep in enumerate(h.representatives)
-                if q.cosets.index(calculus.boundary_coset(a, rep, q_mask)) != eta[i]
+                if q.cosets.index(calculus.boundary_coset(a, rep, q)) != eta[i]
             ]
             if stray:
                 out.append(("η̂ misses a member's boundary coset", *where, stray))

@@ -1,10 +1,14 @@
+from collections import Counter
+
 import pytest
 
 import mvfilters as mv
-from mvfilters import calculus, core, filters
+from mvfilters import calculus, core, filters, verify
 from mvfilters.errors import InvalidArgument
 
-from conftest import CHAINS, PRODUCTS, assert_check_can_fail, drop_lowest
+from conftest import (
+    ALL_ALGEBRAS, CHAINS, PRODUCTS, assert_check_can_fail, drop_lowest,
+)
 
 
 def by_labels(a, *labels):
@@ -135,16 +139,52 @@ def test_j_up_j_down_examples(l4):
 def test_boundary_coset(l4):
     up_23 = by_labels(l4, "2/3", "1")
     # K = {1} ⊊ improper P: the single coset straddles
-    assert calculus.boundary_coset(l4, up_23, l4.full_mask) == l4.full_mask
-    with pytest.raises(InvalidArgument):
-        calculus.boundary_coset(l4, up_23, l4.one_mask)  # needs K(F) ⊊ P
+    q = core.quotient_by(l4, l4.full_mask)
+    assert calculus.boundary_coset(l4, up_23, q) == l4.full_mask
+    with pytest.raises(InvalidArgument):  # needs K(F) ⊊ P
+        calculus.boundary_coset(l4, up_23, core.quotient_by(l4, l4.one_mask))
 
 
 def test_boundary_coset_in_product(l2xl3):
     a = l2xl3
     p = core.mask_of(i for i, lab in enumerate(a.labels) if lab.startswith("(1,"))
     # F = {(1,1)} has kernel {(1,1)} ⊊ P; P's own coset is the straddler
-    assert calculus.boundary_coset(a, a.one_mask, p) == p
+    assert calculus.boundary_coset(a, a.one_mask, core.quotient_by(a, p)) == p
+
+
+PARTITION = core.congruence_cosets
+
+
+def count_partitions(monkeypatch, a, only=None):
+    """congruence_cosets calls per P during run_finite(a, only=only)."""
+    calls = Counter()
+
+    def counted(b, p_mask):
+        calls[p_mask] += 1
+        return PARTITION(b, p_mask)
+
+    for owner in (core, calculus, verify):
+        monkeypatch.setattr(owner, "congruence_cosets", counted)
+    assert mv.run_finite(a, only=only).ok
+    return calls
+
+
+BOUNDARY_STATEMENTS = ["def:boundary", "thm:hat-eta", "thm:composite"]
+
+
+def test_each_quotient_is_partitioned_once(monkeypatch, algebra):
+    # boundary cosets read the quotient they are handed; only quotient_by
+    # partitions L, once per P in the Ctx memo
+    calls = count_partitions(monkeypatch, algebra, BOUNDARY_STATEMENTS)
+    assert calls and set(calls.values()) == {1}
+    # a full run adds one more partition per P, in the Ctx.cosets memo
+    assert max(count_partitions(monkeypatch, algebra).values()) <= 2
+
+
+@pytest.mark.parametrize("name, total", [("L8", 2), ("L2xL3", 3)])
+def test_boundary_statements_partition_each_p_once(monkeypatch, name, total):
+    a = ALL_ALGEBRAS[name]
+    assert sum(count_partitions(monkeypatch, a, BOUNDARY_STATEMENTS).values()) == total
 
 
 def test_convexity(l4):

@@ -23,9 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mvfilters"
 
 # public names kept without a user, with the reason
-ALLOWED = {
-    "densechain.oracle_member": "ROADMAP item 2",
-}
+ALLOWED = {}
 
 
 def _docstring_nodes(tree):

@@ -1,20 +1,22 @@
 """The byte-table reads against the per-entry loops they replaced.
 
 ``MvAlgebra`` keeps its → rows, ⊗ rows and → columns as reversed ``bytes``,
-and six functions read a row or a column into a mask with one
+and seven functions read a row or a column into a mask with one
 ``bytes.translate`` and one ``int(…, 2)``: ``calculus.rows``,
 ``calculus.subordinate``, ``calculus.kernel``, ``core.congruence_cosets``,
-``filters.is_implication_filter`` and the ``order:partial`` statement, which
-reads ``up_mask``.  The oracles below are the loop bodies these functions
-had before.  They read only the tuple tables (``imp``, ``otimes``) entry by
-entry, so they share no code with the byte reads.
+``filters.is_implication_filter``, ``filters.is_prime_implication_filter``
+and the ``order:partial`` statement, which reads ``up_mask``.  The oracles
+below are the loop bodies these functions had before;
+``is_prime_implication_filter_loop`` is the n² loop over element pairs that
+tested x→y ∈ P or y→x ∈ P.  They read only the tuple tables (``imp``,
+``otimes``) entry by entry, so they share no code with the byte reads.
 
 Each read is compared with its oracle on the ten test algebras, on Ł64 and
 2⁶ (the sizes at which the reads matter), on the hand-built non-MV table of
 the cli tests and on hypothesis-drawn arbitrary tables.  The masks are every
-lattice filter, the empty and the full mask, and hypothesis-drawn arbitrary
-masks.  An algebra with one derived byte changed must disagree with an
-oracle, so these comparisons can fail.
+lattice filter and every implication filter, the empty and the full mask,
+and hypothesis-drawn arbitrary masks.  An algebra with one derived byte
+changed must disagree with an oracle, so these comparisons can fail.
 """
 
 import dataclasses
@@ -91,6 +93,16 @@ def is_implication_filter_loop(a, mask):
     return True
 
 
+def is_prime_implication_filter_loop(a, mask):
+    if mask == a.full_mask or not is_implication_filter_loop(a, mask):
+        return False
+    for x in range(a.size):
+        for y in range(a.size):
+            if not ((mask >> a.imp[x][y]) & 1 or (mask >> a.imp[y][x]) & 1):
+                return False
+    return True
+
+
 def order_loop(a):
     out = []
     for x in range(a.size):
@@ -126,6 +138,9 @@ def assert_mask_agrees(a, mask):
     assert filters.is_implication_filter(a, mask) == (
         is_implication_filter_loop(a, mask)
     )
+    assert filters.is_prime_implication_filter(a, mask) == (
+        is_prime_implication_filter_loop(a, mask)
+    )
 
 
 BAD = MvAlgebra(
@@ -142,7 +157,9 @@ ALGEBRAS = ALL_ALGEBRAS | {
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_every_lattice_filter_matches_the_loops(name):
     a = ALGEBRAS[name]
-    for mask in {0, a.full_mask, *filters.enumerate_lattice_filters(a)}:
+    masks = {0, a.full_mask, *filters.enumerate_lattice_filters(a),
+             *filters.enumerate_implication_filters(a)}
+    for mask in masks:
         assert_mask_agrees(a, mask)
     assert order_read(a) == order_loop(a)
 
