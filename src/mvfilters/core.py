@@ -194,9 +194,7 @@ def check_mv_axioms(a: MvAlgebra, max_failures: int = 10) -> list[tuple[str, tup
 
 
 def is_linear(a: MvAlgebra) -> bool:
-    return all(
-        a.leq(x, y) or a.leq(y, x) for x in range(a.size) for y in range(a.size)
-    )
+    return all(u | d == a.full_mask for u, d in zip(a.up_mask, a.down_mask))
 
 
 @dataclass(frozen=True)

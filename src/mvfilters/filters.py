@@ -9,6 +9,7 @@ search.  Every finite MV-algebra is a finite product of Łukasiewicz chains
 (Cignoli, D'Ottaviano and Mundici, *Algebraic Foundations of Many-valued
 Reasoning*, 2000).  Hence every lattice filter is the principal filter ↑x of
 some x, and every implication filter is ↑b for an idempotent b (b⊕b = b).
+↑x is prime exactly when L∖↑x is some ↓y (Davey and Priestley, 2002).
 The enumeration is exact for MV-algebras only: on a ``table`` spec that
 breaks the axioms it lists principal up-sets, which need not be the filters
 of that table.  ``enumerate_up_sets`` walks every up-set and serves as a
@@ -81,21 +82,6 @@ def is_implication_filter(a: MvAlgebra, mask: int) -> bool:
     )
 
 
-def is_prime_lattice_filter(a: MvAlgebra, mask: int) -> bool:
-    """Proper lattice filter F with x∨y ∈ F forcing x ∈ F or y ∈ F."""
-    if mask == a.full_mask or not is_lattice_filter(a, mask):
-        return False
-    for x in range(a.size):
-        if (mask >> x) & 1:
-            continue
-        for y in range(a.size):
-            if (mask >> y) & 1:
-                continue
-            if (mask >> a.join[x][y]) & 1:
-                return False
-    return True
-
-
 def is_prime_implication_filter(a: MvAlgebra, mask: int) -> bool:
     """Proper implication filter whose quotient is linearly ordered.
 
@@ -149,12 +135,14 @@ def enumerate_up_sets(a: MvAlgebra) -> list[int]:
 def enumerate_lattice_filters(a: MvAlgebra, prime_only: bool = False) -> list[int]:
     """Every lattice filter (the improper one included), ascending by mask.
 
-    These are the principal filters ↑x, each listed once.
+    These are the principal filters ↑x, each listed once.  In a finite
+    lattice ↑x is prime exactly when L∖↑x is a principal ideal ↓y.
     """
     check_cap(a.size)
     out = sorted(set(a.up_mask))
     if prime_only:
-        out = [m for m in out if is_prime_lattice_filter(a, m)]
+        ideals = set(a.down_mask)
+        out = [m for m in out if (a.full_mask & ~m) in ideals]
     return out
 
 
@@ -193,9 +181,8 @@ def successor_structure(a: MvAlgebra):
     for x, s in succ.items():
         if x == s or not a.leq(x, s):
             return None
-        for z in range(a.size):
-            if z != x and z != s and a.leq(x, z) and a.leq(z, s):
-                return None
+        if a.up_mask[x] & a.down_mask[s] & ~(1 << x | 1 << s):
+            return None
     for x, p in pred.items():
         if x == p or not a.leq(p, x):
             return None

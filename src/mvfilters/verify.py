@@ -109,15 +109,17 @@ class Ctx:
     """Filter lists of one finite algebra, and the memo of one verification run.
 
     The lists come from the theory enumeration in ``filters``: lattice
-    filters are the principal filters ↑x and implication filters are ↑b for
-    idempotent b.  That is exact for MV-algebras only (finite products of
-    Łukasiewicz chains; Cignoli, D'Ottaviano and Mundici, 2000).  Every spec
-    the cli builds is certified first, so only a hand-built ``MvAlgebra`` is
-    listed uncertified; ``axioms:mv`` reports its witnesses.  The four lists
-    answer membership too: a statement asks ``m in ctx.lattice`` (or
-    ``primes``, ``impl``, ``prime_impl``) rather than deciding it again by a
-    predicate.  ``enum:crosscheck`` and ``impl:lattice-otimes`` certify the
-    lists against the definitional predicates by a power-set scan.
+    filters are the principal filters ↑x, the prime ones those whose
+    complement is some ↓y, and implication filters are ↑b for idempotent b.
+    That is exact for MV-algebras only (finite products of Łukasiewicz
+    chains; Cignoli, D'Ottaviano and Mundici, 2000).  Every spec the cli
+    builds is certified first, so only a hand-built ``MvAlgebra`` is listed
+    uncertified; ``axioms:mv`` reports its witnesses.  The four lists answer
+    membership too: a statement asks ``m in ctx.lattice`` (or ``primes``,
+    ``impl``, ``prime_impl``) rather than deciding it again by a predicate.
+    ``enum:crosscheck`` and ``impl:lattice-otimes`` certify the lists
+    against the definitions by a power-set scan, and ``order:partial`` the
+    masks ↑x and ↓x they are read from against ≤.
 
     A method marked ``@_memo`` computes its value once per argument tuple,
     by the one definition in its module, and keeps it in
@@ -314,10 +316,15 @@ def _axioms(ctx, out):
 
 @finite("order:partial", "derived order is a partial order, total on chains")
 def _order(ctx, out):
-    """Reads ``up_mask``: ↑x is {y | x ≤ y}.  For each y ∈ ↑x, antisymmetry
-    asks whether x ∈ ↑y, and every z ∈ ↑y∖↑x breaks transitivity."""
-    up = ctx.a.up_mask
+    """Checks ↑x (``up_mask``) and ↓x (``down_mask``) against ``leq``, then
+    reads ``up_mask``: for each y ∈ ↑x, antisymmetry asks whether x ∈ ↑y,
+    and every z ∈ ↑y∖↑x breaks transitivity."""
+    a, up = ctx.a, ctx.a.up_mask
     for x, ux in enumerate(up):
+        if ux != mask_of(y for y in range(a.size) if a.leq(x, y)):
+            out.append(("up_mask", x))
+        if a.down_mask[x] != mask_of(y for y in range(a.size) if a.leq(y, x)):
+            out.append(("down_mask", x))
         if not (ux >> x) & 1:
             out.append(("reflexivity", x))
         for y in iter_mask(ux):
@@ -344,6 +351,13 @@ def _enum_crosscheck(ctx, out):
     naive = [m for m in range(1 << a.size) if filters.is_lattice_filter(a, m)]
     if naive != ctx.lattice:
         out.append(("lattice filter lists differ", len(naive), len(ctx.lattice)))
+    naive_primes = [
+        m for m in naive
+        if m != a.full_mask
+        and not any((m >> a.join[x][y]) & 1 for x, y in _pairs(_outside(ctx, m)))
+    ]
+    if naive_primes != ctx.primes:
+        out.append(("prime filter lists differ", len(naive_primes), len(ctx.primes)))
     naive_impl = [m for m in range(1 << a.size) if filters.is_implication_filter(a, m)]
     if naive_impl != ctx.impl:
         out.append(("implication filter lists differ",))

@@ -92,7 +92,8 @@ def test_successor_examples(l4, l5):
 
 def test_principality(l4):
     f = by_labels(l4, "2/3", "1")
-    assert filters.is_lattice_filter(l4, f) and filters.is_prime_lattice_filter(l4, f)
+    assert filters.is_lattice_filter(l4, f)
+    assert f in filters.enumerate_lattice_filters(l4, prime_only=True)
     assert mv.principal_generator(l4, f) == l4.labels.index("2/3")
     assert not filters.is_implication_filter(l4, f)
     # not a lattice filter: no generator
@@ -164,3 +165,48 @@ def test_ctx_of_boolean_cube_2_6_builds():
     ctx = Ctx(_chain_product(*(2,) * 6))
     assert (len(ctx.lattice), len(ctx.primes)) == (64, 6)
     assert (len(ctx.impl), len(ctx.prime_impl)) == (64, 6)
+
+
+def census(cap=64):
+    """Every multiset n₁ ≥ … ≥ n_k ≥ 2 of chain sizes with product ≤ cap:
+    the finite MV-algebras of 2 to cap elements, up to isomorphism."""
+    def rec(prefix, size, largest):
+        if prefix:
+            yield prefix
+        for n in range(min(largest, cap // size), 1, -1):
+            yield from rec(prefix + (n,), size * n, n)
+
+    return list(rec((), 1, cap))
+
+
+def primes_by_definition(a):
+    """Proper lattice filters F in which no x∨y with x, y ∉ F lands."""
+    return [
+        m for m in filters.enumerate_lattice_filters(a)
+        if m != a.full_mask and not any(
+            (m >> a.join[x][y]) & 1
+            for x in range(a.size) if not (m >> x) & 1
+            for y in range(a.size) if not (m >> y) & 1
+        )
+    ]
+
+
+def test_prime_filters_match_the_definition_on_the_census():
+    algebras = census()
+    assert len(algebras) == 197
+    for ns in algebras:
+        a = _chain_product(*ns)
+        assert filters.enumerate_lattice_filters(a, prime_only=True) == (
+            primes_by_definition(a)
+        ), ns
+
+
+def test_ctx_builds_its_lists_without_the_lattice_predicate(monkeypatch, algebra):
+    from mvfilters.verify import Ctx
+
+    def refused(a, mask):
+        raise AssertionError("Ctx decided a lattice filter by the predicate")
+
+    monkeypatch.setattr(filters, "is_lattice_filter", refused)
+    ctx = Ctx(algebra)
+    assert ctx.primes

@@ -5,11 +5,14 @@ and seven functions read a row or a column into a mask with one
 ``bytes.translate`` and one ``int(…, 2)``: ``calculus.rows``,
 ``calculus.subordinate``, ``calculus.kernel``, ``core.congruence_cosets``,
 ``filters.is_implication_filter``, ``filters.is_prime_implication_filter``
-and the ``order:partial`` statement, which reads ``up_mask``.  The oracles
-below are the loop bodies these functions had before;
-``is_prime_implication_filter_loop`` is the n² loop over element pairs that
-tested x→y ∈ P or y→x ∈ P.  They read only the tuple tables (``imp``,
-``otimes``) entry by entry, so they share no code with the byte reads.
+and the ``order:partial`` statement, which reads ``up_mask``.
+``core.is_linear`` and the immediacy test of ``filters.successor_structure``
+read ``up_mask`` and ``down_mask`` too.  The oracles below are the loop
+bodies these functions had before; ``is_prime_implication_filter_loop`` is
+the n² loop over element pairs that tested x→y ∈ P or y→x ∈ P, and
+``is_linear_loop`` and ``successor_structure_loop`` ask ``leq`` pair by
+pair.  They read only the tuple tables (``imp``, ``otimes``) entry by entry,
+so they share no code with the byte reads.
 
 Each read is compared with its oracle on the ten test algebras, on Ł64 and
 2⁶ (the sizes at which the reads matter), on the hand-built non-MV table of
@@ -117,6 +120,56 @@ def order_loop(a):
     return out
 
 
+def is_linear_loop(a):
+    return all(
+        a.leq(x, y) or a.leq(y, x) for x in range(a.size) for y in range(a.size)
+    )
+
+
+def successor_structure_loop(a):
+    if not is_linear_loop(a):
+        raise InvalidArgument("successor structure needs a linearly ordered algebra")
+    above_zero = [x for x in range(a.size) if x != a.zero]
+    if not above_zero:
+        raise InvalidArgument("trivial algebra has no successor structure")
+    c = above_zero[0]
+    for x in above_zero:
+        if a.leq(x, c):
+            c = x
+    succ = {}
+    pred = {}
+    for x in range(a.size):
+        if x != a.one:
+            succ[x] = a.oplus[x][c]
+        if x != a.zero:
+            pred[x] = a.otimes[x][a.neg[c]]
+    for x, s in succ.items():
+        if x == s or not a.leq(x, s):
+            return None
+        for z in range(a.size):
+            if z != x and z != s and a.leq(x, z) and a.leq(z, s):
+                return None
+    for x, p in pred.items():
+        if x == p or not a.leq(p, x):
+            return None
+    return c, succ, pred
+
+
+def outcome(fn, a):
+    """fn(a), or the message of the InvalidArgument it raises."""
+    try:
+        return fn(a)
+    except InvalidArgument as e:
+        return str(e)
+
+
+def assert_order_loops_agree(a):
+    assert core.is_linear(a) == is_linear_loop(a)
+    assert outcome(filters.successor_structure, a) == (
+        outcome(successor_structure_loop, a)
+    )
+
+
 def order_read(a):
     out = []
     verify.FINITE_STATEMENTS["order:partial"][1](verify.Ctx(a), out)
@@ -164,6 +217,11 @@ def test_every_lattice_filter_matches_the_loops(name):
     assert order_read(a) == order_loop(a)
 
 
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_linearity_and_successors_match_the_loops(name):
+    assert_order_loops_agree(ALGEBRAS[name])
+
+
 def test_the_non_mv_table_has_witnesses_to_compare():
     # so the comparison above is not vacuous on it
     assert core.check_mv_axioms(BAD)
@@ -202,6 +260,12 @@ def test_arbitrary_tables_match_the_loops(a, data):
     assert_mask_agrees(a, data.draw(st.integers(0, a.full_mask), label="mask"))
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(a=arbitrary_tables())
+def test_arbitrary_tables_match_the_order_loops(a):
+    assert_order_loops_agree(a)
+
+
 def changed(a, table, line, pos):
     """A copy of a whose byte table ``table`` has entry pos of ``line`` moved
     to the next element, and that entry's old value; the tuple tables that
@@ -233,6 +297,19 @@ def test_order_read_can_fail():
     b = dataclasses.replace(a)
     object.__setattr__(b, "up_mask", tuple(up))
     assert order_read(b) != order_loop(b)
+
+
+def test_order_partial_fails_on_swapped_masks():
+    # ↑ and ↓ swapped describe the dual order, which is still a partial
+    # order: only the check of the masks against leq sees the swap
+    a = chain(4)
+    b = dataclasses.replace(a)
+    object.__setattr__(b, "up_mask", a.down_mask)
+    object.__setattr__(b, "down_mask", a.up_mask)
+    assert order_read(a) == []
+    assert order_read(b) == [
+        w for x in range(4) for w in (("up_mask", x), ("down_mask", x))
+    ]
 
 
 def test_carrier_bound_of_the_byte_tables():

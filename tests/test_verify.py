@@ -513,6 +513,27 @@ def test_ctx_spectrum_is_the_cold_prime_spectrum(name):
         assert ctx.spectrum(p) == spectra.prime_spectrum(a, p)
 
 
+def _drop_one_prime(real):
+    """real, with the first prime lattice filter left out of the prime list."""
+    def corrupted(a, prime_only=False):
+        out = real(a, prime_only)
+        return out[1:] if prime_only else out
+
+    return corrupted
+
+
+@pytest.mark.parametrize("algebra_id", ["L5", "L2xL3"])
+def test_enum_crosscheck_checks_the_prime_list(monkeypatch, algebra_id):
+    a = ALL_ALGEBRAS[algebra_id]
+    k = len(filters.enumerate_lattice_filters(a, prime_only=True))
+    assert_check_can_fail(
+        monkeypatch, a, "enum:crosscheck", filters, "enumerate_lattice_filters",
+        _drop_one_prime,
+    )
+    witnesses = mv.run_finite(a, only=["enum:crosscheck"]).results[0].witnesses
+    assert witnesses == [("prime filter lists differ", k, k - 1)]
+
+
 @pytest.mark.parametrize("factors", [(8, 8), (2,) * 6], ids=["L8xL8", "2^6"])
 def test_phi_and_quot_commute_pass_on_64_elements(factors):
     report = mv.run_finite(product(*factors), only=["prop:phi", "prop:quot-commute"])
