@@ -14,6 +14,7 @@ errors or a table that is not an MV-algebra, 3 resource limits exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -419,7 +420,14 @@ def cmd_export(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared after that.
+
+    ``parse_args`` returns a fresh namespace and writes nothing to the
+    parser, so one parser per process is a constant.  Specs and algebras
+    are never cached: each call reads its spec file and builds its algebra.
+    """
     ap = argparse.ArgumentParser(
         prog="mvfilters",
         description="filter calculus workbench for MV-algebras",

@@ -8,8 +8,9 @@ element i is a member), which keeps filter enumeration and intersection cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, repeat
+from math import gcd
+from operator import add, mul
 
 from .errors import InvalidArgument
 
@@ -43,8 +44,12 @@ def member_lookup(mask: int, n: int) -> bytes:
 class MvAlgebra:
     """A finite MV-algebra given by its ⊕ table, negation table and zero.
 
-    Derived tables (⊗, →, ∨, ∧, ≤) are computed eagerly at construction;
-    the instance is immutable afterwards and safe to share between workers.
+    Derived tables (⊗, →, ∨, ∧, ≤) are computed eagerly at construction,
+    each a row or a column at a time by ``bytes.translate`` from the
+    definitions x⊗y = ¬(¬x⊕¬y), x→y = ¬x⊕y, x∨y = (x→y)→y and
+    x∧y = ¬(¬x∨¬y); row x of → is row ¬x of ⊕, the same tuple.  Every ⊕
+    and ¬ entry must be an element index.  The instance is immutable
+    afterwards and safe to share between workers.
 
     The → rows, ⊗ rows and → columns are also kept as ``bytes``, each one
     reversed (``imp_bytes[x][n-1-y]`` is x→y, ``imp_col_bytes[y][n-1-z]``
@@ -87,35 +92,51 @@ class MvAlgebra:
             raise InvalidArgument("neg table must list one value per element")
         if not 0 <= self.zero < n:
             raise InvalidArgument("zero must be an element index")
+        neg, oplus = self.neg, self.oplus
+        oplus_b = _byte_lines("oplus", oplus, n)
+        (neg_b,) = _byte_lines("neg", (neg,), n)
         if not self.labels:
             object.__setattr__(self, "labels", tuple(str(i) for i in range(n)))
-        neg, oplus = self.neg, self.oplus
         one = neg[self.zero]
-        otimes = tuple(
-            tuple(neg[oplus[neg[x]][neg[y]]] for y in range(n)) for x in range(n)
+        # line.translate(t.ljust(256, b"\0")) reads the table t at each entry
+        # of line, and lines[k::n] of n stacked lines is their column k, so
+        # each line below is one or two C calls.
+        neg_t = neg_b.ljust(256, b"\0")
+        neg_rev = neg_b[::-1]
+        imp = tuple(tuple(oplus[v]) for v in neg)  # x→y = ¬x⊕y: row ¬x of ⊕
+        imp_b = [oplus_b[v] for v in neg]
+        # x⊗y = ¬(¬x⊕¬y): row x of → read at ¬y, then negated; read along
+        # neg_rev, so each ⊗ row comes out reversed, as otimes_bytes keeps it
+        otimes_bytes = tuple(
+            neg_rev.translate(r.ljust(256, b"\0")).translate(neg_t) for r in imp_b
         )
-        imp = tuple(tuple(oplus[neg[x]]) for x in range(n))  # x→y = ¬x⊕y
-        join = tuple(tuple(imp[imp[x][y]][y] for y in range(n)) for x in range(n))
+        stacked = b"".join(imp_b)
+        imp_cols = [stacked[y::n] for y in range(n)]
+        # x∨y = (x→y)→y: column y of → read at itself
+        join_stacked = b"".join(c.translate(c.ljust(256, b"\0")) for c in imp_cols)
+        join_b = [join_stacked[x::n] for x in range(n)]
+        # x∧y = ¬(¬x∨¬y): row ¬x of ∨ read at ¬y, then negated
         meet = tuple(
-            tuple(neg[join[neg[x]][neg[y]]] for y in range(n)) for x in range(n)
+            tuple(neg_b.translate(join_b[v].ljust(256, b"\0")).translate(neg_t))
+            for v in neg
         )
-        imp_bytes = tuple(bytes(r[::-1]) for r in imp)
-        imp_col_bytes = tuple(bytes(c[::-1]) for c in zip(*imp))
+        imp_bytes = tuple(r[::-1] for r in imp_b)
+        imp_col_bytes = tuple(c[::-1] for c in imp_cols)
         # ↑x is row x of → into {1}, ↓x is column x of → into {1}
         is_one = member_lookup(1 << one, n)
         up = tuple(int(r.translate(is_one), 2) for r in imp_bytes)
         down = tuple(int(c.translate(is_one), 2) for c in imp_col_bytes)
         object.__setattr__(self, "one", one)
-        object.__setattr__(self, "otimes", otimes)
+        object.__setattr__(self, "otimes", tuple(tuple(r[::-1]) for r in otimes_bytes))
         object.__setattr__(self, "imp", imp)
-        object.__setattr__(self, "join", join)
+        object.__setattr__(self, "join", tuple(map(tuple, join_b)))
         object.__setattr__(self, "meet", meet)
         object.__setattr__(self, "up_mask", up)
         object.__setattr__(self, "down_mask", down)
         object.__setattr__(self, "full_mask", (1 << n) - 1)
         object.__setattr__(self, "one_mask", 1 << one)
         object.__setattr__(self, "imp_bytes", imp_bytes)
-        object.__setattr__(self, "otimes_bytes", tuple(bytes(r[::-1]) for r in otimes))
+        object.__setattr__(self, "otimes_bytes", otimes_bytes)
         object.__setattr__(self, "imp_col_bytes", imp_col_bytes)
 
     def leq(self, x: int, y: int) -> bool:
@@ -128,38 +149,55 @@ class MvAlgebra:
         return hash((self.size, self.oplus, self.neg, self.zero))
 
 
+def _byte_lines(table: str, rows, n: int) -> list[bytes]:
+    """Each row of a table as ``bytes``; InvalidArgument naming the table
+    unless every entry is an element index in [0, n)."""
+    try:
+        lines = [bytes(r) for r in rows]
+    except ValueError:  # an entry outside [0, 256)
+        lines = None
+    if lines is None or b"".join(lines).translate(None, bytes(range(n))):
+        raise InvalidArgument(
+            f"{table} table entries must be element indices in [0, {n})"
+        )
+    return lines
+
+
 def make_lukasiewicz_chain(n: int) -> MvAlgebra:
     """The n-element chain on {0, 1/(n-1), ..., 1} with truncated addition."""
     if n < 2:
         raise InvalidArgument(f"chain needs at least two elements, got n={n}")
     d = n - 1
-    oplus = tuple(tuple(min(d, x + y) for y in range(n)) for x in range(n))
-    neg = tuple(d - x for x in range(n))
-    labels = tuple(str(Fraction(x, d)) for x in range(n))
+    oplus = tuple((*range(x, d), *(d,) * (x + 1)) for x in range(n))
+    neg = tuple(range(d, -1, -1))
+    labels = tuple(map(_ratio, range(n), repeat(d)))
     return MvAlgebra(n, oplus, neg, 0, name=f"L{n}", labels=labels)
+
+
+def _ratio(x: int, d: int) -> str:
+    """x/d in lowest terms, written as ``str(Fraction(x, d))`` writes it."""
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
 
 
 def make_product(a: MvAlgebra, b: MvAlgebra) -> MvAlgebra:
     """Componentwise product; element (x, y) is encoded as x * b.size + y."""
     na, nb = a.size, b.size
-    n = na * nb
 
-    def enc(x, y):
-        return x * nb + y
+    def spread(line):
+        """a's line scaled by nb, each entry repeated nb times: its part of
+        the encoding x * nb + y along the product's line."""
+        scaled = tuple(map(mul, line, repeat(nb)))
+        return tuple(chain.from_iterable(zip(*(scaled,) * nb)))
 
-    oplus = tuple(
-        tuple(
-            enc(a.oplus[x // nb][y // nb], b.oplus[x % nb][y % nb])
-            for y in range(n)
-        )
-        for x in range(n)
-    )
-    neg = tuple(enc(a.neg[x // nb], b.neg[x % nb]) for x in range(n))
-    labels = tuple(
-        f"({a.labels[x // nb]},{b.labels[x % nb]})" for x in range(n)
-    )
+    firsts = [spread(r) for r in a.oplus]
+    seconds = [r * na for r in b.oplus]
+    oplus = tuple(tuple(map(add, f, s)) for f in firsts for s in seconds)
+    neg = tuple(map(add, spread(a.neg), b.neg * na))
+    labels = tuple(f"({la},{lb})" for la in a.labels for lb in b.labels)
     name = f"{a.name or 'A'}x{b.name or 'B'}"
-    return MvAlgebra(n, oplus, neg, enc(a.zero, b.zero), name=name, labels=labels)
+    zero = a.zero * nb + b.zero
+    return MvAlgebra(na * nb, oplus, neg, zero, name=name, labels=labels)
 
 
 def check_mv_axioms(a: MvAlgebra, max_failures: int = 10) -> list[tuple[str, tuple]]:
@@ -247,28 +285,37 @@ def congruence_cosets(a: MvAlgebra, p_mask: int):
 
 
 def quotient_by(a: MvAlgebra, p_mask: int) -> QuotientAlgebra:
-    """Quotient by an implication filter; verifies the tables are well defined."""
+    """Quotient by an implication filter; verifies the tables are well defined.
+
+    The quotient's ⊕ row of coset c is row rep(c) of ⊕ read at the
+    representatives and sent to cosets.  Well-definedness is checked one
+    element x at a time: ¬x, then row x of ⊕, sent to cosets, must equal
+    what the quotient's tables give on the coset of x.  Each row is two
+    ``bytes.translate`` calls, as in ``MvAlgebra``.
+    """
     from . import filters  # local import to avoid a cycle
 
     if not filters.is_implication_filter(a, p_mask):
         raise InvalidArgument("quotient congruence must be an implication filter")
     coset_of, reps, cosets = congruence_cosets(a, p_mask)
-    m = len(reps)
-    q_oplus = tuple(
-        tuple(coset_of[a.oplus[reps[i]][reps[j]]] for j in range(m))
-        for i in range(m)
-    )
-    q_neg = tuple(coset_of[a.neg[reps[i]]] for i in range(m))
-    q_labels = tuple("[" + a.labels[reps[i]] + "]" for i in range(m))
+    if -1 in coset_of:  # some x→x ∉ P, which no MV-algebra allows
+        raise InvalidArgument("congruence is not reflexive")
+    coset_b = bytes(coset_of)
+    coset_t = coset_b.ljust(256, b"\0")
+    reps_b = bytes(reps)
+    q_rows = [reps_b.translate(bytes(a.oplus[r]).ljust(256, b"\0")).translate(coset_t)
+              for r in reps]
+    q_neg = reps_b.translate(bytes(a.neg).ljust(256, b"\0")).translate(coset_t)
+    q_labels = tuple("[" + a.labels[r] + "]" for r in reps)
     quotient = MvAlgebra(
-        m, q_oplus, q_neg, coset_of[a.zero],
+        len(reps), tuple(map(tuple, q_rows)), tuple(q_neg), coset_of[a.zero],
         name=f"{a.name}/{a.label_set(p_mask)}", labels=q_labels,
     )
     # well-definedness == the projection is a homomorphism on every pair
-    for x in range(a.size):
-        if coset_of[a.neg[x]] != q_neg[coset_of[x]]:
+    q_tables = [r.ljust(256, b"\0") for r in q_rows]
+    for x, c in enumerate(coset_of):
+        if coset_of[a.neg[x]] != q_neg[c]:
             raise InvalidArgument("congruence does not respect negation")
-        for y in range(a.size):
-            if coset_of[a.oplus[x][y]] != q_oplus[coset_of[x]][coset_of[y]]:
-                raise InvalidArgument("congruence does not respect addition")
+        if bytes(a.oplus[x]).translate(coset_t) != coset_b.translate(q_tables[c]):
+            raise InvalidArgument("congruence does not respect addition")
     return QuotientAlgebra(p_mask, coset_of, reps, cosets, quotient)

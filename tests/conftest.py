@@ -1,7 +1,7 @@
 import pytest
 
 from mvfilters import densechain as dc, make_lukasiewicz_chain, run_finite
-from mvfilters.core import make_product
+from mvfilters.core import MvAlgebra, make_product
 
 
 def chain(n):
@@ -23,6 +23,20 @@ PRODUCTS = {
     "L2xL2xL2": product(2, 2, 2),
 }
 ALL_ALGEBRAS = {f"L{n}": a for n, a in CHAINS.items()} | PRODUCTS
+
+
+def relabelled(a, perm):
+    """a with each element x renamed perm[x]: one algebra, indexed out of order."""
+    inv = {u: x for x, u in enumerate(perm)}
+    n = a.size
+    return MvAlgebra(
+        n,
+        tuple(tuple(perm[a.oplus[inv[u]][inv[v]]] for v in range(n)) for u in range(n)),
+        tuple(perm[a.neg[inv[u]]] for u in range(n)),
+        perm[a.zero],
+        name=f"{a.name} relabelled",
+        labels=tuple(a.labels[inv[u]] for u in range(n)),
+    )
 
 
 def find_isomorphism(a, b):

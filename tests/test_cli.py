@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,8 @@ from mvfilters.core import check_mv_axioms
 from mvfilters.errors import InvalidArgument
 
 from conftest import drop_lowest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -282,6 +288,52 @@ def test_usage_errors_exit_two(run, specfile, tmp_path):
     assert code == 2 and "syntax error" in err
     code, out, err = run("no-such-command")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process, and nothing else kept between calls
+
+
+def test_the_parser_is_built_once():
+    assert cli._build_argparser() is cli._build_argparser()
+
+
+def test_verify_options_do_not_leak_into_the_next_call(run, specfile, monkeypatch):
+    calls = []
+    real = cli.verify.run_finite
+
+    def recording(a, only=None, seed=0):
+        calls.append((only, seed))
+        return real(a, only=only, seed=seed)
+
+    monkeypatch.setattr(cli.verify, "run_finite", recording)
+    spec = specfile(L3)
+    assert run("verify", spec, "--seed", "3", "--only", "fact:a")[0] == 0
+    code, out, err = run("verify", spec)
+    assert code == 0
+    assert calls == [(["fact:a"], 3), (None, 0)]
+    assert out.count("\n") > len(cli.verify.FINITE_STATEMENTS)
+
+
+def test_a_usage_error_leaves_the_next_call_as_a_fresh_process(run, specfile):
+    spec = specfile(L4)
+    assert run("compute", spec)[0] == 2
+    code, out, err = run("compute", spec, "plus(up(1/3))")
+    fresh = subprocess.run(
+        [sys.executable, "-m", "mvfilters.cli", "compute", spec, "plus(up(1/3))"],
+        capture_output=True, text=True, check=False,
+        env=os.environ | {"PYTHONPATH": str(SRC)},
+    )
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert (code, out) == (0, "{1}\n")
+
+
+def test_each_call_reads_its_spec_file_again(run, specfile):
+    spec = specfile(L3)
+    assert run("compute", spec, "up(1/2)")[1] == "{1/2, 1}\n"
+    specfile(L5)  # the same path, rewritten
+    code, out, err = run("compute", spec, "up(1/2)")
+    assert (code, out) == (0, "{1/2, 3/4, 1}\n")
 
 
 def _nested_product(depth):

@@ -14,7 +14,7 @@ from mvfilters.verify import DENSE_STATEMENTS, FINITE_STATEMENTS
 
 from conftest import (
     ALL_ALGEBRAS, CHAINS, KIND_BRANCHES, PRODUCTS, assert_check_can_fail,
-    branch_flipped, drop_lowest, plus_flipped, product, swap_arguments,
+    branch_flipped, drop_lowest, plus_flipped, product, relabelled, swap_arguments,
 )
 
 
@@ -399,20 +399,6 @@ def test_subord_monotone_fails_on_both_branches(monkeypatch, l2xl3):
     assert Counter(w[0] for w in result.witnesses) == {"monotone": 18, "join": 2}
 
 
-def _relabelled(a, perm):
-    """a with each element x renamed perm[x]: one algebra, indexed out of order."""
-    inv = {u: x for x, u in enumerate(perm)}
-    n = a.size
-    return core.MvAlgebra(
-        n,
-        tuple(tuple(perm[a.oplus[inv[u]][inv[v]]] for v in range(n)) for u in range(n)),
-        tuple(perm[a.neg[inv[u]]] for u in range(n)),
-        perm[a.zero],
-        name=f"{a.name} relabelled",
-        labels=tuple(a.labels[inv[u]] for u in range(n)),
-    )
-
-
 def _interval_loop(ctx, table):
     """The witnesses of the per-interval loop that lem:convex-imp and
     lem:convex-otimes once ran, kept as the oracle for their sweep."""
@@ -433,7 +419,7 @@ def _interval_loop(ctx, table):
 
 
 CONVEX_ORACLE_ALGEBRAS = {f"L{n}": CHAINS[n] for n in (5, 6, 7, 8)} | {
-    "L7-relabelled": _relabelled(CHAINS[7], (3, 6, 0, 5, 1, 4, 2)),
+    "L7-relabelled": relabelled(CHAINS[7], (3, 6, 0, 5, 1, 4, 2)),
 }
 
 
