@@ -37,8 +37,11 @@ subordinate memo, so each (F∩G, x) is built once per run.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .core import (
-    MvAlgebra, QuotientAlgebra, congruence_cosets, iter_mask, member_lookup,
+    MvAlgebra, QuotientAlgebra, congruence_cosets, iter_mask, mask_of,
+    member_lookup,
 )
 from .errors import InvalidArgument, InvariantViolation
 from .filters import up_closure
@@ -176,15 +179,23 @@ def phi_rows(imp_rows, f_mask: int) -> int:
     return m
 
 
+# G's selector for compress: the characters "0"/"1" as the bytes 0/1
+_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
 def tensor_up(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
-    """Up-closure of the pairwise ⊗ products of F and G."""
-    gs = list(iter_mask(g_mask))
-    m = 0
+    """Up-closure of the pairwise ⊗ products of F and G.
+
+    G's 0/1 selector picks row f of ⊗ at G's members, so
+    ``itertools.compress`` yields the products f⊗g for g ∈ G in C, one row
+    per f ∈ F.  This is the forward-product definition; it reads no → and
+    no mask lookup, so ``prop:T-phi`` sets it against Φ and the encoding.
+    """
+    sel = format(g_mask, f"0{a.size}b")[::-1].encode().translate(_BIT)
+    products = set()
     for f in iter_mask(f_mask):
-        row = a.otimes[f]
-        for g in gs:
-            m |= 1 << row[g]
-    return up_closure(a, m)
+        products.update(compress(a.otimes[f], sel))
+    return up_closure(a, mask_of(products))
 
 
 # ---------------------------------------------------------------------------

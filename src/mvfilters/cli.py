@@ -126,11 +126,7 @@ def build_algebra(spec: dict) -> MvAlgebra:
     if kind == "lukasiewicz":
         return make_lukasiewicz_chain(spec["n"])
     if kind == "product":
-        algs = [build_algebra(s) for s in spec["factors"]]
-        out = algs[0]
-        for nxt in algs[1:]:
-            out = make_product(out, nxt)
-        return out
+        return make_product(*(build_algebra(s) for s in spec["factors"]))
     a = MvAlgebra(
         spec["size"],
         tuple(tuple(row) for row in spec["oplus"]),

@@ -180,24 +180,35 @@ def _ratio(x: int, d: int) -> str:
     return str(x // g) if g == d else f"{x // g}/{d // g}"
 
 
-def make_product(a: MvAlgebra, b: MvAlgebra) -> MvAlgebra:
-    """Componentwise product; element (x, y) is encoded as x * b.size + y."""
-    na, nb = a.size, b.size
+def make_product(*factors: MvAlgebra) -> MvAlgebra:
+    """Componentwise product of two or more algebras, folded left to right.
 
-    def spread(line):
-        """a's line scaled by nb, each entry repeated nb times: its part of
-        the encoding x * nb + y along the product's line."""
-        scaled = tuple(map(mul, line, repeat(nb)))
-        return tuple(chain.from_iterable(zip(*(scaled,) * nb)))
+    Each step pairs the fold so far, a, with the next factor b, and encodes
+    element (x, y) as x * b.size + y; labels nest as ``((x,y),z)`` and the
+    name is ``AxBxC``.  Only ⊕, ¬, zero, labels and name are folded, so the
+    derived tables are built once, for the whole product.
+    """
+    first, *rest = factors
+    na, oplus, neg, zero = first.size, first.oplus, first.neg, first.zero
+    name, labels = first.name, first.labels
+    for b in rest:
+        nb = b.size
+        firsts = [_spread(r, nb) for r in oplus]
+        seconds = [r * na for r in b.oplus]
+        oplus = tuple(tuple(map(add, f, s)) for f in firsts for s in seconds)
+        neg = tuple(map(add, _spread(neg, nb), b.neg * na))
+        labels = tuple(f"({la},{lb})" for la in labels for lb in b.labels)
+        name = f"{name or 'A'}x{b.name or 'B'}"
+        zero = zero * nb + b.zero
+        na *= nb
+    return MvAlgebra(na, oplus, neg, zero, name=name, labels=labels)
 
-    firsts = [spread(r) for r in a.oplus]
-    seconds = [r * na for r in b.oplus]
-    oplus = tuple(tuple(map(add, f, s)) for f in firsts for s in seconds)
-    neg = tuple(map(add, spread(a.neg), b.neg * na))
-    labels = tuple(f"({la},{lb})" for la in a.labels for lb in b.labels)
-    name = f"{a.name or 'A'}x{b.name or 'B'}"
-    zero = a.zero * nb + b.zero
-    return MvAlgebra(na * nb, oplus, neg, zero, name=name, labels=labels)
+
+def _spread(line, nb: int) -> tuple[int, ...]:
+    """A line of the left factor scaled by nb, each entry repeated nb times:
+    its part of the encoding x * nb + y along the product's line."""
+    scaled = tuple(map(mul, line, repeat(nb)))
+    return tuple(chain.from_iterable(zip(*(scaled,) * nb)))
 
 
 def check_mv_axioms(a: MvAlgebra, max_failures: int = 10) -> list[tuple[str, tuple]]:

@@ -203,14 +203,22 @@ def principal_generator(a: MvAlgebra, mask: int) -> int | None:
 
 
 def implication_filter_generated(a: MvAlgebra, mask: int) -> int:
-    """Close ``mask`` plus 1 under ⊗ and up-closure to a fixpoint."""
-    cur = up_closure(a, mask | a.one_mask)
+    """The implication filter generated by ``mask``: its modus-ponens closure.
+
+    Start from mask ∪ {1} and add, for each member x, row x of → read into
+    the current set M, {z | x→z ∈ M}, until nothing changes.  The fixpoint
+    contains 1 and is closed under modus ponens, which is what
+    ``is_implication_filter`` checks.  The first step already adds ↑M, since
+    x→z = 1 ∈ M for every z ≥ x.  On an MV-algebra this is the closure under
+    ⊗ and up-closure: for an up-set M, z lies in ↑{x⊗y | x, y ∈ M} exactly
+    when some x ∈ M has x→z ∈ M, by residuation.
+    """
+    cur = mask | a.one_mask
     while True:
+        look = member_lookup(cur, a.size)
         nxt = cur
         for x in iter_mask(cur):
-            for y in iter_mask(cur):
-                nxt |= 1 << a.otimes[x][y]
-        nxt = up_closure(a, nxt)
+            nxt |= int(a.imp_bytes[x].translate(look), 2)
         if nxt == cur:
             return cur
         cur = nxt

@@ -645,8 +645,16 @@ def _phi(ctx, out):
 # J-operators and quotient interaction
 
 
+def _kernel_absorbing(ctx: Ctx) -> dict[int, list[int]]:
+    """P -> the lattice filters H with P ⊆ K(H), in ``ctx.lattice`` order,
+    for every implication filter P."""
+    kernels = [(h, ctx.kernel(h)) for h in ctx.lattice]
+    return {p: [h for h, k in kernels if not p & ~k] for p in ctx.impl}
+
+
 @finite("prop:small", "J_u is the least enlargement whose kernel absorbs P")
 def _small(ctx, out):
+    absorbing = _kernel_absorbing(ctx)
     for f, p in product(ctx.lattice, ctx.impl):
         ju = ctx.j_up(f, p)
         if f & ~ju:
@@ -656,18 +664,17 @@ def _small(ctx, out):
         elif p & ~ctx.kernel(ju):
             out.append(("kernel misses P", *_shown(ctx, f, p)))
         else:
-            for h in ctx.lattice:
-                if f & ~h == 0 and not (p & ~ctx.kernel(h)) and ju & ~h:
+            for h in absorbing[p]:
+                if f & ~h == 0 and ju & ~h:
                     out.append(("not minimal", *_shown(ctx, f, p)))
 
 
 @finite("prop:large", "J_d is the largest shrinking whose kernel absorbs P")
 def _large(ctx, out):
+    absorbing = _kernel_absorbing(ctx)
     for f, p in product(ctx.lattice, ctx.impl):
         jd = ctx.j_down(f, p)
-        candidates = [
-            h for h in ctx.lattice if h & ~f == 0 and not (p & ~ctx.kernel(h))
-        ]
+        candidates = [h for h in absorbing[p] if h & ~f == 0]
         if jd == 0:
             if candidates:
                 out.append(("bottom despite candidates", *_shown(ctx, f, p)))

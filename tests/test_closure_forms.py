@@ -1,0 +1,229 @@
+"""The modus-ponens closure, T's C-level products and the per-P lists of
+``prop:small`` and ``prop:large``, against the code they replaced.
+
+``filters.implication_filter_generated`` closes mask ∪ {1} under modus
+ponens, one →-row read per member; its oracle ``generated_loop`` is the
+⊗-and-up-closure loop over all pairs of members.  K(F) ∪ P, the statement's
+argument, is a union of two filters, whose closure takes one step and holds
+1 already; single elements and arbitrary masks take several steps and may
+lack 1.  ``calculus.tensor_up``
+picks row f of ⊗ at G's members with ``itertools.compress``; its oracle
+``tensor_up_loop`` is the pair loop.  Both oracles read the tuple tables
+(``otimes``, ``up_mask``) entry by entry and share no code with the reads
+under test.
+
+``small_loop`` and ``large_loop`` are the bodies the two statements had
+before each P's lattice filters H with P ⊆ K(H) were listed once: they ask
+the kernel memo for every (F, P, H).  Their witness lists must equal the
+statements', in order, unmutated and under mutants that make them fail.
+``j_down_cosets-drop`` is among them so that a lost candidate H of
+``prop:large`` changes its "not maximal" witnesses.
+"""
+
+from itertools import product as pairs
+from math import prod
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from mvfilters import calculus, filters, verify
+from mvfilters.verify import FINITE_STATEMENTS
+
+from conftest import ALL_ALGEBRAS, chain, drop_lowest, product
+from test_filters import census
+from test_table_build import shuffled
+
+
+def up_loop(a, mask):
+    m = 0
+    for x in range(a.size):
+        if (mask >> x) & 1:
+            m |= a.up_mask[x]
+    return m
+
+
+def generated_loop(a, mask):
+    """Close mask ∪ {1} under ⊗ and up-closure to a fixpoint."""
+    cur = up_loop(a, mask | a.one_mask)
+    while True:
+        members = [x for x in range(a.size) if (cur >> x) & 1]
+        nxt = cur
+        for x in members:
+            for y in members:
+                nxt |= 1 << a.otimes[x][y]
+        nxt = up_loop(a, nxt)
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def tensor_up_loop(a, f_mask, g_mask):
+    """Up-closure of f⊗g over every pair f ∈ F, g ∈ G."""
+    m = 0
+    for f in range(a.size):
+        for g in range(a.size):
+            if (f_mask >> f) & 1 and (g_mask >> g) & 1:
+                m |= 1 << a.otimes[f][g]
+    return up_loop(a, m)
+
+
+def kernel_joins(a):
+    """Every distinct K(F) ∪ P over lattice filters F and implication filters P."""
+    kernels = {calculus.kernel(a, f) for f in filters.enumerate_lattice_filters(a)}
+    return sorted({k | p for k in kernels
+                   for p in filters.enumerate_implication_filters(a)})
+
+
+# ---------------------------------------------------------------------------
+# the generated implication filter
+
+
+def assert_generated_agrees(a, masks=None):
+    """On the given masks, or on every K(F) ∪ P, every single element and
+    the empty mask; a single element needs several steps."""
+    if masks is None:
+        masks = kernel_joins(a) + [0] + [1 << x for x in range(a.size)]
+    for m in masks:
+        assert filters.implication_filter_generated(a, m) == generated_loop(a, m), (
+            a.name, m,
+        )
+
+
+def test_generated_filter_matches_the_loop_on_the_small_census():
+    small = [ns for ns in census() if prod(ns) <= 24]
+    assert len(small) == 52
+    for ns in small:
+        assert_generated_agrees(product(*ns))
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: chain(64), lambda: product(8, 8), lambda: product(*(2,) * 6)],
+    ids=["L64", "L8xL8", "2^6"],
+)
+def test_generated_filter_matches_the_loop_on_large_algebras(build):
+    a = build()
+    assert_generated_agrees(a, kernel_joins(a))
+
+
+@pytest.mark.parametrize("name", sorted(ALL_ALGEBRAS))
+def test_generated_filter_matches_the_loop_relabelled(name):
+    for seed in (1, 2):
+        assert_generated_agrees(shuffled(ALL_ALGEBRAS[name], seed))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_random_masks_generate_as_the_loop(data):
+    a = ALL_ALGEBRAS[data.draw(st.sampled_from(sorted(ALL_ALGEBRAS)), label="algebra")]
+    if data.draw(st.booleans(), label="relabelled"):
+        a = shuffled(a, data.draw(st.integers(0, 9), label="seed"))
+    assert_generated_agrees(a, [data.draw(st.integers(0, a.full_mask), label="mask")])
+
+
+# ---------------------------------------------------------------------------
+# T
+
+
+def assert_tensor_agrees(a, masks):
+    for f, g in pairs(masks, repeat=2):
+        assert calculus.tensor_up(a, f, g) == tensor_up_loop(a, f, g), (a.name, f, g)
+
+
+def masks_of(a):
+    """Every mask when there are at most 64, else every up-set and every
+    single element, the empty and the full mask among them."""
+    if a.size <= 6:
+        return range(a.full_mask + 1)
+    return sorted(set(filters.enumerate_up_sets(a)) | {1 << x for x in range(a.size)})
+
+
+@pytest.mark.parametrize("name", sorted(ALL_ALGEBRAS))
+def test_tensor_matches_the_pair_loop(name):
+    for a in (ALL_ALGEBRAS[name], shuffled(ALL_ALGEBRAS[name], 3)):
+        assert_tensor_agrees(a, masks_of(a))
+
+
+@settings(
+    derandomize=True, max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_random_masks_match_the_pair_loop(data):
+    name = data.draw(st.sampled_from(sorted(ALL_ALGEBRAS)), label="algebra")
+    a = ALL_ALGEBRAS[name]
+    if data.draw(st.booleans(), label="relabelled"):
+        a = shuffled(a, data.draw(st.integers(0, 9), label="seed"))
+    mask = st.integers(min_value=0, max_value=a.full_mask)
+    f, g = data.draw(mask, label="F"), data.draw(mask, label="G")
+    assert calculus.tensor_up(a, f, g) == tensor_up_loop(a, f, g)
+
+
+# ---------------------------------------------------------------------------
+# prop:small and prop:large read one list per P
+
+
+def small_loop(ctx, out):
+    for f, p in pairs(ctx.lattice, ctx.impl):
+        ju = ctx.j_up(f, p)
+        if f & ~ju:
+            out.append(("does not contain F", ctx.show(f), ctx.show(p)))
+        elif ju not in ctx.lattice:
+            out.append(("not a lattice filter", ctx.show(f), ctx.show(p)))
+        elif p & ~ctx.kernel(ju):
+            out.append(("kernel misses P", ctx.show(f), ctx.show(p)))
+        else:
+            for h in ctx.lattice:
+                if f & ~h == 0 and not (p & ~ctx.kernel(h)) and ju & ~h:
+                    out.append(("not minimal", ctx.show(f), ctx.show(p)))
+
+
+def large_loop(ctx, out):
+    for f, p in pairs(ctx.lattice, ctx.impl):
+        jd = ctx.j_down(f, p)
+        candidates = [
+            h for h in ctx.lattice if h & ~f == 0 and not (p & ~ctx.kernel(h))
+        ]
+        if jd == 0:
+            if candidates:
+                out.append(("bottom despite candidates", ctx.show(f), ctx.show(p)))
+        elif jd & ~f or (p & ~ctx.kernel(jd)):
+            out.append(("violates the two conditions", ctx.show(f), ctx.show(p)))
+        else:
+            for h in candidates:
+                if h & ~jd:
+                    out.append(("not maximal", ctx.show(f), ctx.show(p)))
+
+
+REFERENCES = {"prop:small": small_loop, "prop:large": large_loop}
+MUTANTS = {
+    "none": None,
+    "kernel-drop": "kernel",
+    "j_up_cosets-drop": "j_up_cosets",
+    "set_plus-drop": "set_plus",
+    "j_down_cosets-drop": "j_down_cosets",
+}
+
+
+def witnesses(a, body):
+    out = []
+    body(verify.Ctx(a), out)
+    return out
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+@pytest.mark.parametrize("stmt", sorted(REFERENCES))
+def test_hoisted_statements_keep_their_witnesses(monkeypatch, stmt, mutant):
+    if MUTANTS[mutant]:
+        name = MUTANTS[mutant]
+        monkeypatch.setattr(calculus, name, drop_lowest(getattr(calculus, name)))
+    fn = FINITE_STATEMENTS[stmt][1]
+    found = 0
+    for a in ALL_ALGEBRAS.values():
+        want = witnesses(a, REFERENCES[stmt])
+        assert witnesses(a, fn) == want, (a.name, stmt, mutant)
+        found += len(want)
+    # every mutant it reads gives witnesses to compare; prop:small reads J_u only
+    quiet = mutant == "none" or (
+        stmt == "prop:small" and mutant in ("set_plus-drop", "j_down_cosets-drop")
+    )
+    assert (found == 0) == quiet

@@ -14,19 +14,21 @@ tables that are not MV-algebras (so that it cannot assume ⊕ commutes).
 """
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from mvfilters import core, filters
+from mvfilters import cli, core, filters
 from mvfilters.core import MvAlgebra, make_lukasiewicz_chain, make_product
 from mvfilters.errors import InvalidArgument
 
 from conftest import chain, product, relabelled
 from test_filters import census
 from test_table_reads import BAD, arbitrary_tables
+from test_verify import SPECS
 
 
 def derived_by_definition(a):
@@ -184,6 +186,42 @@ def test_the_one_element_product():
     p = make_product(one, one)
     assert (p.size, p.oplus, p.neg, p.labels) == (1, ((0,),), (0,), ("(0,0)",))
     assert_built_by_definition(p)
+
+
+def all_fields(a):
+    return {f.name: getattr(a, f.name) for f in dataclasses.fields(a)}
+
+
+def test_a_k_factor_product_equals_the_pairwise_fold():
+    # conftest.product folds two factors at a time
+    deep = [ns for ns in census() if len(ns) >= 3]
+    assert len(deep) == 54
+    for ns in deep:
+        folded = make_product(*map(chain, ns))
+        assert all_fields(folded) == all_fields(product(*ns)), ns
+    assert folded.name == "L2xL2xL2xL2xL2xL2"
+    assert folded.labels[1] == "(((((0,0),0),0),0),1)"
+
+
+@pytest.mark.parametrize("name", ["l3cubed", "b5", "b6"])
+def test_a_product_spec_builds_one_algebra(monkeypatch, name):
+    spec = json.loads((SPECS / f"{name}.json").read_text())
+    factors = [cli.build_algebra(s) for s in spec["factors"]]
+    pairwise = factors[0]
+    for b in factors[1:]:
+        pairwise = make_product(pairwise, b)
+    built = []
+    real = MvAlgebra.__post_init__
+
+    def counted(self):
+        built.append(self.size)
+        real(self)
+
+    monkeypatch.setattr(MvAlgebra, "__post_init__", counted)
+    a = cli.build_algebra(spec)
+    assert all_fields(a) == all_fields(pairwise)
+    # one algebra per factor, then the product: no intermediate fold
+    assert built == [f.size for f in factors] + [a.size]
 
 
 # ---------------------------------------------------------------------------
