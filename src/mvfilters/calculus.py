@@ -25,9 +25,9 @@ the union of the P-cosets that meet F.  Each of these is a pure builder
 (``rows``, ``core.congruence_cosets``) followed by a pure combinator
 (``phi_rows``, ``sqto_full_rows``, ``j_up_cosets``, ``j_down_cosets``).  A
 cold call builds only what it reads: |F| rows, or one partition of n row
-and n column reads.  ``verify.Ctx`` builds each table once per run, so a
-pair then costs O(|F|) or O(n) bit operations.  K_F(X) ANDs |X|
-subordinates, one column read each.
+and n column reads by any P.  ``verify.Ctx`` builds each table once per
+run, taking cosets from its quotient L/P, so a pair then costs O(|F|) or
+O(n) bit operations.  K_F(X) ANDs |X| subordinates, one column read each.
 
 Subordinate form.  F ⊸ G is the AND of the subordinates (F∩G)ₓ over x ∉ G.
 The combinator ``sqto_from`` takes them from a function: a cold ``sqto``

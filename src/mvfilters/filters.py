@@ -9,7 +9,8 @@ search.  Every finite MV-algebra is a finite product of Łukasiewicz chains
 (Cignoli, D'Ottaviano and Mundici, *Algebraic Foundations of Many-valued
 Reasoning*, 2000).  Hence every lattice filter is the principal filter ↑x of
 some x, and every implication filter is ↑b for an idempotent b (b⊕b = b).
-↑x is prime exactly when L∖↑x is some ↓y (Davey and Priestley, 2002).
+↑x is prime exactly when L∖↑x is some ↓y (Davey and Priestley, 2002), and
+↑b exactly when it is maximal among the proper implication filters.
 The enumeration is exact for MV-algebras only: on a ``table`` spec that
 breaks the axioms it lists principal up-sets, which need not be the filters
 of that table.  ``enumerate_up_sets`` walks every up-set and serves as a
@@ -19,7 +20,7 @@ width of the order (2⁶ has 7.8 M up-sets).
 
 from __future__ import annotations
 
-from .core import MvAlgebra, is_linear, iter_mask, member_lookup
+from .core import MvAlgebra, is_linear, iter_mask, mask_of, member_lookup
 from .errors import InvalidArgument, ResourceLimit
 
 CARRIER_CAP = 64
@@ -82,23 +83,6 @@ def is_implication_filter(a: MvAlgebra, mask: int) -> bool:
     )
 
 
-def is_prime_implication_filter(a: MvAlgebra, mask: int) -> bool:
-    """Proper implication filter whose quotient is linearly ordered.
-
-    Characterised by x→y ∈ P or y→x ∈ P for all x, y: for each x, row x of
-    → read into P together with column x of → read into P is all of L.
-    ``core.congruence_cosets`` intersects the same two reads.  Equivalence
-    with linearity of the quotient is cross-checked in the test suite.
-    """
-    if mask == a.full_mask or not is_implication_filter(a, mask):
-        return False
-    look = member_lookup(mask, a.size)
-    return all(
-        int(row.translate(look), 2) | int(col.translate(look), 2) == a.full_mask
-        for row, col in zip(a.imp_bytes, a.imp_col_bytes)
-    )
-
-
 def check_cap(size: int):
     """Refuse a carrier of more than CARRIER_CAP elements (ResourceLimit)."""
     if size > CARRIER_CAP:
@@ -147,12 +131,19 @@ def enumerate_lattice_filters(a: MvAlgebra, prime_only: bool = False) -> list[in
 
 
 def enumerate_implication_filters(a: MvAlgebra, prime_only: bool = False) -> list[int]:
-    """Every implication filter, ascending by mask: ↑b for idempotent b."""
+    """Every implication filter, ascending by mask: ↑b for idempotent b.
+
+    The prime ones are the maximal proper ones, ↑b for an atom b of the
+    idempotents (↑b ⊆ ↑c iff c ≤ b): L/↑b is the product of the factors
+    where b is 1, so it is a chain exactly when b is an atom.
+    """
     check_cap(a.size)
-    out = sorted({a.up_mask[b] for b in range(a.size) if a.oplus[b][b] == b})
+    idem = [b for b in range(a.size) if a.oplus[b][b] == b]
     if prime_only:
-        out = [m for m in out if is_prime_implication_filter(a, m)]
-    return out
+        idem_mask = mask_of(idem)
+        idem = [b for b in idem
+                if b != a.zero and a.down_mask[b] & idem_mask == 1 << b | 1 << a.zero]
+    return sorted({a.up_mask[b] for b in idem})
 
 
 def successor_structure(a: MvAlgebra):

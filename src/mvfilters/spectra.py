@@ -48,7 +48,8 @@ def prime_spectrum(a: MvAlgebra, p_mask: int) -> PrimeSpectrum:
     P must be a prime implication filter; the improper filter is accepted and
     yields the empty spectrum (no proper filter has improper kernel).
     """
-    if p_mask != a.full_mask and not filters.is_prime_implication_filter(a, p_mask):
+    primes = filters.enumerate_implication_filters(a, prime_only=True)
+    if p_mask not in primes + [a.full_mask]:
         raise InvalidArgument("spectrum base must be a prime implication filter")
     members = tuple(
         f
@@ -171,16 +172,16 @@ def hat_eta(h: HatAlgebra, q: QuotientAlgebra) -> tuple[int, ...]:
     """η̂: each class ↦ the Q-coset on the boundary of its representative.
 
     ``q`` is the quotient by Q, which must properly contain the spectrum base
-    P and be prime or improper (the improper Q gives the one-point quotient).
-    Each boundary coset is read off ``q``'s own cosets, so L is not
-    partitioned again.  ``thm:hat-eta`` checks the map against each
+    P and be prime or improper, so ``q.quotient`` is a chain (of one point
+    for the improper Q).  Each boundary coset is read off ``q``'s cosets, so
+    L is not partitioned again.  ``thm:hat-eta`` checks the map against each
     representative's boundary coset and that it preserves ⁺ and ⊸.
     """
     a = h.spectrum.algebra
     p_mask, q_mask = h.spectrum.p_mask, q.filter_mask
     if not (p_mask & ~q_mask == 0 and p_mask != q_mask):
         raise InvalidArgument("needs P properly contained in Q")
-    if q_mask != a.full_mask and not filters.is_prime_implication_filter(a, q_mask):
+    if not is_linear(q.quotient):
         raise InvalidArgument("Q must be prime (or improper)")
     return tuple(
         q.cosets.index(calculus.boundary_coset(a, rep, q))

@@ -24,7 +24,6 @@ from .core import (
     MvAlgebra,
     QuotientAlgebra,
     check_mv_axioms,
-    congruence_cosets,
     is_linear,
     iter_mask,
     mask_of,
@@ -110,13 +109,13 @@ class Ctx:
 
     The lists come from the theory enumeration in ``filters``: lattice
     filters are the principal filters ↑x, the prime ones those whose
-    complement is some ↓y, and implication filters are ↑b for idempotent b.
-    That is exact for MV-algebras only (finite products of Łukasiewicz
-    chains; Cignoli, D'Ottaviano and Mundici, 2000).  Every spec the cli
-    builds is certified first, so only a hand-built ``MvAlgebra`` is listed
-    uncertified; ``axioms:mv`` reports its witnesses.  The four lists answer
-    membership too: a statement asks ``m in ctx.lattice`` (or ``primes``,
-    ``impl``, ``prime_impl``) rather than deciding it again by a predicate.
+    complement is some ↓y, implication filters are ↑b for idempotent b, and
+    the prime ones the maximal proper ones.  That is exact for MV-algebras
+    only (finite products of Łukasiewicz chains; Cignoli, D'Ottaviano and
+    Mundici, 2000).  Every spec the cli builds is certified first, so only a
+    hand-built ``MvAlgebra`` is listed uncertified; ``axioms:mv`` reports
+    its witnesses.  The four lists answer membership too: a statement asks
+    ``m in ctx.impl`` rather than deciding it again by a predicate.
     ``enum:crosscheck`` and ``impl:lattice-otimes`` certify the lists
     against the definitions by a power-set scan, and ``order:partial`` the
     masks ↑x and ↓x they are read from against ≤.
@@ -124,13 +123,13 @@ class Ctx:
     A method marked ``@_memo`` computes its value once per argument tuple,
     by the one definition in its module, and keeps it in
     ``memo[method name][args]``, which lasts exactly this run; the algebra
-    itself is never written to.  Φ, ``sqto_full``, J_u and J_d read the kept
-    rows and cosets, so each pair costs O(|F|) or O(n) bit operations.  ⊸
-    reads the subordinate memo through ``calculus.sqto_from``, so each
-    (F∩G, x) is built once per run and shared by every pair with that F∩G.
-    A cross-check's second side shares no table with its first:
-    ``prop:fastform`` sets ⊸'s →-column reads against ⊗-rows, and
-    ``prop:T-phi`` computes T cold.
+    itself is never written to.  Φ and ``sqto_full`` read the kept rows, J_u
+    and J_d the cosets of the kept L/P (P in ``impl``), so each pair costs
+    O(|F|) or O(n) bit operations.  ⊸ reads the subordinate memo through
+    ``calculus.sqto_from``, so each (F∩G, x) is built once per run and
+    shared by every pair with that F∩G.  A cross-check's second side shares
+    no table with its first: ``prop:fastform`` sets ⊸'s →-column reads
+    against ⊗-rows, and ``prop:T-phi`` computes T cold.
     """
 
     def __init__(self, a: MvAlgebra):
@@ -174,16 +173,11 @@ class Ctx:
             self.rows("otimes", g_mask), f_mask, self.a.full_mask
         )
 
-    @_memo
-    def cosets(self, p_mask: int):
-        """``congruence_cosets``: (coset_of, representatives, cosets) of P."""
-        return congruence_cosets(self.a, p_mask)
-
     def j_up(self, f_mask: int, p_mask: int) -> int:
-        return calculus.j_up_cosets(self.cosets(p_mask)[2], f_mask)
+        return calculus.j_up_cosets(self.quotient(p_mask).cosets, f_mask)
 
     def j_down(self, f_mask: int, p_mask: int) -> int:
-        return calculus.j_down_cosets(self.a, self.cosets(p_mask)[2], f_mask)
+        return calculus.j_down_cosets(self.a, self.quotient(p_mask).cosets, f_mask)
 
     @_memo
     def quotient(self, p_mask: int) -> QuotientAlgebra:
@@ -361,6 +355,15 @@ def _enum_crosscheck(ctx, out):
     naive_impl = [m for m in range(1 << a.size) if filters.is_implication_filter(a, m)]
     if naive_impl != ctx.impl:
         out.append(("implication filter lists differ",))
+    naive_prime_impl = [
+        p for p in naive_impl
+        if p != a.full_mask
+        and all((p >> a.imp[x][y]) & 1 or (p >> a.imp[y][x]) & 1
+                for x, y in _pairs(range(a.size)))
+    ]
+    if naive_prime_impl != ctx.prime_impl:
+        out.append(("prime implication filter lists differ",
+                    len(naive_prime_impl), len(ctx.prime_impl)))
 
 
 @finite("impl:lattice-otimes", "implication filters = ⊗-closed lattice filters with 1",
@@ -453,7 +456,7 @@ def _fact_c(ctx, out):
 @finite("fact:d", "subordinates coincide exactly on kernel cosets")
 def _fact_d(ctx, out):
     for f in ctx.primes:
-        coset_of = ctx.cosets(ctx.kernel(f))[0]
+        coset_of = ctx.quotient(ctx.kernel(f)).coset_of
         for x, y in _pairs(_outside(ctx, f)):
             same_coset = coset_of[x] == coset_of[y]
             same_sub = ctx.subordinate(f, x) == ctx.subordinate(f, y)

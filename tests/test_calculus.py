@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 import mvfilters as mv
-from mvfilters import calculus, core, filters, verify
+from mvfilters import calculus, core, filters
 from mvfilters.errors import InvalidArgument
 
 from conftest import (
@@ -163,7 +163,7 @@ def count_partitions(monkeypatch, a, only=None):
         calls[p_mask] += 1
         return PARTITION(b, p_mask)
 
-    for owner in (core, calculus, verify):
+    for owner in (core, calculus):
         monkeypatch.setattr(owner, "congruence_cosets", counted)
     assert mv.run_finite(a, only=only).ok
     return calls
@@ -177,8 +177,10 @@ def test_each_quotient_is_partitioned_once(monkeypatch, algebra):
     # partitions L, once per P in the Ctx memo
     calls = count_partitions(monkeypatch, algebra, BOUNDARY_STATEMENTS)
     assert calls and set(calls.values()) == {1}
-    # a full run adds one more partition per P, in the Ctx.cosets memo
-    assert max(count_partitions(monkeypatch, algebra).values()) <= 2
+    # a full run partitions each implication filter exactly once, in the
+    # Ctx quotient memo that J_u, J_d and fact:d read too
+    impl = filters.enumerate_implication_filters(algebra)
+    assert count_partitions(monkeypatch, algebra) == {p: 1 for p in impl}
 
 
 @pytest.mark.parametrize("name, total", [("L8", 2), ("L2xL3", 3)])

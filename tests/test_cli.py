@@ -137,6 +137,21 @@ def test_compute_expression_errors(run, specfile):
     assert code == 2 and "not available on the dense chain" in err
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the cold J_u and J_d partition L by any mask P; refusing a P that "
+    "is not an implication filter waits until the six perfbench/corpus.json "
+    "queries with such a P are re-recorded",
+)
+def test_compute_refuses_j_at_a_p_that_is_not_an_implication_filter(run, specfile):
+    # ↑(1/4) is not an implication filter of Ł5: 1/4 ⊗ 1/4 = 0 lies outside
+    code, out, err = run(
+        "compute", specfile({"kind": "lukasiewicz", "n": 5}), "Ju(up(1/2), up(1/4))"
+    )
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_error_positions_are_reported():
     with pytest.raises(InvalidArgument, match="position 10"):
         cli._Parser("sqto(up(1))  , x").parse()

@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
 import mvfilters as mv
 from mvfilters import core, filters
 from mvfilters.errors import ResourceLimit
 
-from conftest import CHAINS
+from conftest import CHAINS, relabelled
 
 
 def by_labels(a, *labels):
@@ -58,12 +60,12 @@ def test_implication_filters_are_otimes_closed_lattice_filters(algebra):
 
 def test_prime_implication_iff_linear_quotient(algebra):
     a = algebra
+    primes = filters.enumerate_implication_filters(a, prime_only=True)
+    assert a.full_mask not in primes
     for m in filters.enumerate_implication_filters(a):
-        if m == a.full_mask:
-            assert not filters.is_prime_implication_filter(a, m)
-            continue
-        q = core.quotient_by(a, m)
-        assert filters.is_prime_implication_filter(a, m) == core.is_linear(q.quotient)
+        if m != a.full_mask:
+            q = core.quotient_by(a, m)
+            assert (m in primes) == core.is_linear(q.quotient)
 
 
 def test_up_closure_and_is_up_closed(l4):
@@ -210,3 +212,42 @@ def test_ctx_builds_its_lists_without_the_lattice_predicate(monkeypatch, algebra
     monkeypatch.setattr(filters, "is_lattice_filter", refused)
     ctx = Ctx(algebra)
     assert ctx.primes
+
+
+def prime_impl_by_definition(a):
+    """Proper implication filters P with x→y ∈ P or y→x ∈ P for all x, y."""
+    rng = range(a.size)
+    return [
+        p for p in filters.enumerate_implication_filters(a)
+        if p != a.full_mask and all(
+            (p >> a.imp[x][y]) & 1 or (p >> a.imp[y][x]) & 1 for x in rng for y in rng
+        )
+    ]
+
+
+def prime_impl_by_linear_quotient(a):
+    """Proper implication filters P whose quotient L/P is a chain."""
+    return [
+        p for p in filters.enumerate_implication_filters(a)
+        if p != a.full_mask and core.is_linear(core.quotient_by(a, p).quotient)
+    ]
+
+
+def _relabelled_at_random(a, seed):
+    perm = list(range(a.size))
+    random.Random(seed).shuffle(perm)
+    return relabelled(a, perm)
+
+
+def test_prime_implication_filters_match_the_definition_on_the_census():
+    # the theory list (maximal proper ↑b) against two readings of "prime":
+    # the definition, and a linearly ordered quotient
+    algebras = [_chain_product(*ns) for ns in census()]
+    algebras += [
+        _relabelled_at_random(_chain_product(*ns), seed)
+        for seed, ns in enumerate([(64,), (8, 8), (2,) * 6, (4, 4, 4)], start=1)
+    ]
+    for a in algebras:
+        primes = filters.enumerate_implication_filters(a, prime_only=True)
+        assert primes == prime_impl_by_definition(a), a.name
+        assert primes == prime_impl_by_linear_quotient(a), a.name

@@ -2,10 +2,11 @@
 package root exports exactly the README tour.
 
 A user is a code reference in ``src/mvfilters`` (other than the name's own
-definition and body, and other than a bare re-export), a ``python`` block of
-the README, or ``perfbench/spans.py``, whose span targets name functions as
-strings.  Docstrings and comments do not count, and neither do the tests: a
-name that only tests call belongs in the tests.
+definition and body, and other than a bare re-export) or a ``python`` block
+of the README.  Docstrings and comments do not count, and neither do the
+tests: a name that only tests call belongs in the tests.  Nor does the
+benchmark tracer: ``perfbench/spans.py`` names the functions it wraps as
+strings, and a name whose only user is the tracer is listed in ``ALLOWED``.
 
 The root binds a name a second time, so it keeps only the ``mv.`` names that
 the README's ``python`` blocks read; everything else is imported from the
@@ -23,30 +24,20 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mvfilters"
 
 # public names kept without a user, with the reason
-ALLOWED = {}
+_SPAN_TARGET = (
+    "a perfbench/spans.py target; deletion waits for a benchmark change"
+)
+ALLOWED = {
+    "calculus.sqto_fast": _SPAN_TARGET,
+    "filters.enumerate_up_sets": _SPAN_TARGET,
+}
 
 
-def _docstring_nodes(tree):
-    """The constant nodes that are docstrings of the module, a class or a def."""
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                             ast.AsyncFunctionDef)):
-            body = node.body
-            if (body and isinstance(body[0], ast.Expr)
-                    and isinstance(body[0].value, ast.Constant)
-                    and isinstance(body[0].value.value, str)):
-                out.add(body[0].value)
-    return out
-
-
-def _references(tree, strings: bool = False):
+def _references(tree):
     """(top-level def enclosing the use or None, name) for each code use.
 
-    Names and attributes count; import aliases do not.  With ``strings``,
-    every dotted part of a non-docstring string constant counts too.
+    Names and attributes count; import aliases and strings do not.
     """
-    docs = _docstring_nodes(tree) if strings else set()
     out = set()
 
     def visit(node, owner):
@@ -59,9 +50,6 @@ def _references(tree, strings: bool = False):
                 out.add((inner, child.id))
             elif isinstance(child, ast.Attribute):
                 out.add((inner, child.attr))
-            elif (strings and isinstance(child, ast.Constant)
-                  and isinstance(child.value, str) and child not in docs):
-                out.update((inner, part) for part in child.value.split("."))
             visit(child, inner)
 
     visit(tree, None)
@@ -97,8 +85,6 @@ def unused_public_names() -> list[str]:
     outside = set()
     for tree in _readme_python_blocks():
         outside.update(name for _, name in _references(tree))
-    spans = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
-    outside.update(name for _, name in _references(spans, strings=True))
 
     unused = []
     for module, name in _public_definitions():

@@ -5,7 +5,9 @@ replaced.
 The oracles below are the bodies these operations had before they were split
 into a table builder and a combinator.  Each new form is compared with its
 oracle both cold (``calculus``, ``QuotientAlgebra``) and through the tables a
-``verify.Ctx`` keeps for one run.  ⊸ is ``sqto_from`` over the subordinates
+``verify.Ctx`` keeps for one run.  J_u and J_d go through ``Ctx`` only at
+an implication filter P, since ``Ctx`` reads the cosets of L/P; the cold
+forms take every mask.  ⊸ is ``sqto_from`` over the subordinates
 (F∩G)ₓ, built cold or read from the ``Ctx`` subordinate memo; its oracle is
 the relative-kernel form it had before.  The oracles read the tables entry
 by entry: their subordinates and cosets are the loops restated in
@@ -18,8 +20,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mvfilters as mv
-from mvfilters import calculus, filters, verify
+from mvfilters import calculus, core, filters, verify
 from mvfilters.core import iter_mask, mask_of
+from mvfilters.errors import InvalidArgument
 
 from conftest import ALL_ALGEBRAS, CHAINS, PRODUCTS
 from test_table_reads import congruence_cosets_loop, subordinate_loop
@@ -81,14 +84,22 @@ def image_mask_loop(q, mask):
 
 
 def assert_pair_agrees(a, ctx, f, g):
-    """Every row-table form at (F, G), with G also read as P for J_u/J_d."""
+    """Every row-table form at (F, G), with G also read as P for the cold
+    J_u/J_d, which partition L by any mask."""
     assert calculus.phi(a, f, g) == ctx.phi(f, g) == phi_loop(a, f, g)
     assert (
         calculus.sqto_full(a, f, g) == ctx.sqto_full(f, g)
         == sqto_full_loop(a, f, g)
     )
-    assert calculus.j_up(a, f, g) == ctx.j_up(f, g) == j_up_loop(a, f, g)
-    assert calculus.j_down(a, f, g) == ctx.j_down(f, g) == j_down_loop(a, f, g)
+    assert calculus.j_up(a, f, g) == j_up_loop(a, f, g)
+    assert calculus.j_down(a, f, g) == j_down_loop(a, f, g)
+
+
+def assert_j_agrees(a, ctx, f, p):
+    """J_u/J_d at (F, P) through the cosets of the ``Ctx`` quotient L/P, for
+    an implication filter P."""
+    assert ctx.j_up(f, p) == calculus.j_up(a, f, p) == j_up_loop(a, f, p)
+    assert ctx.j_down(f, p) == calculus.j_down(a, f, p) == j_down_loop(a, f, p)
 
 
 def assert_quotient_agrees(ctx, p, mask, fq, gq):
@@ -115,6 +126,7 @@ def test_every_mask_pair_matches_the_loop_forms(a):
     for p in ctx.impl:
         qmasks = range(1 << ctx.quotient(p).quotient.size)
         for mask in masks:
+            assert_j_agrees(a, ctx, mask, p)
             assert_quotient_agrees(ctx, p, mask, 0, 0)
         for fq in qmasks:
             for gq in qmasks:
@@ -147,6 +159,7 @@ def test_random_masks_match_the_loop_forms(data):
     f, g = data.draw(mask, label="F"), data.draw(mask, label="G")
     assert_pair_agrees(a, ctx, f, g)
     p = data.draw(st.sampled_from(ctx.impl), label="P")
+    assert_j_agrees(a, ctx, f, p)
     qa = ctx.quotient(p).quotient
     up_set = st.integers(min_value=1, max_value=qa.full_mask).map(
         lambda m: filters.up_closure(qa, m)
@@ -156,9 +169,21 @@ def test_random_masks_match_the_loop_forms(data):
     )
 
 
+@pytest.mark.parametrize("a", [CHAINS[6], PRODUCTS["L2xL3"]], ids=["L6", "L2xL3"])
+def test_ctx_j_refuses_a_p_that_is_not_an_implication_filter(a):
+    # J_u and J_d are defined through L/P; the cold forms still take any mask
+    ctx = verify.Ctx(a)
+    for p in range(1 << a.size):
+        if p not in ctx.impl:
+            for j in (ctx.j_up, ctx.j_down):
+                with pytest.raises(InvalidArgument, match="implication filter"):
+                    j(a.one_mask, p)
+    assert not ctx.memo["quotient"]  # a refused P leaves no quotient behind
+
+
 def test_each_table_is_built_once_per_run(monkeypatch):
     built_rows, built_cosets = Counter(), Counter()
-    real_rows, real_cosets = calculus.rows, verify.congruence_cosets
+    real_rows, real_cosets = calculus.rows, core.congruence_cosets
 
     def counted_rows(byte_rows, mask, among):
         assert all(type(row) is bytes for row in byte_rows)
@@ -171,7 +196,8 @@ def test_each_table_is_built_once_per_run(monkeypatch):
         return real_cosets(a, p_mask)
 
     monkeypatch.setattr(calculus, "rows", counted_rows)
-    monkeypatch.setattr(verify, "congruence_cosets", counted_cosets)
+    for owner in (core, calculus):
+        monkeypatch.setattr(owner, "congruence_cosets", counted_cosets)
     built = []
 
     class RecordingCtx(verify.Ctx):
@@ -182,7 +208,8 @@ def test_each_table_is_built_once_per_run(monkeypatch):
     monkeypatch.setattr(verify, "Ctx", RecordingCtx)
     assert mv.run_finite(PRODUCTS["L2xL3"]).ok
     (ctx,) = built
-    assert set(built_cosets.values()) == {1}
-    assert sorted(built_cosets) == sorted(p for (p,) in ctx.memo["cosets"])
+    # one partition per implication filter, in the quotient memo
+    assert built_cosets == {p: 1 for p in ctx.impl}
+    assert sorted(built_cosets) == sorted(p for (p,) in ctx.memo["quotient"])
     assert set(built_rows.values()) == {1}
     assert len(built_rows) == len(ctx.memo["rows"]) + len(ctx.memo["quotient_rows"])

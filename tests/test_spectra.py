@@ -34,6 +34,16 @@ def test_spectrum_requires_prime_base(l4):
         mv.prime_spectrum(l4, core.mask_of([1, 2, 3]))  # lattice-only filter
 
 
+def test_spectrum_refuses_a_proper_non_prime_implication_filter(l2xl3):
+    # {1} is an implication filter of L2xL3, but L/{1} is L2xL3 itself,
+    # which is not a chain
+    a = l2xl3
+    assert a.one_mask in filters.enumerate_implication_filters(a)
+    assert not core.is_linear(core.quotient_by(a, a.one_mask).quotient)
+    with pytest.raises(InvalidArgument, match="prime implication filter"):
+        mv.prime_spectrum(a, a.one_mask)
+
+
 def test_improper_base_gives_empty_spectrum(l4):
     spec = mv.prime_spectrum(l4, l4.full_mask)
     assert len(spec.members) == 0
@@ -192,7 +202,7 @@ def test_no_proper_prime_extensions_on_chains():
 def test_product_spectrum_and_hat(l2xl3):
     a = l2xl3
     p = core.mask_of(i for i, lab in enumerate(a.labels) if lab.startswith("(1,"))
-    assert filters.is_prime_implication_filter(a, p)
+    assert p in filters.enumerate_implication_filters(a, prime_only=True)
     spec = mv.prime_spectrum(a, p)
     assert p in spec.members
     h = mv.build_hat(spec)

@@ -1,18 +1,21 @@
 """The byte-table reads against the per-entry loops they replaced.
 
 ``MvAlgebra`` keeps its → rows, ⊗ rows and → columns as reversed ``bytes``,
-and seven functions read a row or a column into a mask with one
+and six functions read a row or a column into a mask with one
 ``bytes.translate`` and one ``int(…, 2)``: ``calculus.rows``,
 ``calculus.subordinate``, ``calculus.kernel``, ``core.congruence_cosets``,
-``filters.is_implication_filter``, ``filters.is_prime_implication_filter``
-and the ``order:partial`` statement, which reads ``up_mask``.
-``core.is_linear`` and the immediacy test of ``filters.successor_structure``
+``filters.is_implication_filter`` and the ``order:partial`` statement, which
+reads ``up_mask``.  ``core.is_linear``, the immediacy test of
+``filters.successor_structure`` and the theory list of prime implication
+filters (``filters.enumerate_implication_filters(a, prime_only=True)``)
 read ``up_mask`` and ``down_mask`` too.  The oracles below are the loop
 bodies these functions had before; ``is_prime_implication_filter_loop`` is
-the n² loop over element pairs that tested x→y ∈ P or y→x ∈ P, and
-``is_linear_loop`` and ``successor_structure_loop`` ask ``leq`` pair by
-pair.  They read only the tuple tables (``imp``, ``otimes``) entry by entry,
-so they share no code with the byte reads.
+the n² loop over element pairs that tests x→y ∈ P or y→x ∈ P, the
+reference for the theory list on the MV-algebras among the test algebras
+(the list is exact on those only), and ``is_linear_loop`` and
+``successor_structure_loop`` ask ``leq`` pair by pair.  They read only the
+tuple tables (``imp``, ``otimes``) entry by entry, so they share no code
+with the byte reads.
 
 Each read is compared with its oracle on the ten test algebras, on Ł64 and
 2⁶ (the sizes at which the reads matter), on the hand-built non-MV table of
@@ -191,9 +194,9 @@ def assert_mask_agrees(a, mask):
     assert filters.is_implication_filter(a, mask) == (
         is_implication_filter_loop(a, mask)
     )
-    assert filters.is_prime_implication_filter(a, mask) == (
-        is_prime_implication_filter_loop(a, mask)
-    )
+    primes = PRIME_IMPL.get(a)
+    if primes is not None:
+        assert (mask in primes) == is_prime_implication_filter_loop(a, mask)
 
 
 BAD = MvAlgebra(
@@ -204,6 +207,11 @@ ALGEBRAS = ALL_ALGEBRAS | {
     "L64": chain(64),
     "2^6": product(2, 2, 2, 2, 2, 2),
     "bad": BAD,
+}
+# the theory list is exact on MV-algebras only, so BAD has none
+PRIME_IMPL = {
+    a: filters.enumerate_implication_filters(a, prime_only=True)
+    for a in ALGEBRAS.values() if a is not BAD
 }
 
 

@@ -95,8 +95,6 @@ def _fresh(a, name, args):
     if name == "rows":
         table, mask = args
         return calculus.rows(getattr(a, f"{table}_bytes"), mask, a.full_mask)
-    if name == "cosets":
-        return core.congruence_cosets(a, *args)
     if name == "image":
         p, mask = args
         return core.quotient_by(a, p).image_mask(mask)
@@ -129,7 +127,7 @@ def test_memo_entries_equal_fresh_calls(monkeypatch):
     (ctx,) = built
     assert set(ctx.memo) == {
         "sqto", "kernel", "subordinate", "spectrum", "hat", "quotient", "rows",
-        "cosets", "image", "quotient_rows", "quotient_sqto",
+        "image", "quotient_rows", "quotient_sqto",
     }
     for name, table in ctx.memo.items():
         assert table, name
@@ -518,6 +516,49 @@ def test_enum_crosscheck_checks_the_prime_list(monkeypatch, algebra_id):
     )
     witnesses = mv.run_finite(a, only=["enum:crosscheck"]).results[0].witnesses
     assert witnesses == [("prime filter lists differ", k, k - 1)]
+
+
+def _keep_minimal_proper(real):
+    """real, listing the minimal proper implication filters as the prime ones
+    instead of the maximal proper ones."""
+    def corrupted(a, prime_only=False):
+        out = real(a)
+        if prime_only:
+            out = [m for m in out if m != a.full_mask]
+            out = [m for m in out if not any(o != m and o & ~m == 0 for o in out)]
+        return out
+
+    return corrupted
+
+
+def test_enum_crosscheck_checks_the_prime_implication_list(monkeypatch):
+    # on L2xL3 the minimal proper one is {1}, the maximal ones are two
+    a = PRODUCTS["L2xL3"]
+    assert_check_can_fail(
+        monkeypatch, a, "enum:crosscheck", filters, "enumerate_implication_filters",
+        _keep_minimal_proper,
+    )
+    witnesses = mv.run_finite(a, only=["enum:crosscheck"]).results[0].witnesses
+    assert witnesses == [("prime implication filter lists differ", 2, 1)]
+
+
+@pytest.mark.parametrize(
+    "factors, count", [((4, 4), 15), ((8, 8), 63)], ids=["L4xL4", "L8xL8"]
+)
+def test_kernel_prime_iff_checks_the_prime_implication_list(
+    monkeypatch, factors, count
+):
+    # above 12 elements enum:crosscheck skips; kernel:prime-iff still sees
+    # that each of the n-1 proper lattice filters now has a kernel of the
+    # wrong primality
+    a = product(*factors)
+    assert mv.run_finite(a, only=["enum:crosscheck"]).results[0].status == "skip"
+    assert_check_can_fail(
+        monkeypatch, a, "kernel:prime-iff", filters, "enumerate_implication_filters",
+        _keep_minimal_proper,
+    )
+    report = mv.run_finite(a, only=["kernel:prime-iff"])
+    assert len(report.results[0].witnesses) == count
 
 
 @pytest.mark.parametrize("factors", [(8, 8), (2,) * 6], ids=["L8xL8", "2^6"])
