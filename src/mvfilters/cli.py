@@ -241,6 +241,8 @@ def _element(a: MvAlgebra, raw: str, pos: int) -> int:
 def _prime(a: MvAlgebra, raw: str) -> tuple[int, int]:
     """(k, mask) of the k-th prime implication filter, k read from raw."""
     try:
+        if not re.fullmatch(r"[0-9]+", raw):  # int() reads "1_0", " 1" and "٣"
+            raise ValueError
         k = int(raw)
     except ValueError:
         raise InvalidArgument(f"expected a prime index, got {raw!r}") from None
@@ -254,8 +256,9 @@ def _prime(a: MvAlgebra, raw: str) -> tuple[int, int]:
 
 def _cut(pos: int, point: str, kind: str) -> dc.Cut:
     try:
-        # p, p/q or a plain decimal: Fraction expands an exponent digit by digit
-        if not re.fullmatch(r"[+-]?(\d+/\d+|\d*\.?\d+)", point):
+        # p, p/q or a plain decimal in ASCII digits: Fraction expands an
+        # exponent digit by digit, and reads other scripts' digits
+        if not re.fullmatch(r"[+-]?([0-9]+/[0-9]+|[0-9]*\.?[0-9]+)", point):
             raise ValueError
         p = Fraction(point)
     except (ValueError, ZeroDivisionError):

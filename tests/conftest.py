@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mvfilters import densechain as dc, make_lukasiewicz_chain, run_finite
@@ -37,6 +39,13 @@ def relabelled(a, perm):
         name=f"{a.name} relabelled",
         labels=tuple(a.labels[inv[u]] for u in range(n)),
     )
+
+
+def shuffled(a, seed):
+    """a relabelled by a permutation drawn from random.Random(seed)."""
+    perm = list(range(a.size))
+    random.Random(seed).shuffle(perm)
+    return relabelled(a, perm)
 
 
 def find_isomorphism(a, b):

@@ -415,6 +415,27 @@ REFUSED_INPUTS = {
     "P-not-an-index": (
         L3, ("compute", "Ju(up(1), P(x))"), "expected a prime index, got 'x'"
     ),
+    # an index or an endpoint is ASCII decimal: int() and Fraction() would
+    # read "1_0" as 10, "0_0" and "٠" as 0, and "٣/٤" as 3/4
+    "P-underscore": (L3, ("compute", "P(1_0)"), "expected a prime index, got '1_0'"),
+    "P-zero-underscore": (
+        L3, ("compute", "P(0_0)"), "expected a prime index, got '0_0'"
+    ),
+    "P-arabic-indic-zero": (
+        L3, ("compute", "P(\u0660)"), "expected a prime index, got '\u0660'"
+    ),
+    "P-signed": (L3, ("compute", "P(+0)"), "expected a prime index, got '+0'"),
+    "hat-index-space": (
+        L3, ("export", "hat: 0", "--format", "csv", "-o", "{out}"),
+        "expected a prime index, got ' 0'",
+    ),
+    "spectrum-index-arabic-indic": (
+        L3, ("export", "spectrum:\u0660", "--format", "dot", "-o", "{out}"),
+        "expected a prime index",
+    ),
+    "endpoint-arabic-indic": (
+        DENSE, ("compute", "cut(\u0663/\u0664,open)"), "not a rational number"
+    ),
     "P-out-of-range": (
         L3, ("compute", "P(3)"),
         "index 3 out of range; 1 prime implication filters exist",

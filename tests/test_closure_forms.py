@@ -29,9 +29,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mvfilters import calculus, filters, verify
 from mvfilters.verify import FINITE_STATEMENTS
 
-from conftest import ALL_ALGEBRAS, chain, drop_lowest, product
+from conftest import ALL_ALGEBRAS, chain, drop_lowest, product, shuffled
 from test_filters import census
-from test_table_build import shuffled
 
 
 def up_loop(a, mask):

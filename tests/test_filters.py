@@ -1,12 +1,10 @@
-import random
-
 import pytest
 
 import mvfilters as mv
 from mvfilters import core, filters
 from mvfilters.errors import ResourceLimit
 
-from conftest import CHAINS, relabelled
+from conftest import CHAINS, shuffled
 
 
 def by_labels(a, *labels):
@@ -233,18 +231,12 @@ def prime_impl_by_linear_quotient(a):
     ]
 
 
-def _relabelled_at_random(a, seed):
-    perm = list(range(a.size))
-    random.Random(seed).shuffle(perm)
-    return relabelled(a, perm)
-
-
 def test_prime_implication_filters_match_the_definition_on_the_census():
     # the theory list (maximal proper ↑b) against two readings of "prime":
     # the definition, and a linearly ordered quotient
     algebras = [_chain_product(*ns) for ns in census()]
     algebras += [
-        _relabelled_at_random(_chain_product(*ns), seed)
+        shuffled(_chain_product(*ns), seed)
         for seed, ns in enumerate([(64,), (8, 8), (2,) * 6, (4, 4, 4)], start=1)
     ]
     for a in algebras:

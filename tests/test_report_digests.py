@@ -75,7 +75,7 @@ DIGESTS = {
     ("L5", "down_closure_joins-drop"):
         "7d99536f4324b878de60a520f8321cd449143d6c7abad767a4dda14076d46775",
     ("L5", "is_convex-not"):
-        "1b31d29d93daf6d0e6ada94f9b74151efd24e27374dc3e0eb1f8c78debdbe506",
+        "f3e7c5a4946f8cfb8580009ed81ca99cc6e45d9d6f49814d7e56ab7b44bbea83",
     ("L5", "j_up_cosets-drop"):
         "e54834019ee49af10d8d058d468826796e3cda881c24b9a74371cb82b9fe76d5",
     ("L5", "kernel-drop"):

@@ -15,7 +15,6 @@ tables that are not MV-algebras (so that it cannot assume ⊕ commutes).
 
 import dataclasses
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -25,7 +24,7 @@ from mvfilters import cli, core, filters
 from mvfilters.core import MvAlgebra, make_lukasiewicz_chain, make_product
 from mvfilters.errors import InvalidArgument
 
-from conftest import chain, product, relabelled
+from conftest import chain, product, shuffled
 from test_filters import census
 from test_table_reads import BAD, arbitrary_tables
 from test_verify import SPECS
@@ -74,12 +73,6 @@ def test_the_census_is_built_by_definition():
     assert len(algebras) == 197
     for ns in algebras:
         assert_built_by_definition(product(*ns))
-
-
-def shuffled(a, seed):
-    perm = list(range(a.size))
-    random.Random(seed).shuffle(perm)
-    return relabelled(a, perm)
 
 
 @pytest.mark.parametrize("ns", [(8,), (3, 4), (2, 2, 2, 2)], ids=["L8", "L3xL4", "2^4"])

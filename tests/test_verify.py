@@ -1,3 +1,4 @@
+import copy
 import json
 from collections import Counter
 from functools import reduce
@@ -14,7 +15,8 @@ from mvfilters.verify import DENSE_STATEMENTS, FINITE_STATEMENTS
 
 from conftest import (
     ALL_ALGEBRAS, CHAINS, KIND_BRANCHES, PRODUCTS, assert_check_can_fail,
-    branch_flipped, drop_lowest, plus_flipped, product, relabelled, swap_arguments,
+    branch_flipped, drop_lowest, plus_flipped, product, relabelled, shuffled,
+    swap_arguments,
 )
 
 
@@ -310,10 +312,11 @@ def test_discrete_statements_can_fail(monkeypatch, l5, stmt, corrupt):
     )
 
 
-def _negated_on_three(real):
-    """is_convex, with its verdict flipped on every 3-element mask."""
+def _negated_on_pairs(real):
+    """is_convex, with its verdict flipped on every mask of at most two
+    elements: the only masks the convex lemmas ask about."""
     def corrupted(a, mask):
-        return real(a, mask) != (bin(mask).count("1") == 3)
+        return real(a, mask) != (mask.bit_count() <= 2)
 
     return corrupted
 
@@ -323,7 +326,7 @@ def _negated_on_three(real):
 )
 def test_convex_lemmas_can_fail(monkeypatch, l5, stmt):
     assert_check_can_fail(
-        monkeypatch, l5, stmt, calculus, "is_convex", _negated_on_three
+        monkeypatch, l5, stmt, calculus, "is_convex", _negated_on_pairs
     )
 
 
@@ -397,23 +400,82 @@ def test_subord_monotone_fails_on_both_branches(monkeypatch, l2xl3):
     assert Counter(w[0] for w in result.witnesses) == {"monotone": 18, "join": 2}
 
 
-def _interval_loop(ctx, table):
-    """The witnesses of the per-interval loop that lem:convex-imp and
-    lem:convex-otimes once ran, kept as the oracle for their sweep."""
+CONVEX_TABLES = {
+    "lem:convex-imp": "imp", "lem:convex-neg": "neg", "lem:convex-otimes": "otimes",
+}
+
+
+def _columns(a, name):
+    """The maps z ↦ col[z] whose images a convex lemma is about."""
+    table = getattr(a, name)
+    return [table] if name == "neg" else list(zip(*table))
+
+
+def _interval_loop(ctx, columns):
+    """Every (interval C, column index) whose image of C is not convex.
+
+    The oracle for the convex lemmas: it reads the order only from the masks
+    ↑x and ↓y, visits every interval [x, y] = ↑x ∩ ↓y, and decides C = ↑C ∩ ↓C
+    for all columns at once, column i at bits i·n to i·n + n − 1.
+    """
     a = ctx.a
+    n, full = a.size, a.full_mask
+    image, up, down = (
+        [sum(m[col[z]] << i * n for i, col in enumerate(columns)) for z in range(n)]
+        for m in ([1 << y for y in range(n)], a.up_mask, a.down_mask)
+    )
     out = []
-    for x in range(a.size):
-        for y in range(a.size):
-            if not a.leq(x, y):
-                continue
+    for x in range(n):
+        for y in range(n):
             c = a.up_mask[x] & a.down_mask[y]
-            for column, values in enumerate(zip(*table)):
-                image = 0
-                for z in iter_mask(c):
-                    image |= 1 << values[z]
-                if not calculus.is_convex(a, image):
-                    out.append((ctx.show(c), column))
+            if not c:
+                continue
+            img = hi = lo = 0
+            for z in iter_mask(c):
+                img, hi, lo = img | image[z], hi | up[z], lo | down[z]
+            bad = hi & lo ^ img
+            out.extend(
+                (ctx.show(c), i) for i in range(len(columns)) if bad >> i * n & full
+            )
     return out
+
+
+def _lemma_and_loop(a, stmt):
+    ctx = verify.Ctx(a)
+    lemma = []
+    FINITE_STATEMENTS[stmt][1](ctx, lemma)
+    return lemma, _interval_loop(ctx, _columns(a, CONVEX_TABLES[stmt]))
+
+
+def test_convex_lemmas_agree_with_the_interval_loop_on_chains():
+    # every chain Ł2–Ł64, and seeded relabelled copies of Ł2–Ł32 and Ł64;
+    # one loop reads the columns of all three tables
+    for n in range(2, 65):
+        a = mv.make_lukasiewicz_chain(n)
+        for b in (a, shuffled(a, n)) if n <= 32 or n == 64 else (a,):
+            ctx = verify.Ctx(b)
+            columns = [c for name in CONVEX_TABLES.values() for c in _columns(b, name)]
+            assert _interval_loop(ctx, columns) == [], b.name
+            for stmt in CONVEX_TABLES:
+                out = []
+                FINITE_STATEMENTS[stmt][1](ctx, out)
+                assert out == [], (b.name, stmt)
+
+
+def _one_entry_changed(a, name):
+    """Every copy of a with one entry of its table name changed, and its ⊕
+    table and order masks kept."""
+    columns = _columns(a, name)
+    for i, col in enumerate(columns):
+        for z in range(a.size):
+            for v in set(range(a.size)) - {col[z]}:
+                changed = [list(c) for c in columns]
+                changed[i][z] = v
+                b = copy.copy(a)
+                object.__setattr__(
+                    b, name, tuple(changed[0]) if name == "neg" else tuple(zip(*changed))
+                )
+                yield b
 
 
 CONVEX_ORACLE_ALGEBRAS = {f"L{n}": CHAINS[n] for n in (5, 6, 7, 8)} | {
@@ -422,29 +484,18 @@ CONVEX_ORACLE_ALGEBRAS = {f"L{n}": CHAINS[n] for n in (5, 6, 7, 8)} | {
 
 
 @pytest.mark.parametrize("algebra_id", sorted(CONVEX_ORACLE_ALGEBRAS))
-@pytest.mark.parametrize(
-    "stmt, table", [("lem:convex-imp", "imp"), ("lem:convex-otimes", "otimes")]
-)
-def test_convex_sweep_matches_the_interval_loop(monkeypatch, algebra_id, stmt, table):
-    # under a corrupted is_convex the sweep and the loop must list the same
-    # witnesses in the same order, and test the same images
-    a = CONVEX_ORACLE_ALGEBRAS[algebra_id]
-    tested = []
-    corrupted = _negated_on_three(calculus.is_convex)
-
-    def recording(a, mask):
-        tested.append(mask)
-        return corrupted(a, mask)
-
-    monkeypatch.setattr(calculus, "is_convex", recording)
-    ctx = verify.Ctx(a)
-    assert ctx.linear
-    swept = []
-    FINITE_STATEMENTS[stmt][1](ctx, swept)
-    swept_images = sorted(tested)
-    tested.clear()
-    assert swept and swept == _interval_loop(ctx, getattr(a, table))
-    assert swept_images == sorted(tested)
+@pytest.mark.parametrize("stmt, table", sorted(CONVEX_TABLES.items()))
+def test_convex_lemmas_match_interval_loop(algebra_id, stmt, table):
+    # under every one-entry change of the lemma's table the lemma fails
+    # exactly when some interval's image is not convex, and every neighbour
+    # pair it names is one of those intervals
+    killed = 0
+    for b in _one_entry_changed(CONVEX_ORACLE_ALGEBRAS[algebra_id], table):
+        lemma, loop = _lemma_and_loop(b, stmt)
+        assert bool(lemma) == bool(loop)
+        assert set(lemma) <= set(loop)
+        killed += bool(lemma)
+    assert killed
 
 
 @pytest.mark.parametrize("algebra_id", ["L8", "L2xL3"])
