@@ -13,8 +13,8 @@ some x, and every implication filter is ↑b for an idempotent b (b⊕b = b).
 ↑b exactly when it is maximal among the proper implication filters.
 The enumeration is exact for MV-algebras only: on a ``table`` spec that
 breaks the axioms it lists principal up-sets, which need not be the filters
-of that table.  ``enumerate_up_sets`` walks every up-set and serves as a
-search oracle for the theory lists in the tests; it is exponential in the
+of that table.  ``enumerate_up_sets``, exact on any table, walks every
+up-set and is the filter cross-checks' oracle; it is exponential in the
 width of the order (2⁶ has 7.8 M up-sets).
 """
 
@@ -24,14 +24,6 @@ from .core import MvAlgebra, is_linear, iter_mask, mask_of, member_lookup
 from .errors import InvalidArgument, ResourceLimit
 
 CARRIER_CAP = 64
-
-
-def up_closure(a: MvAlgebra, mask: int) -> int:
-    """Smallest up-closed superset of ``mask``."""
-    m = 0
-    for x in iter_mask(mask):
-        m |= a.up_mask[x]
-    return m
 
 
 def down_closure_joins(a: MvAlgebra, mask: int) -> int:
@@ -94,13 +86,15 @@ def check_cap(size: int):
 def enumerate_up_sets(a: MvAlgebra) -> list[int]:
     """All up-closed subsets (including empty and full), ascending by mask.
 
-    Output-sensitive DFS: elements are visited from top to bottom; an element
-    may be included only when everything above it is already in.  No
-    verification path calls it; the tests use it as a search oracle for the
-    theory enumeration below.
+    Output-sensitive DFS in ascending |↑x|: x may join when the rest of ↑x
+    is already in or still to be visited, and the sets not up-closed are
+    dropped at the end, so the walk is exact on any table.  On a partial
+    order ↑x∖{x} is visited before x, so every leaf is an up-set.
     """
     check_cap(a.size)
     order = sorted(range(a.size), key=lambda x: bin(a.up_mask[x]).count("1"))
+    # todo[i]: order[i] and every element still to be visited after it
+    todo = [mask_of(order[i:]) for i in range(a.size)]
     results: list[int] = []
 
     def rec(i: int, cur: int):
@@ -109,11 +103,11 @@ def enumerate_up_sets(a: MvAlgebra) -> list[int]:
             return
         x = order[i]
         rec(i + 1, cur)
-        if a.up_mask[x] & ~(cur | (1 << x)) == 0:
+        if a.up_mask[x] & ~(cur | todo[i]) == 0:
             rec(i + 1, cur | (1 << x))
 
     rec(0, 0)
-    return sorted(results)
+    return sorted(m for m in results if is_up_closed(a, m))
 
 
 def enumerate_lattice_filters(a: MvAlgebra, prime_only: bool = False) -> list[int]:

