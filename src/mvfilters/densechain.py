@@ -3,8 +3,10 @@
 A proper filter of the dense chain is either ]p,1] (open) or [p,1] (closed)
 with a rational endpoint.  [0,1] is the improper filter and ]1,1] the empty
 set; both are representable sentinels but rejected by the proper-filter
-operations.  Closed forms for ⁺ and ⊸ are paired with a quantifier
-elimination oracle that solves the defining condition directly.
+operations.  ⁺ and ⊸ are computed by closed forms, which the statement
+``dense:closed-forms`` checks against their definitions on a grid of cuts.
+``oracle_sqto`` and ``oracle_plus`` are kept only as targets of the
+benchmark tracer (``perfbench/spans.py``); no statement calls them.
 
 A cut stores its endpoint as two integers in lowest terms, ``num`` and
 ``den > 0``.  The operations compare endpoints by cross-multiplication and
@@ -184,16 +186,18 @@ def kernel_of_cut(f: Cut) -> Cut:
 
 
 # ---------------------------------------------------------------------------
-# the quantifier-elimination oracle
+# the former oracle, kept only as a benchmark tracer target
 
 
 def oracle_sqto(f: Cut, g: Cut) -> Cut:
     """Solve ∀x∈F∩G: max(0, x+z-1) ∈ G for the set of z, exactly.
 
-    Eliminates the quantifier by asking when a failure witness x exists:
-    x must satisfy the filter's lower bound and x + z - 1 must fall below
-    G's endpoint, with strictness tracked per kind.  The surviving z form a
-    half-line whose boundary and openness are read off the bound comparison.
+    Kept only because the benchmark tracer wraps it: it repeats
+    ``cut_sqto``'s case split, so it is no cross-check of it.  It eliminates
+    the quantifier by asking when a failure witness x exists: x must satisfy
+    the filter's lower bound and x + z - 1 must fall below G's endpoint,
+    with strictness tracked per kind.  The surviving z form a half-line
+    whose boundary and openness are read off the bound comparison.
     """
     _require_proper(f, g)
     fp = intersect(f, g)
@@ -217,7 +221,8 @@ def oracle_sqto(f: Cut, g: Cut) -> Cut:
 
 
 def oracle_plus(f: Cut) -> Cut:
-    """Pointwise {z | 1-z ∉ F} solved for z."""
+    """Pointwise {z | 1-z ∉ F} solved for z; kept only because the benchmark
+    tracer wraps it."""
     _require_proper(f)
     # 1 - num/den shares num/den's denominator and stays in lowest terms
     if f.kind is _OPEN:
@@ -231,13 +236,9 @@ def oracle_plus(f: Cut) -> Cut:
 # randomised inputs and the derived chain view
 
 
-def random_fraction(rng: random.Random) -> Fraction:
-    den = rng.randint(1, MAX_DEN)
-    return Fraction(rng.randint(0, den), den)
-
-
 def random_proper_cut(rng: random.Random) -> Cut:
-    """Draws as random_fraction then a kind, until the cut is proper."""
+    """Draws a denominator up to MAX_DEN, a numerator up to it and a kind,
+    until the cut is proper."""
     while True:
         den = rng.randint(1, MAX_DEN)
         num = rng.randint(0, den)

@@ -2,8 +2,9 @@
 
 Every checkable statement of the calculus carries a stable identifier
 (e.g. ``prop:inclOne``); the runner evaluates each one exhaustively on a
-finite algebra, or with seeded randomised suites on the dense chain, and
-collects witnesses for any failure.  A statement that raises is recorded
+finite algebra, and on the dense chain either on every cut of a grid that
+decides it or, for the statements over three cuts, on seeded random samples;
+it collects witnesses for any failure.  A statement that raises is recorded
 as ``error``, with the exception as its witness, and the run goes on.
 Reports are deterministic given (algebra, scope, seed).
 """
@@ -1005,16 +1006,16 @@ def _composite(ctx, out):
 # dense-chain statements
 
 
-# samples per statement: pairs in dense:closed-forms, triples in the others
-_PAIRS = 10_000
+# dense:props and dense:separation quantify over three cuts and draw this many
+# seeded samples; the other statements are decided on the grid below
 _TRIPLES = 1_000
 
 
 def _draws(seed: int, salt: str, n: int):
     """The rng seeded by (seed, salt), yielded n times, once per sample.
 
-    Each dense statement has its own salt, so its samples depend on the run's
-    seed alone, not on which other statements ran before it.
+    Each sampled statement has its own salt, so its samples depend on the
+    run's seed alone, not on which other statements ran before it.
     """
     rng = random.Random(f"{seed}:{salt}")
     for _ in range(n):
@@ -1026,45 +1027,79 @@ def _proper_cuts_at(p: Fraction) -> list:
     return [c for c in (dc.open_cut(p), dc.closed_cut(p)) if c.is_proper]
 
 
-def _boundary_templates():
-    """Every pair of proper cuts at 0, 1/2 and 1, then the two pairs of
-    adjacent kinds at the shared interior endpoint 1/3."""
-    ends = (Fraction(0), Fraction(1, 2), Fraction(1))
-    cuts = [c for p in ends for c in _proper_cuts_at(p)]
-    q = Fraction(1, 3)
-    return [*_pairs(cuts),
-            (dc.open_cut(q), dc.closed_cut(q)), (dc.closed_cut(q), dc.open_cut(q))]
+# The grid: every proper cut with an endpoint in {k/N}.  The statements
+# decided on it quantify over at most two cuts, or one point and one cut, so
+# they read two endpoints p and q.  Every comparison they make of them is
+# a + bp + cq ⋚ 0 with a an integer and b, c in {-1, 0, 1}: ⊸ ends at
+# 1 - max(p, q) + q or at 1, and ⁺ at 1 - p.  So each one's truth is
+# constant on each face of the arrangement of the lines p, q, p - q, p + q
+# ∈ ℤ.  In [0,1]² its vertices lie in ½ℤ², its edges have midpoints in ¼ℤ²
+# and its triangles centroids in ⅙ℤ², so a grid with 12 | N meets every
+# face.  Every cut they build ends on the grid too, where dense:closed-forms
+# checks ⊸ and ⁺ against their definitions.
+_N = 12
+_GRID_POINTS = [Fraction(k, _N) for k in range(_N + 1)]
+_GRID_CUTS = [c for p in _GRID_POINTS for c in _proper_cuts_at(p)]
+# a point of {k/4N} in units of 1/4N, and the points of {k/2N} in those units
+_UNITS = 4 * _N
+_HALF_STEPS = range(0, _UNITS + 1, 2)
 
 
-@dense("dense:closed-forms", "closed forms match the elimination oracle")
+def _least(c: dc.Cut) -> int | None:
+    """The least point of c on {k/4N}, in units of 1/4N, or None when c's
+    endpoint is off the grid {k/N}.  A point u of {k/4N} lies in c iff
+    u >= _least(c)."""
+    if _N % c.den:
+        return None
+    e = c.num * (_UNITS // c.den)
+    return e if c.kind is dc.Kind.CLOSED else e + 1
+
+
+@dense("dense:closed-forms", "closed forms match the definitions on every grid pair")
 def _dense_closed_forms(seed, out):
-    for f, g in _boundary_templates():
-        if dc.cut_sqto(f, g) != dc.oracle_sqto(f, g):
+    """cut_sqto and cut_plus against z ∈ F⊸G iff ∀x∈F∩G: x⊗z ∈ G and
+    F⁺ = {z | 1-z ∉ F}, on every grid cut and pair, exactly.
+
+    Neither side is read from the closed forms' case split:
+    - x⊗z = max(0, x + z - 1) is monotone in x, so the ∀ is decided at the
+      least point x₀ of F∩G on {k/4N}: the endpoint of a closed cut, or the
+      endpoint plus 1/4N of an open one, whichever of F and G is larger.
+    - For z on {k/2N} that agrees with the real quantifier.  Whether x⊗z
+      lies in G changes only where x + z - 1 meets 0 or G's endpoint, at
+      points of {k/2N}, and no such point lies strictly between F∩G's
+      endpoint and x₀.
+    - The true F⊸G is {1} or ends at 1 - q + p, and F⁺ ends at 1 - q, all
+      in (1/N)ℤ.  A closed form whose endpoint's denominator does not divide
+      N is a witness at once.  Two cuts with endpoints in (1/N)ℤ are equal
+      iff they agree at every z ∈ {k/2N}: z = e tells the kinds apart at a
+      shared endpoint e, and e + 1/2N lies strictly between two endpoints
+      e < e'.
+    """
+    least = {c: _least(c) for c in _GRID_CUTS}
+    for f, g in _pairs(_GRID_CUTS):
+        lg = least[g]
+        x0 = max(least[f], lg)
+        s = _least(dc.cut_sqto(f, g))
+        if s is None or any((z >= s) != (max(0, x0 + z - _UNITS) >= lg)
+                            for z in _HALF_STEPS):
             out.append((str(f), str(g)))
-    for rng in _draws(seed, "closed-forms", _PAIRS):
-        f = dc.random_proper_cut(rng)
-        g = dc.random_proper_cut(rng)
-        if dc.cut_sqto(f, g) != dc.oracle_sqto(f, g):
-            out.append((str(f), str(g)))
-        if dc.cut_plus(f) != dc.oracle_plus(f):
+    for f in _GRID_CUTS:
+        s = _least(dc.cut_plus(f))
+        if s is None or any((z >= s) != (_UNITS - z < least[f])
+                            for z in _HALF_STEPS):
             out.append(("plus", str(f)))
 
 
 @dense("dense:negate", "⊸ against the least filter is ⁺")
 def _dense_negate(seed, out):
-    for rng in _draws(seed, "negate", _TRIPLES):
-        f = dc.random_proper_cut(rng)
+    for f in _GRID_CUTS:
         if dc.cut_sqto(f, dc.BOTTOM_FILTER) != dc.cut_plus(f):
             out.append((str(f),))
 
 
 @dense("dense:equiv-thm", "collapse to {1} happens exactly on nested or split cuts")
 def _dense_equiv(seed, out):
-    cases = list(_boundary_templates())
-    for rng in _draws(seed, "equiv", _TRIPLES):
-        cases.append((dc.random_proper_cut(rng), dc.random_proper_cut(rng)))
-        cases += _pairs(_proper_cuts_at(dc.random_fraction(rng)))
-    for f, g in cases:
+    for f, g in _pairs(_GRID_CUTS):
         collapsed = dc.cut_sqto(f, g) == dc.TOP
         expected = g.issubset(f) or (
             f.kind is dc.Kind.OPEN
@@ -1095,32 +1130,31 @@ def _dense_separation(seed, out):
 
 @dense("dense:trans", "cut equivalence is transitive")
 def _dense_trans(seed, out):
-    for rng in _draws(seed, "trans", _TRIPLES):
-        cuts = _proper_cuts_at(dc.random_fraction(rng))
-        cuts.append(dc.random_proper_cut(rng))
-        # one ⊸ per ordered pair; x ≈ y when both directions collapse to {1}
-        top = [[dc.cut_sqto(x, y) == dc.TOP for y in cuts] for x in cuts]
-        idx = range(len(cuts))
-        eq = [[top[i][j] and top[j][i] for j in idx] for i in idx]
-        for i, j, k in product(idx, repeat=3):
-            if eq[i][j] and eq[j][k] and not eq[i][k]:
-                out.append((str(cuts[i]), str(cuts[j]), str(cuts[k])))
+    for p in _GRID_POINTS:
+        at_p = _proper_cuts_at(p)
+        for h in _GRID_CUTS:
+            cuts = [*at_p, h]
+            # one ⊸ per ordered pair; x ≈ y when both directions collapse to {1}
+            top = [[dc.cut_sqto(x, y) == dc.TOP for y in cuts] for x in cuts]
+            idx = range(len(cuts))
+            eq = [[top[i][j] and top[j][i] for j in idx] for i in idx]
+            for i, j, k in product(idx, repeat=3):
+                if eq[i][j] and eq[j][k] and not eq[i][k]:
+                    out.append((str(cuts[i]), str(cuts[j]), str(cuts[k])))
 
 
 @dense("dense:congruence", "collapse on the left propagates through ⊸")
 def _dense_congruence(seed, out):
-    for rng in _draws(seed, "congruence", _TRIPLES):
-        p = dc.random_fraction(rng)
-        f, g = dc.Cut(p, dc.Kind.OPEN), dc.Cut(p, dc.Kind.CLOSED)
-        if not (f.is_proper and g.is_proper):
-            continue
+    # both cuts at p are proper only for p strictly inside [0,1]
+    for p in _GRID_POINTS[1:-1]:
+        f, g = dc.open_cut(p), dc.closed_cut(p)
         if dc.cut_sqto(f, g) != dc.TOP:
             out.append(("premise", str(f), str(g)))
             continue
-        h = dc.random_proper_cut(rng)
-        lhs = dc.cut_sqto(dc.cut_sqto(g, h), dc.cut_sqto(f, h))
-        if lhs != dc.TOP:
-            out.append((str(f), str(g), str(h)))
+        for h in _GRID_CUTS:
+            lhs = dc.cut_sqto(dc.cut_sqto(g, h), dc.cut_sqto(f, h))
+            if lhs != dc.TOP:
+                out.append((str(f), str(g), str(h)))
 
 
 @dense("dense:props", "the basic proposition suite holds for cuts")
@@ -1165,8 +1199,7 @@ def _dense_props(seed, out):
 
 @dense("dense:kernel", "every proper cut filter has trivial kernel")
 def _dense_kernel(seed, out):
-    for rng in _draws(seed, "kernel", _TRIPLES):
-        f = dc.random_proper_cut(rng)
+    for f in _GRID_CUTS:
         if dc.cut_sqto(f, f) != dc.TOP:
             out.append((str(f),))
 

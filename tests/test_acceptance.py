@@ -164,7 +164,7 @@ def test_criterion_09_dense_closed_forms():
     t0 = time.perf_counter()
     report = mv.run_dense(seed=0, only=["dense:closed-forms", "dense:negate"])
     elapsed = time.perf_counter() - t0
-    verdict(9, "dense closed forms vs oracle", report.ok and elapsed < 10.0)
+    verdict(9, "dense closed forms vs definitions on the grid", report.ok and elapsed < 10.0)
 
 
 def test_criterion_10_dense_theorems():

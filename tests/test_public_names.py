@@ -29,6 +29,8 @@ _SPAN_TARGET = (
 )
 ALLOWED = {
     "calculus.sqto_fast": _SPAN_TARGET,
+    "densechain.oracle_plus": _SPAN_TARGET,
+    "densechain.oracle_sqto": _SPAN_TARGET,
 }
 
 

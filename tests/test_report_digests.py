@@ -14,8 +14,8 @@ filter is no implication filter, so ``fact:d``, ``lem:Jd-lower`` and
 The dense reports are pinned the same way in ``DENSE_DIGESTS``: the sha256
 of ``run_dense(seed=s).to_json()`` for three seeds, and at seed 0 under each
 flip of a ``cut_sqto`` kind branch and under a kind flip of ``cut_plus``.
-A change to the cut representation or arithmetic that moves a sample, a
-verdict or a printed cut fails here.
+A change to the cut representation or arithmetic that moves a grid cut or a
+sample, a verdict or a printed cut fails here.
 
 ``LARGE_DIGESTS`` pins the unmutated reports of Ł32, Ł8×Ł8 and 2⁶, the
 sizes at which the reads of table rows and columns into masks carry most of
@@ -182,19 +182,19 @@ DENSE_CASES = [(seed, "none") for seed in (0, 1, 41)] + [
 
 DENSE_DIGESTS = {
     (0, "none"):
-        "77bcf9d418bb8416123ece638b355768104e9e3edcae1ff850be614a40bc0828",
+        "880a642d54aaf8172781b4ffe5a793f92ac4ad37983be0160af8ad8ef35fc64e",
     (1, "none"):
-        "27eb6b348534d3d200edb795febf15c9688280dc30dea7b43b5bac099014ecc9",
+        "30ae5a42f9f060d08c928a116bf05960389eb62f21164b41420b3903a333d4c4",
     (41, "none"):
-        "87727e7b9afdf4c7a0d8f93e0d617895ce3401d9d7b63fae201ca3d48636fb70",
+        "af6690ec1f58adc71421346a6b3a4841e3083114d73d42d3499cdd5a23b2117b",
     (0, "cut_plus-flip"):
-        "00e2377d30f24d014397f3a8aef4f168398ab6bd929f7d39097a3494c9d79a15",
+        "188227ccd5c00bd85b884d6ab380c3f76031133a20ffd07398cec48fdfb38299",
     (0, "cut_sqto-closed-meet"):
-        "184313e9f7447919d50dfb6bee110849b55c0020f4b28c517d81431065002f95",
+        "e5dde03482cd7b64e05609a717853f1e8e25ad2cf822446c866732b40d641e74",
     (0, "cut_sqto-closed-target"):
-        "5899eb7de375a9f2c7fc53f3ac50e0f314c21d5e73c2c59c444d609f143d4f68",
+        "8210805b8d6c4f9c60277cab0c288ba229d519ea1e01e58e7bba5700f6b21e72",
     (0, "cut_sqto-open-meet"):
-        "35ac4fbf06d80e66da9f223afe5df231ff7228e39aa0cce315f318407d5dcaa7",
+        "de7c01707a016031f1e93f356e6f351acad0ce4f0d11b16c9aa809595737f7a5",
 }
 
 

@@ -1,6 +1,7 @@
 import copy
 import json
 from collections import Counter
+from fractions import Fraction as F
 from functools import reduce
 from itertools import combinations
 from pathlib import Path
@@ -659,7 +660,8 @@ def test_dense_theorems_check_the_closed_form(monkeypatch, branch):
 
 @pytest.mark.parametrize(
     "branch, witnesses",
-    [("closed-target", 2531), ("closed-meet", 1256), ("open-meet", 1199)],
+    [("closed-target", 121), ("closed-meet", 77), ("open-meet", 66)],
+    ids=["closed-target", "closed-meet", "open-meet"],
 )
 def test_closed_forms_fails_on_each_flipped_sqto_branch(
     monkeypatch, branch, witnesses
@@ -674,8 +676,112 @@ def test_closed_forms_fails_on_a_flipped_plus(monkeypatch):
     monkeypatch.setattr(dc, "cut_plus", plus_flipped())
     (result,) = mv.run_dense(seed=0, only=["dense:closed-forms"]).results
     assert result.status == "fail"
-    assert len(result.witnesses) == 9945
+    assert len(result.witnesses) == 22
     assert {w[0] for w in result.witnesses} == {"plus"}
+
+
+def shifted_endpoint(real, step):
+    """real, with the endpoint of each value moved by step: down where it can."""
+    def corrupted(*args):
+        c = real(*args)
+        e = c.endpoint
+        return dc.Cut(e - step if e >= step else e + step, c.kind)
+
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "name, step, witnesses",
+    [
+        # off the grid: the denominator 1000 does not divide 12
+        ("cut_sqto", F(1, 1000), 576),
+        # one grid step: the value disagrees at a point of {k/24}
+        ("cut_plus", F(1, 12), 24),
+    ],
+    ids=["sqto-off-grid", "plus-one-step"],
+)
+def test_closed_forms_fails_on_a_shifted_endpoint(monkeypatch, name, step, witnesses):
+    monkeypatch.setattr(dc, name, shifted_endpoint(getattr(dc, name), step))
+    (result,) = mv.run_dense(seed=0, only=["dense:closed-forms"]).results
+    assert result.status == "fail"
+    assert len(result.witnesses) == witnesses
+
+
+def test_closed_forms_checks_the_definitions_not_the_oracles(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense:closed-forms called an oracle")
+
+    monkeypatch.setattr(dc, "oracle_sqto", refuse)
+    monkeypatch.setattr(dc, "oracle_plus", refuse)
+    assert mv.run_dense(seed=0, only=["dense:closed-forms"]).ok
+
+
+EXACT_DENSE = [
+    "dense:closed-forms", "dense:negate", "dense:equiv-thm", "dense:trans",
+    "dense:congruence", "dense:kernel",
+]
+
+
+def _dense_results(seed, only):
+    return json.loads(mv.run_dense(seed=seed, only=only).to_json())["results"]
+
+
+@pytest.mark.parametrize("branch", [None, *sorted(KIND_BRANCHES)])
+def test_exact_dense_statements_ignore_the_seed(monkeypatch, branch):
+    if branch is not None:
+        monkeypatch.setattr(dc, "cut_sqto", branch_flipped(branch))
+    runs = [_dense_results(seed, EXACT_DENSE) for seed in (0, 1, 41)]
+    assert runs[0] == runs[1] == runs[2]
+    if branch is not None:
+        # a flip leaves witnesses to compare, and the sampled props move
+        assert any(r["witnesses"] for r in runs[0])
+        props = [_dense_results(seed, ["dense:props"]) for seed in (0, 1)]
+        assert props[0] != props[1]
+
+
+def test_the_grid_meets_every_order_type_of_two_cuts():
+    """For each pair of kinds, the grid meets every order type of the
+    endpoints p, q of two proper cuts of those kinds: where each lies (at 0,
+    inside, at 1), how p compares with q, and how p + q compares with 1, the
+    line on which ⁺ reflects one endpoint onto the other."""
+    rank = {"0": 0, "inside": 1, "1": 2}
+    value = {"0": 0, "1": 1}
+
+    def _cmp(x, y):
+        return "<" if x < y else "=" if x == y else ">"
+
+    def position(x):
+        return "0" if x == 0 else "1" if x == 1 else "inside"
+
+    def proper(pos, kind):
+        return pos != ("0" if kind is dc.Kind.CLOSED else "1")
+
+    def realizable(pp, pq, d, s):
+        if pp == pq == "inside":
+            return True
+        if d != _cmp(rank[pp], rank[pq]):
+            return False
+        if "inside" not in (pp, pq):
+            return s == _cmp(value[pp] + value[pq], 1)
+        # one endpoint is inside (0,1), the other at 0 or at 1
+        return s == ("<" if "0" in (pp, pq) else ">")
+
+    signs = ("<", "=", ">")
+    for kf, kg in verify._pairs(dc.Kind):
+        expected = {
+            (pp, pq, d, s)
+            for pp in rank if proper(pp, kf)
+            for pq in rank if proper(pq, kg)
+            for d in signs for s in signs if realizable(pp, pq, d, s)
+        }
+        met = {
+            (position(p), position(q), _cmp(p, q), _cmp(p + q, 1))
+            for f in verify._GRID_CUTS if f.kind is kf
+            for g in verify._GRID_CUTS if g.kind is kg
+            for p, q in [(f.endpoint, g.endpoint)]
+        }
+        assert met == expected, (kf, kg)
+    assert len(verify._GRID_CUTS) == 24 and len(verify._GRID_POINTS) == 13
 
 
 def _collapse_closed_pairs(real):
@@ -692,7 +798,7 @@ def test_dense_trans_can_fail(monkeypatch):
     monkeypatch.setattr(dc, "cut_sqto", _collapse_closed_pairs(dc.cut_sqto))
     (result,) = mv.run_dense(seed=0, only=["dense:trans"]).results
     assert result.status == "fail"
-    assert len(result.witnesses) == 978
+    assert len(result.witnesses) == 242
 
 
 def test_dense_trans_takes_one_sqto_per_ordered_pair(monkeypatch):
@@ -705,7 +811,8 @@ def test_dense_trans_takes_one_sqto_per_ordered_pair(monkeypatch):
 
     monkeypatch.setattr(dc, "cut_sqto", counting)
     assert mv.run_dense(seed=0, only=["dense:trans"]).ok
-    assert 0 < len(calls) <= 9 * verify._TRIPLES
+    # up to three cuts per (grid point, grid cut): 9 ordered pairs
+    assert 0 < len(calls) <= 9 * len(verify._GRID_POINTS) * len(verify._GRID_CUTS)
 
 
 def test_dense_props_takes_each_sqto_once_per_sample(monkeypatch):
