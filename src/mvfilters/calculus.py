@@ -16,8 +16,8 @@ x of T into M is {y | T[x][y] ∈ M}, and column x of → into M is
 ``bytes``, so one read is one ``bytes.translate`` through
 ``core.member_lookup(M, n)`` and one ``int(…, 2)``, both in C; the lookup
 is built once per call and shared by all the reads of that call.  The
-subordinate F_x is column x of → into L∖F, and K(F) is the AND of those
-columns over x ∉ F.
+subordinate F_x is column x of → into L∖F, and the relative kernel
+K_F(X) = ∩_{x∈X} F_x is the AND of those columns over x ∈ X.
 
 Row form.  Φ(F,G) is the union of G's →-rows over f ∈ F and
 ``sqto_full(F,G)`` the intersection of G's ⊗-rows over f ∈ F; J_u(F,P) is
@@ -27,12 +27,14 @@ the union of the P-cosets that meet F.  Each of these is a pure builder
 cold call builds only what it reads: |F| rows, or one partition of n row
 and n column reads by any P.  ``verify.Ctx`` builds each table once per
 run, taking cosets from its quotient L/P, so a pair then costs O(|F|) or
-O(n) bit operations.  K_F(X) ANDs |X| subordinates, one column read each.
+O(n) bit operations.
 
-Subordinate form.  F ⊸ G is the AND of the subordinates (F∩G)ₓ over x ∉ G.
-The combinator ``sqto_from`` takes them from a function: a cold ``sqto``
-builds each one, |L∖G| column reads, and ``verify.Ctx`` reads them from its
-subordinate memo, so each (F∩G, x) is built once per run.
+Subordinate form.  ``kernel_rel`` is the one coding of K_F(X): one lookup
+into L∖F and |X| column reads.  K(F) is K_F(L∖F) and F ⊸ G is
+K_{F∩G}(L∖G), so ``kernel`` and ``sqto`` only add the empty-mask guard.
+``subordinate`` is the single column read, and ``set_plus`` is it at 0; they
+stay outside ``kernel_rel``, which refuses an X that meets F, because F⁺
+takes any mask, L with 0 ∈ L included.
 """
 
 from __future__ import annotations
@@ -80,30 +82,26 @@ def kernel(a: MvAlgebra, f_mask: int) -> int:
     """K(F) = {z | z→x ∉ F for every x ∉ F}, the meet of the subordinates F_x.
 
     Only on a finite algebra is it also the largest implication filter in F.
-    Each F_x is column x of → read into L∖F, through one lookup.
     """
     if f_mask == 0:
         return 0
-    outside = a.full_mask & ~f_mask
-    look = member_lookup(outside, a.size)
-    cols = a.imp_col_bytes
-    m = a.full_mask
-    for x in iter_mask(outside):
-        m &= int(cols[x].translate(look), 2)
-    return m
+    return kernel_rel(a, f_mask, a.full_mask & ~f_mask)
 
 
 def kernel_rel(a: MvAlgebra, f_mask: int, x_mask: int) -> int:
-    """Intersection of the subordinates of F at every member of X.
+    """K_F(X), the intersection of the subordinates of F at every member of X.
 
     X must be disjoint from F.  The empty X yields the whole carrier
-    (empty-intersection convention).
+    (empty-intersection convention).  Each F_x is column x of → read into
+    L∖F, through one lookup.
     """
     if x_mask & f_mask:
         raise InvalidArgument("index set X must be disjoint from the filter")
+    look = member_lookup(a.full_mask & ~f_mask, a.size)
+    cols = a.imp_col_bytes
     m = a.full_mask
     for x in iter_mask(x_mask):
-        m &= subordinate(a, f_mask, x)
+        m &= int(cols[x].translate(look), 2)
     return m
 
 
@@ -112,19 +110,10 @@ def kernel_rel(a: MvAlgebra, f_mask: int, x_mask: int) -> int:
 
 
 def sqto(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
-    """F ⊸ G, by the definitional form on F∩G with the nested-pair extension."""
-    fp = f_mask & g_mask
-    return sqto_from(a, f_mask, g_mask, lambda x: subordinate(a, fp, x))
-
-
-def sqto_from(a: MvAlgebra, f_mask: int, g_mask: int, sub) -> int:
-    """F ⊸ G from sub(x) = (F∩G)ₓ: the AND of sub(x) over x ∉ G."""
+    """F ⊸ G = K_{F∩G}(L∖G), the AND of the subordinates (F∩G)ₓ over x ∉ G."""
     if f_mask == 0 or g_mask == 0:
         return 0
-    m = a.full_mask
-    for x in iter_mask(a.full_mask & ~g_mask):
-        m &= sub(x)
-    return m
+    return kernel_rel(a, f_mask & g_mask, a.full_mask & ~g_mask)
 
 
 def sqto_fast(a: MvAlgebra, f_mask: int, g_mask: int) -> int:

@@ -126,11 +126,11 @@ class Ctx:
     ``memo[method name][args]``, which lasts exactly this run; the algebra
     itself is never written to.  Φ and ``sqto_full`` read the kept rows, J_u
     and J_d the cosets of the kept L/P (P in ``impl``), so each pair costs
-    O(|F|) or O(n) bit operations.  ⊸ reads the subordinate memo through
-    ``calculus.sqto_from``, so each (F∩G, x) is built once per run and
-    shared by every pair with that F∩G.  A cross-check's second side shares
-    no table with its first: ``prop:fastform`` sets ⊸'s →-column reads
-    against ⊗-rows, and ``prop:T-phi`` computes T cold.
+    O(|F|) or O(n) bit operations.  ⊸ and K are ``calculus``'s relative
+    kernel K_F(X), |X| →-column reads per call.  A cross-check's second side
+    shares no table with its first: ``fact:b``, ``fact:c`` and
+    ``prop:fastform`` set those →-column reads against ⊗-rows, and
+    ``prop:T-phi`` computes T cold.
     """
 
     def __init__(self, a: MvAlgebra):
@@ -147,10 +147,7 @@ class Ctx:
 
     @_memo
     def sqto(self, f_mask: int, g_mask: int) -> int:
-        fp = f_mask & g_mask
-        return calculus.sqto_from(
-            self.a, f_mask, g_mask, lambda x: self.subordinate(fp, x)
-        )
+        return calculus.sqto(self.a, f_mask, g_mask)
 
     @_memo
     def kernel(self, f_mask: int) -> int:
@@ -449,17 +446,30 @@ def _fact_a(ctx, out):
 
 @finite("fact:b", "the singleton relative kernel is the subordinate")
 def _fact_b(ctx, out):
+    """K_F({x}) and F_x, both →-column reads, against F's ⊗-rows.
+
+    F is an up-set, so z→x ∈ F exactly when f⊗z ≤ x for some f ∈ F
+    (residuation).  Hence F_x = {z | f⊗z ∉ ↓x for every f ∈ F}, which is
+    ``sqto_full(F, L∖↓x)`` and reads no → column.
+    """
+    a = ctx.a
     for f in ctx.primes:
         for x in _outside(ctx, f):
-            if calculus.kernel_rel(ctx.a, f, 1 << x) != ctx.subordinate(f, x):
+            rows_side = ctx.sqto_full(f, a.full_mask & ~a.down_mask[x])
+            columns = calculus.kernel_rel(a, f, 1 << x), ctx.subordinate(f, x)
+            if columns != (rows_side, rows_side):
                 out.append((ctx.show(f), x))
 
 
 @finite("fact:c", "the kernel is the relative kernel at the whole complement")
 def _fact_c(ctx, out):
-    a = ctx.a
+    """K(F) = K_F(L∖F), against F's ⊗-rows.
+
+    By residuation as in ``fact:b``, z→x ∈ F for some x ∉ F exactly when
+    f⊗z ∉ F for some f ∈ F, so K(F) = {z | F⊗z ⊆ F} = ``sqto_full(F, F)``.
+    """
     for f in ctx.primes:
-        if ctx.kernel(f) != calculus.kernel_rel(a, f, a.full_mask & ~f):
+        if ctx.kernel(f) != ctx.sqto_full(f, f):
             out.append(_shown(ctx, f))
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 import mvfilters as mv
-from mvfilters import core, filters
+from mvfilters import calculus, core, filters
 from mvfilters.errors import ResourceLimit
 
 from conftest import CHAINS, shuffled
@@ -198,6 +198,34 @@ def test_prime_filters_match_the_definition_on_the_census():
         assert filters.enumerate_lattice_filters(a, prime_only=True) == (
             primes_by_definition(a)
         ), ns
+
+
+def kernel_by_otimes(a, f_mask):
+    """{z | f⊗z ∈ F for every f ∈ F}, read entry by entry from the ⊗ table."""
+    fs = [f for f in range(a.size) if (f_mask >> f) & 1]
+    return core.mask_of(
+        z for z in range(a.size)
+        if all((f_mask >> a.otimes[f][z]) & 1 for f in fs)
+    )
+
+
+def test_kernel_matches_two_independent_values_on_the_census():
+    # K(F) is the meet of →-column reads; on a finite algebra it is also the
+    # largest implication filter inside F, and, since F is an up-set, the
+    # set of z with F⊗z ⊆ F (z→x ∈ F iff f⊗z ≤ x for some f ∈ F)
+    filters_checked = 0
+    for ns in census():
+        a = _chain_product(*ns)
+        impl = filters.enumerate_implication_filters(a)
+        for f in filters.enumerate_lattice_filters(a):
+            inside = [p for p in impl if p & ~f == 0]
+            largest = max(inside, key=int.bit_count)
+            assert all(p & ~largest == 0 for p in inside), (ns, f)
+            assert calculus.kernel(a, f) == largest == kernel_by_otimes(a, f), (
+                ns, a.label_set(f)
+            )
+            filters_checked += 1
+    assert filters_checked == 7498
 
 
 def test_ctx_builds_its_lists_without_the_lattice_predicate(monkeypatch, algebra):

@@ -49,8 +49,8 @@ def negate(real):
     return corrupted
 
 
-# The sqto mutants keep their ids but corrupt the combinator sqto_from,
-# which both cold ``calculus.sqto`` and ``verify.Ctx.sqto`` call.
+# The sqto mutants corrupt ``calculus.sqto``, which ``verify.Ctx.sqto``
+# memoises, so cold and memoised ⊸ carry the same corruption.
 MUTANTS = {
     f"{name}-drop": (owner, name, drop_lowest)
     for owner, name in [
@@ -61,8 +61,8 @@ MUTANTS = {
         (calculus, "phi_rows"), (calculus, "tensor_up"),
     ]
 } | {
-    "sqto-drop": (calculus, "sqto_from", drop_lowest),
-    "sqto-swap": (calculus, "sqto_from", swap_arguments),
+    "sqto-drop": (calculus, "sqto", drop_lowest),
+    "sqto-swap": (calculus, "sqto", swap_arguments),
     "phi-swap": (calculus, "phi", swap_arguments),
     "is_convex-not": (calculus, "is_convex", negate),
 }
@@ -81,7 +81,7 @@ DIGESTS = {
     ("L5", "kernel-drop"):
         "20abe134dd5a1fd067b2cdde43481cc6a1aaa0dc55b67b9360a98f1ef3171605",
     ("L5", "kernel_rel-drop"):
-        "728620a58f992b6e97ebdfd31554b1597db642abc598a3a3f12fbacdda169fd8",
+        "819c9ad03c4929fda3173949f28ac0f920741166206bd4e82d3cae1bf1a82b86",
     ("L5", "phi-swap"):
         "babff1a20d218d087ff0029da05efdb2cd5c0636da15266a7fcd1512ab226792",
     ("L5", "phi_rows-drop"):
@@ -93,9 +93,9 @@ DIGESTS = {
     ("L5", "sqto-swap"):
         "4d8ecc8c14f24e3680b66fcf10dd6db869db7772c7b1e3b524a674c5a72f8f9f",
     ("L5", "sqto_full_rows-drop"):
-        "bedccb36138dd89b77a025e3fcc21da6a562206448e42ba6c7347558833fdaef",
+        "f97d43bc1d39c166599d2918e4ee8fb449d971bb83bc3967297611bc14b10c2d",
     ("L5", "subordinate-drop"):
-        "f5911ffe82bc5a5df51aef518d75869768ccd693e836bff3d0f8fa1be5e88f71",
+        "047fb32f5eefc3f05758478008479e0a480102b2b9f2bae93979639c1bccc6c0",
     ("L5", "tensor_up-drop"):
         "6e860fd8dc6b8518aab4d794a2a489406382ce26c9058ef4960cabd6c7348f68",
     ("L2xL3", "boundary_coset-drop"):
@@ -109,7 +109,7 @@ DIGESTS = {
     ("L2xL3", "kernel-drop"):
         "a3a0715d86e37cd1dda6b725717bda32d7c37e30c780ee5d0d609aec0bdc6b02",
     ("L2xL3", "kernel_rel-drop"):
-        "f20f6f180cf0c307451d135fde09a2678d1850cc83d65fd54664c743eb2cdfe9",
+        "e5d9210d34feef9d760ffa3bbce99f529c6bd15bb509470cf64ded67b1e304be",
     ("L2xL3", "phi-swap"):
         "9753fb33304b9bc5c916e2cdff717834f5c81f81330bbaf26f58effd0764a0ec",
     ("L2xL3", "phi_rows-drop"):
@@ -121,9 +121,9 @@ DIGESTS = {
     ("L2xL3", "sqto-swap"):
         "da8446be1648b6503644a1e888afc5f2d5162fdba8cb8869811936c54f2feeeb",
     ("L2xL3", "sqto_full_rows-drop"):
-        "46932e1dcfcbadb816d616516e27edc6f72bd42c5aebdf830684fda4ec6007df",
+        "a402326648ff87daf8ae29eb47504b7463e1708ddfd8c44ac8fa7b58c7b7a4d7",
     ("L2xL3", "subordinate-drop"):
-        "7884437f35018f67719e8edb970ab4b68e4fbb51461a9f29114917b8bc2653c0",
+        "057155c5dbf6f66b3a133ed341cd763b062b5cdf1d72d849d36ef72492aef2bf",
     ("L2xL3", "tensor_up-drop"):
         "3f0bc81677fdbe4adb952657097a37fa90312d8ed8e96d8514a05040ac84d75e",
 }

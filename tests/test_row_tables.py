@@ -7,9 +7,9 @@ into a table builder and a combinator.  Each new form is compared with its
 oracle both cold (``calculus``, ``QuotientAlgebra``) and through the tables a
 ``verify.Ctx`` keeps for one run.  J_u and J_d go through ``Ctx`` only at
 an implication filter P, since ``Ctx`` reads the cosets of L/P; the cold
-forms take every mask.  ⊸ is ``sqto_from`` over the subordinates
-(F∩G)ₓ, built cold or read from the ``Ctx`` subordinate memo; its oracle is
-the relative-kernel form it had before.  The oracles read the tables entry
+forms take every mask.  ⊸ is ``kernel_rel`` on F∩G at L∖G, cold or through
+the ``Ctx`` sqto memo; its oracle is the AND of the subordinates (F∩G)ₓ over
+x ∉ G, one loop per subordinate.  The oracles read the tables entry
 by entry: their subordinates and cosets are the loops restated in
 ``test_table_reads``, not the byte reads of ``calculus`` and ``core``.
 """

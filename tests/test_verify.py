@@ -230,10 +230,17 @@ def test_fact_e_state_totals(monkeypatch, factors, total):
     [
         ("fact:a", calculus, "subordinate"),
         ("fact:a", calculus, "kernel_rel"),
+        ("fact:b", calculus, "subordinate"),
+        ("fact:b", calculus, "kernel_rel"),
+        ("fact:c", calculus, "kernel"),
+        ("fact:c", calculus, "kernel_rel"),
         ("fact:e", calculus, "kernel_rel"),
         ("fact:e", filters, "down_closure_joins"),
     ],
-    ids=["a-subordinate", "a-kernel_rel", "e-kernel_rel", "e-down_closure_joins"],
+    ids=[
+        "a-subordinate", "a-kernel_rel", "b-subordinate", "b-kernel_rel",
+        "c-kernel", "c-kernel_rel", "e-kernel_rel", "e-down_closure_joins",
+    ],
 )
 def test_relative_kernel_facts_can_fail(monkeypatch, algebra_id, stmt, owner, name):
     assert_check_can_fail(
@@ -332,7 +339,7 @@ def test_convex_lemmas_can_fail(monkeypatch, l5, stmt):
 
 
 def _plus_after(real):
-    """sqto_from, returning (F⊸G)⁺ instead of F⊸G."""
+    """sqto, returning (F⊸G)⁺ instead of F⊸G."""
     def corrupted(a, f, g, *rest):
         return calculus.set_plus(a, real(a, f, g, *rest))
 
@@ -348,7 +355,7 @@ def _plus_after(real):
 )
 def test_sqto_order_statements_can_fail(monkeypatch, algebra_id, stmt):
     assert_check_can_fail(
-        monkeypatch, ALL_ALGEBRAS[algebra_id], stmt, calculus, "sqto_from",
+        monkeypatch, ALL_ALGEBRAS[algebra_id], stmt, calculus, "sqto",
         _plus_after,
     )
 
@@ -358,30 +365,10 @@ def test_adjunction_can_fail(monkeypatch, algebra_id, witnesses):
     # the ⊸ argument swap kills prop:adjunction; drop-lowest leaves it passing
     a = ALL_ALGEBRAS[algebra_id]
     assert_check_can_fail(
-        monkeypatch, a, "prop:adjunction", calculus, "sqto_from", swap_arguments
+        monkeypatch, a, "prop:adjunction", calculus, "sqto", swap_arguments
     )
     (result,) = mv.run_finite(a, only=["prop:adjunction"]).results
     assert len(result.witnesses) == witnesses
-
-
-def test_quot_commute_builds_each_subordinate_once(monkeypatch):
-    # Ctx.sqto reads the run's (F∩G, x) memo, so every subordinate that
-    # prop:quot-commute reaches is built once, not once per pair (F, G)
-    ctx = verify.Ctx(core.make_product(CHAINS[4], CHAINS[4]))
-    calls = Counter()
-    real = calculus.subordinate
-
-    def counted(a, f, x):
-        calls[f, x] += 1
-        return real(a, f, x)
-
-    monkeypatch.setattr(calculus, "subordinate", counted)
-    out = []
-    FINITE_STATEMENTS["prop:quot-commute"][1](ctx, out)
-    assert not out
-    outside = sum(ctx.a.size - bin(f).count("1") for f in ctx.lattice)
-    assert sum(calls.values()) == outside == 156
-    assert set(calls.values()) == {1}
 
 
 def _with_own_element(real):
