@@ -5,8 +5,8 @@ with a rational endpoint.  [0,1] is the improper filter and ]1,1] the empty
 set; both are representable sentinels but rejected by the proper-filter
 operations.  ⁺ and ⊸ are computed by closed forms, which the statement
 ``dense:closed-forms`` checks against their definitions on a grid of cuts.
-``oracle_sqto`` and ``oracle_plus`` are kept only as targets of the
-benchmark tracer (``perfbench/spans.py``); no statement calls them.
+``oracle_sqto``, ``oracle_plus`` and ``random_proper_cut`` are kept only as
+tracer targets (``perfbench/spans.py``); no statement calls them.
 
 A cut stores its endpoint as two integers in lowest terms, ``num`` and
 ``den > 0``.  The operations compare endpoints by cross-multiplication and
@@ -233,12 +233,12 @@ def oracle_plus(f: Cut) -> Cut:
 
 
 # ---------------------------------------------------------------------------
-# randomised inputs and the derived chain view
+# a tracer target and the derived chain view
 
 
 def random_proper_cut(rng: random.Random) -> Cut:
     """Draws a denominator up to MAX_DEN, a numerator up to it and a kind,
-    until the cut is proper."""
+    until the cut is proper; kept only because the benchmark tracer wraps it."""
     while True:
         den = rng.randint(1, MAX_DEN)
         num = rng.randint(0, den)

@@ -2,17 +2,16 @@
 
 Every checkable statement of the calculus carries a stable identifier
 (e.g. ``prop:inclOne``); the runner evaluates each one exhaustively on a
-finite algebra, and on the dense chain either on every cut of a grid that
-decides it or, for the statements over three cuts, on seeded random samples;
-it collects witnesses for any failure.  A statement that raises is recorded
-as ``error``, with the exception as its witness, and the run goes on.
+finite algebra, and on the dense chain on every cut, pair and triple of a
+grid that decides it; it collects witnesses for any failure.  A statement
+that raises is recorded as ``error``, with the exception as its witness, and
+the run goes on.
 Reports are deterministic given (algebra, scope, seed).
 """
 
 from __future__ import annotations
 
 import json
-import random
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -1016,37 +1015,25 @@ def _composite(ctx, out):
 # dense-chain statements
 
 
-# dense:props and dense:separation quantify over three cuts and draw this many
-# seeded samples; the other statements are decided on the grid below
-_TRIPLES = 1_000
-
-
-def _draws(seed: int, salt: str, n: int):
-    """The rng seeded by (seed, salt), yielded n times, once per sample.
-
-    Each sampled statement has its own salt, so its samples depend on the
-    run's seed alone, not on which other statements ran before it.
-    """
-    rng = random.Random(f"{seed}:{salt}")
-    for _ in range(n):
-        yield rng
-
-
 def _proper_cuts_at(p: Fraction) -> list:
     """The open and the closed cut at p, each only if it is proper."""
     return [c for c in (dc.open_cut(p), dc.closed_cut(p)) if c.is_proper]
 
 
-# The grid: every proper cut with an endpoint in {k/N}.  The statements
-# decided on it quantify over at most two cuts, or one point and one cut, so
-# they read two endpoints p and q.  Every comparison they make of them is
-# a + bp + cq ⋚ 0 with a an integer and b, c in {-1, 0, 1}: ⊸ ends at
-# 1 - max(p, q) + q or at 1, and ⁺ at 1 - p.  So each one's truth is
-# constant on each face of the arrangement of the lines p, q, p - q, p + q
-# ∈ ℤ.  In [0,1]² its vertices lie in ½ℤ², its edges have midpoints in ¼ℤ²
-# and its triangles centroids in ⅙ℤ², so a grid with 12 | N meets every
-# face.  Every cut they build ends on the grid too, where dense:closed-forms
-# checks ⊸ and ⁺ against their definitions.
+# The grid: every proper cut with an endpoint in {k/N}.  Each dense claim's
+# truth is constant on each face of an arrangement of planes in its
+# endpoints, so one point per face decides it.  A claim over two cuts, or one
+# point and one cut, compares endpoints p and q only on the lines p, q,
+# p - q, p + q ∈ ℤ, since ⊸ ends at 1 - max(p, q) + q or at 1, and ⁺ at
+# 1 - p.  Their vertices in [0,1]² lie in ½ℤ², edge midpoints in ¼ℤ² and
+# triangle centroids in ⅙ℤ², so 12 | N meets every face.  A claim over three
+# cuts (revIncl, axiomC, separation) compares only on the planes xᵢ, xᵢ - xⱼ
+# and xᵢ + xⱼ - xₖ ∈ ℤ, since ⊸ nested twice ends at 1, 1 - x + y or
+# 2 - x - y + z.  Their vertices in [0,1]³ lie in ½ℤ³, so each face holds a
+# point of (1/24)ℤ³ (an edge midpoint, a triangle or tetrahedron centroid),
+# and N = 12 meets the same 147 sign vectors as N = 24 (tests/test_verify.py
+# checks both steps).  Every cut a claim builds ends on the grid too, where
+# dense:closed-forms checks ⊸ and ⁺ against their definitions.
 _N = 12
 _GRID_POINTS = [Fraction(k, _N) for k in range(_N + 1)]
 _GRID_CUTS = [c for p in _GRID_POINTS for c in _proper_cuts_at(p)]
@@ -1122,20 +1109,17 @@ def _dense_equiv(seed, out):
 
 @dense("dense:separation", "two strictly separated cuts give different ⊸ values")
 def _dense_separation(seed, out):
-    for rng in _draws(seed, "separation", _TRIPLES):
-        f2 = dc.random_proper_cut(rng)
-        # widen to guarantee at least two points strictly between the endpoints
-        gap = Fraction(1, rng.randint(2, dc.MAX_DEN))
-        e1 = Fraction(f2.num, f2.den) + gap
-        if e1 >= 1:
+    """F1⊸G ≠ F2⊸G on every grid triple with F1 ⊆ F2 ⊆ G, G open and F1's
+    endpoint strictly above F2's, which already makes F1 ⊆ F2."""
+    for g in _GRID_CUTS:
+        if g.kind is not dc.Kind.OPEN:
             continue
-        f1 = dc.Cut(e1, rng.choice((dc.Kind.OPEN, dc.Kind.CLOSED)))
-        g = dc.open_cut(Fraction(rng.randint(0, f2.num), f2.den))
-        if not (g.is_proper and f1.is_proper
-                and f1.issubset(f2) and f2.issubset(g)):
-            continue
-        if dc.cut_sqto(f1, g) == dc.cut_sqto(f2, g):
-            out.append((str(f1), str(f2), str(g)))
+        below = [f for f in _GRID_CUTS if f.issubset(g)]
+        values = [dc.cut_sqto(f, g) for f in below]
+        for f2, s2 in zip(below, values):
+            for f1, s1 in zip(below, values):
+                if f1.num * f2.den > f2.num * f1.den and s1 == s2:
+                    out.append((str(f1), str(f2), str(g)))
 
 
 @dense("dense:trans", "cut equivalence is transitive")
@@ -1169,42 +1153,56 @@ def _dense_congruence(seed, out):
 
 @dense("dense:props", "the basic proposition suite holds for cuts")
 def _dense_props(seed, out):
-    for rng in _draws(seed, "props", _TRIPLES):
-        f = dc.random_proper_cut(rng)
-        g = dc.random_proper_cut(rng)
-        h = dc.random_proper_cut(rng)
-        s = dc.cut_sqto(f, g)
-        if not s.issubset(g):
-            out.append(("incl", str(f), str(g)))
-        if g.issubset(f) and s != dc.TOP:
-            out.append(("inclOne", str(f), str(g)))
+    """The suite on every grid cut, pair and triple.  ⊸ is taken once per
+    grid pair and ⁺ once per cut, as indices into the grid, and nested ⊸ are
+    read from that table.  The true ⊸ and ⁺ never leave the grid; a value
+    that does is a witness, and nothing nested in it is read."""
+    cuts = _GRID_CUTS
+    at = {c: i for i, c in enumerate(cuts)}
+    sq = [[at.get(dc.cut_sqto(f, g)) for g in cuts] for f in cuts]
+    plus = [at.get(dc.cut_plus(f)) for f in cuts]
+    off = [(str(f), str(g)) for f, row in zip(cuts, sq)
+           for g, s in zip(cuts, row) if s is None]
+    off += [("plus", str(f)) for f, p in zip(cuts, plus) if p is None]
+    if off:
+        out.extend(("off-grid", *w) for w in off)
+        return
+    sub = [[f.issubset(g) for g in cuts] for f in cuts]
+    # column j of the table: H⊸G for every H, with G the j-th cut
+    cols = [list(col) for col in zip(*sq)]
+    top = at[dc.TOP]
+    for i, f in enumerate(cuts):
+        row, sub_f = sq[i], sub[i]
         # OneOne: {1}⊸F = F
-        if dc.cut_sqto(dc.TOP, f) != f:
+        if sq[top][i] != i:
             out.append(("OneOne", str(f)))
-        # plus duality for nested pairs
-        if f.issubset(g):
-            if s != dc.cut_sqto(dc.cut_plus(g), dc.cut_plus(f)):
-                out.append(("plus", str(f), str(g)))
-            # FFg + triple corollary; ffg is (F⊸G)⊸G, reused by axiomG
-            ffg = dc.cut_sqto(s, g)
-            if not f.issubset(ffg):
-                out.append(("FFg", str(f), str(g)))
-            if dc.cut_sqto(ffg, g) != s:
-                out.append(("triple", str(f), str(g)))
-        if f.issubset(g) and g.issubset(h):
-            big = dc.cut_sqto(f, h)
-            small = dc.cut_sqto(g, h)
-            if not small.issubset(big):
-                out.append(("revIncl", str(f), str(g), str(h)))
-        # axiomG: (F⊸G)⊸G is cut-equivalent to F when F ⊆ G
-        if f.issubset(g):
-            if not (dc.cut_sqto(f, ffg) == dc.TOP
-                    and dc.cut_sqto(ffg, f) == dc.TOP):
-                out.append(("axiomG", str(f), str(g)))
-        lhs = dc.cut_sqto(f, dc.cut_sqto(h, g))
-        rhs = dc.cut_sqto(h, s)
-        if lhs != rhs:
-            out.append(("axiomC", str(f), str(g), str(h)))
+        for j, g in enumerate(cuts):
+            s = row[j]
+            if not sub[s][j]:
+                out.append(("incl", str(f), str(g)))
+            if sub[j][i] and s != top:
+                out.append(("inclOne", str(f), str(g)))
+            if sub_f[j]:
+                # plus duality for nested pairs
+                if s != sq[plus[j]][plus[i]]:
+                    out.append(("plus", str(f), str(g)))
+                # FFg + triple corollary; ffg is (F⊸G)⊸G, reused by axiomG
+                ffg = sq[s][j]
+                if not sub_f[ffg]:
+                    out.append(("FFg", str(f), str(g)))
+                if sq[ffg][j] != s:
+                    out.append(("triple", str(f), str(g)))
+                # revIncl: G⊸H ⊆ F⊸H for every H ⊇ G
+                for k, (gh, fh) in enumerate(zip(sq[j], row)):
+                    if sub[j][k] and not sub[gh][fh]:
+                        out.append(("revIncl", str(f), str(g), str(cuts[k])))
+                # axiomG: (F⊸G)⊸G is cut-equivalent to F when F ⊆ G
+                if not (row[ffg] == top and sq[ffg][i] == top):
+                    out.append(("axiomG", str(f), str(g)))
+            # axiomC: F⊸(H⊸G) = H⊸(F⊸G) for every H
+            for k, (hg, hs) in enumerate(zip(cols[j], cols[s])):
+                if row[hg] != hs:
+                    out.append(("axiomC", str(f), str(g), str(cuts[k])))
 
 
 @dense("dense:kernel", "every proper cut filter has trivial kernel")

@@ -31,6 +31,7 @@ ALLOWED = {
     "calculus.sqto_fast": _SPAN_TARGET,
     "densechain.oracle_plus": _SPAN_TARGET,
     "densechain.oracle_sqto": _SPAN_TARGET,
+    "densechain.random_proper_cut": _SPAN_TARGET,
 }
 
 

@@ -14,8 +14,9 @@ filter is no implication filter, so ``fact:d``, ``lem:Jd-lower`` and
 The dense reports are pinned the same way in ``DENSE_DIGESTS``: the sha256
 of ``run_dense(seed=s).to_json()`` for three seeds, and at seed 0 under each
 flip of a ``cut_sqto`` kind branch and under a kind flip of ``cut_plus``.
-A change to the cut representation or arithmetic that moves a grid cut or a
-sample, a verdict or a printed cut fails here.
+No dense statement samples, so the three seeds differ only in the report's
+seed field.  A change to the cut representation or arithmetic that moves a
+grid cut, a verdict or a printed cut fails here.
 
 ``LARGE_DIGESTS`` pins the unmutated reports of Ł32, Ł8×Ł8 and 2⁶, the
 sizes at which the reads of table rows and columns into masks carry most of
@@ -188,13 +189,13 @@ DENSE_DIGESTS = {
     (41, "none"):
         "af6690ec1f58adc71421346a6b3a4841e3083114d73d42d3499cdd5a23b2117b",
     (0, "cut_plus-flip"):
-        "188227ccd5c00bd85b884d6ab380c3f76031133a20ffd07398cec48fdfb38299",
+        "d3afc352522cb7d14d035d4518f37cbafa133eea0720f00b1230863037a40404",
     (0, "cut_sqto-closed-meet"):
-        "e5dde03482cd7b64e05609a717853f1e8e25ad2cf822446c866732b40d641e74",
+        "8fb02163edd61b4c79322c98d6237022a04e2c242ae879a00c9d888c3e535939",
     (0, "cut_sqto-closed-target"):
-        "8210805b8d6c4f9c60277cab0c288ba229d519ea1e01e58e7bba5700f6b21e72",
+        "d0aff7fb109c97e616347bd434818895ac9c57846c39388685c2fa366bdc6c2f",
     (0, "cut_sqto-open-meet"):
-        "de7c01707a016031f1e93f356e6f351acad0ce4f0d11b16c9aa809595737f7a5",
+        "e8cf70d827247cf2563f5b37cda287f732d02a79803c2bb1ba7b8bc0b2de0b9f",
 }
 
 

@@ -3,7 +3,7 @@ import json
 from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, permutations, product as tuples
 from pathlib import Path
 
 import pytest
@@ -703,27 +703,21 @@ def test_closed_forms_checks_the_definitions_not_the_oracles(monkeypatch):
     assert mv.run_dense(seed=0, only=["dense:closed-forms"]).ok
 
 
-EXACT_DENSE = [
-    "dense:closed-forms", "dense:negate", "dense:equiv-thm", "dense:trans",
-    "dense:congruence", "dense:kernel",
-]
-
-
-def _dense_results(seed, only):
-    return json.loads(mv.run_dense(seed=seed, only=only).to_json())["results"]
+def _dense_results(seed):
+    return json.loads(mv.run_dense(seed=seed).to_json())["results"]
 
 
 @pytest.mark.parametrize("branch", [None, *sorted(KIND_BRANCHES)])
 def test_exact_dense_statements_ignore_the_seed(monkeypatch, branch):
+    # no dense statement samples, so the seed moves nothing but the report's
+    # own seed field, mutated or not
     if branch is not None:
         monkeypatch.setattr(dc, "cut_sqto", branch_flipped(branch))
-    runs = [_dense_results(seed, EXACT_DENSE) for seed in (0, 1, 41)]
+    runs = [_dense_results(seed) for seed in (0, 1, 41)]
     assert runs[0] == runs[1] == runs[2]
+    assert [r["id"] for r in runs[0]] == list(DENSE_STATEMENTS)
     if branch is not None:
-        # a flip leaves witnesses to compare, and the sampled props move
         assert any(r["witnesses"] for r in runs[0])
-        props = [_dense_results(seed, ["dense:props"]) for seed in (0, 1)]
-        assert props[0] != props[1]
 
 
 def test_the_grid_meets_every_order_type_of_two_cuts():
@@ -802,7 +796,7 @@ def test_dense_trans_takes_one_sqto_per_ordered_pair(monkeypatch):
     assert 0 < len(calls) <= 9 * len(verify._GRID_POINTS) * len(verify._GRID_CUTS)
 
 
-def test_dense_props_takes_each_sqto_once_per_sample(monkeypatch):
+def test_dense_props_takes_each_sqto_once_per_grid_pair(monkeypatch):
     calls = []
     real = dc.cut_sqto
 
@@ -812,9 +806,110 @@ def test_dense_props_takes_each_sqto_once_per_sample(monkeypatch):
 
     monkeypatch.setattr(dc, "cut_sqto", counting)
     assert mv.run_dense(seed=0, only=["dense:props"]).ok
-    # F⊸G and (F⊸G)⊸G are each taken once per sample; what repeats is only
-    # values that coincide, such as (F⊸G)⊸G = F
-    assert len(calls) == 7_809
+    # every nested ⊸ is read from the table of the 576 grid pairs
+    grid = verify._GRID_CUTS
+    assert Counter(calls) == Counter(verify._pairs(grid))
+    assert len(calls) == len(grid) ** 2 == 576
+
+
+def _props_failures(monkeypatch, name, corrupted):
+    monkeypatch.setattr(dc, name, corrupted)
+    (result,) = mv.run_dense(seed=0, only=["dense:props"]).results
+    assert result.status == "fail"
+    return {w[0] for w in result.witnesses}
+
+
+@pytest.mark.parametrize(
+    "branch, failing",
+    [
+        ("closed-meet", {"OneOne", "incl"}),
+        ("open-meet", {"FFg", "plus"}),
+        ("closed-target", {"FFg", "OneOne", "axiomC", "plus"}),
+    ],
+    ids=["closed-meet", "open-meet", "closed-target"],
+)
+def test_dense_props_fails_on_each_flipped_sqto_branch(monkeypatch, branch, failing):
+    assert _props_failures(monkeypatch, "cut_sqto", branch_flipped(branch)) == failing
+
+
+def test_dense_props_fails_when_closed_pairs_collapse(monkeypatch):
+    failing = _props_failures(
+        monkeypatch, "cut_sqto", _collapse_closed_pairs(dc.cut_sqto))
+    assert failing == {
+        "OneOne", "plus", "FFg", "triple", "revIncl", "axiomG", "axiomC",
+    }
+
+
+@pytest.mark.parametrize("name, count", [("cut_sqto", 576), ("cut_plus", 24)])
+def test_dense_props_reports_values_off_the_grid(monkeypatch, name, count):
+    # a value off the grid is a witness, not an error: the nested ⊸ that
+    # would read it is not taken
+    monkeypatch.setattr(dc, name, shifted_endpoint(getattr(dc, name), F(1, 1000)))
+    (result,) = mv.run_dense(seed=0, only=["dense:props"]).results
+    assert result.status == "fail"
+    assert len(result.witnesses) == count
+    assert {w[0] for w in result.witnesses} == {"off-grid"}
+
+
+def test_dense_separation_can_fail(monkeypatch):
+    # with its arguments swapped, F⊸G is G⊸F = {1} whenever F ⊆ G
+    real = dc.cut_sqto
+    monkeypatch.setattr(dc, "cut_sqto", lambda f, g: real(g, f))
+    (result,) = mv.run_dense(seed=0, only=["dense:separation"]).results
+    assert result.status == "fail"
+    assert len(result.witnesses) == 1_156
+
+
+def test_three_cut_claims_are_decided_on_the_grid():
+    """The written argument above verify._GRID_CUTS, for three endpoints.
+
+    The planes are xᵢ, xᵢ - xⱼ and xᵢ + xⱼ - xₖ ∈ ℤ.  Every vertex that
+    three of them cut out of [0,1]³ lies in ½ℤ³, and the grid {k/12}³ meets
+    the same cells of the arrangement as {k/24}³, which meets them all; the
+    coarser {k/4}³ misses some.
+    """
+    normals = []
+    for i, j, k in permutations(range(3)):
+        for v in ({i: 1}, {i: 1, j: -1}, {i: 1, j: 1, k: -1}):
+            n = tuple(v.get(c, 0) for c in range(3))
+            # xᵢ - xⱼ and xⱼ - xᵢ give one set of planes
+            if n not in normals and tuple(-a for a in n) not in normals:
+                normals.append(n)
+    assert len(normals) == 9
+
+    def det(rows):
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+    def offsets(n):
+        # the integers the form takes somewhere on [0,1]³
+        return range(sum(min(0, a) for a in n), sum(max(0, a) for a in n) + 1)
+
+    vertices = set()
+    for rows in combinations(normals, 3):
+        d = det(rows)
+        if d == 0:
+            continue
+        for rhs in tuples(*map(offsets, rows)):
+            # Cramer's rule: column c of rows replaced by rhs
+            x = tuple(
+                F(det([[*r[:c], b, *r[c + 1:]] for r, b in zip(rows, rhs)]), d)
+                for c in range(3)
+            )
+            if all(0 <= v <= 1 for v in x):
+                vertices.add(x)
+    assert vertices and all((2 * v).denominator == 1 for x in vertices for v in x)
+
+    def cells(n):
+        # each form's position among the integers: 2m at m, 2m + 1 in (m, m+1)
+        return {
+            tuple(-(-t // n) + t // n
+                  for t in (sum(a * x for a, x in zip(nv, p)) for nv in normals))
+            for p in tuples(range(n + 1), repeat=3)
+        }
+
+    assert len(cells(12)) == 147 and cells(12) == cells(24)
+    assert cells(4) < cells(12)
 
 
 def test_equiv_and_separation_read_the_integers_not_endpoint(monkeypatch):
