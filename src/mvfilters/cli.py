@@ -436,7 +436,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the statement verification suite")
     v.add_argument("specfile")
     v.add_argument("--only", help="comma-separated statement ids")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=int, default=0,
+                   help="a label for the report; no statement reads it")
     v.add_argument("--json", help="also write a JSON report to this path")
     v.set_defaults(fn=cmd_verify)
 

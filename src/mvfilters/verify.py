@@ -6,7 +6,7 @@ finite algebra, and on the dense chain on every cut, pair and triple of a
 grid that decides it; it collects witnesses for any failure.  A statement
 that raises is recorded as ``error``, with the exception as its witness, and
 the run goes on.
-Reports are deterministic given (algebra, scope, seed).
+Reports are deterministic given (algebra, scope); the seed only labels them.
 """
 
 from __future__ import annotations
@@ -1015,28 +1015,26 @@ def _composite(ctx, out):
 # dense-chain statements
 
 
-def _proper_cuts_at(p: Fraction) -> list:
-    """The open and the closed cut at p, each only if it is proper."""
-    return [c for c in (dc.open_cut(p), dc.closed_cut(p)) if c.is_proper]
-
-
 # The grid: every proper cut with an endpoint in {k/N}.  Each dense claim's
 # truth is constant on each face of an arrangement of planes in its
-# endpoints, so one point per face decides it.  A claim over two cuts, or one
-# point and one cut, compares endpoints p and q only on the lines p, q,
-# p - q, p + q ∈ ℤ, since ⊸ ends at 1 - max(p, q) + q or at 1, and ⁺ at
-# 1 - p.  Their vertices in [0,1]² lie in ½ℤ², edge midpoints in ¼ℤ² and
-# triangle centroids in ⅙ℤ², so 12 | N meets every face.  A claim over three
-# cuts (revIncl, axiomC, separation) compares only on the planes xᵢ, xᵢ - xⱼ
-# and xᵢ + xⱼ - xₖ ∈ ℤ, since ⊸ nested twice ends at 1, 1 - x + y or
-# 2 - x - y + z.  Their vertices in [0,1]³ lie in ½ℤ³, so each face holds a
-# point of (1/24)ℤ³ (an edge midpoint, a triangle or tetrahedron centroid),
-# and N = 12 meets the same 147 sign vectors as N = 24 (tests/test_verify.py
-# checks both steps).  Every cut a claim builds ends on the grid too, where
-# dense:closed-forms checks ⊸ and ⁺ against their definitions.
+# endpoints, so one point per face decides it.  A claim over two cuts or
+# points (hat-embed), or one point and one cut, compares endpoints p and q
+# only on the lines p, q, p - q, p + q ∈ ℤ, since ⊸ ends at 1 - max(p, q) + q
+# or at 1, and ⁺ at 1 - p.  Their vertices in [0,1]² lie in ½ℤ², edge
+# midpoints in ¼ℤ² and triangle centroids in ⅙ℤ², so 12 | N meets every
+# face.  A claim over three cuts (revIncl, axiomC, separation, trans)
+# compares only on the planes xᵢ, xᵢ - xⱼ and xᵢ + xⱼ - xₖ ∈ ℤ, since ⊸
+# nested twice ends at 1, 1 - x + y or 2 - x - y + z.  Their vertices in
+# [0,1]³ lie in ½ℤ³, so each face holds a point of (1/24)ℤ³ (an edge
+# midpoint, a triangle or tetrahedron centroid), and N = 12 meets the same
+# 147 sign vectors as N = 24 (tests/test_verify.py checks both steps).  Every
+# cut a claim builds ends on the grid too, where dense:closed-forms checks ⊸
+# and ⁺ against their definitions.
 _N = 12
 _GRID_POINTS = [Fraction(k, _N) for k in range(_N + 1)]
-_GRID_CUTS = [c for p in _GRID_POINTS for c in _proper_cuts_at(p)]
+# the open and the closed cut at each point, each only if it is proper
+_GRID_CUTS = [c for p in _GRID_POINTS for c in (dc.open_cut(p), dc.closed_cut(p))
+              if c.is_proper]
 # a point of {k/4N} in units of 1/4N, and the points of {k/2N} in those units
 _UNITS = 4 * _N
 _HALF_STEPS = range(0, _UNITS + 1, 2)
@@ -1053,7 +1051,7 @@ def _least(c: dc.Cut) -> int | None:
 
 
 @dense("dense:closed-forms", "closed forms match the definitions on every grid pair")
-def _dense_closed_forms(seed, out):
+def _dense_closed_forms(_, out):
     """cut_sqto and cut_plus against z ∈ F⊸G iff ∀x∈F∩G: x⊗z ∈ G and
     F⁺ = {z | 1-z ∉ F}, on every grid cut and pair, exactly.
 
@@ -1088,14 +1086,14 @@ def _dense_closed_forms(seed, out):
 
 
 @dense("dense:negate", "⊸ against the least filter is ⁺")
-def _dense_negate(seed, out):
+def _dense_negate(_, out):
     for f in _GRID_CUTS:
         if dc.cut_sqto(f, dc.BOTTOM_FILTER) != dc.cut_plus(f):
             out.append((str(f),))
 
 
 @dense("dense:equiv-thm", "collapse to {1} happens exactly on nested or split cuts")
-def _dense_equiv(seed, out):
+def _dense_equiv(_, out):
     for f, g in _pairs(_GRID_CUTS):
         collapsed = dc.cut_sqto(f, g) == dc.TOP
         expected = g.issubset(f) or (
@@ -1108,7 +1106,7 @@ def _dense_equiv(seed, out):
 
 
 @dense("dense:separation", "two strictly separated cuts give different ⊸ values")
-def _dense_separation(seed, out):
+def _dense_separation(_, out):
     """F1⊸G ≠ F2⊸G on every grid triple with F1 ⊆ F2 ⊆ G, G open and F1's
     endpoint strictly above F2's, which already makes F1 ⊆ F2."""
     for g in _GRID_CUTS:
@@ -1123,22 +1121,20 @@ def _dense_separation(seed, out):
 
 
 @dense("dense:trans", "cut equivalence is transitive")
-def _dense_trans(seed, out):
-    for p in _GRID_POINTS:
-        at_p = _proper_cuts_at(p)
-        for h in _GRID_CUTS:
-            cuts = [*at_p, h]
-            # one ⊸ per ordered pair; x ≈ y when both directions collapse to {1}
-            top = [[dc.cut_sqto(x, y) == dc.TOP for y in cuts] for x in cuts]
-            idx = range(len(cuts))
-            eq = [[top[i][j] and top[j][i] for j in idx] for i in idx]
-            for i, j, k in product(idx, repeat=3):
-                if eq[i][j] and eq[j][k] and not eq[i][k]:
-                    out.append((str(cuts[i]), str(cuts[j]), str(cuts[k])))
+def _dense_trans(_, out):
+    """x ≈ y when x⊸y and y⊸x both collapse to {1}: transitivity on every
+    grid triple, from one ⊸ per ordered grid pair."""
+    cuts = _GRID_CUTS
+    top = [[dc.cut_sqto(x, y) == dc.TOP for y in cuts] for x in cuts]
+    idx = range(len(cuts))
+    eq = [[top[i][j] and top[j][i] for j in idx] for i in idx]
+    for i, j, k in product(idx, repeat=3):
+        if eq[i][j] and eq[j][k] and not eq[i][k]:
+            out.append((str(cuts[i]), str(cuts[j]), str(cuts[k])))
 
 
 @dense("dense:congruence", "collapse on the left propagates through ⊸")
-def _dense_congruence(seed, out):
+def _dense_congruence(_, out):
     # both cuts at p are proper only for p strictly inside [0,1]
     for p in _GRID_POINTS[1:-1]:
         f, g = dc.open_cut(p), dc.closed_cut(p)
@@ -1152,7 +1148,7 @@ def _dense_congruence(seed, out):
 
 
 @dense("dense:props", "the basic proposition suite holds for cuts")
-def _dense_props(seed, out):
+def _dense_props(_, out):
     """The suite on every grid cut, pair and triple.  ⊸ is taken once per
     grid pair and ⁺ once per cut, as indices into the grid, and nested ⊸ are
     read from that table.  The true ⊸ and ⁺ never leave the grid; a value
@@ -1206,29 +1202,30 @@ def _dense_props(seed, out):
 
 
 @dense("dense:kernel", "every proper cut filter has trivial kernel")
-def _dense_kernel(seed, out):
+def _dense_kernel(_, out):
     for f in _GRID_CUTS:
         if dc.cut_sqto(f, f) != dc.TOP:
             out.append((str(f),))
 
 
 @dense("dense:hat-embed", "finite subchains embed into the class algebra")
-def _dense_hat_embed(seed, out):
-    for d in range(1, 13):
-        pts = [Fraction(k, d) for k in range(d + 1)]
-        # the embedding a ↦ class([a,1]) is injective and mirrors ⊸, ⁺ and ⊕
-        members = [dc.canonical_member(x) for x in pts]
-        if len({dc.hat_class(m) for m in members}) != len(pts):
-            out.append(("injectivity", d))
-        for x, mx in zip(pts, members):
-            plus = dc.cut_plus(mx)
-            if dc.hat_class(plus) != 1 - x:
-                out.append(("plus", d, str(x)))
-            for y, my in zip(pts, members):
-                if dc.hat_class(dc.cut_sqto(mx, my)) != dc.chain_imp(x, y):
-                    out.append(("morphism", d, str(x), str(y)))
-                if dc.hat_class(dc.cut_sqto(plus, my)) != min(1, x + y):
-                    out.append(("oplus", d, str(x), str(y)))
+def _dense_hat_embed(_, out):
+    """a ↦ the class of its canonical member (open only at 0) is injective
+    and mirrors ⊸, ⁺ and ⊕ on every pair of grid points.  x → y and x ⊕ y
+    saturate at x ≤ y and x + y = 1, so the grid decides every rational
+    pair, and every subchain {k/d} ≅ Ł_{d+1} embeds."""
+    members = [dc.canonical_member(x) for x in _GRID_POINTS]
+    if len({dc.hat_class(m) for m in members}) != len(members):
+        out.append(("injectivity",))
+    for x, mx in zip(_GRID_POINTS, members):
+        plus = dc.cut_plus(mx)
+        if dc.hat_class(plus) != 1 - x:
+            out.append(("plus", str(x)))
+        for y, my in zip(_GRID_POINTS, members):
+            if dc.hat_class(dc.cut_sqto(mx, my)) != dc.chain_imp(x, y):
+                out.append(("morphism", str(x), str(y)))
+            if dc.hat_class(dc.cut_sqto(plus, my)) != min(1, x + y):
+                out.append(("oplus", str(x), str(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -1260,4 +1257,4 @@ def run_finite(a: MvAlgebra, only=None, seed: int = 0) -> Report:
 
 
 def run_dense(seed: int = 0, only=None) -> Report:
-    return _run(DENSE_STATEMENTS, seed, only, "dense rational chain", seed)
+    return _run(DENSE_STATEMENTS, None, only, "dense rational chain", seed)

@@ -792,8 +792,92 @@ def test_dense_trans_takes_one_sqto_per_ordered_pair(monkeypatch):
 
     monkeypatch.setattr(dc, "cut_sqto", counting)
     assert mv.run_dense(seed=0, only=["dense:trans"]).ok
-    # up to three cuts per (grid point, grid cut): 9 ordered pairs
-    assert 0 < len(calls) <= 9 * len(verify._GRID_POINTS) * len(verify._GRID_CUTS)
+    # one collapse matrix over the grid; every triple is read from it
+    grid = verify._GRID_CUTS
+    assert Counter(calls) == Counter(verify._pairs(grid))
+    assert len(calls) == 576
+
+
+def test_dense_hat_embed_takes_two_sqto_per_grid_pair(monkeypatch):
+    calls = Counter()
+    for name in ("cut_sqto", "cut_plus"):
+        real = getattr(dc, name)
+        monkeypatch.setattr(
+            dc, name,
+            lambda *args, name=name, real=real: calls.update([name]) or real(*args),
+        )
+    assert mv.run_dense(seed=0, only=["dense:hat-embed"]).ok
+    # x⊸y and x⁺⊸y for each of the 13² point pairs, x⁺ once per point
+    assert calls == {"cut_sqto": 2 * 13**2, "cut_plus": 13}
+
+
+def _subchain_hat_embed():
+    """The d ≤ 12 subchain loop that dense:hat-embed ran before it read the
+    grid, kept as a reference: its status, "pass", "fail" or "error"."""
+    out = []
+    try:
+        for d in range(1, 13):
+            pts = [F(k, d) for k in range(d + 1)]
+            members = [dc.canonical_member(x) for x in pts]
+            if len({dc.hat_class(m) for m in members}) != len(pts):
+                out.append(("injectivity", d))
+            for x, mx in zip(pts, members):
+                plus = dc.cut_plus(mx)
+                if dc.hat_class(plus) != 1 - x:
+                    out.append(("plus", d, str(x)))
+                for y, my in zip(pts, members):
+                    if dc.hat_class(dc.cut_sqto(mx, my)) != dc.chain_imp(x, y):
+                        out.append(("morphism", d, str(x), str(y)))
+                    if dc.hat_class(dc.cut_sqto(plus, my)) != min(1, x + y):
+                        out.append(("oplus", d, str(x), str(y)))
+    except Exception:
+        return "error"
+    return "fail" if out else "pass"
+
+
+# mutant -> (densechain attribute, factory of its corrupted version,
+# dense:hat-embed's witness count under it, or None for an error)
+HAT_EMBED_MUTANTS = {
+    "collapse-closed-pairs": ("cut_sqto", _collapse_closed_pairs, 77),
+    "sqto-swapped": ("cut_sqto", lambda real: lambda f, g: real(g, f), 312),
+    "sqto-off-grid": ("cut_sqto", lambda real: shifted_endpoint(real, F(1, 1000)), 338),
+    "sqto-one-step": ("cut_sqto", lambda real: shifted_endpoint(real, F(1, 12)), None),
+    "plus-one-step": ("cut_plus", lambda real: shifted_endpoint(real, F(1, 12)), 92),
+    "plus-off-grid": ("cut_plus", lambda real: shifted_endpoint(real, F(1, 1000)), 92),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(HAT_EMBED_MUTANTS))
+def test_dense_hat_embed_can_fail(monkeypatch, mutant):
+    name, corrupt, witnesses = HAT_EMBED_MUTANTS[mutant]
+    monkeypatch.setattr(dc, name, corrupt(getattr(dc, name)))
+    (result,) = mv.run_dense(seed=0, only=["dense:hat-embed"]).results
+    if witnesses is None:
+        # ⊸ at 1/12 shifted down is [0,1], not proper, and hat_class refuses it
+        assert result.status == "error"
+    else:
+        assert result.status == "fail"
+        assert len(result.witnesses) == witnesses
+        # a witness names its points only: no subchain denominator
+        assert all(isinstance(v, str) for w in result.witnesses for v in w)
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [*sorted(HAT_EMBED_MUTANTS), *sorted(KIND_BRANCHES), "plus-flipped"],
+)
+def test_grid_hat_embed_agrees_with_the_subchain_loop(monkeypatch, mutant):
+    if mutant in HAT_EMBED_MUTANTS:
+        name, corrupt, _ = HAT_EMBED_MUTANTS[mutant]
+        monkeypatch.setattr(dc, name, corrupt(getattr(dc, name)))
+    elif mutant in KIND_BRANCHES:
+        monkeypatch.setattr(dc, "cut_sqto", branch_flipped(mutant))
+    else:
+        monkeypatch.setattr(dc, "cut_plus", plus_flipped())
+    (result,) = mv.run_dense(seed=0, only=["dense:hat-embed"]).results
+    assert result.status == _subchain_hat_embed()
+    # the kind flips do not move a class, so both pass under them
+    assert (result.status == "pass") == (mutant not in HAT_EMBED_MUTANTS)
 
 
 def test_dense_props_takes_each_sqto_once_per_grid_pair(monkeypatch):
