@@ -17,17 +17,21 @@ x of T into M is {y | T[x][y] ∈ M}, and column x of → into M is
 ``core.member_lookup(M, n)`` and one ``int(…, 2)``, both in C; the lookup
 is built once per call and shared by all the reads of that call.  The
 subordinate F_x is column x of → into L∖F, and the relative kernel
-K_F(X) = ∩_{x∈X} F_x is the AND of those columns over x ∈ X.
+K_F(X) = ∩_{x∈X} F_x is the AND of those columns over x ∈ X: the columns
+are picked by ``compress`` with the selector ``core.bits(X)`` and ANDed by
+one ``reduce``, so no Python loop runs per member.
 
 Row form.  Φ(F,G) is the union of G's →-rows over f ∈ F and
 ``sqto_full(F,G)`` the intersection of G's ⊗-rows over f ∈ F; J_u(F,P) is
 the union of the P-cosets that meet F.  Each of these is a pure builder
 (``rows``, ``core.congruence_cosets``) followed by a pure combinator
-(``phi_rows``, ``sqto_full_rows``, ``j_up_cosets``, ``j_down_cosets``).  A
-cold call builds only what it reads: |F| rows, or one partition of n row
-and n column reads by any P.  ``verify.Ctx`` builds each table once per
-run, taking cosets from its quotient L/P, so a pair then costs O(|F|) or
-O(n) bit operations.
+(``phi_rows``, ``sqto_full_rows``, ``j_up_cosets``, ``j_down_cosets``).
+``rows`` builds all n rows of a table, a list indexed by element, and the
+row combinators are the C folds ``core.fold_or`` and ``core.fold_and``
+over F's members.  A cold call builds the whole table it reads: n rows,
+or one partition of n row and n column reads by any P.  ``verify.Ctx``
+builds each table once per run, taking cosets from its quotient L/P, so a
+pair then costs one C fold over F, or O(n) bit operations for J.
 
 Subordinate form.  ``kernel_rel`` is the one coding of K_F(X): one lookup
 into L∖F and |X| column reads.  K(F) is K_F(L∖F) and F ⊸ G is
@@ -40,10 +44,12 @@ takes any mask, L with 0 ∈ L included.
 from __future__ import annotations
 
 from functools import reduce
-from operator import or_
+from itertools import compress, repeat
+from operator import and_, or_
 
 from .core import (
-    MvAlgebra, QuotientAlgebra, congruence_cosets, iter_mask, member_lookup,
+    MvAlgebra, QuotientAlgebra, bits, congruence_cosets, fold_and, fold_or,
+    iter_mask, member_lookup,
 )
 from .errors import InvalidArgument, InvariantViolation
 
@@ -51,13 +57,14 @@ from .errors import InvalidArgument, InvariantViolation
 # row tables
 
 
-def rows(byte_rows, mask: int, among: int) -> dict[int, int]:
-    """Row x of a table into ``mask``, {y | T[x][y] ∈ mask}, for x ∈ among.
+def rows(byte_rows, mask: int) -> list[int]:
+    """Every row of a table into ``mask``: entry x is {y | T[x][y] ∈ mask}.
 
-    ``byte_rows`` is one of ``MvAlgebra``'s reversed byte tables.
+    ``byte_rows`` is one of ``MvAlgebra``'s reversed byte tables; the list
+    is built by ``map``, one ``translate`` and one ``int(…, 2)`` per row.
     """
     look = member_lookup(mask, len(byte_rows))
-    return {x: int(byte_rows[x].translate(look), 2) for x in iter_mask(among)}
+    return list(map(int, map(bytes.translate, byte_rows, repeat(look)), repeat(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -91,18 +98,17 @@ def kernel(a: MvAlgebra, f_mask: int) -> int:
 def kernel_rel(a: MvAlgebra, f_mask: int, x_mask: int) -> int:
     """K_F(X), the intersection of the subordinates of F at every member of X.
 
-    X must be disjoint from F.  The empty X yields the whole carrier
-    (empty-intersection convention).  Each F_x is column x of → read into
-    L∖F, through one lookup.
+    X must be a subset of the carrier disjoint from F.  The empty X yields
+    the whole carrier (empty-intersection convention).  Each F_x is column x
+    of → read into L∖F, through one lookup, and one ``reduce`` ANDs them.
     """
     if x_mask & f_mask:
         raise InvalidArgument("index set X must be disjoint from the filter")
+    if x_mask >> a.size:
+        raise InvalidArgument("index set X must be a subset of the carrier")
     look = member_lookup(a.full_mask & ~f_mask, a.size)
-    cols = a.imp_col_bytes
-    m = a.full_mask
-    for x in iter_mask(x_mask):
-        m &= int(cols[x].translate(look), 2)
-    return m
+    cols = map(bytes.translate, compress(a.imp_col_bytes, bits(x_mask)), repeat(look))
+    return reduce(and_, map(int, cols, repeat(2)), a.full_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +145,12 @@ def sqto_full(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
     outside G forces f⊗z ≤ f outside G).  This is the form under which
     Φ(F,G) = (F ⊸ G⁺)⁺ holds for arbitrary filters.
     """
-    return sqto_full_rows(rows(a.otimes_bytes, g_mask, f_mask), f_mask, a.full_mask)
+    return sqto_full_rows(rows(a.otimes_bytes, g_mask), f_mask, a.full_mask)
 
 
 def sqto_full_rows(otimes_rows, f_mask: int, full_mask: int) -> int:
     """``sqto_full`` from G's ⊗-rows: the AND of otimes_rows[f] over f ∈ F."""
-    m = full_mask
-    for f in iter_mask(f_mask):
-        m &= otimes_rows[f]
-    return m
+    return fold_and(otimes_rows, f_mask, full_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -156,26 +159,26 @@ def sqto_full_rows(otimes_rows, f_mask: int, full_mask: int) -> int:
 
 def phi(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
     """Union over f ∈ F of {y | f→y ∈ G}."""
-    return phi_rows(rows(a.imp_bytes, g_mask, f_mask), f_mask)
+    return phi_rows(rows(a.imp_bytes, g_mask), f_mask)
 
 
 def phi_rows(imp_rows, f_mask: int) -> int:
     """Φ(F,G) from G's →-rows: the OR of imp_rows[f] over f ∈ F."""
-    m = 0
-    for f in iter_mask(f_mask):
-        m |= imp_rows[f]
-    return m
+    return fold_or(imp_rows, f_mask)
 
 
 def tensor_up(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
     """T(F,G): the up-closure of the pairwise ⊗ products of F and G.
 
-    The OR of ↑(f⊗g) over the distinct products f⊗g, f ∈ F and g ∈ G.
+    The OR of ↑(f⊗g) over the distinct products f⊗g, f ∈ F and g ∈ G,
+    collected row by row: ``compress`` picks the g ∈ G from row f of ⊗.
     This is the forward-product definition; it reads no → and no mask
     lookup, so ``prop:T-phi`` sets it against Φ and the encoding.
     """
-    gs = list(iter_mask(g_mask))
-    products = {a.otimes[f][g] for f in iter_mask(f_mask) for g in gs}
+    in_g = bits(g_mask)
+    products = set()
+    for row in compress(a.otimes, bits(f_mask)):
+        products.update(compress(row, in_g))
     return reduce(or_, map(a.up_mask.__getitem__, products), 0)
 
 
@@ -239,7 +242,12 @@ def boundary_coset(a: MvAlgebra, f_mask: int, q: QuotientAlgebra) -> int:
 
 
 def is_convex(a: MvAlgebra, mask: int) -> bool:
-    """Order-convex: C = ↑C ∩ ↓C, so x ≤ z ≤ y with x, y in C forces z in."""
+    """Order-convex: C = ↑C ∩ ↓C, so x ≤ z ≤ y with x, y in C forces z in.
+
+    One walk over C's members ORs ↑x and ↓x together.  The convex lemmas ask
+    only about two-point sets, where this costs about half of two
+    ``core.fold_or`` calls, each of which builds its own selector.
+    """
     up = down = 0
     for x in iter_mask(mask):
         up |= a.up_mask[x]

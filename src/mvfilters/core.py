@@ -8,9 +8,10 @@ element i is a member), which keeps filter enumeration and intersection cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from functools import reduce
+from itertools import chain, compress, count, islice, repeat
 from math import gcd
-from operator import add, mul
+from operator import add, and_, mul, or_
 
 from .errors import InvalidArgument
 
@@ -22,12 +23,34 @@ def mask_of(elements) -> int:
     return m
 
 
+_SELECTOR = bytes.maketrans(b"01", b"\0\1")
+
+
+def bits(mask: int) -> bytes:
+    """Byte i is 1 when element i is in ``mask`` and 0 when it is not, up to
+    the highest member: a ``compress`` selector, built in C.
+
+    ``compress(lines, bits(mask))`` yields ``lines[i]`` for each member i,
+    ascending, and silently skips a member at or beyond ``len(lines)``.
+    """
+    return bin(mask)[:1:-1].encode().translate(_SELECTOR)
+
+
 def iter_mask(mask: int):
-    """Yield the element indices set in ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """The element indices set in ``mask``, ascending, as a C iterator."""
+    return compress(count(), bits(mask))
+
+
+def fold_and(lines, mask: int, full: int) -> int:
+    """The AND of ``lines[i]`` over the members i of ``mask``; ``full`` when
+    ``mask`` is empty."""
+    return reduce(and_, compress(lines, bits(mask)), full)
+
+
+def fold_or(lines, mask: int) -> int:
+    """The OR of ``lines[i]`` over the members i of ``mask``; 0 when ``mask``
+    is empty."""
+    return reduce(or_, compress(lines, bits(mask)), 0)
 
 
 def member_lookup(mask: int, n: int) -> bytes:
@@ -215,10 +238,16 @@ def check_mv_axioms(a: MvAlgebra, max_failures: int = 10) -> list[tuple[str, tup
     """The first max_failures failing axiom instances, as (axiom, witness).
 
     The scan is exhaustive and stops at the last failure it returns; an
-    empty list certifies a as an MV-algebra.
+    empty list certifies a as an MV-algebra.  Associativity is decided one
+    (x, y) at a time: (x⊕y)⊕z = x⊕(y⊕z) for every z says that row x⊕y of ⊕
+    equals row y read through row x, one ``bytes.translate``.  Only a pair
+    whose rows differ is scanned z by z, so the witnesses, and their order,
+    are those of the scan over every triple.
     """
     n, oplus, neg, zero = a.size, a.oplus, a.neg, a.zero
     one = neg[zero]
+    rows = [bytes(r) for r in oplus]
+    tables = [r.ljust(256, b"\0") for r in rows]
 
     def failures():
         for x in range(n):
@@ -235,9 +264,11 @@ def check_mv_axioms(a: MvAlgebra, max_failures: int = 10) -> list[tuple[str, tup
                 rhs = oplus[neg[oplus[neg[y]][x]]][x]
                 if lhs != rhs:
                     yield "mv-axiom: ~(~x+y)+y = ~(~y+x)+x", (x, y)
-                for z in range(n):
-                    if oplus[oplus[x][y]][z] != oplus[x][oplus[y][z]]:
-                        yield "associativity", (x, y, z)
+                xy = oplus[x][y]
+                if rows[xy] != rows[y].translate(tables[x]):
+                    for z in range(n):
+                        if oplus[xy][z] != oplus[x][oplus[y][z]]:
+                            yield "associativity", (x, y, z)
 
     return list(islice(failures(), max_failures))
 
@@ -266,10 +297,8 @@ class QuotientAlgebra:
         return mask_of(c for c, cm in enumerate(self.cosets) if cm & mask)
 
     def preimage_mask(self, qmask: int) -> int:
-        m = 0
-        for c in iter_mask(qmask):
-            m |= self.cosets[c]
-        return m
+        """The union of the cosets in ``qmask``."""
+        return fold_or(self.cosets, qmask)
 
 
 def congruence_cosets(a: MvAlgebra, p_mask: int):

@@ -20,7 +20,13 @@ width of the order (2⁶ has 7.8 M up-sets).
 
 from __future__ import annotations
 
-from .core import MvAlgebra, is_linear, iter_mask, mask_of, member_lookup
+from functools import reduce
+from itertools import compress, repeat
+from operator import or_
+
+from .core import (
+    MvAlgebra, bits, fold_or, is_linear, iter_mask, mask_of, member_lookup,
+)
 from .errors import InvalidArgument, ResourceLimit
 
 CARRIER_CAP = 64
@@ -41,10 +47,7 @@ def down_closure_joins(a: MvAlgebra, mask: int) -> int:
         if nxt == cur:
             break
         cur = nxt
-    m = 0
-    for x in iter_mask(cur):
-        m |= a.down_mask[x]
-    return m
+    return fold_or(a.down_mask, cur)
 
 
 def is_up_closed(a: MvAlgebra, mask: int) -> bool:
@@ -201,9 +204,8 @@ def implication_filter_generated(a: MvAlgebra, mask: int) -> int:
     cur = mask | a.one_mask
     while True:
         look = member_lookup(cur, a.size)
-        nxt = cur
-        for x in iter_mask(cur):
-            nxt |= int(a.imp_bytes[x].translate(look), 2)
+        reads = map(bytes.translate, compress(a.imp_bytes, bits(cur)), repeat(look))
+        nxt = reduce(or_, map(int, reads, repeat(2)), cur)
         if nxt == cur:
             return cur
         cur = nxt

@@ -123,13 +123,14 @@ class Ctx:
     A method marked ``@_memo`` computes its value once per argument tuple,
     by the one definition in its module, and keeps it in
     ``memo[method name][args]``, which lasts exactly this run; the algebra
-    itself is never written to.  Φ and ``sqto_full`` read the kept rows, J_u
-    and J_d the cosets of the kept L/P (P in ``impl``), so each pair costs
-    O(|F|) or O(n) bit operations.  ⊸ and K are ``calculus``'s relative
-    kernel K_F(X), |X| →-column reads per call.  A cross-check's second side
-    shares no table with its first: ``fact:b``, ``fact:c`` and
-    ``prop:fastform`` set those →-column reads against ⊗-rows, and
-    ``prop:T-phi`` computes T cold.
+    itself is never written to.  Φ and ``sqto_full`` are one C fold
+    (``core.fold_or``, ``core.fold_and``) of the kept rows over F's members,
+    and J_u and J_d read the cosets of the kept L/P (P in ``impl``), O(n)
+    bit operations per pair.  ⊸ and K are ``calculus``'s relative kernel
+    K_F(X), |X| →-column reads ANDed by one ``reduce`` per call.  A
+    cross-check's second side shares no table with its first: ``fact:b``,
+    ``fact:c`` and ``prop:fastform`` set those →-column reads against
+    ⊗-rows, and ``prop:T-phi`` computes T cold.
     """
 
     def __init__(self, a: MvAlgebra):
@@ -157,10 +158,9 @@ class Ctx:
         return calculus.subordinate(self.a, f_mask, elem)
 
     @_memo
-    def rows(self, table: str, mask: int) -> dict[int, int]:
+    def rows(self, table: str, mask: int) -> list[int]:
         """Every row of the table ``table`` ("imp" or "otimes") into mask."""
-        byte_rows = getattr(self.a, f"{table}_bytes")
-        return calculus.rows(byte_rows, mask, self.a.full_mask)
+        return calculus.rows(getattr(self.a, f"{table}_bytes"), mask)
 
     def phi(self, f_mask: int, g_mask: int) -> int:
         return calculus.phi_rows(self.rows("imp", g_mask), f_mask)
@@ -181,15 +181,9 @@ class Ctx:
         return quotient_by(self.a, p_mask)
 
     @_memo
-    def image(self, p_mask: int, mask: int) -> int:
-        """The image of mask in L/P."""
-        return self.quotient(p_mask).image_mask(mask)
-
-    @_memo
-    def quotient_rows(self, p_mask: int, gq: int) -> dict[int, int]:
+    def quotient_rows(self, p_mask: int, gq: int) -> list[int]:
         """Every ⊗-row of L/P into G/P."""
-        qa = self.quotient(p_mask).quotient
-        return calculus.rows(qa.otimes_bytes, gq, qa.full_mask)
+        return calculus.rows(self.quotient(p_mask).quotient.otimes_bytes, gq)
 
     @_memo
     def quotient_sqto(self, p_mask: int, fq: int, gq: int) -> int:
@@ -750,16 +744,24 @@ def _reduction(ctx, out):
 @finite("prop:quot-commute", "⊸ commutes with quotients below the kernel")
 def _quot_commute(ctx, out):
     """(F⊸G)/P = F/P ⊸ G/P for F ⊆ G and P ⊆ K(G); if also K(F) = K(G), the
-    preimage of F/P ⊸ G/P is F⊸G."""
+    preimage of F/P ⊸ G/P is F⊸G.  Each P's quotient, and the images in it,
+    are read once per run into ``seen``."""
+    seen = {}  # P -> (L/P, {mask: its image in L/P})
     for f, g in _nested_pairs(ctx.lattice):
         kf, kg, s = ctx.kernel(f), ctx.kernel(g), ctx.sqto(f, g)
         for p in ctx.impl:
             if p & ~kg:
                 continue
-            quotient_side = ctx.quotient_sqto(p, ctx.image(p, f), ctx.image(p, g))
-            if ctx.image(p, s) != quotient_side:
+            if p not in seen:
+                seen[p] = ctx.quotient(p), {}
+            q, images = seen[p]
+            for m in (f, g, s):
+                if m not in images:
+                    images[m] = q.image_mask(m)
+            quotient_side = ctx.quotient_sqto(p, images[f], images[g])
+            if images[s] != quotient_side:
                 out.append(("commute", *_shown(ctx, f, g, p)))
-            if kf == kg and ctx.quotient(p).preimage_mask(quotient_side) != s:
+            if kf == kg and q.preimage_mask(quotient_side) != s:
                 out.append(("preimage", *_shown(ctx, f, g, p)))
 
 

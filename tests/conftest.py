@@ -74,6 +74,19 @@ def find_isomorphism(a, b):
     return tuple(phi)
 
 
+def members(mask):
+    """The element indices set in mask, ascending, by a shift loop.
+
+    Test oracles read masks through this loop rather than through
+    ``core.iter_mask`` and the C folds, so a fault in those cannot cancel
+    out on both sides of a comparison.
+    """
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def drop_lowest(real):
     """real, with the lowest member of each mask it returns dropped."""
     def corrupted(*args):

@@ -7,7 +7,7 @@ from mvfilters import calculus, core, filters
 from mvfilters.errors import InvalidArgument
 
 from conftest import (
-    ALL_ALGEBRAS, CHAINS, PRODUCTS, assert_check_can_fail, drop_lowest,
+    ALL_ALGEBRAS, CHAINS, PRODUCTS, assert_check_can_fail, drop_lowest, members,
 )
 
 
@@ -62,6 +62,16 @@ def test_kernel_rel_conventions(l3):
     assert calculus.kernel_rel(l3, up_half, 0) == l3.full_mask  # empty intersection
     with pytest.raises(InvalidArgument):
         calculus.kernel_rel(l3, up_half, up_half)  # X must avoid the filter
+
+
+def test_kernel_rel_refuses_an_x_outside_the_carrier(l3):
+    # the column fold drops selector bits at or above n, so such an X would
+    # otherwise be read as its part inside the carrier
+    one = l3.one_mask
+    assert calculus.kernel_rel(l3, one, 1) == calculus.subordinate(l3, one, 0)
+    for x_mask in (1 << 3, 1 | 1 << 3, 1 << 64):
+        with pytest.raises(InvalidArgument, match="subset of the carrier"):
+            calculus.kernel_rel(l3, one, x_mask)
 
 
 def test_sqto_bottom_propagates(l3):
@@ -201,8 +211,8 @@ def pointwise_convex(a, mask):
     """No x ≤ z ≤ y with x, y members and z outside: the definition itself."""
     return not any(
         a.leq(x, z) and a.leq(z, y) and not (mask >> z) & 1
-        for x in core.iter_mask(mask)
-        for y in core.iter_mask(mask)
+        for x in members(mask)
+        for y in members(mask)
         for z in range(a.size)
     )
 

@@ -4,7 +4,7 @@ import mvfilters as mv
 from mvfilters import calculus, core, filters
 from mvfilters.errors import ResourceLimit
 
-from conftest import CHAINS, shuffled
+from conftest import CHAINS, members, shuffled
 
 
 def by_labels(a, *labels):
@@ -49,8 +49,8 @@ def test_implication_filters_are_otimes_closed_lattice_filters(algebra):
             and bool((m >> a.one) & 1)
             and all(
                 (m >> a.otimes[x][y]) & 1
-                for x in core.iter_mask(m)
-                for y in core.iter_mask(m)
+                for x in members(m)
+                for y in members(m)
             )
         )
         assert lhs == bool(rhs), a.label_set(m)

@@ -20,9 +20,8 @@ import pytest
 from hypothesis import given, settings
 
 from mvfilters import filters, run_finite, verify
-from mvfilters.core import iter_mask
 
-from conftest import shuffled
+from conftest import members, shuffled
 from test_filters import _chain_product, census
 from test_table_reads import BAD, arbitrary_tables
 
@@ -36,7 +35,7 @@ def enum_crosscheck_scan(ctx, out):
         m for m in naive
         if m != a.full_mask
         and not any((m >> a.join[x][y]) & 1
-                    for x, y in product(iter_mask(a.full_mask & ~m), repeat=2))
+                    for x, y in product(members(a.full_mask & ~m), repeat=2))
     ]
     if naive_primes != ctx.primes:
         out.append(("prime filter lists differ", len(naive_primes), len(ctx.primes)))
@@ -62,7 +61,7 @@ def impl_vs_lattice_scan(ctx, out):
             filters.is_lattice_filter(a, m)
             and (m >> a.one) & 1
             and all((m >> a.otimes[x][y]) & 1
-                    for x, y in product(iter_mask(m), repeat=2))
+                    for x, y in product(members(m), repeat=2))
         )
         if lhs != bool(rhs):
             out.append((ctx.show(m), lhs, bool(rhs)))

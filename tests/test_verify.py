@@ -10,14 +10,13 @@ import pytest
 
 import mvfilters as mv
 from mvfilters import calculus, cli, core, densechain as dc, filters, spectra, verify
-from mvfilters.core import iter_mask
 from mvfilters.errors import InvalidArgument
 from mvfilters.verify import DENSE_STATEMENTS, FINITE_STATEMENTS
 
 from conftest import (
     ALL_ALGEBRAS, CHAINS, KIND_BRANCHES, PRODUCTS, assert_check_can_fail,
-    branch_flipped, drop_lowest, plus_flipped, product, relabelled, shuffled,
-    swap_arguments,
+    branch_flipped, drop_lowest, members, plus_flipped, product, relabelled,
+    shuffled, swap_arguments,
 )
 
 
@@ -97,14 +96,10 @@ def _fresh(a, name, args):
         return core.quotient_by(a, *args)
     if name == "rows":
         table, mask = args
-        return calculus.rows(getattr(a, f"{table}_bytes"), mask, a.full_mask)
-    if name == "image":
-        p, mask = args
-        return core.quotient_by(a, p).image_mask(mask)
+        return calculus.rows(getattr(a, f"{table}_bytes"), mask)
     if name == "quotient_rows":
         p, mask = args
-        qa = core.quotient_by(a, p).quotient
-        return calculus.rows(qa.otimes_bytes, mask, qa.full_mask)
+        return calculus.rows(core.quotient_by(a, p).quotient.otimes_bytes, mask)
     if name == "quotient_sqto":
         p, fq, gq = args
         return calculus.sqto(core.quotient_by(a, p).quotient, fq, gq)
@@ -130,7 +125,7 @@ def test_memo_entries_equal_fresh_calls(monkeypatch):
     (ctx,) = built
     assert set(ctx.memo) == {
         "sqto", "kernel", "subordinate", "spectrum", "hat", "quotient", "rows",
-        "image", "quotient_rows", "quotient_sqto",
+        "quotient_rows", "quotient_sqto",
     }
     for name, table in ctx.memo.items():
         assert table, name
@@ -165,7 +160,7 @@ def test_checks_fail_through_a_warm_memo(monkeypatch):
 def _subsets(a, f):
     """Every nonempty X ⊆ L∖F as (mask, members): the subset loop that fact:a
     and fact:e once ran, kept as the oracle for their state search."""
-    comp = list(iter_mask(a.full_mask & ~f))
+    comp = list(members(a.full_mask & ~f))
     for r in range(1, len(comp) + 1):
         for xs in combinations(comp, r):
             yield sum(1 << x for x in xs), xs
@@ -211,7 +206,7 @@ def test_state_search_matches_the_subset_loop(monkeypatch, algebra_id):
             assert xm and xm & f == 0 and calculus.kernel_rel(a, f, xm) == v
         for (k, join), xm in pairs[f].items():
             assert xm and xm & f == 0 and calculus.kernel_rel(a, f, xm) == k
-            assert reduce(lambda u, v: a.join[u][v], iter_mask(xm)) == join
+            assert reduce(lambda u, v: a.join[u][v], members(xm)) == join
 
 
 @pytest.mark.parametrize(
@@ -419,7 +414,7 @@ def _interval_loop(ctx, columns):
             if not c:
                 continue
             img = hi = lo = 0
-            for z in iter_mask(c):
+            for z in members(c):
                 img, hi, lo = img | image[z], hi | up[z], lo | down[z]
             bad = hi & lo ^ img
             out.extend(
