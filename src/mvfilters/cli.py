@@ -2,7 +2,7 @@
 
 Commands::
 
-    mvfilters verify  <specfile> [--only id,id] [--seed N] [--json out]
+    mvfilters verify  <specfile> [--only id,id] [--json out]
     mvfilters compute <specfile> <expression>
     mvfilters export  <specfile> <filters|spectrum:K|hat:K> --format dot|csv
                       -o path
@@ -395,12 +395,12 @@ def _write(path: str, text: str) -> None:
 
 def cmd_verify(args) -> int:
     spec = _load_spec(args.specfile, allow_dense=True)
-    only = args.only.split(",") if args.only else None
+    only = args.only.split(",") if args.only is not None else None
     if spec["kind"] == "dense":
-        report = verify.run_dense(seed=args.seed, only=only)
+        report = verify.run_dense(only)
     else:
         a = build_algebra(spec)
-        report = verify.run_finite(a, only=only, seed=args.seed)
+        report = verify.run_finite(a, only)
     print(report.to_text())
     if args.json:
         _write(args.json, report.to_json() + "\n")
@@ -436,8 +436,6 @@ def _build_argparser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the statement verification suite")
     v.add_argument("specfile")
     v.add_argument("--only", help="comma-separated statement ids")
-    v.add_argument("--seed", type=int, default=0,
-                   help="a label for the report; no statement reads it")
     v.add_argument("--json", help="also write a JSON report to this path")
     v.set_defaults(fn=cmd_verify)
 

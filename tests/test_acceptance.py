@@ -162,7 +162,7 @@ def test_criterion_08_spectrum_morphisms():
 
 def test_criterion_09_dense_closed_forms():
     t0 = time.perf_counter()
-    report = mv.run_dense(seed=0, only=["dense:closed-forms", "dense:negate"])
+    report = mv.run_dense(only=["dense:closed-forms", "dense:negate"])
     elapsed = time.perf_counter() - t0
     verdict(9, "dense closed forms vs definitions on the grid", report.ok and elapsed < 10.0)
 
@@ -172,7 +172,7 @@ def test_criterion_10_dense_theorems():
         "dense:equiv-thm", "dense:separation", "dense:trans",
         "dense:congruence", "dense:props", "dense:kernel", "dense:hat-embed",
     ]
-    report = mv.run_dense(seed=0, only=ids)
+    report = mv.run_dense(only=ids)
     verdict(10, "dense theorem suite", report.ok)
 
 

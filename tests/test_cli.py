@@ -303,6 +303,11 @@ def test_usage_errors_exit_two(run, specfile, tmp_path):
     assert code == 2 and "syntax error" in err
     code, out, err = run("no-such-command")
     assert code == 2
+    code, out, err = run("verify", specfile(L3), "--seed", "1")
+    assert (code, out) == (2, "") and "--seed" in err
+    for only in ("", "fact:a,"):
+        code, out, err = run("verify", specfile(L3), "--only", only)
+        assert (code, out) == (2, "") and "statement id is empty" in err
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +322,16 @@ def test_verify_options_do_not_leak_into_the_next_call(run, specfile, monkeypatc
     calls = []
     real = cli.verify.run_finite
 
-    def recording(a, only=None, seed=0):
-        calls.append((only, seed))
-        return real(a, only=only, seed=seed)
+    def recording(a, only=None):
+        calls.append(only)
+        return real(a, only)
 
     monkeypatch.setattr(cli.verify, "run_finite", recording)
     spec = specfile(L3)
-    assert run("verify", spec, "--seed", "3", "--only", "fact:a")[0] == 0
+    assert run("verify", spec, "--only", "fact:a")[0] == 0
     code, out, err = run("verify", spec)
     assert code == 0
-    assert calls == [(["fact:a"], 3), (None, 0)]
+    assert calls == [["fact:a"], None]
     assert out.count("\n") > len(cli.verify.FINITE_STATEMENTS)
 
 

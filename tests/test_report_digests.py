@@ -12,11 +12,12 @@ filter is no implication filter, so ``fact:d``, ``lem:Jd-lower`` and
 ``thm:reduction``, which read the quotient by it, end in ``error``.
 
 The dense reports are pinned the same way in ``DENSE_DIGESTS``: the sha256
-of ``run_dense(seed=s).to_json()`` for three seeds, and at seed 0 under each
-flip of a ``cut_sqto`` kind branch and under a kind flip of ``cut_plus``.
-No dense statement samples, so the three seeds differ only in the report's
-seed field.  A change to the cut representation or arithmetic that moves a
-grid cut, a verdict or a printed cut fails here.
+of ``run_dense(seed=s).to_json()`` unmutated for three seeds, and at seed 0
+under each flip of a ``cut_sqto`` kind branch and under a kind flip of
+``cut_plus``.  ``run_dense`` ignores its seed, so the digests are keyed by
+mutant alone and the three seeds share one.  A change to the cut
+representation or arithmetic that moves a grid cut, a verdict or a printed
+cut fails here.
 
 ``LARGE_DIGESTS`` pins the unmutated reports of Ł32, Ł8×Ł8 and 2⁶, the
 sizes at which the reads of table rows and columns into masks carry most of
@@ -72,61 +73,61 @@ ALGEBRAS = ["L5", "L2xL3"]
 
 DIGESTS = {
     ("L5", "boundary_coset-drop"):
-        "24feb5467ec206e83ec8baed9d406b1425b19341ae363ff19686e45fe9eb0cc0",
+        "d588451b4276f703207990105085e3be5336377a8d269239bf43ae1f98dc1a72",
     ("L5", "down_closure_joins-drop"):
-        "7d99536f4324b878de60a520f8321cd449143d6c7abad767a4dda14076d46775",
+        "9b43cb53ff02763a3875d1bcaa70bc751247e123ae7f1139ba147584a2f72c0b",
     ("L5", "is_convex-not"):
-        "f3e7c5a4946f8cfb8580009ed81ca99cc6e45d9d6f49814d7e56ab7b44bbea83",
+        "135a56f065e12f97182fc564b342d900c71afd6992102d2492d31926b2f845ae",
     ("L5", "j_up_cosets-drop"):
-        "e54834019ee49af10d8d058d468826796e3cda881c24b9a74371cb82b9fe76d5",
+        "0f2c252f5a237b8fd7051898af4ce7a934c0308fa8fc979994d12f7b04769a7c",
     ("L5", "kernel-drop"):
-        "20abe134dd5a1fd067b2cdde43481cc6a1aaa0dc55b67b9360a98f1ef3171605",
+        "8281005e357028cb5c21016b4e838a9e6027b8f715b500ff9ed09e6b6891875f",
     ("L5", "kernel_rel-drop"):
-        "819c9ad03c4929fda3173949f28ac0f920741166206bd4e82d3cae1bf1a82b86",
+        "ef7148e502dcb4fe3b171e663fc92fa8429ac160b600df9c1c4c73d0b9f28c07",
     ("L5", "phi-swap"):
-        "babff1a20d218d087ff0029da05efdb2cd5c0636da15266a7fcd1512ab226792",
+        "fa192375b27526ec26e9bad87fd0e515a3b4bc3a3b2a28f888213be2c52bfbf0",
     ("L5", "phi_rows-drop"):
-        "e34b70a1ad7b31f94615f44a5bee5b830f509676b5bc3b1afd24c345efd4e09e",
+        "d3a174f2422fc55d864f89a1d73f29fa0ba2a4c07deacbd8508e9a9fa149dc66",
     ("L5", "set_plus-drop"):
-        "c93758b5a8e5022c940062baa431ec9d564aa583e88e279c0c84fd66885378af",
+        "4e0dc7bcb690ee47c36e1480c09becacb5452c22cb970449e7cb210d3a0867fb",
     ("L5", "sqto-drop"):
-        "83aa3a02e6087d77b42aa6bff2a781bb722aa707d7d88772be502f8889fab88c",
+        "5333ba1a4683a7cbe8103a4dd3e78f09cd92b91412db2aec8841f9e18bb06b9f",
     ("L5", "sqto-swap"):
-        "4d8ecc8c14f24e3680b66fcf10dd6db869db7772c7b1e3b524a674c5a72f8f9f",
+        "a8249f2a23c2b6520eb03f90153b11717e010f43dcb52710d6d5a5117ef30119",
     ("L5", "sqto_full_rows-drop"):
-        "f97d43bc1d39c166599d2918e4ee8fb449d971bb83bc3967297611bc14b10c2d",
+        "7c8fd4ab8d6d623910920e2d3d053a252a33cf293db429a6fac92ae9aa0b9b07",
     ("L5", "subordinate-drop"):
-        "047fb32f5eefc3f05758478008479e0a480102b2b9f2bae93979639c1bccc6c0",
+        "84222c5070807756561ac53aa9e4e5513792e9cebb526ef0c86e3031b56916c3",
     ("L5", "tensor_up-drop"):
-        "6e860fd8dc6b8518aab4d794a2a489406382ce26c9058ef4960cabd6c7348f68",
+        "33936da6420de66434bcf4700ba594bb2c18124159d1003907b60ae8501d8a2b",
     ("L2xL3", "boundary_coset-drop"):
-        "550df12a56512046f335f0b72d37a4a6a3359cf45016bd8c71a7fe1f251ce259",
+        "81e6776b4c043f4e9c68e504d1d9a1bc706b62fa4af329b1561fa92b2b58c46c",
     ("L2xL3", "down_closure_joins-drop"):
-        "e70e1e031a4f03ced70799fe615ddbff04fa830275f4dbbfb927e0154fdcdf3b",
+        "e7de3bdce7f802e76085ad4d684a692e1544682983e9b58f3afe1b42e90c75f1",
     ("L2xL3", "is_convex-not"):
-        "9753fb33304b9bc5c916e2cdff717834f5c81f81330bbaf26f58effd0764a0ec",
+        "c2230092e4d5474d7c2989baf85af9e608f8735770be626d3a1563ba107c96c3",
     ("L2xL3", "j_up_cosets-drop"):
-        "5699966f2ef9fc788e52a135f24d2f09255a2e2e67c56dba33edcc8106e0ca0d",
+        "adbc573cf22b0b82073c1e9882029740736b5020c4f0f01f014d0079e921d45d",
     ("L2xL3", "kernel-drop"):
-        "a3a0715d86e37cd1dda6b725717bda32d7c37e30c780ee5d0d609aec0bdc6b02",
+        "22274c8de47c19f181c97a36d801994bac5f4eab3be6850d8c4bd478a19b6990",
     ("L2xL3", "kernel_rel-drop"):
-        "e5d9210d34feef9d760ffa3bbce99f529c6bd15bb509470cf64ded67b1e304be",
+        "9459801d7a8a1636ea0e2e2e5fb6fcd436314b30d173c1ba100d3c2886a47112",
     ("L2xL3", "phi-swap"):
-        "9753fb33304b9bc5c916e2cdff717834f5c81f81330bbaf26f58effd0764a0ec",
+        "c2230092e4d5474d7c2989baf85af9e608f8735770be626d3a1563ba107c96c3",
     ("L2xL3", "phi_rows-drop"):
-        "1f2b225c9d36afc36e77b04a9779477f3fc02b09aa25f32d35b4933db5a9a986",
+        "1c4e7aff4f217a5df1755c2a75f463090bd47469e24215cc42c73d890af1b427",
     ("L2xL3", "set_plus-drop"):
-        "8b25101cf923db17f7508d4ff9bd25dfeb5a866517d4a064feeec924fb2b590c",
+        "5c0581dfa13b547eea8a327931335df8fa97bc9947c1aa4e4f1ff3d939cd8ecf",
     ("L2xL3", "sqto-drop"):
-        "5caa92ebb4dca45d32916d1616f8658c92787c43380a3e9c6d36d414746cff90",
+        "dc5ad7fe86d92b30c74677affa2ca0d12e83ca88226086e96d21872f4aa96f78",
     ("L2xL3", "sqto-swap"):
-        "da8446be1648b6503644a1e888afc5f2d5162fdba8cb8869811936c54f2feeeb",
+        "0852585478676a4ff0490fa24520889591ab44755b54f3421390bc5b3e775a93",
     ("L2xL3", "sqto_full_rows-drop"):
-        "a402326648ff87daf8ae29eb47504b7463e1708ddfd8c44ac8fa7b58c7b7a4d7",
+        "88c0ac8db884f0a059db052559daf7a850e5c87adfcc1aa14088cd98c1930c40",
     ("L2xL3", "subordinate-drop"):
-        "057155c5dbf6f66b3a133ed341cd763b062b5cdf1d72d849d36ef72492aef2bf",
+        "a345a27fd1059d718cd7c9a7dd5e412d7e840e64a56f6a213c310c050827f3f9",
     ("L2xL3", "tensor_up-drop"):
-        "3f0bc81677fdbe4adb952657097a37fa90312d8ed8e96d8514a05040ac84d75e",
+        "dc65db5a9a1863cfaae363207bf65121a4569f56f17d08b35ca153f5f402ccd9",
 }
 
 
@@ -153,9 +154,9 @@ LARGE = {
 }
 
 LARGE_DIGESTS = {
-    "L32": "10ae2a74c29b381dbe96efc0132c4d47e9ec0bf3efe9dbb6ce4584a657914704",
-    "L8xL8": "0208673a983050df6012cbbcbe99579bcb58cbd8fd168420ecd24f37a91df7a1",
-    "2^6": "2c121b70ce47e75644162db7f8c5e0598e69219143a245c0c7eabfe220fb2d8d",
+    "L32": "1b0d6e1a4cf0f3c44a514ef2660006534644cfa0221611add74ceb689580b298",
+    "L8xL8": "f33a5934835b834bcfc55f2bababf9fab01e3426efd4a8f57cbad893a3fd1b74",
+    "2^6": "948b8b785f292a072a6dad8e8e5aaa670372fd001973d434563c7f6628ddf37a",
 }
 
 
@@ -182,24 +183,20 @@ DENSE_CASES = [(seed, "none") for seed in (0, 1, 41)] + [
 ]
 
 DENSE_DIGESTS = {
-    (0, "none"):
-        "880a642d54aaf8172781b4ffe5a793f92ac4ad37983be0160af8ad8ef35fc64e",
-    (1, "none"):
-        "30ae5a42f9f060d08c928a116bf05960389eb62f21164b41420b3903a333d4c4",
-    (41, "none"):
-        "af6690ec1f58adc71421346a6b3a4841e3083114d73d42d3499cdd5a23b2117b",
-    (0, "cut_plus-flip"):
-        "d3afc352522cb7d14d035d4518f37cbafa133eea0720f00b1230863037a40404",
-    (0, "cut_sqto-closed-meet"):
-        "8fb02163edd61b4c79322c98d6237022a04e2c242ae879a00c9d888c3e535939",
-    (0, "cut_sqto-closed-target"):
-        "d0aff7fb109c97e616347bd434818895ac9c57846c39388685c2fa366bdc6c2f",
-    (0, "cut_sqto-open-meet"):
-        "e8cf70d827247cf2563f5b37cda287f732d02a79803c2bb1ba7b8bc0b2de0b9f",
+    "none":
+        "c95be1afd9b05cdf19aa37b6be1b8cae0ff4616488de6ded0d92012bf1a20e21",
+    "cut_plus-flip":
+        "d464ca2fbbbfe74d7511e2a86e920cfefc8e787b56d483f1da0dc7b83f911e1a",
+    "cut_sqto-closed-meet":
+        "4f2241b3d648168b97c63c61490281dbf3f893566b0e3a9516b2df76fc4e08d2",
+    "cut_sqto-closed-target":
+        "163e41dbd1453eea51dd1797df36d239087f2f510b3ae2572b6faa968853c601",
+    "cut_sqto-open-meet":
+        "1bef35666f99254d2947a246b655b60a622f446cdbb637a9f145e538c08d5266",
 }
 
 
-def dense_digest(monkeypatch, seed, mutant):
+def dense_digest(monkeypatch, mutant, seed=None):
     with monkeypatch.context() as m:
         if mutant != "none":
             name, corrupt = DENSE_MUTANTS[mutant]
@@ -210,7 +207,7 @@ def dense_digest(monkeypatch, seed, mutant):
 
 @pytest.mark.parametrize("seed, mutant", DENSE_CASES)
 def test_dense_report_is_pinned(monkeypatch, seed, mutant):
-    assert dense_digest(monkeypatch, seed, mutant) == DENSE_DIGESTS[seed, mutant]
+    assert dense_digest(monkeypatch, mutant, seed) == DENSE_DIGESTS[mutant]
 
 
 if __name__ == "__main__":
@@ -226,7 +223,6 @@ if __name__ == "__main__":
             print(f'    "{name}": "{large_digest(name)}",')
         print("}")
         print("DENSE_DIGESTS = {")
-        for seed, mutant in DENSE_CASES:
-            digest = dense_digest(mp, seed, mutant)
-            print(f'    ({seed}, "{mutant}"):\n        "{digest}",')
+        for mutant in ["none", *sorted(DENSE_MUTANTS)]:
+            print(f'    "{mutant}":\n        "{dense_digest(mp, mutant)}",')
         print("}")

@@ -28,7 +28,7 @@ def test_finite_campaign_green(algebra):
 
 
 def test_dense_campaign_green():
-    report = mv.run_dense(seed=0)
+    report = mv.run_dense()
     assert report.ok, [r.id for r in report.results if r.status == "fail"]
     assert len(report.results) == len(DENSE_STATEMENTS)
     assert all(r.status == "pass" for r in report.results)
@@ -53,19 +53,20 @@ def test_only_filter_and_unknown_id():
 
 
 def test_dense_determinism():
-    a = mv.run_dense(seed=42).to_json()
-    b = mv.run_dense(seed=42).to_json()
+    a = mv.run_dense().to_json()
+    b = mv.run_dense().to_json()
     assert a == b
 
 
 def test_report_text_and_json_shape():
     report = mv.run_finite(CHAINS[3], only=["axioms:mv"])
     text = report.to_text()
-    assert text.startswith("target: L3")
+    assert text.splitlines()[0] == "target: L3"
     assert "axioms:mv" in text and text.rstrip().endswith(
         "1 statements, 1 passed, 0 failed, 0 skipped"
     )
     payload = json.loads(report.to_json())
+    assert sorted(payload) == ["ok", "results", "target"]
     assert payload["ok"] is True
     assert payload["results"][0]["id"] == "axioms:mv"
     assert payload["results"][0]["status"] == "pass"
@@ -636,7 +637,7 @@ def test_a_raising_statement_is_an_error_not_an_abort(monkeypatch):
 def test_dense_theorems_check_the_closed_form(monkeypatch, branch):
     monkeypatch.setattr(dc, "cut_sqto", branch_flipped(branch))
     theorems = [s for s in DENSE_STATEMENTS if s != "dense:closed-forms"]
-    report = mv.run_dense(seed=0, only=theorems)
+    report = mv.run_dense(only=theorems)
     assert [r.id for r in report.results if r.status == "fail"]
 
 
@@ -649,14 +650,14 @@ def test_closed_forms_fails_on_each_flipped_sqto_branch(
     monkeypatch, branch, witnesses
 ):
     monkeypatch.setattr(dc, "cut_sqto", branch_flipped(branch))
-    (result,) = mv.run_dense(seed=0, only=["dense:closed-forms"]).results
+    (result,) = mv.run_dense(only=["dense:closed-forms"]).results
     assert result.status == "fail"
     assert len(result.witnesses) == witnesses
 
 
 def test_closed_forms_fails_on_a_flipped_plus(monkeypatch):
     monkeypatch.setattr(dc, "cut_plus", plus_flipped())
-    (result,) = mv.run_dense(seed=0, only=["dense:closed-forms"]).results
+    (result,) = mv.run_dense(only=["dense:closed-forms"]).results
     assert result.status == "fail"
     assert len(result.witnesses) == 22
     assert {w[0] for w in result.witnesses} == {"plus"}
@@ -684,7 +685,7 @@ def shifted_endpoint(real, step):
 )
 def test_closed_forms_fails_on_a_shifted_endpoint(monkeypatch, name, step, witnesses):
     monkeypatch.setattr(dc, name, shifted_endpoint(getattr(dc, name), step))
-    (result,) = mv.run_dense(seed=0, only=["dense:closed-forms"]).results
+    (result,) = mv.run_dense(only=["dense:closed-forms"]).results
     assert result.status == "fail"
     assert len(result.witnesses) == witnesses
 
@@ -695,24 +696,21 @@ def test_closed_forms_checks_the_definitions_not_the_oracles(monkeypatch):
 
     monkeypatch.setattr(dc, "oracle_sqto", refuse)
     monkeypatch.setattr(dc, "oracle_plus", refuse)
-    assert mv.run_dense(seed=0, only=["dense:closed-forms"]).ok
-
-
-def _dense_results(seed):
-    return json.loads(mv.run_dense(seed=seed).to_json())["results"]
+    assert mv.run_dense(only=["dense:closed-forms"]).ok
 
 
 @pytest.mark.parametrize("branch", [None, *sorted(KIND_BRANCHES)])
 def test_exact_dense_statements_ignore_the_seed(monkeypatch, branch):
-    # no dense statement samples, so the seed moves nothing but the report's
-    # own seed field, mutated or not
+    # run_dense keeps a seed keyword that nothing reads, mutated or not
     if branch is not None:
         monkeypatch.setattr(dc, "cut_sqto", branch_flipped(branch))
-    runs = [_dense_results(seed) for seed in (0, 1, 41)]
-    assert runs[0] == runs[1] == runs[2]
-    assert [r["id"] for r in runs[0]] == list(DENSE_STATEMENTS)
+    report = mv.run_dense().to_json()
+    for seed in (0, 1, 41):
+        assert mv.run_dense(seed=seed).to_json() == report
+    results = json.loads(report)["results"]
+    assert [r["id"] for r in results] == list(DENSE_STATEMENTS)
     if branch is not None:
-        assert any(r["witnesses"] for r in runs[0])
+        assert any(r["witnesses"] for r in results)
 
 
 def test_the_grid_meets_every_order_type_of_two_cuts():
@@ -772,7 +770,7 @@ def _collapse_closed_pairs(real):
 
 def test_dense_trans_can_fail(monkeypatch):
     monkeypatch.setattr(dc, "cut_sqto", _collapse_closed_pairs(dc.cut_sqto))
-    (result,) = mv.run_dense(seed=0, only=["dense:trans"]).results
+    (result,) = mv.run_dense(only=["dense:trans"]).results
     assert result.status == "fail"
     assert len(result.witnesses) == 242
 
@@ -786,7 +784,7 @@ def test_dense_trans_takes_one_sqto_per_ordered_pair(monkeypatch):
         return real(f, g)
 
     monkeypatch.setattr(dc, "cut_sqto", counting)
-    assert mv.run_dense(seed=0, only=["dense:trans"]).ok
+    assert mv.run_dense(only=["dense:trans"]).ok
     # one collapse matrix over the grid; every triple is read from it
     grid = verify._GRID_CUTS
     assert Counter(calls) == Counter(verify._pairs(grid))
@@ -801,7 +799,7 @@ def test_dense_hat_embed_takes_two_sqto_per_grid_pair(monkeypatch):
             dc, name,
             lambda *args, name=name, real=real: calls.update([name]) or real(*args),
         )
-    assert mv.run_dense(seed=0, only=["dense:hat-embed"]).ok
+    assert mv.run_dense(only=["dense:hat-embed"]).ok
     # x⊸y and x⁺⊸y for each of the 13² point pairs, x⁺ once per point
     assert calls == {"cut_sqto": 2 * 13**2, "cut_plus": 13}
 
@@ -846,7 +844,7 @@ HAT_EMBED_MUTANTS = {
 def test_dense_hat_embed_can_fail(monkeypatch, mutant):
     name, corrupt, witnesses = HAT_EMBED_MUTANTS[mutant]
     monkeypatch.setattr(dc, name, corrupt(getattr(dc, name)))
-    (result,) = mv.run_dense(seed=0, only=["dense:hat-embed"]).results
+    (result,) = mv.run_dense(only=["dense:hat-embed"]).results
     if witnesses is None:
         # ⊸ at 1/12 shifted down is [0,1], not proper, and hat_class refuses it
         assert result.status == "error"
@@ -869,7 +867,7 @@ def test_grid_hat_embed_agrees_with_the_subchain_loop(monkeypatch, mutant):
         monkeypatch.setattr(dc, "cut_sqto", branch_flipped(mutant))
     else:
         monkeypatch.setattr(dc, "cut_plus", plus_flipped())
-    (result,) = mv.run_dense(seed=0, only=["dense:hat-embed"]).results
+    (result,) = mv.run_dense(only=["dense:hat-embed"]).results
     assert result.status == _subchain_hat_embed()
     # the kind flips do not move a class, so both pass under them
     assert (result.status == "pass") == (mutant not in HAT_EMBED_MUTANTS)
@@ -884,7 +882,7 @@ def test_dense_props_takes_each_sqto_once_per_grid_pair(monkeypatch):
         return real(f, g)
 
     monkeypatch.setattr(dc, "cut_sqto", counting)
-    assert mv.run_dense(seed=0, only=["dense:props"]).ok
+    assert mv.run_dense(only=["dense:props"]).ok
     # every nested ⊸ is read from the table of the 576 grid pairs
     grid = verify._GRID_CUTS
     assert Counter(calls) == Counter(verify._pairs(grid))
@@ -893,7 +891,7 @@ def test_dense_props_takes_each_sqto_once_per_grid_pair(monkeypatch):
 
 def _props_failures(monkeypatch, name, corrupted):
     monkeypatch.setattr(dc, name, corrupted)
-    (result,) = mv.run_dense(seed=0, only=["dense:props"]).results
+    (result,) = mv.run_dense(only=["dense:props"]).results
     assert result.status == "fail"
     return {w[0] for w in result.witnesses}
 
@@ -924,7 +922,7 @@ def test_dense_props_reports_values_off_the_grid(monkeypatch, name, count):
     # a value off the grid is a witness, not an error: the nested ⊸ that
     # would read it is not taken
     monkeypatch.setattr(dc, name, shifted_endpoint(getattr(dc, name), F(1, 1000)))
-    (result,) = mv.run_dense(seed=0, only=["dense:props"]).results
+    (result,) = mv.run_dense(only=["dense:props"]).results
     assert result.status == "fail"
     assert len(result.witnesses) == count
     assert {w[0] for w in result.witnesses} == {"off-grid"}
@@ -934,7 +932,7 @@ def test_dense_separation_can_fail(monkeypatch):
     # with its arguments swapped, F⊸G is G⊸F = {1} whenever F ⊆ G
     real = dc.cut_sqto
     monkeypatch.setattr(dc, "cut_sqto", lambda f, g: real(g, f))
-    (result,) = mv.run_dense(seed=0, only=["dense:separation"]).results
+    (result,) = mv.run_dense(only=["dense:separation"]).results
     assert result.status == "fail"
     assert len(result.witnesses) == 1_156
 
@@ -1000,8 +998,8 @@ def test_equiv_and_separation_read_the_integers_not_endpoint(monkeypatch):
         return real.fget(cut)
 
     monkeypatch.setattr(dc.Cut, "endpoint", property(counting))
-    assert mv.run_dense(seed=0, only=["dense:equiv-thm", "dense:separation"]).ok
+    assert mv.run_dense(only=["dense:equiv-thm", "dense:separation"]).ok
     assert reads == []
     # the counter sees reads: hat-embed's classes are Fraction intervals
-    assert mv.run_dense(seed=0, only=["dense:hat-embed"]).ok
+    assert mv.run_dense(only=["dense:hat-embed"]).ok
     assert reads
