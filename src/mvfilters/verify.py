@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import json
 import time
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import wraps
+from functools import cache
 from itertools import product
 
 from . import calculus, densechain as dc, filters, spectra
 from .core import (
     MvAlgebra,
-    QuotientAlgebra,
     check_mv_axioms,
     is_linear,
     iter_mask,
@@ -86,24 +85,8 @@ class Report:
         )
 
 
-def _memo(method):
-    """A ``Ctx`` method computed once per run: memo[its name][its arguments]."""
-    name = method.__name__
-
-    @wraps(method)
-    def cached(self, *args):
-        table = self.memo[name]
-        try:
-            return table[args]
-        except KeyError:
-            value = table[args] = method(self, *args)
-            return value
-
-    return cached
-
-
 class Ctx:
-    """Filter lists of one finite algebra, and the memo of one verification run.
+    """Filter lists of one finite algebra, and the caches of one verification run.
 
     The lists come from the theory enumeration in ``filters``: lattice
     filters are the principal filters ↑x, the prime ones those whose
@@ -118,10 +101,13 @@ class Ctx:
     against the definitions on every up-set, and ``order:partial`` the
     masks ↑x and ↓x they are read from against ≤.
 
-    A method marked ``@_memo`` computes its value once per argument tuple,
-    by the one definition in its module, and keeps it in
-    ``memo[method name][args]``, which lasts exactly this run; the algebra
-    itself is never written to.  Φ and ``sqto_full`` are one C fold
+    ``sqto``, ``kernel``, ``subordinate``, ``rows``, ``quotient``,
+    ``quotient_rows``, ``quotient_sqto``, ``spectrum`` and ``hat`` are
+    ``functools.cache`` objects built here: each computes its value once per
+    argument tuple, by the one definition in its module, looked up at the
+    call.  They close over the algebra, the lists and each other, never over
+    the ``Ctx``, so a run's values go when its last reference does; the
+    algebra itself is never written to.  Φ and ``sqto_full`` are one C fold
     (``core.fold_or``, ``core.fold_and``) of the kept rows over F's members,
     and J_u and J_d read the cosets of the kept L/P (P in ``impl``), O(n)
     bit operations per pair.  ⊸ and K are ``calculus``'s relative kernel
@@ -134,31 +120,53 @@ class Ctx:
     def __init__(self, a: MvAlgebra):
         self.a = a
         self.lattice = filters.enumerate_lattice_filters(a)
-        self.primes = filters.enumerate_lattice_filters(a, prime_only=True)
+        self.primes = primes = filters.enumerate_lattice_filters(a, prime_only=True)
         self.impl = filters.enumerate_implication_filters(a)
         self.prime_impl = filters.enumerate_implication_filters(a, prime_only=True)
         self.linear = is_linear(a)
-        self.memo: defaultdict[str, dict[tuple, object]] = defaultdict(dict)
+
+        self.sqto = sqto = cache(lambda f, g: calculus.sqto(a, f, g))
+        self.kernel = kernel = cache(lambda f: calculus.kernel(a, f))
+        self.subordinate = cache(lambda f, x: calculus.subordinate(a, f, x))
+        # every row of the table ``table`` ("imp" or "otimes") into mask
+        self.rows = cache(
+            lambda table, mask: calculus.rows(getattr(a, f"{table}_bytes"), mask)
+        )
+        self.quotient = quotient = cache(lambda p: quotient_by(a, p))
+        # every ⊗-row of L/P into G/P
+        self.quotient_rows = quotient_rows = cache(
+            lambda p, gq: calculus.rows(quotient(p).quotient.otimes_bytes, gq)
+        )
+
+        @cache
+        def quotient_sqto(p, fq, gq):
+            """F/P ⊸ G/P in L/P, for nonempty up-sets F/P and G/P.
+
+            This is ``calculus.sqto_fast`` on the quotient: the AND of the
+            quotient's ⊗-rows into G/P over F/P ∩ G/P.  On up-sets, such as
+            the images of filters, it equals the definitional ``calculus.sqto``.
+            """
+            full = quotient(p).quotient.full_mask
+            return calculus.sqto_full_rows(quotient_rows(p, gq), fq & gq, full)
+
+        @cache
+        def spectrum(p):
+            """PSpec(P) from the prime list and the kernel cache; P must be in
+            ``prime_impl``.  ``spectra.prime_spectrum`` lists it cold."""
+            members = tuple(f for f in primes if kernel(f) == p)
+            return spectra.PrimeSpectrum(a, p, members)
+
+        @cache
+        def hat(p):
+            """The derived algebra on PSpec(P), from the members' cached ⊸."""
+            spec = spectrum(p)
+            table = [[sqto(f, g) for g in spec.members] for f in spec.members]
+            return spectra.hat_from_sqto(spec, table)
+
+        self.quotient_sqto, self.spectrum, self.hat = quotient_sqto, spectrum, hat
 
     def show(self, mask: int) -> str:
         return self.a.label_set(mask)
-
-    @_memo
-    def sqto(self, f_mask: int, g_mask: int) -> int:
-        return calculus.sqto(self.a, f_mask, g_mask)
-
-    @_memo
-    def kernel(self, f_mask: int) -> int:
-        return calculus.kernel(self.a, f_mask)
-
-    @_memo
-    def subordinate(self, f_mask: int, elem: int) -> int:
-        return calculus.subordinate(self.a, f_mask, elem)
-
-    @_memo
-    def rows(self, table: str, mask: int) -> list[int]:
-        """Every row of the table ``table`` ("imp" or "otimes") into mask."""
-        return calculus.rows(getattr(self.a, f"{table}_bytes"), mask)
 
     def phi(self, f_mask: int, g_mask: int) -> int:
         return calculus.phi_rows(self.rows("imp", g_mask), f_mask)
@@ -173,40 +181,6 @@ class Ctx:
 
     def j_down(self, f_mask: int, p_mask: int) -> int:
         return calculus.j_down_cosets(self.a, self.quotient(p_mask).cosets, f_mask)
-
-    @_memo
-    def quotient(self, p_mask: int) -> QuotientAlgebra:
-        return quotient_by(self.a, p_mask)
-
-    @_memo
-    def quotient_rows(self, p_mask: int, gq: int) -> list[int]:
-        """Every ⊗-row of L/P into G/P."""
-        return calculus.rows(self.quotient(p_mask).quotient.otimes_bytes, gq)
-
-    @_memo
-    def quotient_sqto(self, p_mask: int, fq: int, gq: int) -> int:
-        """F/P ⊸ G/P in L/P, for nonempty up-sets F/P and G/P.
-
-        This is ``calculus.sqto_fast`` on the quotient: the AND of the
-        quotient's ⊗-rows into G/P over F/P ∩ G/P.  On up-sets, such as the
-        images of filters, it equals the definitional ``calculus.sqto``.
-        """
-        full = self.quotient(p_mask).quotient.full_mask
-        return calculus.sqto_full_rows(self.quotient_rows(p_mask, gq), fq & gq, full)
-
-    @_memo
-    def spectrum(self, p_mask: int) -> spectra.PrimeSpectrum:
-        """PSpec(P) from the prime list and the kernel memo; P must be in
-        ``prime_impl``.  ``spectra.prime_spectrum`` lists it cold."""
-        members = tuple(f for f in self.primes if self.kernel(f) == p_mask)
-        return spectra.PrimeSpectrum(self.a, p_mask, members)
-
-    @_memo
-    def hat(self, p_mask: int) -> spectra.HatAlgebra:
-        """The derived algebra on PSpec(P), from the members' ``sqto`` memo."""
-        spec = self.spectrum(p_mask)
-        table = [[self.sqto(f, g) for g in spec.members] for f in spec.members]
-        return spectra.hat_from_sqto(spec, table)
 
 
 def _registry():
@@ -313,8 +287,10 @@ def _order(ctx, out):
         for y in iter_mask(ux):
             if (up[y] >> x) & 1 and x != y:
                 out.append(("antisymmetry", x, y))
-            for z in iter_mask(up[y] & ~ux):
-                out.append(("transitivity", x, y, z))
+            # empty on any order, and iter_mask costs more than the test
+            if rest := up[y] & ~ux:
+                for z in iter_mask(rest):
+                    out.append(("transitivity", x, y, z))
 
 
 @finite("identity:otimes-imp", "negated implication equals truncated product")
@@ -743,17 +719,14 @@ def _reduction(ctx, out):
 @finite("prop:quot-commute", "⊸ commutes with quotients below the kernel")
 def _quot_commute(ctx, out):
     """(F⊸G)/P = F/P ⊸ G/P for F ⊆ G and P ⊆ K(G); if also K(F) = K(G), the
-    preimage of F/P ⊸ G/P is F⊸G.  Each P's quotient, and the images in it,
-    are read once per run into ``seen``."""
-    seen = {}  # P -> (L/P, {mask: its image in L/P})
+    preimage of F/P ⊸ G/P is F⊸G.  Each image in L/P is taken once per run."""
+    seen = {p: {} for p in ctx.impl}  # P -> {mask: its image in L/P}
     for f, g in _nested_pairs(ctx.lattice):
         kf, kg, s = ctx.kernel(f), ctx.kernel(g), ctx.sqto(f, g)
         for p in ctx.impl:
             if p & ~kg:
                 continue
-            if p not in seen:
-                seen[p] = ctx.quotient(p), {}
-            q, images = seen[p]
+            q, images = ctx.quotient(p), seen[p]
             for m in (f, g, s):
                 if m not in images:
                     images[m] = q.image_mask(m)

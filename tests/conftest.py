@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mvfilters import densechain as dc, make_lukasiewicz_chain, run_finite
-from mvfilters.core import MvAlgebra, make_product
+from mvfilters.core import MvAlgebra, make_product, mask_of
 
 
 def chain(n):
@@ -85,6 +85,19 @@ def members(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def up_closure_loop(a, mask):
+    """The smallest up-closed superset of mask: the OR of ↑x over its members."""
+    m = 0
+    for x in members(mask):
+        m |= a.up_mask[x]
+    return m
+
+
+def by_labels(a, *labels):
+    """The mask of the elements with these labels."""
+    return mask_of(a.labels.index(lab) for lab in labels)
 
 
 def drop_lowest(real):

@@ -7,12 +7,9 @@ from mvfilters import calculus, core, filters
 from mvfilters.errors import InvalidArgument
 
 from conftest import (
-    ALL_ALGEBRAS, CHAINS, PRODUCTS, assert_check_can_fail, drop_lowest, members,
+    ALL_ALGEBRAS, CHAINS, PRODUCTS, assert_check_can_fail, by_labels, drop_lowest,
+    members,
 )
-
-
-def by_labels(a, *labels):
-    return core.mask_of(a.labels.index(lab) for lab in labels)
 
 
 def show(a, mask):
@@ -184,11 +181,11 @@ BOUNDARY_STATEMENTS = ["def:boundary", "thm:hat-eta", "thm:composite"]
 
 def test_each_quotient_is_partitioned_once(monkeypatch, algebra):
     # boundary cosets read the quotient they are handed; only quotient_by
-    # partitions L, once per P in the Ctx memo
+    # partitions L, once per P in the Ctx quotient cache
     calls = count_partitions(monkeypatch, algebra, BOUNDARY_STATEMENTS)
     assert calls and set(calls.values()) == {1}
     # a full run partitions each implication filter exactly once, in the
-    # Ctx quotient memo that J_u, J_d and fact:d read too
+    # Ctx quotient cache that J_u, J_d and fact:d read too
     impl = filters.enumerate_implication_filters(algebra)
     assert count_partitions(monkeypatch, algebra) == {p: 1 for p in impl}
 

@@ -14,7 +14,7 @@ under test.
 
 ``small_loop`` and ``large_loop`` are the bodies the two statements had
 before each P's lattice filters H with P ⊆ K(H) were listed once: they ask
-the kernel memo for every (F, P, H).  Their witness lists must equal the
+the kernel cache for every (F, P, H).  Their witness lists must equal the
 statements', in order, unmutated and under mutants that make them fail.
 ``j_down_cosets-drop`` is among them so that a lost candidate H of
 ``prop:large`` changes its "not maximal" witnesses.
@@ -29,28 +29,22 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mvfilters import calculus, filters, verify
 from mvfilters.verify import FINITE_STATEMENTS
 
-from conftest import ALL_ALGEBRAS, chain, drop_lowest, product, shuffled
+from conftest import (
+    ALL_ALGEBRAS, chain, drop_lowest, product, shuffled, up_closure_loop,
+)
 from test_filters import census
-
-
-def up_loop(a, mask):
-    m = 0
-    for x in range(a.size):
-        if (mask >> x) & 1:
-            m |= a.up_mask[x]
-    return m
 
 
 def generated_loop(a, mask):
     """Close mask ∪ {1} under ⊗ and up-closure to a fixpoint."""
-    cur = up_loop(a, mask | a.one_mask)
+    cur = up_closure_loop(a, mask | a.one_mask)
     while True:
         members = [x for x in range(a.size) if (cur >> x) & 1]
         nxt = cur
         for x in members:
             for y in members:
                 nxt |= 1 << a.otimes[x][y]
-        nxt = up_loop(a, nxt)
+        nxt = up_closure_loop(a, nxt)
         if nxt == cur:
             return cur
         cur = nxt
@@ -63,7 +57,7 @@ def tensor_up_loop(a, f_mask, g_mask):
         for g in range(a.size):
             if (f_mask >> f) & 1 and (g_mask >> g) & 1:
                 m |= 1 << a.otimes[f][g]
-    return up_loop(a, m)
+    return up_closure_loop(a, m)
 
 
 def kernel_joins(a):

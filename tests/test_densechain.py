@@ -130,39 +130,6 @@ def test_equiv_ignores_kind():
 
 
 # ---------------------------------------------------------------------------
-# closed forms against the former oracle, which repeats their case split
-
-
-def boundary_cuts():
-    points = [F(0), F("1/4"), F("1/2"), F("3/4"), F(1)]
-    cuts = []
-    for p in points:
-        for kind in (dc.Kind.OPEN, dc.Kind.CLOSED):
-            c = dc.Cut(p, kind)
-            if c.is_proper:
-                cuts.append(c)
-    return cuts
-
-
-def test_closed_forms_on_boundary_templates():
-    for f in boundary_cuts():
-        assert dc.cut_plus(f) == dc.oracle_plus(f)
-        for g in boundary_cuts():
-            assert dc.cut_sqto(f, g) == dc.oracle_sqto(f, g), (str(f), str(g))
-
-
-def test_closed_forms_on_random_pairs():
-    rng = random.Random(20260826)
-    for _ in range(10_000):
-        f = dc.random_proper_cut(rng)
-        g = dc.random_proper_cut(rng)
-        assert dc.cut_sqto(f, g) == dc.oracle_sqto(f, g)
-    for _ in range(2_000):
-        f = dc.random_proper_cut(rng)
-        assert dc.cut_plus(f) == dc.oracle_plus(f)
-
-
-# ---------------------------------------------------------------------------
 # an oracle that shares no code with densechain
 #
 # A cut is modelled as (endpoint, "open" | "closed"), and every operation is

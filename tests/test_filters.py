@@ -4,11 +4,7 @@ import mvfilters as mv
 from mvfilters import calculus, core, filters
 from mvfilters.errors import ResourceLimit
 
-from conftest import CHAINS, members, shuffled
-
-
-def by_labels(a, *labels):
-    return core.mask_of(a.labels.index(lab) for lab in labels)
+from conftest import CHAINS, by_labels, members, product, shuffled
 
 
 def test_lattice_filters_of_l3(l3):
@@ -118,19 +114,12 @@ def test_carrier_cap_enforced():
     assert len(filters.enumerate_lattice_filters(mv.make_lukasiewicz_chain(64))) == 64
 
 
-def _chain_product(*ns):
-    out = mv.make_lukasiewicz_chain(ns[0])
-    for n in ns[1:]:
-        out = core.make_product(out, mv.make_lukasiewicz_chain(n))
-    return out
-
-
 @pytest.mark.parametrize(
     "ns", [(16,), (4, 4), (3, 3, 3), (2, 2, 2, 2, 2)], ids=["L16", "L4xL4", "L3^3", "2^5"]
 )
 def test_theory_enumeration_matches_up_set_search(ns):
     # beyond the reach of the power-set scan: the up-set walk is the oracle
-    a = _chain_product(*ns)
+    a = product(*ns)
     up_sets = filters.enumerate_up_sets(a)
     assert filters.enumerate_lattice_filters(a) == [
         m for m in up_sets if filters.is_lattice_filter(a, m)
@@ -147,7 +136,7 @@ def test_closed_form_filter_counts(ns):
     # L_{n1} x ... x L_{nk}: one principal filter per element, one Boolean
     # element per subset of the factors, one prime implication filter per
     # factor, and one prime lattice filter per proper filter of a factor
-    a = _chain_product(*ns)
+    a = product(*ns)
     k = len(ns)
     assert len(filters.enumerate_lattice_filters(a)) == a.size
     assert len(filters.enumerate_implication_filters(a)) == 2 ** k
@@ -161,7 +150,7 @@ def test_ctx_of_boolean_cube_2_6_builds():
     # 2^6 has 7.8 M up-sets; a walk over them would stall here
     from mvfilters.verify import Ctx
 
-    ctx = Ctx(_chain_product(*(2,) * 6))
+    ctx = Ctx(product(*(2,) * 6))
     assert (len(ctx.lattice), len(ctx.primes)) == (64, 6)
     assert (len(ctx.impl), len(ctx.prime_impl)) == (64, 6)
 
@@ -194,7 +183,7 @@ def test_prime_filters_match_the_definition_on_the_census():
     algebras = census()
     assert len(algebras) == 197
     for ns in algebras:
-        a = _chain_product(*ns)
+        a = product(*ns)
         assert filters.enumerate_lattice_filters(a, prime_only=True) == (
             primes_by_definition(a)
         ), ns
@@ -215,7 +204,7 @@ def test_kernel_matches_two_independent_values_on_the_census():
     # set of z with F⊗z ⊆ F (z→x ∈ F iff f⊗z ≤ x for some f ∈ F)
     filters_checked = 0
     for ns in census():
-        a = _chain_product(*ns)
+        a = product(*ns)
         impl = filters.enumerate_implication_filters(a)
         for f in filters.enumerate_lattice_filters(a):
             inside = [p for p in impl if p & ~f == 0]
@@ -261,9 +250,9 @@ def prime_impl_by_linear_quotient(a):
 def test_prime_implication_filters_match_the_definition_on_the_census():
     # the theory list (maximal proper ↑b) against two readings of "prime":
     # the definition, and a linearly ordered quotient
-    algebras = [_chain_product(*ns) for ns in census()]
+    algebras = [product(*ns) for ns in census()]
     algebras += [
-        shuffled(_chain_product(*ns), seed)
+        shuffled(product(*ns), seed)
         for seed, ns in enumerate([(64,), (8, 8), (2,) * 6, (4, 4, 4)], start=1)
     ]
     for a in algebras:

@@ -52,7 +52,7 @@ def negate(real):
 
 
 # The sqto mutants corrupt ``calculus.sqto``, which ``verify.Ctx.sqto``
-# memoises, so cold and memoised ⊸ carry the same corruption.
+# caches, so cold and cached ⊸ carry the same corruption.
 MUTANTS = {
     f"{name}-drop": (owner, name, drop_lowest)
     for owner, name in [

@@ -9,7 +9,7 @@ oracle both cold (``calculus``, ``QuotientAlgebra``) and through the tables a
 not keep, is compared cold only.  J_u and J_d go through ``Ctx`` only at
 an implication filter P, since ``Ctx`` reads the cosets of L/P; the cold
 forms take every mask.  ⊸ is ``kernel_rel`` on F∩G at L∖G, cold or through
-the ``Ctx`` sqto memo; its oracle is the AND of the subordinates (F∩G)ₓ over
+the ``Ctx`` sqto cache; its oracle is the AND of the subordinates (F∩G)ₓ over
 x ∉ G, one loop per subordinate.  The oracles read the tables entry
 by entry: their subordinates and cosets are the loops restated in
 ``test_table_reads``, not the byte reads of ``calculus`` and ``core``, and
@@ -26,7 +26,7 @@ from mvfilters import calculus, core, filters, verify
 from mvfilters.core import mask_of
 from mvfilters.errors import InvalidArgument
 
-from conftest import ALL_ALGEBRAS, CHAINS, PRODUCTS, members
+from conftest import ALL_ALGEBRAS, CHAINS, PRODUCTS, members, up_closure_loop
 from test_table_reads import congruence_cosets_loop, subordinate_loop
 
 
@@ -83,14 +83,6 @@ def j_down_loop(a, f_mask, p_mask):
 
 def image_mask_loop(q, mask):
     return mask_of(q.coset_of[x] for x in members(mask))
-
-
-def up_closure_loop(a, mask):
-    """The smallest up-closed superset of mask: the OR of ↑x over its members."""
-    m = 0
-    for x in members(mask):
-        m |= a.up_mask[x]
-    return m
 
 
 def assert_pair_agrees(a, ctx, f, g):
@@ -188,7 +180,8 @@ def test_ctx_j_refuses_a_p_that_is_not_an_implication_filter(a):
             for j in (ctx.j_up, ctx.j_down):
                 with pytest.raises(InvalidArgument, match="implication filter"):
                     j(a.one_mask, p)
-    assert not ctx.memo["quotient"]  # a refused P leaves no quotient behind
+    # a refused P leaves no quotient behind
+    assert ctx.quotient.cache_info().currsize == 0
 
 
 def test_each_table_is_built_once_per_run(monkeypatch):
@@ -217,8 +210,10 @@ def test_each_table_is_built_once_per_run(monkeypatch):
     monkeypatch.setattr(verify, "Ctx", RecordingCtx)
     assert mv.run_finite(PRODUCTS["L2xL3"]).ok
     (ctx,) = built
-    # one partition per implication filter, in the quotient memo
+    # one partition per implication filter, in the quotient cache
     assert built_cosets == {p: 1 for p in ctx.impl}
-    assert sorted(built_cosets) == sorted(p for (p,) in ctx.memo["quotient"])
+    assert ctx.quotient.cache_info().currsize == len(ctx.impl)
     assert set(built_rows.values()) == {1}
-    assert len(built_rows) == len(ctx.memo["rows"]) + len(ctx.memo["quotient_rows"])
+    assert len(built_rows) == (
+        ctx.rows.cache_info().currsize + ctx.quotient_rows.cache_info().currsize
+    )

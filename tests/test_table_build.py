@@ -24,7 +24,7 @@ from mvfilters import cli, core, filters
 from mvfilters.core import MvAlgebra, make_lukasiewicz_chain, make_product
 from mvfilters.errors import InvalidArgument
 
-from conftest import chain, product, shuffled
+from conftest import by_labels, chain, product, shuffled
 from test_filters import census
 from test_table_reads import BAD, arbitrary_tables
 from test_verify import SPECS
@@ -251,10 +251,6 @@ def changed_copy(a, oplus=None, neg=None):
         negs[x] = v
     return MvAlgebra(a.size, tuple(map(tuple, rows)), tuple(negs), a.zero,
                      labels=a.labels)
-
-
-def by_labels(a, *labels):
-    return core.mask_of(a.labels.index(lab) for lab in labels)
 
 
 def test_quotient_refuses_a_congruence_that_breaks_addition():

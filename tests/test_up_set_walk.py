@@ -21,8 +21,8 @@ from hypothesis import given, settings
 
 from mvfilters import filters, run_finite, verify
 
-from conftest import members, shuffled
-from test_filters import _chain_product, census
+from conftest import members, product as chain_product, shuffled
+from test_filters import census
 from test_table_reads import BAD, arbitrary_tables
 
 
@@ -86,7 +86,7 @@ def assert_the_walk_matches_the_scans(a):
         ), (a.name, stmt)
 
 
-SMALL_CENSUS = [_chain_product(*ns) for ns in census(12)]
+SMALL_CENSUS = [chain_product(*ns) for ns in census(12)]
 
 
 @pytest.mark.parametrize("a", SMALL_CENSUS, ids=lambda a: a.name)

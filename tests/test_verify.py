@@ -1,5 +1,7 @@
 import copy
+import gc
 import json
+import weakref
 from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
@@ -87,8 +89,14 @@ def test_failure_carries_witnesses():
     assert report.results[0].witnesses
 
 
+CACHES = (
+    "sqto", "kernel", "subordinate", "spectrum", "hat", "quotient", "rows",
+    "quotient_rows", "quotient_sqto",
+)
+
+
 def _fresh(a, name, args):
-    """Recompute a memo entry by its module's definition, bypassing Ctx."""
+    """Recompute a cache entry by its module's definition, bypassing Ctx."""
     if name == "spectrum":
         return spectra.prime_spectrum(a, *args)
     if name == "hat":
@@ -107,6 +115,18 @@ def _fresh(a, name, args):
     return getattr(calculus, name)(a, *args)
 
 
+class RecordingCache:
+    """``functools.cache`` with its entries exposed, keyed by argument tuple."""
+
+    def __init__(self, fn):
+        self.fn, self.entries = fn, {}
+
+    def __call__(self, *args):
+        if args not in self.entries:
+            self.entries[args] = self.fn(*args)
+        return self.entries[args]
+
+
 def _run_all(ctx):
     for _, fn in FINITE_STATEMENTS.values():
         fn(ctx, [])
@@ -121,14 +141,14 @@ def test_memo_entries_equal_fresh_calls(monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(verify, "Ctx", RecordingCtx)
+    monkeypatch.setattr(verify, "cache", RecordingCache)
     a = PRODUCTS["L2xL3"]
     assert mv.run_finite(a).ok
     (ctx,) = built
-    assert set(ctx.memo) == {
-        "sqto", "kernel", "subordinate", "spectrum", "hat", "quotient", "rows",
-        "quotient_rows", "quotient_sqto",
-    }
-    for name, table in ctx.memo.items():
+    caches = {k for k, v in vars(ctx).items() if isinstance(v, RecordingCache)}
+    assert caches == set(CACHES)
+    for name in CACHES:
+        table = getattr(ctx, name).entries
         assert table, name
         for args, value in table.items():
             assert value == _fresh(a, name, args), (name, args)
@@ -138,8 +158,23 @@ def test_memo_lives_one_run():
     a = PRODUCTS["L2xL3"]
     before = (dict(vars(a)), hash(a))
     _run_all(verify.Ctx(a))
-    assert all(not table for table in verify.Ctx(a).memo.values())
+    fresh = verify.Ctx(a)
+    assert all(getattr(fresh, name).cache_info().currsize == 0 for name in CACHES)
     assert (dict(vars(a)), hash(a)) == before
+
+
+def test_ctx_is_freed_by_reference_counting():
+    # the caches close over the algebra and the lists, never over the Ctx,
+    # so a finished run leaves no cycle for the collector to find
+    ctx = verify.Ctx(PRODUCTS["L2xL3"])
+    gc.disable()
+    try:
+        _run_all(ctx)
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_checks_fail_through_a_warm_memo(monkeypatch):
@@ -245,12 +280,19 @@ def test_relative_kernel_facts_can_fail(monkeypatch, algebra_id, stmt, owner, na
 
 
 def _drop_lowest_at_p_one(real):
-    """The quotient-side ⊸, corrupted at P = {1} only."""
-    def corrupted(ctx, p, fq, gq):
-        m = real(ctx, p, fq, gq)
-        return m & (m - 1) if p == ctx.a.one_mask else m
+    """A Ctx whose quotient-side ⊸ is corrupted at P = {1} only."""
+    class Corrupted(real):
+        def __init__(self, a):
+            super().__init__(a)
+            quotient_sqto = self.quotient_sqto
 
-    return corrupted
+            def corrupted(p, fq, gq):
+                m = quotient_sqto(p, fq, gq)
+                return m & (m - 1) if p == a.one_mask else m
+
+            self.quotient_sqto = corrupted
+
+    return Corrupted
 
 
 @pytest.mark.parametrize("algebra_id", ["L5", "L2xL3"])
@@ -260,7 +302,7 @@ def _drop_lowest_at_p_one(real):
         ("prop:phi", calculus, "phi_rows", drop_lowest),
         ("prop:phi", calculus, "sqto_full_rows", drop_lowest),
         ("prop:quot-commute", calculus, "sqto_full_rows", drop_lowest),
-        ("prop:quot-commute", verify.Ctx, "quotient_sqto", _drop_lowest_at_p_one),
+        ("prop:quot-commute", verify, "Ctx", _drop_lowest_at_p_one),
         ("prop:small", calculus, "j_up_cosets", drop_lowest),
         ("prop:large", calculus, "j_up_cosets", drop_lowest),
         ("prop:Ju-kernel", calculus, "j_up_cosets", drop_lowest),
@@ -526,10 +568,13 @@ def test_run_reads_the_tables_not_the_cold_forms(monkeypatch, algebra_id):
     assert mv.run_finite(ALL_ALGEBRAS[algebra_id]).ok
     assert calls == []
     (ctx,) = built
-    assert ctx.memo["hat"]
-    for p in ctx.memo["hat"]:
-        members = ctx.spectrum(*p).members
-        assert all((f, g) in ctx.memo["sqto"] for f in members for g in members)
+    assert ctx.hat.cache_info().currsize
+    misses = ctx.sqto.cache_info().misses
+    for p in verify._spectral(ctx):
+        members = ctx.spectrum(p).members
+        for f, g in tuples(members, repeat=2):
+            ctx.sqto(f, g)
+    assert ctx.sqto.cache_info().misses == misses
 
 
 SPECS = Path(__file__).resolve().parent.parent / "perfbench" / "specs"
