@@ -9,8 +9,11 @@ search.  Every finite MV-algebra is a finite product of Łukasiewicz chains
 (Cignoli, D'Ottaviano and Mundici, *Algebraic Foundations of Many-valued
 Reasoning*, 2000).  Hence every lattice filter is the principal filter ↑x of
 some x, and every implication filter is ↑b for an idempotent b (b⊕b = b).
-↑x is prime exactly when L∖↑x is some ↓y (Davey and Priestley, 2002), and
-↑b exactly when it is maximal among the proper implication filters.
+↑x is prime exactly when L∖↑x is some ↓y, and ↑b exactly when it is maximal
+among the proper implication filters.  In a finite lattice the ideal
+generated by X is ↓∨X and a lattice filter F is ↑∧F (Davey and Priestley,
+*Introduction to Lattices and Order*, 2002): ``down_closure_joins`` and
+``principal_generator`` read these off the join and meet tables.
 The enumeration is exact for MV-algebras only: on a ``table`` spec that
 breaks the axioms it lists principal up-sets, which need not be the filters
 of that table.  ``enumerate_up_sets``, exact on any table, walks every
@@ -24,30 +27,21 @@ from functools import reduce
 from itertools import compress, repeat
 from operator import or_
 
-from .core import (
-    MvAlgebra, bits, fold_or, is_linear, iter_mask, mask_of, member_lookup,
-)
+from .core import MvAlgebra, bits, is_linear, iter_mask, mask_of, member_lookup
 from .errors import InvalidArgument, ResourceLimit
 
 CARRIER_CAP = 64
 
 
 def down_closure_joins(a: MvAlgebra, mask: int) -> int:
-    """Everything below some finite join of members of ``mask``.
+    """The ideal generated by ``mask``: ↓∨X, and empty for the empty mask.
 
-    Closes under binary joins to a fixpoint, then takes down-sets; the empty
-    set stays empty (there are no joins to take).
+    Everything below some finite join of members of X lies below ∨X, which
+    is one such join.
     """
-    cur = mask
-    while True:
-        nxt = cur
-        for x in iter_mask(cur):
-            for y in iter_mask(cur):
-                nxt |= 1 << a.join[x][y]
-        if nxt == cur:
-            break
-        cur = nxt
-    return fold_or(a.down_mask, cur)
+    if not mask:
+        return 0
+    return a.down_mask[reduce(lambda x, y: a.join[x][y], iter_mask(mask))]
 
 
 def is_up_closed(a: MvAlgebra, mask: int) -> bool:
@@ -95,7 +89,7 @@ def enumerate_up_sets(a: MvAlgebra) -> list[int]:
     order ↑x∖{x} is visited before x, so every leaf is an up-set.
     """
     check_cap(a.size)
-    order = sorted(range(a.size), key=lambda x: bin(a.up_mask[x]).count("1"))
+    order = sorted(range(a.size), key=lambda x: a.up_mask[x].bit_count())
     # todo[i]: order[i] and every element still to be visited after it
     todo = [mask_of(order[i:]) for i in range(a.size)]
     results: list[int] = []
@@ -180,14 +174,13 @@ def successor_structure(a: MvAlgebra):
 def principal_generator(a: MvAlgebra, mask: int) -> int | None:
     """The x with ↑x = mask when mask is a lattice filter, else None.
 
-    In a finite algebra every lattice filter is principal.
+    A finite lattice filter F holds g = ∧F, and an up-set that holds g and
+    lies above it is ↑g, so F = ↑∧F.  Conversely every ↑g is a lattice
+    filter, so the answer is ∧mask exactly when ↑∧mask = mask.  The empty
+    mask has ∧ = 1 and ↑1 = {1}, so it gets None.
     """
-    if not is_lattice_filter(a, mask):
-        return None
-    for g in iter_mask(mask):
-        if a.up_mask[g] == mask:
-            return g
-    return None
+    g = reduce(lambda x, y: a.meet[x][y], iter_mask(mask), a.one)
+    return g if a.up_mask[g] == mask else None
 
 
 def implication_filter_generated(a: MvAlgebra, mask: int) -> int:

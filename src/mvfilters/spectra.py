@@ -143,7 +143,7 @@ def hat_from_sqto(spec: PrimeSpectrum, sqto) -> HatAlgebra:
     if not is_linear(as_mv):
         raise InvariantViolation("derived algebra is not linearly ordered")
     # the top class holds the inclusion-least member (P itself)
-    if reps[-1] != min(members, key=lambda m: bin(m).count("1")):
+    if reps[-1] != min(members, key=int.bit_count):
         raise InvariantViolation("top class misses the inclusion-least filter")
     return HatAlgebra(spec, reps, as_mv)
 

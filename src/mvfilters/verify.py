@@ -458,7 +458,8 @@ def _fact_e(ctx, out):
     In a finite lattice I = ↓∨X, so the check on X depends on X only through
     the state (K_F(X), ∨X); adding x maps it to (V ∩ F_x, x ∨ ∨X).  Every
     such state is visited once with one witness X (see ``_reach``), on which
-    I = ``down_closure_joins`` must avoid F and have K_F(I) = V.
+    I = ``down_closure_joins`` (↓∨X, read off the join table) must avoid F
+    and have K_F(I) = V.
     """
     a = ctx.a
     for f in ctx.primes:
@@ -816,9 +817,11 @@ def _convex_otimes(ctx, out):
 @finite("thm:discrete-principal", "trivial-kernel filters of a chain are principal",
         when=_nontrivial_chains_only)
 def _discrete(ctx, out):
-    """Only the successor-structure branch can fail on a finite chain: ``Ctx``
-    lists the lattice filters as the principal filters ↑x, so
-    ``principal_generator`` finds an x for every filter the loop tests."""
+    """A successor structure exists, and every proper filter with kernel {1}
+    has a generator.  ``Ctx`` lists the lattice filters as the principal
+    filters ↑x, and ``principal_generator`` returns ∧F when ↑∧F = F, so on a
+    finite chain only ``successor_structure`` or ``principal_generator`` can
+    fail it."""
     a = ctx.a
     if filters.successor_structure(a) is None:
         out.append(("no successor structure",))

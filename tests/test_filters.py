@@ -101,6 +101,17 @@ def test_every_finite_lattice_filter_is_principal(algebra):
         assert mv.principal_generator(algebra, m) is not None
 
 
+def test_principal_generator_on_every_up_set(algebra):
+    # the definition: on a lattice filter M, the one x with ↑x = M; None on
+    # every other up-set
+    for a in (algebra, shuffled(algebra, algebra.size)):
+        for m in filters.enumerate_up_sets(a):
+            want = None
+            if filters.is_lattice_filter(a, m):
+                (want,) = [x for x in range(a.size) if a.up_mask[x] == m]
+            assert mv.principal_generator(a, m) == want, a.label_set(m)
+
+
 def test_implication_filter_generated(l4):
     # 2/3 generates everything: 2/3 ⊗ 2/3 = 1/3, 1/3 ⊗ 1/3 = 0
     g = filters.implication_filter_generated(l4, 1 << l4.labels.index("2/3"))

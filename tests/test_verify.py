@@ -219,6 +219,16 @@ def _searched_states(monkeypatch, ctx, stmt):
     return seen
 
 
+def _ideal_generated(a, xs):
+    """The union of ↓(∨S) over every nonempty S ⊆ X, each ∨S taken pairwise
+    from the join table: the definition of the ideal that X generates."""
+    out = 0
+    for r in range(1, len(xs) + 1):
+        for s in combinations(xs, r):
+            out |= a.down_mask[reduce(lambda u, v: a.join[u][v], s)]
+    return out
+
+
 @pytest.mark.parametrize("algebra_id", sorted(ALL_ALGEBRAS))
 def test_state_search_matches_the_subset_loop(monkeypatch, algebra_id):
     a = ALL_ALGEBRAS[algebra_id]
@@ -234,7 +244,8 @@ def test_state_search_matches_the_subset_loop(monkeypatch, algebra_id):
             join = reduce(lambda u, v: a.join[u][v], xs)
             oracle_values.add(k)
             oracle_pairs.add((k, join))
-            assert filters.down_closure_joins(a, xm) == a.down_mask[join], xs
+            if len(xs) <= 4:
+                assert filters.down_closure_joins(a, xm) == _ideal_generated(a, xs), xs
         assert set(values[f]) == oracle_values
         assert set(pairs[f]) == oracle_pairs
         # each witness is a nonempty X ⊆ L∖F that produces its state
@@ -243,6 +254,8 @@ def test_state_search_matches_the_subset_loop(monkeypatch, algebra_id):
         for (k, join), xm in pairs[f].items():
             assert xm and xm & f == 0 and calculus.kernel_rel(a, f, xm) == k
             assert reduce(lambda u, v: a.join[u][v], members(xm)) == join
+            xs = tuple(members(xm))
+            assert filters.down_closure_joins(a, xm) == _ideal_generated(a, xs), xs
 
 
 @pytest.mark.parametrize(
@@ -341,21 +354,32 @@ def _pred_fixes_everything(real):
     return corrupted
 
 
+def _drops_the_top_generator(real):
+    """principal_generator, returning None on the filter {1} = ↑1."""
+    def corrupted(a, mask):
+        g = real(a, mask)
+        return None if g == a.one else g
+
+    return corrupted
+
+
 @pytest.mark.parametrize(
-    "stmt, corrupt",
+    "stmt, name, corrupt",
     [
-        ("thm:discrete-principal", _no_successor_structure),
-        ("prop:successor", _no_successor_structure),
-        ("prop:successor", _pred_fixes_everything),
+        ("thm:discrete-principal", "successor_structure", _no_successor_structure),
+        # {1} is proper with kernel {1}, so the statement asks for its
+        # generator; it never asks about the improper filter ↑0
+        ("thm:discrete-principal", "principal_generator", _drops_the_top_generator),
+        ("prop:successor", "successor_structure", _no_successor_structure),
+        ("prop:successor", "successor_structure", _pred_fixes_everything),
     ],
-    ids=["discrete-principal-absent", "successor-absent", "successor-pred"],
+    ids=[
+        "discrete-principal-absent", "discrete-principal-generator",
+        "successor-absent", "successor-pred",
+    ],
 )
-def test_discrete_statements_can_fail(monkeypatch, l5, stmt, corrupt):
-    # the successor-structure branch is the one thm:discrete-principal can
-    # fail through on a finite chain (see its docstring)
-    assert_check_can_fail(
-        monkeypatch, l5, stmt, filters, "successor_structure", corrupt
-    )
+def test_discrete_statements_can_fail(monkeypatch, l5, stmt, name, corrupt):
+    assert_check_can_fail(monkeypatch, l5, stmt, filters, name, corrupt)
 
 
 def _negated_on_pairs(real):
