@@ -28,8 +28,10 @@ the union of the P-cosets that meet F.  Each of these is a pure builder
 (``phi_rows``, ``sqto_full_rows``, ``j_up_cosets``, ``j_down_cosets``).
 ``rows`` builds all n rows of a table, a list indexed by element, and the
 row combinators are the C folds ``core.fold_or`` and ``core.fold_and``
-over F's members.  A cold call builds the whole table it reads: n rows,
-or one partition of n row and n column reads by any P.  ``verify.Ctx``
+over F's members.  ``j_down_cosets`` takes ⁺ as a function of one mask:
+``verify.Ctx`` hands it the run's ⁺ cache, and a cold ``j_down`` hands it
+``partial(set_plus, a)``.  A cold call builds the whole table it reads:
+n rows, or one partition of n row and n column reads by any P.  ``verify.Ctx``
 builds each table once per run, taking cosets from its quotient L/P, so a
 pair then costs one C fold over F, or O(n) bit operations for J.
 
@@ -43,7 +45,7 @@ takes any mask, L with 0 ∈ L included.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 from itertools import compress, repeat
 from operator import and_, or_
 
@@ -170,16 +172,38 @@ def phi_rows(imp_rows, f_mask: int) -> int:
 def tensor_up(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
     """T(F,G): the up-closure of the pairwise ⊗ products of F and G.
 
-    The OR of ↑(f⊗g) over the distinct products f⊗g, f ∈ F and g ∈ G,
-    collected row by row: ``compress`` picks the g ∈ G from row f of ⊗.
-    This is the forward-product definition; it reads no → and no mask
-    lookup, so ``prop:T-phi`` sets it against Φ and the encoding.
+    Only the minimal members of F and G are multiplied: every member lies
+    above a minimal one and ⊗ is monotone, so each f⊗g lies above some
+    f'⊗g' with f' ∈ min F and g' ∈ min G, and
+    ↑{f⊗g : f ∈ F, g ∈ G} = ↑{f⊗g : f ∈ min F, g ∈ min G} for any finite
+    masks.  This is still the forward-product definition; it reads the ⊗
+    table and the masks ↑x and ↓x, but no → and no mask lookup, so
+    ``prop:T-phi`` sets it against Φ and the encoding.
     """
-    in_g = bits(g_mask)
-    products = set()
-    for row in compress(a.otimes, bits(f_mask)):
-        products.update(compress(row, in_g))
-    return reduce(or_, map(a.up_mask.__getitem__, products), 0)
+    up, otimes, min_g = a.up_mask, a.otimes, _minimal(a, g_mask)
+    products = (otimes[f][g] for f in _minimal(a, f_mask) for g in min_g)
+    return reduce(or_, map(up.__getitem__, products), 0)
+
+
+def _minimal(a: MvAlgebra, mask: int) -> list[int]:
+    """The members x of mask with no other member below: ↓x ∩ mask = {x}.
+
+    From the lowest-indexed member above no minimal member found so far,
+    walk down through members of mask until none lies strictly below: that
+    is a new minimal member, and its ↑ leaves the search.  On a chain a mask
+    has one minimal member, so this takes one walk, not a step per member.
+    """
+    down, up = a.down_mask, a.up_mask
+    found, rest = [], mask
+    while rest:
+        x = (rest & -rest).bit_length() - 1
+        below = down[x] & mask & ~(1 << x)
+        while below:
+            x = (below & -below).bit_length() - 1
+            below = down[x] & mask & ~(1 << x)
+        found.append(x)
+        rest &= ~up[x]
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +226,16 @@ def j_up_cosets(cosets, f_mask: int) -> int:
 
 def j_down(a: MvAlgebra, f_mask: int, p_mask: int) -> int:
     """(preimage of F⁺'s image)⁺; may be the empty bottom sentinel."""
-    return j_down_cosets(a, congruence_cosets(a, p_mask)[2], f_mask)
+    cosets = congruence_cosets(a, p_mask)[2]
+    return j_down_cosets(partial(set_plus, a), cosets, f_mask)
 
 
-def j_down_cosets(a: MvAlgebra, cosets, f_mask: int) -> int:
-    """J_d(F,P) from the P-cosets, by way of ``j_up_cosets``."""
+def j_down_cosets(plus, cosets, f_mask: int) -> int:
+    """J_d(F,P) from the P-cosets and ⁺ (a function of one mask), by way of
+    ``j_up_cosets``."""
     if f_mask == 0:
         return 0
-    return set_plus(a, j_up_cosets(cosets, set_plus(a, f_mask)))
+    return plus(j_up_cosets(cosets, plus(f_mask)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ checked by ``thm:iota``, ``thm:hat-eta`` and ``thm:composite`` in ``verify``;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .core import (
     MvAlgebra,
@@ -90,20 +91,23 @@ def build_hat(spec: PrimeSpectrum) -> HatAlgebra:
     """Construct and certify the derived algebra on PSpec(P)/≡, cold.
 
     F⊸G is computed once for each ordered pair of members, by
-    ``calculus.sqto``, and the rest is ``hat_from_sqto``.
+    ``calculus.sqto``, and the rest is ``hat_from_sqto`` with
+    ``calculus.set_plus`` as ⁺.
     """
-    members = spec.members
+    a, members = spec.algebra, spec.members
     return hat_from_sqto(
-        spec, [[calculus.sqto(spec.algebra, f, g) for g in members] for f in members]
+        spec,
+        [[calculus.sqto(a, f, g) for g in members] for f in members],
+        partial(calculus.set_plus, a),
     )
 
 
-def hat_from_sqto(spec: PrimeSpectrum, sqto) -> HatAlgebra:
-    """The certified derived algebra on PSpec(P)/≡, from its ⊸ table.
+def hat_from_sqto(spec: PrimeSpectrum, sqto, plus) -> HatAlgebra:
+    """The certified derived algebra on PSpec(P)/≡, from its ⊸ table and ⁺.
 
-    ``sqto[i][j]`` is members[i] ⊸ members[j].  [F] ≤ [G] iff F⊸G = P, which
-    must be a total order on the members (antisymmetric, since cut
-    equivalence is equality here).
+    ``sqto[i][j]`` is members[i] ⊸ members[j], and ``plus`` maps a mask to
+    its ⁺.  [F] ≤ [G] iff F⊸G = P, which must be a total order on the
+    members (antisymmetric, since cut equivalence is equality here).
     """
     if not spec.members:
         raise InvalidArgument("cannot build the derived algebra of an empty spectrum")
@@ -129,7 +133,7 @@ def hat_from_sqto(spec: PrimeSpectrum, sqto) -> HatAlgebra:
         return position[mask]
 
     sqto_table = tuple(tuple(class_of(sqto[i][j]) for j in order) for i in order)
-    plus_table = tuple(class_of(calculus.set_plus(a, r)) for r in reps)
+    plus_table = tuple(class_of(plus(r)) for r in reps)
     oplus = tuple(
         tuple(sqto_table[plus_table[i]][j] for j in range(n)) for i in range(n)
     )

@@ -101,7 +101,7 @@ class Ctx:
     against the definitions on every up-set, and ``order:partial`` the
     masks ↑x and ↓x they are read from against ≤.
 
-    ``sqto``, ``kernel``, ``subordinate``, ``rows``, ``quotient``,
+    ``sqto``, ``kernel``, ``subordinate``, ``plus``, ``rows``, ``quotient``,
     ``quotient_rows``, ``quotient_sqto``, ``spectrum`` and ``hat`` are
     ``functools.cache`` objects built here: each computes its value once per
     argument tuple, by the one definition in its module, looked up at the
@@ -110,11 +110,13 @@ class Ctx:
     algebra itself is never written to.  Φ and ``sqto_full`` are one C fold
     (``core.fold_or``, ``core.fold_and``) of the kept rows over F's members,
     and J_u and J_d read the cosets of the kept L/P (P in ``impl``), O(n)
-    bit operations per pair.  ⊸ and K are ``calculus``'s relative kernel
+    bit operations per pair.  Every ⁺ of a run, in the statements, in J_d
+    and in the derived algebras, is read from ``plus``, so ``set_plus``
+    runs once per distinct mask.  ⊸ and K are ``calculus``'s relative kernel
     K_F(X), |X| →-column reads ANDed by one ``reduce`` per call.  A
     cross-check's second side shares no table with its first: ``fact:b``,
     ``fact:c`` and ``prop:fastform`` set those →-column reads against
-    ⊗-rows, and ``prop:T-phi`` computes T cold.
+    ⊗-rows, and ``prop:T-phi`` computes T cold, from minimal members.
     """
 
     def __init__(self, a: MvAlgebra):
@@ -128,6 +130,7 @@ class Ctx:
         self.sqto = sqto = cache(lambda f, g: calculus.sqto(a, f, g))
         self.kernel = kernel = cache(lambda f: calculus.kernel(a, f))
         self.subordinate = cache(lambda f, x: calculus.subordinate(a, f, x))
+        self.plus = plus = cache(lambda m: calculus.set_plus(a, m))
         # every row of the table ``table`` ("imp" or "otimes") into mask
         self.rows = cache(
             lambda table, mask: calculus.rows(getattr(a, f"{table}_bytes"), mask)
@@ -161,7 +164,7 @@ class Ctx:
             """The derived algebra on PSpec(P), from the members' cached ⊸."""
             spec = spectrum(p)
             table = [[sqto(f, g) for g in spec.members] for f in spec.members]
-            return spectra.hat_from_sqto(spec, table)
+            return spectra.hat_from_sqto(spec, table, plus)
 
         self.quotient_sqto, self.spectrum, self.hat = quotient_sqto, spectrum, hat
 
@@ -180,7 +183,7 @@ class Ctx:
         return calculus.j_up_cosets(self.quotient(p_mask).cosets, f_mask)
 
     def j_down(self, f_mask: int, p_mask: int) -> int:
-        return calculus.j_down_cosets(self.a, self.quotient(p_mask).cosets, f_mask)
+        return calculus.j_down_cosets(self.plus, self.quotient(p_mask).cosets, f_mask)
 
 
 def _registry():
@@ -242,14 +245,6 @@ def _prime_chains(ctx: Ctx):
     """Every chain F ⊆ G ⊆ H of prime lattice filters."""
     return ((f, g, h) for f, g in _nested_pairs(ctx.primes)
             for h in ctx.primes if g & ~h == 0)
-
-
-def _pairs_below(ctx: Ctx):
-    """Every (F, H, G) of prime lattice filters with F ⊆ G and H ⊆ G."""
-    for g in ctx.primes:
-        below = [f for f in ctx.primes if f & ~g == 0]
-        for f, h in _pairs(below):
-            yield f, h, g
 
 
 def _outside(ctx: Ctx, f: int):
@@ -513,9 +508,8 @@ def _subord_prime(ctx, out):
 
 @finite("prop:plus-involution", "⁺ is an involution on prime filters")
 def _plus_inv(ctx, out):
-    a = ctx.a
     for f in ctx.primes:
-        if calculus.set_plus(a, calculus.set_plus(a, f)) != f:
+        if ctx.plus(ctx.plus(f)) != f:
             out.append(_shown(ctx, f))
 
 
@@ -580,10 +574,9 @@ def _rev_incl(ctx, out):
 
 @finite("prop:plus", "⊸ is self-dual under ⁺")
 def _prop_plus(ctx, out):
-    a = ctx.a
     for f, g in _nested_pairs(ctx.primes):
         lhs = ctx.sqto(f, g)
-        rhs = ctx.sqto(calculus.set_plus(a, g), calculus.set_plus(a, f))
+        rhs = ctx.sqto(ctx.plus(g), ctx.plus(f))
         if lhs != rhs:
             out.append(_shown(ctx, f, g))
 
@@ -597,16 +590,34 @@ def _one_one(ctx, out):
 
 @finite("prop:adjunction", "the two containments into ⊸ swap symmetrically")
 def _adjunction(ctx, out):
-    for f, h, g in _pairs_below(ctx):
-        if (f & ~ctx.sqto(h, g) == 0) != (h & ~ctx.sqto(f, g) == 0):
-            out.append(_shown(ctx, f, h, g))
+    """F ⊆ H⊸G iff H ⊆ F⊸G, for primes F, H ⊆ G; each H⊸G is taken once
+    per G."""
+    for g in ctx.primes:
+        below = [(h, ctx.sqto(h, g)) for h in ctx.primes if h & ~g == 0]
+        for (f, fg), (h, hg) in _pairs(below):
+            if (f & ~hg == 0) != (h & ~fg == 0):
+                out.append(_shown(ctx, f, h, g))
 
 
 @finite("prop:axiomC", "left arguments of nested ⊸ exchange")
 def _axiom_c(ctx, out):
-    for f, h, g in _pairs_below(ctx):
-        if ctx.sqto(f, ctx.sqto(h, g)) != ctx.sqto(h, ctx.sqto(f, g)):
-            out.append(_shown(ctx, f, h, g))
+    """F⊸(H⊸G) = H⊸(F⊸G) for primes F, H ⊆ G.  The ⊸ matrix over
+    ``ctx.primes`` is read by position; a nested value X = H⊸G that is not
+    prime has no position and is taken from ``ctx.sqto``."""
+    primes = ctx.primes
+    at = {f: i for i, f in enumerate(primes)}
+    sq = [[ctx.sqto(f, g) for g in primes] for f in primes]
+    for k, g in enumerate(primes):
+        # (i, F_i⊸G, its position) for each F_i ⊆ G
+        below = [
+            (i, sq[i][k], at.get(sq[i][k]))
+            for i, f in enumerate(primes) if f & ~g == 0
+        ]
+        for (i, x, xi), (j, y, yj) in _pairs(below):
+            lhs = ctx.sqto(primes[i], y) if yj is None else sq[i][yj]
+            rhs = ctx.sqto(primes[j], x) if xi is None else sq[j][xi]
+            if lhs != rhs:
+                out.append(_shown(ctx, primes[i], primes[j], g))
 
 
 @finite("lem:FFg", "F sits inside the double application")
@@ -626,10 +637,9 @@ def _triple(ctx, out):
 
 @finite("prop:phi", "the union form of Φ matches the ⁺/⊸ encoding")
 def _phi(ctx, out):
-    a = ctx.a
-    plus = {g: calculus.set_plus(a, g) for g in ctx.lattice}
+    plus = ctx.plus
     for f, g in _pairs(ctx.lattice):
-        if ctx.phi(f, g) != calculus.set_plus(a, ctx.sqto_full(f, plus[g])):
+        if ctx.phi(f, g) != plus(ctx.sqto_full(f, plus(g))):
             out.append(_shown(ctx, f, g))
 
 
@@ -720,13 +730,15 @@ def _reduction(ctx, out):
 @finite("prop:quot-commute", "⊸ commutes with quotients below the kernel")
 def _quot_commute(ctx, out):
     """(F⊸G)/P = F/P ⊸ G/P for F ⊆ G and P ⊆ K(G); if also K(F) = K(G), the
-    preimage of F/P ⊸ G/P is F⊸G.  Each image in L/P is taken once per run."""
+    preimage of F/P ⊸ G/P is F⊸G.  Each image in L/P is taken once per run,
+    and the P ⊆ K are listed once per distinct kernel K, in ``ctx.impl``
+    order."""
     seen = {p: {} for p in ctx.impl}  # P -> {mask: its image in L/P}
+    inside = {k: [p for p in ctx.impl if p & ~k == 0]
+              for k in set(map(ctx.kernel, ctx.lattice))}
     for f, g in _nested_pairs(ctx.lattice):
         kf, kg, s = ctx.kernel(f), ctx.kernel(g), ctx.sqto(f, g)
-        for p in ctx.impl:
-            if p & ~kg:
-                continue
+        for p in inside[kg]:
             q, images = ctx.quotient(p), seen[p]
             for m in (f, g, s):
                 if m not in images:
@@ -763,7 +775,7 @@ def _boundary(ctx, out):
             except InvariantViolation as e:
                 out.append((*_shown(ctx, f, p), str(e)))
                 continue
-            cplus = calculus.boundary_coset(a, calculus.set_plus(a, f), q)
+            cplus = calculus.boundary_coset(a, ctx.plus(f), q)
             if cplus != mask_of(a.neg[z] for z in iter_mask(c)):
                 out.append(("plus-negation", *_shown(ctx, f, p)))
 
@@ -885,13 +897,12 @@ def _t_phi(ctx, out):
     T(F,G) = Φ(F,G) = (F⊸G⁺)⁺ for members F and G, and a proper T(F,G) is
     the member whose class is ``hat_otimes`` of the classes of F and G.
     """
-    a = ctx.a
+    a, plus = ctx.a, ctx.plus
     for p, h in _hats(ctx):
-        plus = {g: calculus.set_plus(a, g) for g in h.representatives}
         for (x, f), (y, g) in _pairs(enumerate(h.representatives)):
             t = calculus.tensor_up(a, f, g)
             ph = ctx.phi(f, g)
-            enc = calculus.set_plus(a, ctx.sqto_full(f, plus[g]))
+            enc = plus(ctx.sqto_full(f, plus(g)))
             if not (t == ph == enc):
                 out.append(_shown(ctx, p, f, g))
             elif t != a.full_mask and (
@@ -926,13 +937,12 @@ def _iota(ctx, out):
     collapse exactly when the quotient is dense, so on a finite algebra ι is
     neither injective nor an operation morphism.
     """
-    a = ctx.a
     for p, h in _hats(ctx):
         q = ctx.quotient(p)
         qa = q.quotient
         subs = [ctx.subordinate(p, rep) for rep in q.representatives]
         for c in range(qa.size):
-            if calculus.set_plus(a, subs[c]) != q.preimage_mask(qa.up_mask[qa.neg[c]]):
+            if ctx.plus(subs[c]) != q.preimage_mask(qa.up_mask[qa.neg[c]]):
                 out.append(("plus closure identity", ctx.show(p), c))
             for d in range(qa.size):
                 if subs[c] and subs[d] and (

@@ -90,7 +90,7 @@ def test_failure_carries_witnesses():
 
 
 CACHES = (
-    "sqto", "kernel", "subordinate", "spectrum", "hat", "quotient", "rows",
+    "sqto", "kernel", "subordinate", "plus", "spectrum", "hat", "quotient", "rows",
     "quotient_rows", "quotient_sqto",
 )
 
@@ -112,6 +112,8 @@ def _fresh(a, name, args):
     if name == "quotient_sqto":
         p, fq, gq = args
         return calculus.sqto(core.quotient_by(a, p).quotient, fq, gq)
+    if name == "plus":
+        return calculus.set_plus(a, *args)
     return getattr(calculus, name)(a, *args)
 
 
@@ -599,6 +601,34 @@ def test_run_reads_the_tables_not_the_cold_forms(monkeypatch, algebra_id):
         for f, g in tuples(members, repeat=2):
             ctx.sqto(f, g)
     assert ctx.sqto.cache_info().misses == misses
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: product(8, 8), lambda: product(*(2,) * 6)],
+    ids=["L8xL8", "2^6"],
+)
+def test_set_plus_runs_once_per_distinct_mask(monkeypatch, build):
+    # every ⁺ of a run goes through ctx.plus: the statements, J_d and the
+    # derived algebras
+    calls = []
+    real = calculus.set_plus
+
+    def counting(a, mask):
+        calls.append(mask)
+        return real(a, mask)
+
+    monkeypatch.setattr(calculus, "set_plus", counting)
+    built = []
+
+    class RecordingCtx(verify.Ctx):
+        def __init__(self, a):
+            super().__init__(a)
+            built.append(self)
+
+    monkeypatch.setattr(verify, "Ctx", RecordingCtx)
+    assert mv.run_finite(build()).ok
+    (ctx,) = built
+    assert len(calls) == len(set(calls)) == ctx.plus.cache_info().currsize > 0
 
 
 SPECS = Path(__file__).resolve().parent.parent / "perfbench" / "specs"
