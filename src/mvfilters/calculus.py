@@ -192,17 +192,24 @@ def _minimal(a: MvAlgebra, mask: int) -> list[int]:
     walk down through members of mask until none lies strictly below: that
     is a new minimal member, and its ↑ leaves the search.  On a chain a mask
     has one minimal member, so this takes one walk, not a step per member.
+
+    The walk never steps to a member it has visited, and each outer step
+    removes the members it visited as well as ↑x, so it ends on any table,
+    even where ≤ is not a partial order.  On an MV-algebra
+    this changes nothing: the members visited all lie in ↑x.
     """
     down, up = a.down_mask, a.up_mask
     found, rest = [], mask
     while rest:
         x = (rest & -rest).bit_length() - 1
-        below = down[x] & mask & ~(1 << x)
+        seen = 1 << x
+        below = down[x] & mask & ~seen
         while below:
             x = (below & -below).bit_length() - 1
-            below = down[x] & mask & ~(1 << x)
+            seen |= 1 << x
+            below = down[x] & mask & ~seen
         found.append(x)
-        rest &= ~up[x]
+        rest &= ~(up[x] | seen)
     return found
 
 

@@ -1037,6 +1037,24 @@ def _least(c: dc.Cut) -> int | None:
     return e if c.kind is dc.Kind.CLOSED else e + 1
 
 
+def _first_half_step(t: int) -> int:
+    """The least z of _HALF_STEPS with z >= t, or _UNITS + 2 when none is."""
+    return min(max(t + (t & 1), 0), _UNITS + 2)
+
+
+def _sqto_from(x0: int, lg: int) -> int:
+    """The least z of _HALF_STEPS with max(0, x0 + z - 4N) >= lg, in the
+    units of _least, or _UNITS + 2 when none is.  For lg <= 0 every z has
+    it; otherwise z needs x0 + z - 4N >= lg."""
+    return _first_half_step(lg + _UNITS - x0 if lg > 0 else 0)
+
+
+def _plus_from(lf: int) -> int:
+    """The least z of _HALF_STEPS with 4N - z < lf, that is z >= 4N + 1 - lf,
+    or _UNITS + 2 when none is."""
+    return _first_half_step(_UNITS + 1 - lf)
+
+
 @dense("dense:closed-forms", "closed forms match the definitions on every grid pair")
 def _dense_closed_forms(_, out):
     """cut_sqto and cut_plus against z ∈ F⊸G iff ∀x∈F∩G: x⊗z ∈ G and
@@ -1056,19 +1074,25 @@ def _dense_closed_forms(_, out):
       iff they agree at every z ∈ {k/2N}: z = e tells the kinds apart at a
       shared endpoint e, and e + 1/2N lies strictly between two endpoints
       e < e'.
+
+    Each side is decided for all z at once.  In units of 1/4N the half-steps
+    are {0, 2, …, 4N}, and for a fixed pair both sides of the per-z test
+    are up-sets of them: the closed form's side is z >= s, for s its least
+    point, and the definition's side max(0, x₀ + z - 4N) >= l_G is monotone
+    in z, as is the ⁺ side 4N - z < l_F.  Two up-sets of a finite chain are
+    equal iff they have the same least member (or are both empty), so the
+    per-z test passes at every z exactly when ``_first_half_step(s)`` equals
+    ``_sqto_from(x₀, l_G)``, or ``_plus_from(l_F)`` for ⁺.
     """
     least = {c: _least(c) for c in _GRID_CUTS}
     for f, g in _pairs(_GRID_CUTS):
         lg = least[g]
-        x0 = max(least[f], lg)
         s = _least(dc.cut_sqto(f, g))
-        if s is None or any((z >= s) != (max(0, x0 + z - _UNITS) >= lg)
-                            for z in _HALF_STEPS):
+        if s is None or _first_half_step(s) != _sqto_from(max(least[f], lg), lg):
             out.append((str(f), str(g)))
     for f in _GRID_CUTS:
         s = _least(dc.cut_plus(f))
-        if s is None or any((z >= s) != (_UNITS - z < least[f])
-                            for z in _HALF_STEPS):
+        if s is None or _first_half_step(s) != _plus_from(least[f]):
             out.append(("plus", str(f)))
 
 
@@ -1095,12 +1119,16 @@ def _dense_equiv(_, out):
 @dense("dense:separation", "two strictly separated cuts give different ⊸ values")
 def _dense_separation(_, out):
     """F1⊸G ≠ F2⊸G on every grid triple with F1 ⊆ F2 ⊆ G, G open and F1's
-    endpoint strictly above F2's, which already makes F1 ⊆ F2."""
+    endpoint strictly above F2's, which already makes F1 ⊆ F2.  A witness
+    needs two equal values, so the pairs below G are scanned only when two
+    of its values are equal."""
     for g in _GRID_CUTS:
         if g.kind is not dc.Kind.OPEN:
             continue
         below = [f for f in _GRID_CUTS if f.issubset(g)]
         values = [dc.cut_sqto(f, g) for f in below]
+        if len(set(values)) == len(values):
+            continue
         for f2, s2 in zip(below, values):
             for f1, s1 in zip(below, values):
                 if f1.num * f2.den > f2.num * f1.den and s1 == s2:
@@ -1110,14 +1138,17 @@ def _dense_separation(_, out):
 @dense("dense:trans", "cut equivalence is transitive")
 def _dense_trans(_, out):
     """x ≈ y when x⊸y and y⊸x both collapse to {1}: transitivity on every
-    grid triple, from one ⊸ per ordered grid pair."""
+    grid triple, from one ⊸ per ordered grid pair.  Row i of ≈ is a bit
+    mask; for i ≈ j the k with j ≈ k and not i ≈ k are the bits of
+    row[j] & ~row[i], so k is scanned only where that is nonzero."""
     cuts = _GRID_CUTS
     top = [[dc.cut_sqto(x, y) == dc.TOP for y in cuts] for x in cuts]
     idx = range(len(cuts))
-    eq = [[top[i][j] and top[j][i] for j in idx] for i in idx]
-    for i, j, k in product(idx, repeat=3):
-        if eq[i][j] and eq[j][k] and not eq[i][k]:
-            out.append((str(cuts[i]), str(cuts[j]), str(cuts[k])))
+    row = [sum(1 << j for j in idx if top[i][j] and top[j][i]) for i in idx]
+    for i, ri in enumerate(row):
+        for j in iter_mask(ri):
+            for k in iter_mask(row[j] & ~ri):
+                out.append((str(cuts[i]), str(cuts[j]), str(cuts[k])))
 
 
 @dense("dense:congruence", "collapse on the left propagates through ⊸")

@@ -24,8 +24,15 @@ statements', in order, unmutated and under mutants that make them fail.
 position and each H⊸G once per G: they ask the ⊸ cache for every
 (F, H, G).  Their witness lists must equal the statements', in order,
 unmutated and under ``calculus.sqto`` mutants.
+
+``tensor_up`` must also return on tables that are not MV-algebras, where ≤
+need not be a partial order: every mask pair of the non-MV table and of
+hypothesis-drawn arbitrary tables runs under a ``signal.setitimer``
+deadline, so a walk that never ends fails instead of hanging the suite.
 """
 
+import signal
+from contextlib import contextmanager
 from itertools import product as pairs
 from math import prod
 
@@ -40,6 +47,7 @@ from conftest import (
     up_closure_loop,
 )
 from test_filters import census
+from test_table_reads import BAD, arbitrary_tables
 
 
 def generated_loop(a, mask):
@@ -156,6 +164,41 @@ def test_random_masks_match_the_pair_loop(data):
     mask = st.integers(min_value=0, max_value=a.full_mask)
     f, g = data.draw(mask, label="F"), data.draw(mask, label="G")
     assert calculus.tensor_up(a, f, g) == tensor_up_loop(a, f, g)
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body after ``seconds`` of wall time, so a
+    walk that never ends fails its test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def assert_tensor_returns(a):
+    masks = range(a.full_mask + 1)
+    with deadline(10):
+        for f, g in pairs(masks, repeat=2):
+            assert calculus.tensor_up(a, f, g) in masks, (f, g)
+
+
+def test_tensor_returns_on_the_non_mv_table():
+    # ¬ = (2, 2, 0) makes 0 ≤ 1 ≤ 0, so ≤ is not antisymmetric
+    assert BAD.up_mask == (7, 7, 4)
+    assert_tensor_returns(BAD)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(a=arbitrary_tables())
+def test_tensor_returns_on_arbitrary_tables(a):
+    assert_tensor_returns(a)
 
 
 # ---------------------------------------------------------------------------
