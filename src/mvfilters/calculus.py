@@ -35,12 +35,20 @@ n rows, or one partition of n row and n column reads by any P.  ``verify.Ctx``
 builds each table once per run, taking cosets from its quotient L/P, so a
 pair then costs one C fold over F, or O(n) bit operations for J.
 
-Subordinate form.  ``kernel_rel`` is the one coding of K_F(X): one lookup
-into L∖F and |X| column reads.  K(F) is K_F(L∖F) and F ⊸ G is
-K_{F∩G}(L∖G), so ``kernel`` and ``sqto`` only add the empty-mask guard.
-``subordinate`` is the single column read, and ``set_plus`` is it at 0; they
-stay outside ``kernel_rel``, which refuses an X that meets F, because F⁺
-takes any mask, L with 0 ∈ L included.
+Subordinate form.  Entry x of ``rows(a.imp_col_bytes, L∖M)`` is column x
+of → read into L∖M, the subordinate M_x; call that list cols(M).  The
+column combinators read ⊸, K and F_x from it: F ⊸ G is the AND of
+cols(F∩G) over x ∉ G (``sqto_cols``), K(F) the AND of cols(F) over x ∉ F
+(``kernel_cols``) and F_x is cols(F)[x] (``subordinate_cols``), each one
+C fold or one index.  They take cols as a function of one mask, as
+``j_down_cosets`` takes ⁺: ``verify.Ctx`` hands them its rows cache, so a
+run reads the columns once per distinct mask.  The cold forms read only the
+columns they need: ``kernel_rel`` is K_F(X), one lookup into L∖F and |X|
+column reads, and ``kernel`` and ``sqto`` are it at X = L∖F and
+K_{F∩G}(L∖G) behind the empty-mask guard.  ``subordinate`` is the single
+column read, and ``set_plus`` is it at 0; they stay outside ``kernel_rel``,
+which refuses an X that meets F, because F⁺ takes any mask, L with 0 ∈ L
+included.
 """
 
 from __future__ import annotations
@@ -113,6 +121,18 @@ def kernel_rel(a: MvAlgebra, f_mask: int, x_mask: int) -> int:
     return reduce(and_, map(int, cols, repeat(2)), a.full_mask)
 
 
+def kernel_cols(cols, f_mask: int, full_mask: int) -> int:
+    """K(F) from the subordinate columns: the AND of cols(F)[x] over x ∉ F."""
+    if f_mask == 0:
+        return 0
+    return fold_and(cols(f_mask), full_mask & ~f_mask, full_mask)
+
+
+def subordinate_cols(cols, f_mask: int, elem: int) -> int:
+    """F_elem from the subordinate columns: cols(F)[elem]."""
+    return cols(f_mask)[elem]
+
+
 # ---------------------------------------------------------------------------
 # the sqto operation
 
@@ -122,6 +142,13 @@ def sqto(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
     if f_mask == 0 or g_mask == 0:
         return 0
     return kernel_rel(a, f_mask & g_mask, a.full_mask & ~g_mask)
+
+
+def sqto_cols(cols, f_mask: int, g_mask: int, full_mask: int) -> int:
+    """F ⊸ G from the subordinate columns: the AND of cols(F∩G)[x] over x ∉ G."""
+    if f_mask == 0 or g_mask == 0:
+        return 0
+    return fold_and(cols(f_mask & g_mask), full_mask & ~g_mask, full_mask)
 
 
 def sqto_fast(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
@@ -249,15 +276,15 @@ def j_down_cosets(plus, cosets, f_mask: int) -> int:
 # boundary cosets
 
 
-def boundary_coset(a: MvAlgebra, f_mask: int, q: QuotientAlgebra) -> int:
+def boundary_coset(a: MvAlgebra, f_mask: int, kf: int, q: QuotientAlgebra) -> int:
     """The unique P-coset meeting both F and its complement, for q = L/P.
 
-    Requires K(F) properly contained in P = ``q.filter_mask``, and reads the
-    straddling coset off ``q.cosets``, so L is partitioned once per quotient,
-    not once per call.  Existence and uniqueness are invariants, so their
-    failure raises loudly.
+    ``kf`` is K(F), which must lie properly inside P = ``q.filter_mask``:
+    ``verify`` passes the run's cached K and ``spectra.hat_eta`` a cold
+    ``kernel``.  The straddling coset is read off ``q.cosets``, so L is
+    partitioned once per quotient, not once per call.  Existence and
+    uniqueness are invariants, so their failure raises loudly.
     """
-    kf = kernel(a, f_mask)
     if not (kf & ~q.filter_mask == 0 and kf != q.filter_mask):
         raise InvalidArgument("boundary coset needs K(F) properly inside P")
     straddling = [

@@ -188,6 +188,6 @@ def hat_eta(h: HatAlgebra, q: QuotientAlgebra) -> tuple[int, ...]:
     if not is_linear(q.quotient):
         raise InvalidArgument("Q must be prime (or improper)")
     return tuple(
-        q.cosets.index(calculus.boundary_coset(a, rep, q))
+        q.cosets.index(calculus.boundary_coset(a, rep, calculus.kernel(a, rep), q))
         for rep in h.representatives
     )

@@ -112,11 +112,16 @@ class Ctx:
     and J_u and J_d read the cosets of the kept L/P (P in ``impl``), O(n)
     bit operations per pair.  Every ⁺ of a run, in the statements, in J_d
     and in the derived algebras, is read from ``plus``, so ``set_plus``
-    runs once per distinct mask.  ⊸ and K are ``calculus``'s relative kernel
-    K_F(X), |X| →-column reads ANDed by one ``reduce`` per call.  A
-    cross-check's second side shares no table with its first: ``fact:b``,
-    ``fact:c`` and ``prop:fastform`` set those →-column reads against
-    ⊗-rows, and ``prop:T-phi`` computes T cold, from minimal members.
+    runs once per distinct mask.  ⊸, K and F_x read one →-column table per
+    mask M, the subordinates M_x kept in ``rows`` as the "imp_col" rows into
+    L∖M: F⊸G folds the table of F∩G over L∖G and K(F) that of F over L∖F
+    (``calculus.sqto_cols``, ``kernel_cols``), and F_x is entry x
+    (``subordinate_cols``).  A run sees few distinct masks F∩G, so most ⊸
+    and K cost one C fold.  A cross-check's second side shares no table with
+    its first: ``fact:b``, ``fact:c`` and ``prop:fastform`` set those
+    →-columns against ⊗-rows, ``fact:a``, ``fact:b`` and ``fact:e`` against
+    the cold ``calculus.kernel_rel``, and ``prop:T-phi`` computes T cold,
+    from minimal members.
     """
 
     def __init__(self, a: MvAlgebra):
@@ -127,14 +132,20 @@ class Ctx:
         self.prime_impl = filters.enumerate_implication_filters(a, prime_only=True)
         self.linear = is_linear(a)
 
-        self.sqto = sqto = cache(lambda f, g: calculus.sqto(a, f, g))
-        self.kernel = kernel = cache(lambda f: calculus.kernel(a, f))
-        self.subordinate = cache(lambda f, x: calculus.subordinate(a, f, x))
-        self.plus = plus = cache(lambda m: calculus.set_plus(a, m))
-        # every row of the table ``table`` ("imp" or "otimes") into mask
-        self.rows = cache(
+        # every row of the table ``table`` ("imp", "otimes" or "imp_col")
+        # into mask; the "imp_col" rows into L∖M are the subordinates M_x
+        self.rows = rows = cache(
             lambda table, mask: calculus.rows(getattr(a, f"{table}_bytes"), mask)
         )
+        full = a.full_mask
+
+        def cols(m):
+            return rows("imp_col", full & ~m)
+
+        self.sqto = sqto = cache(lambda f, g: calculus.sqto_cols(cols, f, g, full))
+        self.kernel = kernel = cache(lambda f: calculus.kernel_cols(cols, f, full))
+        self.subordinate = cache(lambda f, x: calculus.subordinate_cols(cols, f, x))
+        self.plus = plus = cache(lambda m: calculus.set_plus(a, m))
         self.quotient = quotient = cache(lambda p: quotient_by(a, p))
         # every ⊗-row of L/P into G/P
         self.quotient_rows = quotient_rows = cache(
@@ -245,6 +256,26 @@ def _prime_chains(ctx: Ctx):
     """Every chain F ⊆ G ⊆ H of prime lattice filters."""
     return ((f, g, h) for f, g in _nested_pairs(ctx.primes)
             for h in ctx.primes if g & ~h == 0)
+
+
+def _prime_covers(ctx: Ctx) -> list[tuple[int, int]]:
+    """Every cover pair F ⋖ G of the prime lattice filters: F ⊊ G with no
+    prime strictly between.
+
+    For each F the primes above it are taken by size; one is a cover exactly
+    when it contains no cover found before it, since any prime strictly
+    between F and G contains a minimal one, which is a cover of F.
+    """
+    covers = []
+    for f in ctx.primes:
+        above = sorted((g for g in ctx.primes if f & ~g == 0 and f != g),
+                       key=int.bit_count)
+        found: list[int] = []
+        for g in above:
+            if all(c & ~g for c in found):
+                found.append(g)
+        covers += ((f, g) for g in found)
+    return covers
 
 
 def _outside(ctx: Ctx, f: int):
@@ -437,8 +468,18 @@ def _fact_c(ctx, out):
 
 @finite("fact:d", "subordinates coincide exactly on kernel cosets")
 def _fact_d(ctx, out):
+    """Two partitions of L∖F, by K(F)-coset and by equal F_x, are equal
+    exactly when each x has the same least class member under both.  Read
+    in ascending order, the first member of a class met is its least, so one
+    pass decides F, and the pairs are scanned for witnesses only on failure."""
     for f in ctx.primes:
         coset_of = ctx.quotient(ctx.kernel(f)).coset_of
+        least_coset: dict[int, int] = {}
+        least_sub: dict[int, int] = {}
+        if all(least_coset.setdefault(coset_of[x], x)
+               == least_sub.setdefault(ctx.subordinate(f, x), x)
+               for x in _outside(ctx, f)):
+            continue
         for x, y in _pairs(_outside(ctx, f)):
             same_coset = coset_of[x] == coset_of[y]
             same_sub = ctx.subordinate(f, x) == ctx.subordinate(f, y)
@@ -560,6 +601,13 @@ def _incl_one(ctx, out):
 
 @finite("prop:monotone", "⊸ is monotone in its right argument")
 def _monotone(ctx, out):
+    """Decided on the cover pairs G1 ⋖ G2 above each F: every G1 ⊆ G2 is a
+    chain of covers, along which ⊆ is transitive.  The triples are scanned
+    for witnesses only when a cover fails."""
+    covers = _prime_covers(ctx)
+    if all(not ctx.sqto(f, g1) & ~ctx.sqto(f, g2)
+           for f in ctx.primes for g1, g2 in covers if f & ~g1 == 0):
+        return
     for f, g1, g2 in _prime_chains(ctx):
         if ctx.sqto(f, g1) & ~ctx.sqto(f, g2):
             out.append(_shown(ctx, f, g1, g2))
@@ -567,6 +615,12 @@ def _monotone(ctx, out):
 
 @finite("prop:revIncl", "⊸ is antitone in its left argument")
 def _rev_incl(ctx, out):
+    """Decided on the cover pairs F1 ⋖ F2 below each G, as ``prop:monotone``
+    is; the triples are scanned for witnesses only when a cover fails."""
+    covers = _prime_covers(ctx)
+    if all(not ctx.sqto(f2, g) & ~ctx.sqto(f1, g)
+           for g in ctx.primes for f1, f2 in covers if f2 & ~g == 0):
+        return
     for f1, f2, g in _prime_chains(ctx):
         if ctx.sqto(f2, g) & ~ctx.sqto(f1, g):
             out.append(_shown(ctx, f1, f2, g))
@@ -768,14 +822,15 @@ def _kernel_sqto(ctx, out):
 def _boundary(ctx, out):
     a = ctx.a
     for f in ctx.primes:
-        for p in _extensions(ctx, ctx.kernel(f)):
+        kf, fplus = ctx.kernel(f), ctx.plus(f)
+        for p in _extensions(ctx, kf):
             q = ctx.quotient(p)
             try:
-                c = calculus.boundary_coset(a, f, q)
+                c = calculus.boundary_coset(a, f, kf, q)
             except InvariantViolation as e:
                 out.append((*_shown(ctx, f, p), str(e)))
                 continue
-            cplus = calculus.boundary_coset(a, ctx.plus(f), q)
+            cplus = calculus.boundary_coset(a, fplus, ctx.kernel(fplus), q)
             if cplus != mask_of(a.neg[z] for z in iter_mask(c)):
                 out.append(("plus-negation", *_shown(ctx, f, p)))
 
@@ -969,7 +1024,9 @@ def _hat_eta(ctx, out):
             stray = [
                 ctx.show(rep)
                 for i, rep in enumerate(h.representatives)
-                if q.cosets.index(calculus.boundary_coset(a, rep, q)) != eta[i]
+                if q.cosets.index(
+                    calculus.boundary_coset(a, rep, ctx.kernel(rep), q)
+                ) != eta[i]
             ]
             if stray:
                 out.append(("η̂ misses a member's boundary coset", *where, stray))

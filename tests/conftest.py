@@ -117,10 +117,30 @@ def swap_arguments(real):
     return corrupted
 
 
-def assert_check_can_fail(monkeypatch, a, stmt, owner, name, corrupt):
-    """stmt passes on a, and fails on a fresh run once owner.name is corrupted."""
+# The calculus functions that one mutant of each operation corrupts together.
+# ``verify.Ctx`` reads ⊸, K and F_x through the column combinators, while
+# ``cli`` and the second sides of fact:a, fact:b and fact:e read the cold
+# forms; ⊸ has no cold reader in a run, so its mutant is the combinator's.
+CODINGS = {
+    "sqto": ("sqto_cols",),
+    "kernel": ("kernel_cols", "kernel"),
+    "kernel_rel": ("kernel_cols", "sqto_cols", "kernel_rel"),
+    "subordinate": ("subordinate_cols", "subordinate"),
+}
+
+
+def corrupt_each(monkeypatch, owner, names, corrupt):
+    """owner.name replaced by corrupt(owner.name), for the one name ``names``
+    or for each name of a tuple."""
+    for name in (names,) if isinstance(names, str) else names:
+        monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
+
+
+def assert_check_can_fail(monkeypatch, a, stmt, owner, names, corrupt):
+    """stmt passes on a, and fails on a fresh run once owner's ``names`` are
+    corrupted (see ``corrupt_each``)."""
     assert run_finite(a, only=[stmt]).results[0].status == "pass"
-    monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
+    corrupt_each(monkeypatch, owner, names, corrupt)
     assert run_finite(a, only=[stmt]).results[0].status == "fail"
 
 

@@ -88,7 +88,7 @@ def test_sqto_full_empty_off_nested_pairs(l3):
 def test_equiv_on_chains_is_equality(monkeypatch, l5):
     # equiv:discrete: both ⊸ values are {1} exactly when F = G
     assert_check_can_fail(
-        monkeypatch, l5, "equiv:discrete", calculus, "sqto", drop_lowest
+        monkeypatch, l5, "equiv:discrete", calculus, "sqto_cols", drop_lowest
     )
 
 
@@ -120,7 +120,8 @@ def test_reduction_theorem(monkeypatch, algebra):
 
 def test_kernel_of_sqto(monkeypatch, algebra):
     assert_check_can_fail(
-        monkeypatch, algebra, "thm:kernel-sqto", calculus, "sqto", drop_lowest
+        monkeypatch, algebra, "thm:kernel-sqto", calculus, "sqto_cols",
+        drop_lowest,
     )
 
 
@@ -147,16 +148,18 @@ def test_boundary_coset(l4):
     up_23 = by_labels(l4, "2/3", "1")
     # K = {1} ⊊ improper P: the single coset straddles
     q = core.quotient_by(l4, l4.full_mask)
-    assert calculus.boundary_coset(l4, up_23, q) == l4.full_mask
+    k = calculus.kernel(l4, up_23)
+    assert calculus.boundary_coset(l4, up_23, k, q) == l4.full_mask
     with pytest.raises(InvalidArgument):  # needs K(F) ⊊ P
-        calculus.boundary_coset(l4, up_23, core.quotient_by(l4, l4.one_mask))
+        calculus.boundary_coset(l4, up_23, k, core.quotient_by(l4, l4.one_mask))
 
 
 def test_boundary_coset_in_product(l2xl3):
     a = l2xl3
     p = core.mask_of(i for i, lab in enumerate(a.labels) if lab.startswith("(1,"))
     # F = {(1,1)} has kernel {(1,1)} ⊊ P; P's own coset is the straddler
-    assert calculus.boundary_coset(a, a.one_mask, core.quotient_by(a, p)) == p
+    q = core.quotient_by(a, p)
+    assert calculus.boundary_coset(a, a.one_mask, a.one_mask, q) == p
 
 
 PARTITION = core.congruence_cosets
@@ -223,6 +226,6 @@ def test_is_convex_matches_pointwise_definition(a):
 
 def test_quotient_commutation(monkeypatch, algebra):
     assert_check_can_fail(
-        monkeypatch, algebra, "prop:quot-commute", calculus, "sqto",
+        monkeypatch, algebra, "prop:quot-commute", calculus, "sqto_cols",
         drop_lowest,
     )

@@ -23,7 +23,7 @@ statements', in order, unmutated and under mutants that make them fail.
 ``prop:adjunction`` had before they read the ⊸ matrix over the primes by
 position and each H⊸G once per G: they ask the ⊸ cache for every
 (F, H, G).  Their witness lists must equal the statements', in order,
-unmutated and under ``calculus.sqto`` mutants.
+unmutated and under ``calculus.sqto_cols`` mutants.
 
 ``tensor_up`` must also return on tables that are not MV-algebras, where ≤
 need not be a partial order: every mask pair of the non-MV table and of
@@ -240,7 +240,7 @@ def large_loop(ctx, out):
 REFERENCES = {"prop:small": small_loop, "prop:large": large_loop}
 MUTANTS = {
     "none": None,
-    "kernel-drop": "kernel",
+    "kernel-drop": "kernel_cols",
     "j_up_cosets-drop": "j_up_cosets",
     "set_plus-drop": "set_plus",
     "j_down_cosets-drop": "j_down_cosets",
@@ -309,7 +309,9 @@ SQTO_MUTANTS = {
 @pytest.mark.parametrize("stmt", sorted(SQTO_REFERENCES))
 def test_sqto_statements_keep_their_witnesses(monkeypatch, stmt, mutant):
     if SQTO_MUTANTS[mutant]:
-        monkeypatch.setattr(calculus, "sqto", SQTO_MUTANTS[mutant](calculus.sqto))
+        monkeypatch.setattr(
+            calculus, "sqto_cols", SQTO_MUTANTS[mutant](calculus.sqto_cols)
+        )
     fn = FINITE_STATEMENTS[stmt][1]
     found = 0
     for a in ALL_ALGEBRAS.values():

@@ -19,9 +19,15 @@ mutant alone and the three seeds share one.  A change to the cut
 representation or arithmetic that moves a grid cut, a verdict or a printed
 cut fails here.
 
-``LARGE_DIGESTS`` pins the unmutated reports of Ł32, Ł8×Ł8 and 2⁶, the
-sizes at which the reads of table rows and columns into masks carry most of
-a run.
+``LARGE_DIGESTS`` pins the unmutated reports of Ł32, Ł64, Ł8×Ł8 and 2⁶,
+the sizes at which the reads of table rows and columns into masks carry most
+of a run; on Ł64, the largest chain, the →-column tables of ⊸ and K do.
+
+A mutant of ⊸, K, K_F(X) or F_x corrupts every function that ``CODINGS``
+lists for it: ``verify.Ctx`` reads those operations through the column
+combinators (``sqto_cols``, ``kernel_cols``, ``subordinate_cols``), and the
+second sides of ``fact:a``, ``fact:b`` and ``fact:e`` through the cold
+``kernel_rel``.
 
 When a change of witnesses is intended, re-pin: run
 ``PYTHONPATH=src python tests/test_report_digests.py``, which prints the
@@ -38,8 +44,8 @@ import mvfilters as mv
 from mvfilters import calculus, densechain as dc, filters
 
 from conftest import (
-    ALL_ALGEBRAS, KIND_BRANCHES, branch_flipped, chain, drop_lowest,
-    plus_flipped, product, swap_arguments,
+    ALL_ALGEBRAS, CODINGS, KIND_BRANCHES, branch_flipped, chain, corrupt_each,
+    drop_lowest, plus_flipped, product, swap_arguments,
 )
 
 
@@ -51,10 +57,11 @@ def negate(real):
     return corrupted
 
 
-# The sqto mutants corrupt ``calculus.sqto``, which ``verify.Ctx.sqto``
-# caches, so cold and cached ⊸ carry the same corruption.
+# mutant name -> (owner, the names it corrupts, the corruption).  A mutant of
+# ⊸, K, K_F(X) or F_x corrupts every function of ``CODINGS`` behind it, so
+# ``verify.Ctx``'s column combinators and the cold forms carry it alike.
 MUTANTS = {
-    f"{name}-drop": (owner, name, drop_lowest)
+    f"{name}-drop": (owner, CODINGS.get(name, name), drop_lowest)
     for owner, name in [
         (calculus, "kernel"), (calculus, "kernel_rel"),
         (calculus, "subordinate"), (calculus, "set_plus"),
@@ -63,8 +70,8 @@ MUTANTS = {
         (calculus, "phi_rows"), (calculus, "tensor_up"),
     ]
 } | {
-    "sqto-drop": (calculus, "sqto", drop_lowest),
-    "sqto-swap": (calculus, "sqto", swap_arguments),
+    "sqto-drop": (calculus, CODINGS["sqto"], drop_lowest),
+    "sqto-swap": (calculus, CODINGS["sqto"], swap_arguments),
     "phi-swap": (calculus, "phi", swap_arguments),
     "is_convex-not": (calculus, "is_convex", negate),
 }
@@ -132,9 +139,9 @@ DIGESTS = {
 
 
 def report_digest(monkeypatch, algebra_id, mutant):
-    owner, name, corrupt = MUTANTS[mutant]
+    owner, names, corrupt = MUTANTS[mutant]
     with monkeypatch.context() as m:
-        m.setattr(owner, name, corrupt(getattr(owner, name)))
+        corrupt_each(m, owner, names, corrupt)
         report = mv.run_finite(ALL_ALGEBRAS[algebra_id]).to_json()
     return hashlib.sha256(report.encode()).hexdigest()
 
@@ -149,12 +156,14 @@ def test_mutant_report_is_pinned(monkeypatch, algebra_id, mutant):
 
 LARGE = {
     "L32": lambda: chain(32),
+    "L64": lambda: chain(64),
     "L8xL8": lambda: product(8, 8),
     "2^6": lambda: product(2, 2, 2, 2, 2, 2),
 }
 
 LARGE_DIGESTS = {
     "L32": "1b0d6e1a4cf0f3c44a514ef2660006534644cfa0221611add74ceb689580b298",
+    "L64": "a34a77358834a677ff91ab00733322fab152496d9b074b94f22525cd504aac1f",
     "L8xL8": "f33a5934835b834bcfc55f2bababf9fab01e3426efd4a8f57cbad893a3fd1b74",
     "2^6": "948b8b785f292a072a6dad8e8e5aaa670372fd001973d434563c7f6628ddf37a",
 }

@@ -8,8 +8,9 @@ oracle both cold (``calculus``, ``QuotientAlgebra``) and through the tables a
 ``verify.Ctx`` keeps for one run; the quotient image, which ``Ctx`` does
 not keep, is compared cold only.  J_u and J_d go through ``Ctx`` only at
 an implication filter P, since ``Ctx`` reads the cosets of L/P; the cold
-forms take every mask.  ⊸ is ``kernel_rel`` on F∩G at L∖G, cold or through
-the ``Ctx`` sqto cache; its oracle is the AND of the subordinates (F∩G)ₓ over
+forms take every mask.  ⊸ is ``kernel_rel`` on F∩G at L∖G cold, and the
+AND of the →-column table of F∩G over L∖G through the ``Ctx`` sqto cache
+(``calculus.sqto_cols``); its oracle is the AND of the subordinates (F∩G)ₓ over
 x ∉ G, one loop per subordinate.  The oracles read the tables entry
 by entry: their subordinates and cosets are the loops restated in
 ``test_table_reads``, not the byte reads of ``calculus`` and ``core``, and

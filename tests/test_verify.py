@@ -16,7 +16,7 @@ from mvfilters.errors import InvalidArgument
 from mvfilters.verify import DENSE_STATEMENTS, FINITE_STATEMENTS
 
 from conftest import (
-    ALL_ALGEBRAS, CHAINS, KIND_BRANCHES, PRODUCTS, assert_check_can_fail,
+    ALL_ALGEBRAS, CHAINS, CODINGS, KIND_BRANCHES, PRODUCTS, assert_check_can_fail,
     branch_flipped, drop_lowest, members, plus_flipped, product, relabelled,
     shuffled, swap_arguments,
 )
@@ -274,13 +274,13 @@ def test_fact_e_state_totals(monkeypatch, factors, total):
 @pytest.mark.parametrize(
     "stmt, owner, name",
     [
-        ("fact:a", calculus, "subordinate"),
-        ("fact:a", calculus, "kernel_rel"),
-        ("fact:b", calculus, "subordinate"),
-        ("fact:b", calculus, "kernel_rel"),
-        ("fact:c", calculus, "kernel"),
-        ("fact:c", calculus, "kernel_rel"),
-        ("fact:e", calculus, "kernel_rel"),
+        ("fact:a", calculus, CODINGS["subordinate"]),
+        ("fact:a", calculus, CODINGS["kernel_rel"]),
+        ("fact:b", calculus, CODINGS["subordinate"]),
+        ("fact:b", calculus, CODINGS["kernel_rel"]),
+        ("fact:c", calculus, CODINGS["kernel"]),
+        ("fact:c", calculus, CODINGS["kernel_rel"]),
+        ("fact:e", calculus, CODINGS["kernel_rel"]),
         ("fact:e", filters, "down_closure_joins"),
     ],
     ids=[
@@ -402,12 +402,15 @@ def test_convex_lemmas_can_fail(monkeypatch, l5, stmt):
     )
 
 
-def _plus_after(real):
-    """sqto, returning (F⊸G)⁺ instead of F⊸G."""
-    def corrupted(a, f, g, *rest):
-        return calculus.set_plus(a, real(a, f, g, *rest))
+def _plus_after(a):
+    """The ⊸ mutant on a that returns (F⊸G)⁺ instead of F⊸G."""
+    def corrupt(real):
+        def corrupted(*args):
+            return calculus.set_plus(a, real(*args))
 
-    return corrupted
+        return corrupted
+
+    return corrupt
 
 
 @pytest.mark.parametrize(
@@ -418,9 +421,9 @@ def _plus_after(real):
     ],
 )
 def test_sqto_order_statements_can_fail(monkeypatch, algebra_id, stmt):
+    a = ALL_ALGEBRAS[algebra_id]
     assert_check_can_fail(
-        monkeypatch, ALL_ALGEBRAS[algebra_id], stmt, calculus, "sqto",
-        _plus_after,
+        monkeypatch, a, stmt, calculus, "sqto_cols", _plus_after(a)
     )
 
 
@@ -429,16 +432,16 @@ def test_adjunction_can_fail(monkeypatch, algebra_id, witnesses):
     # the ⊸ argument swap kills prop:adjunction; drop-lowest leaves it passing
     a = ALL_ALGEBRAS[algebra_id]
     assert_check_can_fail(
-        monkeypatch, a, "prop:adjunction", calculus, "sqto", swap_arguments
+        monkeypatch, a, "prop:adjunction", calculus, "sqto_cols", swap_arguments
     )
     (result,) = mv.run_finite(a, only=["prop:adjunction"]).results
     assert len(result.witnesses) == witnesses
 
 
 def _with_own_element(real):
-    """subordinate, with x itself added to F_x."""
-    def corrupted(a, f, x):
-        return real(a, f, x) | 1 << x
+    """subordinate or subordinate_cols, with x itself added to F_x."""
+    def corrupted(first, f, x):
+        return real(first, f, x) | 1 << x
 
     return corrupted
 
@@ -446,7 +449,8 @@ def _with_own_element(real):
 def test_subord_monotone_fails_on_both_branches(monkeypatch, l2xl3):
     stmt = "fact:subord-monotone"
     assert_check_can_fail(
-        monkeypatch, l2xl3, stmt, calculus, "subordinate", _with_own_element
+        monkeypatch, l2xl3, stmt, calculus, CODINGS["subordinate"],
+        _with_own_element,
     )
     (result,) = mv.run_finite(l2xl3, only=[stmt]).results
     assert Counter(w[0] for w in result.witnesses) == {"monotone": 18, "join": 2}
