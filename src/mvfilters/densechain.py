@@ -1,10 +1,12 @@
 """Cut filters of the dense rational chain [0,1] with exact arithmetic.
 
-A proper filter of the dense chain is either ]p,1] (open) or [p,1] (closed)
-with a rational endpoint.  [0,1] is the improper filter and ]1,1] the empty
-set; both are representable sentinels but rejected by the proper-filter
-operations.  ⁺ and ⊸ are computed by closed forms, which the statement
-``dense:closed-forms`` checks against their definitions on a grid of cuts.
+A cut is ]p,1] (open) or [p,1] (closed) with a rational endpoint; the dense
+statements cover these.  The rationals above an irrational, such as √2/2,
+form a proper filter of neither kind, a gap cut (ROADMAP item 19).  [0,1] is
+the improper filter and ]1,1] the empty set; both are representable
+sentinels but rejected by the proper-filter operations.  ⁺ and ⊸ are
+computed by closed forms, which the statement ``dense:closed-forms`` checks
+against their definitions on a grid of cuts.
 ``oracle_sqto``, ``oracle_plus`` and ``random_proper_cut`` are kept only as
 tracer targets (``perfbench/spans.py``); no statement calls them.
 
@@ -82,7 +84,7 @@ class Cut:
                 and self.kind is other.kind)
 
     def __hash__(self):
-        return hash((self.num, self.den, self.kind))
+        return hash((self.num, self.den, self.kind is _OPEN))
 
     def __repr__(self):
         return f"Cut(endpoint={self.endpoint!r}, kind={self.kind!r})"
@@ -161,22 +163,19 @@ def cut_plus(f: Cut) -> Cut:
 
 
 def cut_sqto(f: Cut, g: Cut) -> Cut:
-    """F ⊸ G by case dispatch on containment and the two endpoint kinds."""
+    """F ⊸ G: {1} when G ⊆ F, else the cut at 1 - q + p, for q and p the
+    endpoints of F and G, closed iff G is closed or F is open."""
     if not (f.is_proper and g.is_proper):
         _require_proper(f, g)
-    if g.issubset(f):
-        return TOP  # collapses to the kernel of G, which is {1}
-    fp = intersect(f, g)
-    # min(1, 1 - q + p) is 1 - q + p: q, the endpoint of F∩G, is at least p
-    den = fp.den * g.den
-    num = den - fp.num * g.den + g.num * fp.den
+    gf, fg = g.num * f.den, f.num * g.den
+    if gf > fg or (gf == fg and (g.kind is _OPEN or f.kind is _CLOSED)):
+        return TOP  # G ⊆ F: collapses to the kernel of G, which is {1}
+    # the cuts form a chain, so F ⊊ G, F∩G = F and min(1, 1 - q + p) = 1 - q + p
+    den = f.den * g.den
+    num = den - fg + gf
     k = gcd(num, den)
-    num, den = num // k, den // k
-    if g.kind is _CLOSED:
-        return _cut(num, den, _CLOSED)
-    if fp.kind is _CLOSED:
-        return _cut(num, den, _OPEN)
-    return _cut(num, den, _CLOSED)
+    kind = _CLOSED if g.kind is _CLOSED or f.kind is _OPEN else _OPEN
+    return _cut(num // k, den // k, kind)
 
 
 def kernel_of_cut(f: Cut) -> Cut:
@@ -192,11 +191,11 @@ def kernel_of_cut(f: Cut) -> Cut:
 def oracle_sqto(f: Cut, g: Cut) -> Cut:
     """Solve ∀x∈F∩G: max(0, x+z-1) ∈ G for the set of z, exactly.
 
-    Kept only because the benchmark tracer wraps it: it repeats
-    ``cut_sqto``'s case split, so it is no cross-check of it.  It eliminates
-    the quantifier by asking when a failure witness x exists: x must satisfy
-    the filter's lower bound and x + z - 1 must fall below G's endpoint,
-    with strictness tracked per kind.  The surviving z form a half-line
+    Kept only because the benchmark tracer wraps it: it reaches
+    ``cut_sqto``'s endpoint and kind rule, so it is no cross-check of it.
+    It eliminates the quantifier by asking when a failure witness x exists:
+    x must satisfy the filter's lower bound and x + z - 1 must fall below
+    G's endpoint, with strictness tracked per kind.  The surviving z form a half-line
     whose boundary and openness are read off the bound comparison.
     """
     _require_proper(f, g)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from types import SimpleNamespace
 
 from . import calculus, densechain as dc, filters, spectra
 from .core import (
@@ -259,8 +260,8 @@ def _prime_chains(ctx: Ctx):
 
 
 def _prime_covers(ctx: Ctx) -> list[tuple[int, int]]:
-    """Every cover pair F ⋖ G of the prime lattice filters: F ⊊ G with no
-    prime strictly between.
+    """Every cover pair F ⋖ G of ``ctx.primes`` (prime lattice filters, or
+    grid cuts): F ⊊ G with no prime strictly between.
 
     For each F the primes above it are taken by size; one is a cover exactly
     when it contains no cover found before it, since any prime strictly
@@ -1106,6 +1107,14 @@ def _sqto_from(x0: int, lg: int) -> int:
     return _first_half_step(lg + _UNITS - x0 if lg > 0 else 0)
 
 
+def _half_step_mask(c: dc.Cut) -> int | None:
+    """The half-steps {k/2N} in c as the bits k, or None off the grid {k/N}.
+    Two endpoints in (1/N)ℤ have a half-step between them, so on such cuts ⊆
+    is mask containment and ∩ is AND."""
+    s = _least(c)
+    return None if s is None else (2 << 2 * _N) - (1 << _first_half_step(s) // 2)
+
+
 def _plus_from(lf: int) -> int:
     """The least z of _HALF_STEPS with 4N - z < lf, that is z >= 4N + 1 - lf,
     or _UNITS + 2 when none is."""
@@ -1224,56 +1233,37 @@ def _dense_congruence(_, out):
 
 @dense("dense:props", "the basic proposition suite holds for cuts")
 def _dense_props(_, out):
-    """The suite on every grid cut, pair and triple.  ⊸ is taken once per
-    grid pair and ⁺ once per cut, as indices into the grid, and nested ⊸ are
-    read from that table.  The true ⊸ and ⁺ never leave the grid; a value
-    that does is a witness, and nothing nested in it is read."""
-    cuts = _GRID_CUTS
-    at = {c: i for i, c in enumerate(cuts)}
-    sq = [[at.get(dc.cut_sqto(f, g)) for g in cuts] for f in cuts]
-    plus = [at.get(dc.cut_plus(f)) for f in cuts]
-    off = [(str(f), str(g)) for f, row in zip(cuts, sq)
-           for g, s in zip(cuts, row) if s is None]
-    off += [("plus", str(f)) for f, p in zip(cuts, plus) if p is None]
+    """The finite bodies of the nine ⊸ claims, on the grid cuts as their
+    ``_half_step_mask``.  ⊸ is taken once per grid pair and ⁺ once per cut;
+    nested ⊸ are read from that table.  Every kernel is {1}, the one prime
+    implication filter, whose spectrum is the grid.  A ⊸ or ⁺ that is not a
+    grid cut is a witness, and no body runs.  Witnesses carry a claim tag."""
+    mask = {c: _half_step_mask(c) for c in _GRID_CUTS}
+    show = {m: str(c) for c, m in mask.items()}
+    rows = {mf: {mg: mask.get(dc.cut_sqto(f, g)) for g, mg in mask.items()}
+            for f, mf in mask.items()}
+    plus = {m: mask.get(dc.cut_plus(f)) for f, m in mask.items()}
+    off = [(show[f], show[g]) for f, row in rows.items()
+           for g, s in row.items() if s is None]
+    off += [("plus", show[f]) for f, p in plus.items() if p is None]
     if off:
         out.extend(("off-grid", *w) for w in off)
         return
-    sub = [[f.issubset(g) for g in cuts] for f in cuts]
-    # column j of the table: H⊸G for every H, with G the j-th cut
-    cols = [list(col) for col in zip(*sq)]
-    top = at[dc.TOP]
-    for i, f in enumerate(cuts):
-        row, sub_f = sq[i], sub[i]
-        # OneOne: {1}⊸F = F
-        if sq[top][i] != i:
-            out.append(("OneOne", str(f)))
-        for j, g in enumerate(cuts):
-            s = row[j]
-            if not sub[s][j]:
-                out.append(("incl", str(f), str(g)))
-            if sub[j][i] and s != top:
-                out.append(("inclOne", str(f), str(g)))
-            if sub_f[j]:
-                # plus duality for nested pairs
-                if s != sq[plus[j]][plus[i]]:
-                    out.append(("plus", str(f), str(g)))
-                # FFg + triple corollary; ffg is (F⊸G)⊸G, reused by axiomG
-                ffg = sq[s][j]
-                if not sub_f[ffg]:
-                    out.append(("FFg", str(f), str(g)))
-                if sq[ffg][j] != s:
-                    out.append(("triple", str(f), str(g)))
-                # revIncl: G⊸H ⊆ F⊸H for every H ⊇ G
-                for k, (gh, fh) in enumerate(zip(sq[j], row)):
-                    if sub[j][k] and not sub[gh][fh]:
-                        out.append(("revIncl", str(f), str(g), str(cuts[k])))
-                # axiomG: (F⊸G)⊸G is cut-equivalent to F when F ⊆ G
-                if not (row[ffg] == top and sq[ffg][i] == top):
-                    out.append(("axiomG", str(f), str(g)))
-            # axiomC: F⊸(H⊸G) = H⊸(F⊸G) for every H
-            for k, (hg, hs) in enumerate(zip(cols[j], cols[s])):
-                if row[hg] != hs:
-                    out.append(("axiomC", str(f), str(g), str(cuts[k])))
+    top = mask[dc.TOP]
+    spectrum = SimpleNamespace(members=list(rows))
+    grid = SimpleNamespace(
+        primes=spectrum.members, prime_impl=[top], kernel=lambda f: top,
+        spectrum=lambda p: spectrum, sqto=lambda f, g: rows[f][g],
+        plus=plus.__getitem__, show=show.__getitem__,
+    )
+    for tag, body in [
+        ("OneOne", _one_one), ("incl", _incl), ("inclOne", _incl_one),
+        ("plus", _prop_plus), ("FFg", _ffg), ("triple", _triple),
+        ("revIncl", _rev_incl), ("axiomG", _axiom_g), ("axiomC", _axiom_c),
+    ]:
+        found: list = []
+        body(grid, found)
+        out.extend((tag, *w) for w in found)
 
 
 @dense("dense:kernel", "every proper cut filter has trivial kernel")

@@ -199,9 +199,9 @@ DENSE_DIGESTS = {
     "cut_sqto-closed-meet":
         "4f2241b3d648168b97c63c61490281dbf3f893566b0e3a9516b2df76fc4e08d2",
     "cut_sqto-closed-target":
-        "163e41dbd1453eea51dd1797df36d239087f2f510b3ae2572b6faa968853c601",
+        "b438ce4f4170ce52db3a2d2f93215f03c0dce6e3182e66883a38d062a13f11f1",
     "cut_sqto-open-meet":
-        "1bef35666f99254d2947a246b655b60a622f446cdbb637a9f145e538c08d5266",
+        "e876319ee3092a022035daa6e72d80ac7eb8bbf32fa099a259013fa1c572c2d0",
 }
 
 
