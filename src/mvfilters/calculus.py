@@ -10,17 +10,6 @@ once here):
 - an intersection over an empty index family is the whole carrier, so
   F ⊸ L = L for the improper filter L.
 
-Table reads.  Most operations here read the → or ⊗ table into a mask: row
-x of T into M is {y | T[x][y] ∈ M}, and column x of → into M is
-{z | z→x ∈ M}.  ``MvAlgebra`` keeps each row and column as reversed
-``bytes``, so one read is one ``bytes.translate`` through
-``core.member_lookup(M, n)`` and one ``int(…, 2)``, both in C; the lookup
-is built once per call and shared by all the reads of that call.  The
-subordinate F_x is column x of → into L∖F, and the relative kernel
-K_F(X) = ∩_{x∈X} F_x is the AND of those columns over x ∈ X: the columns
-are picked by ``compress`` with the selector ``core.bits(X)`` and ANDed by
-one ``reduce``, so no Python loop runs per member.
-
 Row form.  Φ(F,G) is the union of G's →-rows over f ∈ F and
 ``sqto_full(F,G)`` the intersection of G's ⊗-rows over f ∈ F; J_u(F,P) is
 the union of the P-cosets that meet F.  Each of these is a pure builder
@@ -43,8 +32,8 @@ cols(F∩G) over x ∉ G (``sqto_cols``), K(F) the AND of cols(F) over x ∉ F
 C fold or one index.  They take cols as a function of one mask, as
 ``j_down_cosets`` takes ⁺: ``verify.Ctx`` hands them its rows cache, so a
 run reads the columns once per distinct mask.  The cold forms read only the
-columns they need: ``kernel_rel`` is K_F(X), one lookup into L∖F and |X|
-column reads, and ``kernel`` and ``sqto`` are it at X = L∖F and
+columns they need: ``kernel_rel`` is K_F(X), one ``core.read_lines`` of
+|X| columns into L∖F, and ``kernel`` and ``sqto`` are it at X = L∖F and
 K_{F∩G}(L∖G) behind the empty-mask guard.  ``subordinate`` is the single
 column read, and ``set_plus`` is it at 0; they stay outside ``kernel_rel``,
 which refuses an X that meets F, because F⁺ takes any mask, L with 0 ∈ L
@@ -54,12 +43,11 @@ included.
 from __future__ import annotations
 
 from functools import partial, reduce
-from itertools import compress, repeat
 from operator import and_, or_
 
 from .core import (
-    MvAlgebra, QuotientAlgebra, bits, congruence_cosets, fold_and, fold_or,
-    iter_mask, member_lookup,
+    MvAlgebra, QuotientAlgebra, congruence_cosets, fold_and, fold_or, iter_mask,
+    read_lines,
 )
 from .errors import InvalidArgument, InvariantViolation
 
@@ -70,11 +58,10 @@ from .errors import InvalidArgument, InvariantViolation
 def rows(byte_rows, mask: int) -> list[int]:
     """Every row of a table into ``mask``: entry x is {y | T[x][y] ∈ mask}.
 
-    ``byte_rows`` is one of ``MvAlgebra``'s reversed byte tables; the list
-    is built by ``map``, one ``translate`` and one ``int(…, 2)`` per row.
+    ``byte_rows`` is one of ``MvAlgebra``'s reversed byte tables, read by
+    ``core.read_lines`` at every row.
     """
-    look = member_lookup(mask, len(byte_rows))
-    return list(map(int, map(bytes.translate, byte_rows, repeat(look)), repeat(2)))
+    return list(read_lines(byte_rows, (1 << len(byte_rows)) - 1, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +73,7 @@ def subordinate(a: MvAlgebra, f_mask: int, elem: int) -> int:
 
     Column ``elem`` of → read into L∖F.
     """
-    look = member_lookup(a.full_mask & ~f_mask, a.size)
-    return int(a.imp_col_bytes[elem].translate(look), 2)
+    return next(read_lines(a.imp_col_bytes, 1 << elem, a.full_mask & ~f_mask))
 
 
 def set_plus(a: MvAlgebra, mask: int) -> int:
@@ -110,15 +96,15 @@ def kernel_rel(a: MvAlgebra, f_mask: int, x_mask: int) -> int:
 
     X must be a subset of the carrier disjoint from F.  The empty X yields
     the whole carrier (empty-intersection convention).  Each F_x is column x
-    of → read into L∖F, through one lookup, and one ``reduce`` ANDs them.
+    of → read into L∖F, by one ``core.read_lines``, and one ``reduce`` ANDs
+    them.
     """
     if x_mask & f_mask:
         raise InvalidArgument("index set X must be disjoint from the filter")
     if x_mask >> a.size:
         raise InvalidArgument("index set X must be a subset of the carrier")
-    look = member_lookup(a.full_mask & ~f_mask, a.size)
-    cols = map(bytes.translate, compress(a.imp_col_bytes, bits(x_mask)), repeat(look))
-    return reduce(and_, map(int, cols, repeat(2)), a.full_mask)
+    cols = read_lines(a.imp_col_bytes, x_mask, a.full_mask & ~f_mask)
+    return reduce(and_, cols, a.full_mask)
 
 
 def kernel_cols(cols, f_mask: int, full_mask: int) -> int:
@@ -280,9 +266,9 @@ def boundary_coset(a: MvAlgebra, f_mask: int, kf: int, q: QuotientAlgebra) -> in
     """The unique P-coset meeting both F and its complement, for q = L/P.
 
     ``kf`` is K(F), which must lie properly inside P = ``q.filter_mask``:
-    ``verify`` passes the run's cached K and ``spectra.hat_eta`` a cold
-    ``kernel``.  The straddling coset is read off ``q.cosets``, so L is
-    partitioned once per quotient, not once per call.  Existence and
+    ``verify`` passes the run's cached K, directly and through
+    ``spectra.hat_eta``.  The straddling coset is read off ``q.cosets``, so
+    L is partitioned once per quotient, not once per call.  Existence and
     uniqueness are invariants, so their failure raises loudly.
     """
     if not (kf & ~q.filter_mask == 0 and kf != q.filter_mask):

@@ -323,21 +323,14 @@ def evaluate(spec: dict, expression: str) -> str:
 
 
 def _dot_of_containment(name: str, masks: list[int], labels) -> str:
-    """Hasse diagram (covering containments only) of a family of subsets."""
+    """Hasse diagram of a family of distinct subsets: its edges are the
+    cover pairs of ``filters.covers``, sorted."""
     order = sorted(masks)
     lines = [f'digraph "{name}" {{', "  rankdir=BT;"]
     for m in order:
         lines.append(f'  n{m} [label="{labels(m)}"];')
-    for low in order:
-        for high in order:
-            if low == high or low & ~high:
-                continue
-            if any(
-                mid != low and mid != high and not (low & ~mid) and not (mid & ~high)
-                for mid in order
-            ):
-                continue
-            lines.append(f"  n{low} -> n{high};")
+    for low, high in sorted(filters.covers(order)):
+        lines.append(f"  n{low} -> n{high};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

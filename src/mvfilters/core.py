@@ -63,6 +63,23 @@ def member_lookup(mask: int, n: int) -> bytes:
     return format(mask, f"0{n}b")[::-1].encode().ljust(256, b"0")
 
 
+def read_lines(lines, picks: int, into: int):
+    """Line x of a table read into ``into``, for each member x of ``picks``,
+    ascending: {y | lines[x][y] ∈ into}, as a C iterator of masks.
+
+    ``lines`` is one of ``MvAlgebra``'s reversed byte tables: row x of → or
+    ⊗ into M is {y | T[x][y] ∈ M}, and column x of → into M is
+    {z | z→x ∈ M}.  The lines are picked by ``compress`` with the selector
+    ``bits(picks)``, and each read is one ``bytes.translate`` through
+    ``member_lookup(into, n)`` and one ``int(…, 2)``, both in C; the lookup
+    is built once per call and shared by all its reads, so no Python loop
+    runs per line.  Callers that read every line pass the full mask.
+    """
+    look = member_lookup(into, len(lines))
+    reads = map(bytes.translate, compress(lines, bits(picks)), repeat(look))
+    return map(int, reads, repeat(2))
+
+
 @dataclass(frozen=True)
 class MvAlgebra:
     """A finite MV-algebra given by its ⊕ table, negation table and zero.
@@ -76,10 +93,9 @@ class MvAlgebra:
 
     The → rows, ⊗ rows and → columns are also kept as ``bytes``, each one
     reversed (``imp_bytes[x][n-1-y]`` is x→y, ``imp_col_bytes[y][n-1-z]``
-    is z→y).  A read of row or column x into a mask M is then one
-    ``translate`` through ``member_lookup(M, n)`` and one ``int(…, 2)``,
-    which puts element y at bit y.  Byte entries bound the carrier at 256
-    elements.
+    is z→y).  ``read_lines`` then reads row or column x into a mask M with
+    one ``translate`` and one ``int(…, 2)``, which puts element y at bit y.
+    Byte entries bound the carrier at 256 elements.
     """
 
     size: int
@@ -146,9 +162,9 @@ class MvAlgebra:
         imp_bytes = tuple(r[::-1] for r in imp_b)
         imp_col_bytes = tuple(c[::-1] for c in imp_cols)
         # ↑x is row x of → into {1}, ↓x is column x of → into {1}
-        is_one = member_lookup(1 << one, n)
-        up = tuple(int(r.translate(is_one), 2) for r in imp_bytes)
-        down = tuple(int(c.translate(is_one), 2) for c in imp_col_bytes)
+        full = (1 << n) - 1
+        up = tuple(read_lines(imp_bytes, full, 1 << one))
+        down = tuple(read_lines(imp_col_bytes, full, 1 << one))
         object.__setattr__(self, "one", one)
         object.__setattr__(self, "otimes", tuple(tuple(r[::-1]) for r in otimes_bytes))
         object.__setattr__(self, "imp", imp)
@@ -156,7 +172,7 @@ class MvAlgebra:
         object.__setattr__(self, "meet", meet)
         object.__setattr__(self, "up_mask", up)
         object.__setattr__(self, "down_mask", down)
-        object.__setattr__(self, "full_mask", (1 << n) - 1)
+        object.__setattr__(self, "full_mask", full)
         object.__setattr__(self, "one_mask", 1 << one)
         object.__setattr__(self, "imp_bytes", imp_bytes)
         object.__setattr__(self, "otimes_bytes", otimes_bytes)

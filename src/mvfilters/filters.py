@@ -24,10 +24,9 @@ width of the order (2⁶ has 7.8 M up-sets).
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress, repeat
 from operator import or_
 
-from .core import MvAlgebra, bits, is_linear, iter_mask, mask_of, member_lookup
+from .core import MvAlgebra, is_linear, iter_mask, mask_of, read_lines
 from .errors import InvalidArgument, ResourceLimit
 
 CARRIER_CAP = 64
@@ -66,10 +65,7 @@ def is_implication_filter(a: MvAlgebra, mask: int) -> bool:
     → read into M lies inside M."""
     if not (mask >> a.one) & 1:
         return False
-    look = member_lookup(mask, a.size)
-    return all(
-        int(a.imp_bytes[f].translate(look), 2) & ~mask == 0 for f in iter_mask(mask)
-    )
+    return all(r & ~mask == 0 for r in read_lines(a.imp_bytes, mask, mask))
 
 
 def check_cap(size: int):
@@ -196,9 +192,29 @@ def implication_filter_generated(a: MvAlgebra, mask: int) -> int:
     """
     cur = mask | a.one_mask
     while True:
-        look = member_lookup(cur, a.size)
-        reads = map(bytes.translate, compress(a.imp_bytes, bits(cur)), repeat(look))
-        nxt = reduce(or_, map(int, reads, repeat(2)), cur)
+        nxt = reduce(or_, read_lines(a.imp_bytes, cur, cur), cur)
         if nxt == cur:
             return cur
         cur = nxt
+
+
+def covers(masks) -> list[tuple[int, int]]:
+    """Every cover pair F ⋖ G of a list of distinct masks ordered by ⊆:
+    F ⊊ G with no mask of the list strictly between.  Pairs come grouped by
+    F, in list order.
+
+    For each F the masks above it are taken by size; one is a cover exactly
+    when it contains no cover found before it, since any mask strictly
+    between F and G contains a minimal one, which is a cover of F.  In a
+    finite poset the covers determine the order (Davey and Priestley, 2002).
+    """
+    out = []
+    for f in masks:
+        above = sorted((g for g in masks if f & ~g == 0 and f != g),
+                       key=int.bit_count)
+        found: list[int] = []
+        for g in above:
+            if all(c & ~g for c in found):
+                found.append(g)
+        out += ((f, g) for g in found)
+    return out

@@ -157,29 +157,32 @@ def hat_otimes(h: HatAlgebra, x: int, y: int) -> int:
     return h.as_mv.otimes[x][y]
 
 
-def iota(h: HatAlgebra, q: QuotientAlgebra) -> tuple[int, ...]:
+def iota(h: HatAlgebra, q: QuotientAlgebra, subordinate) -> tuple[int, ...]:
     """ι: the P-coset of a ↦ the class of the subordinate of P at a.
 
-    ``q`` is the quotient by the spectrum base P.  For the top coset the
+    ``q`` is the quotient by the spectrum base P, and ``subordinate(F, x)``
+    gives F_x: ``verify.Ctx`` hands it the run's cache, and a cold caller
+    ``partial(calculus.subordinate, a)``.  For the top coset the
     subordinate is empty; its class is the top class (the inclusion-least
     filter P).  ``thm:iota`` checks the closure identities and surjectivity.
     """
-    a = h.spectrum.algebra
     p_mask = h.spectrum.p_mask
     if q.filter_mask != p_mask:
         raise InvalidArgument("quotient must be taken at the spectrum base")
-    subs = (calculus.subordinate(a, p_mask, rep) for rep in q.representatives)
+    subs = (subordinate(p_mask, rep) for rep in q.representatives)
     return tuple(h.as_mv.one if s == 0 else h.class_of(s) for s in subs)
 
 
-def hat_eta(h: HatAlgebra, q: QuotientAlgebra) -> tuple[int, ...]:
+def hat_eta(h: HatAlgebra, q: QuotientAlgebra, kernel) -> tuple[int, ...]:
     """η̂: each class ↦ the Q-coset on the boundary of its representative.
 
     ``q`` is the quotient by Q, which must properly contain the spectrum base
     P and be prime or improper, so ``q.quotient`` is a chain (of one point
-    for the improper Q).  Each boundary coset is read off ``q``'s cosets, so
-    L is not partitioned again.  ``thm:hat-eta`` checks the map against each
-    representative's boundary coset and that it preserves ⁺ and ⊸.
+    for the improper Q).  ``kernel`` maps a mask to its K, as ``iota`` takes
+    F_x: the run's cache or ``partial(calculus.kernel, a)``.  Each boundary
+    coset is read off ``q``'s cosets, so L is not partitioned again.
+    ``thm:hat-eta`` checks the map against each representative's boundary
+    coset and that it preserves ⁺ and ⊸.
     """
     a = h.spectrum.algebra
     p_mask, q_mask = h.spectrum.p_mask, q.filter_mask
@@ -188,6 +191,6 @@ def hat_eta(h: HatAlgebra, q: QuotientAlgebra) -> tuple[int, ...]:
     if not is_linear(q.quotient):
         raise InvalidArgument("Q must be prime (or improper)")
     return tuple(
-        q.cosets.index(calculus.boundary_coset(a, rep, calculus.kernel(a, rep), q))
+        q.cosets.index(calculus.boundary_coset(a, rep, kernel(rep), q))
         for rep in h.representatives
     )

@@ -118,11 +118,13 @@ class Ctx:
     L∖M: F⊸G folds the table of F∩G over L∖G and K(F) that of F over L∖F
     (``calculus.sqto_cols``, ``kernel_cols``), and F_x is entry x
     (``subordinate_cols``).  A run sees few distinct masks F∩G, so most ⊸
-    and K cost one C fold.  A cross-check's second side shares no table with
-    its first: ``fact:b``, ``fact:c`` and ``prop:fastform`` set those
-    →-columns against ⊗-rows, ``fact:a``, ``fact:b`` and ``fact:e`` against
-    the cold ``calculus.kernel_rel``, and ``prop:T-phi`` computes T cold,
-    from minimal members.
+    and K cost one C fold; ``spectra.iota`` and ``spectra.hat_eta`` are
+    handed ``subordinate`` and ``kernel``, so ι and η̂ read them too.  A
+    cross-check's second side shares no table with its first: ``fact:b``,
+    ``fact:c`` and ``prop:fastform`` set those →-columns against ⊗-rows,
+    ``fact:a``, ``fact:b`` and ``fact:e`` against the cold
+    ``calculus.kernel_rel``, and ``prop:T-phi`` computes T cold, from
+    minimal members.
     """
 
     def __init__(self, a: MvAlgebra):
@@ -257,26 +259,6 @@ def _prime_chains(ctx: Ctx):
     """Every chain F ⊆ G ⊆ H of prime lattice filters."""
     return ((f, g, h) for f, g in _nested_pairs(ctx.primes)
             for h in ctx.primes if g & ~h == 0)
-
-
-def _prime_covers(ctx: Ctx) -> list[tuple[int, int]]:
-    """Every cover pair F ⋖ G of ``ctx.primes`` (prime lattice filters, or
-    grid cuts): F ⊊ G with no prime strictly between.
-
-    For each F the primes above it are taken by size; one is a cover exactly
-    when it contains no cover found before it, since any prime strictly
-    between F and G contains a minimal one, which is a cover of F.
-    """
-    covers = []
-    for f in ctx.primes:
-        above = sorted((g for g in ctx.primes if f & ~g == 0 and f != g),
-                       key=int.bit_count)
-        found: list[int] = []
-        for g in above:
-            if all(c & ~g for c in found):
-                found.append(g)
-        covers += ((f, g) for g in found)
-    return covers
 
 
 def _outside(ctx: Ctx, f: int):
@@ -605,7 +587,7 @@ def _monotone(ctx, out):
     """Decided on the cover pairs G1 ⋖ G2 above each F: every G1 ⊆ G2 is a
     chain of covers, along which ⊆ is transitive.  The triples are scanned
     for witnesses only when a cover fails."""
-    covers = _prime_covers(ctx)
+    covers = filters.covers(ctx.primes)
     if all(not ctx.sqto(f, g1) & ~ctx.sqto(f, g2)
            for f in ctx.primes for g1, g2 in covers if f & ~g1 == 0):
         return
@@ -618,7 +600,7 @@ def _monotone(ctx, out):
 def _rev_incl(ctx, out):
     """Decided on the cover pairs F1 ⋖ F2 below each G, as ``prop:monotone``
     is; the triples are scanned for witnesses only when a cover fails."""
-    covers = _prime_covers(ctx)
+    covers = filters.covers(ctx.primes)
     if all(not ctx.sqto(f2, g) & ~ctx.sqto(f1, g)
            for g in ctx.primes for f1, f2 in covers if f2 & ~g == 0):
         return
@@ -1006,7 +988,7 @@ def _iota(ctx, out):
                     != q.preimage_mask(qa.up_mask[qa.imp[c][d]])
                 ):
                     out.append(("sqto closure identity", ctx.show(p), c, d))
-        if len(set(spectra.iota(h, q))) != h.as_mv.size:
+        if len(set(spectra.iota(h, q, ctx.subordinate))) != h.as_mv.size:
             out.append(("surjectivity", ctx.show(p)))
 
 
@@ -1020,7 +1002,7 @@ def _hat_eta(ctx, out):
         for q_mask in _extensions(ctx, p):
             q = ctx.quotient(q_mask)
             qa = q.quotient
-            eta = spectra.hat_eta(h, q)
+            eta = spectra.hat_eta(h, q, ctx.kernel)
             where = _shown(ctx, p, q_mask)
             stray = [
                 ctx.show(rep)
@@ -1045,10 +1027,10 @@ def _composite(ctx, out):
     a = ctx.a
     for p, h in _hats(ctx):
         qp = ctx.quotient(p)
-        io = spectra.iota(h, qp)
+        io = spectra.iota(h, qp, ctx.subordinate)
         for q_mask in _extensions(ctx, p):
             q = ctx.quotient(q_mask)
-            eta = spectra.hat_eta(h, q)
+            eta = spectra.hat_eta(h, q, ctx.kernel)
             wrong = [
                 x for x in range(a.size) if eta[io[qp.coset_of[x]]] != q.coset_of[x]
             ]

@@ -118,12 +118,14 @@ def swap_arguments(real):
 
 
 # The calculus functions that one mutant of each operation corrupts together.
-# ``verify.Ctx`` reads ⊸, K and F_x through the column combinators, while
-# ``cli`` and the second sides of fact:a, fact:b and fact:e read the cold
-# forms; ⊸ has no cold reader in a run, so its mutant is the combinator's.
+# ``verify.Ctx`` reads ⊸, K and F_x through the column combinators, and hands
+# K and F_x to ``spectra.hat_eta`` and ``spectra.iota``; the second sides of
+# fact:a, fact:b and fact:e read the cold ``kernel_rel``, and ⁺ reads the cold
+# ``subordinate`` (``set_plus`` is it at 0).  So ⊸ and K have no cold reader
+# in a run, and their mutants are the combinators'.
 CODINGS = {
     "sqto": ("sqto_cols",),
-    "kernel": ("kernel_cols", "kernel"),
+    "kernel": ("kernel_cols",),
     "kernel_rel": ("kernel_cols", "sqto_cols", "kernel_rel"),
     "subordinate": ("subordinate_cols", "subordinate"),
 }

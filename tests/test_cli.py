@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from mvfilters import calculus, cli, run_finite
+from mvfilters import calculus, cli, filters, run_finite, spectra
 from mvfilters.core import check_mv_axioms
 from mvfilters.errors import InvalidArgument
 
-from conftest import drop_lowest
+from conftest import ALL_ALGEBRAS, chain, drop_lowest, product
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -622,3 +622,41 @@ def test_export_rejections(run, specfile):
     assert code == 2 and "csv" in err
     code, out, err = run("export", path, "wat", "--format", "dot", "-o", "/dev/null")
     assert code == 2 and "unknown export target" in err
+
+
+def dot_of_containment_loop(name, masks, labels):
+    """The Hasse diagram by the definition: an edge low -> high for every
+    low ⊊ high with no mask strictly between, over every triple."""
+    order = sorted(masks)
+    lines = [f'digraph "{name}" {{', "  rankdir=BT;"]
+    for m in order:
+        lines.append(f'  n{m} [label="{labels(m)}"];')
+    for low in order:
+        for high in order:
+            if low == high or low & ~high:
+                continue
+            if any(
+                mid != low and mid != high and not (low & ~mid) and not (mid & ~high)
+                for mid in order
+            ):
+                continue
+            lines.append(f"  n{low} -> n{high};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+DOT_ALGEBRAS = ALL_ALGEBRAS | {
+    "L32": chain(32), "2^5": product(2, 2, 2, 2, 2), "L3^3": product(3, 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOT_ALGEBRAS))
+def test_hasse_diagrams_match_the_triple_loop(name):
+    a = DOT_ALGEBRAS[name]
+    families = {"filters": filters.enumerate_lattice_filters(a)}
+    for k, p in enumerate(filters.enumerate_implication_filters(a, prime_only=True)):
+        families[f"spectrum:{k}"] = list(spectra.prime_spectrum(a, p).members)
+    for what, masks in families.items():
+        assert cli._dot_of_containment(what, masks, a.label_set) == (
+            dot_of_containment_loop(what, masks, a.label_set)
+        ), what

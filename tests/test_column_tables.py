@@ -16,11 +16,17 @@ unmutated and under mutants: ⊸ returning (F⊸G)⁺, F_x holding x, and the
 lowest member dropped from ⊸, F_x or K.  The first two make the statements
 fail, and K without its lowest member is no implication filter, so ``fact:d``
 raises when it takes the quotient by it.
+
+``filters.covers``, which those two statements decide on, is compared with
+the definition over every triple, on the primes of the test algebras and
+on hypothesis-drawn families of distinct masks.  And a run must report the
+same with the cold forms of ⊸, K, Φ, J and the spectra made to raise.
 """
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from mvfilters import calculus, verify
+from mvfilters import calculus, filters, spectra, verify
 
 from conftest import (
     ALL_ALGEBRAS, CODINGS, chain, corrupt_each, drop_lowest, product,
@@ -43,19 +49,59 @@ def test_column_combinators_equal_the_cold_forms(name):
             assert ctx.sqto(f, g) == calculus.sqto(a, f, g), (f, g)
 
 
-@pytest.mark.parametrize("name", sorted(ALL_ALGEBRAS))
-def test_prime_covers_are_the_cover_relation(name):
-    ctx = verify.Ctx(ALL_ALGEBRAS[name])
-    primes = ctx.primes
-
+def covers_by_definition(masks):
+    """F ⊊ G with no mask strictly between, over every triple."""
     def below(f, g):
         return f & ~g == 0 and f != g
 
-    covers = [
-        (f, g) for f in primes for g in primes
-        if below(f, g) and not any(below(f, h) and below(h, g) for h in primes)
+    return [
+        (f, g) for f in masks for g in masks
+        if below(f, g) and not any(below(f, h) and below(h, g) for h in masks)
     ]
-    assert sorted(verify._prime_covers(ctx)) == sorted(covers)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_ALGEBRAS))
+def test_prime_covers_are_the_cover_relation(name):
+    primes = verify.Ctx(ALL_ALGEBRAS[name]).primes
+    assert sorted(filters.covers(primes)) == sorted(covers_by_definition(primes))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(masks=st.lists(st.integers(0, 2**7 - 1), unique=True, max_size=14))
+@example(masks=[])
+def test_covers_of_any_family_of_distinct_masks(masks):
+    # the masks need not be up-sets: ⊆ orders any finite family
+    got = filters.covers(masks)
+    assert sorted(got) == sorted(covers_by_definition(masks))
+    # grouped by F, in list order
+    firsts = [masks.index(f) for f, _ in got]
+    assert firsts == sorted(firsts)
+
+
+# Each of these replaced by a raiser, a run must give the same report: a run
+# reads ⊸, K, Φ, J and the spectra through ``verify.Ctx``'s caches only.
+# Left out: ``subordinate`` and ``set_plus``, which compute ⁺ (the run's ⁺
+# cache calls ``set_plus``); ``kernel_rel``, the second side of fact:a,
+# fact:b and fact:e; and ``tensor_up``, T's only definition.
+COLD = {
+    calculus: ("sqto", "kernel", "sqto_fast", "sqto_full", "phi", "j_up", "j_down"),
+    spectra: ("prime_spectrum", "build_hat"),
+}
+COLD_ALGEBRAS = ALL_ALGEBRAS | {"L16": chain(16), "L4xL4": product(4, 4)}
+
+
+def _cold_call(*args):
+    raise AssertionError("a run made a cold call")
+
+
+@pytest.mark.parametrize("name", sorted(COLD_ALGEBRAS))
+def test_a_run_makes_no_cold_call(monkeypatch, name):
+    a = COLD_ALGEBRAS[name]
+    want = verify.run_finite(a).to_json()
+    for owner, names in COLD.items():
+        for fn in names:
+            monkeypatch.setattr(owner, fn, _cold_call)
+    assert verify.run_finite(a).to_json() == want
 
 
 def monotone_loop(ctx, out):

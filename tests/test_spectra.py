@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 import mvfilters as mv
@@ -138,7 +140,9 @@ def test_iota_closure_identities(monkeypatch):
     for n in (3, 4, 5, 6):
         a = CHAINS[n]
         h = hat_of_chain(n)
-        mapping = spectra.iota(h, core.quotient_by(a, a.one_mask))
+        mapping = spectra.iota(
+            h, core.quotient_by(a, a.one_mask), partial(calculus.subordinate, a)
+        )
         # n cosets land on all n-1 classes: onto, so never injective
         assert len(mapping) == n and set(mapping) == set(range(n - 1))
         assert mapping[-1] == h.as_mv.one  # the top coset has empty subordinate
@@ -152,20 +156,25 @@ def test_iota_closure_identities(monkeypatch):
 def test_iota_rejects_other_base(l5):
     h = hat_of_chain(5)
     with pytest.raises(InvalidArgument):
-        spectra.iota(h, core.quotient_by(l5, l5.full_mask))
+        spectra.iota(
+            h, core.quotient_by(l5, l5.full_mask), partial(calculus.subordinate, l5)
+        )
 
 
 def test_hat_eta_improper_extension():
     h = hat_of_chain(5)
     a = h.spectrum.algebra
-    assert spectra.hat_eta(h, core.quotient_by(a, a.full_mask)) == (0,) * 4  # one point
+    kernel = partial(calculus.kernel, a)
+    eta = spectra.hat_eta(h, core.quotient_by(a, a.full_mask), kernel)
+    assert eta == (0,) * 4  # one point
 
 
 def test_hat_eta_needs_proper_containment():
     h = hat_of_chain(4)
     a = h.spectrum.algebra
     with pytest.raises(InvalidArgument):
-        spectra.hat_eta(h, core.quotient_by(a, a.one_mask))  # P is not a proper extension
+        # P is not a proper extension
+        spectra.hat_eta(h, core.quotient_by(a, a.one_mask), partial(calculus.kernel, a))
 
 
 def _shift(real):
@@ -210,8 +219,11 @@ def test_product_spectrum_and_hat(l2xl3):
     assert h.representatives[h.as_mv.one] == min(
         spec.members, key=lambda m: bin(m).count("1")
     )
-    assert spectra.hat_eta(h, core.quotient_by(a, a.full_mask)) == (0,) * h.as_mv.size
-    assert set(spectra.iota(h, core.quotient_by(a, p))) == set(range(h.as_mv.size))
+    kernel = partial(calculus.kernel, a)
+    eta = spectra.hat_eta(h, core.quotient_by(a, a.full_mask), kernel)
+    assert eta == (0,) * h.as_mv.size
+    io = spectra.iota(h, core.quotient_by(a, p), partial(calculus.subordinate, a))
+    assert set(io) == set(range(h.as_mv.size))
 
 
 def test_hat_on_every_prime_base(algebra):
@@ -221,4 +233,7 @@ def test_hat_on_every_prime_base(algebra):
             continue
         h = mv.build_hat(spec)
         assert core.is_linear(h.as_mv)
-        assert set(spectra.iota(h, core.quotient_by(algebra, p))) == set(range(h.as_mv.size))
+        io = spectra.iota(
+            h, core.quotient_by(algebra, p), partial(calculus.subordinate, algebra)
+        )
+        assert set(io) == set(range(h.as_mv.size))

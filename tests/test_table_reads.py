@@ -1,11 +1,13 @@
 """The byte-table reads against the per-entry loops they replaced.
 
 ``MvAlgebra`` keeps its → rows, ⊗ rows and → columns as reversed ``bytes``,
-and six functions read a row or a column into a mask with one
-``bytes.translate`` and one ``int(…, 2)``: ``calculus.rows``,
-``calculus.subordinate``, ``calculus.kernel``, ``core.congruence_cosets``,
+and ``core.read_lines`` reads the lines picked by a mask into another mask,
+each with one ``bytes.translate`` and one ``int(…, 2)``.  It is compared
+with its loop on random picks, the empty picks included, and behind it
+``calculus.rows``, ``calculus.subordinate``, ``calculus.kernel``,
 ``filters.is_implication_filter`` and the ``order:partial`` statement, which
-reads ``up_mask``.  ``core.is_linear``, the immediacy test of
+reads ``up_mask``; ``core.congruence_cosets`` reads its rows and columns
+itself.  ``core.is_linear``, the immediacy test of
 ``filters.successor_structure`` and the theory list of prime implication
 filters (``filters.enumerate_implication_filters(a, prime_only=True)``)
 read ``up_mask`` and ``down_mask`` too.  The oracles below are the loop
@@ -18,8 +20,9 @@ tuple tables (``imp``, ``otimes``) entry by entry, so they share no code
 with the byte reads.
 
 Each read is compared with its oracle on the ten test algebras, on Ł64 and
-2⁶ (the sizes at which the reads matter), on the hand-built non-MV table of
-the cli tests and on hypothesis-drawn arbitrary tables.  The masks are every
+2⁶ (the sizes at which the reads matter), on Ł8 and Ł2×Ł3 relabelled, on
+the hand-built non-MV table of the cli tests and on hypothesis-drawn
+arbitrary tables.  The masks are every
 lattice filter and every implication filter, the empty and the full mask,
 and hypothesis-drawn arbitrary masks.  An algebra with one derived byte
 changed must disagree with an oracle, so these comparisons can fail.
@@ -34,7 +37,7 @@ from mvfilters import calculus, core, filters, verify
 from mvfilters.core import MvAlgebra
 from mvfilters.errors import InvalidArgument
 
-from conftest import ALL_ALGEBRAS, chain, members, product
+from conftest import ALL_ALGEBRAS, chain, members, product, shuffled
 from test_cli import BAD_TABLE
 
 
@@ -47,6 +50,26 @@ def rows_loop(table, mask):
                 m |= 1 << y
         out.append(m)
     return out
+
+
+def read_lines_loop(table, picks, mask):
+    """Line x of table into mask, for each member x of picks."""
+    return [rows_loop([table[x]], mask)[0] for x in members(picks)]
+
+
+# each byte table, and the tuple table the loops read it from
+LINE_TABLES = {
+    "imp_bytes": lambda a: a.imp,
+    "otimes_bytes": lambda a: a.otimes,
+    "imp_col_bytes": lambda a: tuple(zip(*a.imp)),  # column y: z→y at z
+}
+
+
+def assert_lines_agree(a, picks, mask):
+    for name, table in LINE_TABLES.items():
+        assert list(core.read_lines(getattr(a, name), picks, mask)) == (
+            read_lines_loop(table(a), picks, mask)
+        ), name
 
 
 def subordinate_loop(a, f_mask, elem):
@@ -181,6 +204,8 @@ def order_read(a):
 
 def assert_mask_agrees(a, mask):
     """Every read into mask, or into L∖mask, equals its loop."""
+    for picks in (0, mask):
+        assert_lines_agree(a, picks, mask)
     for name in ("imp", "otimes"):
         table = getattr(a, name)
         assert calculus.rows(getattr(a, f"{name}_bytes"), mask) == (
@@ -205,6 +230,8 @@ BAD = MvAlgebra(
 ALGEBRAS = ALL_ALGEBRAS | {
     "L64": chain(64),
     "2^6": product(2, 2, 2, 2, 2, 2),
+    "L8 relabelled": shuffled(chain(8), 8),
+    "L2xL3 relabelled": shuffled(product(2, 3), 6),
     "bad": BAD,
 }
 # the theory list is exact on MV-algebras only, so BAD has none
@@ -242,9 +269,9 @@ def test_the_non_mv_table_has_witnesses_to_compare():
 @given(data=st.data())
 def test_random_masks_match_the_loops(data):
     a = ALGEBRAS[data.draw(st.sampled_from(sorted(ALGEBRAS)), label="algebra")]
-    assert_mask_agrees(
-        a, data.draw(st.integers(min_value=0, max_value=a.full_mask), label="mask")
-    )
+    mask = data.draw(st.integers(min_value=0, max_value=a.full_mask), label="mask")
+    assert_mask_agrees(a, mask)
+    assert_lines_agree(a, data.draw(st.integers(0, a.full_mask), label="picks"), mask)
 
 
 @st.composite
@@ -264,7 +291,9 @@ def arbitrary_tables(draw):
 @given(a=arbitrary_tables(), data=st.data())
 def test_arbitrary_tables_match_the_loops(a, data):
     assert order_read(a) == order_loop(a)
-    assert_mask_agrees(a, data.draw(st.integers(0, a.full_mask), label="mask"))
+    mask = data.draw(st.integers(0, a.full_mask), label="mask")
+    assert_mask_agrees(a, mask)
+    assert_lines_agree(a, data.draw(st.integers(0, a.full_mask), label="picks"), mask)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
