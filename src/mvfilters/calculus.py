@@ -12,42 +12,41 @@ once here):
 
 Row form.  Φ(F,G) is the union of G's →-rows over f ∈ F and
 ``sqto_full(F,G)`` the intersection of G's ⊗-rows over f ∈ F; J_u(F,P) is
-the union of the P-cosets that meet F.  Each of these is a pure builder
-(``rows``, ``core.congruence_cosets``) followed by a pure combinator
-(``phi_rows``, ``sqto_full_rows``, ``j_up_cosets``, ``j_down_cosets``).
-``rows`` builds all n rows of a table, a list indexed by element, and the
-row combinators are the C folds ``core.fold_or`` and ``core.fold_and``
-over F's members.  ``j_down_cosets`` takes ⁺ as a function of one mask:
-``verify.Ctx`` hands it the run's ⁺ cache, and a cold ``j_down`` hands it
-``partial(set_plus, a)``.  A cold call builds the whole table it reads:
-n rows, or one partition of n row and n column reads by any P.  ``verify.Ctx``
-builds each table once per run, taking cosets from its quotient L/P, so a
-pair then costs one C fold over F, or O(n) bit operations for J.
+the union of the P-cosets that meet F.  Each of ``phi``, ``sqto_full``,
+``sqto_fast``, ``j_up`` and ``j_down`` is one pure combinator over a table
+that its caller passes in: the rows ``rows(a, table, G)``, a list indexed by
+element, or the cosets of P.  The row combinators are the C folds
+``core.fold_or`` and ``core.fold_and`` over F's members, and ``j_down``
+also takes ⁺ as a function of one mask.  ``verify.Ctx`` passes its caches
+(each table built once per run, cosets from its quotient L/P, ⁺ its ``plus``),
+so a pair costs one C fold over F, or O(n) bit operations for J.  The cli
+passes cold builders: ``rows``, the cosets of ``core.congruence_cosets`` and
+``partial(set_plus, a)``, so a cold call builds the whole table it reads.
 
-Subordinate form.  Entry x of ``rows(a.imp_col_bytes, L∖M)`` is column x
+Subordinate form.  Entry x of ``rows(a, "imp_col", L∖M)`` is column x
 of → read into L∖M, the subordinate M_x; call that list cols(M).  The
 column combinators read ⊸, K and F_x from it: F ⊸ G is the AND of
 cols(F∩G) over x ∉ G (``sqto_cols``), K(F) the AND of cols(F) over x ∉ F
 (``kernel_cols``) and F_x is cols(F)[x] (``subordinate_cols``), each one
 C fold or one index.  They take cols as a function of one mask, as
-``j_down_cosets`` takes ⁺: ``verify.Ctx`` hands them its rows cache, so a
-run reads the columns once per distinct mask.  The cold forms read only the
-columns they need: ``kernel_rel`` is K_F(X), one ``core.read_lines`` of
-|X| columns into L∖F, and ``kernel`` and ``sqto`` are it at X = L∖F and
-K_{F∩G}(L∖G) behind the empty-mask guard.  ``subordinate`` is the single
-column read, and ``set_plus`` is it at 0; they stay outside ``kernel_rel``,
-which refuses an X that meets F, because F⁺ takes any mask, L with 0 ∈ L
-included.
+``j_down`` takes ⁺: ``verify.Ctx`` hands them its rows cache, so a
+run reads the columns once per distinct mask.  Only ⊸, K and F_x keep a
+cold form beside the combinators, because for a one-off call, as the cli
+makes, reading only the columns needed beats building a whole column table.
+``kernel_rel`` is K_F(X), one ``core.read_lines`` of |X| columns into L∖F,
+and ``kernel`` and ``sqto`` are it at X = L∖F and K_{F∩G}(L∖G) behind the
+empty-mask guard.  ``subordinate`` is the single column read, and
+``set_plus`` is it at 0; they stay outside ``kernel_rel``, which refuses an
+X that meets F, because F⁺ takes any mask, L with 0 ∈ L included.
 """
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import reduce
 from operator import and_, or_
 
 from .core import (
-    MvAlgebra, QuotientAlgebra, congruence_cosets, fold_and, fold_or, iter_mask,
-    read_lines,
+    MvAlgebra, QuotientAlgebra, fold_and, fold_or, iter_mask, read_lines,
 )
 from .errors import InvalidArgument, InvariantViolation
 
@@ -55,13 +54,14 @@ from .errors import InvalidArgument, InvariantViolation
 # row tables
 
 
-def rows(byte_rows, mask: int) -> list[int]:
-    """Every row of a table into ``mask``: entry x is {y | T[x][y] ∈ mask}.
+def rows(a: MvAlgebra, table: str, mask: int) -> list[int]:
+    """Every row of the table ``table`` of ``a`` into ``mask``: entry x is
+    {y | T[x][y] ∈ mask}.
 
-    ``byte_rows`` is one of ``MvAlgebra``'s reversed byte tables, read by
-    ``core.read_lines`` at every row.
+    ``table`` is "imp", "otimes" or "imp_col" (the columns of →), and its
+    reversed byte table is read by ``core.read_lines`` at every row.
     """
-    return list(read_lines(byte_rows, (1 << len(byte_rows)) - 1, mask))
+    return list(read_lines(getattr(a, f"{table}_bytes"), a.full_mask, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -137,34 +137,30 @@ def sqto_cols(cols, f_mask: int, g_mask: int, full_mask: int) -> int:
     return fold_and(cols(f_mask & g_mask), full_mask & ~g_mask, full_mask)
 
 
-def sqto_fast(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
+def sqto_fast(otimes_rows, f_mask: int, g_mask: int, full_mask: int) -> int:
     """F ⊸ G as {z | f⊗z ∈ G for every f ∈ F∩G}; equals sqto on up-sets.
 
-    By residuation, f⊗z ≤ x exactly when f ≤ z→x; so when F and G are
-    up-sets, some f ∈ F∩G has f⊗z ∉ G exactly when some x ∉ G has z→x ∈ F∩G.
+    ``otimes_rows`` are G's ⊗-rows, ``rows(a, "otimes", G)``.  By
+    residuation, f⊗z ≤ x exactly when f ≤ z→x; so when F and G are up-sets,
+    some f ∈ F∩G has f⊗z ∉ G exactly when some x ∉ G has z→x ∈ F∩G.
 
-    It shares no code with sqto's relative-kernel form.  No statement calls
-    it: prop:fastform reads the same form, ``sqto_full(F∩G, G)``, from
-    ``verify.Ctx``'s ⊗-rows.  It stays as a cold entry point that the
-    benchmark's tracer (``perfbench/spans.py``) wraps.
+    It shares no table with sqto's relative-kernel form: ``verify.Ctx``
+    reads ⊸ on each quotient L/P through it, and prop:fastform sets the
+    same form, ``sqto_full(F∩G, G)``, against the run's ⊸.
     """
     if f_mask == 0 or g_mask == 0:
         return 0
-    return sqto_full(a, f_mask & g_mask, g_mask)
+    return sqto_full(otimes_rows, f_mask & g_mask, full_mask)
 
 
-def sqto_full(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
-    """{z | f⊗z ∈ G for every f ∈ F}, quantifying over all of F.
+def sqto_full(otimes_rows, f_mask: int, full_mask: int) -> int:
+    """{z | f⊗z ∈ G for every f ∈ F}, quantifying over all of F, from G's
+    ⊗-rows: the AND of otimes_rows[f] over f ∈ F.
 
     Agrees with sqto when F ⊆ G and is empty whenever F ⊄ G (some f
     outside G forces f⊗z ≤ f outside G).  This is the form under which
     Φ(F,G) = (F ⊸ G⁺)⁺ holds for arbitrary filters.
     """
-    return sqto_full_rows(rows(a.otimes_bytes, g_mask), f_mask, a.full_mask)
-
-
-def sqto_full_rows(otimes_rows, f_mask: int, full_mask: int) -> int:
-    """``sqto_full`` from G's ⊗-rows: the AND of otimes_rows[f] over f ∈ F."""
     return fold_and(otimes_rows, f_mask, full_mask)
 
 
@@ -172,13 +168,9 @@ def sqto_full_rows(otimes_rows, f_mask: int, full_mask: int) -> int:
 # Φ and T
 
 
-def phi(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
-    """Union over f ∈ F of {y | f→y ∈ G}."""
-    return phi_rows(rows(a.imp_bytes, g_mask), f_mask)
-
-
-def phi_rows(imp_rows, f_mask: int) -> int:
-    """Φ(F,G) from G's →-rows: the OR of imp_rows[f] over f ∈ F."""
+def phi(imp_rows, f_mask: int) -> int:
+    """Φ(F,G), the union over f ∈ F of {y | f→y ∈ G}, from G's →-rows
+    ``rows(a, "imp", G)``: the OR of imp_rows[f] over f ∈ F."""
     return fold_or(imp_rows, f_mask)
 
 
@@ -230,13 +222,9 @@ def _minimal(a: MvAlgebra, mask: int) -> list[int]:
 # J-operators
 
 
-def j_up(a: MvAlgebra, f_mask: int, p_mask: int) -> int:
-    """Union of the P-cosets meeting F: the preimage of F's image in L/P."""
-    return j_up_cosets(congruence_cosets(a, p_mask)[2], f_mask)
-
-
-def j_up_cosets(cosets, f_mask: int) -> int:
-    """J_u(F,P) from the P-cosets: the OR of the cosets that meet F."""
+def j_up(cosets, f_mask: int) -> int:
+    """J_u(F,P), the union of the P-cosets meeting F (the preimage of F's
+    image in L/P), from the P-cosets: the OR of the cosets that meet F."""
     m = 0
     for cm in cosets:
         if cm & f_mask:
@@ -244,18 +232,13 @@ def j_up_cosets(cosets, f_mask: int) -> int:
     return m
 
 
-def j_down(a: MvAlgebra, f_mask: int, p_mask: int) -> int:
-    """(preimage of F⁺'s image)⁺; may be the empty bottom sentinel."""
-    cosets = congruence_cosets(a, p_mask)[2]
-    return j_down_cosets(partial(set_plus, a), cosets, f_mask)
-
-
-def j_down_cosets(plus, cosets, f_mask: int) -> int:
-    """J_d(F,P) from the P-cosets and ⁺ (a function of one mask), by way of
-    ``j_up_cosets``."""
+def j_down(plus, cosets, f_mask: int) -> int:
+    """J_d(F,P) = (preimage of F⁺'s image)⁺, from the P-cosets and ⁺ (a
+    function of one mask), by way of ``j_up``; may be the empty bottom
+    sentinel."""
     if f_mask == 0:
         return 0
-    return plus(j_up_cosets(cosets, plus(f_mask)))
+    return plus(j_up(cosets, plus(f_mask)))
 
 
 # ---------------------------------------------------------------------------

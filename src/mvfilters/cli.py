@@ -25,6 +25,7 @@ from . import calculus, densechain as dc, filters, spectra, verify
 from .core import (
     MvAlgebra,
     check_mv_axioms,
+    congruence_cosets,
     make_lukasiewicz_chain,
     make_product,
 )
@@ -285,10 +286,13 @@ _OPERATORS = {
                lambda pos, f: dc.kernel_of_cut(f)),
     "sqto": (("expr", "expr"), lambda a, pos, f, g: calculus.sqto(a, f, g),
              lambda pos, f, g: dc.cut_sqto(f, g)),
-    "phi": (("expr", "expr"), lambda a, pos, f, g: calculus.phi(a, f, g), None),
+    "phi": (("expr", "expr"), lambda a, pos, f, g: calculus.phi(
+        calculus.rows(a, "imp", g), f), None),
     "T": (("expr", "expr"), lambda a, pos, f, g: calculus.tensor_up(a, f, g), None),
-    "Ju": (("expr", "expr"), lambda a, pos, f, p: calculus.j_up(a, f, p), None),
-    "Jd": (("expr", "expr"), lambda a, pos, f, p: calculus.j_down(a, f, p), None),
+    "Ju": (("expr", "expr"), lambda a, pos, f, p: calculus.j_up(
+        congruence_cosets(a, p)[2], f), None),
+    "Jd": (("expr", "expr"), lambda a, pos, f, p: calculus.j_down(
+        functools.partial(calculus.set_plus, a), congruence_cosets(a, p)[2], f), None),
     "subord": (("expr", "raw"), lambda a, pos, f, x: calculus.subordinate(
         a, f, _element(a, x, pos)), None),
 }
@@ -358,7 +362,7 @@ def export(spec: dict, what: str, fmt: str) -> str:
     kind, _, idx = what.partition(":")
     if kind in ("spectrum", "hat"):
         k, p = _prime(a, idx)
-        spec_ = spectra.prime_spectrum(a, p)
+        spec_ = spectra.prime_spectrum(a, p, functools.partial(calculus.kernel, a))
         if kind == "spectrum":
             if fmt != "dot":
                 raise InvalidArgument("spectra are exported as dot")
@@ -367,7 +371,11 @@ def export(spec: dict, what: str, fmt: str) -> str:
             )
         if fmt != "csv":
             raise InvalidArgument("hat tables are exported as csv")
-        return _csv_of_hat(spectra.build_hat(spec_))
+        return _csv_of_hat(spectra.build_hat(
+            spec_,
+            functools.partial(calculus.sqto, a),
+            functools.partial(calculus.set_plus, a),
+        ))
     raise InvalidArgument(
         f"unknown export target {what!r}; use filters, spectrum:K or hat:K"
     )

@@ -8,9 +8,14 @@ P = {1} this is the literal definition.
 On a finite algebra each class of the derived algebra is a single member: a
 finite MV-algebra is a product of Łukasiewicz chains, so PSpec(P) is the set
 of prime filters of the finite chain L/P, where cut equivalence is equality.
-``hat_from_sqto`` therefore orders the members themselves, from their ⊸
-table; ``build_hat`` computes that table cold.  The dense chain's
-classes of many cuts live in ``densechain.hat_class``.
+``build_hat`` therefore orders the members themselves, from their ⊸
+table.  The dense chain's classes of many cuts live in
+``densechain.hat_class``.
+
+``prime_spectrum`` takes K, and ``build_hat`` ⊸ and ⁺, as functions of
+masks, as ``iota`` takes F_x and ``hat_eta`` K: ``verify.Ctx`` passes its
+caches, and the cli ``functools.partial``s of the cold ``calculus`` forms,
+so a run and an export build the spectrum and the algebra by one body.
 
 The derived algebra is its certified ``as_mv``: its →, ¬ and ⊗ are the
 class-level ⊸, ⁺ and ⊗.
@@ -18,13 +23,12 @@ class-level ⊸, ⁺ and ⊗.
 The maps ι (P-cosets to classes) and η̂ (classes to boundary Q-cosets) return
 their mappings as tuples indexed by coset or class.  Their theorems are
 checked by ``thm:iota``, ``thm:hat-eta`` and ``thm:composite`` in ``verify``;
-``hat_from_sqto`` certifies the algebra it returns.
+``build_hat`` certifies the algebra it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .core import (
     MvAlgebra,
@@ -43,11 +47,13 @@ class PrimeSpectrum:
     members: tuple[int, ...]  # prime lattice filter masks, ascending
 
 
-def prime_spectrum(a: MvAlgebra, p_mask: int) -> PrimeSpectrum:
+def prime_spectrum(a: MvAlgebra, p_mask: int, kernel) -> PrimeSpectrum:
     """All prime lattice filters with kernel exactly P.
 
     P must be a prime implication filter; the improper filter is accepted and
     yields the empty spectrum (no proper filter has improper kernel).
+    ``kernel`` maps a mask to its K, as ``hat_eta`` takes it: ``verify.Ctx``
+    hands it the run's cache, and a cold caller ``partial(calculus.kernel, a)``.
     """
     primes = filters.enumerate_implication_filters(a, prime_only=True)
     if p_mask not in primes + [a.full_mask]:
@@ -55,7 +61,7 @@ def prime_spectrum(a: MvAlgebra, p_mask: int) -> PrimeSpectrum:
     members = tuple(
         f
         for f in filters.enumerate_lattice_filters(a, prime_only=True)
-        if calculus.kernel(a, f) == p_mask
+        if kernel(f) == p_mask
     )
     return PrimeSpectrum(a, p_mask, members)
 
@@ -87,41 +93,30 @@ class HatAlgebra:
         return self.representatives.index(f_mask)
 
 
-def build_hat(spec: PrimeSpectrum) -> HatAlgebra:
-    """Construct and certify the derived algebra on PSpec(P)/≡, cold.
+def build_hat(spec: PrimeSpectrum, sqto, plus) -> HatAlgebra:
+    """The certified derived algebra on PSpec(P)/≡, from ⊸ and ⁺.
 
-    F⊸G is computed once for each ordered pair of members, by
-    ``calculus.sqto``, and the rest is ``hat_from_sqto`` with
-    ``calculus.set_plus`` as ⁺.
-    """
-    a, members = spec.algebra, spec.members
-    return hat_from_sqto(
-        spec,
-        [[calculus.sqto(a, f, g) for g in members] for f in members],
-        partial(calculus.set_plus, a),
-    )
-
-
-def hat_from_sqto(spec: PrimeSpectrum, sqto, plus) -> HatAlgebra:
-    """The certified derived algebra on PSpec(P)/≡, from its ⊸ table and ⁺.
-
-    ``sqto[i][j]`` is members[i] ⊸ members[j], and ``plus`` maps a mask to
-    its ⁺.  [F] ≤ [G] iff F⊸G = P, which must be a total order on the
-    members (antisymmetric, since cut equivalence is equality here).
+    ``sqto`` maps two masks to F ⊸ G and ``plus`` one mask to its ⁺:
+    ``verify.Ctx`` hands it the run's caches, and a cold caller
+    ``partial(calculus.sqto, a)`` and ``partial(calculus.set_plus, a)``.
+    F⊸G is read once for each ordered pair of members.  [F] ≤ [G] iff
+    F⊸G = P, which must be a total order on the members (antisymmetric,
+    since cut equivalence is equality here).
     """
     if not spec.members:
         raise InvalidArgument("cannot build the derived algebra of an empty spectrum")
     a, p, members = spec.algebra, spec.p_mask, spec.members
     n = len(members)
+    table = [[sqto(f, g) for g in members] for f in members]
     for i in range(n):
         for j in range(n):
-            if not (sqto[i][j] == p or sqto[j][i] == p):
+            if not (table[i][j] == p or table[j][i] == p):
                 raise InvariantViolation("class order is not total")
-            if i != j and sqto[i][j] == sqto[j][i] == p:
+            if i != j and table[i][j] == table[j][i] == p:
                 raise InvariantViolation("distinct members are cut-equivalent")
 
     # ascending class order: the zero class lies below every member
-    order = sorted(range(n), key=lambda i: sqto[i].count(p), reverse=True)
+    order = sorted(range(n), key=lambda i: table[i].count(p), reverse=True)
     reps = tuple(members[i] for i in order)
     position = {f: c for c, f in enumerate(reps)}
 
@@ -132,7 +127,7 @@ def hat_from_sqto(spec: PrimeSpectrum, sqto, plus) -> HatAlgebra:
             )
         return position[mask]
 
-    sqto_table = tuple(tuple(class_of(sqto[i][j]) for j in order) for i in order)
+    sqto_table = tuple(tuple(class_of(table[i][j]) for j in order) for i in order)
     plus_table = tuple(class_of(plus(r)) for r in reps)
     oplus = tuple(
         tuple(sqto_table[plus_table[i]][j] for j in range(n)) for i in range(n)

@@ -108,14 +108,20 @@ class Ctx:
     argument tuple, by the one definition in its module, looked up at the
     call.  They close over the algebra, the lists and each other, never over
     the ``Ctx``, so a run's values go when its last reference does; the
-    algebra itself is never written to.  Φ and ``sqto_full`` are one C fold
-    (``core.fold_or``, ``core.fold_and``) of the kept rows over F's members,
-    and J_u and J_d read the cosets of the kept L/P (P in ``impl``), O(n)
-    bit operations per pair.  Every ⁺ of a run, in the statements, in J_d
-    and in the derived algebras, is read from ``plus``, so ``set_plus``
-    runs once per distinct mask.  ⊸, K and F_x read one →-column table per
-    mask M, the subordinates M_x kept in ``rows`` as the "imp_col" rows into
-    L∖M: F⊸G folds the table of F∩G over L∖G and K(F) that of F over L∖F
+    algebra itself is never written to.  Φ, ``sqto_full``, J_u, J_d, the
+    quotient ⊸, the spectra and the derived algebras have no body here:
+    each is the one ``calculus`` or ``spectra`` function, handed these
+    caches where the cli hands it cold builders.  ``calculus.phi`` and
+    ``sqto_full`` are one C fold (``core.fold_or``, ``core.fold_and``) of
+    the kept rows over F's members, ``quotient_sqto`` is
+    ``calculus.sqto_fast`` on the kept ⊗-rows of L/P, and ``calculus.j_up``
+    and ``j_down`` read the cosets of the kept L/P (P in ``impl``), O(n)
+    bit operations per pair.  ``spectra.prime_spectrum`` reads ``kernel``,
+    and ``spectra.build_hat`` reads ``sqto`` and ``plus``.  Every ⁺ of a
+    run, in the statements, in J_d and in the derived algebras, is read
+    from ``plus``, so ``set_plus`` runs once per distinct mask.  ⊸, K and
+    F_x read one →-column table per mask M, the subordinates M_x kept in
+    ``rows`` as the "imp_col" rows into L∖M: F⊸G folds the table of F∩G over L∖G and K(F) that of F over L∖F
     (``calculus.sqto_cols``, ``kernel_cols``), and F_x is entry x
     (``subordinate_cols``).  A run sees few distinct masks F∩G, so most ⊸
     and K cost one C fold; ``spectra.iota`` and ``spectra.hat_eta`` are
@@ -130,16 +136,14 @@ class Ctx:
     def __init__(self, a: MvAlgebra):
         self.a = a
         self.lattice = filters.enumerate_lattice_filters(a)
-        self.primes = primes = filters.enumerate_lattice_filters(a, prime_only=True)
+        self.primes = filters.enumerate_lattice_filters(a, prime_only=True)
         self.impl = filters.enumerate_implication_filters(a)
         self.prime_impl = filters.enumerate_implication_filters(a, prime_only=True)
         self.linear = is_linear(a)
 
         # every row of the table ``table`` ("imp", "otimes" or "imp_col")
         # into mask; the "imp_col" rows into L∖M are the subordinates M_x
-        self.rows = rows = cache(
-            lambda table, mask: calculus.rows(getattr(a, f"{table}_bytes"), mask)
-        )
+        self.rows = rows = cache(lambda table, mask: calculus.rows(a, table, mask))
         full = a.full_mask
 
         def cols(m):
@@ -152,52 +156,31 @@ class Ctx:
         self.quotient = quotient = cache(lambda p: quotient_by(a, p))
         # every ⊗-row of L/P into G/P
         self.quotient_rows = quotient_rows = cache(
-            lambda p, gq: calculus.rows(quotient(p).quotient.otimes_bytes, gq)
+            lambda p, gq: calculus.rows(quotient(p).quotient, "otimes", gq)
         )
-
-        @cache
-        def quotient_sqto(p, fq, gq):
-            """F/P ⊸ G/P in L/P, for nonempty up-sets F/P and G/P.
-
-            This is ``calculus.sqto_fast`` on the quotient: the AND of the
-            quotient's ⊗-rows into G/P over F/P ∩ G/P.  On up-sets, such as
-            the images of filters, it equals the definitional ``calculus.sqto``.
-            """
-            full = quotient(p).quotient.full_mask
-            return calculus.sqto_full_rows(quotient_rows(p, gq), fq & gq, full)
-
-        @cache
-        def spectrum(p):
-            """PSpec(P) from the prime list and the kernel cache; P must be in
-            ``prime_impl``.  ``spectra.prime_spectrum`` lists it cold."""
-            members = tuple(f for f in primes if kernel(f) == p)
-            return spectra.PrimeSpectrum(a, p, members)
-
-        @cache
-        def hat(p):
-            """The derived algebra on PSpec(P), from the members' cached ⊸."""
-            spec = spectrum(p)
-            table = [[sqto(f, g) for g in spec.members] for f in spec.members]
-            return spectra.hat_from_sqto(spec, table, plus)
-
-        self.quotient_sqto, self.spectrum, self.hat = quotient_sqto, spectrum, hat
+        # F/P ⊸ G/P in L/P, for the images of filters (nonempty up-sets)
+        self.quotient_sqto = cache(lambda p, fq, gq: calculus.sqto_fast(
+            quotient_rows(p, gq), fq, gq, quotient(p).quotient.full_mask))
+        # PSpec(P), for P in ``prime_impl``, and the derived algebra on it
+        self.spectrum = spectrum = cache(
+            lambda p: spectra.prime_spectrum(a, p, kernel)
+        )
+        self.hat = cache(lambda p: spectra.build_hat(spectrum(p), sqto, plus))
 
     def show(self, mask: int) -> str:
         return self.a.label_set(mask)
 
     def phi(self, f_mask: int, g_mask: int) -> int:
-        return calculus.phi_rows(self.rows("imp", g_mask), f_mask)
+        return calculus.phi(self.rows("imp", g_mask), f_mask)
 
     def sqto_full(self, f_mask: int, g_mask: int) -> int:
-        return calculus.sqto_full_rows(
-            self.rows("otimes", g_mask), f_mask, self.a.full_mask
-        )
+        return calculus.sqto_full(self.rows("otimes", g_mask), f_mask, self.a.full_mask)
 
     def j_up(self, f_mask: int, p_mask: int) -> int:
-        return calculus.j_up_cosets(self.quotient(p_mask).cosets, f_mask)
+        return calculus.j_up(self.quotient(p_mask).cosets, f_mask)
 
     def j_down(self, f_mask: int, p_mask: int) -> int:
-        return calculus.j_down_cosets(self.plus, self.quotient(p_mask).cosets, f_mask)
+        return calculus.j_down(self.plus, self.quotient(p_mask).cosets, f_mask)
 
 
 def _registry():

@@ -1,8 +1,11 @@
 import random
+from functools import partial
 
 import pytest
 
-from mvfilters import densechain as dc, make_lukasiewicz_chain, run_finite
+from mvfilters import (
+    calculus, core, densechain as dc, make_lukasiewicz_chain, run_finite, spectra,
+)
 from mvfilters.core import MvAlgebra, make_product, mask_of
 
 
@@ -100,6 +103,45 @@ def by_labels(a, *labels):
     return mask_of(a.labels.index(lab) for lab in labels)
 
 
+# Φ, sqto_full, the ⊗-row ⊸ and J on freshly built tables, as the cli's
+# ``compute`` evaluates them; each looks the calculus function up when called,
+# so a mutant of it reaches these too.
+
+
+def cold_phi(a, f, g):
+    return calculus.phi(calculus.rows(a, "imp", g), f)
+
+
+def cold_sqto_full(a, f, g):
+    return calculus.sqto_full(calculus.rows(a, "otimes", g), f, a.full_mask)
+
+
+def cold_sqto_fast(a, f, g):
+    return calculus.sqto_fast(calculus.rows(a, "otimes", g), f, g, a.full_mask)
+
+
+def cold_j_up(a, f, p):
+    return calculus.j_up(core.congruence_cosets(a, p)[2], f)
+
+
+def cold_j_down(a, f, p):
+    cosets = core.congruence_cosets(a, p)[2]
+    return calculus.j_down(partial(calculus.set_plus, a), cosets, f)
+
+
+def cold_spectrum(a, p):
+    """PSpec(P) with K cold, as the cli's ``export`` builds it."""
+    return spectra.prime_spectrum(a, p, partial(calculus.kernel, a))
+
+
+def cold_hat(spec):
+    """The derived algebra on spec with ⊸ and ⁺ cold, as ``export`` builds it."""
+    a = spec.algebra
+    return spectra.build_hat(
+        spec, partial(calculus.sqto, a), partial(calculus.set_plus, a)
+    )
+
+
 def drop_lowest(real):
     """real, with the lowest member of each mask it returns dropped."""
     def corrupted(*args):
@@ -119,10 +161,11 @@ def swap_arguments(real):
 
 # The calculus functions that one mutant of each operation corrupts together.
 # ``verify.Ctx`` reads ⊸, K and F_x through the column combinators, and hands
-# K and F_x to ``spectra.hat_eta`` and ``spectra.iota``; the second sides of
-# fact:a, fact:b and fact:e read the cold ``kernel_rel``, and ⁺ reads the cold
-# ``subordinate`` (``set_plus`` is it at 0).  So ⊸ and K have no cold reader
-# in a run, and their mutants are the combinators'.
+# its ⊸ to ``spectra.build_hat``, its K to ``spectra.prime_spectrum`` and
+# ``hat_eta``, and its F_x to ``iota``; the second sides of fact:a, fact:b and
+# fact:e read the cold ``kernel_rel``, and ⁺ reads the cold ``subordinate``
+# (``set_plus`` is it at 0).  So ⊸ and K have no cold reader in a run, and
+# their mutants are the combinators'.
 CODINGS = {
     "sqto": ("sqto_cols",),
     "kernel": ("kernel_cols",),

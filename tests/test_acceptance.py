@@ -14,7 +14,10 @@ import mvfilters as mv
 import mvfilters.densechain as dc
 from mvfilters import calculus, cli, core, filters
 
-from conftest import ALL_ALGEBRAS, CHAINS, chain, find_isomorphism
+from conftest import (
+    ALL_ALGEBRAS, CHAINS, chain, cold_hat, cold_phi, cold_spectrum, cold_sqto_fast,
+    cold_sqto_full, find_isomorphism,
+)
 
 
 def verdict(n, label, ok):
@@ -35,7 +38,7 @@ def test_criterion_02_sqto_equivalence():
         primes = filters.enumerate_lattice_filters(a, prime_only=True)
         for f in primes:
             for g in primes:
-                if mv.sqto(a, f, g) != calculus.sqto_fast(a, f, g):
+                if mv.sqto(a, f, g) != cold_sqto_fast(a, f, g):
                     ok = False
     verdict(2, "definitional = fast-form sqto", ok)
 
@@ -96,10 +99,10 @@ def test_criterion_06_hat_construction():
     ok = True
     for a in ALL_ALGEBRAS.values():
         for p in filters.enumerate_implication_filters(a, prime_only=True):
-            spec = mv.prime_spectrum(a, p)
+            spec = cold_spectrum(a, p)
             if not spec.members:
                 continue
-            h = mv.build_hat(spec)  # raises unless certified + linear
+            h = cold_hat(spec)  # raises unless certified + linear
             if core.check_mv_axioms(h.as_mv) or not core.is_linear(h.as_mv):
                 ok = False
     verdict(6, "hat builds, certified, linear", ok)
@@ -112,7 +115,7 @@ def test_criterion_06_hat_construction():
 )
 def test_criterion_06_hat_iso_to_L_as_stated():
     for n, a in CHAINS.items():
-        h = mv.build_hat(mv.prime_spectrum(a, a.one_mask))
+        h = cold_hat(cold_spectrum(a, a.one_mask))
         assert find_isomorphism(h.as_mv, a) is not None
 
 
@@ -121,7 +124,7 @@ def test_criterion_06_hat_iso_corrected():
     for n, a in CHAINS.items():
         if n < 3:
             continue
-        h = mv.build_hat(mv.prime_spectrum(a, a.one_mask))
+        h = cold_hat(cold_spectrum(a, a.one_mask))
         if find_isomorphism(h.as_mv, chain(n - 1)) is None:
             ok = False
     verdict(6, "hat of a chain collapses one rung down", ok)
@@ -132,12 +135,12 @@ def test_criterion_07_t_phi_encoding():
     for n in (5, 6):
         a = CHAINS[n]
         for p in filters.enumerate_implication_filters(a, prime_only=True):
-            members = mv.prime_spectrum(a, p).members
+            members = cold_spectrum(a, p).members
             for f in members:
                 for g in members:
                     t = calculus.tensor_up(a, f, g)
-                    u = calculus.phi(a, f, g)
-                    enc = mv.set_plus(a, calculus.sqto_full(a, f, mv.set_plus(a, g)))
+                    u = cold_phi(a, f, g)
+                    enc = mv.set_plus(a, cold_sqto_full(a, f, mv.set_plus(a, g)))
                     if not (t == u == enc):
                         ok = False
     verdict(7, "T = Phi = (F sqto G+)+ set equality", ok)
@@ -155,7 +158,7 @@ def test_criterion_08_spectrum_morphisms():
             (p, q) for p in primes for q in primes if p & ~q == 0 and p != q
         ]
         assert nested == []
-        checked += sum(1 for p in primes if mv.prime_spectrum(a, p).members)
+        checked += sum(1 for p in primes if cold_spectrum(a, p).members)
         ok = ok and mv.run_finite(a, only=["thm:hat-eta", "thm:composite"]).ok
     verdict(8, "eta-hat morphism and composite (improper extension)", ok and checked)
 

@@ -7,8 +7,8 @@ from mvfilters import calculus, core, filters
 from mvfilters.errors import InvalidArgument
 
 from conftest import (
-    ALL_ALGEBRAS, CHAINS, PRODUCTS, assert_check_can_fail, by_labels, drop_lowest,
-    members,
+    ALL_ALGEBRAS, CHAINS, PRODUCTS, assert_check_can_fail, by_labels, cold_j_down,
+    cold_j_up, cold_phi, cold_sqto_fast, cold_sqto_full, drop_lowest, members,
 )
 
 
@@ -47,11 +47,11 @@ def test_sqto_values(l3):
 
 def test_phi_and_tensor_values(l3):
     up_half = by_labels(l3, "1/2", "1")
-    assert show(l3, calculus.phi(l3, up_half, l3.one_mask)) == "{1/2, 1}"
+    assert show(l3, cold_phi(l3, up_half, l3.one_mask)) == "{1/2, 1}"
     assert show(l3, calculus.tensor_up(l3, up_half, l3.one_mask)) == "{1/2, 1}"
     # products reach 0, so T and Φ blow up to the whole carrier together
     assert calculus.tensor_up(l3, up_half, up_half) == l3.full_mask
-    assert calculus.phi(l3, up_half, up_half) == l3.full_mask
+    assert cold_phi(l3, up_half, up_half) == l3.full_mask
 
 
 def test_kernel_rel_conventions(l3):
@@ -78,9 +78,9 @@ def test_sqto_bottom_propagates(l3):
 
 def test_sqto_full_empty_off_nested_pairs(l3):
     up_half = by_labels(l3, "1/2", "1")
-    assert calculus.sqto_full(l3, up_half, l3.one_mask) == 0
+    assert cold_sqto_full(l3, up_half, l3.one_mask) == 0
     # on nested pairs it matches sqto
-    assert calculus.sqto_full(l3, l3.one_mask, up_half) == mv.sqto(
+    assert cold_sqto_full(l3, l3.one_mask, up_half) == mv.sqto(
         l3, l3.one_mask, up_half
     )
 
@@ -100,7 +100,7 @@ def test_definitional_equals_fast_form(algebra):
     primes = filters.enumerate_lattice_filters(algebra, prime_only=True)
     for f in primes:
         for g in primes:
-            assert mv.sqto(algebra, f, g) == calculus.sqto_fast(algebra, f, g)
+            assert mv.sqto(algebra, f, g) == cold_sqto_fast(algebra, f, g)
 
 
 def test_sqto_lands_inside_target(algebra):
@@ -113,7 +113,7 @@ def test_sqto_lands_inside_target(algebra):
 def test_reduction_theorem(monkeypatch, algebra):
     # thm:reduction checks that J_u/J_d keep F⊸G and reach a common kernel
     assert_check_can_fail(
-        monkeypatch, algebra, "thm:reduction", calculus, "j_down_cosets",
+        monkeypatch, algebra, "thm:reduction", calculus, "j_down",
         drop_lowest,
     )
 
@@ -131,17 +131,17 @@ def test_j_down_bottom_case():
         i for i, lab in enumerate(a.labels) if lab in ("(0,1)", "(1,1)")
     )
     p = core.mask_of(i for i, lab in enumerate(a.labels) if lab.startswith("(1,"))
-    assert calculus.j_down(a, f, p) == 0
+    assert cold_j_down(a, f, p) == 0
 
 
 def test_j_up_j_down_examples(l4):
     up_23 = by_labels(l4, "2/3", "1")
     # P = {1}: both operators are the identity
-    assert calculus.j_up(l4, up_23, l4.one_mask) == up_23
-    assert calculus.j_down(l4, up_23, l4.one_mask) == up_23
+    assert cold_j_up(l4, up_23, l4.one_mask) == up_23
+    assert cold_j_down(l4, up_23, l4.one_mask) == up_23
     # P improper: one coset, so J_u is everything and J_d collapses
-    assert calculus.j_up(l4, up_23, l4.full_mask) == l4.full_mask
-    assert calculus.j_down(l4, up_23, l4.full_mask) == 0
+    assert cold_j_up(l4, up_23, l4.full_mask) == l4.full_mask
+    assert cold_j_down(l4, up_23, l4.full_mask) == 0
 
 
 def test_boundary_coset(l4):
@@ -173,8 +173,7 @@ def count_partitions(monkeypatch, a, only=None):
         calls[p_mask] += 1
         return PARTITION(b, p_mask)
 
-    for owner in (core, calculus):
-        monkeypatch.setattr(owner, "congruence_cosets", counted)
+    monkeypatch.setattr(core, "congruence_cosets", counted)
     assert mv.run_finite(a, only=only).ok
     return calls
 

@@ -10,7 +10,7 @@ from mvfilters import calculus, cli, filters, run_finite, spectra
 from mvfilters.core import check_mv_axioms
 from mvfilters.errors import InvalidArgument
 
-from conftest import ALL_ALGEBRAS, chain, drop_lowest, product
+from conftest import ALL_ALGEBRAS, chain, cold_spectrum, drop_lowest, product
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -655,7 +655,7 @@ def test_hasse_diagrams_match_the_triple_loop(name):
     a = DOT_ALGEBRAS[name]
     families = {"filters": filters.enumerate_lattice_filters(a)}
     for k, p in enumerate(filters.enumerate_implication_filters(a, prime_only=True)):
-        families[f"spectrum:{k}"] = list(spectra.prime_spectrum(a, p).members)
+        families[f"spectrum:{k}"] = list(cold_spectrum(a, p).members)
     for what, masks in families.items():
         assert cli._dot_of_containment(what, masks, a.label_set) == (
             dot_of_containment_loop(what, masks, a.label_set)

@@ -16,7 +16,7 @@ under test.
 before each P's lattice filters H with P ⊆ K(H) were listed once: they ask
 the kernel cache for every (F, P, H).  Their witness lists must equal the
 statements', in order, unmutated and under mutants that make them fail.
-``j_down_cosets-drop`` is among them so that a lost candidate H of
+``j_down-drop`` is among them so that a lost candidate H of
 ``prop:large`` changes its "not maximal" witnesses.
 
 ``axiom_c_loop`` and ``adjunction_loop`` are the bodies ``prop:axiomC`` and
@@ -241,9 +241,9 @@ REFERENCES = {"prop:small": small_loop, "prop:large": large_loop}
 MUTANTS = {
     "none": None,
     "kernel-drop": "kernel_cols",
-    "j_up_cosets-drop": "j_up_cosets",
+    "j_up-drop": "j_up",
     "set_plus-drop": "set_plus",
-    "j_down_cosets-drop": "j_down_cosets",
+    "j_down-drop": "j_down",
 }
 
 
@@ -267,7 +267,7 @@ def test_hoisted_statements_keep_their_witnesses(monkeypatch, stmt, mutant):
         found += len(want)
     # every mutant it reads gives witnesses to compare; prop:small reads J_u only
     quiet = mutant == "none" or (
-        stmt == "prop:small" and mutant in ("set_plus-drop", "j_down_cosets-drop")
+        stmt == "prop:small" and mutant in ("set_plus-drop", "j_down-drop")
     )
     assert (found == 0) == quiet
 

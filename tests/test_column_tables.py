@@ -20,13 +20,13 @@ raises when it takes the quotient by it.
 ``filters.covers``, which those two statements decide on, is compared with
 the definition over every triple, on the primes of the test algebras and
 on hypothesis-drawn families of distinct masks.  And a run must report the
-same with the cold forms of ⊸, K, Φ, J and the spectra made to raise.
+same with the cold forms of ⊸ and K made to raise.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mvfilters import calculus, filters, spectra, verify
+from mvfilters import calculus, filters, verify
 
 from conftest import (
     ALL_ALGEBRAS, CODINGS, chain, corrupt_each, drop_lowest, product,
@@ -78,15 +78,7 @@ def test_covers_of_any_family_of_distinct_masks(masks):
     assert firsts == sorted(firsts)
 
 
-# Each of these replaced by a raiser, a run must give the same report: a run
-# reads ⊸, K, Φ, J and the spectra through ``verify.Ctx``'s caches only.
-# Left out: ``subordinate`` and ``set_plus``, which compute ⁺ (the run's ⁺
-# cache calls ``set_plus``); ``kernel_rel``, the second side of fact:a,
-# fact:b and fact:e; and ``tensor_up``, T's only definition.
-COLD = {
-    calculus: ("sqto", "kernel", "sqto_fast", "sqto_full", "phi", "j_up", "j_down"),
-    spectra: ("prime_spectrum", "build_hat"),
-}
+COLD = {calculus: ("sqto", "kernel")}
 COLD_ALGEBRAS = ALL_ALGEBRAS | {"L16": chain(16), "L4xL4": product(4, 4)}
 
 
@@ -96,6 +88,18 @@ def _cold_call(*args):
 
 @pytest.mark.parametrize("name", sorted(COLD_ALGEBRAS))
 def test_a_run_makes_no_cold_call(monkeypatch, name):
+    """With the cold ⊸ and K replaced by raisers, a run gives the same report:
+    it reads ⊸ and K through the column combinators over ``verify.Ctx``'s
+    caches only.
+
+    Φ, ``sqto_full``, ``sqto_fast``, J_u, J_d, ``spectra.prime_spectrum`` and
+    ``build_hat`` are no cold forms: each is the one function that a run
+    calls with the run's tables and the cli with cold ones, and
+    ``test_perfbench_spans`` pins that a run calls them.  Left out as well:
+    ``subordinate`` and ``set_plus``, which compute ⁺ (the run's ⁺ cache
+    calls ``set_plus``); ``kernel_rel``, the second side of fact:a, fact:b
+    and fact:e; and ``tensor_up``, T's only definition.
+    """
     a = COLD_ALGEBRAS[name]
     want = verify.run_finite(a).to_json()
     for owner, names in COLD.items():

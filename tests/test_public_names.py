@@ -28,7 +28,6 @@ _SPAN_TARGET = (
     "a perfbench/spans.py target; deletion waits for a benchmark change"
 )
 ALLOWED = {
-    "calculus.sqto_fast": _SPAN_TARGET,
     "densechain.oracle_plus": _SPAN_TARGET,
     "densechain.oracle_sqto": _SPAN_TARGET,
     "densechain.random_proper_cut": _SPAN_TARGET,

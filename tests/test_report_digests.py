@@ -5,11 +5,13 @@ reports carry witnesses.  The sha256 of ``run_finite(a).to_json()`` is
 pinned for every (algebra, mutant) pair, so a change to the statement
 bodies that moves an id, a verdict, a witness or the order of witnesses
 fails here, even where every unmutated run still passes.  Two digests equal
-the unmutated report's: ``phi-swap`` (no statement applies Φ to a pair on
-which it does not commute) and ``is_convex-not`` on Ł2×Ł3 (the convex
-lemmas skip on products).  Under ``kernel-drop`` the "kernel" of a prime
-filter is no implication filter, so ``fact:d``, ``lem:Jd-lower`` and
-``thm:reduction``, which read the quotient by it, end in ``error``.
+the unmutated report's: ``phi-swap``, which swaps the arguments of
+``verify.Ctx.phi``, the Φ a run reads (Φ commutes on every pair of lattice
+filters of the test algebras, and no statement applies it elsewhere), and
+``is_convex-not`` on Ł2×Ł3 (the convex lemmas skip on products).  Under
+``kernel-drop`` the "kernel" of a prime filter is no implication filter, so
+``fact:d``, ``lem:Jd-lower`` and ``thm:reduction``, which read the quotient
+by it, end in ``error``.
 
 The dense reports are pinned the same way in ``DENSE_DIGESTS``: the sha256
 of ``run_dense(seed=s).to_json()`` unmutated for three seeds, and at seed 0
@@ -41,7 +43,7 @@ import hashlib
 import pytest
 
 import mvfilters as mv
-from mvfilters import calculus, densechain as dc, filters
+from mvfilters import calculus, densechain as dc, filters, verify
 
 from conftest import (
     ALL_ALGEBRAS, CODINGS, KIND_BRANCHES, branch_flipped, chain, corrupt_each,
@@ -65,14 +67,14 @@ MUTANTS = {
     for owner, name in [
         (calculus, "kernel"), (calculus, "kernel_rel"),
         (calculus, "subordinate"), (calculus, "set_plus"),
-        (calculus, "j_up_cosets"), (calculus, "sqto_full_rows"),
+        (calculus, "j_up"), (calculus, "sqto_full"),
         (calculus, "boundary_coset"), (filters, "down_closure_joins"),
-        (calculus, "phi_rows"), (calculus, "tensor_up"),
+        (calculus, "phi"), (calculus, "tensor_up"),
     ]
 } | {
     "sqto-drop": (calculus, CODINGS["sqto"], drop_lowest),
     "sqto-swap": (calculus, CODINGS["sqto"], swap_arguments),
-    "phi-swap": (calculus, "phi", swap_arguments),
+    "phi-swap": (verify.Ctx, "phi", swap_arguments),
     "is_convex-not": (calculus, "is_convex", negate),
 }
 
@@ -85,23 +87,23 @@ DIGESTS = {
         "9b43cb53ff02763a3875d1bcaa70bc751247e123ae7f1139ba147584a2f72c0b",
     ("L5", "is_convex-not"):
         "135a56f065e12f97182fc564b342d900c71afd6992102d2492d31926b2f845ae",
-    ("L5", "j_up_cosets-drop"):
+    ("L5", "j_up-drop"):
         "0f2c252f5a237b8fd7051898af4ce7a934c0308fa8fc979994d12f7b04769a7c",
     ("L5", "kernel-drop"):
         "8281005e357028cb5c21016b4e838a9e6027b8f715b500ff9ed09e6b6891875f",
     ("L5", "kernel_rel-drop"):
         "ef7148e502dcb4fe3b171e663fc92fa8429ac160b600df9c1c4c73d0b9f28c07",
+    ("L5", "phi-drop"):
+        "d3a174f2422fc55d864f89a1d73f29fa0ba2a4c07deacbd8508e9a9fa149dc66",
     ("L5", "phi-swap"):
         "fa192375b27526ec26e9bad87fd0e515a3b4bc3a3b2a28f888213be2c52bfbf0",
-    ("L5", "phi_rows-drop"):
-        "d3a174f2422fc55d864f89a1d73f29fa0ba2a4c07deacbd8508e9a9fa149dc66",
     ("L5", "set_plus-drop"):
         "4e0dc7bcb690ee47c36e1480c09becacb5452c22cb970449e7cb210d3a0867fb",
     ("L5", "sqto-drop"):
         "5333ba1a4683a7cbe8103a4dd3e78f09cd92b91412db2aec8841f9e18bb06b9f",
     ("L5", "sqto-swap"):
         "a8249f2a23c2b6520eb03f90153b11717e010f43dcb52710d6d5a5117ef30119",
-    ("L5", "sqto_full_rows-drop"):
+    ("L5", "sqto_full-drop"):
         "7c8fd4ab8d6d623910920e2d3d053a252a33cf293db429a6fac92ae9aa0b9b07",
     ("L5", "subordinate-drop"):
         "84222c5070807756561ac53aa9e4e5513792e9cebb526ef0c86e3031b56916c3",
@@ -113,23 +115,23 @@ DIGESTS = {
         "e7de3bdce7f802e76085ad4d684a692e1544682983e9b58f3afe1b42e90c75f1",
     ("L2xL3", "is_convex-not"):
         "c2230092e4d5474d7c2989baf85af9e608f8735770be626d3a1563ba107c96c3",
-    ("L2xL3", "j_up_cosets-drop"):
+    ("L2xL3", "j_up-drop"):
         "adbc573cf22b0b82073c1e9882029740736b5020c4f0f01f014d0079e921d45d",
     ("L2xL3", "kernel-drop"):
         "22274c8de47c19f181c97a36d801994bac5f4eab3be6850d8c4bd478a19b6990",
     ("L2xL3", "kernel_rel-drop"):
         "9459801d7a8a1636ea0e2e2e5fb6fcd436314b30d173c1ba100d3c2886a47112",
+    ("L2xL3", "phi-drop"):
+        "1c4e7aff4f217a5df1755c2a75f463090bd47469e24215cc42c73d890af1b427",
     ("L2xL3", "phi-swap"):
         "c2230092e4d5474d7c2989baf85af9e608f8735770be626d3a1563ba107c96c3",
-    ("L2xL3", "phi_rows-drop"):
-        "1c4e7aff4f217a5df1755c2a75f463090bd47469e24215cc42c73d890af1b427",
     ("L2xL3", "set_plus-drop"):
         "5c0581dfa13b547eea8a327931335df8fa97bc9947c1aa4e4f1ff3d939cd8ecf",
     ("L2xL3", "sqto-drop"):
         "dc5ad7fe86d92b30c74677affa2ca0d12e83ca88226086e96d21872f4aa96f78",
     ("L2xL3", "sqto-swap"):
         "0852585478676a4ff0490fa24520889591ab44755b54f3421390bc5b3e775a93",
-    ("L2xL3", "sqto_full_rows-drop"):
+    ("L2xL3", "sqto_full-drop"):
         "88c0ac8db884f0a059db052559daf7a850e5c87adfcc1aa14088cd98c1930c40",
     ("L2xL3", "subordinate-drop"):
         "a345a27fd1059d718cd7c9a7dd5e412d7e840e64a56f6a213c310c050827f3f9",

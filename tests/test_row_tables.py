@@ -4,7 +4,8 @@ replaced.
 
 The oracles below are the bodies these operations had before they were split
 into a table builder and a combinator.  Each new form is compared with its
-oracle both cold (``calculus``, ``QuotientAlgebra``) and through the tables a
+oracle both cold (the ``calculus`` combinators over freshly built tables, as
+the cli's ``compute`` calls them, and ``QuotientAlgebra``) and through the tables a
 ``verify.Ctx`` keeps for one run; the quotient image, which ``Ctx`` does
 not keep, is compared cold only.  J_u and J_d go through ``Ctx`` only at
 an implication filter P, since ``Ctx`` reads the cosets of L/P; the cold
@@ -27,7 +28,10 @@ from mvfilters import calculus, core, filters, verify
 from mvfilters.core import mask_of
 from mvfilters.errors import InvalidArgument
 
-from conftest import ALL_ALGEBRAS, CHAINS, PRODUCTS, members, up_closure_loop
+from conftest import (
+    ALL_ALGEBRAS, CHAINS, PRODUCTS, cold_j_down, cold_j_up, cold_phi, cold_sqto_full,
+    members, up_closure_loop,
+)
 from test_table_reads import congruence_cosets_loop, subordinate_loop
 
 
@@ -89,20 +93,20 @@ def image_mask_loop(q, mask):
 def assert_pair_agrees(a, ctx, f, g):
     """Every row-table form at (F, G), with G also read as P for the cold
     J_u/J_d, which partition L by any mask."""
-    assert calculus.phi(a, f, g) == ctx.phi(f, g) == phi_loop(a, f, g)
+    assert cold_phi(a, f, g) == ctx.phi(f, g) == phi_loop(a, f, g)
     assert (
-        calculus.sqto_full(a, f, g) == ctx.sqto_full(f, g)
+        cold_sqto_full(a, f, g) == ctx.sqto_full(f, g)
         == sqto_full_loop(a, f, g)
     )
-    assert calculus.j_up(a, f, g) == j_up_loop(a, f, g)
-    assert calculus.j_down(a, f, g) == j_down_loop(a, f, g)
+    assert cold_j_up(a, f, g) == j_up_loop(a, f, g)
+    assert cold_j_down(a, f, g) == j_down_loop(a, f, g)
 
 
 def assert_j_agrees(a, ctx, f, p):
     """J_u/J_d at (F, P) through the cosets of the ``Ctx`` quotient L/P, for
     an implication filter P."""
-    assert ctx.j_up(f, p) == calculus.j_up(a, f, p) == j_up_loop(a, f, p)
-    assert ctx.j_down(f, p) == calculus.j_down(a, f, p) == j_down_loop(a, f, p)
+    assert ctx.j_up(f, p) == cold_j_up(a, f, p) == j_up_loop(a, f, p)
+    assert ctx.j_down(f, p) == cold_j_down(a, f, p) == j_down_loop(a, f, p)
 
 
 def assert_quotient_agrees(ctx, p, mask, fq, gq):
@@ -189,18 +193,17 @@ def test_each_table_is_built_once_per_run(monkeypatch):
     built_rows, built_cosets = Counter(), Counter()
     real_rows, real_cosets = calculus.rows, core.congruence_cosets
 
-    def counted_rows(byte_rows, mask):
-        assert all(type(row) is bytes for row in byte_rows)
-        built_rows[id(byte_rows), mask] += 1  # a run builds rows through Ctx only
-        return real_rows(byte_rows, mask)
+    def counted_rows(b, table, mask):
+        assert all(type(row) is bytes for row in getattr(b, f"{table}_bytes"))
+        built_rows[id(b), table, mask] += 1  # a run builds rows through Ctx only
+        return real_rows(b, table, mask)
 
     def counted_cosets(a, p_mask):
         built_cosets[p_mask] += 1
         return real_cosets(a, p_mask)
 
     monkeypatch.setattr(calculus, "rows", counted_rows)
-    for owner in (core, calculus):
-        monkeypatch.setattr(owner, "congruence_cosets", counted_cosets)
+    monkeypatch.setattr(core, "congruence_cosets", counted_cosets)
     built = []
 
     class RecordingCtx(verify.Ctx):

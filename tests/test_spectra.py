@@ -12,6 +12,8 @@ from conftest import (
     PRODUCTS,
     assert_check_can_fail,
     chain,
+    cold_hat,
+    cold_spectrum,
     drop_lowest,
     find_isomorphism,
 )
@@ -19,13 +21,13 @@ from conftest import (
 
 def hat_of_chain(n):
     a = CHAINS[n]
-    return mv.build_hat(mv.prime_spectrum(a, a.one_mask))
+    return cold_hat(cold_spectrum(a, a.one_mask))
 
 
 def test_spectrum_size_on_chains():
     # every proper filter of a chain is prime with kernel {1}
     for n, a in CHAINS.items():
-        spec = mv.prime_spectrum(a, a.one_mask)
+        spec = cold_spectrum(a, a.one_mask)
         assert len(spec.members) == n - 1
         for f in spec.members:
             assert mv.kernel(a, f) == a.one_mask
@@ -33,7 +35,7 @@ def test_spectrum_size_on_chains():
 
 def test_spectrum_requires_prime_base(l4):
     with pytest.raises(InvalidArgument):
-        mv.prime_spectrum(l4, core.mask_of([1, 2, 3]))  # lattice-only filter
+        cold_spectrum(l4, core.mask_of([1, 2, 3]))  # lattice-only filter
 
 
 def test_spectrum_refuses_a_proper_non_prime_implication_filter(l2xl3):
@@ -43,14 +45,14 @@ def test_spectrum_refuses_a_proper_non_prime_implication_filter(l2xl3):
     assert a.one_mask in filters.enumerate_implication_filters(a)
     assert not core.is_linear(core.quotient_by(a, a.one_mask).quotient)
     with pytest.raises(InvalidArgument, match="prime implication filter"):
-        mv.prime_spectrum(a, a.one_mask)
+        cold_spectrum(a, a.one_mask)
 
 
 def test_improper_base_gives_empty_spectrum(l4):
-    spec = mv.prime_spectrum(l4, l4.full_mask)
+    spec = cold_spectrum(l4, l4.full_mask)
     assert len(spec.members) == 0
     with pytest.raises(InvalidArgument):
-        mv.build_hat(spec)
+        cold_hat(spec)
 
 
 def test_hat_of_chain_is_smaller_chain():
@@ -88,23 +90,25 @@ def test_spectrum_equiv_is_discrete_on_chains():
     assert sorted(h.representatives) == sorted(h.spectrum.members)
 
 
-def test_build_hat_computes_each_sqto_once(monkeypatch):
-    calls = []
-    real = calculus.sqto
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(calculus, "sqto", counted)
+def test_build_hat_computes_each_sqto_once():
+    # build_hat reads the ⊸ it is handed once per ordered pair of members
     for a in (CHAINS[5], PRODUCTS["L2xL3"]):
         for p in filters.enumerate_implication_filters(a, prime_only=True):
-            spec = mv.prime_spectrum(a, p)
+            spec = cold_spectrum(a, p)
             if not spec.members:
                 continue
-            calls.clear()
-            mv.build_hat(spec)
-            assert len(calls) == len(spec.members) ** 2
+            calls = []
+
+            def counted(f, g):
+                calls.append((f, g))
+                return calculus.sqto(a, f, g)
+
+            spectra.build_hat(spec, counted, partial(calculus.set_plus, a))
+            m = len(spec.members)
+            assert len(calls) == m ** 2
+            assert sorted(calls) == sorted(
+                (f, g) for f in spec.members for g in spec.members
+            )
 
 
 def _shift_class(real):
@@ -212,9 +216,9 @@ def test_product_spectrum_and_hat(l2xl3):
     a = l2xl3
     p = core.mask_of(i for i, lab in enumerate(a.labels) if lab.startswith("(1,"))
     assert p in filters.enumerate_implication_filters(a, prime_only=True)
-    spec = mv.prime_spectrum(a, p)
+    spec = cold_spectrum(a, p)
     assert p in spec.members
-    h = mv.build_hat(spec)
+    h = cold_hat(spec)
     assert core.is_linear(h.as_mv)
     assert h.representatives[h.as_mv.one] == min(
         spec.members, key=lambda m: bin(m).count("1")
@@ -228,10 +232,10 @@ def test_product_spectrum_and_hat(l2xl3):
 
 def test_hat_on_every_prime_base(algebra):
     for p in filters.enumerate_implication_filters(algebra, prime_only=True):
-        spec = mv.prime_spectrum(algebra, p)
+        spec = cold_spectrum(algebra, p)
         if not spec.members:
             continue
-        h = mv.build_hat(spec)
+        h = cold_hat(spec)
         assert core.is_linear(h.as_mv)
         io = spectra.iota(
             h, core.quotient_by(algebra, p), partial(calculus.subordinate, algebra)

@@ -17,8 +17,8 @@ from mvfilters.verify import DENSE_STATEMENTS, FINITE_STATEMENTS
 
 from conftest import (
     ALL_ALGEBRAS, CHAINS, CODINGS, KIND_BRANCHES, PRODUCTS, assert_check_can_fail,
-    branch_flipped, drop_lowest, members, plus_flipped, product, relabelled,
-    shuffled, swap_arguments,
+    branch_flipped, cold_hat, cold_spectrum, drop_lowest, members, plus_flipped,
+    product, relabelled, shuffled, swap_arguments,
 )
 
 
@@ -98,17 +98,17 @@ CACHES = (
 def _fresh(a, name, args):
     """Recompute a cache entry by its module's definition, bypassing Ctx."""
     if name == "spectrum":
-        return spectra.prime_spectrum(a, *args)
+        return cold_spectrum(a, *args)
     if name == "hat":
-        return spectra.build_hat(spectra.prime_spectrum(a, *args))
+        return cold_hat(cold_spectrum(a, *args))
     if name == "quotient":
         return core.quotient_by(a, *args)
     if name == "rows":
         table, mask = args
-        return calculus.rows(getattr(a, f"{table}_bytes"), mask)
+        return calculus.rows(a, table, mask)
     if name == "quotient_rows":
         p, mask = args
-        return calculus.rows(core.quotient_by(a, p).quotient.otimes_bytes, mask)
+        return calculus.rows(core.quotient_by(a, p).quotient, "otimes", mask)
     if name == "quotient_sqto":
         p, fq, gq = args
         return calculus.sqto(core.quotient_by(a, p).quotient, fq, gq)
@@ -188,9 +188,7 @@ def test_checks_fail_through_a_warm_memo(monkeypatch):
     fastform(ctx, out)
     assert not out
     # the ⊗-rows stay warm in ctx; the combinator that reads them is corrupted
-    monkeypatch.setattr(
-        calculus, "sqto_full_rows", drop_lowest(calculus.sqto_full_rows)
-    )
+    monkeypatch.setattr(calculus, "sqto_full", drop_lowest(calculus.sqto_full))
     fastform(ctx, out)
     assert out
 
@@ -314,23 +312,23 @@ def _drop_lowest_at_p_one(real):
 @pytest.mark.parametrize(
     "stmt, owner, name, corrupt",
     [
-        ("prop:phi", calculus, "phi_rows", drop_lowest),
-        ("prop:phi", calculus, "sqto_full_rows", drop_lowest),
-        ("prop:quot-commute", calculus, "sqto_full_rows", drop_lowest),
+        ("prop:phi", calculus, "phi", drop_lowest),
+        ("prop:phi", calculus, "sqto_full", drop_lowest),
+        ("prop:quot-commute", calculus, "sqto_full", drop_lowest),
         ("prop:quot-commute", verify, "Ctx", _drop_lowest_at_p_one),
-        ("prop:small", calculus, "j_up_cosets", drop_lowest),
-        ("prop:large", calculus, "j_up_cosets", drop_lowest),
-        ("prop:Ju-kernel", calculus, "j_up_cosets", drop_lowest),
-        ("prop:T-phi", calculus, "phi_rows", drop_lowest),
-        ("prop:T-phi", calculus, "sqto_full_rows", drop_lowest),
-        ("prop:fastform", calculus, "sqto_full_rows", drop_lowest),
-        ("lem:Jd-lower", calculus, "j_down_cosets", drop_lowest),
-        ("thm:reduction", calculus, "j_up_cosets", drop_lowest),
+        ("prop:small", calculus, "j_up", drop_lowest),
+        ("prop:large", calculus, "j_up", drop_lowest),
+        ("prop:Ju-kernel", calculus, "j_up", drop_lowest),
+        ("prop:T-phi", calculus, "phi", drop_lowest),
+        ("prop:T-phi", calculus, "sqto_full", drop_lowest),
+        ("prop:fastform", calculus, "sqto_full", drop_lowest),
+        ("lem:Jd-lower", calculus, "j_down", drop_lowest),
+        ("thm:reduction", calculus, "j_up", drop_lowest),
     ],
     ids=[
         "phi-combinator", "phi-sqto_full", "quot-commute-quotient-side",
         "quot-commute-at-P-one", "small-j_up", "large-j_up", "Ju-kernel-j_up",
-        "T-phi-phi_rows", "T-phi-sqto_full", "fastform-sqto_full",
+        "T-phi-phi", "T-phi-sqto_full", "fastform-sqto_full",
         "Jd-lower-j_down", "reduction-j_up",
     ],
 )
@@ -581,12 +579,10 @@ def test_run_reads_the_tables_not_the_cold_forms(monkeypatch, algebra_id):
 
         return wrapped
 
-    for owner, name in [
-        (calculus, "phi"), (calculus, "sqto_fast"), (calculus, "sqto_full"),
-        (calculus, "j_up"), (calculus, "j_down"), (spectra, "build_hat"),
-        (spectra, "prime_spectrum"),
-    ]:
-        monkeypatch.setattr(owner, name, recording(name, getattr(owner, name)))
+    # the cold ⊸ and K; Φ, J, the ⊗-row ⊸, the spectra and the derived
+    # algebras have one function each, which a run calls with its tables
+    for name in ("sqto", "kernel"):
+        monkeypatch.setattr(calculus, name, recording(name, getattr(calculus, name)))
     built = []
 
     class RecordingCtx(verify.Ctx):
@@ -644,11 +640,18 @@ FINITE_SPECS = {
 
 @pytest.mark.parametrize("name", [*sorted(ALL_ALGEBRAS), *FINITE_SPECS])
 def test_ctx_spectrum_is_the_cold_prime_spectrum(name):
+    # the specs include L16, L4xL4 and 2^5; Ctx hands prime_spectrum and
+    # build_hat its caches, export the cold partials
     a = ALL_ALGEBRAS.get(name) or cli.build_algebra(FINITE_SPECS[name])
     ctx = verify.Ctx(a)
     assert ctx.prime_impl
     for p in ctx.prime_impl:
-        assert ctx.spectrum(p) == spectra.prime_spectrum(a, p)
+        spec = cold_spectrum(a, p)
+        assert ctx.spectrum(p) == spec
+        h, cold = ctx.hat(p), cold_hat(spec)
+        assert h.representatives == cold.representatives
+        assert h.as_mv.oplus == cold.as_mv.oplus
+        assert h.as_mv.neg == cold.as_mv.neg
 
 
 def _drop_one_prime(real):
