@@ -23,21 +23,20 @@ so a pair costs one C fold over F, or O(n) bit operations for J.  The cli
 passes cold builders: ``rows``, the cosets of ``core.congruence_cosets`` and
 ``partial(set_plus, a)``, so a cold call builds the whole table it reads.
 
-Subordinate form.  Entry x of ``rows(a, "imp_col", L∖M)`` is column x
-of → read into L∖M, the subordinate M_x; call that list cols(M).  The
-column combinators read ⊸, K and F_x from it: F ⊸ G is the AND of
-cols(F∩G) over x ∉ G (``sqto_cols``), K(F) the AND of cols(F) over x ∉ F
-(``kernel_cols``) and F_x is cols(F)[x] (``subordinate_cols``), each one
-C fold or one index.  They take cols as a function of one mask, as
-``j_down`` takes ⁺: ``verify.Ctx`` hands them its rows cache, so a
-run reads the columns once per distinct mask.  Only ⊸, K and F_x keep a
-cold form beside the combinators, because for a one-off call, as the cli
-makes, reading only the columns needed beats building a whole column table.
-``kernel_rel`` is K_F(X), one ``core.read_lines`` of |X| columns into L∖F,
-and ``kernel`` and ``sqto`` are it at X = L∖F and K_{F∩G}(L∖G) behind the
-empty-mask guard.  ``subordinate`` is the single column read, and
-``set_plus`` is it at 0; they stay outside ``kernel_rel``, which refuses an
-X that meets F, because F⁺ takes any mask, L with 0 ∈ L included.
+Subordinates.  ⊸, K, K_F(X) and F_x have one body each, and each reads
+its subordinates through one method of the algebra it is handed:
+``a.columns(M, X)`` lists M_x = {z | z→x ∉ M} for x ∈ X, ascending.
+``kernel_rel`` is K_F(X), the AND of ``a.columns(F, X)``; ``kernel`` and
+``sqto`` are it at X = L∖F and at K_{F∩G}(L∖G), behind the empty-mask
+guard; ``subordinate`` is the one subordinate ``a.columns(F, {x})``.  On an
+``MvAlgebra``, ``columns`` is one ``core.read_lines`` of |X| →-columns into
+L∖M, so a one-off call, as the cli makes, reads only the columns it needs.
+``verify.Ctx`` hands these functions a view of its algebra whose
+``columns`` picks X out of the run's cached table of every →-column into
+L∖M, so a run reads the columns once per distinct mask M, and a ⊸ or K
+after that is one C fold.  ``set_plus`` is ``subordinate`` at 0; it stays
+outside ``kernel_rel``, which refuses an X that meets F, because F⁺ takes
+any mask, L with 0 ∈ L included.
 """
 
 from __future__ import annotations
@@ -69,11 +68,8 @@ def rows(a: MvAlgebra, table: str, mask: int) -> list[int]:
 
 
 def subordinate(a: MvAlgebra, f_mask: int, elem: int) -> int:
-    """{z | z→elem ∉ F}.  For prime F with elem ∉ F this is a prime filter.
-
-    Column ``elem`` of → read into L∖F.
-    """
-    return next(read_lines(a.imp_col_bytes, 1 << elem, a.full_mask & ~f_mask))
+    """{z | z→elem ∉ F}.  For prime F with elem ∉ F this is a prime filter."""
+    return next(a.columns(f_mask, 1 << elem))
 
 
 def set_plus(a: MvAlgebra, mask: int) -> int:
@@ -95,28 +91,14 @@ def kernel_rel(a: MvAlgebra, f_mask: int, x_mask: int) -> int:
     """K_F(X), the intersection of the subordinates of F at every member of X.
 
     X must be a subset of the carrier disjoint from F.  The empty X yields
-    the whole carrier (empty-intersection convention).  Each F_x is column x
-    of → read into L∖F, by one ``core.read_lines``, and one ``reduce`` ANDs
-    them.
+    the whole carrier (empty-intersection convention).  One ``reduce`` ANDs
+    the subordinates ``a.columns(F, X)``.
     """
     if x_mask & f_mask:
         raise InvalidArgument("index set X must be disjoint from the filter")
     if x_mask >> a.size:
         raise InvalidArgument("index set X must be a subset of the carrier")
-    cols = read_lines(a.imp_col_bytes, x_mask, a.full_mask & ~f_mask)
-    return reduce(and_, cols, a.full_mask)
-
-
-def kernel_cols(cols, f_mask: int, full_mask: int) -> int:
-    """K(F) from the subordinate columns: the AND of cols(F)[x] over x ∉ F."""
-    if f_mask == 0:
-        return 0
-    return fold_and(cols(f_mask), full_mask & ~f_mask, full_mask)
-
-
-def subordinate_cols(cols, f_mask: int, elem: int) -> int:
-    """F_elem from the subordinate columns: cols(F)[elem]."""
-    return cols(f_mask)[elem]
+    return reduce(and_, a.columns(f_mask, x_mask), a.full_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +110,6 @@ def sqto(a: MvAlgebra, f_mask: int, g_mask: int) -> int:
     if f_mask == 0 or g_mask == 0:
         return 0
     return kernel_rel(a, f_mask & g_mask, a.full_mask & ~g_mask)
-
-
-def sqto_cols(cols, f_mask: int, g_mask: int, full_mask: int) -> int:
-    """F ⊸ G from the subordinate columns: the AND of cols(F∩G)[x] over x ∉ G."""
-    if f_mask == 0 or g_mask == 0:
-        return 0
-    return fold_and(cols(f_mask & g_mask), full_mask & ~g_mask, full_mask)
 
 
 def sqto_fast(otimes_rows, f_mask: int, g_mask: int, full_mask: int) -> int:

@@ -94,8 +94,9 @@ class MvAlgebra:
     The → rows, ⊗ rows and → columns are also kept as ``bytes``, each one
     reversed (``imp_bytes[x][n-1-y]`` is x→y, ``imp_col_bytes[y][n-1-z]``
     is z→y).  ``read_lines`` then reads row or column x into a mask M with
-    one ``translate`` and one ``int(…, 2)``, which puts element y at bit y.
-    Byte entries bound the carrier at 256 elements.
+    one ``translate`` and one ``int(…, 2)``, which puts element y at bit y;
+    ``columns`` is that read for the →-columns, the subordinates.  Byte
+    entries bound the carrier at 256 elements.
     """
 
     size: int
@@ -150,9 +151,9 @@ class MvAlgebra:
             neg_rev.translate(r.ljust(256, b"\0")).translate(neg_t) for r in imp_b
         )
         stacked = b"".join(imp_b)
-        imp_cols = [stacked[y::n] for y in range(n)]
+        imp_col_b = [stacked[y::n] for y in range(n)]
         # x∨y = (x→y)→y: column y of → read at itself
-        join_stacked = b"".join(c.translate(c.ljust(256, b"\0")) for c in imp_cols)
+        join_stacked = b"".join(c.translate(c.ljust(256, b"\0")) for c in imp_col_b)
         join_b = [join_stacked[x::n] for x in range(n)]
         # x∧y = ¬(¬x∨¬y): row ¬x of ∨ read at ¬y, then negated
         meet = tuple(
@@ -160,7 +161,7 @@ class MvAlgebra:
             for v in neg
         )
         imp_bytes = tuple(r[::-1] for r in imp_b)
-        imp_col_bytes = tuple(c[::-1] for c in imp_cols)
+        imp_col_bytes = tuple(c[::-1] for c in imp_col_b)
         # ↑x is row x of → into {1}, ↓x is column x of → into {1}
         full = (1 << n) - 1
         up = tuple(read_lines(imp_bytes, full, 1 << one))
@@ -177,6 +178,11 @@ class MvAlgebra:
         object.__setattr__(self, "imp_bytes", imp_bytes)
         object.__setattr__(self, "otimes_bytes", otimes_bytes)
         object.__setattr__(self, "imp_col_bytes", imp_col_bytes)
+
+    def columns(self, m_mask: int, x_mask: int):
+        """The subordinates M_x = {z | z→x ∉ M} for each x ∈ X, ascending:
+        column x of → read into L∖M, so only |X| columns are read."""
+        return read_lines(self.imp_col_bytes, x_mask, self.full_mask & ~m_mask)
 
     def leq(self, x: int, y: int) -> bool:
         return self.imp[x][y] == self.one

@@ -17,12 +17,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import compress, product
 from types import SimpleNamespace
 
 from . import calculus, densechain as dc, filters, spectra
 from .core import (
     MvAlgebra,
+    bits,
     check_mv_axioms,
     is_linear,
     iter_mask,
@@ -108,29 +109,32 @@ class Ctx:
     argument tuple, by the one definition in its module, looked up at the
     call.  They close over the algebra, the lists and each other, never over
     the ``Ctx``, so a run's values go when its last reference does; the
-    algebra itself is never written to.  Φ, ``sqto_full``, J_u, J_d, the
-    quotient ⊸, the spectra and the derived algebras have no body here:
-    each is the one ``calculus`` or ``spectra`` function, handed these
-    caches where the cli hands it cold builders.  ``calculus.phi`` and
-    ``sqto_full`` are one C fold (``core.fold_or``, ``core.fold_and``) of
-    the kept rows over F's members, ``quotient_sqto`` is
-    ``calculus.sqto_fast`` on the kept ⊗-rows of L/P, and ``calculus.j_up``
-    and ``j_down`` read the cosets of the kept L/P (P in ``impl``), O(n)
-    bit operations per pair.  ``spectra.prime_spectrum`` reads ``kernel``,
-    and ``spectra.build_hat`` reads ``sqto`` and ``plus``.  Every ⁺ of a
-    run, in the statements, in J_d and in the derived algebras, is read
-    from ``plus``, so ``set_plus`` runs once per distinct mask.  ⊸, K and
-    F_x read one →-column table per mask M, the subordinates M_x kept in
-    ``rows`` as the "imp_col" rows into L∖M: F⊸G folds the table of F∩G over L∖G and K(F) that of F over L∖F
-    (``calculus.sqto_cols``, ``kernel_cols``), and F_x is entry x
-    (``subordinate_cols``).  A run sees few distinct masks F∩G, so most ⊸
-    and K cost one C fold; ``spectra.iota`` and ``spectra.hat_eta`` are
-    handed ``subordinate`` and ``kernel``, so ι and η̂ read them too.  A
-    cross-check's second side shares no table with its first: ``fact:b``,
-    ``fact:c`` and ``prop:fastform`` set those →-columns against ⊗-rows,
-    ``fact:a``, ``fact:b`` and ``fact:e`` against the cold
-    ``calculus.kernel_rel``, and ``prop:T-phi`` computes T cold, from
-    minimal members.
+    algebra itself is never written to.  ⊸, K, F_x, Φ, ``sqto_full``, J_u,
+    J_d, the quotient ⊸, the spectra and the derived algebras have no body
+    here: each is the one ``calculus`` or ``spectra`` function, handed these
+    caches where the cli hands it the algebra or cold builders.
+    ``calculus.sqto``, ``kernel`` and ``subordinate`` are handed a view of
+    the algebra whose ``columns(M, X)`` picks the subordinates M_x, x ∈ X,
+    out of the kept "imp_col" rows into L∖M, so a run reads every →-column
+    into L∖M once per distinct mask M.  It sees few distinct masks F∩G, so
+    most ⊸ and K cost one C fold.  The view closes over ``rows``, not over
+    the ``Ctx``.  ``plus`` hands ``calculus.set_plus`` the algebra itself:
+    ⁺ reads one column per distinct mask, where the view would keep a whole
+    table for it.  ``calculus.phi`` and ``sqto_full`` are one C fold
+    (``core.fold_or``, ``core.fold_and``) of the kept rows over F's members,
+    ``quotient_sqto`` is ``calculus.sqto_fast`` on the kept ⊗-rows of L/P,
+    and ``calculus.j_up`` and ``j_down`` read the cosets of the kept L/P (P
+    in ``impl``), O(n) bit operations per pair.  ``spectra.prime_spectrum``
+    reads ``kernel``, and ``spectra.build_hat`` reads ``sqto`` and ``plus``;
+    ``spectra.iota`` and ``spectra.hat_eta`` are handed ``subordinate`` and
+    ``kernel``, so ι and η̂ read them too.  Every ⁺ of a run, in the
+    statements, in J_d and in the derived algebras, is read from ``plus``,
+    so ``set_plus`` runs once per distinct mask.  A cross-check's second
+    side shares no table with its first: ``fact:b``, ``fact:c`` and
+    ``prop:fastform`` set the →-columns against ⊗-rows, ``fact:a``,
+    ``fact:b`` and ``fact:e`` the kept column tables against
+    ``calculus.kernel_rel`` on the algebra itself, which reads its columns
+    afresh, and ``prop:T-phi`` computes T cold, from minimal members.
     """
 
     def __init__(self, a: MvAlgebra):
@@ -145,13 +149,14 @@ class Ctx:
         # into mask; the "imp_col" rows into L∖M are the subordinates M_x
         self.rows = rows = cache(lambda table, mask: calculus.rows(a, table, mask))
         full = a.full_mask
-
-        def cols(m):
-            return rows("imp_col", full & ~m)
-
-        self.sqto = sqto = cache(lambda f, g: calculus.sqto_cols(cols, f, g, full))
-        self.kernel = kernel = cache(lambda f: calculus.kernel_cols(cols, f, full))
-        self.subordinate = cache(lambda f, x: calculus.subordinate_cols(cols, f, x))
+        # a with its subordinates picked out of the kept →-column tables
+        view = SimpleNamespace(
+            size=a.size, full_mask=full,
+            columns=lambda m, x: compress(rows("imp_col", full & ~m), bits(x)),
+        )
+        self.sqto = sqto = cache(lambda f, g: calculus.sqto(view, f, g))
+        self.kernel = kernel = cache(lambda f: calculus.kernel(view, f))
+        self.subordinate = cache(lambda f, x: calculus.subordinate(view, f, x))
         self.plus = plus = cache(lambda m: calculus.set_plus(a, m))
         self.quotient = quotient = cache(lambda p: quotient_by(a, p))
         # every ⊗-row of L/P into G/P

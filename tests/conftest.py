@@ -159,33 +159,11 @@ def swap_arguments(real):
     return corrupted
 
 
-# The calculus functions that one mutant of each operation corrupts together.
-# ``verify.Ctx`` reads ⊸, K and F_x through the column combinators, and hands
-# its ⊸ to ``spectra.build_hat``, its K to ``spectra.prime_spectrum`` and
-# ``hat_eta``, and its F_x to ``iota``; the second sides of fact:a, fact:b and
-# fact:e read the cold ``kernel_rel``, and ⁺ reads the cold ``subordinate``
-# (``set_plus`` is it at 0).  So ⊸ and K have no cold reader in a run, and
-# their mutants are the combinators'.
-CODINGS = {
-    "sqto": ("sqto_cols",),
-    "kernel": ("kernel_cols",),
-    "kernel_rel": ("kernel_cols", "sqto_cols", "kernel_rel"),
-    "subordinate": ("subordinate_cols", "subordinate"),
-}
-
-
-def corrupt_each(monkeypatch, owner, names, corrupt):
-    """owner.name replaced by corrupt(owner.name), for the one name ``names``
-    or for each name of a tuple."""
-    for name in (names,) if isinstance(names, str) else names:
-        monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
-
-
-def assert_check_can_fail(monkeypatch, a, stmt, owner, names, corrupt):
-    """stmt passes on a, and fails on a fresh run once owner's ``names`` are
-    corrupted (see ``corrupt_each``)."""
+def assert_check_can_fail(monkeypatch, a, stmt, owner, name, corrupt):
+    """stmt passes on a, and fails on a fresh run once owner.name is replaced
+    by corrupt(owner.name)."""
     assert run_finite(a, only=[stmt]).results[0].status == "pass"
-    corrupt_each(monkeypatch, owner, names, corrupt)
+    monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
     assert run_finite(a, only=[stmt]).results[0].status == "fail"
 
 

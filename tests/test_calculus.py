@@ -88,7 +88,7 @@ def test_sqto_full_empty_off_nested_pairs(l3):
 def test_equiv_on_chains_is_equality(monkeypatch, l5):
     # equiv:discrete: both ⊸ values are {1} exactly when F = G
     assert_check_can_fail(
-        monkeypatch, l5, "equiv:discrete", calculus, "sqto_cols", drop_lowest
+        monkeypatch, l5, "equiv:discrete", calculus, "sqto", drop_lowest
     )
 
 
@@ -120,7 +120,7 @@ def test_reduction_theorem(monkeypatch, algebra):
 
 def test_kernel_of_sqto(monkeypatch, algebra):
     assert_check_can_fail(
-        monkeypatch, algebra, "thm:kernel-sqto", calculus, "sqto_cols",
+        monkeypatch, algebra, "thm:kernel-sqto", calculus, "sqto",
         drop_lowest,
     )
 
@@ -225,6 +225,6 @@ def test_is_convex_matches_pointwise_definition(a):
 
 def test_quotient_commutation(monkeypatch, algebra):
     assert_check_can_fail(
-        monkeypatch, algebra, "prop:quot-commute", calculus, "sqto_cols",
+        monkeypatch, algebra, "prop:quot-commute", calculus, "sqto",
         drop_lowest,
     )

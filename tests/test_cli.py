@@ -196,7 +196,7 @@ def test_verify_dense_spec(run, specfile):
 
 def test_verify_exit_one_on_failure(run, specfile, monkeypatch, tmp_path):
     # a certified input, and a statement that fails once ⊸ loses its lowest member
-    monkeypatch.setattr(calculus, "sqto_cols", drop_lowest(calculus.sqto_cols))
+    monkeypatch.setattr(calculus, "sqto", drop_lowest(calculus.sqto))
     out_json = tmp_path / "report.json"
     code, out, err = run("verify", specfile({"kind": "lukasiewicz", "n": 5}),
                          "--only", "equiv:discrete", "--json", str(out_json))

@@ -23,7 +23,7 @@ statements', in order, unmutated and under mutants that make them fail.
 ``prop:adjunction`` had before they read the ⊸ matrix over the primes by
 position and each H⊸G once per G: they ask the ⊸ cache for every
 (F, H, G).  Their witness lists must equal the statements', in order,
-unmutated and under ``calculus.sqto_cols`` mutants.
+unmutated and under ``calculus.sqto`` mutants.
 
 ``tensor_up`` must also return on tables that are not MV-algebras, where ≤
 need not be a partial order: every mask pair of the non-MV table and of
@@ -240,7 +240,7 @@ def large_loop(ctx, out):
 REFERENCES = {"prop:small": small_loop, "prop:large": large_loop}
 MUTANTS = {
     "none": None,
-    "kernel-drop": "kernel_cols",
+    "kernel-drop": "kernel",
     "j_up-drop": "j_up",
     "set_plus-drop": "set_plus",
     "j_down-drop": "j_down",
@@ -309,9 +309,7 @@ SQTO_MUTANTS = {
 @pytest.mark.parametrize("stmt", sorted(SQTO_REFERENCES))
 def test_sqto_statements_keep_their_witnesses(monkeypatch, stmt, mutant):
     if SQTO_MUTANTS[mutant]:
-        monkeypatch.setattr(
-            calculus, "sqto_cols", SQTO_MUTANTS[mutant](calculus.sqto_cols)
-        )
+        monkeypatch.setattr(calculus, "sqto", SQTO_MUTANTS[mutant](calculus.sqto))
     fn = FINITE_STATEMENTS[stmt][1]
     found = 0
     for a in ALL_ALGEBRAS.values():

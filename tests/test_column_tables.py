@@ -2,11 +2,12 @@
 that decide on cover pairs or class representatives, against the code they
 replaced.
 
-``verify.Ctx`` reads every subordinate of a mask M from one list, the
-→-columns into L∖M, and folds ⊸ and K from it (``calculus.sqto_cols``,
-``kernel_cols``, ``subordinate_cols``).  On every pair of lattice filters of
-the test algebras, Ł64 and 2⁶, and on the empty mask, the cached values
-must equal the cold ``calculus.sqto``, ``kernel`` and ``subordinate``.
+``verify.Ctx`` hands ``calculus.sqto``, ``kernel`` and ``subordinate`` a
+view of its algebra whose ``columns`` reads every subordinate of a mask M
+from one cached list, the →-columns into L∖M.  On every pair of lattice
+filters of the test algebras, Ł64 and 2⁶, and on the empty mask, the
+cached values must equal the same functions on the algebra itself, which
+reads only the columns it needs.
 
 ``monotone_loop`` and ``rev_incl_loop`` are the bodies ``prop:monotone`` and
 ``prop:revIncl`` had when they scanned every chain F ⊆ G ⊆ H of primes, and
@@ -19,18 +20,20 @@ raises when it takes the quotient by it.
 
 ``filters.covers``, which those two statements decide on, is compared with
 the definition over every triple, on the primes of the test algebras and
-on hypothesis-drawn families of distinct masks.  And a run must report the
-same with the cold forms of ⊸ and K made to raise.
+on hypothesis-drawn families of distinct masks.  And a run must hand ⊸ and
+K only that view, never the algebra, and report the same while it is
+watched doing so.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mvfilters import calculus, filters, verify
+from mvfilters.core import MvAlgebra
 
-from conftest import (
-    ALL_ALGEBRAS, CODINGS, chain, corrupt_each, drop_lowest, product,
-)
+from conftest import ALL_ALGEBRAS, chain, drop_lowest, product
 from test_verify import _plus_after, _with_own_element
 
 EQUIV_ALGEBRAS = ALL_ALGEBRAS | {"L64": chain(64), "2^6": product(2, 2, 2, 2, 2, 2)}
@@ -38,6 +41,7 @@ EQUIV_ALGEBRAS = ALL_ALGEBRAS | {"L64": chain(64), "2^6": product(2, 2, 2, 2, 2,
 
 @pytest.mark.parametrize("name", sorted(EQUIV_ALGEBRAS))
 def test_column_combinators_equal_the_cold_forms(name):
+    # ``Ctx``, whose view reads the cached column tables, against the algebra
     a = EQUIV_ALGEBRAS[name]
     ctx = verify.Ctx(a)
     masks = [0, *ctx.lattice]
@@ -78,34 +82,37 @@ def test_covers_of_any_family_of_distinct_masks(masks):
     assert firsts == sorted(firsts)
 
 
-COLD = {calculus: ("sqto", "kernel")}
 COLD_ALGEBRAS = ALL_ALGEBRAS | {"L16": chain(16), "L4xL4": product(4, 4)}
-
-
-def _cold_call(*args):
-    raise AssertionError("a run made a cold call")
 
 
 @pytest.mark.parametrize("name", sorted(COLD_ALGEBRAS))
 def test_a_run_makes_no_cold_call(monkeypatch, name):
-    """With the cold ⊸ and K replaced by raisers, a run gives the same report:
-    it reads ⊸ and K through the column combinators over ``verify.Ctx``'s
-    caches only.
+    """A run hands ``calculus.sqto`` and ``kernel`` the view of its algebra
+    that ``verify.Ctx`` builds, never the ``MvAlgebra``, and ``subordinate``
+    the algebra only from ``set_plus`` (the run's ⁺ cache calls it on the
+    algebra).  Watched so, the run reports what it reports unwatched.
 
-    Φ, ``sqto_full``, ``sqto_fast``, J_u, J_d, ``spectra.prime_spectrum`` and
-    ``build_hat`` are no cold forms: each is the one function that a run
-    calls with the run's tables and the cli with cold ones, and
-    ``test_perfbench_spans`` pins that a run calls them.  Left out as well:
-    ``subordinate`` and ``set_plus``, which compute ⁺ (the run's ⁺ cache
-    calls ``set_plus``); ``kernel_rel``, the second side of fact:a, fact:b
-    and fact:e; and ``tensor_up``, T's only definition.
+    Each wrapper counts its calls by whether the first argument is an
+    ``MvAlgebra``; ``set_plus`` is wrapped too, to count the ``subordinate``
+    calls it makes.
     """
     a = COLD_ALGEBRAS[name]
     want = verify.run_finite(a).to_json()
-    for owner, names in COLD.items():
-        for fn in names:
-            monkeypatch.setattr(owner, fn, _cold_call)
+    calls = Counter()
+
+    def recording(fn, real):
+        def wrapped(first, *rest):
+            calls[fn, isinstance(first, MvAlgebra)] += 1
+            return real(first, *rest)
+
+        return wrapped
+
+    for fn in ("sqto", "kernel", "subordinate", "set_plus"):
+        monkeypatch.setattr(calculus, fn, recording(fn, getattr(calculus, fn)))
     assert verify.run_finite(a).to_json() == want
+    assert calls["sqto", False] and calls["kernel", False], calls
+    assert calls["sqto", True] == calls["kernel", True] == 0, calls
+    assert calls["subordinate", True] == calls["set_plus", True], calls
 
 
 def monotone_loop(ctx, out):
@@ -136,14 +143,14 @@ REFERENCES = {
     "fact:d": fact_d_loop,
 }
 
-# mutant -> (names of calculus it corrupts, factory of the corruption given a)
+# mutant -> (the name of calculus it corrupts, factory of the corruption given a)
 MUTANTS = {
     "none": None,
-    "sqto-plus-after": (CODINGS["sqto"], _plus_after),
-    "sqto-drop": (CODINGS["sqto"], lambda a: drop_lowest),
-    "subordinate-drop": (CODINGS["subordinate"], lambda a: drop_lowest),
-    "subordinate-own-element": (CODINGS["subordinate"], lambda a: _with_own_element),
-    "kernel-drop": (CODINGS["kernel"], lambda a: drop_lowest),
+    "sqto-plus-after": ("sqto", _plus_after),
+    "sqto-drop": ("sqto", lambda a: drop_lowest),
+    "subordinate-drop": ("subordinate", lambda a: drop_lowest),
+    "subordinate-own-element": ("subordinate", lambda a: _with_own_element),
+    "kernel-drop": ("kernel", lambda a: drop_lowest),
 }
 
 # (statement, mutant) -> (status, witnesses over ALL_ALGEBRAS); every other
@@ -174,8 +181,8 @@ def test_statement_matches_its_scan(monkeypatch, stmt, mutant):
     for a in ALL_ALGEBRAS.values():
         with monkeypatch.context() as m:
             if MUTANTS[mutant] is not None:
-                names, corrupt = MUTANTS[mutant]
-                corrupt_each(m, calculus, names, corrupt(a))
+                name, corrupt = MUTANTS[mutant]
+                m.setattr(calculus, name, corrupt(a)(getattr(calculus, name)))
             want = _outcome(verify.Ctx(a), REFERENCES[stmt])
             assert _outcome(verify.Ctx(a), fn) == want, (a.name, stmt, mutant)
         statuses.add(want[0])

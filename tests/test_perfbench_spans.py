@@ -4,10 +4,10 @@ and the names must measure the work of a run.
 ``perfbench/spans.py`` lists them in ``TARGETS``, and ``Tracer.install``
 looks each one up in its owner's ``__dict__``, so a renamed or deleted
 function breaks every ``--trace 1`` run.  The module is loaded from source
-without writing bytecode next to it.  A run calls Φ, J, the ⊗-row ⊸, the
-spectra and the derived algebras through the one function of each that the
-tracer wraps, and never the cold ⊸ or K; a tracer installed around
-``run_finite`` must count that, and put every original back.
+without writing bytecode next to it.  A run calls ⊸, K, F_x, K_F(X), Φ, J,
+the ⊗-row ⊸, the spectra and the derived algebras through the one function
+of each that the tracer wraps; a tracer installed around ``run_finite``
+must count that, and put every original back.
 """
 
 import importlib
@@ -48,10 +48,11 @@ def test_every_traced_target_resolves(monkeypatch):
 
 
 SHARED = [
-    "calculus.phi", "calculus.j_up", "calculus.j_down", "calculus.sqto_full",
-    "calculus.sqto_fast", "spectra.prime_spectrum", "spectra.build_hat",
+    "calculus.sqto", "calculus.kernel", "calculus.subordinate",
+    "calculus.kernel_rel", "calculus.phi", "calculus.j_up", "calculus.j_down",
+    "calculus.sqto_full", "calculus.sqto_fast", "spectra.prime_spectrum",
+    "spectra.build_hat",
 ]
-COLD = ["calculus.sqto", "calculus.kernel"]
 
 
 @pytest.mark.parametrize("name", ["L5", "L2xL3"])
@@ -68,6 +69,5 @@ def test_the_traced_names_measure_the_run(monkeypatch, name):
         tracer.uninstall()
     assert all(getattr(owner, key) is original for owner, key, original in saved)
     layers, _ = tracer.totals()
-    calls = {span: layers.get(span, [0])[0] for span in SHARED + COLD}
+    calls = {span: layers.get(span, [0])[0] for span in SHARED}
     assert all(calls[span] > 0 for span in SHARED), calls
-    assert all(calls[span] == 0 for span in COLD), calls

@@ -7,7 +7,7 @@ code reads label order (bit y of every mask, the reversed byte lines, cosets
 numbered by smallest member), and the other test algebras are all built in
 ascending order by ``make_lukasiewicz_chain`` and ``make_product``.  The
 comparison runs unmutated and again with ⊸'s arguments swapped in
-``calculus.sqto_cols``: that mutant reads no label, so the failures it causes
+``calculus.sqto``: that mutant reads no label, so the failures it causes
 must carry over to the copy as well.
 """
 
@@ -30,9 +30,7 @@ def verdicts(a):
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_relabelling_changes_no_verdict(monkeypatch, name, mutant):
     if mutant != "none":
-        monkeypatch.setattr(
-            calculus, "sqto_cols", swap_arguments(calculus.sqto_cols)
-        )
+        monkeypatch.setattr(calculus, "sqto", swap_arguments(calculus.sqto))
     a = ALGEBRAS[name]
     seen = verdicts(a)
     assert verdicts(shuffled(a, a.size)) == seen

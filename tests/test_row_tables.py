@@ -9,10 +9,10 @@ the cli's ``compute`` calls them, and ``QuotientAlgebra``) and through the table
 ``verify.Ctx`` keeps for one run; the quotient image, which ``Ctx`` does
 not keep, is compared cold only.  J_u and J_d go through ``Ctx`` only at
 an implication filter P, since ``Ctx`` reads the cosets of L/P; the cold
-forms take every mask.  ⊸ is ``kernel_rel`` on F∩G at L∖G cold, and the
-AND of the →-column table of F∩G over L∖G through the ``Ctx`` sqto cache
-(``calculus.sqto_cols``); its oracle is the AND of the subordinates (F∩G)ₓ over
-x ∉ G, one loop per subordinate.  The oracles read the tables entry
+forms take every mask.  ⊸ is ``calculus.sqto``, ``kernel_rel`` on F∩G at
+L∖G, on the algebra cold and through the ``Ctx`` sqto cache on the view
+that reads the →-column table of F∩G; its oracle is the AND of the
+subordinates (F∩G)ₓ over x ∉ G, one loop per subordinate.  The oracles read the tables entry
 by entry: their subordinates and cosets are the loops restated in
 ``test_table_reads``, not the byte reads of ``calculus`` and ``core``, and
 they walk masks with the shift loop ``conftest.members``, not the C folds.

@@ -119,7 +119,7 @@ def _shift_class(real):
 @pytest.mark.parametrize(
     "stmt, owner, name, corrupt",
     [
-        ("thm:hat", calculus, "sqto_cols", drop_lowest),
+        ("thm:hat", calculus, "sqto", drop_lowest),
         ("prop:T-phi", spectra, "hat_otimes", _shift_class),
     ],
     ids=["hat-order", "T-phi-class"],
@@ -134,7 +134,7 @@ def test_hat_checks_can_fail(monkeypatch, algebra_id, stmt, owner, name, corrupt
 def test_axiom_g_can_fail(monkeypatch, algebra_id, witnesses):
     a = ALL_ALGEBRAS[algebra_id]
     assert_check_can_fail(
-        monkeypatch, a, "prop:axiomG", calculus, "sqto_cols", drop_lowest
+        monkeypatch, a, "prop:axiomG", calculus, "sqto", drop_lowest
     )
     (result,) = mv.run_finite(a, only=["prop:axiomG"]).results
     assert len(result.witnesses) == witnesses

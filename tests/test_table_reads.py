@@ -4,7 +4,8 @@
 and ``core.read_lines`` reads the lines picked by a mask into another mask,
 each with one ``bytes.translate`` and one ``int(…, 2)``.  It is compared
 with its loop on random picks, the empty picks included, and behind it
-``calculus.rows``, ``calculus.subordinate``, ``calculus.kernel``,
+``calculus.rows``, ``MvAlgebra.columns`` (at the picks ∅, M and L∖M),
+``calculus.subordinate``, ``calculus.kernel``,
 ``filters.is_implication_filter`` and the ``order:partial`` statement, which
 reads ``up_mask``; ``core.congruence_cosets`` reads its rows and columns
 itself.  ``core.is_linear``, the immediacy test of
@@ -213,6 +214,10 @@ def assert_mask_agrees(a, mask):
         ), name
     for elem in range(a.size):
         assert calculus.subordinate(a, mask, elem) == subordinate_loop(a, mask, elem)
+    for picks in (0, mask, a.full_mask & ~mask):
+        assert list(a.columns(mask, picks)) == [
+            subordinate_loop(a, mask, x) for x in members(picks)
+        ], picks
     assert calculus.kernel(a, mask) == kernel_loop(a, mask)
     assert core.congruence_cosets(a, mask) == congruence_cosets_loop(a, mask)
     assert filters.is_implication_filter(a, mask) == (
