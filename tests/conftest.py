@@ -1,7 +1,9 @@
 import random
 from functools import partial
+from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from mvfilters import (
     calculus, core, densechain as dc, make_lukasiewicz_chain, run_finite, spectra,
@@ -28,6 +30,42 @@ PRODUCTS = {
     "L2xL2xL2": product(2, 2, 2),
 }
 ALL_ALGEBRAS = {f"L{n}": a for n, a in CHAINS.items()} | PRODUCTS
+
+
+def census(cap=64):
+    """Every multiset n₁ ≥ … ≥ n_k ≥ 2 of chain sizes with product ≤ cap:
+    the finite MV-algebras of 2 to cap elements, up to isomorphism."""
+    def rec(prefix, size, largest):
+        if prefix:
+            yield prefix
+        for n in range(min(largest, cap // size), 1, -1):
+            yield from rec(prefix + (n,), size * n, n)
+
+    return list(rec((), 1, cap))
+
+
+# a non-involutive negation: not an MV-algebra; also the table CI hands to verify
+BAD_TABLE = {"kind": "table", "size": 3, "oplus": [[0, 1, 2], [1, 2, 2], [2, 2, 2]],
+             "neg": [2, 2, 0], "zero": 0}
+BAD = MvAlgebra(
+    BAD_TABLE["size"], tuple(map(tuple, BAD_TABLE["oplus"])),
+    tuple(BAD_TABLE["neg"]), BAD_TABLE["zero"], name="bad",
+)
+
+SPECS = Path(__file__).resolve().parent.parent / "perfbench" / "specs"
+
+
+@st.composite
+def arbitrary_tables(draw):
+    """A table with element indices as entries and no axiom asked of it."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.integers(min_value=0, max_value=n - 1)
+    return MvAlgebra(
+        n,
+        tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)),
+        tuple(draw(entry) for _ in range(n)),
+        draw(entry),
+    )
 
 
 def relabelled(a, perm):
@@ -75,27 +113,6 @@ def find_isomorphism(a, b):
             if phi[a.oplus[x][y]] != b.oplus[phi[x]][phi[y]]:
                 return None
     return tuple(phi)
-
-
-def members(mask):
-    """The element indices set in mask, ascending, by a shift loop.
-
-    Test oracles read masks through this loop rather than through
-    ``core.iter_mask`` and the C folds, so a fault in those cannot cancel
-    out on both sides of a comparison.
-    """
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def up_closure_loop(a, mask):
-    """The smallest up-closed superset of mask: the OR of ↑x over its members."""
-    m = 0
-    for x in members(mask):
-        m |= a.up_mask[x]
-    return m
 
 
 def by_labels(a, *labels):
@@ -159,6 +176,25 @@ def swap_arguments(real):
     return corrupted
 
 
+def plus_after(a):
+    """The ⊸ mutant on a that returns (F⊸G)⁺ instead of F⊸G."""
+    def corrupt(real):
+        def corrupted(*args):
+            return calculus.set_plus(a, real(*args))
+
+        return corrupted
+
+    return corrupt
+
+
+def with_own_element(real):
+    """subordinate, with x itself added to F_x."""
+    def corrupted(first, f, x):
+        return real(first, f, x) | 1 << x
+
+    return corrupted
+
+
 def assert_check_can_fail(monkeypatch, a, stmt, owner, name, corrupt):
     """stmt passes on a, and fails on a fresh run once owner.name is replaced
     by corrupt(owner.name)."""
@@ -201,6 +237,26 @@ def plus_flipped():
 
     def corrupted(f):
         return flip_kind(real(f))
+
+    return corrupted
+
+
+def collapse_closed_pairs(real):
+    """cut_sqto with every closed–closed pair sent to {1}."""
+    def mutated(f, g):
+        if f.kind is dc.Kind.CLOSED and g.kind is dc.Kind.CLOSED:
+            return dc.TOP
+        return real(f, g)
+
+    return mutated
+
+
+def shifted_endpoint(real, step):
+    """real, with the endpoint of each value moved by step: down where it can."""
+    def corrupted(*args):
+        c = real(*args)
+        e = c.endpoint
+        return dc.Cut(e - step if e >= step else e + step, c.kind)
 
     return corrupted
 

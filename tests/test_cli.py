@@ -10,7 +10,8 @@ from mvfilters import calculus, cli, filters, run_finite, spectra
 from mvfilters.core import check_mv_axioms
 from mvfilters.errors import InvalidArgument
 
-from conftest import ALL_ALGEBRAS, chain, cold_spectrum, drop_lowest, product
+import oracles
+from conftest import ALL_ALGEBRAS, BAD_TABLE, chain, cold_spectrum, drop_lowest, product
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -38,14 +39,6 @@ def specfile(tmp_path):
 L3 = {"kind": "lukasiewicz", "n": 3}
 L4 = {"kind": "lukasiewicz", "n": 4}
 DENSE = {"kind": "dense"}
-# a non-involutive negation: not an MV-algebra
-BAD_TABLE = {
-    "kind": "table",
-    "size": 3,
-    "oplus": [[0, 1, 2], [1, 2, 2], [2, 2, 2]],
-    "neg": [2, 2, 0],
-    "zero": 0,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -625,22 +618,12 @@ def test_export_rejections(run, specfile):
 
 
 def dot_of_containment_loop(name, masks, labels):
-    """The Hasse diagram by the definition: an edge low -> high for every
-    low ⊊ high with no mask strictly between, over every triple."""
+    """The Hasse diagram by the definition: a node per mask, ascending, and
+    an edge low -> high for every cover pair of ``oracles.covers``."""
     order = sorted(masks)
     lines = [f'digraph "{name}" {{', "  rankdir=BT;"]
-    for m in order:
-        lines.append(f'  n{m} [label="{labels(m)}"];')
-    for low in order:
-        for high in order:
-            if low == high or low & ~high:
-                continue
-            if any(
-                mid != low and mid != high and not (low & ~mid) and not (mid & ~high)
-                for mid in order
-            ):
-                continue
-            lines.append(f"  n{low} -> n{high};")
+    lines += [f'  n{m} [label="{labels(m)}"];' for m in order]
+    lines += [f"  n{low} -> n{high};" for low, high in oracles.covers(order)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -36,8 +36,9 @@ import pytest
 import mvfilters as mv
 from mvfilters import densechain as dc, verify
 
-from conftest import KIND_BRANCHES, branch_flipped, plus_flipped
-from test_verify import _collapse_closed_pairs, shifted_endpoint
+from conftest import (
+    KIND_BRANCHES, branch_flipped, collapse_closed_pairs, plus_flipped, shifted_endpoint,
+)
 
 U = verify._UNITS
 HALF_STEPS = verify._HALF_STEPS
@@ -142,7 +143,7 @@ MUTANTS = {
     "sqto-one-step": ("cut_sqto", lambda real: shifted_endpoint(real, F(1, 12))),
     "plus-off-grid": ("cut_plus", lambda real: shifted_endpoint(real, F(1, 1000))),
     "plus-one-step": ("cut_plus", lambda real: shifted_endpoint(real, F(1, 12))),
-    "collapse-closed-pairs": ("cut_sqto", _collapse_closed_pairs),
+    "collapse-closed-pairs": ("cut_sqto", collapse_closed_pairs),
     "sqto-swapped": ("cut_sqto", _swapped),
 }
 

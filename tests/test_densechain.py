@@ -1,13 +1,14 @@
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mvfilters.densechain as dc
 from mvfilters.errors import InvalidArgument
+
+import oracles
 
 
 F = Fraction
@@ -130,60 +131,19 @@ def test_equiv_ignores_kind():
 
 
 # ---------------------------------------------------------------------------
-# an oracle that shares no code with densechain
-#
-# A cut is modelled as (endpoint, "open" | "closed"), and every operation is
-# written from its definition on the chain with Fraction arithmetic:
-# ]p,1] ⊆ ]q,1] iff p > q, or p = q unless the left cut is closed and the
-# right one open; the meet is the cut with the larger endpoint, open on a
-# tie if either is; ⁺ is (1 - p, the other kind); and F ⊸ G is {1} when
-# G ⊆ F, else it ends at min(1, 1 - q + p), for q the endpoint of F∩G and p
-# that of G, closed when G is, open when G is open and F∩G closed, and
-# closed when both are open.
-
-
-def model(c):
-    """The cut as (endpoint, kind), after checking that it is in lowest terms."""
-    assert c.den > 0 and gcd(c.num, c.den) == 1, (c.num, c.den)
-    return (F(c.num, c.den), c.kind.value)
-
-
-def ref_subset(f, g):
-    (p, k), (q, l) = f, g
-    return p > q or (p == q and not (k == "closed" and l == "open"))
-
-
-def ref_meet(f, g):
-    (p, k), (q, l) = f, g
-    if p != q:
-        return f if p > q else g
-    return (p, "open" if "open" in (k, l) else "closed")
-
-
-def ref_plus(f):
-    p, k = f
-    return (1 - p, "closed" if k == "open" else "open")
-
-
-def ref_sqto(f, g):
-    if ref_subset(g, f):
-        return (F(1), "closed")
-    (q, meet_kind), (p, g_kind) = ref_meet(f, g), g
-    r = min(F(1), 1 - q + p)
-    if g_kind == "closed":
-        return (r, "closed")
-    return (r, "open" if meet_kind == "closed" else "closed")
+# the Fraction reference of oracles.py, which shares no code with densechain
 
 
 def assert_matches_reference(f, g):
+    model = oracles.model
     mf, mg = model(f), model(g)
-    assert f.issubset(g) == ref_subset(mf, mg)
-    assert model(dc.intersect(f, g)) == ref_meet(mf, mg)
-    expected = ref_sqto(mf, mg)
+    assert f.issubset(g) == oracles.ref_subset(mf, mg)
+    assert model(dc.intersect(f, g)) == oracles.ref_meet(mf, mg)
+    expected = oracles.ref_sqto(mf, mg)
     assert model(dc.cut_sqto(f, g)) == expected
     assert model(dc.oracle_sqto(f, g)) == expected
-    assert model(dc.cut_plus(f)) == ref_plus(mf)
-    assert model(dc.oracle_plus(f)) == ref_plus(mf)
+    assert model(dc.cut_plus(f)) == oracles.ref_plus(mf)
+    assert model(dc.oracle_plus(f)) == oracles.ref_plus(mf)
 
 
 def test_every_pair_of_cuts_up_to_denominator_12_matches_the_reference():

@@ -4,7 +4,8 @@ import mvfilters as mv
 from mvfilters import calculus, core, filters
 from mvfilters.errors import ResourceLimit
 
-from conftest import CHAINS, by_labels, members, product, shuffled
+import oracles
+from conftest import CHAINS, by_labels, census, product, shuffled
 
 
 def test_lattice_filters_of_l3(l3):
@@ -45,8 +46,8 @@ def test_implication_filters_are_otimes_closed_lattice_filters(algebra):
             and bool((m >> a.one) & 1)
             and all(
                 (m >> a.otimes[x][y]) & 1
-                for x in members(m)
-                for y in members(m)
+                for x in oracles.members(m)
+                for y in oracles.members(m)
             )
         )
         assert lhs == bool(rhs), a.label_set(m)
@@ -166,47 +167,15 @@ def test_ctx_of_boolean_cube_2_6_builds():
     assert (len(ctx.impl), len(ctx.prime_impl)) == (64, 6)
 
 
-def census(cap=64):
-    """Every multiset n₁ ≥ … ≥ n_k ≥ 2 of chain sizes with product ≤ cap:
-    the finite MV-algebras of 2 to cap elements, up to isomorphism."""
-    def rec(prefix, size, largest):
-        if prefix:
-            yield prefix
-        for n in range(min(largest, cap // size), 1, -1):
-            yield from rec(prefix + (n,), size * n, n)
-
-    return list(rec((), 1, cap))
-
-
-def primes_by_definition(a):
-    """Proper lattice filters F in which no x∨y with x, y ∉ F lands."""
-    return [
-        m for m in filters.enumerate_lattice_filters(a)
-        if m != a.full_mask and not any(
-            (m >> a.join[x][y]) & 1
-            for x in range(a.size) if not (m >> x) & 1
-            for y in range(a.size) if not (m >> y) & 1
-        )
-    ]
-
-
 def test_prime_filters_match_the_definition_on_the_census():
     algebras = census()
     assert len(algebras) == 197
     for ns in algebras:
         a = product(*ns)
-        assert filters.enumerate_lattice_filters(a, prime_only=True) == (
-            primes_by_definition(a)
-        ), ns
-
-
-def kernel_by_otimes(a, f_mask):
-    """{z | f⊗z ∈ F for every f ∈ F}, read entry by entry from the ⊗ table."""
-    fs = [f for f in range(a.size) if (f_mask >> f) & 1]
-    return core.mask_of(
-        z for z in range(a.size)
-        if all((f_mask >> a.otimes[f][z]) & 1 for f in fs)
-    )
+        assert filters.enumerate_lattice_filters(a, prime_only=True) == [
+            m for m in filters.enumerate_lattice_filters(a)
+            if oracles.is_prime_lattice_filter(a, m)
+        ], ns
 
 
 def test_kernel_matches_two_independent_values_on_the_census():
@@ -221,7 +190,7 @@ def test_kernel_matches_two_independent_values_on_the_census():
             inside = [p for p in impl if p & ~f == 0]
             largest = max(inside, key=int.bit_count)
             assert all(p & ~largest == 0 for p in inside), (ns, f)
-            assert calculus.kernel(a, f) == largest == kernel_by_otimes(a, f), (
+            assert calculus.kernel(a, f) == largest == oracles.sqto_full(a, f, f), (
                 ns, a.label_set(f)
             )
             filters_checked += 1
@@ -237,17 +206,6 @@ def test_ctx_builds_its_lists_without_the_lattice_predicate(monkeypatch, algebra
     monkeypatch.setattr(filters, "is_lattice_filter", refused)
     ctx = Ctx(algebra)
     assert ctx.primes
-
-
-def prime_impl_by_definition(a):
-    """Proper implication filters P with x→y ∈ P or y→x ∈ P for all x, y."""
-    rng = range(a.size)
-    return [
-        p for p in filters.enumerate_implication_filters(a)
-        if p != a.full_mask and all(
-            (p >> a.imp[x][y]) & 1 or (p >> a.imp[y][x]) & 1 for x in rng for y in rng
-        )
-    ]
 
 
 def prime_impl_by_linear_quotient(a):
@@ -268,5 +226,8 @@ def test_prime_implication_filters_match_the_definition_on_the_census():
     ]
     for a in algebras:
         primes = filters.enumerate_implication_filters(a, prime_only=True)
-        assert primes == prime_impl_by_definition(a), a.name
+        assert primes == [
+            p for p in filters.enumerate_implication_filters(a)
+            if oracles.is_prime_implication_filter(a, p)
+        ], a.name
         assert primes == prime_impl_by_linear_quotient(a), a.name

@@ -66,8 +66,8 @@ def _readme_python_blocks() -> list[ast.Module]:
     return [ast.parse(block) for block in _readme_python_sources()]
 
 
-def _public_definitions():
-    for path in sorted(SRC.glob("*.py")):
+def _public_definitions(root=SRC, pattern="*.py"):
+    for path in sorted(root.glob(pattern)):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -120,3 +120,24 @@ def test_readme_tour_runs_on_a_root_of_exactly_its_names():
     }
     assert namespace["mv"] is mvfilters
     assert exported == read
+
+
+def test_tests_share_code_through_conftest_and_the_oracles():
+    """No module of ``tests/`` imports a ``test_*`` module, and every public
+    name of ``tests/oracles.py`` is read by some test module."""
+    imports, read = [], set()
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        is_test = path.name.startswith("test_")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imports.append((path.name, node.module or ""))
+                if is_test and node.module == "oracles":
+                    read.update(alias.name for alias in node.names)
+            elif is_test and isinstance(node, ast.Attribute) and (
+                    isinstance(node.value, ast.Name) and node.value.id == "oracles"):
+                read.add(node.attr)
+    assert [(p, m) for p, m in imports if m.startswith("test_")] == []
+    defined = {name for module, name in _public_definitions(ROOT / "tests", "oracles.py")}
+    assert sorted(defined - read) == []

@@ -1,21 +1,19 @@
 """The row-table forms of Φ, sqto_full, J_u, J_d, the quotient image and the
-quotient-side ⊸, and the subordinate form of ⊸, against the loop forms they
-replaced.
+quotient-side ⊸, and the subordinate form of ⊸, against the oracles of
+``tests/oracles.py``.
 
-The oracles below are the bodies these operations had before they were split
-into a table builder and a combinator.  Each new form is compared with its
-oracle both cold (the ``calculus`` combinators over freshly built tables, as
-the cli's ``compute`` calls them, and ``QuotientAlgebra``) and through the tables a
-``verify.Ctx`` keeps for one run; the quotient image, which ``Ctx`` does
-not keep, is compared cold only.  J_u and J_d go through ``Ctx`` only at
-an implication filter P, since ``Ctx`` reads the cosets of L/P; the cold
-forms take every mask.  ⊸ is ``calculus.sqto``, ``kernel_rel`` on F∩G at
-L∖G, on the algebra cold and through the ``Ctx`` sqto cache on the view
-that reads the →-column table of F∩G; its oracle is the AND of the
-subordinates (F∩G)ₓ over x ∉ G, one loop per subordinate.  The oracles read the tables entry
-by entry: their subordinates and cosets are the loops restated in
-``test_table_reads``, not the byte reads of ``calculus`` and ``core``, and
-they walk masks with the shift loop ``conftest.members``, not the C folds.
+Each form is compared with its oracle both cold (the ``calculus`` functions
+over freshly built tables, as the cli's ``compute`` calls them, and
+``QuotientAlgebra``) and through the tables a ``verify.Ctx`` keeps for one
+run; the quotient image, which ``Ctx`` does not keep, is compared cold
+only.  J_u and J_d go through ``Ctx`` only at an implication filter P,
+since ``Ctx`` reads the cosets of L/P; the cold forms take every mask.  ⊸
+is ``calculus.sqto``, ``kernel_rel`` on F∩G at L∖G, on the algebra cold and
+through the ``Ctx`` sqto cache on the view that reads the →-column table of
+F∩G; ``oracles.sqto`` is the AND of the subordinates (F∩G)ₓ over x ∉ G,
+one definition per subordinate.  The oracles read the tuple tables entry
+by entry, take their cosets from ``oracles.cosets``, not from ``core``, and
+walk masks with the shift loop ``oracles.members``, not the C folds.
 """
 
 from collections import Counter
@@ -25,88 +23,31 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mvfilters as mv
 from mvfilters import calculus, core, filters, verify
-from mvfilters.core import mask_of
 from mvfilters.errors import InvalidArgument
 
+import oracles
 from conftest import (
     ALL_ALGEBRAS, CHAINS, PRODUCTS, cold_j_down, cold_j_up, cold_phi, cold_sqto_full,
-    members, up_closure_loop,
 )
-from test_table_reads import congruence_cosets_loop, subordinate_loop
-
-
-def phi_loop(a, f_mask, g_mask):
-    imp = a.imp
-    m = 0
-    for f in members(f_mask):
-        for y in range(a.size):
-            if (g_mask >> imp[f][y]) & 1:
-                m |= 1 << y
-    return m
-
-
-def sqto_full_loop(a, f_mask, g_mask):
-    otimes = a.otimes
-    fs = list(members(f_mask))
-    m = 0
-    for z in range(a.size):
-        if all((g_mask >> otimes[f][z]) & 1 for f in fs):
-            m |= 1 << z
-    return m
-
-
-def sqto_loop(a, f_mask, g_mask):
-    if f_mask == 0 or g_mask == 0:
-        return 0
-    fp = f_mask & g_mask
-    m = a.full_mask
-    for x in members(a.full_mask & ~g_mask):
-        m &= subordinate_loop(a, fp, x)
-    return m
-
-
-def set_plus_loop(a, mask):
-    return subordinate_loop(a, mask, a.zero)
-
-
-def j_up_loop(a, f_mask, p_mask):
-    if f_mask == 0:
-        return 0
-    _, _, cosets = congruence_cosets_loop(a, p_mask)
-    m = 0
-    for cm in cosets:
-        if cm & f_mask:
-            m |= cm
-    return m
-
-
-def j_down_loop(a, f_mask, p_mask):
-    if f_mask == 0:
-        return 0
-    return set_plus_loop(a, j_up_loop(a, set_plus_loop(a, f_mask), p_mask))
-
-
-def image_mask_loop(q, mask):
-    return mask_of(q.coset_of[x] for x in members(mask))
 
 
 def assert_pair_agrees(a, ctx, f, g):
     """Every row-table form at (F, G), with G also read as P for the cold
     J_u/J_d, which partition L by any mask."""
-    assert cold_phi(a, f, g) == ctx.phi(f, g) == phi_loop(a, f, g)
+    assert cold_phi(a, f, g) == ctx.phi(f, g) == oracles.phi(a, f, g)
     assert (
         cold_sqto_full(a, f, g) == ctx.sqto_full(f, g)
-        == sqto_full_loop(a, f, g)
+        == oracles.sqto_full(a, f, g)
     )
-    assert cold_j_up(a, f, g) == j_up_loop(a, f, g)
-    assert cold_j_down(a, f, g) == j_down_loop(a, f, g)
+    assert cold_j_up(a, f, g) == oracles.j_up(a, f, g)
+    assert cold_j_down(a, f, g) == oracles.j_down(a, f, g)
 
 
 def assert_j_agrees(a, ctx, f, p):
     """J_u/J_d at (F, P) through the cosets of the ``Ctx`` quotient L/P, for
     an implication filter P."""
-    assert ctx.j_up(f, p) == cold_j_up(a, f, p) == j_up_loop(a, f, p)
-    assert ctx.j_down(f, p) == cold_j_down(a, f, p) == j_down_loop(a, f, p)
+    assert ctx.j_up(f, p) == cold_j_up(a, f, p) == oracles.j_up(a, f, p)
+    assert ctx.j_down(f, p) == cold_j_down(a, f, p) == oracles.j_down(a, f, p)
 
 
 def assert_quotient_agrees(ctx, p, mask, fq, gq):
@@ -114,13 +55,13 @@ def assert_quotient_agrees(ctx, p, mask, fq, gq):
 
     The quotient side takes ⊸ in its product form, which equals the
     definitional form on nonempty up-sets of L/P; images of filters are such
-    up-sets.  So ``sqto_loop`` on the quotient algebra is its oracle there.
+    up-sets.  So ``oracles.sqto`` on the quotient algebra is its oracle there.
     """
     q = ctx.quotient(p)
-    assert q.image_mask(mask) == image_mask_loop(q, mask)
+    assert q.image_mask(mask) == oracles.image(ctx.a, p, mask)
     qa = q.quotient
     if fq and gq and filters.is_up_closed(qa, fq) and filters.is_up_closed(qa, gq):
-        assert ctx.quotient_sqto(p, fq, gq) == sqto_loop(qa, fq, gq)
+        assert ctx.quotient_sqto(p, fq, gq) == oracles.sqto(qa, fq, gq)
 
 
 @pytest.mark.parametrize("a", [CHAINS[6], PRODUCTS["L2xL3"]], ids=["L6", "L2xL3"])
@@ -148,7 +89,7 @@ def test_both_sqto_paths_match_the_relative_kernel_form(name):
     masks = [0, *ctx.lattice]
     for f in masks:
         for g in masks:
-            assert calculus.sqto(a, f, g) == ctx.sqto(f, g) == sqto_loop(a, f, g)
+            assert calculus.sqto(a, f, g) == ctx.sqto(f, g) == oracles.sqto(a, f, g)
 
 
 CTXS = {name: verify.Ctx(a) for name, a in ALL_ALGEBRAS.items()}
@@ -169,7 +110,7 @@ def test_random_masks_match_the_loop_forms(data):
     assert_j_agrees(a, ctx, f, p)
     qa = ctx.quotient(p).quotient
     up_set = st.integers(min_value=1, max_value=qa.full_mask).map(
-        lambda m: up_closure_loop(qa, m)
+        lambda m: oracles.up_closure(qa, m)
     )
     assert_quotient_agrees(
         ctx, p, f, data.draw(up_set, label="F/P"), data.draw(up_set, label="G/P")

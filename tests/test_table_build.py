@@ -1,12 +1,12 @@
-"""The table build of ``MvAlgebra`` and its constructors against the
-per-entry definitions.
+"""The table build of ``MvAlgebra``, its constructors and ``quotient_by``
+against the definitions of ``tests/oracles.py``.
 
 ``MvAlgebra.__post_init__`` builds each derived table a row or a column at
 a time with ``bytes.translate``, ``make_lukasiewicz_chain`` writes its rows
-as slices, and ``make_product`` adds two spread lines with one ``map``.  The
-oracles below are the definitions read entry by entry from the tuple ⊕ and
-¬ tables: x⊗y = ¬(¬x⊕¬y), x→y = ¬x⊕y, x∨y = (x→y)→y, x∧y = ¬(¬x∨¬y), and
-↑x, ↓x as the y with x→y = 1 or y→x = 1.  They share no code with the build.
+as slices, and ``make_product`` adds two spread lines with one ``map``.
+``oracles.derived_tables`` reads the definitions entry by entry from the
+tuple ⊕ and ¬ tables alone, and ``oracles.quotient_tables`` reads L/P at
+the cosets of ``oracles.cosets``; they share no code with the build.
 
 They are compared on the 197 census algebras, on relabelled copies (so that
 the build cannot assume 0 is the bottom or that labels ascend), and on
@@ -24,47 +24,12 @@ from mvfilters import cli, core, filters
 from mvfilters.core import MvAlgebra, make_lukasiewicz_chain, make_product
 from mvfilters.errors import InvalidArgument
 
-from conftest import by_labels, chain, product, shuffled
-from test_filters import census
-from test_table_reads import BAD, arbitrary_tables
-from test_verify import SPECS
-
-
-def derived_by_definition(a):
-    """Every derived field of a, read entry by entry from ⊕ and ¬."""
-    n, oplus, neg = a.size, a.oplus, a.neg
-    one = neg[a.zero]
-    imp = [[oplus[neg[x]][y] for y in range(n)] for x in range(n)]
-    otimes = [[neg[oplus[neg[x]][neg[y]]] for y in range(n)] for x in range(n)]
-    join = [[imp[imp[x][y]][y] for y in range(n)] for x in range(n)]
-    meet = [[neg[join[neg[x]][neg[y]]] for y in range(n)] for x in range(n)]
-    up = [sum(1 << y for y in range(n) if imp[x][y] == one) for x in range(n)]
-    down = [sum(1 << y for y in range(n) if imp[y][x] == one) for x in range(n)]
-
-    def reversed_lines(table):
-        return tuple(bytes(reversed(r)) for r in table)
-
-    def as_tuples(table):
-        return tuple(map(tuple, table))
-
-    return {
-        "one": one,
-        "otimes": as_tuples(otimes),
-        "imp": as_tuples(imp),
-        "join": as_tuples(join),
-        "meet": as_tuples(meet),
-        "up_mask": tuple(up),
-        "down_mask": tuple(down),
-        "full_mask": (1 << n) - 1,
-        "one_mask": 1 << one,
-        "imp_bytes": reversed_lines(imp),
-        "otimes_bytes": reversed_lines(otimes),
-        "imp_col_bytes": reversed_lines(zip(*imp)),
-    }
+import oracles
+from conftest import BAD, SPECS, arbitrary_tables, by_labels, census, chain, product, shuffled
 
 
 def assert_built_by_definition(a):
-    want = derived_by_definition(a)
+    want = oracles.derived_tables(a)
     assert {name: getattr(a, name) for name in want} == want, a.name
 
 
@@ -221,24 +186,12 @@ def test_a_product_spec_builds_one_algebra(monkeypatch, name):
 # quotient_by: the tables of L/P and the well-definedness refusals
 
 
-def quotient_by_definition(a, p_mask):
-    """The quotient tables read entry by entry from a's ⊕ and ¬."""
-    coset_of, reps, _ = core.congruence_cosets(a, p_mask)
-    m = len(reps)
-    return (
-        tuple(tuple(coset_of[a.oplus[reps[i]][reps[j]]] for j in range(m))
-              for i in range(m)),
-        tuple(coset_of[a.neg[reps[i]]] for i in range(m)),
-        coset_of[a.zero],
-    )
-
-
 @pytest.mark.parametrize("ns", [(8,), (2, 3), (3, 3), (2, 2, 2), (4, 4)], ids=str)
 def test_quotients_are_built_by_definition(ns):
     for a in (product(*ns), shuffled(product(*ns), 5)):
         for p in filters.enumerate_implication_filters(a):
             q = core.quotient_by(a, p).quotient
-            assert (q.oplus, q.neg, q.zero) == quotient_by_definition(a, p)
+            assert (q.oplus, q.neg, q.zero) == oracles.quotient_tables(a, p)
 
 
 def changed_copy(a, oplus=None, neg=None):

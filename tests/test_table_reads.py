@@ -1,32 +1,28 @@
-"""The byte-table reads against the per-entry loops they replaced.
+"""The byte-table reads against the oracles of ``tests/oracles.py``.
 
 ``MvAlgebra`` keeps its → rows, ⊗ rows and → columns as reversed ``bytes``,
 and ``core.read_lines`` reads the lines picked by a mask into another mask,
 each with one ``bytes.translate`` and one ``int(…, 2)``.  It is compared
-with its loop on random picks, the empty picks included, and behind it
-``calculus.rows``, ``MvAlgebra.columns`` (at the picks ∅, M and L∖M),
-``calculus.subordinate``, ``calculus.kernel``,
-``filters.is_implication_filter`` and the ``order:partial`` statement, which
-reads ``up_mask``; ``core.congruence_cosets`` reads its rows and columns
-itself.  ``core.is_linear``, the immediacy test of
+with ``oracles.read_lines`` on random picks, the empty picks included, and
+behind it ``calculus.rows``, ``MvAlgebra.columns`` (at the picks ∅, M and
+L∖M), ``calculus.subordinate``, ``calculus.set_plus``, ``calculus.kernel``,
+``core.congruence_cosets``, ``filters.is_lattice_filter``,
+``filters.is_implication_filter`` and the ``order:partial`` statement,
+which reads ``up_mask``.  ``core.is_linear``, the immediacy test of
 ``filters.successor_structure`` and the theory list of prime implication
 filters (``filters.enumerate_implication_filters(a, prime_only=True)``)
-read ``up_mask`` and ``down_mask`` too.  The oracles below are the loop
-bodies these functions had before; ``is_prime_implication_filter_loop`` is
-the n² loop over element pairs that tests x→y ∈ P or y→x ∈ P, the
-reference for the theory list on the MV-algebras among the test algebras
-(the list is exact on those only), and ``is_linear_loop`` and
-``successor_structure_loop`` ask ``leq`` pair by pair.  They read only the
-tuple tables (``imp``, ``otimes``) entry by entry, so they share no code
-with the byte reads.
+read ``up_mask`` and ``down_mask`` too; the list is compared with
+``oracles.is_prime_implication_filter`` on the MV-algebras among the test
+algebras, as it is exact on those only.  The oracles read only the tuple
+tables, entry by entry, so they share no code with the byte reads.
 
 Each read is compared with its oracle on the ten test algebras, on Ł64 and
 2⁶ (the sizes at which the reads matter), on Ł8 and Ł2×Ł3 relabelled, on
-the hand-built non-MV table of the cli tests and on hypothesis-drawn
-arbitrary tables.  The masks are every
-lattice filter and every implication filter, the empty and the full mask,
-and hypothesis-drawn arbitrary masks.  An algebra with one derived byte
-changed must disagree with an oracle, so these comparisons can fail.
+the hand-built non-MV table ``conftest.BAD`` and on hypothesis-drawn
+arbitrary tables.  The masks are every lattice filter and every implication
+filter, the empty and the full mask, and hypothesis-drawn arbitrary masks.
+An algebra with one derived byte changed must disagree with an oracle, so
+these comparisons can fail.
 """
 
 import dataclasses
@@ -38,27 +34,11 @@ from mvfilters import calculus, core, filters, verify
 from mvfilters.core import MvAlgebra
 from mvfilters.errors import InvalidArgument
 
-from conftest import ALL_ALGEBRAS, chain, members, product, shuffled
-from test_cli import BAD_TABLE
+import oracles
+from conftest import ALL_ALGEBRAS, BAD, arbitrary_tables, chain, product, shuffled
 
 
-def rows_loop(table, mask):
-    out = []
-    for row in table:
-        m = 0
-        for y, v in enumerate(row):
-            if (mask >> v) & 1:
-                m |= 1 << y
-        out.append(m)
-    return out
-
-
-def read_lines_loop(table, picks, mask):
-    """Line x of table into mask, for each member x of picks."""
-    return [rows_loop([table[x]], mask)[0] for x in members(picks)]
-
-
-# each byte table, and the tuple table the loops read it from
+# each byte table, and the tuple table the oracles read it from
 LINE_TABLES = {
     "imp_bytes": lambda a: a.imp,
     "otimes_bytes": lambda a: a.otimes,
@@ -69,117 +49,8 @@ LINE_TABLES = {
 def assert_lines_agree(a, picks, mask):
     for name, table in LINE_TABLES.items():
         assert list(core.read_lines(getattr(a, name), picks, mask)) == (
-            read_lines_loop(table(a), picks, mask)
+            oracles.read_lines(table(a), picks, mask)
         ), name
-
-
-def subordinate_loop(a, f_mask, elem):
-    imp = a.imp
-    m = 0
-    for z in range(a.size):
-        if not (f_mask >> imp[z][elem]) & 1:
-            m |= 1 << z
-    return m
-
-
-def kernel_loop(a, f_mask):
-    if f_mask == 0:
-        return 0
-    imp = a.imp
-    outside = list(members(a.full_mask & ~f_mask))
-    m = 0
-    for z in range(a.size):
-        if all(not (f_mask >> imp[z][x]) & 1 for x in outside):
-            m |= 1 << z
-    return m
-
-
-def congruence_cosets_loop(a, p_mask):
-    n, imp = a.size, a.imp
-    coset_of = [-1] * n
-    cosets = []
-    reps = []
-    for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        c = len(cosets)
-        m = 0
-        for y in range(n):
-            if (p_mask >> imp[x][y]) & 1 and (p_mask >> imp[y][x]) & 1:
-                coset_of[y] = c
-                m |= 1 << y
-        cosets.append(m)
-        reps.append(x)
-    return tuple(coset_of), tuple(reps), tuple(cosets)
-
-
-def is_implication_filter_loop(a, mask):
-    if not (mask >> a.one) & 1:
-        return False
-    for x in members(mask):
-        for y in range(a.size):
-            if (mask >> a.imp[x][y]) & 1 and not (mask >> y) & 1:
-                return False
-    return True
-
-
-def is_prime_implication_filter_loop(a, mask):
-    if mask == a.full_mask or not is_implication_filter_loop(a, mask):
-        return False
-    for x in range(a.size):
-        for y in range(a.size):
-            if not ((mask >> a.imp[x][y]) & 1 or (mask >> a.imp[y][x]) & 1):
-                return False
-    return True
-
-
-def order_loop(a):
-    out = []
-    for x in range(a.size):
-        if not a.leq(x, x):
-            out.append(("reflexivity", x))
-        for y in range(a.size):
-            if a.leq(x, y) and a.leq(y, x) and x != y:
-                out.append(("antisymmetry", x, y))
-            for z in range(a.size):
-                if a.leq(x, y) and a.leq(y, z) and not a.leq(x, z):
-                    out.append(("transitivity", x, y, z))
-    return out
-
-
-def is_linear_loop(a):
-    return all(
-        a.leq(x, y) or a.leq(y, x) for x in range(a.size) for y in range(a.size)
-    )
-
-
-def successor_structure_loop(a):
-    if not is_linear_loop(a):
-        raise InvalidArgument("successor structure needs a linearly ordered algebra")
-    above_zero = [x for x in range(a.size) if x != a.zero]
-    if not above_zero:
-        raise InvalidArgument("trivial algebra has no successor structure")
-    c = above_zero[0]
-    for x in above_zero:
-        if a.leq(x, c):
-            c = x
-    succ = {}
-    pred = {}
-    for x in range(a.size):
-        if x != a.one:
-            succ[x] = a.oplus[x][c]
-        if x != a.zero:
-            pred[x] = a.otimes[x][a.neg[c]]
-    for x, s in succ.items():
-        if x == s or not a.leq(x, s):
-            return None
-        for z in range(a.size):
-            if z != x and z != s and a.leq(x, z) and a.leq(z, s):
-                return None
-    for x, p in pred.items():
-        if x == p or not a.leq(p, x):
-            return None
-    return c, succ, pred
 
 
 def outcome(fn, a):
@@ -190,10 +61,10 @@ def outcome(fn, a):
         return str(e)
 
 
-def assert_order_loops_agree(a):
-    assert core.is_linear(a) == is_linear_loop(a)
+def assert_order_reads_agree(a):
+    assert core.is_linear(a) == oracles.is_linear(a)
     assert outcome(filters.successor_structure, a) == (
-        outcome(successor_structure_loop, a)
+        outcome(oracles.successor_structure, a)
     )
 
 
@@ -204,34 +75,29 @@ def order_read(a):
 
 
 def assert_mask_agrees(a, mask):
-    """Every read into mask, or into L∖mask, equals its loop."""
+    """Every read into mask, or into L∖mask, equals its oracle."""
     for picks in (0, mask):
         assert_lines_agree(a, picks, mask)
     for name in ("imp", "otimes"):
-        table = getattr(a, name)
-        assert calculus.rows(a, name, mask) == (
-            rows_loop(table, mask)
-        ), name
+        assert calculus.rows(a, name, mask) == oracles.rows(getattr(a, name), mask), name
     for elem in range(a.size):
-        assert calculus.subordinate(a, mask, elem) == subordinate_loop(a, mask, elem)
+        assert calculus.subordinate(a, mask, elem) == oracles.subordinate(a, mask, elem)
     for picks in (0, mask, a.full_mask & ~mask):
         assert list(a.columns(mask, picks)) == [
-            subordinate_loop(a, mask, x) for x in members(picks)
+            oracles.subordinate(a, mask, x) for x in oracles.members(picks)
         ], picks
-    assert calculus.kernel(a, mask) == kernel_loop(a, mask)
-    assert core.congruence_cosets(a, mask) == congruence_cosets_loop(a, mask)
+    assert calculus.set_plus(a, mask) == oracles.set_plus(a, mask)
+    assert calculus.kernel(a, mask) == oracles.kernel(a, mask)
+    assert core.congruence_cosets(a, mask) == oracles.cosets(a, mask)
+    assert filters.is_lattice_filter(a, mask) == oracles.is_lattice_filter(a, mask)
     assert filters.is_implication_filter(a, mask) == (
-        is_implication_filter_loop(a, mask)
+        oracles.is_implication_filter(a, mask)
     )
     primes = PRIME_IMPL.get(a)
     if primes is not None:
-        assert (mask in primes) == is_prime_implication_filter_loop(a, mask)
+        assert (mask in primes) == oracles.is_prime_implication_filter(a, mask)
 
 
-BAD = MvAlgebra(
-    BAD_TABLE["size"], tuple(map(tuple, BAD_TABLE["oplus"])),
-    tuple(BAD_TABLE["neg"]), BAD_TABLE["zero"], name="bad",
-)
 ALGEBRAS = ALL_ALGEBRAS | {
     "L64": chain(64),
     "2^6": product(2, 2, 2, 2, 2, 2),
@@ -253,18 +119,18 @@ def test_every_lattice_filter_matches_the_loops(name):
              *filters.enumerate_implication_filters(a)}
     for mask in masks:
         assert_mask_agrees(a, mask)
-    assert order_read(a) == order_loop(a)
+    assert order_read(a) == oracles.order_failures(a)
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_linearity_and_successors_match_the_loops(name):
-    assert_order_loops_agree(ALGEBRAS[name])
+    assert_order_reads_agree(ALGEBRAS[name])
 
 
 def test_the_non_mv_table_has_witnesses_to_compare():
     # so the comparison above is not vacuous on it
     assert core.check_mv_axioms(BAD)
-    assert order_loop(BAD)
+    assert oracles.order_failures(BAD)
 
 
 @settings(
@@ -279,23 +145,10 @@ def test_random_masks_match_the_loops(data):
     assert_lines_agree(a, data.draw(st.integers(0, a.full_mask), label="picks"), mask)
 
 
-@st.composite
-def arbitrary_tables(draw):
-    """A table with element indices as entries and no axiom asked of it."""
-    n = draw(st.integers(min_value=1, max_value=6))
-    entry = st.integers(min_value=0, max_value=n - 1)
-    return MvAlgebra(
-        n,
-        tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)),
-        tuple(draw(entry) for _ in range(n)),
-        draw(entry),
-    )
-
-
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(a=arbitrary_tables(), data=st.data())
 def test_arbitrary_tables_match_the_loops(a, data):
-    assert order_read(a) == order_loop(a)
+    assert order_read(a) == oracles.order_failures(a)
     mask = data.draw(st.integers(0, a.full_mask), label="mask")
     assert_mask_agrees(a, mask)
     assert_lines_agree(a, data.draw(st.integers(0, a.full_mask), label="picks"), mask)
@@ -304,13 +157,13 @@ def test_arbitrary_tables_match_the_loops(a, data):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(a=arbitrary_tables())
 def test_arbitrary_tables_match_the_order_loops(a):
-    assert_order_loops_agree(a)
+    assert_order_reads_agree(a)
 
 
 def changed(a, table, line, pos):
     """A copy of a whose byte table ``table`` has entry pos of ``line`` moved
     to the next element, and that entry's old value; the tuple tables that
-    the loops read are untouched."""
+    the oracles read are untouched."""
     b = dataclasses.replace(a)
     lines = list(getattr(b, table))
     raw = bytearray(lines[line])
@@ -337,7 +190,7 @@ def test_order_read_can_fail():
     up[1] &= ~(1 << a.one)  # ↑(1/3) loses 1 but keeps 2/3, and 2/3 ≤ 1
     b = dataclasses.replace(a)
     object.__setattr__(b, "up_mask", tuple(up))
-    assert order_read(b) != order_loop(b)
+    assert order_read(b) != oracles.order_failures(b)
 
 
 def test_order_partial_fails_on_swapped_masks():

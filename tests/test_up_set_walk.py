@@ -4,12 +4,14 @@
 only on the masks of ``filters.enumerate_up_sets``: every lattice filter and
 every implication filter is an up-set.  ``enum_crosscheck_scan`` and
 ``impl_vs_lattice_scan`` are the statements' bodies as they were, deciding
-every one of the 2ⁿ masks; they share the predicates but not the walk.  Each
-statement must give its scan's status and witness list, and the walk must
-list exactly the up-closed masks of the power set, on:
+every one of the 2ⁿ masks; they share the predicates but not the walk, and
+read primality from ``oracles.is_prime_lattice_filter`` and
+``oracles.is_prime_implication_filter``.  Each statement must give its
+scan's status and witness list, and the walk must list exactly the
+up-closed masks of the power set, on:
 
 - every census algebra of at most 12 elements, and a relabelled copy of each;
-- the non-MV table of the cli tests;
+- the non-MV table ``conftest.BAD``;
 - hypothesis-drawn arbitrary tables; on many of them ↑ is not
   antisymmetric, so that an element of ↑x can come after x in the walk.
 """
@@ -21,9 +23,8 @@ from hypothesis import given, settings
 
 from mvfilters import filters, run_finite, verify
 
-from conftest import members, product as chain_product, shuffled
-from test_filters import census
-from test_table_reads import BAD, arbitrary_tables
+import oracles
+from conftest import BAD, arbitrary_tables, census, product as chain_product, shuffled
 
 
 def enum_crosscheck_scan(ctx, out):
@@ -31,23 +32,13 @@ def enum_crosscheck_scan(ctx, out):
     naive = [m for m in range(1 << a.size) if filters.is_lattice_filter(a, m)]
     if naive != ctx.lattice:
         out.append(("lattice filter lists differ", len(naive), len(ctx.lattice)))
-    naive_primes = [
-        m for m in naive
-        if m != a.full_mask
-        and not any((m >> a.join[x][y]) & 1
-                    for x, y in product(members(a.full_mask & ~m), repeat=2))
-    ]
+    naive_primes = [m for m in naive if oracles.is_prime_lattice_filter(a, m)]
     if naive_primes != ctx.primes:
         out.append(("prime filter lists differ", len(naive_primes), len(ctx.primes)))
     naive_impl = [m for m in range(1 << a.size) if filters.is_implication_filter(a, m)]
     if naive_impl != ctx.impl:
         out.append(("implication filter lists differ",))
-    naive_prime_impl = [
-        p for p in naive_impl
-        if p != a.full_mask
-        and all((p >> a.imp[x][y]) & 1 or (p >> a.imp[y][x]) & 1
-                for x, y in product(range(a.size), repeat=2))
-    ]
+    naive_prime_impl = [p for p in naive_impl if oracles.is_prime_implication_filter(a, p)]
     if naive_prime_impl != ctx.prime_impl:
         out.append(("prime implication filter lists differ",
                     len(naive_prime_impl), len(ctx.prime_impl)))
@@ -61,7 +52,7 @@ def impl_vs_lattice_scan(ctx, out):
             filters.is_lattice_filter(a, m)
             and (m >> a.one) & 1
             and all((m >> a.otimes[x][y]) & 1
-                    for x, y in product(members(m), repeat=2))
+                    for x, y in product(oracles.members(m), repeat=2))
         )
         if lhs != bool(rhs):
             out.append((ctx.show(m), lhs, bool(rhs)))

@@ -6,7 +6,6 @@ from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
 from itertools import combinations, permutations, product as tuples
-from pathlib import Path
 
 import pytest
 
@@ -15,10 +14,12 @@ from mvfilters import calculus, cli, core, densechain as dc, filters, spectra, v
 from mvfilters.errors import InvalidArgument
 from mvfilters.verify import DENSE_STATEMENTS, FINITE_STATEMENTS
 
+import oracles
 from conftest import (
-    ALL_ALGEBRAS, CHAINS, KIND_BRANCHES, PRODUCTS, assert_check_can_fail,
-    branch_flipped, cold_hat, cold_spectrum, drop_lowest, members, plus_flipped,
-    product, relabelled, shuffled, swap_arguments,
+    ALL_ALGEBRAS, CHAINS, KIND_BRANCHES, PRODUCTS, SPECS, assert_check_can_fail,
+    branch_flipped, cold_hat, cold_spectrum, collapse_closed_pairs, drop_lowest,
+    plus_after, plus_flipped, product, relabelled, shifted_endpoint, shuffled,
+    swap_arguments, with_own_element,
 )
 
 
@@ -195,8 +196,8 @@ def test_checks_fail_through_a_warm_memo(monkeypatch):
 
 def _subsets(a, f):
     """Every nonempty X ⊆ L∖F as (mask, members): the subset loop that fact:a
-    and fact:e once ran, kept as the oracle for their state search."""
-    comp = list(members(a.full_mask & ~f))
+    and fact:e once ran, kept as the reference for their state search."""
+    comp = list(oracles.members(a.full_mask & ~f))
     for r in range(1, len(comp) + 1):
         for xs in combinations(comp, r):
             yield sum(1 << x for x in xs), xs
@@ -219,16 +220,6 @@ def _searched_states(monkeypatch, ctx, stmt):
     return seen
 
 
-def _ideal_generated(a, xs):
-    """The union of ↓(∨S) over every nonempty S ⊆ X, each ∨S taken pairwise
-    from the join table: the definition of the ideal that X generates."""
-    out = 0
-    for r in range(1, len(xs) + 1):
-        for s in combinations(xs, r):
-            out |= a.down_mask[reduce(lambda u, v: a.join[u][v], s)]
-    return out
-
-
 @pytest.mark.parametrize("algebra_id", sorted(ALL_ALGEBRAS))
 def test_state_search_matches_the_subset_loop(monkeypatch, algebra_id):
     a = ALL_ALGEBRAS[algebra_id]
@@ -245,7 +236,7 @@ def test_state_search_matches_the_subset_loop(monkeypatch, algebra_id):
             oracle_values.add(k)
             oracle_pairs.add((k, join))
             if len(xs) <= 4:
-                assert filters.down_closure_joins(a, xm) == _ideal_generated(a, xs), xs
+                assert filters.down_closure_joins(a, xm) == oracles.ideal_generated(a, xs), xs
         assert set(values[f]) == oracle_values
         assert set(pairs[f]) == oracle_pairs
         # each witness is a nonempty X ⊆ L∖F that produces its state
@@ -253,9 +244,9 @@ def test_state_search_matches_the_subset_loop(monkeypatch, algebra_id):
             assert xm and xm & f == 0 and calculus.kernel_rel(a, f, xm) == v
         for (k, join), xm in pairs[f].items():
             assert xm and xm & f == 0 and calculus.kernel_rel(a, f, xm) == k
-            assert reduce(lambda u, v: a.join[u][v], members(xm)) == join
-            xs = tuple(members(xm))
-            assert filters.down_closure_joins(a, xm) == _ideal_generated(a, xs), xs
+            assert reduce(lambda u, v: a.join[u][v], oracles.members(xm)) == join
+            xs = tuple(oracles.members(xm))
+            assert filters.down_closure_joins(a, xm) == oracles.ideal_generated(a, xs), xs
 
 
 @pytest.mark.parametrize(
@@ -400,17 +391,6 @@ def test_convex_lemmas_can_fail(monkeypatch, l5, stmt):
     )
 
 
-def _plus_after(a):
-    """The ⊸ mutant on a that returns (F⊸G)⁺ instead of F⊸G."""
-    def corrupt(real):
-        def corrupted(*args):
-            return calculus.set_plus(a, real(*args))
-
-        return corrupted
-
-    return corrupt
-
-
 @pytest.mark.parametrize(
     "algebra_id, stmt",
     [
@@ -421,7 +401,7 @@ def _plus_after(a):
 def test_sqto_order_statements_can_fail(monkeypatch, algebra_id, stmt):
     a = ALL_ALGEBRAS[algebra_id]
     assert_check_can_fail(
-        monkeypatch, a, stmt, calculus, "sqto", _plus_after(a)
+        monkeypatch, a, stmt, calculus, "sqto", plus_after(a)
     )
 
 
@@ -436,19 +416,11 @@ def test_adjunction_can_fail(monkeypatch, algebra_id, witnesses):
     assert len(result.witnesses) == witnesses
 
 
-def _with_own_element(real):
-    """subordinate, with x itself added to F_x."""
-    def corrupted(first, f, x):
-        return real(first, f, x) | 1 << x
-
-    return corrupted
-
-
 def test_subord_monotone_fails_on_both_branches(monkeypatch, l2xl3):
     stmt = "fact:subord-monotone"
     assert_check_can_fail(
         monkeypatch, l2xl3, stmt, calculus, "subordinate",
-        _with_own_element,
+        with_own_element,
     )
     (result,) = mv.run_finite(l2xl3, only=[stmt]).results
     assert Counter(w[0] for w in result.witnesses) == {"monotone": 18, "join": 2}
@@ -468,9 +440,11 @@ def _columns(a, name):
 def _interval_loop(ctx, columns):
     """Every (interval C, column index) whose image of C is not convex.
 
-    The oracle for the convex lemmas: it reads the order only from the masks
-    ↑x and ↓y, visits every interval [x, y] = ↑x ∩ ↓y, and decides C = ↑C ∩ ↓C
-    for all columns at once, column i at bits i·n to i·n + n − 1.
+    The reference for the convex lemmas' neighbour-pair shortcut, as the
+    statement scans of ``tests/scans.py`` are for theirs: it reads the order
+    from the masks ↑x and ↓y as the lemmas do, visits every interval
+    [x, y] = ↑x ∩ ↓y, and decides C = ↑C ∩ ↓C for all columns at once,
+    column i at bits i·n to i·n + n − 1, which is what makes Ł64 affordable.
     """
     a = ctx.a
     n, full = a.size, a.full_mask
@@ -485,7 +459,7 @@ def _interval_loop(ctx, columns):
             if not c:
                 continue
             img = hi = lo = 0
-            for z in members(c):
+            for z in oracles.members(c):
                 img, hi, lo = img | image[z], hi | up[z], lo | down[z]
             bad = hi & lo ^ img
             out.extend(
@@ -541,13 +515,20 @@ CONVEX_ORACLE_ALGEBRAS = {f"L{n}": CHAINS[n] for n in (5, 6, 7, 8)} | {
 @pytest.mark.parametrize("stmt, table", sorted(CONVEX_TABLES.items()))
 def test_convex_lemmas_match_interval_loop(algebra_id, stmt, table):
     # under every one-entry change of the lemma's table the lemma fails
-    # exactly when some interval's image is not convex, and every neighbour
-    # pair it names is one of those intervals
+    # exactly when some interval's image is not convex, every neighbour
+    # pair it names is one of those intervals, and the convexity oracle,
+    # reading the order of the unchanged algebra, finds that pair's image
+    # not convex
+    a = CONVEX_ORACLE_ALGEBRAS[algebra_id]
     killed = 0
-    for b in _one_entry_changed(CONVEX_ORACLE_ALGEBRAS[algebra_id], table):
+    for b in _one_entry_changed(a, table):
         lemma, loop = _lemma_and_loop(b, stmt)
         assert bool(lemma) == bool(loop)
         assert set(lemma) <= set(loop)
+        column = _columns(b, table)
+        for shown, i in lemma:
+            z, w = (x for x in range(a.size) if a.labels[x] in shown[1:-1].split(", "))
+            assert not oracles.is_convex(a, 1 << column[i][z] | 1 << column[i][w])
         killed += bool(lemma)
     assert killed
 
@@ -631,7 +612,6 @@ def test_set_plus_runs_once_per_distinct_mask(monkeypatch, build):
     assert len(calls) == len(set(calls)) == ctx.plus.cache_info().currsize > 0
 
 
-SPECS = Path(__file__).resolve().parent.parent / "perfbench" / "specs"
 FINITE_SPECS = {
     f"spec:{p.stem}": spec for p in sorted(SPECS.glob("*.json"))
     if (spec := cli.parse_spec(p.read_text(), allow_dense=True))["kind"] != "dense"
@@ -769,16 +749,6 @@ def test_closed_forms_fails_on_a_flipped_plus(monkeypatch):
     assert {w[0] for w in result.witnesses} == {"plus"}
 
 
-def shifted_endpoint(real, step):
-    """real, with the endpoint of each value moved by step: down where it can."""
-    def corrupted(*args):
-        c = real(*args)
-        e = c.endpoint
-        return dc.Cut(e - step if e >= step else e + step, c.kind)
-
-    return corrupted
-
-
 @pytest.mark.parametrize(
     "name, step, witnesses",
     [
@@ -864,18 +834,8 @@ def test_the_grid_meets_every_order_type_of_two_cuts():
     assert len(verify._GRID_CUTS) == 24 and len(verify._GRID_POINTS) == 13
 
 
-def _collapse_closed_pairs(real):
-    """cut_sqto with every closed–closed pair sent to {1}."""
-    def mutated(f, g):
-        if f.kind is dc.Kind.CLOSED and g.kind is dc.Kind.CLOSED:
-            return dc.TOP
-        return real(f, g)
-
-    return mutated
-
-
 def test_dense_trans_can_fail(monkeypatch):
-    monkeypatch.setattr(dc, "cut_sqto", _collapse_closed_pairs(dc.cut_sqto))
+    monkeypatch.setattr(dc, "cut_sqto", collapse_closed_pairs(dc.cut_sqto))
     (result,) = mv.run_dense(only=["dense:trans"]).results
     assert result.status == "fail"
     assert len(result.witnesses) == 242
@@ -937,7 +897,7 @@ def _subchain_hat_embed():
 # mutant -> (densechain attribute, factory of its corrupted version,
 # dense:hat-embed's witness count under it, or None for an error)
 HAT_EMBED_MUTANTS = {
-    "collapse-closed-pairs": ("cut_sqto", _collapse_closed_pairs, 77),
+    "collapse-closed-pairs": ("cut_sqto", collapse_closed_pairs, 77),
     "sqto-swapped": ("cut_sqto", lambda real: lambda f, g: real(g, f), 312),
     "sqto-off-grid": ("cut_sqto", lambda real: shifted_endpoint(real, F(1, 1000)), 338),
     "sqto-one-step": ("cut_sqto", lambda real: shifted_endpoint(real, F(1, 12)), None),
@@ -1017,7 +977,7 @@ def test_dense_props_fails_on_each_flipped_sqto_branch(monkeypatch, branch, fail
 
 def test_dense_props_fails_when_closed_pairs_collapse(monkeypatch):
     failing = _props_failures(
-        monkeypatch, "cut_sqto", _collapse_closed_pairs(dc.cut_sqto))
+        monkeypatch, "cut_sqto", collapse_closed_pairs(dc.cut_sqto))
     assert failing == {
         "OneOne", "plus", "FFg", "triple", "revIncl", "axiomG", "axiomC",
     }
