@@ -26,6 +26,7 @@ from .core import (
     MvAlgebra,
     check_mv_axioms,
     congruence_cosets,
+    lukasiewicz_tables,
     make_lukasiewicz_chain,
     make_product,
 )
@@ -119,6 +120,8 @@ def build_algebra(spec: dict) -> MvAlgebra:
     axioms, or the spec is refused.  Chains are MV-algebras by construction,
     and MV-algebras form a variety, so a product is certified one ``table``
     factor at a time: O(k³) on a k-element factor, not O(n³) on the product.
+    A chain factor is handed to ``make_product`` as its raw tables, so no
+    table of it is derived.
     """
     kind = spec["kind"]
     if kind not in ("lukasiewicz", "product", "table"):
@@ -127,7 +130,10 @@ def build_algebra(spec: dict) -> MvAlgebra:
     if kind == "lukasiewicz":
         return make_lukasiewicz_chain(spec["n"])
     if kind == "product":
-        return make_product(*(build_algebra(s) for s in spec["factors"]))
+        return make_product(*(
+            lukasiewicz_tables(s["n"]) if s["kind"] == "lukasiewicz" else build_algebra(s)
+            for s in spec["factors"]
+        ))
     a = MvAlgebra(
         spec["size"],
         tuple(tuple(row) for row in spec["oplus"]),

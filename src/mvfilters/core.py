@@ -12,6 +12,7 @@ from functools import reduce
 from itertools import chain, compress, count, islice, repeat
 from math import gcd
 from operator import add, and_, mul, or_
+from types import SimpleNamespace
 
 from .errors import InvalidArgument
 
@@ -210,13 +211,23 @@ def _byte_lines(table: str, rows, n: int) -> list[bytes]:
 
 def make_lukasiewicz_chain(n: int) -> MvAlgebra:
     """The n-element chain on {0, 1/(n-1), ..., 1} with truncated addition."""
+    return MvAlgebra(**vars(lukasiewicz_tables(n)))
+
+
+def lukasiewicz_tables(n: int) -> SimpleNamespace:
+    """The size, ⊕, ¬, zero, name and labels of the n-element chain, with
+    no table derived: what ``make_product`` reads of a factor."""
     if n < 2:
         raise InvalidArgument(f"chain needs at least two elements, got n={n}")
     d = n - 1
-    oplus = tuple((*range(x, d), *(d,) * (x + 1)) for x in range(n))
-    neg = tuple(range(d, -1, -1))
-    labels = tuple(map(_ratio, range(n), repeat(d)))
-    return MvAlgebra(n, oplus, neg, 0, name=f"L{n}", labels=labels)
+    return SimpleNamespace(
+        size=n,
+        oplus=tuple((*range(x, d), *(d,) * (x + 1)) for x in range(n)),
+        neg=tuple(range(d, -1, -1)),
+        zero=0,
+        name=f"L{n}",
+        labels=tuple(map(_ratio, range(n), repeat(d))),
+    )
 
 
 def _ratio(x: int, d: int) -> str:
@@ -225,13 +236,15 @@ def _ratio(x: int, d: int) -> str:
     return str(x // g) if g == d else f"{x // g}/{d // g}"
 
 
-def make_product(*factors: MvAlgebra) -> MvAlgebra:
+def make_product(*factors) -> MvAlgebra:
     """Componentwise product of two or more algebras, folded left to right.
 
     Each step pairs the fold so far, a, with the next factor b, and encodes
     element (x, y) as x * b.size + y; labels nest as ``((x,y),z)`` and the
     name is ``AxBxC``.  Only ⊕, ¬, zero, labels and name are folded, so the
-    derived tables are built once, for the whole product.
+    derived tables are built once, for the whole product.  A factor is an
+    ``MvAlgebra`` or anything with those fields, such as the unbuilt
+    ``lukasiewicz_tables``.
     """
     first, *rest = factors
     na, oplus, neg, zero = first.size, first.oplus, first.neg, first.zero

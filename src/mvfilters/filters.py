@@ -156,13 +156,11 @@ def successor_structure(a: MvAlgebra):
             succ[x] = a.oplus[x][c]
         if x != a.zero:
             pred[x] = a.otimes[x][a.neg[c]]
-    for x, s in succ.items():
-        if x == s or not a.leq(x, s):
+    # each step x < x⊕c and x⊖c < x must be a cover: nothing strictly between
+    for lo, hi in (*succ.items(), *((p, x) for x, p in pred.items())):
+        if lo == hi or not a.leq(lo, hi):
             return None
-        if a.up_mask[x] & a.down_mask[s] & ~(1 << x | 1 << s):
-            return None
-    for x, p in pred.items():
-        if x == p or not a.leq(p, x):
+        if a.up_mask[lo] & a.down_mask[hi] & ~(1 << lo | 1 << hi):
             return None
     return c, succ, pred
 

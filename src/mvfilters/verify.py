@@ -103,36 +103,40 @@ class Ctx:
     against the definitions on every up-set, and ``order:partial`` the
     masks ↑x and ↓x they are read from against ≤.
 
-    ``sqto``, ``kernel``, ``subordinate``, ``plus``, ``rows``, ``quotient``,
-    ``quotient_rows``, ``quotient_sqto``, ``spectrum`` and ``hat`` are
-    ``functools.cache`` objects built here: each computes its value once per
-    argument tuple, by the one definition in its module, looked up at the
-    call.  They close over the algebra, the lists and each other, never over
-    the ``Ctx``, so a run's values go when its last reference does; the
-    algebra itself is never written to.  ⊸, K, F_x, Φ, ``sqto_full``, J_u,
-    J_d, the quotient ⊸, the spectra and the derived algebras have no body
-    here: each is the one ``calculus`` or ``spectra`` function, handed these
-    caches where the cli hands it the algebra or cold builders.
-    ``calculus.sqto``, ``kernel`` and ``subordinate`` are handed a view of
-    the algebra whose ``columns(M, X)`` picks the subordinates M_x, x ∈ X,
-    out of the kept "imp_col" rows into L∖M, so a run reads every →-column
-    into L∖M once per distinct mask M.  It sees few distinct masks F∩G, so
-    most ⊸ and K cost one C fold.  The view closes over ``rows``, not over
-    the ``Ctx``.  ``plus`` hands ``calculus.set_plus`` the algebra itself:
-    ⁺ reads one column per distinct mask, where the view would keep a whole
-    table for it.  ``calculus.phi`` and ``sqto_full`` are one C fold
-    (``core.fold_or``, ``core.fold_and``) of the kept rows over F's members,
-    ``quotient_sqto`` is ``calculus.sqto_fast`` on the kept ⊗-rows of L/P,
-    and ``calculus.j_up`` and ``j_down`` read the cosets of the kept L/P (P
-    in ``impl``), O(n) bit operations per pair.  ``spectra.prime_spectrum``
-    reads ``kernel``, and ``spectra.build_hat`` reads ``sqto`` and ``plus``;
-    ``spectra.iota`` and ``spectra.hat_eta`` are handed ``subordinate`` and
-    ``kernel``, so ι and η̂ read them too.  Every ⁺ of a run, in the
-    statements, in J_d and in the derived algebras, is read from ``plus``,
-    so ``set_plus`` runs once per distinct mask.  A cross-check's second
-    side shares no table with its first: ``fact:b``, ``fact:c`` and
-    ``prop:fastform`` set the →-columns against ⊗-rows, ``fact:a``,
-    ``fact:b`` and ``fact:e`` the kept column tables against
+    ``sqto``, ``kernel``, ``subordinate``, ``plus``, ``phi``, ``sqto_full``,
+    ``rows``, ``quotient``, ``quotient_rows``, ``quotient_sqto``,
+    ``spectrum`` and ``hat`` are ``functools.cache`` objects built here:
+    each computes its value once per argument tuple, by the one definition
+    in its module, looked up at the call.  They close over the algebra, the
+    lists and each other, never over the ``Ctx``, so a run's values go when
+    its last reference does; the algebra itself is never written to.  ⊸, K,
+    F_x, Φ, ``sqto_full``, J_u, J_d, the quotient ⊸, the spectra and the
+    derived algebras have no body here: each is the one ``calculus`` or
+    ``spectra`` function, handed these caches where the cli hands it the
+    algebra or cold builders.  ``calculus.sqto``, ``kernel`` and
+    ``subordinate`` are handed a view of the algebra whose ``columns(M, X)``
+    picks the subordinates M_x, x ∈ X, out of the kept "imp_col" rows into
+    L∖M, so a run reads every →-column into L∖M once per distinct mask M.
+    It sees few distinct masks F∩G, so most ⊸ and K cost one C fold.  The
+    view closes over ``rows``, not over the ``Ctx``.  ``plus`` hands
+    ``calculus.set_plus`` the algebra itself: ⁺ reads one column per
+    distinct mask, where the view would keep a whole table for it.
+    ``calculus.phi`` and ``sqto_full`` are one C fold (``core.fold_or``,
+    ``core.fold_and``) of the kept rows over F's members, kept by value: on
+    chains about half of the Φ calls and two thirds of the ``sqto_full``
+    calls repeat a pair.  ``quotient_sqto`` is ``calculus.sqto_fast`` on the
+    kept ⊗-rows of L/P.  The methods ``j_up`` and ``j_down`` hand
+    ``calculus.j_up`` and ``j_down`` the cosets of the kept L/P (P in
+    ``impl``) on every call, O(n) bit operations per pair: on products most
+    J pairs are asked once, so their values are not kept.
+    ``spectra.prime_spectrum`` reads ``kernel``, and ``spectra.build_hat``
+    reads ``sqto`` and ``plus``; ``spectra.iota`` and ``spectra.hat_eta``
+    are handed ``subordinate`` and ``kernel``, so ι and η̂ read them too.
+    Every ⁺ of a run, in the statements, in J_d and in the derived algebras,
+    is read from ``plus``, so ``set_plus`` runs once per distinct mask.  A
+    cross-check's second side shares no table with its first: ``fact:b``,
+    ``fact:c`` and ``prop:fastform`` set the →-columns against ⊗-rows,
+    ``fact:a``, ``fact:b`` and ``fact:e`` the kept column tables against
     ``calculus.kernel_rel`` on the algebra itself, which reads its columns
     afresh, and ``prop:T-phi`` computes T cold, from minimal members.
     """
@@ -158,6 +162,10 @@ class Ctx:
         self.kernel = kernel = cache(lambda f: calculus.kernel(view, f))
         self.subordinate = cache(lambda f, x: calculus.subordinate(view, f, x))
         self.plus = plus = cache(lambda m: calculus.set_plus(a, m))
+        self.phi = cache(lambda f, g: calculus.phi(rows("imp", g), f))
+        self.sqto_full = cache(
+            lambda f, g: calculus.sqto_full(rows("otimes", g), f, full)
+        )
         self.quotient = quotient = cache(lambda p: quotient_by(a, p))
         # every ⊗-row of L/P into G/P
         self.quotient_rows = quotient_rows = cache(
@@ -174,12 +182,6 @@ class Ctx:
 
     def show(self, mask: int) -> str:
         return self.a.label_set(mask)
-
-    def phi(self, f_mask: int, g_mask: int) -> int:
-        return calculus.phi(self.rows("imp", g_mask), f_mask)
-
-    def sqto_full(self, f_mask: int, g_mask: int) -> int:
-        return calculus.sqto_full(self.rows("otimes", g_mask), f_mask, self.a.full_mask)
 
     def j_up(self, f_mask: int, p_mask: int) -> int:
         return calculus.j_up(self.quotient(p_mask).cosets, f_mask)
@@ -361,10 +363,11 @@ def _impl_vs_lattice(ctx, out):
 def _reach(ctx, f, empty, step):
     """Every state a nonempty X ⊆ L∖F produces, each with one witness mask.
 
-    ``empty`` is the state of X = ∅ and ``step(state, x)`` the state of
-    X ∪ {x}; the state of X must depend on X only through that recurrence.
-    The search starts at ``empty`` and applies ``step`` with every x ∉ F to
-    every state it reaches, in breadth-first order.  It is exact:
+    ``empty`` is the state of X = ∅ and ``step(state, x, F_x)`` the state
+    of X ∪ {x}, handed F's subordinate F_x; the state of X must depend on X
+    only through that recurrence.  The subordinates are read once, into a
+    list, and the search starts at ``empty`` and applies ``step`` with every
+    x ∉ F to every state it reaches, in breadth-first order.  It is exact:
 
     - every X reaches its state, by adding its members one at a time;
     - every state has a witness: a step from a state with witness W to its
@@ -374,14 +377,14 @@ def _reach(ctx, f, empty, step):
     visits the distinct states instead of the 2^|L∖F| subsets.  ``empty`` is
     in the result only if some nonempty X produces it.
     """
-    comp = list(_outside(ctx, f))
+    subs = [(x, ctx.subordinate(f, x)) for x in _outside(ctx, f)]
     witness: dict = {}
     frontier = [(empty, 0)]
     while frontier:
         nxt = []
         for state, w in frontier:
-            for x in comp:
-                t = step(state, x)
+            for x, sub in subs:
+                t = step(state, x, sub)
                 if t not in witness:
                     witness[t] = w | 1 << x
                     nxt.append((t, witness[t]))
@@ -400,7 +403,7 @@ def _fact_a(ctx, out):
     """
     a = ctx.a
     for f in ctx.primes:
-        states = _reach(ctx, f, a.full_mask, lambda v, x: v & ctx.subordinate(f, x))
+        states = _reach(ctx, f, a.full_mask, lambda v, _, sub: v & sub)
         for v, xm in states.items():
             if calculus.kernel_rel(a, f, xm) != v:
                 out.append(("kernel_rel differs", *_shown(ctx, f, xm)))
@@ -472,7 +475,7 @@ def _fact_e(ctx, out):
     for f in ctx.primes:
         states = _reach(
             ctx, f, (a.full_mask, a.zero),
-            lambda s, x: (s[0] & ctx.subordinate(f, x), a.join[s[1]][x]),
+            lambda s, x, sub: (s[0] & sub, a.join[s[1]][x]),
         )
         kernel_of: dict[int, int] = {}
         for (v, _), xm in states.items():

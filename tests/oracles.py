@@ -75,8 +75,8 @@ def is_linear(a):
 
 def successor_structure(a):
     """(c, succ, pred) with c the least nonzero element, succ x = x⊕c and
-    pred x = x⊗¬c, or None unless every x⊕c covers x and every x⊗¬c lies
-    below x; InvalidArgument unless a is a nontrivial chain."""
+    pred x = x⊗¬c, or None unless every x⊕c covers x and x covers every
+    x⊗¬c; InvalidArgument unless a is a nontrivial chain."""
     if not is_linear(a):
         raise InvalidArgument("successor structure needs a linearly ordered algebra")
     above_zero = [x for x in range(a.size) if x != a.zero]
@@ -95,6 +95,8 @@ def successor_structure(a):
             return None
     for x, p in pred.items():
         if x == p or not leq(a, p, x):
+            return None
+        if any(z not in (p, x) and leq(a, p, z) and leq(a, z, x) for z in range(a.size)):
             return None
     return c, succ, pred
 

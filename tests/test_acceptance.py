@@ -11,7 +11,6 @@ import time
 import pytest
 
 import mvfilters as mv
-import mvfilters.densechain as dc
 from mvfilters import calculus, cli, core, filters
 
 from conftest import (

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mvfilters import calculus, cli, filters, run_finite, spectra
+from mvfilters import calculus, cli, filters, run_finite
 from mvfilters.core import check_mv_axioms
 from mvfilters.errors import InvalidArgument
 

@@ -6,7 +6,7 @@ import mvfilters as mv
 from mvfilters import core, filters
 from mvfilters.errors import InvalidArgument
 
-from conftest import CHAINS, PRODUCTS, find_isomorphism
+from conftest import CHAINS, find_isomorphism
 
 
 def test_chain_construction(l4):

@@ -86,6 +86,15 @@ def test_successor_examples(l4, l5):
     assert pred[l5.labels.index("1/2")] == l5.labels.index("1/4")
 
 
+def test_successor_structure_checks_both_covers():
+    # a linear table that is no MV-algebra: every x⊕c covers x, but x⊖c
+    # sends 0 to 2, and 2 ≤ 1 ≤ 0, so that step skips 1
+    a = core.MvAlgebra(3, ((2, 2, 1), (2, 0, 0), (2, 2, 2)), (2, 0, 2), 2)
+    assert core.is_linear(a)
+    assert filters.successor_structure(a) is None
+    assert oracles.successor_structure(a) is None
+
+
 def test_principality(l4):
     f = by_labels(l4, "2/3", "1")
     assert filters.is_lattice_filter(l4, f)

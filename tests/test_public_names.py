@@ -1,5 +1,6 @@
-"""Every public function and class of the package has a user, and the
-package root exports exactly the README tour.
+"""Every public function and class of the package has a user, the
+package root exports exactly the README tour, and no module of ``src/`` or
+``tests/`` imports a name it never reads.
 
 A user is a code reference in ``src/mvfilters`` (other than the name's own
 definition and body, and other than a bare re-export) or a ``python`` block
@@ -141,3 +142,27 @@ def test_tests_share_code_through_conftest_and_the_oracles():
     assert [(p, m) for p, m in imports if m.startswith("test_")] == []
     defined = {name for module, name in _public_definitions(ROOT / "tests", "oracles.py")}
     assert sorted(defined - read) == []
+
+
+def unused_imports() -> list[str]:
+    """``path:line name`` for each name that a module of ``src/`` or
+    ``tests/`` imports and never reads.  A package ``__init__`` is left out:
+    its imports are the package's exports, which the tour test pins."""
+    out = []
+    for path in sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        out.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return out
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    assert unused_imports() == []

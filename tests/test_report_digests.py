@@ -5,9 +5,10 @@ reports carry witnesses.  The sha256 of ``run_finite(a).to_json()`` is
 pinned for every (algebra, mutant) pair, so a change to the statement
 bodies that moves an id, a verdict, a witness or the order of witnesses
 fails here, even where every unmutated run still passes.  Two digests equal
-the unmutated report's: ``phi-swap``, which swaps the arguments of
-``verify.Ctx.phi``, the Φ a run reads (Φ commutes on every pair of lattice
-filters of the test algebras, and no statement applies it elsewhere), and
+the unmutated report's: ``phi-swap``, a ``verify.Ctx`` whose ``phi`` cache
+answers Φ(G, F) for Φ(F, G), the Φ a run reads (Φ commutes on every pair
+of lattice filters of the test algebras, and no statement applies it
+elsewhere), and
 ``is_convex-not`` on Ł2×Ł3 (the convex lemmas skip on products).  Under
 ``kernel-drop`` the "kernel" of a prime filter is no implication filter, so
 ``fact:d``, ``lem:Jd-lower`` and ``thm:reduction``, which read the quotient
@@ -60,6 +61,17 @@ def negate(real):
     return corrupted
 
 
+def phi_swapped(real):
+    """The ``Ctx`` class real, with a ``phi`` cache that swaps its arguments."""
+    class Swapped(real):
+        def __init__(self, a):
+            super().__init__(a)
+            phi = self.phi
+            self.phi = lambda f, g: phi(g, f)
+
+    return Swapped
+
+
 # mutant name -> (owner, the name it corrupts, the corruption)
 MUTANTS = {
     f"{name}-drop": (owner, name, drop_lowest)
@@ -73,7 +85,7 @@ MUTANTS = {
 } | {
     "sqto-drop": (calculus, "sqto", drop_lowest),
     "sqto-swap": (calculus, "sqto", swap_arguments),
-    "phi-swap": (verify.Ctx, "phi", swap_arguments),
+    "phi-swap": (verify, "Ctx", phi_swapped),
     "is_convex-not": (calculus, "is_convex", negate),
 }
 

@@ -178,8 +178,9 @@ def test_a_product_spec_builds_one_algebra(monkeypatch, name):
     monkeypatch.setattr(MvAlgebra, "__post_init__", counted)
     a = cli.build_algebra(spec)
     assert all_fields(a) == all_fields(pairwise)
-    # one algebra per factor, then the product: no intermediate fold
-    assert built == [f.size for f in factors] + [a.size]
+    # the product alone: its chain factors are read as raw tables, and no
+    # intermediate fold is built
+    assert built == [a.size]
 
 
 # ---------------------------------------------------------------------------

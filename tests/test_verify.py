@@ -10,7 +10,7 @@ from itertools import combinations, permutations, product as tuples
 import pytest
 
 import mvfilters as mv
-from mvfilters import calculus, cli, core, densechain as dc, filters, spectra, verify
+from mvfilters import calculus, cli, core, densechain as dc, filters, verify
 from mvfilters.errors import InvalidArgument
 from mvfilters.verify import DENSE_STATEMENTS, FINITE_STATEMENTS
 
@@ -91,8 +91,8 @@ def test_failure_carries_witnesses():
 
 
 CACHES = (
-    "sqto", "kernel", "subordinate", "plus", "spectrum", "hat", "quotient", "rows",
-    "quotient_rows", "quotient_sqto",
+    "sqto", "kernel", "subordinate", "plus", "phi", "sqto_full", "spectrum", "hat",
+    "quotient", "rows", "quotient_rows", "quotient_sqto",
 )
 
 
@@ -115,6 +115,8 @@ def _fresh(a, name, args):
         return calculus.sqto(core.quotient_by(a, p).quotient, fq, gq)
     if name == "plus":
         return calculus.set_plus(a, *args)
+    if name in ("phi", "sqto_full"):
+        return getattr(oracles, name)(a, *args)
     return getattr(calculus, name)(a, *args)
 
 
@@ -184,14 +186,42 @@ def test_checks_fail_through_a_warm_memo(monkeypatch):
     a = PRODUCTS["L2xL3"]
     ctx = verify.Ctx(a)
     _run_all(ctx)
-    fastform = FINITE_STATEMENTS["prop:fastform"][1]
+    small = FINITE_STATEMENTS["prop:small"][1]
     out = []
-    fastform(ctx, out)
+    small(ctx, out)
     assert not out
-    # the ⊗-rows stay warm in ctx; the combinator that reads them is corrupted
-    monkeypatch.setattr(calculus, "sqto_full", drop_lowest(calculus.sqto_full))
-    fastform(ctx, out)
+    # the quotients stay warm in ctx; J_u, which reads their cosets per
+    # call, is corrupted
+    monkeypatch.setattr(calculus, "j_up", drop_lowest(calculus.j_up))
+    small(ctx, out)
     assert out
+
+
+def test_a_run_folds_each_pair_once(monkeypatch):
+    # Φ and sqto_full are kept by value, so a run folds the rows of each G
+    # over each F once.  Only the algebra's own rows count: sqto_fast folds
+    # the ⊗-rows of its quotients through sqto_full too.
+    a = CHAINS[8]
+    own, calls = set(), {"phi": Counter(), "sqto_full": Counter()}
+
+    def recorded_rows(b, table, mask, real=calculus.rows):
+        out = real(b, table, mask)
+        if b is a:
+            own.add(id(out))
+        return out
+
+    monkeypatch.setattr(calculus, "rows", recorded_rows)
+    for name, seen in calls.items():
+        def counted(rows, f, *rest, real=getattr(calculus, name), seen=seen):
+            if id(rows) in own:
+                seen[id(rows), f] += 1
+            return real(rows, f, *rest)
+
+        monkeypatch.setattr(calculus, name, counted)
+    assert mv.run_finite(a).ok
+    for name, seen in calls.items():
+        assert seen, name
+        assert set(seen.values()) == {1}, name
 
 
 def _subsets(a, f):
