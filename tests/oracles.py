@@ -200,6 +200,12 @@ def kernel(a, f):
                        if all(not (f >> a.imp[z][x]) & 1 for x in outside))
 
 
+def kernel_rel(a, f, xs):
+    """K_F(X) = {z | z→x ∉ F for every x ∈ X}, and all of L when X = ∅."""
+    return _mask(z for z in range(a.size)
+                 if all(not (f >> a.imp[z][x]) & 1 for x in members(xs)))
+
+
 def sqto(a, f, g):
     """F⊸G = ∩ (F∩G)_x over x ∉ G (all of L when G = L), and ∅ when F or G
     is empty."""

@@ -18,6 +18,7 @@ the mutants recorded there: ⊸ returning (F⊸G)⁺, F_x holding x, and the
 lowest member dropped from ⊸, F_x or K.
 """
 
+import copy
 from collections import Counter
 
 import pytest
@@ -72,11 +73,15 @@ def test_a_run_makes_no_cold_call(monkeypatch, name):
     """A run hands ``calculus.sqto`` and ``kernel`` the view of its algebra
     that ``verify.Ctx`` builds, never the ``MvAlgebra``, and ``subordinate``
     the algebra only from ``set_plus`` (the run's ⁺ cache calls it on the
-    algebra).  Watched so, the run reports what it reports unwatched.
+    algebra).  ``kernel_rel`` gets the algebra only from ``fact:b``, once
+    per prime F and x ∉ F, to check the view's column picks against the
+    algebra's own columns.  Watched so, the run reports what it reports
+    unwatched.
 
     Each wrapper counts its calls by whether the first argument is an
     ``MvAlgebra``; ``set_plus`` is wrapped too, to count the ``subordinate``
-    calls it makes.
+    calls it makes.  A run of ``fact:b`` alone makes as many cold
+    ``kernel_rel`` calls as the whole run, so no other statement makes one.
     """
     a = COLD_ALGEBRAS[name]
     want = verify.run_finite(a).to_json()
@@ -89,12 +94,56 @@ def test_a_run_makes_no_cold_call(monkeypatch, name):
 
         return wrapped
 
-    for fn in ("sqto", "kernel", "subordinate", "set_plus"):
+    for fn in ("sqto", "kernel", "kernel_rel", "subordinate", "set_plus"):
         monkeypatch.setattr(calculus, fn, recording(fn, getattr(calculus, fn)))
     assert verify.run_finite(a).to_json() == want
     assert calls["sqto", False] and calls["kernel", False], calls
     assert calls["sqto", True] == calls["kernel", True] == 0, calls
     assert calls["subordinate", True] == calls["set_plus", True], calls
+    outside = sum((a.full_mask & ~f).bit_count() for f in verify.Ctx(a).primes)
+    assert calls["kernel_rel", True] == outside, calls
+    calls.clear()
+    verify.run_finite(a, only=["fact:b"])
+    assert calls["kernel_rel", True] == outside, calls
+
+
+def _imp_col_entry_changed(a):
+    """Every copy of a with one entry of its →-column byte table changed, and
+    every other table kept."""
+    lines = a.imp_col_bytes
+    for i, line in enumerate(lines):
+        for pos, old in enumerate(line):
+            for v in set(range(a.size)) - {old}:
+                raw = bytearray(line)
+                raw[pos] = v
+                b = copy.copy(a)
+                object.__setattr__(
+                    b, "imp_col_bytes", (*lines[:i], bytes(raw), *lines[i + 1:])
+                )
+                yield b
+
+
+@pytest.mark.parametrize(
+    "name, mutants, kills, fact_a_kills", [("L5", 100, 74, 62), ("L2xL3", 180, 120, 120)]
+)
+def test_relative_kernels_see_the_column_faults_fact_b_sees(
+    name, mutants, kills, fact_a_kills
+):
+    """``fact:a`` and ``fact:e`` take their states from the →-columns and
+    check them against F's ⊗-rows, as ``fact:b`` checks F_x.  Under every
+    one-entry change of the →-column table, ``fact:e`` fails on exactly the
+    copies ``fact:b`` fails on, and ``fact:a`` on some of them."""
+    stmts = ("fact:a", "fact:b", "fact:e")
+    killed = {stmt: set() for stmt in stmts}
+    for i, b in enumerate(_imp_col_entry_changed(ALL_ALGEBRAS[name])):
+        for r in verify.run_finite(b, only=stmts).results:
+            if r.status != "pass":
+                killed[r.id].add(i)
+    assert i + 1 == mutants
+    assert len(killed["fact:b"]) == kills
+    assert killed["fact:e"] == killed["fact:b"]
+    assert killed["fact:a"] <= killed["fact:b"]
+    assert len(killed["fact:a"]) == fact_a_kills
 
 
 @pytest.mark.parametrize(

@@ -28,10 +28,10 @@ of a run; on Ł64, the largest chain, the →-column tables of ⊸ and K do.
 
 Every mutant names one function.  ⊸, K, K_F(X) and F_x have one body
 each, which ``verify.Ctx`` calls on a view of the algebra that reads its
-cached →-column tables, and the second sides of ``fact:a``, ``fact:b`` and
-``fact:e`` call on the algebra itself, so one mutant reaches both.
-``kernel`` and ``sqto`` call ``kernel_rel``, so ``kernel_rel-drop``
-corrupts them too.
+cached →-column tables, and the second side of ``fact:b`` calls on the
+algebra itself, so one mutant reaches both.  ``fact:a`` and ``fact:e`` read
+their second side off ⊗-rows, through ``sqto_full``.  ``kernel`` and
+``sqto`` call ``kernel_rel``, so ``kernel_rel-drop`` corrupts them too.
 
 When a change of witnesses is intended, re-pin: run
 ``PYTHONPATH=src python tests/test_report_digests.py``, which prints the
@@ -95,7 +95,7 @@ DIGESTS = {
     ("L5", "boundary_coset-drop"):
         "d588451b4276f703207990105085e3be5336377a8d269239bf43ae1f98dc1a72",
     ("L5", "down_closure_joins-drop"):
-        "9b43cb53ff02763a3875d1bcaa70bc751247e123ae7f1139ba147584a2f72c0b",
+        "c0d5cfa2bfbe29bec309baafd68a87c424394095ae13fc545b351f79e46f541e",
     ("L5", "is_convex-not"):
         "135a56f065e12f97182fc564b342d900c71afd6992102d2492d31926b2f845ae",
     ("L5", "j_up-drop"):
@@ -103,7 +103,7 @@ DIGESTS = {
     ("L5", "kernel-drop"):
         "8281005e357028cb5c21016b4e838a9e6027b8f715b500ff9ed09e6b6891875f",
     ("L5", "kernel_rel-drop"):
-        "ef7148e502dcb4fe3b171e663fc92fa8429ac160b600df9c1c4c73d0b9f28c07",
+        "56d0e29c9b81ca76c5c5f77db0a923892972238f474ae9428af10aae695b6f33",
     ("L5", "phi-drop"):
         "d3a174f2422fc55d864f89a1d73f29fa0ba2a4c07deacbd8508e9a9fa149dc66",
     ("L5", "phi-swap"):
@@ -115,7 +115,7 @@ DIGESTS = {
     ("L5", "sqto-swap"):
         "a8249f2a23c2b6520eb03f90153b11717e010f43dcb52710d6d5a5117ef30119",
     ("L5", "sqto_full-drop"):
-        "7c8fd4ab8d6d623910920e2d3d053a252a33cf293db429a6fac92ae9aa0b9b07",
+        "e63840254723233d5bc715ff36725bf2ca98b9ec101be9a561a389caf7cf6d36",
     ("L5", "subordinate-drop"):
         "84222c5070807756561ac53aa9e4e5513792e9cebb526ef0c86e3031b56916c3",
     ("L5", "tensor_up-drop"):
@@ -123,7 +123,7 @@ DIGESTS = {
     ("L2xL3", "boundary_coset-drop"):
         "81e6776b4c043f4e9c68e504d1d9a1bc706b62fa4af329b1561fa92b2b58c46c",
     ("L2xL3", "down_closure_joins-drop"):
-        "e7de3bdce7f802e76085ad4d684a692e1544682983e9b58f3afe1b42e90c75f1",
+        "76c6cb03052506621871f2dd19635ea748e3a9914d357d0015fac6d3ce674f20",
     ("L2xL3", "is_convex-not"):
         "c2230092e4d5474d7c2989baf85af9e608f8735770be626d3a1563ba107c96c3",
     ("L2xL3", "j_up-drop"):
@@ -131,7 +131,7 @@ DIGESTS = {
     ("L2xL3", "kernel-drop"):
         "22274c8de47c19f181c97a36d801994bac5f4eab3be6850d8c4bd478a19b6990",
     ("L2xL3", "kernel_rel-drop"):
-        "9459801d7a8a1636ea0e2e2e5fb6fcd436314b30d173c1ba100d3c2886a47112",
+        "2be352af16cd296393337b69082d59a38359447a9d0576063b959cf710031204",
     ("L2xL3", "phi-drop"):
         "1c4e7aff4f217a5df1755c2a75f463090bd47469e24215cc42c73d890af1b427",
     ("L2xL3", "phi-swap"):
@@ -143,7 +143,7 @@ DIGESTS = {
     ("L2xL3", "sqto-swap"):
         "0852585478676a4ff0490fa24520889591ab44755b54f3421390bc5b3e775a93",
     ("L2xL3", "sqto_full-drop"):
-        "88c0ac8db884f0a059db052559daf7a850e5c87adfcc1aa14088cd98c1930c40",
+        "523c6f2b99e1a34c48ed5ba7b52deda0205dc493f49af7222bca055fdb5959fe",
     ("L2xL3", "subordinate-drop"):
         "a345a27fd1059d718cd7c9a7dd5e412d7e840e64a56f6a213c310c050827f3f9",
     ("L2xL3", "tensor_up-drop"):

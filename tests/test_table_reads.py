@@ -6,7 +6,8 @@ each with one ``bytes.translate`` and one ``int(…, 2)``.  It is compared
 with ``oracles.read_lines`` on random picks, the empty picks included, and
 behind it ``calculus.rows``, ``MvAlgebra.columns`` (at the picks ∅, M and
 L∖M), ``calculus.subordinate``, ``calculus.set_plus``, ``calculus.kernel``,
-``core.congruence_cosets``, ``filters.is_lattice_filter``,
+``calculus.kernel_rel`` (at X = ∅, which gives L, at L∖M and at random
+X ⊆ L∖M), ``core.congruence_cosets``, ``filters.is_lattice_filter``,
 ``filters.is_implication_filter`` and the ``order:partial`` statement,
 which reads ``up_mask``.  ``core.is_linear``, the immediacy test of
 ``filters.successor_structure`` and the theory list of prime implication
@@ -74,6 +75,12 @@ def order_read(a):
     return out
 
 
+def assert_relative_kernel_agrees(a, mask, picks):
+    """K_M(X) at X = picks∖M equals its oracle."""
+    xs = picks & ~mask
+    assert calculus.kernel_rel(a, mask, xs) == oracles.kernel_rel(a, mask, xs), xs
+
+
 def assert_mask_agrees(a, mask):
     """Every read into mask, or into L∖mask, equals its oracle."""
     for picks in (0, mask):
@@ -88,6 +95,9 @@ def assert_mask_agrees(a, mask):
         ], picks
     assert calculus.set_plus(a, mask) == oracles.set_plus(a, mask)
     assert calculus.kernel(a, mask) == oracles.kernel(a, mask)
+    assert oracles.kernel_rel(a, mask, 0) == a.full_mask
+    for xs in (0, a.full_mask & ~mask):
+        assert_relative_kernel_agrees(a, mask, xs)
     assert core.congruence_cosets(a, mask) == oracles.cosets(a, mask)
     assert filters.is_lattice_filter(a, mask) == oracles.is_lattice_filter(a, mask)
     assert filters.is_implication_filter(a, mask) == (
@@ -142,7 +152,9 @@ def test_random_masks_match_the_loops(data):
     a = ALGEBRAS[data.draw(st.sampled_from(sorted(ALGEBRAS)), label="algebra")]
     mask = data.draw(st.integers(min_value=0, max_value=a.full_mask), label="mask")
     assert_mask_agrees(a, mask)
-    assert_lines_agree(a, data.draw(st.integers(0, a.full_mask), label="picks"), mask)
+    picks = data.draw(st.integers(0, a.full_mask), label="picks")
+    assert_lines_agree(a, picks, mask)
+    assert_relative_kernel_agrees(a, mask, picks)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -151,7 +163,9 @@ def test_arbitrary_tables_match_the_loops(a, data):
     assert order_read(a) == oracles.order_failures(a)
     mask = data.draw(st.integers(0, a.full_mask), label="mask")
     assert_mask_agrees(a, mask)
-    assert_lines_agree(a, data.draw(st.integers(0, a.full_mask), label="picks"), mask)
+    picks = data.draw(st.integers(0, a.full_mask), label="picks")
+    assert_lines_agree(a, picks, mask)
+    assert_relative_kernel_agrees(a, mask, picks)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

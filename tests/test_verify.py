@@ -261,7 +261,7 @@ def test_state_search_matches_the_subset_loop(monkeypatch, algebra_id):
     for f in ctx.primes:
         oracle_values, oracle_pairs = set(), set()
         for xm, xs in _subsets(a, f):
-            k = calculus.kernel_rel(a, f, xm)
+            k = oracles.kernel_rel(a, f, xm)
             join = reduce(lambda u, v: a.join[u][v], xs)
             oracle_values.add(k)
             oracle_pairs.add((k, join))
@@ -271,9 +271,9 @@ def test_state_search_matches_the_subset_loop(monkeypatch, algebra_id):
         assert set(pairs[f]) == oracle_pairs
         # each witness is a nonempty X ⊆ L∖F that produces its state
         for v, xm in values[f].items():
-            assert xm and xm & f == 0 and calculus.kernel_rel(a, f, xm) == v
+            assert xm and xm & f == 0 and oracles.kernel_rel(a, f, xm) == v
         for (k, join), xm in pairs[f].items():
-            assert xm and xm & f == 0 and calculus.kernel_rel(a, f, xm) == k
+            assert xm and xm & f == 0 and oracles.kernel_rel(a, f, xm) == k
             assert reduce(lambda u, v: a.join[u][v], oracles.members(xm)) == join
             xs = tuple(oracles.members(xm))
             assert filters.down_closure_joins(a, xm) == oracles.ideal_generated(a, xs), xs
@@ -294,17 +294,19 @@ def test_fact_e_state_totals(monkeypatch, factors, total):
     "stmt, owner, name",
     [
         ("fact:a", calculus, "subordinate"),
-        ("fact:a", calculus, "kernel_rel"),
+        ("fact:a", calculus, "sqto_full"),
         ("fact:b", calculus, "subordinate"),
         ("fact:b", calculus, "kernel_rel"),
         ("fact:c", calculus, "kernel"),
         ("fact:c", calculus, "kernel_rel"),
-        ("fact:e", calculus, "kernel_rel"),
+        ("fact:e", calculus, "subordinate"),
+        ("fact:e", calculus, "sqto_full"),
         ("fact:e", filters, "down_closure_joins"),
     ],
     ids=[
-        "a-subordinate", "a-kernel_rel", "b-subordinate", "b-kernel_rel",
-        "c-kernel", "c-kernel_rel", "e-kernel_rel", "e-down_closure_joins",
+        "a-subordinate", "a-sqto_full", "b-subordinate", "b-kernel_rel",
+        "c-kernel", "c-kernel_rel", "e-subordinate", "e-sqto_full",
+        "e-down_closure_joins",
     ],
 )
 def test_relative_kernel_facts_can_fail(monkeypatch, algebra_id, stmt, owner, name):
