@@ -104,13 +104,14 @@ class Ctx:
     against the definitions on every up-set, and ``order:partial`` the
     masks ↑x and ↓x they are read from against ≤.
 
-    ``sqto``, ``kernel``, ``subordinate``, ``plus``, ``phi``, ``sqto_full``,
-    ``rows``, ``quotient``, ``quotient_rows``, ``quotient_sqto``,
-    ``spectrum`` and ``hat`` are ``functools.cache`` objects built here:
-    each computes its value once per argument tuple, by the one definition
-    in its module, looked up at the call.  They close over the algebra, the
-    lists and each other, never over the ``Ctx``, so a run's values go when
-    its last reference does; the algebra itself is never written to.  ⊸, K,
+    ``sqto``, ``kernel``, ``subordinate``, ``relative_kernels``, ``plus``,
+    ``phi``, ``sqto_full``, ``rows``, ``quotient``, ``quotient_rows``,
+    ``quotient_sqto``, ``spectrum`` and ``hat`` are ``functools.cache``
+    objects built here: each computes its value once per argument tuple, by
+    the one definition in its module, looked up at the call.  They close
+    over the algebra, the lists and each other, never over the ``Ctx``, so a
+    run's values go when its last reference does; the algebra itself is
+    never written to.  ⊸, K,
     F_x, Φ, ``sqto_full``, J_u, J_d, the quotient ⊸, the spectra and the
     derived algebras have no body here: each is the one ``calculus`` or
     ``spectra`` function, handed these caches where the cli hands it the
@@ -130,6 +131,8 @@ class Ctx:
     ``calculus.j_up`` and ``j_down`` the cosets of the kept L/P (P in
     ``impl``) on every call, O(n) bit operations per pair: on products most
     J pairs are asked once, so their values are not kept.
+    ``relative_kernels(F)`` is the one state search of ``fact:a`` and
+    ``fact:e`` over the kept F_x, so a run searches once per prime F.
     ``spectra.prime_spectrum`` reads ``kernel``, and ``spectra.build_hat``
     reads ``sqto`` and ``plus``; ``spectra.iota`` and ``spectra.hat_eta``
     are handed ``subordinate`` and ``kernel``, so ι and η̂ read them too.
@@ -161,7 +164,10 @@ class Ctx:
         )
         self.sqto = sqto = cache(lambda f, g: calculus.sqto(view, f, g))
         self.kernel = kernel = cache(lambda f: calculus.kernel(view, f))
-        self.subordinate = cache(lambda f, x: calculus.subordinate(view, f, x))
+        self.subordinate = subordinate = cache(
+            lambda f, x: calculus.subordinate(view, f, x)
+        )
+        self.relative_kernels = cache(lambda f: _relative_kernels(a, subordinate, f))
         self.plus = plus = cache(lambda m: calculus.set_plus(a, m))
         self.phi = cache(lambda f, g: calculus.phi(rows("imp", g), f))
         self.sqto_full = cache(
@@ -361,31 +367,31 @@ def _impl_vs_lattice(ctx, out):
 # subordinates and kernels
 
 
-def _reach(ctx, f, empty, step):
-    """Every state a nonempty X ⊆ L∖F produces, each with one witness mask.
+def _relative_kernels(a: MvAlgebra, subordinate, f: int) -> dict:
+    """Every state (K_F(X), ∨X) of a nonempty X ⊆ L∖F, with one witness mask.
 
-    ``empty`` is the state of X = ∅ and ``step(state, x, F_x)`` the state
-    of X ∪ {x}, handed F's subordinate F_x; the state of X must depend on X
-    only through that recurrence.  The subordinates are read once, into a
-    list, and the search starts at ``empty`` and applies ``step`` with every
-    x ∉ F to every state it reaches, in breadth-first order.  It is exact:
+    K_F(X) is the ∩ of the subordinates F_x, x ∈ X, so adding x to X maps the
+    state (V, j) to (V ∩ F_x, j ∨ x).  The subordinates are read once, into a
+    list, and the search starts at the state (L, 0) of X = ∅ and steps every
+    state it reaches with every x ∉ F, in breadth-first order.  It is exact:
 
     - every X reaches its state, by adding its members one at a time;
     - every state has a witness: a step from a state with witness W to its
       successor along x has witness W ∪ {x}, which produces that successor.
 
     So a claim that holds at every witness holds at every X, while the search
-    visits the distinct states instead of the 2^|L∖F| subsets.  ``empty`` is
-    in the result only if some nonempty X produces it.
+    visits the distinct states instead of the 2^|L∖F| subsets.  (L, 0) is in
+    the result only if some nonempty X produces it.
     """
-    subs = [(x, ctx.subordinate(f, x)) for x in _outside(ctx, f)]
-    witness: dict = {}
-    frontier = [(empty, 0)]
+    subs = [(x, subordinate(f, x)) for x in iter_mask(a.full_mask & ~f)]
+    witness: dict[tuple[int, int], int] = {}
+    frontier = [((a.full_mask, a.zero), 0)]
     while frontier:
         nxt = []
-        for state, w in frontier:
+        for (v, j), w in frontier:
+            join = a.join[j]
             for x, sub in subs:
-                t = step(state, x, sub)
+                t = v & sub, join[x]
                 if t not in witness:
                     witness[t] = w | 1 << x
                     nxt.append((t, witness[t]))
@@ -397,16 +403,14 @@ def _reach(ctx, f, empty, step):
 def _fact_a(ctx, out):
     """K_F(X) = ∩_{x∈X} F_x is a lattice filter for every nonempty X ⊆ L∖F.
 
-    The state of X is the value V = K_F(X), and adding x maps V to V ∩ F_x.
-    So the reachable states are the ∩-closure of the subordinates F_x, which
-    is exactly the set of K_F(X) values (see ``_reach``).  V must be a
-    lattice filter and equal K_F(X) read off F's ⊗-rows at the witness X:
-    by ``fact:b``'s residuation over a set, K_F(X) = ``sqto_full(F, L∖↓X)``.
+    K_F(X) is the first coordinate V of X's state in ``relative_kernels(F)``,
+    so V is checked at every state's witness X (see ``_relative_kernels``):
+    V must equal K_F(X) read off F's ⊗-rows, by ``fact:b``'s residuation
+    over a set K_F(X) = ``sqto_full(F, L∖↓X)``, and be a lattice filter.
     """
     a = ctx.a
     for f in ctx.primes:
-        states = _reach(ctx, f, a.full_mask, lambda v, _, sub: v & sub)
-        for v, xm in states.items():
+        for (v, _), xm in ctx.relative_kernels(f).items():
             if ctx.sqto_full(f, a.full_mask & ~fold_or(a.down_mask, xm)) != v:
                 out.append(("kernel_rel differs", *_shown(ctx, f, xm)))
             elif v not in ctx.lattice:
@@ -468,19 +472,14 @@ def _fact_e(ctx, out):
     """K_F(X) = K_F(I) for every nonempty X ⊆ L∖F, I its join-ideal closure.
 
     In a finite lattice I = ↓∨X, so the check on X depends on X only through
-    the state (K_F(X), ∨X); adding x maps it to (V ∩ F_x, x ∨ ∨X).  Every
-    such state is visited once with one witness X (see ``_reach``), on which
-    I = ``down_closure_joins`` (↓∨X, read off the join table) must avoid F
-    and have K_F(I) = V, read as in ``fact:a``: I is down-closed, so
-    K_F(I) = ``sqto_full(F, L∖I)``.
+    its state (K_F(X), ∨X) in ``relative_kernels(F)``, and it is made at each
+    state's witness X (see ``_relative_kernels``): I = ``down_closure_joins``
+    (↓∨X, read off the join table) must avoid F and have K_F(I) = V, read as
+    in ``fact:a``: I is down-closed, so K_F(I) = ``sqto_full(F, L∖I)``.
     """
     a = ctx.a
     for f in ctx.primes:
-        states = _reach(
-            ctx, f, (a.full_mask, a.zero),
-            lambda s, x, sub: (s[0] & sub, a.join[s[1]][x]),
-        )
-        for (v, _), xm in states.items():
+        for (v, _), xm in ctx.relative_kernels(f).items():
             closed = filters.down_closure_joins(a, xm)
             if closed & f:
                 out.append(("closure escaped the complement", *_shown(ctx, f, xm)))

@@ -123,16 +123,12 @@ def _imp_col_entry_changed(a):
                 yield b
 
 
-@pytest.mark.parametrize(
-    "name, mutants, kills, fact_a_kills", [("L5", 100, 74, 62), ("L2xL3", 180, 120, 120)]
-)
-def test_relative_kernels_see_the_column_faults_fact_b_sees(
-    name, mutants, kills, fact_a_kills
-):
+@pytest.mark.parametrize("name, mutants, kills", [("L5", 100, 74), ("L2xL3", 180, 120)])
+def test_relative_kernels_see_the_column_faults_fact_b_sees(name, mutants, kills):
     """``fact:a`` and ``fact:e`` take their states from the →-columns and
     check them against F's ⊗-rows, as ``fact:b`` checks F_x.  Under every
-    one-entry change of the →-column table, ``fact:e`` fails on exactly the
-    copies ``fact:b`` fails on, and ``fact:a`` on some of them."""
+    one-entry change of the →-column table, both fail on exactly the copies
+    ``fact:b`` fails on."""
     stmts = ("fact:a", "fact:b", "fact:e")
     killed = {stmt: set() for stmt in stmts}
     for i, b in enumerate(_imp_col_entry_changed(ALL_ALGEBRAS[name])):
@@ -141,9 +137,7 @@ def test_relative_kernels_see_the_column_faults_fact_b_sees(
                 killed[r.id].add(i)
     assert i + 1 == mutants
     assert len(killed["fact:b"]) == kills
-    assert killed["fact:e"] == killed["fact:b"]
-    assert killed["fact:a"] <= killed["fact:b"]
-    assert len(killed["fact:a"]) == fact_a_kills
+    assert killed["fact:a"] == killed["fact:e"] == killed["fact:b"]
 
 
 @pytest.mark.parametrize(

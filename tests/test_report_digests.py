@@ -143,9 +143,9 @@ DIGESTS = {
     ("L2xL3", "sqto-swap"):
         "0852585478676a4ff0490fa24520889591ab44755b54f3421390bc5b3e775a93",
     ("L2xL3", "sqto_full-drop"):
-        "523c6f2b99e1a34c48ed5ba7b52deda0205dc493f49af7222bca055fdb5959fe",
+        "f48314d695aaf17c9e218f862b68ee7a9907ea1511de8603525d2fa7f393bfdd",
     ("L2xL3", "subordinate-drop"):
-        "a345a27fd1059d718cd7c9a7dd5e412d7e840e64a56f6a213c310c050827f3f9",
+        "929ea9ded8299c96ee5ace8f3650fba3c264205a54f3ed6c66f30c0ffc34d4db",
     ("L2xL3", "tensor_up-drop"):
         "dc65db5a9a1863cfaae363207bf65121a4569f56f17d08b35ca153f5f402ccd9",
 }

@@ -4,7 +4,7 @@ import json
 import weakref
 from collections import Counter
 from fractions import Fraction as F
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations, permutations, product as tuples
 
 import pytest
@@ -91,8 +91,8 @@ def test_failure_carries_witnesses():
 
 
 CACHES = (
-    "sqto", "kernel", "subordinate", "plus", "phi", "sqto_full", "spectrum", "hat",
-    "quotient", "rows", "quotient_rows", "quotient_sqto",
+    "sqto", "kernel", "subordinate", "relative_kernels", "plus", "phi", "sqto_full",
+    "spectrum", "hat", "quotient", "rows", "quotient_rows", "quotient_sqto",
 )
 
 
@@ -115,6 +115,8 @@ def _fresh(a, name, args):
         return calculus.sqto(core.quotient_by(a, p).quotient, fq, gq)
     if name == "plus":
         return calculus.set_plus(a, *args)
+    if name == "relative_kernels":
+        return verify._relative_kernels(a, partial(calculus.subordinate, a), *args)
     if name in ("phi", "sqto_full"):
         return getattr(oracles, name)(a, *args)
     return getattr(calculus, name)(a, *args)
@@ -233,31 +235,17 @@ def _subsets(a, f):
             yield sum(1 << x for x in xs), xs
 
 
-def _searched_states(monkeypatch, ctx, stmt):
-    """prime F -> the {state: witness} map stmt's search returned for F."""
-    seen = {}
-    real = verify._reach
-
-    def recording(ctx, f, empty, step):
-        seen[f] = real(ctx, f, empty, step)
-        return seen[f]
-
-    out = []
-    with monkeypatch.context() as m:
-        m.setattr(verify, "_reach", recording)
-        FINITE_STATEMENTS[stmt][1](ctx, out)
-    assert not out
-    return seen
-
-
 @pytest.mark.parametrize("algebra_id", sorted(ALL_ALGEBRAS))
-def test_state_search_matches_the_subset_loop(monkeypatch, algebra_id):
+def test_state_search_matches_the_subset_loop(algebra_id):
     a = ALL_ALGEBRAS[algebra_id]
     assert a.size <= 12
     ctx = verify.Ctx(a)
-    values = _searched_states(monkeypatch, ctx, "fact:a")
-    pairs = _searched_states(monkeypatch, ctx, "fact:e")
-    assert sorted(values) == sorted(pairs) == ctx.primes
+    for stmt in ("fact:a", "fact:e"):
+        out = []
+        FINITE_STATEMENTS[stmt][1](ctx, out)
+        assert not out, stmt
+    # both statements read one search per prime F
+    assert ctx.relative_kernels.cache_info().currsize == len(ctx.primes)
     for f in ctx.primes:
         oracle_values, oracle_pairs = set(), set()
         for xm, xs in _subsets(a, f):
@@ -267,12 +255,12 @@ def test_state_search_matches_the_subset_loop(monkeypatch, algebra_id):
             oracle_pairs.add((k, join))
             if len(xs) <= 4:
                 assert filters.down_closure_joins(a, xm) == oracles.ideal_generated(a, xs), xs
-        assert set(values[f]) == oracle_values
-        assert set(pairs[f]) == oracle_pairs
+        states = ctx.relative_kernels(f)
+        assert set(states) == oracle_pairs
+        # fact:a's values are the first coordinates
+        assert {k for k, _ in states} == oracle_values
         # each witness is a nonempty X ⊆ L∖F that produces its state
-        for v, xm in values[f].items():
-            assert xm and xm & f == 0 and oracles.kernel_rel(a, f, xm) == v
-        for (k, join), xm in pairs[f].items():
+        for (k, join), xm in states.items():
             assert xm and xm & f == 0 and oracles.kernel_rel(a, f, xm) == k
             assert reduce(lambda u, v: a.join[u][v], oracles.members(xm)) == join
             xs = tuple(oracles.members(xm))
@@ -284,9 +272,32 @@ def test_state_search_matches_the_subset_loop(monkeypatch, algebra_id):
     [((32,), 496), ((8, 8), 448), ((2,) * 6, 192)],
     ids=["L32", "L8xL8", "2^6"],
 )
-def test_fact_e_state_totals(monkeypatch, factors, total):
-    pairs = _searched_states(monkeypatch, verify.Ctx(product(*factors)), "fact:e")
-    assert sum(len(states) for states in pairs.values()) == total
+def test_fact_e_state_totals(factors, total):
+    ctx = verify.Ctx(product(*factors))
+    assert sum(len(ctx.relative_kernels(f)) for f in ctx.primes) == total
+
+
+@pytest.mark.parametrize("algebra_id", ["L8", "L2xL3"])
+def test_a_run_searches_once_per_prime(monkeypatch, algebra_id):
+    a = ALL_ALGEBRAS[algebra_id]
+    searched = Counter()
+
+    def counted(b, subordinate, f, real=verify._relative_kernels):
+        searched[f] += 1
+        return real(b, subordinate, f)
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_relative_kernels", counted)
+        whole = mv.run_finite(a)
+    assert whole.ok
+    assert searched == Counter(verify.Ctx(a).primes)
+    # fact:a alone reads the same search, so it reaches the same verdict: under
+    # a corrupted sqto_full it fails on the same witnesses
+    monkeypatch.setattr(calculus, "sqto_full", drop_lowest(calculus.sqto_full))
+    (alone,) = mv.run_finite(a, only=["fact:a"]).results
+    (in_whole,) = (r for r in mv.run_finite(a).results if r.id == "fact:a")
+    assert in_whole.status == "fail"
+    assert (alone.status, alone.witnesses) == (in_whole.status, in_whole.witnesses)
 
 
 @pytest.mark.parametrize("algebra_id", ["L5", "L2xL3"])
