@@ -273,7 +273,10 @@ def _cut(pos: int, point: str, kind: str) -> dc.Cut:
     kind = kind.lower()
     if kind not in ("open", "closed"):
         raise ExprError("cut kind must be open or closed", pos)
-    cut = dc.Cut(p, dc.Kind.OPEN if kind == "open" else dc.Kind.CLOSED)
+    try:
+        cut = dc.Cut(p, dc.Kind.OPEN if kind == "open" else dc.Kind.CLOSED)
+    except InvalidArgument as e:  # an endpoint outside [0,1]
+        raise ExprError(str(e), pos) from None
     if not cut.is_proper:
         raise ExprError(f"{cut} is not a proper cut filter", pos)
     return cut

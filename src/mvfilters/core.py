@@ -90,7 +90,7 @@ class MvAlgebra:
     definitions x⊗y = ¬(¬x⊕¬y), x→y = ¬x⊕y, x∨y = (x→y)→y and
     x∧y = ¬(¬x∨¬y); row x of → is row ¬x of ⊕, the same tuple.  Every ⊕
     and ¬ entry must be an element index.  The instance is immutable
-    afterwards and safe to share between workers.
+    afterwards.
 
     The → rows, ⊗ rows and → columns are also kept as ``bytes``, each one
     reversed (``imp_bytes[x][n-1-y]`` is x→y, ``imp_col_bytes[y][n-1-z]``

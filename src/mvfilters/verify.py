@@ -61,6 +61,8 @@ class Report:
             lines.append(line)
             for w in r.witnesses[:5]:
                 lines.append(f"    witness: {w}")
+            if len(r.witnesses) > 5:
+                lines.append(f"    ({len(r.witnesses) - 5} more witnesses not shown)")
         n = Counter(r.status for r in self.results)
         lines.append(
             f"{len(self.results)} statements, {n['pass']} passed, "

@@ -5,9 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from mvfilters import (
-    calculus, core, densechain as dc, make_lukasiewicz_chain, run_finite, spectra,
-)
+from mvfilters import calculus, core, make_lukasiewicz_chain, spectra
 from mvfilters.core import MvAlgebra, make_product, mask_of
 
 
@@ -157,108 +155,6 @@ def cold_hat(spec):
     return spectra.build_hat(
         spec, partial(calculus.sqto, a), partial(calculus.set_plus, a)
     )
-
-
-def drop_lowest(real):
-    """real, with the lowest member of each mask it returns dropped."""
-    def corrupted(*args):
-        m = real(*args)
-        return m & (m - 1)
-
-    return corrupted
-
-
-def swap_arguments(real):
-    """real(a, f, g, ...) with its two mask arguments exchanged."""
-    def corrupted(a, f, g, *rest):
-        return real(a, g, f, *rest)
-
-    return corrupted
-
-
-def plus_after(a):
-    """The ⊸ mutant on a that returns (F⊸G)⁺ instead of F⊸G."""
-    def corrupt(real):
-        def corrupted(*args):
-            return calculus.set_plus(a, real(*args))
-
-        return corrupted
-
-    return corrupt
-
-
-def with_own_element(real):
-    """subordinate, with x itself added to F_x."""
-    def corrupted(first, f, x):
-        return real(first, f, x) | 1 << x
-
-    return corrupted
-
-
-def assert_check_can_fail(monkeypatch, a, stmt, owner, name, corrupt):
-    """stmt passes on a, and fails on a fresh run once owner.name is replaced
-    by corrupt(owner.name)."""
-    assert run_finite(a, only=[stmt]).results[0].status == "pass"
-    monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
-    assert run_finite(a, only=[stmt]).results[0].status == "fail"
-
-
-def flip_kind(s):
-    """The kind of s flipped, unless that would leave the proper cuts."""
-    flipped = dc.Cut(s.endpoint, dc.Kind.OPEN if s.kind is dc.Kind.CLOSED
-                     else dc.Kind.CLOSED)
-    return flipped if flipped.is_proper else s
-
-
-# cut_sqto's three kind branches, as conditions on its arguments
-KIND_BRANCHES = {
-    "closed-target": lambda f, g: g.kind is dc.Kind.CLOSED,
-    "closed-meet": lambda f, g: g.kind is dc.Kind.OPEN
-    and dc.intersect(f, g).kind is dc.Kind.CLOSED,
-    "open-meet": lambda f, g: g.kind is dc.Kind.OPEN
-    and dc.intersect(f, g).kind is dc.Kind.OPEN,
-}
-
-
-def branch_flipped(branch):
-    """cut_sqto, with the kind of its value flipped on every pair that takes branch."""
-    real, hits = dc.cut_sqto, KIND_BRANCHES[branch]
-
-    def mutated(f, g):
-        s = real(f, g)
-        return flip_kind(s) if not g.issubset(f) and hits(f, g) else s
-
-    return mutated
-
-
-def plus_flipped():
-    """cut_plus, with the kind of every value flipped."""
-    real = dc.cut_plus
-
-    def corrupted(f):
-        return flip_kind(real(f))
-
-    return corrupted
-
-
-def collapse_closed_pairs(real):
-    """cut_sqto with every closed–closed pair sent to {1}."""
-    def mutated(f, g):
-        if f.kind is dc.Kind.CLOSED and g.kind is dc.Kind.CLOSED:
-            return dc.TOP
-        return real(f, g)
-
-    return mutated
-
-
-def shifted_endpoint(real, step):
-    """real, with the endpoint of each value moved by step: down where it can."""
-    def corrupted(*args):
-        c = real(*args)
-        e = c.endpoint
-        return dc.Cut(e - step if e >= step else e + step, c.kind)
-
-    return corrupted
 
 
 @pytest.fixture(params=sorted(ALL_ALGEBRAS), ids=sorted(ALL_ALGEBRAS))

@@ -1,5 +1,5 @@
 """The statement scans: each statement body as it was before its quantifier
-shortcut, and the mutants under which statement and scan must agree.
+shortcut, and the one harness that sets a statement against its scan.
 
 ``prop:monotone`` and ``prop:revIncl`` decide on cover pairs of the primes,
 ``fact:d`` on least class members, ``prop:small`` and ``prop:large`` on one
@@ -8,17 +8,29 @@ list of lattice filters H with P ⊆ K(H) per P, and ``prop:axiomC`` and
 scans take every chain F ⊆ G ⊆ H, every pair x, y ∉ F, or every (F, P, H)
 or (F, H, G).  A scan reads ⊸, K, F_x and J through ``verify.Ctx`` as its
 statement does, so it is no oracle (``tests/oracles.py``): it tests the
-shortcut alone.  ``SCANS`` records the worst status over
-``conftest.ALL_ALGEBRAS`` and the failing witness count of each pair.
+shortcut alone.
+
+Three dense statements decide by thresholds.  ``closed_forms_loop`` is the
+body ``dense:closed-forms`` had when it tested each of the 25 half-steps z
+of {k/24} for every grid pair and cut; ``trans_loop`` is ``dense:trans``'s
+loop over every grid triple; and ``separation_loop`` is
+``dense:separation``'s pair scan under every open G.
+
+A statement must give its scan's status and witness list, in order, under
+each mutant ``mutants.SCANNED`` names for it: on every algebra of
+``conftest.ALL_ALGEBRAS`` for a finite statement, on the dense chain for a
+dense one.  ``mutants.KILLS`` records the worst status and the failing
+witness count of each pair.
 """
 
 from itertools import product as pairs
 
 import pytest
 
-from mvfilters import calculus, verify
+from mvfilters import densechain as dc, verify
 
-from conftest import ALL_ALGEBRAS, drop_lowest, plus_after, swap_arguments, with_own_element
+import mutants
+from conftest import ALL_ALGEBRAS
 
 
 def monotone_scan(ctx, out):
@@ -95,75 +107,65 @@ def adjunction_scan(ctx, out):
             out.append((ctx.show(f), ctx.show(h), ctx.show(g)))
 
 
-def _drop(name):
-    return name, lambda a: drop_lowest
+def closed_forms_loop(_, out):
+    least = {c: verify._least(c) for c in verify._GRID_CUTS}
+    for f, g in verify._pairs(verify._GRID_CUTS):
+        lg = least[g]
+        x0 = max(least[f], lg)
+        s = verify._least(dc.cut_sqto(f, g))
+        if s is None or any((z >= s) != (max(0, x0 + z - verify._UNITS) >= lg)
+                            for z in verify._HALF_STEPS):
+            out.append((str(f), str(g)))
+    for f in verify._GRID_CUTS:
+        s = verify._least(dc.cut_plus(f))
+        if s is None or any((z >= s) != (verify._UNITS - z < least[f])
+                            for z in verify._HALF_STEPS):
+            out.append(("plus", str(f)))
 
 
-# mutant -> (the name of calculus it corrupts, factory of the corruption
-# given the algebra), or None
-MUTANTS = {
-    "none": None,
-    "sqto-plus-after": ("sqto", plus_after),
-    "sqto-drop": _drop("sqto"),
-    "sqto-swap": ("sqto", lambda a: swap_arguments),
-    "sqto-swap-drop": ("sqto", lambda a: lambda real: drop_lowest(swap_arguments(real))),
-    "subordinate-drop": _drop("subordinate"),
-    "subordinate-own-element": ("subordinate", lambda a: with_own_element),
-    "kernel-drop": _drop("kernel"),
-    "j_up-drop": _drop("j_up"),
-    "j_down-drop": _drop("j_down"),
-    "set_plus-drop": _drop("set_plus"),
-}
+def trans_loop(_, out):
+    cuts = verify._GRID_CUTS
+    top = [[dc.cut_sqto(x, y) == dc.TOP for y in cuts] for x in cuts]
+    idx = range(len(cuts))
+    eq = [[top[i][j] and top[j][i] for j in idx] for i in idx]
+    for i, j, k in pairs(idx, repeat=3):
+        if eq[i][j] and eq[j][k] and not eq[i][k]:
+            out.append((str(cuts[i]), str(cuts[j]), str(cuts[k])))
 
-PASS = ("pass", 0)
-# statement -> (its scan, {mutant: (worst status, witnesses over ALL_ALGEBRAS)})
+
+def separation_loop(_, out):
+    for g in verify._GRID_CUTS:
+        if g.kind is not dc.Kind.OPEN:
+            continue
+        below = [f for f in verify._GRID_CUTS if f.issubset(g)]
+        values = [dc.cut_sqto(f, g) for f in below]
+        for f2, s2 in zip(below, values):
+            for f1, s1 in zip(below, values):
+                if f1.num * f2.den > f2.num * f1.den and s1 == s2:
+                    out.append((str(f1), str(f2), str(g)))
+
+
+# statement -> its scan
 SCANS = {
-    "prop:monotone": (monotone_scan, {
-        "none": PASS, "sqto-plus-after": ("fail", 129), "sqto-drop": PASS,
-        "subordinate-drop": PASS, "subordinate-own-element": PASS, "kernel-drop": PASS,
-    }),
-    "prop:revIncl": (rev_incl_scan, {
-        "none": PASS, "sqto-plus-after": ("fail", 129), "sqto-drop": PASS,
-        "subordinate-drop": PASS, "subordinate-own-element": PASS, "kernel-drop": PASS,
-    }),
-    # K without its lowest member is no implication filter, so fact:d raises
-    # when it takes the quotient by it
-    "fact:d": (fact_d_scan, {
-        "none": PASS, "sqto-plus-after": PASS, "sqto-drop": PASS,
-        "subordinate-drop": PASS, "subordinate-own-element": ("fail", 84),
-        "kernel-drop": ("error", 0),
-    }),
-    # prop:small reads J_u only; j_down-drop loses a candidate H of
-    # prop:large and so changes its "not maximal" witnesses
-    "prop:small": (small_scan, {
-        "none": PASS, "kernel-drop": ("fail", 130), "j_up-drop": ("fail", 194),
-        "set_plus-drop": PASS, "j_down-drop": PASS,
-    }),
-    "prop:large": (large_scan, {
-        "none": PASS, "kernel-drop": ("fail", 58), "j_up-drop": ("fail", 164),
-        "set_plus-drop": ("fail", 80), "j_down-drop": ("fail", 97),
-    }),
-    # drop-lowest keeps both statements true.  Under it some nested ⊸
-    # values, and under swap-then-drop all of them, leave the prime list, so
-    # prop:axiomC's fallback to ctx.sqto runs; its 6 witnesses under
-    # swap-then-drop come through that fallback
-    "prop:axiomC": (axiom_c_scan, {
-        "none": PASS, "sqto-drop": PASS, "sqto-swap": ("fail", 258),
-        "sqto-swap-drop": ("fail", 6),
-    }),
-    "prop:adjunction": (adjunction_scan, {
-        "none": PASS, "sqto-drop": PASS, "sqto-swap": ("fail", 118),
-        "sqto-swap-drop": PASS,
-    }),
+    "prop:monotone": monotone_scan,
+    "prop:revIncl": rev_incl_scan,
+    "fact:d": fact_d_scan,
+    "prop:small": small_scan,
+    "prop:large": large_scan,
+    "prop:axiomC": axiom_c_scan,
+    "prop:adjunction": adjunction_scan,
+    "dense:closed-forms": closed_forms_loop,
+    "dense:trans": trans_loop,
+    "dense:separation": separation_loop,
 }
 
 
 def cases(*stmts):
     """One pytest parameter per (statement, mutant) pair of stmts."""
-    return [pytest.param(s, m, id=f"{s}-{m}") for s in stmts for m in SCANS[s][1]]
+    return [pytest.param(s, m, id=f"{s}-{m}") for s in stmts for m in mutants.SCANNED[s]]
 
 
-def _outcome(ctx, body):
+def outcome(body, ctx):
     """(status, witnesses) of body on ctx, as ``verify._run`` records them."""
     out = []
     try:
@@ -173,21 +175,13 @@ def _outcome(ctx, body):
     return ("fail" if out else "pass"), out
 
 
-def assert_scan_agrees(monkeypatch, stmt, mutant):
-    """stmt gives its scan's outcome on every test algebra under mutant, and
-    their worst status and failing witness count are those SCANS records."""
-    scan, expected = SCANS[stmt]
-    fn = verify.FINITE_STATEMENTS[stmt][1]
-    statuses, found = set(), 0
-    for a in ALL_ALGEBRAS.values():
-        with monkeypatch.context() as m:
-            if MUTANTS[mutant] is not None:
-                name, corrupt = MUTANTS[mutant]
-                m.setattr(calculus, name, corrupt(a)(getattr(calculus, name)))
-            want = _outcome(verify.Ctx(a), scan)
-            assert _outcome(verify.Ctx(a), fn) == want, (a.name, stmt, mutant)
-        statuses.add(want[0])
-        if want[0] == "fail":
-            found += len(want[1])
-    worst = max(statuses, key=("pass", "fail", "error").index)
-    assert (worst, found) == expected[mutant]
+def assert_scan_agrees(stmt, mutant):
+    """stmt gives its scan's outcome under mutant, on each test algebra or on
+    the dense chain."""
+    dense = stmt in verify.DENSE_STATEMENTS
+    fn = (verify.DENSE_STATEMENTS if dense else verify.FINITE_STATEMENTS)[stmt][1]
+    for a in [None] if dense else ALL_ALGEBRAS.values():
+        with mutants.mutated(mutant, a) as b:
+            got, want = (outcome(body, None if dense else verify.Ctx(b))
+                         for body in (fn, SCANS[stmt]))
+        assert got == want, (stmt, mutant, a and a.name)

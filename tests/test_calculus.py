@@ -7,9 +7,10 @@ from mvfilters import calculus, core, filters
 from mvfilters.errors import InvalidArgument
 
 import oracles
+import mutants
 from conftest import (
-    ALL_ALGEBRAS, CHAINS, PRODUCTS, assert_check_can_fail, by_labels, cold_j_down,
-    cold_j_up, cold_phi, cold_sqto_fast, cold_sqto_full, drop_lowest,
+    ALL_ALGEBRAS, CHAINS, PRODUCTS, by_labels, cold_j_down, cold_j_up, cold_phi,
+    cold_sqto_fast, cold_sqto_full,
 )
 
 
@@ -86,11 +87,9 @@ def test_sqto_full_empty_off_nested_pairs(l3):
     )
 
 
-def test_equiv_on_chains_is_equality(monkeypatch, l5):
+def test_equiv_on_chains_is_equality():
     # equiv:discrete: both ⊸ values are {1} exactly when F = G
-    assert_check_can_fail(
-        monkeypatch, l5, "equiv:discrete", calculus, "sqto", drop_lowest
-    )
+    assert mutants.kills("sqto-drop", "L5", "equiv:discrete")
 
 
 # ---------------------------------------------------------------------------
@@ -111,19 +110,13 @@ def test_sqto_lands_inside_target(algebra):
             assert mv.sqto(algebra, f, g) & ~g == 0
 
 
-def test_reduction_theorem(monkeypatch, algebra):
+def test_reduction_theorem(algebra):
     # thm:reduction checks that J_u/J_d keep F⊸G and reach a common kernel
-    assert_check_can_fail(
-        monkeypatch, algebra, "thm:reduction", calculus, "j_down",
-        drop_lowest,
-    )
+    assert mutants.kills("j_down-drop", algebra.name, "thm:reduction")
 
 
-def test_kernel_of_sqto(monkeypatch, algebra):
-    assert_check_can_fail(
-        monkeypatch, algebra, "thm:kernel-sqto", calculus, "sqto",
-        drop_lowest,
-    )
+def test_kernel_of_sqto(algebra):
+    assert mutants.kills("sqto-drop", algebra.name, "thm:kernel-sqto")
 
 
 def test_j_down_bottom_case():
@@ -214,8 +207,5 @@ def test_is_convex_matches_pointwise_definition(a):
     assert True in verdicts and False in verdicts
 
 
-def test_quotient_commutation(monkeypatch, algebra):
-    assert_check_can_fail(
-        monkeypatch, algebra, "prop:quot-commute", calculus, "sqto",
-        drop_lowest,
-    )
+def test_quotient_commutation(algebra):
+    assert mutants.kills("sqto-drop", algebra.name, "prop:quot-commute")

@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from mvfilters import calculus, cli, filters, run_finite
+from mvfilters import cli, filters, run_finite
 from mvfilters.core import check_mv_axioms
 from mvfilters.errors import InvalidArgument
 
 import oracles
-from conftest import ALL_ALGEBRAS, BAD_TABLE, chain, cold_spectrum, drop_lowest, product
+import mutants
+from conftest import ALL_ALGEBRAS, BAD_TABLE, chain, cold_spectrum, product
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -187,21 +188,21 @@ def test_verify_dense_spec(run, specfile):
     assert code == 0 and "dense:closed-forms" in out
 
 
-def test_verify_exit_one_on_failure(run, specfile, monkeypatch, tmp_path):
+def test_verify_exit_one_on_failure(run, specfile, tmp_path):
     # a certified input, and a statement that fails once ⊸ loses its lowest member
-    monkeypatch.setattr(calculus, "sqto", drop_lowest(calculus.sqto))
     out_json = tmp_path / "report.json"
-    code, out, err = run("verify", specfile({"kind": "lukasiewicz", "n": 5}),
-                         "--only", "equiv:discrete", "--json", str(out_json))
+    with mutants.mutated("sqto-drop"):
+        code, out, err = run("verify", specfile({"kind": "lukasiewicz", "n": 5}),
+                             "--only", "equiv:discrete", "--json", str(out_json))
     assert (code, err) == (1, "")
     assert "equiv:discrete           fail" in out and "witness" in out
     assert json.loads(out_json.read_text())["ok"] is False
 
 
-def test_verify_reports_a_raising_statement(run, specfile, monkeypatch):
+def test_verify_reports_a_raising_statement(run, specfile):
     # without ⁺'s lowest member prop:T-phi raises; the other statements still run
-    monkeypatch.setattr(calculus, "set_plus", drop_lowest(calculus.set_plus))
-    code, out, err = run("verify", specfile(L2xL3), "--only", "prop:incl,prop:T-phi")
+    with mutants.mutated("set_plus-drop"):
+        code, out, err = run("verify", specfile(L2xL3), "--only", "prop:incl,prop:T-phi")
     assert code == 1 and err == ""
     assert "prop:T-phi               error" in out
     assert "witness: InvariantViolation: operation left the spectrum" in out
@@ -373,6 +374,14 @@ REFUSED_INPUTS = {
     ),
     "endpoint-exponent": (
         DENSE, ("compute", "cut(1e-5000, open)"), "not a rational number"
+    ),
+    "endpoint-below-0": (
+        DENSE, ("compute", "cut(-1/2,open)"),
+        "expression error at position 0: cut endpoint must lie in [0,1]",
+    ),
+    "endpoint-above-1": (
+        DENSE, ("compute", "cut(3/2,closed)"),
+        "expression error at position 0: cut endpoint must lie in [0,1]",
     ),
     "export-index-digits": (
         {"kind": "lukasiewicz", "n": 8},

@@ -13,9 +13,9 @@ elements and arbitrary masks take several steps and may lack 1.
 ``prop:small`` and ``prop:large`` list each P's lattice filters H with
 P ⊆ K(H) once, and ``prop:axiomC`` and ``prop:adjunction`` read the ⊸ matrix
 over the primes by position.  Each must give the outcome of its scan in
-``tests/scans.py`` under the mutants recorded there; ``j_down-drop`` is
-among them so that a lost candidate H of ``prop:large`` changes its "not
-maximal" witnesses.
+``tests/scans.py`` under the mutants ``tests/mutants.py`` lists for it;
+``j_down-drop`` is among them so that a lost candidate H of ``prop:large``
+changes its "not maximal" witnesses.
 
 ``tensor_up`` must also return on tables that are not MV-algebras, where ≤
 need not be a partial order: every mask pair of the non-MV table and of
@@ -168,8 +168,8 @@ def test_tensor_returns_on_arbitrary_tables(a):
 
 
 @pytest.mark.parametrize("stmt, mutant", scans.cases("prop:small", "prop:large"))
-def test_hoisted_statements_keep_their_witnesses(monkeypatch, stmt, mutant):
-    scans.assert_scan_agrees(monkeypatch, stmt, mutant)
+def test_hoisted_statements_keep_their_witnesses(stmt, mutant):
+    scans.assert_scan_agrees(stmt, mutant)
 
 
 # ---------------------------------------------------------------------------
@@ -177,5 +177,5 @@ def test_hoisted_statements_keep_their_witnesses(monkeypatch, stmt, mutant):
 
 
 @pytest.mark.parametrize("stmt, mutant", scans.cases("prop:axiomC", "prop:adjunction"))
-def test_sqto_statements_keep_their_witnesses(monkeypatch, stmt, mutant):
-    scans.assert_scan_agrees(monkeypatch, stmt, mutant)
+def test_sqto_statements_keep_their_witnesses(stmt, mutant):
+    scans.assert_scan_agrees(stmt, mutant)

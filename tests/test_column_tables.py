@@ -14,11 +14,10 @@ doing so.
 is compared with ``oracles.covers`` on the primes of the test algebras and
 on hypothesis-drawn families of distinct masks.  Those two statements and
 ``fact:d`` must give the outcome of their scans in ``tests/scans.py`` under
-the mutants recorded there: ⊸ returning (F⊸G)⁺, F_x holding x, and the
-lowest member dropped from ⊸, F_x or K.
+the mutants ``tests/mutants.py`` lists for them: ⊸ returning (F⊸G)⁺, F_x
+holding x, and the lowest member dropped from ⊸, F_x or K.
 """
 
-import copy
 from collections import Counter
 
 import pytest
@@ -27,6 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 from mvfilters import calculus, filters, verify
 from mvfilters.core import MvAlgebra
 
+import mutants
 import oracles
 import scans
 from conftest import ALL_ALGEBRAS, chain, product
@@ -107,35 +107,20 @@ def test_a_run_makes_no_cold_call(monkeypatch, name):
     assert calls["kernel_rel", True] == outside, calls
 
 
-def _imp_col_entry_changed(a):
-    """Every copy of a with one entry of its →-column byte table changed, and
-    every other table kept."""
-    lines = a.imp_col_bytes
-    for i, line in enumerate(lines):
-        for pos, old in enumerate(line):
-            for v in set(range(a.size)) - {old}:
-                raw = bytearray(line)
-                raw[pos] = v
-                b = copy.copy(a)
-                object.__setattr__(
-                    b, "imp_col_bytes", (*lines[:i], bytes(raw), *lines[i + 1:])
-                )
-                yield b
-
-
-@pytest.mark.parametrize("name, mutants, kills", [("L5", 100, 74), ("L2xL3", 180, 120)])
-def test_relative_kernels_see_the_column_faults_fact_b_sees(name, mutants, kills):
+@pytest.mark.parametrize("name, count, kills", [("L5", 100, 74), ("L2xL3", 180, 120)])
+def test_relative_kernels_see_the_column_faults_fact_b_sees(name, count, kills):
     """``fact:a`` and ``fact:e`` take their states from the →-columns and
     check them against F's ⊗-rows, as ``fact:b`` checks F_x.  Under every
     one-entry change of the →-column table, both fail on exactly the copies
     ``fact:b`` fails on."""
     stmts = ("fact:a", "fact:b", "fact:e")
     killed = {stmt: set() for stmt in stmts}
-    for i, b in enumerate(_imp_col_entry_changed(ALL_ALGEBRAS[name])):
+    copies = mutants.every_entry_changed(ALL_ALGEBRAS[name], "imp_col_bytes")
+    for i, b in enumerate(copies):
         for r in verify.run_finite(b, only=stmts).results:
             if r.status != "pass":
                 killed[r.id].add(i)
-    assert i + 1 == mutants
+    assert i + 1 == count
     assert len(killed["fact:b"]) == kills
     assert killed["fact:a"] == killed["fact:e"] == killed["fact:b"]
 
@@ -143,5 +128,5 @@ def test_relative_kernels_see_the_column_faults_fact_b_sees(name, mutants, kills
 @pytest.mark.parametrize(
     "stmt, mutant", scans.cases("prop:monotone", "prop:revIncl", "fact:d")
 )
-def test_statement_matches_its_scan(monkeypatch, stmt, mutant):
-    scans.assert_scan_agrees(monkeypatch, stmt, mutant)
+def test_statement_matches_its_scan(stmt, mutant):
+    scans.assert_scan_agrees(stmt, mutant)

@@ -6,17 +6,8 @@ import mvfilters as mv
 from mvfilters import calculus, core, filters, spectra
 from mvfilters.errors import InvalidArgument
 
-from conftest import (
-    ALL_ALGEBRAS,
-    CHAINS,
-    PRODUCTS,
-    assert_check_can_fail,
-    chain,
-    cold_hat,
-    cold_spectrum,
-    drop_lowest,
-    find_isomorphism,
-)
+import mutants
+from conftest import CHAINS, PRODUCTS, chain, cold_hat, cold_spectrum, find_isomorphism
 
 
 def hat_of_chain(n):
@@ -111,36 +102,24 @@ def test_build_hat_computes_each_sqto_once():
             )
 
 
-def _shift_class(real):
-    return lambda h, x, y: (real(h, x, y) + 1) % h.as_mv.size
-
-
 @pytest.mark.parametrize("algebra_id", ["L5", "L2xL3"])
 @pytest.mark.parametrize(
-    "stmt, owner, name, corrupt",
-    [
-        ("thm:hat", calculus, "sqto", drop_lowest),
-        ("prop:T-phi", spectra, "hat_otimes", _shift_class),
-    ],
+    "stmt, mutant",
+    [("thm:hat", "sqto-drop"), ("prop:T-phi", "hat_otimes-next-class")],
     ids=["hat-order", "T-phi-class"],
 )
-def test_hat_checks_can_fail(monkeypatch, algebra_id, stmt, owner, name, corrupt):
-    assert_check_can_fail(
-        monkeypatch, ALL_ALGEBRAS[algebra_id], stmt, owner, name, corrupt
-    )
+def test_hat_checks_can_fail(algebra_id, stmt, mutant):
+    assert mutants.kills(mutant, algebra_id, stmt)
 
 
 @pytest.mark.parametrize("algebra_id, witnesses", [("L5", 10), ("L2xL3", 4)])
-def test_axiom_g_can_fail(monkeypatch, algebra_id, witnesses):
-    a = ALL_ALGEBRAS[algebra_id]
-    assert_check_can_fail(
-        monkeypatch, a, "prop:axiomG", calculus, "sqto", drop_lowest
-    )
-    (result,) = mv.run_finite(a, only=["prop:axiomG"]).results
+def test_axiom_g_can_fail(algebra_id, witnesses):
+    assert mutants.kills("sqto-drop", algebra_id, "prop:axiomG")
+    result = mutants.result("sqto-drop", algebra_id, "prop:axiomG")
     assert len(result.witnesses) == witnesses
 
 
-def test_iota_closure_identities(monkeypatch):
+def test_iota_closure_identities():
     for n in (3, 4, 5, 6):
         a = CHAINS[n]
         h = hat_of_chain(n)
@@ -151,10 +130,7 @@ def test_iota_closure_identities(monkeypatch):
         assert len(mapping) == n and set(mapping) == set(range(n - 1))
         assert mapping[-1] == h.as_mv.one  # the top coset has empty subordinate
     # thm:iota checks the closure identities P_a ⊸ P_b and P_a⁺ by preimages
-    assert_check_can_fail(
-        monkeypatch, CHAINS[5], "thm:iota", core.QuotientAlgebra, "preimage_mask",
-        drop_lowest,
-    )
+    assert mutants.kills("preimage_mask-drop", "L5", "thm:iota")
 
 
 def test_iota_rejects_other_base(l5):
@@ -181,27 +157,19 @@ def test_hat_eta_needs_proper_containment():
         spectra.hat_eta(h, core.quotient_by(a, a.one_mask), partial(calculus.kernel, a))
 
 
-def _shift(real):
-    return lambda *args: tuple(v + 1 for v in real(*args))
-
-
-def _constant(real):
-    return lambda *args: (0,) * len(real(*args))
-
-
 # Every Q above a prime P of a finite MV-algebra is improper, so Q's quotient
 # has one coset: thm:hat-eta and thm:composite only see a mapping that leaves it.
 @pytest.mark.parametrize(
-    "stmt, owner, name, corrupt",
+    "stmt, mutant",
     [
-        ("thm:iota", spectra, "iota", _constant),
-        ("thm:hat-eta", spectra, "hat_eta", _shift),
-        ("thm:composite", spectra, "hat_eta", _shift),
+        ("thm:iota", "iota-constant"),
+        ("thm:hat-eta", "hat_eta-shift"),
+        ("thm:composite", "hat_eta-shift"),
     ],
     ids=["iota-onto", "hat-eta", "composite"],
 )
-def test_spectrum_map_checks_can_fail(monkeypatch, stmt, owner, name, corrupt):
-    assert_check_can_fail(monkeypatch, PRODUCTS["L2xL3"], stmt, owner, name, corrupt)
+def test_spectrum_map_checks_can_fail(stmt, mutant):
+    assert mutants.kills(mutant, "L2xL3", stmt)
 
 
 def test_no_proper_prime_extensions_on_chains():

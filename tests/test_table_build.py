@@ -24,6 +24,7 @@ from mvfilters import cli, core, filters
 from mvfilters.core import MvAlgebra, make_lukasiewicz_chain, make_product
 from mvfilters.errors import InvalidArgument
 
+import mutants
 import oracles
 from conftest import BAD, SPECS, arbitrary_tables, by_labels, census, chain, product, shuffled
 
@@ -78,10 +79,7 @@ def test_imp_rows_are_the_oplus_rows():
 @pytest.mark.parametrize("field", ["otimes", "join", "meet"])
 def test_a_changed_table_disagrees_with_the_definitions(field):
     a = chain(5)
-    b = dataclasses.replace(a)
-    rows = [list(r) for r in getattr(a, field)]
-    rows[1][2] = (rows[1][2] + 1) % 5
-    object.__setattr__(b, field, tuple(map(tuple, rows)))
+    b = mutants.entry_changed(a, field, 1, 2, (getattr(a, field)[1][2] + 1) % 5)
     with pytest.raises(AssertionError):
         assert_built_by_definition(b)
 

@@ -26,8 +26,6 @@ An algebra with one derived byte changed must disagree with an oracle, so
 these comparisons can fail.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -35,6 +33,7 @@ from mvfilters import calculus, core, filters, verify
 from mvfilters.core import MvAlgebra
 from mvfilters.errors import InvalidArgument
 
+import mutants
 import oracles
 from conftest import ALL_ALGEBRAS, BAD, arbitrary_tables, chain, product, shuffled
 
@@ -174,24 +173,13 @@ def test_arbitrary_tables_match_the_order_loops(a):
     assert_order_reads_agree(a)
 
 
-def changed(a, table, line, pos):
-    """A copy of a whose byte table ``table`` has entry pos of ``line`` moved
-    to the next element, and that entry's old value; the tuple tables that
-    the oracles read are untouched."""
-    b = dataclasses.replace(a)
-    lines = list(getattr(b, table))
-    raw = bytearray(lines[line])
-    old = raw[b.size - 1 - pos]
-    raw[b.size - 1 - pos] = (old + 1) % b.size
-    lines[line] = bytes(raw)
-    object.__setattr__(b, table, tuple(lines))
-    return b, old
-
-
 @pytest.mark.parametrize("table", ["imp_bytes", "otimes_bytes", "imp_col_bytes"])
 def test_a_changed_byte_disagrees_with_the_loops(table):
+    # entry 1 of line 3, stored reversed, moved to the next element; the
+    # tuple tables that the oracles read are untouched
     a = chain(5)
-    b, old = changed(a, table, 3, 1)
+    old = getattr(a, table)[3][a.size - 2]
+    b = mutants.entry_changed(a, table, 3, a.size - 2, (old + 1) % a.size)
     # the mask holding just the old value reads the changed entry differently
     assert_mask_agrees(a, 1 << old)
     with pytest.raises(AssertionError):
@@ -200,10 +188,8 @@ def test_a_changed_byte_disagrees_with_the_loops(table):
 
 def test_order_read_can_fail():
     a = chain(4)
-    up = list(a.up_mask)
-    up[1] &= ~(1 << a.one)  # ↑(1/3) loses 1 but keeps 2/3, and 2/3 ≤ 1
-    b = dataclasses.replace(a)
-    object.__setattr__(b, "up_mask", tuple(up))
+    # ↑(1/3) loses 1 but keeps 2/3, and 2/3 ≤ 1
+    b = mutants.entry_changed(a, "up_mask", 0, 1, a.up_mask[1] & ~a.one_mask)
     assert order_read(b) != oracles.order_failures(b)
 
 
@@ -211,13 +197,11 @@ def test_order_partial_fails_on_swapped_masks():
     # ↑ and ↓ swapped describe the dual order, which is still a partial
     # order: only the check of the masks against leq sees the swap
     a = chain(4)
-    b = dataclasses.replace(a)
-    object.__setattr__(b, "up_mask", a.down_mask)
-    object.__setattr__(b, "down_mask", a.up_mask)
     assert order_read(a) == []
-    assert order_read(b) == [
-        w for x in range(4) for w in (("up_mask", x), ("down_mask", x))
-    ]
+    with mutants.mutated("order-dual", a) as b:
+        assert order_read(b) == [
+            w for x in range(4) for w in (("up_mask", x), ("down_mask", x))
+        ]
 
 
 def test_carrier_bound_of_the_byte_tables():

@@ -1,4 +1,3 @@
-import copy
 import gc
 import json
 import weakref
@@ -14,12 +13,11 @@ from mvfilters import calculus, cli, core, densechain as dc, filters, verify
 from mvfilters.errors import InvalidArgument
 from mvfilters.verify import DENSE_STATEMENTS, FINITE_STATEMENTS
 
+import mutants
 import oracles
 from conftest import (
-    ALL_ALGEBRAS, CHAINS, KIND_BRANCHES, PRODUCTS, SPECS, assert_check_can_fail,
-    branch_flipped, cold_hat, cold_spectrum, collapse_closed_pairs, drop_lowest,
-    plus_after, plus_flipped, product, relabelled, shifted_endpoint, shuffled,
-    swap_arguments, with_own_element,
+    ALL_ALGEBRAS, CHAINS, PRODUCTS, SPECS, cold_hat, cold_spectrum, product, relabelled,
+    shuffled,
 )
 
 
@@ -73,6 +71,21 @@ def test_report_text_and_json_shape():
     assert payload["ok"] is True
     assert payload["results"][0]["id"] == "axioms:mv"
     assert payload["results"][0]["status"] == "pass"
+
+
+def test_text_report_counts_the_witnesses_it_leaves_out():
+    # under the ⊸ argument swap prop:adjunction fails on Ł5 with 12 witnesses;
+    # the JSON lists them all, as the digests pin
+    report = mutants.report("sqto-swap", "L5")
+    witnesses = mutants.result("sqto-swap", "L5", "prop:adjunction").witnesses
+    lines = report.to_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("prop:adjunction "))
+    assert lines[at + 1:at + 7] == [
+        *(f"    witness: {w}" for w in witnesses[:5]), "    (7 more witnesses not shown)",
+    ]
+    assert sum(line.endswith(" not shown)") for line in lines) == sum(
+        len(r.witnesses) > 5 for r in report.results
+    )
 
 
 def test_failure_carries_witnesses():
@@ -184,7 +197,7 @@ def test_ctx_is_freed_by_reference_counting():
         gc.enable()
 
 
-def test_checks_fail_through_a_warm_memo(monkeypatch):
+def test_checks_fail_through_a_warm_memo():
     a = PRODUCTS["L2xL3"]
     ctx = verify.Ctx(a)
     _run_all(ctx)
@@ -194,8 +207,8 @@ def test_checks_fail_through_a_warm_memo(monkeypatch):
     assert not out
     # the quotients stay warm in ctx; J_u, which reads their cosets per
     # call, is corrupted
-    monkeypatch.setattr(calculus, "j_up", drop_lowest(calculus.j_up))
-    small(ctx, out)
+    with mutants.mutated("j_up-drop", a):
+        small(ctx, out)
     assert out
 
 
@@ -293,26 +306,30 @@ def test_a_run_searches_once_per_prime(monkeypatch, algebra_id):
     assert searched == Counter(verify.Ctx(a).primes)
     # fact:a alone reads the same search, so it reaches the same verdict: under
     # a corrupted sqto_full it fails on the same witnesses
-    monkeypatch.setattr(calculus, "sqto_full", drop_lowest(calculus.sqto_full))
-    (alone,) = mv.run_finite(a, only=["fact:a"]).results
-    (in_whole,) = (r for r in mv.run_finite(a).results if r.id == "fact:a")
+    with mutants.mutated("sqto_full-drop", a):
+        (alone,) = mv.run_finite(a, only=["fact:a"]).results
+        (in_whole,) = (r for r in mv.run_finite(a).results if r.id == "fact:a")
     assert in_whole.status == "fail"
     assert (alone.status, alone.witnesses) == (in_whole.status, in_whole.witnesses)
 
 
+# Each statement below fails on Ł5 and Ł2×Ł3 under the mutant named beside
+# it, read from the registry's runs; mutants.KILLS has the totals
+
+
 @pytest.mark.parametrize("algebra_id", ["L5", "L2xL3"])
 @pytest.mark.parametrize(
-    "stmt, owner, name",
+    "stmt, mutant",
     [
-        ("fact:a", calculus, "subordinate"),
-        ("fact:a", calculus, "sqto_full"),
-        ("fact:b", calculus, "subordinate"),
-        ("fact:b", calculus, "kernel_rel"),
-        ("fact:c", calculus, "kernel"),
-        ("fact:c", calculus, "kernel_rel"),
-        ("fact:e", calculus, "subordinate"),
-        ("fact:e", calculus, "sqto_full"),
-        ("fact:e", filters, "down_closure_joins"),
+        ("fact:a", "subordinate-drop"),
+        ("fact:a", "sqto_full-drop"),
+        ("fact:b", "subordinate-drop"),
+        ("fact:b", "kernel_rel-drop"),
+        ("fact:c", "kernel-drop"),
+        ("fact:c", "kernel_rel-drop"),
+        ("fact:e", "subordinate-drop"),
+        ("fact:e", "sqto_full-drop"),
+        ("fact:e", "down_closure_joins-drop"),
     ],
     ids=[
         "a-subordinate", "a-sqto_full", "b-subordinate", "b-kernel_rel",
@@ -320,44 +337,26 @@ def test_a_run_searches_once_per_prime(monkeypatch, algebra_id):
         "e-down_closure_joins",
     ],
 )
-def test_relative_kernel_facts_can_fail(monkeypatch, algebra_id, stmt, owner, name):
-    assert_check_can_fail(
-        monkeypatch, ALL_ALGEBRAS[algebra_id], stmt, owner, name, drop_lowest
-    )
-
-
-def _drop_lowest_at_p_one(real):
-    """A Ctx whose quotient-side ⊸ is corrupted at P = {1} only."""
-    class Corrupted(real):
-        def __init__(self, a):
-            super().__init__(a)
-            quotient_sqto = self.quotient_sqto
-
-            def corrupted(p, fq, gq):
-                m = quotient_sqto(p, fq, gq)
-                return m & (m - 1) if p == a.one_mask else m
-
-            self.quotient_sqto = corrupted
-
-    return Corrupted
+def test_relative_kernel_facts_can_fail(algebra_id, stmt, mutant):
+    assert mutants.kills(mutant, algebra_id, stmt)
 
 
 @pytest.mark.parametrize("algebra_id", ["L5", "L2xL3"])
 @pytest.mark.parametrize(
-    "stmt, owner, name, corrupt",
+    "stmt, mutant",
     [
-        ("prop:phi", calculus, "phi", drop_lowest),
-        ("prop:phi", calculus, "sqto_full", drop_lowest),
-        ("prop:quot-commute", calculus, "sqto_full", drop_lowest),
-        ("prop:quot-commute", verify, "Ctx", _drop_lowest_at_p_one),
-        ("prop:small", calculus, "j_up", drop_lowest),
-        ("prop:large", calculus, "j_up", drop_lowest),
-        ("prop:Ju-kernel", calculus, "j_up", drop_lowest),
-        ("prop:T-phi", calculus, "phi", drop_lowest),
-        ("prop:T-phi", calculus, "sqto_full", drop_lowest),
-        ("prop:fastform", calculus, "sqto_full", drop_lowest),
-        ("lem:Jd-lower", calculus, "j_down", drop_lowest),
-        ("thm:reduction", calculus, "j_up", drop_lowest),
+        ("prop:phi", "phi-drop"),
+        ("prop:phi", "sqto_full-drop"),
+        ("prop:quot-commute", "sqto_full-drop"),
+        ("prop:quot-commute", "quotient_sqto-drop-at-one"),
+        ("prop:small", "j_up-drop"),
+        ("prop:large", "j_up-drop"),
+        ("prop:Ju-kernel", "j_up-drop"),
+        ("prop:T-phi", "phi-drop"),
+        ("prop:T-phi", "sqto_full-drop"),
+        ("prop:fastform", "sqto_full-drop"),
+        ("lem:Jd-lower", "j_down-drop"),
+        ("thm:reduction", "j_up-drop"),
     ],
     ids=[
         "phi-combinator", "phi-sqto_full", "quot-commute-quotient-side",
@@ -366,72 +365,35 @@ def _drop_lowest_at_p_one(real):
         "Jd-lower-j_down", "reduction-j_up",
     ],
 )
-def test_row_table_statements_can_fail(
-    monkeypatch, algebra_id, stmt, owner, name, corrupt
-):
-    assert_check_can_fail(
-        monkeypatch, ALL_ALGEBRAS[algebra_id], stmt, owner, name, corrupt
-    )
-
-
-def _no_successor_structure(real):
-    """successor_structure, reporting that no successor structure exists."""
-    return lambda a: None
-
-
-def _pred_fixes_everything(real):
-    """successor_structure with ⊖c sending every element to itself."""
-    def corrupted(a):
-        c, succ, pred = real(a)
-        return c, succ, {x: x for x in pred}
-
-    return corrupted
-
-
-def _drops_the_top_generator(real):
-    """principal_generator, returning None on the filter {1} = ↑1."""
-    def corrupted(a, mask):
-        g = real(a, mask)
-        return None if g == a.one else g
-
-    return corrupted
+def test_row_table_statements_can_fail(algebra_id, stmt, mutant):
+    assert mutants.kills(mutant, algebra_id, stmt)
 
 
 @pytest.mark.parametrize(
-    "stmt, name, corrupt",
+    "stmt, mutant",
     [
-        ("thm:discrete-principal", "successor_structure", _no_successor_structure),
+        ("thm:discrete-principal", "successor_structure-absent"),
         # {1} is proper with kernel {1}, so the statement asks for its
         # generator; it never asks about the improper filter ↑0
-        ("thm:discrete-principal", "principal_generator", _drops_the_top_generator),
-        ("prop:successor", "successor_structure", _no_successor_structure),
-        ("prop:successor", "successor_structure", _pred_fixes_everything),
+        ("thm:discrete-principal", "principal_generator-no-top"),
+        ("prop:successor", "successor_structure-absent"),
+        ("prop:successor", "successor_structure-pred-fixed"),
     ],
     ids=[
         "discrete-principal-absent", "discrete-principal-generator",
         "successor-absent", "successor-pred",
     ],
 )
-def test_discrete_statements_can_fail(monkeypatch, l5, stmt, name, corrupt):
-    assert_check_can_fail(monkeypatch, l5, stmt, filters, name, corrupt)
-
-
-def _negated_on_pairs(real):
-    """is_convex, with its verdict flipped on every mask of at most two
-    elements: the only masks the convex lemmas ask about."""
-    def corrupted(a, mask):
-        return real(a, mask) != (mask.bit_count() <= 2)
-
-    return corrupted
+def test_discrete_statements_can_fail(stmt, mutant):
+    assert mutants.kills(mutant, "L5", stmt)
 
 
 @pytest.mark.parametrize(
     "stmt", ["lem:convex-imp", "lem:convex-neg", "lem:convex-otimes"]
 )
-def test_convex_lemmas_can_fail(monkeypatch, l5, stmt):
-    assert_check_can_fail(
-        monkeypatch, l5, stmt, calculus, "is_convex", _negated_on_pairs
-    )
+def test_convex_lemmas_can_fail(stmt):
+    # the lemmas ask is_convex about masks of at most two elements only
+    assert mutants.kills("is_convex-not", "L5", stmt)
 
 
 @pytest.mark.parametrize(
@@ -441,31 +403,22 @@ def test_convex_lemmas_can_fail(monkeypatch, l5, stmt):
         ("L2xL3", "prop:monotone"), ("L2xL3", "prop:revIncl"),
     ],
 )
-def test_sqto_order_statements_can_fail(monkeypatch, algebra_id, stmt):
-    a = ALL_ALGEBRAS[algebra_id]
-    assert_check_can_fail(
-        monkeypatch, a, stmt, calculus, "sqto", plus_after(a)
-    )
+def test_sqto_order_statements_can_fail(algebra_id, stmt):
+    assert mutants.kills("sqto-plus-after", algebra_id, stmt)
 
 
 @pytest.mark.parametrize("algebra_id, witnesses", [("L5", 12), ("L2xL3", 2)])
-def test_adjunction_can_fail(monkeypatch, algebra_id, witnesses):
+def test_adjunction_can_fail(algebra_id, witnesses):
     # the ⊸ argument swap kills prop:adjunction; drop-lowest leaves it passing
-    a = ALL_ALGEBRAS[algebra_id]
-    assert_check_can_fail(
-        monkeypatch, a, "prop:adjunction", calculus, "sqto", swap_arguments
-    )
-    (result,) = mv.run_finite(a, only=["prop:adjunction"]).results
+    assert mutants.kills("sqto-swap", algebra_id, "prop:adjunction")
+    result = mutants.result("sqto-swap", algebra_id, "prop:adjunction")
     assert len(result.witnesses) == witnesses
 
 
-def test_subord_monotone_fails_on_both_branches(monkeypatch, l2xl3):
+def test_subord_monotone_fails_on_both_branches():
     stmt = "fact:subord-monotone"
-    assert_check_can_fail(
-        monkeypatch, l2xl3, stmt, calculus, "subordinate",
-        with_own_element,
-    )
-    (result,) = mv.run_finite(l2xl3, only=[stmt]).results
+    assert mutants.kills("subordinate-own-element", "L2xL3", stmt)
+    result = mutants.result("subordinate-own-element", "L2xL3", stmt)
     assert Counter(w[0] for w in result.witnesses) == {"monotone": 18, "join": 2}
 
 
@@ -533,22 +486,6 @@ def test_convex_lemmas_agree_with_the_interval_loop_on_chains():
                 assert out == [], (b.name, stmt)
 
 
-def _one_entry_changed(a, name):
-    """Every copy of a with one entry of its table name changed, and its ⊕
-    table and order masks kept."""
-    columns = _columns(a, name)
-    for i, col in enumerate(columns):
-        for z in range(a.size):
-            for v in set(range(a.size)) - {col[z]}:
-                changed = [list(c) for c in columns]
-                changed[i][z] = v
-                b = copy.copy(a)
-                object.__setattr__(
-                    b, name, tuple(changed[0]) if name == "neg" else tuple(zip(*changed))
-                )
-                yield b
-
-
 CONVEX_ORACLE_ALGEBRAS = {f"L{n}": CHAINS[n] for n in (5, 6, 7, 8)} | {
     "L7-relabelled": relabelled(CHAINS[7], (3, 6, 0, 5, 1, 4, 2)),
 }
@@ -564,7 +501,7 @@ def test_convex_lemmas_match_interval_loop(algebra_id, stmt, table):
     # not convex
     a = CONVEX_ORACLE_ALGEBRAS[algebra_id]
     killed = 0
-    for b in _one_entry_changed(a, table):
+    for b in mutants.every_entry_changed(a, table):
         lemma, loop = _lemma_and_loop(b, stmt)
         assert bool(lemma) == bool(loop)
         assert set(lemma) <= set(loop)
@@ -588,7 +525,7 @@ def test_filter_crosschecks_fail_under_a_changed_table_entry(algebra_id, stmt, t
     assert mv.run_finite(a, only=[stmt]).results[0].status == "pass"
     assert any(
         mv.run_finite(b, only=[stmt]).results[0].status == "fail"
-        for b in _one_entry_changed(a, table)
+        for b in mutants.every_entry_changed(a, table)
     )
 
 
@@ -677,68 +614,36 @@ def test_ctx_spectrum_is_the_cold_prime_spectrum(name):
         assert h.as_mv.neg == cold.as_mv.neg
 
 
-def _drop_one_prime(real):
-    """real, with the first prime lattice filter left out of the prime list."""
-    def corrupted(a, prime_only=False):
-        out = real(a, prime_only)
-        return out[1:] if prime_only else out
-
-    return corrupted
-
-
 @pytest.mark.parametrize("algebra_id", ["L5", "L2xL3"])
-def test_enum_crosscheck_checks_the_prime_list(monkeypatch, algebra_id):
-    a = ALL_ALGEBRAS[algebra_id]
-    k = len(filters.enumerate_lattice_filters(a, prime_only=True))
-    assert_check_can_fail(
-        monkeypatch, a, "enum:crosscheck", filters, "enumerate_lattice_filters",
-        _drop_one_prime,
-    )
-    witnesses = mv.run_finite(a, only=["enum:crosscheck"]).results[0].witnesses
+def test_enum_crosscheck_checks_the_prime_list(algebra_id):
+    mutant, stmt = "enumerate_lattice_filters-first-prime-lost", "enum:crosscheck"
+    k = len(filters.enumerate_lattice_filters(ALL_ALGEBRAS[algebra_id], prime_only=True))
+    assert mutants.kills(mutant, algebra_id, stmt)
+    witnesses = mutants.result(mutant, algebra_id, stmt).witnesses
     assert witnesses == [("prime filter lists differ", k, k - 1)]
 
 
-def _keep_minimal_proper(real):
-    """real, listing the minimal proper implication filters as the prime ones
-    instead of the maximal proper ones."""
-    def corrupted(a, prime_only=False):
-        out = real(a)
-        if prime_only:
-            out = [m for m in out if m != a.full_mask]
-            out = [m for m in out if not any(o != m and o & ~m == 0 for o in out)]
-        return out
-
-    return corrupted
-
-
-def test_enum_crosscheck_checks_the_prime_implication_list(monkeypatch):
+def test_enum_crosscheck_checks_the_prime_implication_list():
     # on L2xL3 the minimal proper one is {1}, the maximal ones are two
-    a = PRODUCTS["L2xL3"]
-    assert_check_can_fail(
-        monkeypatch, a, "enum:crosscheck", filters, "enumerate_implication_filters",
-        _keep_minimal_proper,
-    )
-    witnesses = mv.run_finite(a, only=["enum:crosscheck"]).results[0].witnesses
+    mutant, stmt = "enumerate_implication_filters-minimal", "enum:crosscheck"
+    assert mutants.kills(mutant, "L2xL3", stmt)
+    witnesses = mutants.result(mutant, "L2xL3", stmt).witnesses
     assert witnesses == [("prime implication filter lists differ", 2, 1)]
 
 
 @pytest.mark.parametrize(
     "factors, count", [((4, 4), 15), ((8, 8), 63)], ids=["L4xL4", "L8xL8"]
 )
-def test_kernel_prime_iff_checks_the_prime_implication_list(
-    monkeypatch, factors, count
-):
+def test_kernel_prime_iff_checks_the_prime_implication_list(factors, count):
     # above 12 elements enum:crosscheck skips; kernel:prime-iff still sees
     # that each of the n-1 proper lattice filters now has a kernel of the
     # wrong primality
     a = product(*factors)
     assert mv.run_finite(a, only=["enum:crosscheck"]).results[0].status == "skip"
-    assert_check_can_fail(
-        monkeypatch, a, "kernel:prime-iff", filters, "enumerate_implication_filters",
-        _keep_minimal_proper,
-    )
-    report = mv.run_finite(a, only=["kernel:prime-iff"])
-    assert len(report.results[0].witnesses) == count
+    assert mv.run_finite(a, only=["kernel:prime-iff"]).results[0].status == "pass"
+    with mutants.mutated("enumerate_implication_filters-minimal", a):
+        (result,) = mv.run_finite(a, only=["kernel:prime-iff"]).results
+    assert result.status == "fail" and len(result.witnesses) == count
 
 
 @pytest.mark.parametrize("factors", [(8, 8), (2,) * 6], ids=["L8xL8", "2^6"])
@@ -747,10 +652,9 @@ def test_phi_and_quot_commute_pass_on_64_elements(factors):
     assert [r.status for r in report.results] == ["pass", "pass"]
 
 
-def test_a_raising_statement_is_an_error_not_an_abort(monkeypatch):
+def test_a_raising_statement_is_an_error_not_an_abort():
     # without ⁺'s lowest member a hat operation leaves the spectrum and raises
-    monkeypatch.setattr(calculus, "set_plus", drop_lowest(calculus.set_plus))
-    report = mv.run_finite(PRODUCTS["L2xL3"])
+    report = mutants.report("set_plus-drop", "L2xL3")
     assert len(report.results) == len(FINITE_STATEMENTS)
     errors = {r.id: r.witnesses for r in report.results if r.status == "error"}
     assert errors == dict.fromkeys(
@@ -762,51 +666,45 @@ def test_a_raising_statement_is_an_error_not_an_abort(monkeypatch):
     assert not report.ok and json.loads(report.to_json())["ok"] is False
 
 
-@pytest.mark.parametrize("branch", sorted(KIND_BRANCHES))
-def test_dense_theorems_check_the_closed_form(monkeypatch, branch):
-    monkeypatch.setattr(dc, "cut_sqto", branch_flipped(branch))
-    theorems = [s for s in DENSE_STATEMENTS if s != "dense:closed-forms"]
-    report = mv.run_dense(only=theorems)
-    assert [r.id for r in report.results if r.status == "fail"]
+def _dense(mutant, stmt, status="fail"):
+    """The result of stmt in the dense run under mutant, checked to have
+    status."""
+    result = mutants.result(mutant, None, stmt)
+    assert result.status == status
+    return result
 
 
-@pytest.mark.parametrize(
-    "branch, witnesses",
-    [("closed-target", 121), ("closed-meet", 77), ("open-meet", 66)],
-    ids=["closed-target", "closed-meet", "open-meet"],
-)
-def test_closed_forms_fails_on_each_flipped_sqto_branch(
-    monkeypatch, branch, witnesses
-):
-    monkeypatch.setattr(dc, "cut_sqto", branch_flipped(branch))
-    (result,) = mv.run_dense(only=["dense:closed-forms"]).results
-    assert result.status == "fail"
-    assert len(result.witnesses) == witnesses
+@pytest.mark.parametrize("branch", sorted(mutants.KIND_BRANCHES))
+def test_dense_theorems_check_the_closed_form(branch):
+    assert [r.id for r in mutants.report(branch).results
+            if r.status == "fail" and r.id != "dense:closed-forms"]
 
 
-def test_closed_forms_fails_on_a_flipped_plus(monkeypatch):
-    monkeypatch.setattr(dc, "cut_plus", plus_flipped())
-    (result,) = mv.run_dense(only=["dense:closed-forms"]).results
-    assert result.status == "fail"
+@pytest.mark.parametrize("branch", sorted(mutants.KIND_BRANCHES))
+def test_closed_forms_fails_on_each_flipped_sqto_branch(branch):
+    # each witness is a grid pair: the ⁺ closed form still holds
+    witnesses = _dense(branch, "dense:closed-forms").witnesses
+    assert witnesses and all(w[0] != "plus" for w in witnesses)
+
+
+def test_closed_forms_fails_on_a_flipped_plus():
+    result = _dense("plus-flipped", "dense:closed-forms")
     assert len(result.witnesses) == 22
     assert {w[0] for w in result.witnesses} == {"plus"}
 
 
 @pytest.mark.parametrize(
-    "name, step, witnesses",
+    "mutant, witnesses",
     [
-        # off the grid: the denominator 1000 does not divide 12
-        ("cut_sqto", F(1, 1000), 576),
-        # one grid step: the value disagrees at a point of {k/24}
-        ("cut_plus", F(1, 12), 24),
+        # off the grid: the denominator 1000 does not divide 12; every pair
+        ("sqto-off-grid", 576),
+        # one grid step: the value disagrees at a point of {k/24}; every cut
+        ("plus-one-step", 24),
     ],
     ids=["sqto-off-grid", "plus-one-step"],
 )
-def test_closed_forms_fails_on_a_shifted_endpoint(monkeypatch, name, step, witnesses):
-    monkeypatch.setattr(dc, name, shifted_endpoint(getattr(dc, name), step))
-    (result,) = mv.run_dense(only=["dense:closed-forms"]).results
-    assert result.status == "fail"
-    assert len(result.witnesses) == witnesses
+def test_closed_forms_fails_on_a_shifted_endpoint(mutant, witnesses):
+    assert len(_dense(mutant, "dense:closed-forms").witnesses) == witnesses
 
 
 def test_closed_forms_checks_the_definitions_not_the_oracles(monkeypatch):
@@ -818,14 +716,13 @@ def test_closed_forms_checks_the_definitions_not_the_oracles(monkeypatch):
     assert mv.run_dense(only=["dense:closed-forms"]).ok
 
 
-@pytest.mark.parametrize("branch", [None, *sorted(KIND_BRANCHES)])
-def test_exact_dense_statements_ignore_the_seed(monkeypatch, branch):
+@pytest.mark.parametrize("branch", [None, *sorted(mutants.KIND_BRANCHES)])
+def test_exact_dense_statements_ignore_the_seed(branch):
     # run_dense keeps a seed keyword that nothing reads, mutated or not
-    if branch is not None:
-        monkeypatch.setattr(dc, "cut_sqto", branch_flipped(branch))
-    report = mv.run_dense().to_json()
-    for seed in (0, 1, 41):
-        assert mv.run_dense(seed=seed).to_json() == report
+    with mutants.mutated(branch or "none"):
+        report = mv.run_dense().to_json()
+        for seed in (0, 1, 41):
+            assert mv.run_dense(seed=seed).to_json() == report
     results = json.loads(report)["results"]
     assert [r["id"] for r in results] == list(DENSE_STATEMENTS)
     if branch is not None:
@@ -877,11 +774,8 @@ def test_the_grid_meets_every_order_type_of_two_cuts():
     assert len(verify._GRID_CUTS) == 24 and len(verify._GRID_POINTS) == 13
 
 
-def test_dense_trans_can_fail(monkeypatch):
-    monkeypatch.setattr(dc, "cut_sqto", collapse_closed_pairs(dc.cut_sqto))
-    (result,) = mv.run_dense(only=["dense:trans"]).results
-    assert result.status == "fail"
-    assert len(result.witnesses) == 242
+def test_dense_trans_can_fail():
+    assert len(_dense("collapse-closed-pairs", "dense:trans").witnesses) == 242
 
 
 def test_dense_trans_takes_one_sqto_per_ordered_pair(monkeypatch):
@@ -937,49 +831,25 @@ def _subchain_hat_embed():
     return "fail" if out else "pass"
 
 
-# mutant -> (densechain attribute, factory of its corrupted version,
-# dense:hat-embed's witness count under it, or None for an error)
-HAT_EMBED_MUTANTS = {
-    "collapse-closed-pairs": ("cut_sqto", collapse_closed_pairs, 77),
-    "sqto-swapped": ("cut_sqto", lambda real: lambda f, g: real(g, f), 312),
-    "sqto-off-grid": ("cut_sqto", lambda real: shifted_endpoint(real, F(1, 1000)), 338),
-    "sqto-one-step": ("cut_sqto", lambda real: shifted_endpoint(real, F(1, 12)), None),
-    "plus-one-step": ("cut_plus", lambda real: shifted_endpoint(real, F(1, 12)), 92),
-    "plus-off-grid": ("cut_plus", lambda real: shifted_endpoint(real, F(1, 1000)), 92),
-}
+# the dense mutants that move a class; the kind flips move none
+MOVES_A_CLASS = sorted(set(mutants.DENSE) - {*mutants.KIND_BRANCHES, "plus-flipped"})
 
 
-@pytest.mark.parametrize("mutant", sorted(HAT_EMBED_MUTANTS))
-def test_dense_hat_embed_can_fail(monkeypatch, mutant):
-    name, corrupt, witnesses = HAT_EMBED_MUTANTS[mutant]
-    monkeypatch.setattr(dc, name, corrupt(getattr(dc, name)))
-    (result,) = mv.run_dense(only=["dense:hat-embed"]).results
-    if witnesses is None:
-        # ⊸ at 1/12 shifted down is [0,1], not proper, and hat_class refuses it
-        assert result.status == "error"
-    else:
-        assert result.status == "fail"
-        assert len(result.witnesses) == witnesses
-        # a witness names its points only: no subchain denominator
-        assert all(isinstance(v, str) for w in result.witnesses for v in w)
+@pytest.mark.parametrize("mutant", MOVES_A_CLASS)
+def test_dense_hat_embed_can_fail(mutant):
+    # ⊸ at 1/12 shifted down is [0,1], not proper, and hat_class refuses it
+    status = "error" if mutant == "sqto-one-step" else "fail"
+    result = _dense(mutant, "dense:hat-embed", status)
+    # a witness names its points only: no subchain denominator
+    assert all(isinstance(v, str) for w in result.witnesses for v in w)
 
 
-@pytest.mark.parametrize(
-    "mutant",
-    [*sorted(HAT_EMBED_MUTANTS), *sorted(KIND_BRANCHES), "plus-flipped"],
-)
-def test_grid_hat_embed_agrees_with_the_subchain_loop(monkeypatch, mutant):
-    if mutant in HAT_EMBED_MUTANTS:
-        name, corrupt, _ = HAT_EMBED_MUTANTS[mutant]
-        monkeypatch.setattr(dc, name, corrupt(getattr(dc, name)))
-    elif mutant in KIND_BRANCHES:
-        monkeypatch.setattr(dc, "cut_sqto", branch_flipped(mutant))
-    else:
-        monkeypatch.setattr(dc, "cut_plus", plus_flipped())
-    (result,) = mv.run_dense(only=["dense:hat-embed"]).results
-    assert result.status == _subchain_hat_embed()
-    # the kind flips do not move a class, so both pass under them
-    assert (result.status == "pass") == (mutant not in HAT_EMBED_MUTANTS)
+@pytest.mark.parametrize("mutant", mutants.DENSE)
+def test_grid_hat_embed_agrees_with_the_subchain_loop(mutant):
+    result = mutants.result(mutant, None, "dense:hat-embed")
+    with mutants.mutated(mutant):
+        assert result.status == _subchain_hat_embed()
+    assert (result.status == "pass") == (mutant not in MOVES_A_CLASS)
 
 
 def test_dense_props_takes_each_sqto_once_per_grid_pair(monkeypatch):
@@ -998,11 +868,8 @@ def test_dense_props_takes_each_sqto_once_per_grid_pair(monkeypatch):
     assert len(calls) == len(grid) ** 2 == 576
 
 
-def _props_failures(monkeypatch, name, corrupted):
-    monkeypatch.setattr(dc, name, corrupted)
-    (result,) = mv.run_dense(only=["dense:props"]).results
-    assert result.status == "fail"
-    return {w[0] for w in result.witnesses}
+def _props_failures(mutant):
+    return {w[0] for w in _dense(mutant, "dense:props").witnesses}
 
 
 @pytest.mark.parametrize(
@@ -1014,36 +881,31 @@ def _props_failures(monkeypatch, name, corrupted):
     ],
     ids=["closed-meet", "open-meet", "closed-target"],
 )
-def test_dense_props_fails_on_each_flipped_sqto_branch(monkeypatch, branch, failing):
-    assert _props_failures(monkeypatch, "cut_sqto", branch_flipped(branch)) == failing
+def test_dense_props_fails_on_each_flipped_sqto_branch(branch, failing):
+    assert _props_failures(branch) == failing
 
 
-def test_dense_props_fails_when_closed_pairs_collapse(monkeypatch):
-    failing = _props_failures(
-        monkeypatch, "cut_sqto", collapse_closed_pairs(dc.cut_sqto))
-    assert failing == {
+def test_dense_props_fails_when_closed_pairs_collapse():
+    assert _props_failures("collapse-closed-pairs") == {
         "OneOne", "plus", "FFg", "triple", "revIncl", "axiomG", "axiomC",
     }
 
 
-@pytest.mark.parametrize("name, count", [("cut_sqto", 576), ("cut_plus", 24)])
-def test_dense_props_reports_values_off_the_grid(monkeypatch, name, count):
+@pytest.mark.parametrize(
+    "mutant, count", [("sqto-off-grid", 576), ("plus-off-grid", 24)],
+    ids=["cut_sqto-576", "cut_plus-24"],
+)
+def test_dense_props_reports_values_off_the_grid(mutant, count):
     # a value off the grid is a witness, not an error: the nested ⊸ that
     # would read it is not taken
-    monkeypatch.setattr(dc, name, shifted_endpoint(getattr(dc, name), F(1, 1000)))
-    (result,) = mv.run_dense(only=["dense:props"]).results
-    assert result.status == "fail"
+    result = _dense(mutant, "dense:props")
     assert len(result.witnesses) == count
     assert {w[0] for w in result.witnesses} == {"off-grid"}
 
 
-def test_dense_separation_can_fail(monkeypatch):
+def test_dense_separation_can_fail():
     # with its arguments swapped, F⊸G is G⊸F = {1} whenever F ⊆ G
-    real = dc.cut_sqto
-    monkeypatch.setattr(dc, "cut_sqto", lambda f, g: real(g, f))
-    (result,) = mv.run_dense(only=["dense:separation"]).results
-    assert result.status == "fail"
-    assert len(result.witnesses) == 1_156
+    assert len(_dense("sqto-swapped", "dense:separation").witnesses) == 1_156
 
 
 def test_three_cut_claims_are_decided_on_the_grid():
