@@ -85,12 +85,12 @@ def read_lines(lines, picks: int, into: int):
 class MvAlgebra:
     """A finite MV-algebra given by its ⊕ table, negation table and zero.
 
-    Derived tables (⊗, →, ∨, ∧, ≤) are computed eagerly at construction,
-    each a row or a column at a time by ``bytes.translate`` from the
-    definitions x⊗y = ¬(¬x⊕¬y), x→y = ¬x⊕y, x∨y = (x→y)→y and
-    x∧y = ¬(¬x∨¬y); row x of → is row ¬x of ⊕, the same tuple.  Every ⊕
-    and ¬ entry must be an element index.  The instance is immutable
-    afterwards.
+    Derived tables (⊗, →, ≤) are computed eagerly at construction, each a
+    row or a column at a time by ``bytes.translate`` from the definitions
+    x⊗y = ¬(¬x⊕¬y) and x→y = ¬x⊕y; row x of → is row ¬x of ⊕, the same
+    tuple.  ∨ and ∧ are read pointwise, as ≤ is, by ``join`` and ``meet``.
+    Every ⊕ and ¬ entry must be an element index.  The instance is
+    immutable afterwards.
 
     The → rows, ⊗ rows and → columns are also kept as ``bytes``, each one
     reversed (``imp_bytes[x][n-1-y]`` is x→y, ``imp_col_bytes[y][n-1-z]``
@@ -111,8 +111,6 @@ class MvAlgebra:
     one: int = field(init=False, repr=False)
     otimes: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     imp: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    join: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    meet: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     up_mask: tuple[int, ...] = field(init=False, repr=False)
     down_mask: tuple[int, ...] = field(init=False, repr=False)
     full_mask: int = field(init=False, repr=False)
@@ -152,17 +150,8 @@ class MvAlgebra:
             neg_rev.translate(r.ljust(256, b"\0")).translate(neg_t) for r in imp_b
         )
         stacked = b"".join(imp_b)
-        imp_col_b = [stacked[y::n] for y in range(n)]
-        # x∨y = (x→y)→y: column y of → read at itself
-        join_stacked = b"".join(c.translate(c.ljust(256, b"\0")) for c in imp_col_b)
-        join_b = [join_stacked[x::n] for x in range(n)]
-        # x∧y = ¬(¬x∨¬y): row ¬x of ∨ read at ¬y, then negated
-        meet = tuple(
-            tuple(neg_b.translate(join_b[v].ljust(256, b"\0")).translate(neg_t))
-            for v in neg
-        )
         imp_bytes = tuple(r[::-1] for r in imp_b)
-        imp_col_bytes = tuple(c[::-1] for c in imp_col_b)
+        imp_col_bytes = tuple(stacked[y::n][::-1] for y in range(n))
         # ↑x is row x of → into {1}, ↓x is column x of → into {1}
         full = (1 << n) - 1
         up = tuple(read_lines(imp_bytes, full, 1 << one))
@@ -170,8 +159,6 @@ class MvAlgebra:
         object.__setattr__(self, "one", one)
         object.__setattr__(self, "otimes", tuple(tuple(r[::-1]) for r in otimes_bytes))
         object.__setattr__(self, "imp", imp)
-        object.__setattr__(self, "join", tuple(map(tuple, join_b)))
-        object.__setattr__(self, "meet", meet)
         object.__setattr__(self, "up_mask", up)
         object.__setattr__(self, "down_mask", down)
         object.__setattr__(self, "full_mask", full)
@@ -187,6 +174,14 @@ class MvAlgebra:
 
     def leq(self, x: int, y: int) -> bool:
         return self.imp[x][y] == self.one
+
+    def join(self, x: int, y: int) -> int:
+        """x∨y = (x→y)→y."""
+        return self.imp[self.imp[x][y]][y]
+
+    def meet(self, x: int, y: int) -> int:
+        """x∧y = ¬(¬x∨¬y)."""
+        return self.neg[self.join(self.neg[x], self.neg[y])]
 
     def label_set(self, mask: int) -> str:
         return "{" + ", ".join(self.labels[i] for i in iter_mask(mask)) + "}"

@@ -13,7 +13,7 @@ some x, and every implication filter is ↑b for an idempotent b (b⊕b = b).
 among the proper implication filters.  In a finite lattice the ideal
 generated by X is ↓∨X and a lattice filter F is ↑∧F (Davey and Priestley,
 *Introduction to Lattices and Order*, 2002): ``down_closure_joins`` and
-``principal_generator`` read these off the join and meet tables.
+``principal_generator`` fold X with ``MvAlgebra.join`` and ``meet``.
 The enumeration is exact for MV-algebras only: on a ``table`` spec that
 breaks the axioms it lists principal up-sets, which need not be the filters
 of that table.  ``enumerate_up_sets``, exact on any table, walks every
@@ -40,7 +40,7 @@ def down_closure_joins(a: MvAlgebra, mask: int) -> int:
     """
     if not mask:
         return 0
-    return a.down_mask[reduce(lambda x, y: a.join[x][y], iter_mask(mask))]
+    return a.down_mask[reduce(a.join, iter_mask(mask))]
 
 
 def is_up_closed(a: MvAlgebra, mask: int) -> bool:
@@ -55,7 +55,7 @@ def is_lattice_filter(a: MvAlgebra, mask: int) -> bool:
         return False
     for x in iter_mask(mask):
         for y in iter_mask(mask):
-            if not (mask >> a.meet[x][y]) & 1:
+            if not (mask >> a.meet(x, y)) & 1:
                 return False
     return True
 
@@ -173,7 +173,7 @@ def principal_generator(a: MvAlgebra, mask: int) -> int | None:
     filter, so the answer is ∧mask exactly when ↑∧mask = mask.  The empty
     mask has ∧ = 1 and ↑1 = {1}, so it gets None.
     """
-    g = reduce(lambda x, y: a.meet[x][y], iter_mask(mask), a.one)
+    g = reduce(a.meet, iter_mask(mask), a.one)
     return g if a.up_mask[g] == mask else None
 
 

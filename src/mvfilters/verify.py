@@ -326,7 +326,7 @@ def _enum_crosscheck(ctx, out):
     naive_primes = [
         m for m in naive
         if m != a.full_mask
-        and not any((m >> a.join[x][y]) & 1 for x, y in _pairs(_outside(ctx, m)))
+        and not any((m >> a.join(x, y)) & 1 for x, y in _pairs(_outside(ctx, m)))
     ]
     if naive_primes != ctx.primes:
         out.append(("prime filter lists differ", len(naive_primes), len(ctx.primes)))
@@ -370,30 +370,32 @@ def _impl_vs_lattice(ctx, out):
 
 
 def _relative_kernels(a: MvAlgebra, subordinate, f: int) -> dict:
-    """Every state (K_F(X), ∨X) of a nonempty X ⊆ L∖F, with one witness mask.
+    """Every state (K_F(X), ↑∨X) of a nonempty X ⊆ L∖F, with one witness mask.
 
-    K_F(X) is the ∩ of the subordinates F_x, x ∈ X, so adding x to X maps the
-    state (V, j) to (V ∩ F_x, j ∨ x).  The subordinates are read once, into a
-    list, and the search starts at the state (L, 0) of X = ∅ and steps every
-    state it reaches with every x ∉ F, in breadth-first order.  It is exact:
+    K_F(X) is the ∩ of the subordinates F_x, x ∈ X, and ↑∨X the ∩ of the ↑x,
+    so adding x to X maps the state (V, U) to (V ∩ F_x, U ∩ ↑x).  On a
+    lattice ↑ is injective, so these states, their order and their
+    witnesses are those of the states (K_F(X), ∨X).  The subordinates are
+    read once, and the search starts at the state (L, L) of X = ∅ and steps
+    every state it reaches with every x ∉ F, breadth first.  It is exact:
 
     - every X reaches its state, by adding its members one at a time;
     - every state has a witness: a step from a state with witness W to its
       successor along x has witness W ∪ {x}, which produces that successor.
 
     So a claim that holds at every witness holds at every X, while the search
-    visits the distinct states instead of the 2^|L∖F| subsets.  (L, 0) is in
+    visits the distinct states instead of the 2^|L∖F| subsets.  (L, L) is in
     the result only if some nonempty X produces it.
     """
-    subs = [(x, subordinate(f, x)) for x in iter_mask(a.full_mask & ~f)]
+    steps = [(subordinate(f, x), a.up_mask[x], x)
+             for x in iter_mask(a.full_mask & ~f)]
     witness: dict[tuple[int, int], int] = {}
-    frontier = [((a.full_mask, a.zero), 0)]
+    frontier = [((a.full_mask, a.full_mask), 0)]
     while frontier:
         nxt = []
-        for (v, j), w in frontier:
-            join = a.join[j]
-            for x, sub in subs:
-                t = v & sub, join[x]
+        for (v, u), w in frontier:
+            for sub, ux, x in steps:
+                t = v & sub, u & ux
                 if t not in witness:
                     witness[t] = w | 1 << x
                     nxt.append((t, witness[t]))
@@ -474,10 +476,10 @@ def _fact_e(ctx, out):
     """K_F(X) = K_F(I) for every nonempty X ⊆ L∖F, I its join-ideal closure.
 
     In a finite lattice I = ↓∨X, so the check on X depends on X only through
-    its state (K_F(X), ∨X) in ``relative_kernels(F)``, and it is made at each
+    its state (K_F(X), ↑∨X) in ``relative_kernels(F)``, and it is made at each
     state's witness X (see ``_relative_kernels``): I = ``down_closure_joins``
-    (↓∨X, read off the join table) must avoid F and have K_F(I) = V, read as
-    in ``fact:a``: I is down-closed, so K_F(I) = ``sqto_full(F, L∖I)``.
+    (↓∨X, one fold of ``MvAlgebra.join``) must avoid F and have K_F(I) = V,
+    read as in ``fact:a``: I is down-closed, so K_F(I) = ``sqto_full(F, L∖I)``.
     """
     a = ctx.a
     for f in ctx.primes:
@@ -499,7 +501,7 @@ def _subord_monotone(ctx, out):
                 if subs[x] & ~subs[z]:
                     out.append(("monotone", ctx.show(f), z, x))
         for x, y in _pairs(_outside(ctx, f)):
-            if subs[a.join[x][y]] not in (subs[x], subs[y]):
+            if subs[a.join(x, y)] not in (subs[x], subs[y]):
                 out.append(("join", ctx.show(f), x, y))
 
 

@@ -2,9 +2,13 @@
 
 A function mutant is ``MUTANTS[name] = (owner, attribute, corruption)``:
 ``corruption(real, a)`` is put in place of ``owner.attribute``, given the
-real function and the algebra under test (None on the dense chain).  A
-table mutant is ``TABLE_MUTANTS[name]``, which maps an algebra to a copy
-with one named table entry changed and every other table kept.  ``none``
+real function and the algebra under test (None on the dense chain).  The
+owner may be a class: ``meet-one-one`` replaces the method
+``MvAlgebra.meet``, so it reaches every algebra of a run, quotients
+included.  A table mutant is ``TABLE_MUTANTS[name]``, which maps an
+algebra to a copy with one named table entry changed and every other table
+kept.  ∨ and ∧ have no table; ``meet`` reads ¬, so ``neg-entry`` reaches
+∧ too.  ``none``
 names the unmutated program.  Tests name mutants and never define their
 own: ``mutated(name, a)`` hands them the algebra to run with the mutant in
 force, ``report(name, algebra_id)`` the run itself.
@@ -33,6 +37,11 @@ Every statement has a killer.  Three entries need a word:
   pair of lattice filters of the test algebras, and no statement applies
   it elsewhere.
 
+Two mutants are there to reach a witness branch that no other one does:
+``down_closure_joins-add-top`` reaches ``fact:e``'s "closure escaped the
+complement", and ``j_up-full`` reaches ``prop:small``'s "not minimal", each
+on all ten test algebras.
+
 ``SCANNED[statement]`` lists the mutants under which a statement and its
 scan in ``tests/scans.py`` must agree.
 """
@@ -40,7 +49,8 @@ scan in ``tests/scans.py`` must agree.
 import copy
 from contextlib import contextmanager
 from fractions import Fraction as F
-from functools import cache
+from functools import cache, reduce
+from operator import or_
 
 import pytest
 
@@ -127,6 +137,27 @@ def pred_fixes_everything(real, a):
     def corrupted(b):
         c, succ, pred = real(b)
         return c, succ, {x: x for x in pred}
+
+    return corrupted
+
+
+def with_top(real, a):
+    """down_closure_joins, with the top element 1 added to every closure."""
+    return lambda b, mask: real(b, mask) | b.one_mask
+
+
+def every_coset(real, a):
+    """j_up, returning the union of every coset for a nonempty F."""
+    def corrupted(cosets, f):
+        return reduce(or_, cosets, 0) if f else real(cosets, f)
+
+    return corrupted
+
+
+def one_one_to_zero(real, a):
+    """MvAlgebra.meet, with 1∧1 = 0."""
+    def corrupted(b, x, y):
+        return b.zero if x == y == b.one else real(b, x, y)
 
     return corrupted
 
@@ -261,6 +292,9 @@ MUTANTS = {
     "sqto-plus-after": (calculus, "sqto", plus_after),
     "subordinate-own-element": (calculus, "subordinate", with_own_element),
     "is_convex-not": (calculus, "is_convex", negate),
+    "down_closure_joins-add-top": (filters, "down_closure_joins", with_top),
+    "j_up-full": (calculus, "j_up", every_coset),
+    "meet-one-one": (core.MvAlgebra, "meet", one_one_to_zero),
     "enumerate_lattice_filters-first-prime-lost": (
         filters, "enumerate_lattice_filters", without_first_prime
     ),
@@ -330,10 +364,9 @@ def order_dual(a):
 
 
 TABLE_MUTANTS = {
-    # ¬1 = 1, 1⊗1 = 0 and 1∧1 = 0
+    # ¬1 = 1 and 1⊗1 = 0
     "neg-entry": lambda a: entry_changed(a, "neg", 0, a.one, a.one),
     "otimes-entry": lambda a: entry_changed(a, "otimes", a.one, a.one, a.zero),
-    "meet-entry": lambda a: entry_changed(a, "meet", a.one, a.one, a.zero),
     "order-dual": order_dual,
 }
 
@@ -428,8 +461,8 @@ KILLS = _pairs({
     "identity:otimes-imp": {"neg-entry": ("fail", 428), "otimes-entry": ("fail", 20)},
     "enum:crosscheck": {"enumerate_implication_filters-minimal": ("fail", 3),
         "enumerate_lattice_filters-first-prime-lost": ("fail", 10),
-        "meet-entry": ("fail", 20), "order-dual": ("fail", 16)},
-    "impl:lattice-otimes": {"meet-entry": ("fail", 20), "otimes-entry": ("fail", 20)},
+        "meet-one-one": ("fail", 20), "neg-entry": ("fail", 6), "order-dual": ("fail", 16)},
+    "impl:lattice-otimes": {"meet-one-one": ("fail", 20), "otimes-entry": ("fail", 20)},
     "fact:a": {"sqto_full-drop": ("fail", 123), "subordinate-drop": ("fail", 123),
         "subordinate-own-element": ("fail", 130)},
     "fact:b": {"kernel_rel-drop": ("fail", 123), "sqto_full-drop": ("fail", 123),
@@ -438,7 +471,8 @@ KILLS = _pairs({
         "sqto_full-drop": ("fail", 38)},
     "fact:d": {"kernel-drop": ("error", 0), "kernel_rel-drop": ("error", 0),
         "neg-entry": ("error", 0), "subordinate-own-element": ("fail", 84)},
-    "fact:e": {"down_closure_joins-drop": ("fail", 123), "sqto_full-drop": ("fail", 123),
+    "fact:e": {"down_closure_joins-add-top": ("fail", 123),
+        "down_closure_joins-drop": ("fail", 123), "sqto_full-drop": ("fail", 123),
         "subordinate-drop": ("fail", 123), "subordinate-own-element": ("fail", 130)},
     "fact:subord-monotone": {"subordinate-own-element": ("fail", 380)},
     "prop:SubAEq": {"subordinate-drop": ("fail", 67),
@@ -479,25 +513,26 @@ KILLS = _pairs({
     "prop:phi": {"phi-drop": ("fail", 384), "set_plus-drop": ("fail", 287),
         "sqto_full-drop": ("fail", 184), "subordinate-drop": ("fail", 287),
         "subordinate-own-element": ("fail", 384)},
-    "prop:small": {"j_up-drop": ("fail", 194), "kernel-drop": ("fail", 130),
-        "kernel_rel-drop": ("fail", 130), "neg-entry": ("error", 0),
-        "order-dual": ("error", 0)},
+    "prop:small": {"j_up-drop": ("fail", 194), "j_up-full": ("fail", 211),
+        "kernel-drop": ("fail", 130), "kernel_rel-drop": ("fail", 130),
+        "neg-entry": ("error", 0), "order-dual": ("error", 0)},
     "prop:large": {"j_down-drop": ("fail", 97), "j_up-drop": ("fail", 164),
-        "kernel-drop": ("fail", 58), "kernel_rel-drop": ("fail", 58),
-        "neg-entry": ("error", 0), "order-dual": ("error", 0),
-        "set_plus-drop": ("fail", 80), "subordinate-drop": ("fail", 80),
-        "subordinate-own-element": ("fail", 261)},
+        "j_up-full": ("fail", 67), "kernel-drop": ("fail", 58),
+        "kernel_rel-drop": ("fail", 58), "neg-entry": ("error", 0),
+        "order-dual": ("error", 0), "set_plus-drop": ("fail", 80),
+        "subordinate-drop": ("fail", 80), "subordinate-own-element": ("fail", 261)},
     "prop:Ju-kernel": {"j_up-drop": ("fail", 68), "kernel-drop": ("fail", 59),
         "kernel_rel-drop": ("fail", 59), "neg-entry": ("error", 0)},
-    "lem:Jd-lower": {"j_down-drop": ("fail", 38), "kernel-drop": ("error", 0),
-        "kernel_rel-drop": ("error", 0), "neg-entry": ("error", 0),
-        "order-dual": ("fail", 97), "set_plus-drop": ("fail", 10),
-        "subordinate-drop": ("fail", 10), "subordinate-own-element": ("fail", 97)},
-    "thm:reduction": {"j_down-drop": ("fail", 172), "j_up-drop": ("fail", 304),
+    "lem:Jd-lower": {"j_down-drop": ("fail", 38), "j_up-full": ("fail", 97),
         "kernel-drop": ("error", 0), "kernel_rel-drop": ("error", 0),
-        "neg-entry": ("error", 0), "order-dual": ("fail", 291),
-        "set_plus-drop": ("fail", 39), "subordinate-drop": ("fail", 39),
-        "subordinate-own-element": ("fail", 291)},
+        "neg-entry": ("error", 0), "order-dual": ("fail", 97),
+        "set_plus-drop": ("fail", 10), "subordinate-drop": ("fail", 10),
+        "subordinate-own-element": ("fail", 97)},
+    "thm:reduction": {"j_down-drop": ("fail", 172), "j_up-drop": ("fail", 304),
+        "j_up-full": ("fail", 350), "kernel-drop": ("error", 0),
+        "kernel_rel-drop": ("error", 0), "neg-entry": ("error", 0),
+        "order-dual": ("fail", 291), "set_plus-drop": ("fail", 39),
+        "subordinate-drop": ("fail", 39), "subordinate-own-element": ("fail", 291)},
     "prop:quot-commute": {"kernel_rel-drop": ("fail", 145), "neg-entry": ("error", 168),
         "order-dual": ("error", 0), "preimage_mask-drop": ("fail", 165),
         "quotient_sqto-drop-at-one": ("fail", 323), "sqto-drop": ("fail", 365),
@@ -512,7 +547,7 @@ KILLS = _pairs({
     "lem:convex-imp": {"is_convex-not": ("fail", 168)},
     "lem:convex-neg": {"is_convex-not": ("fail", 28), "neg-entry": ("fail", 5)},
     "lem:convex-otimes": {"is_convex-not": ("fail", 168), "otimes-entry": ("fail", 5)},
-    "thm:discrete-principal": {"meet-entry": ("fail", 7), "neg-entry": ("fail", 1),
+    "thm:discrete-principal": {"meet-one-one": ("fail", 7), "neg-entry": ("fail", 22),
         "principal_generator-no-top": ("fail", 7),
         "successor_structure-absent": ("fail", 7)},
     "prop:successor": {"neg-entry": ("fail", 1), "successor_structure-absent": ("fail", 7),

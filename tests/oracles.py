@@ -1,10 +1,10 @@
 """Each operation of the filter calculus by its definition, once.
 
 Every oracle is the paper's definition written with explicit quantifiers
-over the tuple tables of an ``MvAlgebra`` (``oplus``, ``neg``, ``imp``,
-``otimes``, ``meet`` and ``join``, with ``zero`` and ``one``), read entry
-by entry, with masks walked by the shift loop ``members``.  No oracle reads a
-byte table, ``up_mask``, ``down_mask``, a C fold, or a helper of
+over the tuple tables of an ``MvAlgebra`` (``oplus``, ``neg``, ``imp`` and
+``otimes``, with ``zero`` and ``one``), read entry by entry, with masks
+walked by the shift loop ``members``.  No oracle reads a byte table,
+``up_mask``, ``down_mask``, a C fold, a method of ``MvAlgebra`` or a helper of
 ``mvfilters.core``, ``filters`` or ``calculus``, so a fault in those cannot
 cancel out on both sides of a comparison.  The definitions follow Cignoli,
 D'Ottaviano and Mundici, *Algebraic Foundations of Many-valued Reasoning*
@@ -42,6 +42,16 @@ def _mask(elements):
 def leq(a, x, y):
     """x ≤ y: x→y = 1."""
     return a.imp[x][y] == a.one
+
+
+def join(a, x, y):
+    """x∨y = (x→y)→y."""
+    return a.imp[a.imp[x][y]][y]
+
+
+def meet(a, x, y):
+    """x∧y = ¬(¬x∨¬y)."""
+    return a.neg[join(a, a.neg[x], a.neg[y])]
 
 
 def up_closure(a, mask):
@@ -124,14 +134,12 @@ def fold(lines, mask, start, op):
 
 def derived_tables(a):
     """Every derived field of ``MvAlgebra``, from ⊕ and ¬ alone: 1 = ¬0,
-    x→y = ¬x⊕y, x⊗y = ¬(¬x⊕¬y), x∨y = (x→y)→y, x∧y = ¬(¬x∨¬y), ↑x and ↓x
-    as the y with x→y = 1 or y→x = 1, and the byte tables as reversed lines."""
+    x→y = ¬x⊕y, x⊗y = ¬(¬x⊕¬y), ↑x and ↓x as the y with x→y = 1 or
+    y→x = 1, and the byte tables as reversed lines."""
     n, oplus, neg = a.size, a.oplus, a.neg
     one = neg[a.zero]
     imp = [[oplus[neg[x]][y] for y in range(n)] for x in range(n)]
     otimes = [[neg[oplus[neg[x]][neg[y]]] for y in range(n)] for x in range(n)]
-    join = [[imp[imp[x][y]][y] for y in range(n)] for x in range(n)]
-    meet = [[neg[join[neg[x]][neg[y]]] for y in range(n)] for x in range(n)]
 
     def reversed_lines(table):
         return tuple(bytes(reversed(r)) for r in table)
@@ -140,8 +148,6 @@ def derived_tables(a):
         "one": one,
         "otimes": tuple(map(tuple, otimes)),
         "imp": tuple(map(tuple, imp)),
-        "join": tuple(map(tuple, join)),
-        "meet": tuple(map(tuple, meet)),
         "up_mask": tuple(_mask(y for y in range(n) if imp[x][y] == one) for x in range(n)),
         "down_mask": tuple(_mask(y for y in range(n) if imp[y][x] == one) for x in range(n)),
         "full_mask": (1 << n) - 1,
@@ -302,7 +308,7 @@ def ideal_generated(a, xs):
     xs = list(xs)
     subsets = ([x for i, x in enumerate(xs) if (bits >> i) & 1]
                for bits in range(1, 1 << len(xs)))
-    tops = {reduce(lambda u, v: a.join[u][v], s) for s in subsets}
+    tops = {reduce(lambda u, v: join(a, u, v), s) for s in subsets}
     return _mask(z for z in range(a.size) if any(leq(a, z, top) for top in tops))
 
 
@@ -331,7 +337,7 @@ def is_lattice_filter(a, mask):
     """Nonempty, up-closed and closed under ∧."""
     xs = list(members(mask))
     return bool(xs) and up_closure(a, mask) & ~mask == 0 and all(
-        (mask >> a.meet[x][y]) & 1 for x in xs for y in xs)
+        (mask >> meet(a, x, y)) & 1 for x in xs for y in xs)
 
 
 def is_prime_lattice_filter(a, mask):
@@ -339,7 +345,7 @@ def is_prime_lattice_filter(a, mask):
     outside = [x for x in range(a.size) if not (mask >> x) & 1]
     return (
         bool(outside) and is_lattice_filter(a, mask)
-        and not any((mask >> a.join[x][y]) & 1 for x in outside for y in outside)
+        and not any((mask >> join(a, x, y)) & 1 for x in outside for y in outside)
     )
 
 

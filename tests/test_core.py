@@ -22,8 +22,8 @@ def test_chain_construction(l4):
 def test_chain_derived_tables(l4):
     assert l4.otimes[2][2] == 1  # 2/3 ⊗ 2/3 = 1/3
     assert l4.imp[2][1] == 2  # 2/3 → 1/3 = 2/3
-    assert l4.join[1][2] == 2
-    assert l4.meet[1][2] == 1
+    assert l4.join(1, 2) == 2
+    assert l4.meet(1, 2) == 1
     assert l4.leq(1, 2) and not l4.leq(2, 1)
 
 

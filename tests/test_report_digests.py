@@ -59,6 +59,8 @@ ALGEBRAS = ["L5", "L2xL3"]
 DIGESTS = {
     ("L5", "boundary_coset-drop"):
         "d588451b4276f703207990105085e3be5336377a8d269239bf43ae1f98dc1a72",
+    ("L5", "down_closure_joins-add-top"):
+        "4f9e345f25b0b11caf0e001e0016f3b2c10668808200cc9f649543b49b4e7daf",
     ("L5", "down_closure_joins-drop"):
         "c0d5cfa2bfbe29bec309baafd68a87c424394095ae13fc545b351f79e46f541e",
     ("L5", "enumerate_implication_filters-minimal"):
@@ -77,14 +79,16 @@ DIGESTS = {
         "4fc06387d1c42bbaf264f625c8075ad0add3ecd097e5b41df4b5a53d8edeaba5",
     ("L5", "j_up-drop"):
         "0f2c252f5a237b8fd7051898af4ce7a934c0308fa8fc979994d12f7b04769a7c",
+    ("L5", "j_up-full"):
+        "bd62faca67ec75350005f0d2c6097f3692c879e2355e59e0e4a2024a397201ff",
     ("L5", "kernel-drop"):
         "8281005e357028cb5c21016b4e838a9e6027b8f715b500ff9ed09e6b6891875f",
     ("L5", "kernel_rel-drop"):
         "56d0e29c9b81ca76c5c5f77db0a923892972238f474ae9428af10aae695b6f33",
-    ("L5", "meet-entry"):
+    ("L5", "meet-one-one"):
         "9bfb122e8d6c4a257ca84d9023960c8d43b0926f8e67135125a17fa1a0c79abc",
     ("L5", "neg-entry"):
-        "d7769f8dabe37020b303c21f03e51ddbbc644b9fb7f839cbb5ca274c0d23abbf",
+        "8c4a013815a1ecf7473789526b7a54e65a29a4daae805ea27a8f01e832626252",
     ("L5", "order-dual"):
         "1f53018747b2d1381f656ed2e039c7c969911b067cd09c20a58222225df2d781",
     ("L5", "otimes-entry"):
@@ -123,6 +127,8 @@ DIGESTS = {
         "33936da6420de66434bcf4700ba594bb2c18124159d1003907b60ae8501d8a2b",
     ("L2xL3", "boundary_coset-drop"):
         "81e6776b4c043f4e9c68e504d1d9a1bc706b62fa4af329b1561fa92b2b58c46c",
+    ("L2xL3", "down_closure_joins-add-top"):
+        "695952b7bc964d4d20936a2a46cb1c95af69c3bb3ae674bb069a428fb83dc1f2",
     ("L2xL3", "down_closure_joins-drop"):
         "76c6cb03052506621871f2dd19635ea748e3a9914d357d0015fac6d3ce674f20",
     ("L2xL3", "enumerate_implication_filters-minimal"):
@@ -141,14 +147,16 @@ DIGESTS = {
         "06f0ee55a6088f28ebfe5ae442d4819d6da0b4570781cb2fb2d1ce9d26cba237",
     ("L2xL3", "j_up-drop"):
         "adbc573cf22b0b82073c1e9882029740736b5020c4f0f01f014d0079e921d45d",
+    ("L2xL3", "j_up-full"):
+        "34c1c1c6927b4e4132dcdb3f36eea73a4784290fb598f537663adf187aa0b328",
     ("L2xL3", "kernel-drop"):
         "22274c8de47c19f181c97a36d801994bac5f4eab3be6850d8c4bd478a19b6990",
     ("L2xL3", "kernel_rel-drop"):
         "2be352af16cd296393337b69082d59a38359447a9d0576063b959cf710031204",
-    ("L2xL3", "meet-entry"):
+    ("L2xL3", "meet-one-one"):
         "b2c3978bacd41fc801b84a3e6e7b760a32cd7611bf9f0aacb4c2f2d358a75a89",
     ("L2xL3", "neg-entry"):
-        "9a1ad5926757d99f33ed6cb2504ce3f5b37095cf5c339fac5cfc5126e601b907",
+        "0ad7c91b5598ce374fc2bc93e51046dbfbaa9bd96e672911a119e5804f73dc66",
     ("L2xL3", "order-dual"):
         "2d9803e2f324701a45c1abb89823e82110de11bb7992193130dcc1ace0556ea1",
     ("L2xL3", "otimes-entry"):

@@ -5,8 +5,10 @@ against the definitions of ``tests/oracles.py``.
 a time with ``bytes.translate``, ``make_lukasiewicz_chain`` writes its rows
 as slices, and ``make_product`` adds two spread lines with one ``map``.
 ``oracles.derived_tables`` reads the definitions entry by entry from the
-tuple ⊕ and ¬ tables alone, and ``oracles.quotient_tables`` reads L/P at
-the cosets of ``oracles.cosets``; they share no code with the build.
+tuple ⊕ and ¬ tables alone, ``oracles.join`` and ``meet`` read the
+methods' ∨ and ∧ entry by entry from → and ¬, and
+``oracles.quotient_tables`` reads L/P at the cosets of ``oracles.cosets``;
+they share no code with the build.
 
 They are compared on the 197 census algebras, on relabelled copies (so that
 the build cannot assume 0 is the bottom or that labels ascend), and on
@@ -32,6 +34,9 @@ from conftest import BAD, SPECS, arbitrary_tables, by_labels, census, chain, pro
 def assert_built_by_definition(a):
     want = oracles.derived_tables(a)
     assert {name: getattr(a, name) for name in want} == want, a.name
+    for method, oracle in [(a.join, oracles.join), (a.meet, oracles.meet)]:
+        assert all(method(x, y) == oracle(a, x, y) for x in range(a.size)
+                   for y in range(a.size)), (a.name, oracle.__name__)
 
 
 def test_the_census_is_built_by_definition():
@@ -76,7 +81,7 @@ def test_imp_rows_are_the_oplus_rows():
     assert all(a.imp[x] is a.oplus[a.neg[x]] for x in range(a.size))
 
 
-@pytest.mark.parametrize("field", ["otimes", "join", "meet"])
+@pytest.mark.parametrize("field", ["otimes"])
 def test_a_changed_table_disagrees_with_the_definitions(field):
     a = chain(5)
     b = mutants.entry_changed(a, field, 1, 2, (getattr(a, field)[1][2] + 1) % 5)
