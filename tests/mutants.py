@@ -13,14 +13,22 @@ names the unmutated program.  Tests name mutants and never define their
 own: ``mutated(name, a)`` hands them the algebra to run with the mutant in
 force, ``report(name, algebra_id)`` the run itself.
 
-``KILLS[(statement, mutant)]`` is the worst status and the failing witness
-count of statement under mutant: a finite statement over every algebra of
-``conftest.ALL_ALGEBRAS`` under each finite mutant, a dense one over
-``run_dense`` under each dense mutant.  Every pair not listed passes or
-skips.  ``tests/test_report_digests.py::test_kill_table`` computes the
-table; when a change of it is intended, run
+``KILLS[(statement, mutant)]`` is (worst status, failing witnesses,
+algebras) of statement under mutant: a finite statement over every algebra
+of ``conftest.ALL_ALGEBRAS`` under each finite mutant, a dense one over
+``run_dense`` under each dense mutant, and algebras the number of those
+runs in which it fails or raises (1 for a dense row).  Every pair not listed
+passes or skips.  ``tests/test_report_digests.py::test_kill_table`` computes
+the table; when a change of it is intended, run
 ``PYTHONPATH=src python tests/mutants.py``, which prints the current table
 in the form of ``KILLS``, and paste it over the old one.
+
+A row and a digest stand for a can-fail test.  A "fail" row with algebras
+10 is a failure on each of the ten; on Ł5 and Ł2×Ł3 the digests fix every
+status and witness, whatever the count.  No function mutant reaches a
+skip condition (the size and ``core.is_linear``), and
+``test_finite_campaign_green`` has every statement pass or skip unmutated,
+so each failing run is a run in which the statement passes unmutated.
 
 Every statement has a killer.  Three entries need a word:
 
@@ -37,10 +45,20 @@ Every statement has a killer.  Three entries need a word:
   pair of lattice filters of the test algebras, and no statement applies
   it elsewhere.
 
-Two mutants are there to reach a witness branch that no other one does:
+Three mutants are there to reach a witness branch that no other one does:
 ``down_closure_joins-add-top`` reaches ``fact:e``'s "closure escaped the
 complement", and ``j_up-full`` reaches ``prop:small``'s "not minimal", each
-on all ten test algebras.
+on all ten test algebras; ``enumerate_lattice_filters-one-lost`` reaches
+``fact:a``'s "not a lattice filter" on the seven chains, where K(F) = {1}.
+
+Two ``InvariantViolation``s of ``spectra.build_hat`` no corrupted ⊸ or ⁺
+reaches.  Once F⊸F = P for every member F, P is a member and the MV axioms
+hold, ⁺ is an involution, so the derived x→y = x⁺⁺⊸y is the class ⊸, its
+x→x is P's class, and that class is 1.  So "not linearly ordered" cannot
+follow a total class order, and the top class is P's.  Every member F of a
+``prime_spectrum`` has P = K(F) ⊆ F, so "top class misses the
+inclusion-least filter" needs a spectrum whose base is not its least
+member; ``tests/test_spectra.py`` hands ``build_hat`` one.
 
 ``SCANNED[statement]`` lists the mutants under which a statement and its
 scan in ``tests/scans.py`` must agree.
@@ -100,6 +118,16 @@ def negate(real, a):
     """The predicate real, negated."""
     def corrupted(*args):
         return not real(*args)
+
+    return corrupted
+
+
+def without_top_filter(real, a):
+    """enumerate_lattice_filters, with the filter {1} left out of the full
+    list and the prime list kept."""
+    def corrupted(b, prime_only=False):
+        out = real(b, prime_only)
+        return out if prime_only else [m for m in out if m != b.one_mask]
 
     return corrupted
 
@@ -298,6 +326,9 @@ MUTANTS = {
     "enumerate_lattice_filters-first-prime-lost": (
         filters, "enumerate_lattice_filters", without_first_prime
     ),
+    "enumerate_lattice_filters-one-lost": (
+        filters, "enumerate_lattice_filters", without_top_filter
+    ),
     "enumerate_implication_filters-minimal": (
         filters, "enumerate_implication_filters", minimal_for_maximal
     ),
@@ -413,8 +444,9 @@ def kills(name, algebra_id, stmt):
 
 
 def kill_table():
-    """(statement, mutant) -> (worst status, failing witnesses), over every
-    pair in which some run fails or raises."""
+    """(statement, mutant) -> (worst status, failing witnesses, algebras),
+    over every pair in which some run fails or raises; algebras counts those
+    runs."""
     table = {}
     for stmts, names, runs in [
         (verify.FINITE_STATEMENTS, FINITE, list(ALL_ALGEBRAS)),
@@ -423,11 +455,12 @@ def kill_table():
         for stmt in stmts:
             for name in names:
                 results = [result(name, i, stmt) for i in runs]
-                statuses = {r.status for r in results}
-                if statuses & {"fail", "error"}:
+                killed = [r for r in results if r.status in ("fail", "error")]
+                if killed:
                     table[stmt, name] = (
-                        "error" if "error" in statuses else "fail",
-                        sum(len(r.witnesses) for r in results if r.status == "fail"),
+                        "error" if any(r.status == "error" for r in killed) else "fail",
+                        sum(len(r.witnesses) for r in killed if r.status == "fail"),
+                        len(killed),
                     )
     return table
 
@@ -456,163 +489,177 @@ def _pairs(rows):
 
 
 KILLS = _pairs({
-    "axioms:mv": {"neg-entry": ("fail", 81)},
-    "order:partial": {"order-dual": ("fail", 116)},
-    "identity:otimes-imp": {"neg-entry": ("fail", 428), "otimes-entry": ("fail", 20)},
-    "enum:crosscheck": {"enumerate_implication_filters-minimal": ("fail", 3),
-        "enumerate_lattice_filters-first-prime-lost": ("fail", 10),
-        "meet-one-one": ("fail", 20), "neg-entry": ("fail", 6), "order-dual": ("fail", 16)},
-    "impl:lattice-otimes": {"meet-one-one": ("fail", 20), "otimes-entry": ("fail", 20)},
-    "fact:a": {"sqto_full-drop": ("fail", 123), "subordinate-drop": ("fail", 123),
-        "subordinate-own-element": ("fail", 130)},
-    "fact:b": {"kernel_rel-drop": ("fail", 123), "sqto_full-drop": ("fail", 123),
-        "subordinate-drop": ("fail", 123), "subordinate-own-element": ("fail", 123)},
-    "fact:c": {"kernel-drop": ("fail", 38), "kernel_rel-drop": ("fail", 38),
-        "sqto_full-drop": ("fail", 38)},
-    "fact:d": {"kernel-drop": ("error", 0), "kernel_rel-drop": ("error", 0),
-        "neg-entry": ("error", 0), "subordinate-own-element": ("fail", 84)},
-    "fact:e": {"down_closure_joins-add-top": ("fail", 123),
-        "down_closure_joins-drop": ("fail", 123), "sqto_full-drop": ("fail", 123),
-        "subordinate-drop": ("fail", 123), "subordinate-own-element": ("fail", 130)},
-    "fact:subord-monotone": {"subordinate-own-element": ("fail", 380)},
-    "prop:SubAEq": {"subordinate-drop": ("fail", 67),
-        "subordinate-own-element": ("fail", 33)},
-    "prop:subord-prime": {"enumerate_lattice_filters-first-prime-lost": ("fail", 26),
-        "order-dual": ("fail", 123), "subordinate-drop": ("fail", 39),
-        "subordinate-own-element": ("fail", 102)},
-    "prop:plus-involution": {"set_plus-drop": ("fail", 6), "subordinate-drop": ("fail", 6),
-        "subordinate-own-element": ("fail", 38)},
-    "kernel:inside": {"kernel-drop": ("fail", 52), "kernel_rel-drop": ("fail", 52),
-        "order-dual": ("fail", 48)},
-    "kernel:prime-iff": {"enumerate_implication_filters-minimal": ("fail", 17),
-        "enumerate_lattice_filters-first-prime-lost": ("fail", 10),
-        "kernel-drop": ("fail", 38), "kernel_rel-drop": ("fail", 38),
-        "order-dual": ("fail", 38)},
-    "prop:fastform": {"kernel_rel-drop": ("fail", 174), "sqto-drop": ("fail", 174),
-        "sqto-plus-after": ("fail", 152), "sqto-swap": ("fail", 136),
-        "sqto-swap-drop": ("fail", 153), "sqto_full-drop": ("fail", 174)},
-    "prop:incl": {"order-dual": ("fail", 174), "sqto-plus-after": ("fail", 101),
-        "sqto-swap": ("fail", 55), "sqto-swap-drop": ("fail", 36)},
-    "prop:inclOne": {"kernel-drop": ("fail", 97), "sqto-drop": ("fail", 97),
-        "sqto-plus-after": ("fail", 92), "sqto-swap": ("fail", 59),
-        "sqto-swap-drop": ("fail", 76)},
-    "prop:monotone": {"sqto-plus-after": ("fail", 129)},
-    "prop:revIncl": {"sqto-plus-after": ("fail", 129)},
-    "prop:plus": {"set_plus-drop": ("fail", 41), "subordinate-drop": ("fail", 41),
-        "subordinate-own-element": ("fail", 28)},
-    "prop:OneOne": {"kernel-drop": ("fail", 28), "kernel_rel-drop": ("fail", 38),
-        "order-dual": ("fail", 38), "sqto-drop": ("fail", 38),
-        "sqto-plus-after": ("fail", 30), "sqto-swap": ("fail", 24),
-        "sqto-swap-drop": ("fail", 38)},
-    "prop:adjunction": {"sqto-plus-after": ("fail", 166), "sqto-swap": ("fail", 118)},
-    "prop:axiomC": {"sqto-plus-after": ("fail", 258), "sqto-swap": ("fail", 258),
-        "sqto-swap-drop": ("fail", 6)},
-    "lem:FFg": {"kernel_rel-drop": ("fail", 41), "sqto-drop": ("fail", 41),
-        "sqto-swap": ("fail", 59), "sqto-swap-drop": ("fail", 97)},
-    "cor:sqto-triple": {"sqto-plus-after": ("fail", 35), "sqto-swap-drop": ("fail", 13)},
-    "prop:phi": {"phi-drop": ("fail", 384), "set_plus-drop": ("fail", 287),
-        "sqto_full-drop": ("fail", 184), "subordinate-drop": ("fail", 287),
-        "subordinate-own-element": ("fail", 384)},
-    "prop:small": {"j_up-drop": ("fail", 194), "j_up-full": ("fail", 211),
-        "kernel-drop": ("fail", 130), "kernel_rel-drop": ("fail", 130),
-        "neg-entry": ("error", 0), "order-dual": ("error", 0)},
-    "prop:large": {"j_down-drop": ("fail", 97), "j_up-drop": ("fail", 164),
-        "j_up-full": ("fail", 67), "kernel-drop": ("fail", 58),
-        "kernel_rel-drop": ("fail", 58), "neg-entry": ("error", 0),
-        "order-dual": ("error", 0), "set_plus-drop": ("fail", 80),
-        "subordinate-drop": ("fail", 80), "subordinate-own-element": ("fail", 261)},
-    "prop:Ju-kernel": {"j_up-drop": ("fail", 68), "kernel-drop": ("fail", 59),
-        "kernel_rel-drop": ("fail", 59), "neg-entry": ("error", 0)},
-    "lem:Jd-lower": {"j_down-drop": ("fail", 38), "j_up-full": ("fail", 97),
-        "kernel-drop": ("error", 0), "kernel_rel-drop": ("error", 0),
-        "neg-entry": ("error", 0), "order-dual": ("fail", 97),
-        "set_plus-drop": ("fail", 10), "subordinate-drop": ("fail", 10),
-        "subordinate-own-element": ("fail", 97)},
-    "thm:reduction": {"j_down-drop": ("fail", 172), "j_up-drop": ("fail", 304),
-        "j_up-full": ("fail", 350), "kernel-drop": ("error", 0),
-        "kernel_rel-drop": ("error", 0), "neg-entry": ("error", 0),
-        "order-dual": ("fail", 291), "set_plus-drop": ("fail", 39),
-        "subordinate-drop": ("fail", 39), "subordinate-own-element": ("fail", 291)},
-    "prop:quot-commute": {"kernel_rel-drop": ("fail", 145), "neg-entry": ("error", 168),
-        "order-dual": ("error", 0), "preimage_mask-drop": ("fail", 165),
-        "quotient_sqto-drop-at-one": ("fail", 323), "sqto-drop": ("fail", 365),
-        "sqto-plus-after": ("fail", 482), "sqto-swap": ("fail", 279),
-        "sqto-swap-drop": ("fail", 506), "sqto_full-drop": ("fail", 570)},
-    "thm:kernel-sqto": {"kernel_rel-drop": ("fail", 13), "sqto-drop": ("fail", 41),
-        "sqto-swap-drop": ("fail", 97)},
-    "def:boundary": {"boundary_coset-drop": ("fail", 38), "kernel-drop": ("fail", 40),
-        "kernel_rel-drop": ("fail", 40), "neg-entry": ("fail", 38),
-        "set_plus-drop": ("error", 0), "subordinate-drop": ("error", 0),
-        "subordinate-own-element": ("error", 0)},
-    "lem:convex-imp": {"is_convex-not": ("fail", 168)},
-    "lem:convex-neg": {"is_convex-not": ("fail", 28), "neg-entry": ("fail", 5)},
-    "lem:convex-otimes": {"is_convex-not": ("fail", 168), "otimes-entry": ("fail", 5)},
-    "thm:discrete-principal": {"meet-one-one": ("fail", 7), "neg-entry": ("fail", 22),
-        "principal_generator-no-top": ("fail", 7),
-        "successor_structure-absent": ("fail", 7)},
-    "prop:successor": {"neg-entry": ("fail", 1), "successor_structure-absent": ("fail", 7),
-        "successor_structure-pred-fixed": ("fail", 28)},
-    "equiv:discrete": {"kernel_rel-drop": ("fail", 28), "order-dual": ("fail", 28),
-        "sqto-drop": ("fail", 28), "sqto-plus-after": ("fail", 27),
-        "sqto-swap-drop": ("fail", 28)},
-    "thm:hat": {"enumerate_lattice_filters-first-prime-lost": ("fail", 8),
-        "set_plus-drop": ("fail", 14), "sqto-drop": ("fail", 14),
-        "sqto-plus-after": ("fail", 9), "sqto-swap": ("fail", 9),
-        "sqto-swap-drop": ("fail", 14), "subordinate-drop": ("fail", 14),
-        "subordinate-own-element": ("fail", 14)},
-    "prop:T-phi": {"enumerate_lattice_filters-first-prime-lost": ("error", 0),
-        "hat_otimes-next-class": ("fail", 92), "otimes-entry": ("fail", 7),
-        "phi-drop": ("fail", 156), "set_plus-drop": ("error", 0), "sqto-drop": ("error", 0),
-        "sqto-plus-after": ("error", 0), "sqto-swap": ("error", 0),
-        "sqto-swap-drop": ("error", 0), "sqto_full-drop": ("fail", 97),
-        "subordinate-drop": ("error", 0), "subordinate-own-element": ("error", 0),
-        "tensor_up-drop": ("fail", 156)},
-    "prop:axiomG": {"sqto-drop": ("fail", 97), "sqto-plus-after": ("fail", 92),
-        "sqto-swap": ("fail", 59), "sqto-swap-drop": ("fail", 97)},
-    "thm:iota": {"enumerate_lattice_filters-first-prime-lost": ("error", 0),
-        "iota-constant": ("fail", 9), "neg-entry": ("error", 91),
-        "preimage_mask-drop": ("fail", 208), "set_plus-drop": ("error", 0),
-        "sqto-drop": ("error", 0), "sqto-plus-after": ("error", 0),
-        "sqto-swap": ("error", 0), "sqto-swap-drop": ("error", 0),
-        "subordinate-drop": ("error", 0), "subordinate-own-element": ("error", 0)},
-    "thm:hat-eta": {"boundary_coset-drop": ("error", 0),
-        "enumerate_lattice_filters-first-prime-lost": ("error", 0),
-        "hat_eta-shift": ("fail", 14), "set_plus-drop": ("error", 0),
-        "sqto-drop": ("error", 0), "sqto-plus-after": ("error", 0),
-        "sqto-swap": ("error", 0), "sqto-swap-drop": ("error", 0),
-        "subordinate-drop": ("error", 0), "subordinate-own-element": ("error", 0)},
-    "thm:composite": {"boundary_coset-drop": ("error", 0),
-        "enumerate_lattice_filters-first-prime-lost": ("error", 0),
-        "hat_eta-shift": ("fail", 14), "neg-entry": ("error", 0),
-        "set_plus-drop": ("error", 0), "sqto-drop": ("error", 0),
-        "sqto-plus-after": ("error", 0), "sqto-swap": ("error", 0),
-        "sqto-swap-drop": ("error", 0), "subordinate-drop": ("error", 0),
-        "subordinate-own-element": ("error", 0)},
-    "dense:closed-forms": {"closed-meet": ("fail", 77), "closed-target": ("fail", 121),
-        "collapse-closed-pairs": ("fail", 66), "open-meet": ("fail", 66),
-        "plus-flipped": ("fail", 22), "plus-off-grid": ("fail", 24),
-        "plus-one-step": ("fail", 24), "sqto-off-grid": ("fail", 576),
-        "sqto-one-step": ("fail", 576), "sqto-swapped": ("fail", 530)},
-    "dense:negate": {"closed-meet": ("fail", 11), "open-meet": ("fail", 11),
-        "plus-flipped": ("fail", 22), "plus-off-grid": ("fail", 24),
-        "plus-one-step": ("fail", 24), "sqto-off-grid": ("fail", 24),
-        "sqto-one-step": ("fail", 24), "sqto-swapped": ("fail", 23)},
-    "dense:equiv-thm": {"collapse-closed-pairs": ("fail", 66),
-        "sqto-off-grid": ("fail", 311), "sqto-one-step": ("fail", 311),
-        "sqto-swapped": ("fail", 530)},
-    "dense:separation": {"sqto-one-step": ("fail", 1), "sqto-swapped": ("fail", 1156)},
-    "dense:trans": {"collapse-closed-pairs": ("fail", 242)},
-    "dense:congruence": {"sqto-off-grid": ("fail", 11), "sqto-one-step": ("fail", 11)},
-    "dense:props": {"closed-meet": ("fail", 22), "closed-target": ("fail", 1221),
-        "collapse-closed-pairs": ("fail", 1188), "open-meet": ("fail", 198),
-        "plus-flipped": ("fail", 154), "plus-off-grid": ("fail", 24),
-        "plus-one-step": ("fail", 1), "sqto-off-grid": ("fail", 576),
-        "sqto-one-step": ("fail", 2), "sqto-swapped": ("fail", 5584)},
-    "dense:kernel": {"sqto-off-grid": ("fail", 24), "sqto-one-step": ("fail", 24)},
-    "dense:hat-embed": {"collapse-closed-pairs": ("fail", 77),
-        "plus-off-grid": ("fail", 92), "plus-one-step": ("fail", 92),
-        "sqto-off-grid": ("fail", 338), "sqto-one-step": ("error", 0),
-        "sqto-swapped": ("fail", 312)},
+    "axioms:mv": {"neg-entry": ("fail", 81, 10)},
+    "order:partial": {"order-dual": ("fail", 116, 10)},
+    "identity:otimes-imp": {"neg-entry": ("fail", 428, 10),
+        "otimes-entry": ("fail", 20, 10)},
+    "enum:crosscheck": {"enumerate_implication_filters-minimal": ("fail", 3, 3),
+        "enumerate_lattice_filters-first-prime-lost": ("fail", 10, 10),
+        "enumerate_lattice_filters-one-lost": ("fail", 10, 10),
+        "meet-one-one": ("fail", 20, 10), "neg-entry": ("fail", 6, 3),
+        "order-dual": ("fail", 16, 10)},
+    "impl:lattice-otimes": {"meet-one-one": ("fail", 20, 10),
+        "otimes-entry": ("fail", 20, 10)},
+    "fact:a": {"enumerate_lattice_filters-one-lost": ("fail", 28, 7),
+        "sqto_full-drop": ("fail", 123, 10), "subordinate-drop": ("fail", 123, 10),
+        "subordinate-own-element": ("fail", 130, 10)},
+    "fact:b": {"kernel_rel-drop": ("fail", 123, 10), "sqto_full-drop": ("fail", 123, 10),
+        "subordinate-drop": ("fail", 123, 10),
+        "subordinate-own-element": ("fail", 123, 10)},
+    "fact:c": {"kernel-drop": ("fail", 38, 10), "kernel_rel-drop": ("fail", 38, 10),
+        "sqto_full-drop": ("fail", 38, 10)},
+    "fact:d": {"kernel-drop": ("error", 0, 10), "kernel_rel-drop": ("error", 0, 10),
+        "neg-entry": ("error", 0, 3), "subordinate-own-element": ("fail", 84, 3)},
+    "fact:e": {"down_closure_joins-add-top": ("fail", 123, 10),
+        "down_closure_joins-drop": ("fail", 123, 10), "sqto_full-drop": ("fail", 123, 10),
+        "subordinate-drop": ("fail", 123, 10),
+        "subordinate-own-element": ("fail", 130, 10)},
+    "fact:subord-monotone": {"subordinate-own-element": ("fail", 380, 9)},
+    "prop:SubAEq": {"subordinate-drop": ("fail", 67, 10),
+        "subordinate-own-element": ("fail", 33, 10)},
+    "prop:subord-prime": {"enumerate_lattice_filters-first-prime-lost": ("fail", 26, 8),
+        "order-dual": ("fail", 123, 10), "subordinate-drop": ("fail", 39, 3),
+        "subordinate-own-element": ("fail", 102, 10)},
+    "prop:plus-involution": {"set_plus-drop": ("fail", 6, 3),
+        "subordinate-drop": ("fail", 6, 3), "subordinate-own-element": ("fail", 38, 10)},
+    "kernel:inside": {"kernel-drop": ("fail", 52, 10), "kernel_rel-drop": ("fail", 52, 10),
+        "order-dual": ("fail", 48, 10)},
+    "kernel:prime-iff": {"enumerate_implication_filters-minimal": ("fail", 17, 3),
+        "enumerate_lattice_filters-first-prime-lost": ("fail", 10, 10),
+        "kernel-drop": ("fail", 38, 10), "kernel_rel-drop": ("fail", 38, 10),
+        "order-dual": ("fail", 38, 10)},
+    "prop:fastform": {"kernel_rel-drop": ("fail", 174, 10), "sqto-drop": ("fail", 174, 10),
+        "sqto-plus-after": ("fail", 152, 8), "sqto-swap": ("fail", 136, 9),
+        "sqto-swap-drop": ("fail", 153, 10), "sqto_full-drop": ("fail", 174, 10)},
+    "prop:incl": {"order-dual": ("fail", 174, 10), "sqto-plus-after": ("fail", 101, 8),
+        "sqto-swap": ("fail", 55, 9), "sqto-swap-drop": ("fail", 36, 8)},
+    "prop:inclOne": {"kernel-drop": ("fail", 97, 10), "sqto-drop": ("fail", 97, 10),
+        "sqto-plus-after": ("fail", 92, 8), "sqto-swap": ("fail", 59, 8),
+        "sqto-swap-drop": ("fail", 76, 10)},
+    "prop:monotone": {"sqto-plus-after": ("fail", 129, 8)},
+    "prop:revIncl": {"sqto-plus-after": ("fail", 129, 8)},
+    "prop:plus": {"set_plus-drop": ("fail", 41, 10), "subordinate-drop": ("fail", 41, 10),
+        "subordinate-own-element": ("fail", 28, 7)},
+    "prop:OneOne": {"kernel-drop": ("fail", 28, 7), "kernel_rel-drop": ("fail", 38, 10),
+        "order-dual": ("fail", 38, 10), "sqto-drop": ("fail", 38, 10),
+        "sqto-plus-after": ("fail", 30, 8), "sqto-swap": ("fail", 24, 8),
+        "sqto-swap-drop": ("fail", 38, 10)},
+    "prop:adjunction": {"sqto-plus-after": ("fail", 166, 8), "sqto-swap": ("fail", 118, 8)},
+    "prop:axiomC": {"sqto-plus-after": ("fail", 258, 8), "sqto-swap": ("fail", 258, 8),
+        "sqto-swap-drop": ("fail", 6, 2)},
+    "lem:FFg": {"kernel_rel-drop": ("fail", 41, 10), "sqto-drop": ("fail", 41, 10),
+        "sqto-swap": ("fail", 59, 8), "sqto-swap-drop": ("fail", 97, 10)},
+    "cor:sqto-triple": {"sqto-plus-after": ("fail", 35, 5),
+        "sqto-swap-drop": ("fail", 13, 3)},
+    "prop:phi": {"phi-drop": ("fail", 384, 10), "set_plus-drop": ("fail", 287, 10),
+        "sqto_full-drop": ("fail", 184, 10), "subordinate-drop": ("fail", 287, 10),
+        "subordinate-own-element": ("fail", 384, 10)},
+    "prop:small": {"j_up-drop": ("fail", 194, 10), "j_up-full": ("fail", 211, 10),
+        "kernel-drop": ("fail", 130, 10), "kernel_rel-drop": ("fail", 130, 10),
+        "neg-entry": ("error", 0, 3), "order-dual": ("error", 0, 10)},
+    "prop:large": {"j_down-drop": ("fail", 97, 10), "j_up-drop": ("fail", 164, 10),
+        "j_up-full": ("fail", 67, 10), "kernel-drop": ("fail", 58, 10),
+        "kernel_rel-drop": ("fail", 58, 10), "neg-entry": ("error", 0, 3),
+        "order-dual": ("error", 0, 10), "set_plus-drop": ("fail", 80, 10),
+        "subordinate-drop": ("fail", 80, 10), "subordinate-own-element": ("fail", 261, 10)},
+    "prop:Ju-kernel": {"j_up-drop": ("fail", 68, 10), "kernel-drop": ("fail", 59, 10),
+        "kernel_rel-drop": ("fail", 59, 10), "neg-entry": ("error", 0, 3)},
+    "lem:Jd-lower": {"j_down-drop": ("fail", 38, 10), "j_up-full": ("fail", 97, 10),
+        "kernel-drop": ("error", 0, 10), "kernel_rel-drop": ("error", 0, 10),
+        "neg-entry": ("error", 0, 3), "order-dual": ("fail", 97, 10),
+        "set_plus-drop": ("fail", 10, 3), "subordinate-drop": ("fail", 10, 3),
+        "subordinate-own-element": ("fail", 97, 10)},
+    "thm:reduction": {"j_down-drop": ("fail", 172, 10), "j_up-drop": ("fail", 304, 8),
+        "j_up-full": ("fail", 350, 10), "kernel-drop": ("error", 0, 10),
+        "kernel_rel-drop": ("error", 0, 10), "neg-entry": ("error", 0, 3),
+        "order-dual": ("fail", 291, 10), "set_plus-drop": ("fail", 39, 3),
+        "subordinate-drop": ("fail", 39, 3), "subordinate-own-element": ("fail", 291, 10)},
+    "prop:quot-commute": {"kernel_rel-drop": ("fail", 145, 10),
+        "neg-entry": ("error", 168, 10), "order-dual": ("error", 0, 10),
+        "preimage_mask-drop": ("fail", 165, 10),
+        "quotient_sqto-drop-at-one": ("fail", 323, 10), "sqto-drop": ("fail", 365, 10),
+        "sqto-plus-after": ("fail", 482, 10), "sqto-swap": ("fail", 279, 10),
+        "sqto-swap-drop": ("fail", 506, 10), "sqto_full-drop": ("fail", 570, 10)},
+    "thm:kernel-sqto": {"kernel_rel-drop": ("fail", 13, 3), "sqto-drop": ("fail", 41, 10),
+        "sqto-swap-drop": ("fail", 97, 10)},
+    "def:boundary": {"boundary_coset-drop": ("fail", 38, 10),
+        "kernel-drop": ("fail", 40, 10), "kernel_rel-drop": ("fail", 40, 10),
+        "neg-entry": ("fail", 38, 10), "set_plus-drop": ("error", 0, 7),
+        "subordinate-drop": ("error", 0, 7), "subordinate-own-element": ("error", 0, 7)},
+    "lem:convex-imp": {"is_convex-not": ("fail", 168, 7)},
+    "lem:convex-neg": {"is_convex-not": ("fail", 28, 7), "neg-entry": ("fail", 5, 5)},
+    "lem:convex-otimes": {"is_convex-not": ("fail", 168, 7),
+        "otimes-entry": ("fail", 5, 5)},
+    "thm:discrete-principal": {"meet-one-one": ("fail", 7, 7), "neg-entry": ("fail", 22, 7),
+        "principal_generator-no-top": ("fail", 7, 7),
+        "successor_structure-absent": ("fail", 7, 7)},
+    "prop:successor": {"neg-entry": ("fail", 1, 1),
+        "successor_structure-absent": ("fail", 7, 7),
+        "successor_structure-pred-fixed": ("fail", 28, 7)},
+    "equiv:discrete": {"kernel_rel-drop": ("fail", 28, 7), "order-dual": ("fail", 28, 7),
+        "sqto-drop": ("fail", 28, 7), "sqto-plus-after": ("fail", 27, 6),
+        "sqto-swap-drop": ("fail", 28, 7)},
+    "thm:hat": {"enumerate_lattice_filters-first-prime-lost": ("fail", 8, 8),
+        "set_plus-drop": ("fail", 14, 10), "sqto-drop": ("fail", 14, 10),
+        "sqto-plus-after": ("fail", 9, 8), "sqto-swap": ("fail", 9, 8),
+        "sqto-swap-drop": ("fail", 14, 10), "subordinate-drop": ("fail", 14, 10),
+        "subordinate-own-element": ("fail", 14, 10)},
+    "prop:T-phi": {"enumerate_lattice_filters-first-prime-lost": ("error", 0, 8),
+        "hat_otimes-next-class": ("fail", 92, 8), "otimes-entry": ("fail", 7, 7),
+        "phi-drop": ("fail", 156, 10), "set_plus-drop": ("error", 0, 10),
+        "sqto-drop": ("error", 0, 10), "sqto-plus-after": ("error", 0, 8),
+        "sqto-swap": ("error", 0, 8), "sqto-swap-drop": ("error", 0, 10),
+        "sqto_full-drop": ("fail", 97, 10), "subordinate-drop": ("error", 0, 10),
+        "subordinate-own-element": ("error", 0, 10), "tensor_up-drop": ("fail", 156, 10)},
+    "prop:axiomG": {"sqto-drop": ("fail", 97, 10), "sqto-plus-after": ("fail", 92, 8),
+        "sqto-swap": ("fail", 59, 8), "sqto-swap-drop": ("fail", 97, 10)},
+    "thm:iota": {"enumerate_lattice_filters-first-prime-lost": ("error", 0, 8),
+        "iota-constant": ("fail", 9, 8), "neg-entry": ("error", 91, 10),
+        "preimage_mask-drop": ("fail", 208, 10), "set_plus-drop": ("error", 0, 10),
+        "sqto-drop": ("error", 0, 10), "sqto-plus-after": ("error", 0, 8),
+        "sqto-swap": ("error", 0, 8), "sqto-swap-drop": ("error", 0, 10),
+        "subordinate-drop": ("error", 0, 10), "subordinate-own-element": ("error", 0, 10)},
+    "thm:hat-eta": {"boundary_coset-drop": ("error", 0, 10),
+        "enumerate_lattice_filters-first-prime-lost": ("error", 0, 8),
+        "hat_eta-shift": ("fail", 14, 10), "set_plus-drop": ("error", 0, 10),
+        "sqto-drop": ("error", 0, 10), "sqto-plus-after": ("error", 0, 8),
+        "sqto-swap": ("error", 0, 8), "sqto-swap-drop": ("error", 0, 10),
+        "subordinate-drop": ("error", 0, 10), "subordinate-own-element": ("error", 0, 10)},
+    "thm:composite": {"boundary_coset-drop": ("error", 0, 10),
+        "enumerate_lattice_filters-first-prime-lost": ("error", 0, 8),
+        "hat_eta-shift": ("fail", 14, 10), "neg-entry": ("error", 0, 3),
+        "set_plus-drop": ("error", 0, 10), "sqto-drop": ("error", 0, 10),
+        "sqto-plus-after": ("error", 0, 8), "sqto-swap": ("error", 0, 8),
+        "sqto-swap-drop": ("error", 0, 10), "subordinate-drop": ("error", 0, 10),
+        "subordinate-own-element": ("error", 0, 10)},
+    "dense:closed-forms": {"closed-meet": ("fail", 77, 1),
+        "closed-target": ("fail", 121, 1), "collapse-closed-pairs": ("fail", 66, 1),
+        "open-meet": ("fail", 66, 1), "plus-flipped": ("fail", 22, 1),
+        "plus-off-grid": ("fail", 24, 1), "plus-one-step": ("fail", 24, 1),
+        "sqto-off-grid": ("fail", 576, 1), "sqto-one-step": ("fail", 576, 1),
+        "sqto-swapped": ("fail", 530, 1)},
+    "dense:negate": {"closed-meet": ("fail", 11, 1), "open-meet": ("fail", 11, 1),
+        "plus-flipped": ("fail", 22, 1), "plus-off-grid": ("fail", 24, 1),
+        "plus-one-step": ("fail", 24, 1), "sqto-off-grid": ("fail", 24, 1),
+        "sqto-one-step": ("fail", 24, 1), "sqto-swapped": ("fail", 23, 1)},
+    "dense:equiv-thm": {"collapse-closed-pairs": ("fail", 66, 1),
+        "sqto-off-grid": ("fail", 311, 1), "sqto-one-step": ("fail", 311, 1),
+        "sqto-swapped": ("fail", 530, 1)},
+    "dense:separation": {"sqto-one-step": ("fail", 1, 1),
+        "sqto-swapped": ("fail", 1156, 1)},
+    "dense:trans": {"collapse-closed-pairs": ("fail", 242, 1)},
+    "dense:congruence": {"sqto-off-grid": ("fail", 11, 1),
+        "sqto-one-step": ("fail", 11, 1)},
+    "dense:props": {"closed-meet": ("fail", 22, 1), "closed-target": ("fail", 1221, 1),
+        "collapse-closed-pairs": ("fail", 1188, 1), "open-meet": ("fail", 198, 1),
+        "plus-flipped": ("fail", 154, 1), "plus-off-grid": ("fail", 24, 1),
+        "plus-one-step": ("fail", 1, 1), "sqto-off-grid": ("fail", 576, 1),
+        "sqto-one-step": ("fail", 2, 1), "sqto-swapped": ("fail", 5584, 1)},
+    "dense:kernel": {"sqto-off-grid": ("fail", 24, 1), "sqto-one-step": ("fail", 24, 1)},
+    "dense:hat-embed": {"collapse-closed-pairs": ("fail", 77, 1),
+        "plus-off-grid": ("fail", 92, 1), "plus-one-step": ("fail", 92, 1),
+        "sqto-off-grid": ("fail", 338, 1), "sqto-one-step": ("error", 0, 1),
+        "sqto-swapped": ("fail", 312, 1)},
 })
 
 
@@ -620,8 +667,8 @@ def source(table, width=92):
     """table in the source form of ``KILLS``: one row per statement, its
     cells wrapped at width."""
     rows = {}
-    for (stmt, name), (status, count) in table.items():
-        rows.setdefault(stmt, []).append(f'"{name}": ("{status}", {count})')
+    for (stmt, name), (status, count, algebras) in table.items():
+        rows.setdefault(stmt, []).append(f'"{name}": ("{status}", {count}, {algebras})')
     out = ["KILLS = _pairs({"]
     for stmt, cells in rows.items():
         line = f'    "{stmt}": {{'

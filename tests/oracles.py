@@ -12,7 +12,18 @@ D'Ottaviano and Mundici, *Algebraic Foundations of Many-valued Reasoning*
 
 The statement-scan references of ``tests/scans.py`` are not oracles: they
 read ⊸, K and J through ``verify.Ctx``, because they test a statement's
-quantifier shortcut under mutants of those operations.
+quantifier shortcut under mutants of those operations.  Three loops outside
+it are kept as second references of the same kind:
+
+- ``test_verify._interval_loop`` decides the convex lemmas on
+  every interval ↑x ∩ ↓y from the order masks, all columns in one integer.
+  ``is_convex`` on every interval took over 150 s up to Ł64; each lemma
+  witness is still checked with ``is_convex`` on the unchanged algebra;
+- ``test_dense_scans.props_loop`` is ``dense:props`` as one fused loop over
+  grid cut indices.  It reads the ``densechain`` operations, so that the
+  dense mutants reach it, and codes the nine claims again, not through the
+  finite bodies that the statement runs;
+- ``test_cli.dot_of_containment_loop`` is ``covers`` written out as DOT.
 """
 
 from fractions import Fraction

@@ -36,7 +36,12 @@ side of ``fact:b`` calls on the algebra itself, so one mutant reaches both.
 ``kernel_rel-drop`` corrupts them too.
 
 ``test_kill_table`` checks ``mutants.KILLS``, which reads the same finite
-runs over every test algebra.
+runs over every test algebra and counts, in its third field, the algebras
+on which a statement fails or raises.  A digest here and a row there
+together stand for a per-algebra can-fail test, as the ``tests/mutants.py``
+docstring says, so the suite has none that repeat them.  The reference
+loops kept beside the oracles are named, with their reasons, in the
+``tests/oracles.py`` docstring.
 
 When a change of witnesses is intended, re-pin: run
 ``PYTHONPATH=src python tests/test_report_digests.py``, which prints the
@@ -67,6 +72,8 @@ DIGESTS = {
         "fa192375b27526ec26e9bad87fd0e515a3b4bc3a3b2a28f888213be2c52bfbf0",
     ("L5", "enumerate_lattice_filters-first-prime-lost"):
         "a1e462344cff1ac9d7804aac5ed793ef5d095ee265d5b5b0ea43905922271fd6",
+    ("L5", "enumerate_lattice_filters-one-lost"):
+        "63fbc0ab46513c67479154fa9a563d031769793a13c938bf48b6f129cde6e9ce",
     ("L5", "hat_eta-shift"):
         "b0174a2bfd630342b59d8f96923ab35d98a10f93ec2c9b4dd2fce2bbc636c3af",
     ("L5", "hat_otimes-next-class"):
@@ -135,6 +142,8 @@ DIGESTS = {
         "e6c8142d578bba341a92645045d28d2af5c340a0a4aee61a1ba068032855023f",
     ("L2xL3", "enumerate_lattice_filters-first-prime-lost"):
         "3a0cd89e4e82454ff4c0130d87d7504bd657d8e1601719356b47b600b6e0296e",
+    ("L2xL3", "enumerate_lattice_filters-one-lost"):
+        "81e9e68bded99cb3ac4805731ca4639ed482a21635ad194f683f41609164049f",
     ("L2xL3", "hat_eta-shift"):
         "e917ec1d2b4f7901108826559752b11106869a168dd0d7303d3a5aed48ff6e67",
     ("L2xL3", "hat_otimes-next-class"):

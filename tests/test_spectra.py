@@ -4,9 +4,8 @@ import pytest
 
 import mvfilters as mv
 from mvfilters import calculus, core, filters, spectra
-from mvfilters.errors import InvalidArgument
+from mvfilters.errors import InvalidArgument, InvariantViolation
 
-import mutants
 from conftest import CHAINS, PRODUCTS, chain, cold_hat, cold_spectrum, find_isomorphism
 
 
@@ -102,21 +101,32 @@ def test_build_hat_computes_each_sqto_once():
             )
 
 
-@pytest.mark.parametrize("algebra_id", ["L5", "L2xL3"])
-@pytest.mark.parametrize(
-    "stmt, mutant",
-    [("thm:hat", "sqto-drop"), ("prop:T-phi", "hat_otimes-next-class")],
-    ids=["hat-order", "T-phi-class"],
-)
-def test_hat_checks_can_fail(algebra_id, stmt, mutant):
-    assert mutants.kills(mutant, algebra_id, stmt)
+def test_build_hat_refuses_cut_equivalent_members(l5):
+    # a ⊸ that is P on every pair makes every two members cut-equivalent
+    spec = cold_spectrum(l5, l5.one_mask)
+    with pytest.raises(InvariantViolation, match="distinct members are cut-equivalent"):
+        spectra.build_hat(spec, lambda f, g: spec.p_mask, partial(calculus.set_plus, l5))
 
 
-@pytest.mark.parametrize("algebra_id, witnesses", [("L5", 10), ("L2xL3", 4)])
-def test_axiom_g_can_fail(algebra_id, witnesses):
-    assert mutants.kills("sqto-drop", algebra_id, "prop:axiomG")
-    result = mutants.result("sqto-drop", algebra_id, "prop:axiomG")
-    assert len(result.witnesses) == witnesses
+def test_build_hat_refuses_a_base_that_is_not_the_least_member(l5):
+    # ⊸ and ⁺ relabelled by the swap of {1} with {3/4, 1} still give the
+    # chain Ł4, with {3/4, 1} as its unit and top class; a base handed as
+    # {3/4, 1} then has the member {1} inside it, which no spectrum of
+    # prime_spectrum has (P = K(F) ⊆ F for each member F)
+    a = l5
+    members = cold_spectrum(a, a.one_mask).members
+    swap = dict(zip(members[:2], members[1::-1]))
+
+    def swapped(m):
+        return swap.get(m, m)
+
+    spec = spectra.PrimeSpectrum(a, members[1], members)
+    with pytest.raises(InvariantViolation, match="top class misses the inclusion-least"):
+        spectra.build_hat(
+            spec,
+            lambda f, g: swapped(calculus.sqto(a, swapped(f), swapped(g))),
+            lambda f: swapped(calculus.set_plus(a, swapped(f))),
+        )
 
 
 def test_iota_closure_identities():
@@ -129,8 +139,6 @@ def test_iota_closure_identities():
         # n cosets land on all n-1 classes: onto, so never injective
         assert len(mapping) == n and set(mapping) == set(range(n - 1))
         assert mapping[-1] == h.as_mv.one  # the top coset has empty subordinate
-    # thm:iota checks the closure identities P_a ⊸ P_b and P_a⁺ by preimages
-    assert mutants.kills("preimage_mask-drop", "L5", "thm:iota")
 
 
 def test_iota_rejects_other_base(l5):
@@ -155,21 +163,6 @@ def test_hat_eta_needs_proper_containment():
     with pytest.raises(InvalidArgument):
         # P is not a proper extension
         spectra.hat_eta(h, core.quotient_by(a, a.one_mask), partial(calculus.kernel, a))
-
-
-# Every Q above a prime P of a finite MV-algebra is improper, so Q's quotient
-# has one coset: thm:hat-eta and thm:composite only see a mapping that leaves it.
-@pytest.mark.parametrize(
-    "stmt, mutant",
-    [
-        ("thm:iota", "iota-constant"),
-        ("thm:hat-eta", "hat_eta-shift"),
-        ("thm:composite", "hat_eta-shift"),
-    ],
-    ids=["iota-onto", "hat-eta", "composite"],
-)
-def test_spectrum_map_checks_can_fail(stmt, mutant):
-    assert mutants.kills(mutant, "L2xL3", stmt)
 
 
 def test_no_proper_prime_extensions_on_chains():

@@ -1,3 +1,16 @@
+"""``verify`` by layer, one section each.  The runner and its report:
+``run_finite`` and ``run_dense``, the text and JSON forms of a ``Report``,
+the caches ``verify.Ctx`` keeps for one run, and the written argument above
+``verify._GRID_CUTS`` that the dense grid decides every claim.  The finite
+statements, each against a reference: the state search of ``fact:a`` and
+``fact:e`` against the subset loop, the convex lemmas against the interval
+loop, and the filter cross-checks under changed table entries.  The dense
+statements: the ⊸ and ⁺ calls each makes, the seed they ignore, and
+``dense:hat-embed`` against the subchain loop it replaced.  The kills of
+both kinds of statement by the registry mutants are in ``mutants.KILLS``
+and the digests of ``tests/test_report_digests.py``; the dense scans are in
+``tests/test_dense_scans.py``."""
+
 import gc
 import json
 import weakref
@@ -21,27 +34,15 @@ from conftest import (
 )
 
 
+# ---------------------------------------------------------------------------
+# the runner and its report
+
+
 def test_finite_campaign_green(algebra):
     report = mv.run_finite(algebra)
     failed = [r.id for r in report.results if r.status == "fail"]
     assert report.ok, failed
     assert len(report.results) == len(FINITE_STATEMENTS)
-
-
-def test_dense_campaign_green():
-    report = mv.run_dense()
-    assert report.ok, [r.id for r in report.results if r.status == "fail"]
-    assert len(report.results) == len(DENSE_STATEMENTS)
-    assert all(r.status == "pass" for r in report.results)
-
-
-def test_convex_lemmas_skip_on_products():
-    report = mv.run_finite(PRODUCTS["L2xL3"])
-    by_id = {r.id: r for r in report.results}
-    for stmt in ("lem:convex-imp", "lem:convex-neg", "lem:convex-otimes"):
-        assert by_id[stmt].status == "skip"
-    chain_report = mv.run_finite(CHAINS[6], only=["lem:convex-imp"])
-    assert chain_report.results[0].status == "pass"
 
 
 def test_only_filter_and_unknown_id():
@@ -51,12 +52,6 @@ def test_only_filter_and_unknown_id():
         mv.run_finite(CHAINS[3], only=["prop:bogus"])
     with pytest.raises(InvalidArgument):
         mv.run_dense(only=["prop:incl"])  # finite id not valid in dense scope
-
-
-def test_dense_determinism():
-    a = mv.run_dense().to_json()
-    b = mv.run_dense().to_json()
-    assert a == b
 
 
 def test_report_text_and_json_shape():
@@ -239,6 +234,216 @@ def test_a_run_folds_each_pair_once(monkeypatch):
         assert set(seen.values()) == {1}, name
 
 
+@pytest.mark.parametrize("algebra_id", ["L8", "L2xL3"])
+def test_run_reads_the_tables_not_the_cold_forms(monkeypatch, algebra_id):
+    handed = set()
+
+    def recording(real):
+        def wrapped(first, *rest):
+            handed.add(type(first))
+            return real(first, *rest)
+
+        return wrapped
+
+    # ⊸ and K are handed the view of the algebra that reads the run's
+    # →-column tables, never the algebra itself
+    for name in ("sqto", "kernel"):
+        monkeypatch.setattr(calculus, name, recording(getattr(calculus, name)))
+    built = []
+
+    class RecordingCtx(verify.Ctx):
+        def __init__(self, a):
+            super().__init__(a)
+            built.append(self)
+
+    monkeypatch.setattr(verify, "Ctx", RecordingCtx)
+    assert mv.run_finite(ALL_ALGEBRAS[algebra_id]).ok
+    assert handed and core.MvAlgebra not in handed
+    (ctx,) = built
+    assert ctx.hat.cache_info().currsize
+    misses = ctx.sqto.cache_info().misses
+    for p in verify._spectral(ctx):
+        members = ctx.spectrum(p).members
+        for f, g in tuples(members, repeat=2):
+            ctx.sqto(f, g)
+    assert ctx.sqto.cache_info().misses == misses
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: product(8, 8), lambda: product(*(2,) * 6)],
+    ids=["L8xL8", "2^6"],
+)
+def test_set_plus_runs_once_per_distinct_mask(monkeypatch, build):
+    # every ⁺ of a run goes through ctx.plus: the statements, J_d and the
+    # derived algebras
+    calls = []
+    real = calculus.set_plus
+
+    def counting(a, mask):
+        calls.append(mask)
+        return real(a, mask)
+
+    monkeypatch.setattr(calculus, "set_plus", counting)
+    built = []
+
+    class RecordingCtx(verify.Ctx):
+        def __init__(self, a):
+            super().__init__(a)
+            built.append(self)
+
+    monkeypatch.setattr(verify, "Ctx", RecordingCtx)
+    assert mv.run_finite(build()).ok
+    (ctx,) = built
+    assert len(calls) == len(set(calls)) == ctx.plus.cache_info().currsize > 0
+
+
+FINITE_SPECS = {
+    f"spec:{p.stem}": spec for p in sorted(SPECS.glob("*.json"))
+    if (spec := cli.parse_spec(p.read_text(), allow_dense=True))["kind"] != "dense"
+}
+
+
+@pytest.mark.parametrize("name", [*sorted(ALL_ALGEBRAS), *FINITE_SPECS])
+def test_ctx_spectrum_is_the_cold_prime_spectrum(name):
+    # the specs include L16, L4xL4 and 2^5; Ctx hands prime_spectrum and
+    # build_hat its caches, export the cold partials
+    a = ALL_ALGEBRAS.get(name) or cli.build_algebra(FINITE_SPECS[name])
+    ctx = verify.Ctx(a)
+    assert ctx.prime_impl
+    for p in ctx.prime_impl:
+        spec = cold_spectrum(a, p)
+        assert ctx.spectrum(p) == spec
+        h, cold = ctx.hat(p), cold_hat(spec)
+        assert h.representatives == cold.representatives
+        assert h.as_mv.oplus == cold.as_mv.oplus
+        assert h.as_mv.neg == cold.as_mv.neg
+
+
+def test_a_raising_statement_is_an_error_not_an_abort():
+    # without ⁺'s lowest member a hat operation leaves the spectrum and raises
+    report = mutants.report("set_plus-drop", "L2xL3")
+    assert len(report.results) == len(FINITE_STATEMENTS)
+    errors = {r.id: r.witnesses for r in report.results if r.status == "error"}
+    assert errors == dict.fromkeys(
+        ["prop:T-phi", "thm:iota", "thm:hat-eta", "thm:composite"],
+        ["InvariantViolation: operation left the spectrum: {(1,1)}"],
+    )
+    # 7 failures and the 4 errors
+    assert report.to_text().endswith("31 passed, 11 failed, 6 skipped")
+    assert not report.ok and json.loads(report.to_json())["ok"] is False
+
+
+def test_the_grid_meets_every_order_type_of_two_cuts():
+    """For each pair of kinds, the grid meets every order type of the
+    endpoints p, q of two proper cuts of those kinds: where each lies (at 0,
+    inside, at 1), how p compares with q, and how p + q compares with 1, the
+    line on which ⁺ reflects one endpoint onto the other."""
+    rank = {"0": 0, "inside": 1, "1": 2}
+    value = {"0": 0, "1": 1}
+
+    def _cmp(x, y):
+        return "<" if x < y else "=" if x == y else ">"
+
+    def position(x):
+        return "0" if x == 0 else "1" if x == 1 else "inside"
+
+    def proper(pos, kind):
+        return pos != ("0" if kind is dc.Kind.CLOSED else "1")
+
+    def realizable(pp, pq, d, s):
+        if pp == pq == "inside":
+            return True
+        if d != _cmp(rank[pp], rank[pq]):
+            return False
+        if "inside" not in (pp, pq):
+            return s == _cmp(value[pp] + value[pq], 1)
+        # one endpoint is inside (0,1), the other at 0 or at 1
+        return s == ("<" if "0" in (pp, pq) else ">")
+
+    signs = ("<", "=", ">")
+    for kf, kg in verify._pairs(dc.Kind):
+        expected = {
+            (pp, pq, d, s)
+            for pp in rank if proper(pp, kf)
+            for pq in rank if proper(pq, kg)
+            for d in signs for s in signs if realizable(pp, pq, d, s)
+        }
+        met = {
+            (position(p), position(q), _cmp(p, q), _cmp(p + q, 1))
+            for f in verify._GRID_CUTS if f.kind is kf
+            for g in verify._GRID_CUTS if g.kind is kg
+            for p, q in [(f.endpoint, g.endpoint)]
+        }
+        assert met == expected, (kf, kg)
+    assert len(verify._GRID_CUTS) == 24 and len(verify._GRID_POINTS) == 13
+
+
+def test_three_cut_claims_are_decided_on_the_grid():
+    """The written argument above verify._GRID_CUTS, for three endpoints.
+
+    The planes are xᵢ, xᵢ - xⱼ and xᵢ + xⱼ - xₖ ∈ ℤ.  Every vertex that
+    three of them cut out of [0,1]³ lies in ½ℤ³, and the grid {k/12}³ meets
+    the same cells of the arrangement as {k/24}³, which meets them all; the
+    coarser {k/4}³ misses some.
+    """
+    normals = []
+    for i, j, k in permutations(range(3)):
+        for v in ({i: 1}, {i: 1, j: -1}, {i: 1, j: 1, k: -1}):
+            n = tuple(v.get(c, 0) for c in range(3))
+            # xᵢ - xⱼ and xⱼ - xᵢ give one set of planes
+            if n not in normals and tuple(-a for a in n) not in normals:
+                normals.append(n)
+    assert len(normals) == 9
+
+    def det(rows):
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+    def offsets(n):
+        # the integers the form takes somewhere on [0,1]³
+        return range(sum(min(0, a) for a in n), sum(max(0, a) for a in n) + 1)
+
+    vertices = set()
+    for rows in combinations(normals, 3):
+        d = det(rows)
+        if d == 0:
+            continue
+        for rhs in tuples(*map(offsets, rows)):
+            # Cramer's rule: column c of rows replaced by rhs
+            x = tuple(
+                F(det([[*r[:c], b, *r[c + 1:]] for r, b in zip(rows, rhs)]), d)
+                for c in range(3)
+            )
+            if all(0 <= v <= 1 for v in x):
+                vertices.add(x)
+    assert vertices and all((2 * v).denominator == 1 for x in vertices for v in x)
+
+    def cells(n):
+        # each form's position among the integers: 2m at m, 2m + 1 in (m, m+1)
+        return {
+            tuple(-(-t // n) + t // n
+                  for t in (sum(a * x for a, x in zip(nv, p)) for nv in normals))
+            for p in tuples(range(n + 1), repeat=3)
+        }
+
+    assert len(cells(12)) == 147 and cells(12) == cells(24)
+    assert cells(4) < cells(12)
+
+
+
+# ---------------------------------------------------------------------------
+# the finite statements
+
+
+def test_convex_lemmas_skip_on_products():
+    report = mv.run_finite(PRODUCTS["L2xL3"])
+    by_id = {r.id: r for r in report.results}
+    for stmt in ("lem:convex-imp", "lem:convex-neg", "lem:convex-otimes"):
+        assert by_id[stmt].status == "skip"
+    chain_report = mv.run_finite(CHAINS[6], only=["lem:convex-imp"])
+    assert chain_report.results[0].status == "pass"
+
+
 def _subsets(a, f):
     """Every nonempty X ⊆ L∖F as (mask, members): the subset loop that fact:a
     and fact:e once ran, kept as the reference for their state search."""
@@ -315,115 +520,6 @@ def test_a_run_searches_once_per_prime(monkeypatch, algebra_id):
         (in_whole,) = (r for r in mv.run_finite(a).results if r.id == "fact:a")
     assert in_whole.status == "fail"
     assert (alone.status, alone.witnesses) == (in_whole.status, in_whole.witnesses)
-
-
-# Each statement below fails on Ł5 and Ł2×Ł3 under the mutant named beside
-# it, read from the registry's runs; mutants.KILLS has the totals
-
-
-@pytest.mark.parametrize("algebra_id", ["L5", "L2xL3"])
-@pytest.mark.parametrize(
-    "stmt, mutant",
-    [
-        ("fact:a", "subordinate-drop"),
-        ("fact:a", "sqto_full-drop"),
-        ("fact:b", "subordinate-drop"),
-        ("fact:b", "kernel_rel-drop"),
-        ("fact:c", "kernel-drop"),
-        ("fact:c", "kernel_rel-drop"),
-        ("fact:e", "subordinate-drop"),
-        ("fact:e", "sqto_full-drop"),
-        ("fact:e", "down_closure_joins-drop"),
-    ],
-    ids=[
-        "a-subordinate", "a-sqto_full", "b-subordinate", "b-kernel_rel",
-        "c-kernel", "c-kernel_rel", "e-subordinate", "e-sqto_full",
-        "e-down_closure_joins",
-    ],
-)
-def test_relative_kernel_facts_can_fail(algebra_id, stmt, mutant):
-    assert mutants.kills(mutant, algebra_id, stmt)
-
-
-@pytest.mark.parametrize("algebra_id", ["L5", "L2xL3"])
-@pytest.mark.parametrize(
-    "stmt, mutant",
-    [
-        ("prop:phi", "phi-drop"),
-        ("prop:phi", "sqto_full-drop"),
-        ("prop:quot-commute", "sqto_full-drop"),
-        ("prop:quot-commute", "quotient_sqto-drop-at-one"),
-        ("prop:small", "j_up-drop"),
-        ("prop:large", "j_up-drop"),
-        ("prop:Ju-kernel", "j_up-drop"),
-        ("prop:T-phi", "phi-drop"),
-        ("prop:T-phi", "sqto_full-drop"),
-        ("prop:fastform", "sqto_full-drop"),
-        ("lem:Jd-lower", "j_down-drop"),
-        ("thm:reduction", "j_up-drop"),
-    ],
-    ids=[
-        "phi-combinator", "phi-sqto_full", "quot-commute-quotient-side",
-        "quot-commute-at-P-one", "small-j_up", "large-j_up", "Ju-kernel-j_up",
-        "T-phi-phi", "T-phi-sqto_full", "fastform-sqto_full",
-        "Jd-lower-j_down", "reduction-j_up",
-    ],
-)
-def test_row_table_statements_can_fail(algebra_id, stmt, mutant):
-    assert mutants.kills(mutant, algebra_id, stmt)
-
-
-@pytest.mark.parametrize(
-    "stmt, mutant",
-    [
-        ("thm:discrete-principal", "successor_structure-absent"),
-        # {1} is proper with kernel {1}, so the statement asks for its
-        # generator; it never asks about the improper filter ↑0
-        ("thm:discrete-principal", "principal_generator-no-top"),
-        ("prop:successor", "successor_structure-absent"),
-        ("prop:successor", "successor_structure-pred-fixed"),
-    ],
-    ids=[
-        "discrete-principal-absent", "discrete-principal-generator",
-        "successor-absent", "successor-pred",
-    ],
-)
-def test_discrete_statements_can_fail(stmt, mutant):
-    assert mutants.kills(mutant, "L5", stmt)
-
-
-@pytest.mark.parametrize(
-    "stmt", ["lem:convex-imp", "lem:convex-neg", "lem:convex-otimes"]
-)
-def test_convex_lemmas_can_fail(stmt):
-    # the lemmas ask is_convex about masks of at most two elements only
-    assert mutants.kills("is_convex-not", "L5", stmt)
-
-
-@pytest.mark.parametrize(
-    "algebra_id, stmt",
-    [
-        ("L5", "prop:monotone"), ("L5", "prop:revIncl"), ("L5", "cor:sqto-triple"),
-        ("L2xL3", "prop:monotone"), ("L2xL3", "prop:revIncl"),
-    ],
-)
-def test_sqto_order_statements_can_fail(algebra_id, stmt):
-    assert mutants.kills("sqto-plus-after", algebra_id, stmt)
-
-
-@pytest.mark.parametrize("algebra_id, witnesses", [("L5", 12), ("L2xL3", 2)])
-def test_adjunction_can_fail(algebra_id, witnesses):
-    # the ⊸ argument swap kills prop:adjunction; drop-lowest leaves it passing
-    assert mutants.kills("sqto-swap", algebra_id, "prop:adjunction")
-    result = mutants.result("sqto-swap", algebra_id, "prop:adjunction")
-    assert len(result.witnesses) == witnesses
-
-
-def test_subord_monotone_fails_on_both_branches():
-    stmt = "fact:subord-monotone"
-    assert mutants.kills("subordinate-own-element", "L2xL3", stmt)
-    result = mutants.result("subordinate-own-element", "L2xL3", stmt)
-    assert Counter(w[0] for w in result.witnesses) == {"monotone": 18, "join": 2}
 
 
 CONVEX_TABLES = {
@@ -533,108 +629,6 @@ def test_filter_crosschecks_fail_under_a_changed_table_entry(algebra_id, stmt, t
     )
 
 
-@pytest.mark.parametrize("algebra_id", ["L8", "L2xL3"])
-def test_run_reads_the_tables_not_the_cold_forms(monkeypatch, algebra_id):
-    handed = set()
-
-    def recording(real):
-        def wrapped(first, *rest):
-            handed.add(type(first))
-            return real(first, *rest)
-
-        return wrapped
-
-    # ⊸ and K are handed the view of the algebra that reads the run's
-    # →-column tables, never the algebra itself
-    for name in ("sqto", "kernel"):
-        monkeypatch.setattr(calculus, name, recording(getattr(calculus, name)))
-    built = []
-
-    class RecordingCtx(verify.Ctx):
-        def __init__(self, a):
-            super().__init__(a)
-            built.append(self)
-
-    monkeypatch.setattr(verify, "Ctx", RecordingCtx)
-    assert mv.run_finite(ALL_ALGEBRAS[algebra_id]).ok
-    assert handed and core.MvAlgebra not in handed
-    (ctx,) = built
-    assert ctx.hat.cache_info().currsize
-    misses = ctx.sqto.cache_info().misses
-    for p in verify._spectral(ctx):
-        members = ctx.spectrum(p).members
-        for f, g in tuples(members, repeat=2):
-            ctx.sqto(f, g)
-    assert ctx.sqto.cache_info().misses == misses
-
-
-@pytest.mark.parametrize(
-    "build", [lambda: product(8, 8), lambda: product(*(2,) * 6)],
-    ids=["L8xL8", "2^6"],
-)
-def test_set_plus_runs_once_per_distinct_mask(monkeypatch, build):
-    # every ⁺ of a run goes through ctx.plus: the statements, J_d and the
-    # derived algebras
-    calls = []
-    real = calculus.set_plus
-
-    def counting(a, mask):
-        calls.append(mask)
-        return real(a, mask)
-
-    monkeypatch.setattr(calculus, "set_plus", counting)
-    built = []
-
-    class RecordingCtx(verify.Ctx):
-        def __init__(self, a):
-            super().__init__(a)
-            built.append(self)
-
-    monkeypatch.setattr(verify, "Ctx", RecordingCtx)
-    assert mv.run_finite(build()).ok
-    (ctx,) = built
-    assert len(calls) == len(set(calls)) == ctx.plus.cache_info().currsize > 0
-
-
-FINITE_SPECS = {
-    f"spec:{p.stem}": spec for p in sorted(SPECS.glob("*.json"))
-    if (spec := cli.parse_spec(p.read_text(), allow_dense=True))["kind"] != "dense"
-}
-
-
-@pytest.mark.parametrize("name", [*sorted(ALL_ALGEBRAS), *FINITE_SPECS])
-def test_ctx_spectrum_is_the_cold_prime_spectrum(name):
-    # the specs include L16, L4xL4 and 2^5; Ctx hands prime_spectrum and
-    # build_hat its caches, export the cold partials
-    a = ALL_ALGEBRAS.get(name) or cli.build_algebra(FINITE_SPECS[name])
-    ctx = verify.Ctx(a)
-    assert ctx.prime_impl
-    for p in ctx.prime_impl:
-        spec = cold_spectrum(a, p)
-        assert ctx.spectrum(p) == spec
-        h, cold = ctx.hat(p), cold_hat(spec)
-        assert h.representatives == cold.representatives
-        assert h.as_mv.oplus == cold.as_mv.oplus
-        assert h.as_mv.neg == cold.as_mv.neg
-
-
-@pytest.mark.parametrize("algebra_id", ["L5", "L2xL3"])
-def test_enum_crosscheck_checks_the_prime_list(algebra_id):
-    mutant, stmt = "enumerate_lattice_filters-first-prime-lost", "enum:crosscheck"
-    k = len(filters.enumerate_lattice_filters(ALL_ALGEBRAS[algebra_id], prime_only=True))
-    assert mutants.kills(mutant, algebra_id, stmt)
-    witnesses = mutants.result(mutant, algebra_id, stmt).witnesses
-    assert witnesses == [("prime filter lists differ", k, k - 1)]
-
-
-def test_enum_crosscheck_checks_the_prime_implication_list():
-    # on L2xL3 the minimal proper one is {1}, the maximal ones are two
-    mutant, stmt = "enumerate_implication_filters-minimal", "enum:crosscheck"
-    assert mutants.kills(mutant, "L2xL3", stmt)
-    witnesses = mutants.result(mutant, "L2xL3", stmt).witnesses
-    assert witnesses == [("prime implication filter lists differ", 2, 1)]
-
-
 @pytest.mark.parametrize(
     "factors, count", [((4, 4), 15), ((8, 8), 63)], ids=["L4xL4", "L8xL8"]
 )
@@ -650,65 +644,9 @@ def test_kernel_prime_iff_checks_the_prime_implication_list(factors, count):
     assert result.status == "fail" and len(result.witnesses) == count
 
 
-@pytest.mark.parametrize("factors", [(8, 8), (2,) * 6], ids=["L8xL8", "2^6"])
-def test_phi_and_quot_commute_pass_on_64_elements(factors):
-    report = mv.run_finite(product(*factors), only=["prop:phi", "prop:quot-commute"])
-    assert [r.status for r in report.results] == ["pass", "pass"]
 
-
-def test_a_raising_statement_is_an_error_not_an_abort():
-    # without ⁺'s lowest member a hat operation leaves the spectrum and raises
-    report = mutants.report("set_plus-drop", "L2xL3")
-    assert len(report.results) == len(FINITE_STATEMENTS)
-    errors = {r.id: r.witnesses for r in report.results if r.status == "error"}
-    assert errors == dict.fromkeys(
-        ["prop:T-phi", "thm:iota", "thm:hat-eta", "thm:composite"],
-        ["InvariantViolation: operation left the spectrum: {(1,1)}"],
-    )
-    # 7 failures and the 4 errors
-    assert report.to_text().endswith("31 passed, 11 failed, 6 skipped")
-    assert not report.ok and json.loads(report.to_json())["ok"] is False
-
-
-def _dense(mutant, stmt, status="fail"):
-    """The result of stmt in the dense run under mutant, checked to have
-    status."""
-    result = mutants.result(mutant, None, stmt)
-    assert result.status == status
-    return result
-
-
-@pytest.mark.parametrize("branch", sorted(mutants.KIND_BRANCHES))
-def test_dense_theorems_check_the_closed_form(branch):
-    assert [r.id for r in mutants.report(branch).results
-            if r.status == "fail" and r.id != "dense:closed-forms"]
-
-
-@pytest.mark.parametrize("branch", sorted(mutants.KIND_BRANCHES))
-def test_closed_forms_fails_on_each_flipped_sqto_branch(branch):
-    # each witness is a grid pair: the ⁺ closed form still holds
-    witnesses = _dense(branch, "dense:closed-forms").witnesses
-    assert witnesses and all(w[0] != "plus" for w in witnesses)
-
-
-def test_closed_forms_fails_on_a_flipped_plus():
-    result = _dense("plus-flipped", "dense:closed-forms")
-    assert len(result.witnesses) == 22
-    assert {w[0] for w in result.witnesses} == {"plus"}
-
-
-@pytest.mark.parametrize(
-    "mutant, witnesses",
-    [
-        # off the grid: the denominator 1000 does not divide 12; every pair
-        ("sqto-off-grid", 576),
-        # one grid step: the value disagrees at a point of {k/24}; every cut
-        ("plus-one-step", 24),
-    ],
-    ids=["sqto-off-grid", "plus-one-step"],
-)
-def test_closed_forms_fails_on_a_shifted_endpoint(mutant, witnesses):
-    assert len(_dense(mutant, "dense:closed-forms").witnesses) == witnesses
+# ---------------------------------------------------------------------------
+# the dense statements
 
 
 def test_closed_forms_checks_the_definitions_not_the_oracles(monkeypatch):
@@ -731,55 +669,6 @@ def test_exact_dense_statements_ignore_the_seed(branch):
     assert [r["id"] for r in results] == list(DENSE_STATEMENTS)
     if branch is not None:
         assert any(r["witnesses"] for r in results)
-
-
-def test_the_grid_meets_every_order_type_of_two_cuts():
-    """For each pair of kinds, the grid meets every order type of the
-    endpoints p, q of two proper cuts of those kinds: where each lies (at 0,
-    inside, at 1), how p compares with q, and how p + q compares with 1, the
-    line on which ⁺ reflects one endpoint onto the other."""
-    rank = {"0": 0, "inside": 1, "1": 2}
-    value = {"0": 0, "1": 1}
-
-    def _cmp(x, y):
-        return "<" if x < y else "=" if x == y else ">"
-
-    def position(x):
-        return "0" if x == 0 else "1" if x == 1 else "inside"
-
-    def proper(pos, kind):
-        return pos != ("0" if kind is dc.Kind.CLOSED else "1")
-
-    def realizable(pp, pq, d, s):
-        if pp == pq == "inside":
-            return True
-        if d != _cmp(rank[pp], rank[pq]):
-            return False
-        if "inside" not in (pp, pq):
-            return s == _cmp(value[pp] + value[pq], 1)
-        # one endpoint is inside (0,1), the other at 0 or at 1
-        return s == ("<" if "0" in (pp, pq) else ">")
-
-    signs = ("<", "=", ">")
-    for kf, kg in verify._pairs(dc.Kind):
-        expected = {
-            (pp, pq, d, s)
-            for pp in rank if proper(pp, kf)
-            for pq in rank if proper(pq, kg)
-            for d in signs for s in signs if realizable(pp, pq, d, s)
-        }
-        met = {
-            (position(p), position(q), _cmp(p, q), _cmp(p + q, 1))
-            for f in verify._GRID_CUTS if f.kind is kf
-            for g in verify._GRID_CUTS if g.kind is kg
-            for p, q in [(f.endpoint, g.endpoint)]
-        }
-        assert met == expected, (kf, kg)
-    assert len(verify._GRID_CUTS) == 24 and len(verify._GRID_POINTS) == 13
-
-
-def test_dense_trans_can_fail():
-    assert len(_dense("collapse-closed-pairs", "dense:trans").witnesses) == 242
 
 
 def test_dense_trans_takes_one_sqto_per_ordered_pair(monkeypatch):
@@ -839,15 +728,6 @@ def _subchain_hat_embed():
 MOVES_A_CLASS = sorted(set(mutants.DENSE) - {*mutants.KIND_BRANCHES, "plus-flipped"})
 
 
-@pytest.mark.parametrize("mutant", MOVES_A_CLASS)
-def test_dense_hat_embed_can_fail(mutant):
-    # ⊸ at 1/12 shifted down is [0,1], not proper, and hat_class refuses it
-    status = "error" if mutant == "sqto-one-step" else "fail"
-    result = _dense(mutant, "dense:hat-embed", status)
-    # a witness names its points only: no subchain denominator
-    assert all(isinstance(v, str) for w in result.witnesses for v in w)
-
-
 @pytest.mark.parametrize("mutant", mutants.DENSE)
 def test_grid_hat_embed_agrees_with_the_subchain_loop(mutant):
     result = mutants.result(mutant, None, "dense:hat-embed")
@@ -870,98 +750,6 @@ def test_dense_props_takes_each_sqto_once_per_grid_pair(monkeypatch):
     grid = verify._GRID_CUTS
     assert Counter(calls) == Counter(verify._pairs(grid))
     assert len(calls) == len(grid) ** 2 == 576
-
-
-def _props_failures(mutant):
-    return {w[0] for w in _dense(mutant, "dense:props").witnesses}
-
-
-@pytest.mark.parametrize(
-    "branch, failing",
-    [
-        ("closed-meet", {"OneOne", "incl"}),
-        ("open-meet", {"FFg", "plus"}),
-        ("closed-target", {"FFg", "OneOne", "axiomC", "plus"}),
-    ],
-    ids=["closed-meet", "open-meet", "closed-target"],
-)
-def test_dense_props_fails_on_each_flipped_sqto_branch(branch, failing):
-    assert _props_failures(branch) == failing
-
-
-def test_dense_props_fails_when_closed_pairs_collapse():
-    assert _props_failures("collapse-closed-pairs") == {
-        "OneOne", "plus", "FFg", "triple", "revIncl", "axiomG", "axiomC",
-    }
-
-
-@pytest.mark.parametrize(
-    "mutant, count", [("sqto-off-grid", 576), ("plus-off-grid", 24)],
-    ids=["cut_sqto-576", "cut_plus-24"],
-)
-def test_dense_props_reports_values_off_the_grid(mutant, count):
-    # a value off the grid is a witness, not an error: the nested ⊸ that
-    # would read it is not taken
-    result = _dense(mutant, "dense:props")
-    assert len(result.witnesses) == count
-    assert {w[0] for w in result.witnesses} == {"off-grid"}
-
-
-def test_dense_separation_can_fail():
-    # with its arguments swapped, F⊸G is G⊸F = {1} whenever F ⊆ G
-    assert len(_dense("sqto-swapped", "dense:separation").witnesses) == 1_156
-
-
-def test_three_cut_claims_are_decided_on_the_grid():
-    """The written argument above verify._GRID_CUTS, for three endpoints.
-
-    The planes are xᵢ, xᵢ - xⱼ and xᵢ + xⱼ - xₖ ∈ ℤ.  Every vertex that
-    three of them cut out of [0,1]³ lies in ½ℤ³, and the grid {k/12}³ meets
-    the same cells of the arrangement as {k/24}³, which meets them all; the
-    coarser {k/4}³ misses some.
-    """
-    normals = []
-    for i, j, k in permutations(range(3)):
-        for v in ({i: 1}, {i: 1, j: -1}, {i: 1, j: 1, k: -1}):
-            n = tuple(v.get(c, 0) for c in range(3))
-            # xᵢ - xⱼ and xⱼ - xᵢ give one set of planes
-            if n not in normals and tuple(-a for a in n) not in normals:
-                normals.append(n)
-    assert len(normals) == 9
-
-    def det(rows):
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-    def offsets(n):
-        # the integers the form takes somewhere on [0,1]³
-        return range(sum(min(0, a) for a in n), sum(max(0, a) for a in n) + 1)
-
-    vertices = set()
-    for rows in combinations(normals, 3):
-        d = det(rows)
-        if d == 0:
-            continue
-        for rhs in tuples(*map(offsets, rows)):
-            # Cramer's rule: column c of rows replaced by rhs
-            x = tuple(
-                F(det([[*r[:c], b, *r[c + 1:]] for r, b in zip(rows, rhs)]), d)
-                for c in range(3)
-            )
-            if all(0 <= v <= 1 for v in x):
-                vertices.add(x)
-    assert vertices and all((2 * v).denominator == 1 for x in vertices for v in x)
-
-    def cells(n):
-        # each form's position among the integers: 2m at m, 2m + 1 in (m, m+1)
-        return {
-            tuple(-(-t // n) + t // n
-                  for t in (sum(a * x for a, x in zip(nv, p)) for nv in normals))
-            for p in tuples(range(n + 1), repeat=3)
-        }
-
-    assert len(cells(12)) == 147 and cells(12) == cells(24)
-    assert cells(4) < cells(12)
 
 
 def test_equiv_and_separation_read_the_integers_not_endpoint(monkeypatch):
